@@ -10,7 +10,10 @@ Context discipline is the load-bearing property: every planner/executor
 prompt for a node is assembled exclusively from that node's description, its
 direct dependencies' outcome summaries, its own local trace, and optional
 one-shot guidance.  Nothing else leaks in, which is what keeps replan prompts
-small and node work order-independent.
+small and node work order-independent.  The supervisor's between-round
+revision prompt is scoped the same way, to the round: it sees the actions
+taken since the previous revision plus the graph state, in which settled
+nodes are reduced to their id and status.
 """
 
 from __future__ import annotations
@@ -161,19 +164,6 @@ class RunReport:
     role_tokens: dict[str, dict[str, int]]
     env_metrics: dict[str, Any]
     delivered: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "method": self.method,
-            "terminal": self.terminal,
-            "reason": self.reason,
-            "steps_used": self.steps_used,
-            "node_records": self.node_records,
-            "role_tokens": self.role_tokens,
-            "env_metrics": self.env_metrics,
-            "delivered": self.delivered,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +391,7 @@ def execute_node(
     ledger: TokenLedger | None = None,
     sink: TraceSink | None = None,
     run_id: str = "adhoc",
-    global_trace: list[TraceEntry] | None = None,
+    round_trace: list[TraceEntry] | None = None,
 ) -> NodeStatus:
     """Work one ready node to a terminal status (or until a budget stops it).
 
@@ -409,7 +399,8 @@ def execute_node(
     evaluation -> optional node-local replan.  Replacing the plan never
     touches any other node.  A role fault marks the node Failed.  Returning
     with the node still InProgress means the run must terminate (step budget)
-    or the episode already ended (environment done).
+    or the episode already ended (environment done).  Every environment step
+    is also appended to ``round_trace`` when one is given.
     """
     templates = templates or load_templates(config.template_dir)
     ledger = ledger if ledger is not None else TokenLedger()
@@ -481,8 +472,8 @@ def execute_node(
         index = steps.next_index()
         entry = TraceEntry(step_index=index, action=action, observation=result.observation)
         node.local_trace.append(entry)
-        if global_trace is not None:
-            global_trace.append(entry)
+        if round_trace is not None:
+            round_trace.append(entry)
         if sink is not None:
             sink.emit(
                 run_id,
@@ -628,7 +619,9 @@ def run_task(
 
     Terminates on: task done (environment done or every sink node Completed),
     step-budget exhaustion, a construction fault, or a stalled round (no ready
-    nodes and a revision that changed nothing).
+    nodes and a revision that changed nothing).  The revision call that closes
+    a round renders only that round's trace entries as its history, plus the
+    graph state from :func:`render_dag_state`.
     """
     config.require_roles("supervisor", "planner", "executor")
     rid = run_id or f"{method}__{instance.id}"
@@ -652,7 +645,6 @@ def run_task(
     commands = format_commands(env)
     steps = StepCounter(used=0, limit=config.s_max)
     graph: TaskGraph | None = None
-    global_trace: list[TraceEntry] = []
     terminal, reason = "Completed", "task done"
 
     try:
@@ -677,6 +669,7 @@ def run_task(
                 terminal, reason = "Terminated", "step budget exhausted"
                 break
             ready = ready_nodes(graph)
+            round_trace: list[TraceEntry] = []
             for nid in ready:
                 if task_done(env, graph) or steps.exhausted():
                     break
@@ -691,7 +684,7 @@ def run_task(
                     ledger=ledger,
                     sink=sink,
                     run_id=rid,
-                    global_trace=global_trace,
+                    round_trace=round_trace,
                 )
             if task_done(env, graph):
                 continue
@@ -705,7 +698,7 @@ def run_task(
                     {
                         "task_description": instance.query,
                         "current_step": str(steps.used),
-                        "history": assemble_history(global_trace, config.history_cap),
+                        "history": assemble_history(round_trace, config.history_cap),
                         "dag_state": render_dag_state(graph),
                         "admissible_commands": commands,
                     },

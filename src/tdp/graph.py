@@ -413,10 +413,24 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
 
 
 def render_dag_state(graph: TaskGraph) -> str:
-    """Deterministic one-line-per-node view handed to the revision prompt."""
+    """Deterministic one-line-per-node view handed to the revision prompt.
+
+    A settled node — completed, with every dependent completed too (a
+    completed sink included) — renders as its id and status alone; every other
+    node also shows its dependencies and description.
+    """
+    unsettled_deps = {
+        dep
+        for node in graph.nodes.values()
+        if node.status is not NodeStatus.COMPLETED
+        for dep in node.dependencies
+    }
     lines = []
     for nid in graph.sorted_ids():
         node = graph.nodes[nid]
+        if node.status is NodeStatus.COMPLETED and nid not in unsettled_deps:
+            lines.append(f"- {nid} [{node.status.value}]")
+            continue
         deps = ", ".join(sorted(node.dependencies)) or "none"
         lines.append(f"- {nid} [{node.status.value}] (deps: {deps}): {node.description}")
     return "\n".join(lines) if lines else "(empty graph)"
@@ -473,10 +487,6 @@ def graph_from_doc(doc: Mapping[str, Any]) -> TaskGraph:
     return graph
 
 
-def graph_from_json(text: str) -> TaskGraph:
-    return graph_from_doc(json.loads(text))
-
-
 __all__ = [
     "NodeId",
     "GraphError",
@@ -500,5 +510,4 @@ __all__ = [
     "graph_to_doc",
     "graph_to_json",
     "graph_from_doc",
-    "graph_from_json",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "SequenceError",
     "TraceSink",
     "CounterClock",
-    "append_event",
     "read_trace",
     "TokenLedger",
     "MetricsRecord",
@@ -166,18 +165,9 @@ class TraceSink:
         with self._lock:
             return [e for e in self._events if e.run_id == run_id]
 
-    def header_for(self, run_id: str) -> dict[str, Any]:
-        with self._lock:
-            return dict(self._headers[run_id])
-
     def run_ids(self) -> list[str]:
         with self._lock:
             return sorted(self._headers)
-
-
-def append_event(sink: TraceSink, event: TraceEvent) -> int:
-    """Module-level alias for :meth:`TraceSink.append_event`."""
-    return sink.append_event(event)
 
 
 def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceEvent]]:

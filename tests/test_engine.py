@@ -28,13 +28,16 @@ from tdp.graph import (
     TaskGraph,
     TraceEntry,
 )
-from tdp.roles import RoleFault, ScriptedBackend
+from tdp.roles import RoleFault, ScriptedBackend, load_templates
 from tdp.telemetry import CounterClock, TokenLedger, TraceSink, read_trace
 
 from scenarios import (
     DIAMOND_EXPECTED,
     NOOP_REVISION,
+    ChainEnv,
     backends,
+    chain_config,
+    chain_instance,
     diamond_config,
     diamond_instance,
     diamond_rules,
@@ -45,6 +48,7 @@ from scenarios import (
     replan_decline,
     rule,
     subgoals_reply,
+    tdp_chain_rules,
     travel_locality_config,
     travel_locality_instance,
     travel_locality_rules,
@@ -508,6 +512,19 @@ class TestTaskDone:
 # -- full runs ----------------------------------------------------------------------------
 
 
+def _revise_prompts(supervisor: ScriptedBackend) -> list[str]:
+    return [prompt for tag, prompt in supervisor.calls if tag == "supervisor:revise"]
+
+
+def _revise_history(prompt: str) -> str:
+    """The {history} binding of a rendered revise prompt, cut out between the
+    template text that surrounds the placeholder."""
+    before, after = load_templates()["revise"].body.split("{history}")
+    head = before.rsplit("\n", 1)[-1]
+    tail = after.split("{", 1)[0]
+    return prompt.split(head, 1)[1].split(tail, 1)[0]
+
+
 class TestRunTask:
     def test_diamond_transcript_matches_the_oracle(self):
         sink = TraceSink(clock=CounterClock())
@@ -569,6 +586,32 @@ class TestRunTask:
         assert report.reason == "stall: no ready nodes and no graph update"
         revisions = [e for e in sink.events_for(report.run_id) if e.kind == "revision"]
         assert [e.payload["status"] for e in revisions] == ["noop", "noop"]
+        # the second round dispatched nothing, so its revision saw no actions
+        first, second = _revise_prompts(config.role_backends["supervisor"])
+        assert "Action: open drawer" in _revise_history(first)
+        assert _revise_history(second) == NO_ACTIONS_YET
+
+    def test_revision_prompt_sees_only_its_own_rounds_actions(self):
+        stages = 4
+        config = chain_config(stages, tdp_chain_rules(stages))
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(stages), ChainEnv(), config, sink=sink)
+        assert report.terminal == "Completed"
+        round_steps: dict[str, list[TraceEntry]] = {}
+        for event in sink.events_for(report.run_id):
+            if event.kind == "env_step":
+                payload = event.payload
+                round_steps.setdefault(payload["scope"], []).append(
+                    entry(payload["step_index"], payload["action"], payload["observation"]))
+        prompts = _revise_prompts(config.role_backends["supervisor"])
+        assert len(prompts) == stages - 1
+        # the chain works node_k, and only node_k, in round k
+        for k, prompt in enumerate(prompts, start=1):
+            for j in range(1, k):
+                assert f"obstacle at stage {j}:" not in prompt
+            assert f"obstacle at stage {k}:" in prompt
+            assert _revise_history(prompt) == assemble_history(
+                round_steps[f"node_{k}"], config.history_cap)
 
     def test_applied_revision_redirects_the_next_round(self):
         d2_old = "Check the stove."

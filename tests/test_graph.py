@@ -443,6 +443,22 @@ def test_render_dag_state_exact_format():
     assert render_dag_state(TaskGraph(task_description="t")) == "(empty graph)"
 
 
+def test_render_dag_state_shortens_only_settled_nodes():
+    # a is settled (its one dependent b completed too); b still feeds pending c.
+    g = graph_of(
+        node("a", status=NodeStatus.COMPLETED),
+        node("b", deps=["a"], status=NodeStatus.COMPLETED),
+        node("c", deps=["b"]),
+        node("d", status=NodeStatus.FAILED),
+    )
+    assert render_dag_state(g) == (
+        "- a [completed]\n"
+        "- b [completed] (deps: a): work item b\n"
+        "- c [pending] (deps: b): work item c\n"
+        "- d [failed] (deps: none): work item d"
+    )
+
+
 def test_doc_round_trip_preserves_everything_it_serializes():
     g = graph_of(
         node("a", status=NodeStatus.COMPLETED),
