@@ -33,6 +33,7 @@ from .graph import (
     TraceEntry,
     apply_revision,
     build_node_context,
+    delta_to_doc,
     graph_to_doc,
     ready_nodes,
     render_dag_state,
@@ -622,6 +623,15 @@ def run_task(
     nodes and a revision that changed nothing).  The revision call that closes
     a round renders only that round's trace entries as its history, plus the
     graph state from :func:`render_dag_state`.
+
+    The trace records the graph once, in ``graph_constructed``.  Each
+    ``revision`` event carries its ``status`` and ``reasons`` plus, unless it
+    is a noop, the parsed delta in the schema of the supervisor's revise reply
+    (:func:`~tdp.graph.delta_to_doc`).  Because :func:`apply_revision` assigns
+    ids deterministically, the graph's ids, descriptions and dependencies at
+    any revision are rebuilt by starting from
+    ``graph_from_doc(graph_constructed)`` and applying each applied event's
+    ``parse_revision(json.dumps(delta))`` in order.
     """
     config.require_roles("supervisor", "planner", "executor")
     rid = run_id or f"{method}__{instance.id}"
@@ -717,7 +727,7 @@ def run_task(
                 "revision",
                 status=result.status,
                 reasons=list(result.reasons),
-                graph=graph_to_doc(result.graph) if result.applied else None,
+                delta=delta_to_doc(delta) if delta.need_update else None,
             )
             graph = result.graph
             if not ready and not result.applied:

@@ -10,10 +10,8 @@ mutations a graph value behaves as a snapshot.
 
 from __future__ import annotations
 
-import copy
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -348,7 +346,17 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
         return RevisionResult(graph=graph, status="noop")
 
     reasons: list[str] = []
-    work = copy.deepcopy(graph)
+    # Copy the structure the edits below touch; plans, trace entries and
+    # outcomes are frozen, so the copy shares them with the original.
+    work = TaskGraph(
+        task_description=graph.task_description,
+        nodes={
+            nid: replace(
+                node, dependencies=set(node.dependencies), local_trace=list(node.local_trace)
+            )
+            for nid, node in graph.nodes.items()
+        },
+    )
 
     for node_id, new_description in delta.description_updates:
         node = work.nodes.get(node_id)
@@ -458,8 +466,27 @@ def graph_to_doc(graph: TaskGraph) -> dict[str, Any]:
     }
 
 
-def graph_to_json(graph: TaskGraph) -> str:
-    return json.dumps(graph_to_doc(graph), sort_keys=True)
+def delta_to_doc(delta: RevisionDelta) -> dict[str, Any]:
+    """JSON-ready document in the schema of the supervisor's revise reply, so
+    :func:`~tdp.roles.parse_revision` reads it back to an equal delta."""
+    return {
+        "thought": delta.thought,
+        "need_update": delta.need_update,
+        "description_updates": [
+            {"node_id": nid, "new_description": description}
+            for nid, description in delta.description_updates
+        ],
+        "new_nodes": [
+            {
+                "id": spec.id,
+                "description": spec.description,
+                "dependencies": list(spec.dependencies),
+                "dependents": list(spec.dependents),
+            }
+            for spec in delta.new_nodes
+        ],
+        "remove_nodes": list(delta.remove_nodes),
+    }
 
 
 def graph_from_doc(doc: Mapping[str, Any]) -> TaskGraph:
@@ -508,6 +535,6 @@ __all__ = [
     "next_generated_id",
     "render_dag_state",
     "graph_to_doc",
-    "graph_to_json",
+    "delta_to_doc",
     "graph_from_doc",
 ]

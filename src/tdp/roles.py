@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -553,18 +552,16 @@ class ScriptRule:
 class ScriptedBackend(ModelBackend):
     """Deterministic pattern -> response backend for tests and offline runs.
 
-    First matching rule wins.  Identical (role_tag, prompt) pairs always yield
-    identical completions; the `calls` log records every request for test
-    introspection without affecting behavior.
+    First matching rule wins.  ``complete`` is a pure function of
+    (role_tag, prompt) over rules that are only read, so the backend keeps no
+    state per call and is safe to share between concurrent runs.
     """
 
     def __init__(self, rules: Sequence[ScriptRule | Mapping[str, Any]]):
-        self.rules: list[ScriptRule] = [
+        self.rules: tuple[ScriptRule, ...] = tuple(
             rule if isinstance(rule, ScriptRule) else self._rule_from_mapping(rule)
             for rule in rules
-        ]
-        self.calls: list[tuple[str, str]] = []
-        self._lock = threading.Lock()
+        )
 
     @staticmethod
     def _rule_from_mapping(doc: Mapping[str, Any]) -> ScriptRule:
@@ -592,8 +589,6 @@ class ScriptedBackend(ModelBackend):
         return cls(rules)
 
     def complete(self, role_tag: str, prompt: str) -> Completion:
-        with self._lock:
-            self.calls.append((role_tag, prompt))
         attempt = prompt.count(FORMAT_REMINDER)
         for rule in self.rules:
             if rule.matches(role_tag, prompt):

@@ -165,10 +165,6 @@ class TraceSink:
         with self._lock:
             return [e for e in self._events if e.run_id == run_id]
 
-    def run_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._headers)
-
 
 def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceEvent]]:
     """Load a trace file back into (headers by run_id, events in file order).

@@ -22,7 +22,7 @@ from tdp.graph import (
     SubTaskNode,
     TaskGraph,
     apply_revision,
-    graph_to_json,
+    graph_to_doc,
     validate_graph,
 )
 
@@ -186,7 +186,7 @@ def run_revision_sequence(rng: random.Random, length: int = 10) -> int:
     graph = random_valid_graph(rng)
     applied = 0
     for serial in range(length):
-        before_json = graph_to_json(graph)
+        before_doc = graph_to_doc(graph)
         before_terminal = {
             nid: (node.status, node.description, node.replan_count)
             for nid, node in graph.nodes.items()
@@ -207,12 +207,12 @@ def run_revision_sequence(rng: random.Random, length: int = 10) -> int:
                     assert survivor.replan_count == replans
                     assert survivor.outcome is not None
             # the input graph object itself must not have been mutated
-            assert graph_to_json(graph) == before_json
+            assert graph_to_doc(graph) == before_doc
             graph = result.graph
         else:
             assert result.status in ("noop", "rejected")
             assert result.graph is graph
-            assert graph_to_json(graph) == before_json
+            assert graph_to_doc(graph) == before_doc
             if result.status == "rejected":
                 assert result.reasons, "rejections must carry reasons"
     return applied

@@ -14,7 +14,7 @@ from typing import Any
 
 from tdp.engine import RunConfig
 from tdp.environments.base import Environment, StepResult, TaskInstance
-from tdp.roles import ScriptedBackend, ScriptRule
+from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule
 from tdp.telemetry import TraceEvent
 
 # ---------------------------------------------------------------------------
@@ -61,17 +61,52 @@ NOOP_REVISION = json.dumps(
 )
 
 
+def revision_reply(*updates: tuple[str, str]) -> str:
+    """Graph-update JSON that rewords each (node_id, new_description)."""
+    return json.dumps(
+        {
+            "thought": "The next node's wording should say what is already done.",
+            "need_update": True,
+            "description_updates": [
+                {"node_id": nid, "new_description": desc} for nid, desc in updates
+            ],
+            "new_nodes": [],
+            "remove_nodes": [],
+        }
+    )
+
+
 def rule(role: str | None, match: list[str], *responses: str) -> ScriptRule:
     return ScriptRule(match=tuple(match), responses=tuple(responses), role=role)
 
 
+class RecordingBackend(ModelBackend):
+    """Forwards every call to a wrapped backend and records its (role_tag, prompt).
+
+    Scripted backends keep no call log, so a test that inspects the prompts a
+    role received reads them from this delegate's ``calls``.
+    """
+
+    def __init__(self, inner: ModelBackend) -> None:
+        self.inner = inner
+        self.calls: list[tuple[str, str]] = []
+
+    def complete(self, role_tag: str, prompt: str) -> Completion:
+        self.calls.append((role_tag, prompt))
+        return self.inner.complete(role_tag, prompt)
+
+
+def recording(rules: list[ScriptRule]) -> RecordingBackend:
+    return RecordingBackend(ScriptedBackend(rules))
+
+
 def backends(
     supervisor: list[ScriptRule], planner: list[ScriptRule], executor: list[ScriptRule]
-) -> dict[str, ScriptedBackend]:
+) -> dict[str, RecordingBackend]:
     return {
-        "supervisor": ScriptedBackend(supervisor),
-        "planner": ScriptedBackend(planner),
-        "executor": ScriptedBackend(executor),
+        "supervisor": recording(supervisor),
+        "planner": recording(planner),
+        "executor": recording(executor),
     }
 
 
@@ -180,7 +215,7 @@ def travel_locality_instance(variant: str = "blocked") -> TaskInstance:
     )
 
 
-def travel_locality_rules() -> dict[str, ScriptedBackend]:
+def travel_locality_rules() -> dict[str, RecordingBackend]:
     supervisor = [
         rule(
             "supervisor:construct",
@@ -270,7 +305,7 @@ def travel_locality_rules() -> dict[str, ScriptedBackend]:
     return backends(supervisor, planner, executor)
 
 
-def travel_locality_config(role_backends: dict[str, ScriptedBackend]) -> RunConfig:
+def travel_locality_config(role_backends: dict[str, RecordingBackend]) -> RunConfig:
     return RunConfig(s_max=12, max_replans_per_node=2, role_backends=dict(role_backends))
 
 
@@ -316,7 +351,7 @@ def diamond_instance() -> TaskInstance:
     )
 
 
-def diamond_rules() -> dict[str, ScriptedBackend]:
+def diamond_rules() -> dict[str, RecordingBackend]:
     supervisor = [
         rule(
             "supervisor:construct",
@@ -365,7 +400,7 @@ def diamond_rules() -> dict[str, ScriptedBackend]:
     return backends(supervisor, planner, executor)
 
 
-def diamond_config(role_backends: dict[str, ScriptedBackend]) -> RunConfig:
+def diamond_config(role_backends: dict[str, RecordingBackend]) -> RunConfig:
     return RunConfig(s_max=DIAMOND_S_MAX, role_backends=dict(role_backends))
 
 
@@ -491,7 +526,7 @@ def chain_instance(stages: int) -> TaskInstance:
     )
 
 
-def chain_config(stages: int, role_backends: dict[str, ScriptedBackend]) -> RunConfig:
+def chain_config(stages: int, role_backends: dict[str, RecordingBackend]) -> RunConfig:
     # 2 env interactions per stage; the replan cap covers one replan per stage
     return RunConfig(
         s_max=2 * stages + 2,
@@ -504,7 +539,15 @@ def _stage_frag(i: int) -> str:
     return f"Handle stage {i} of"
 
 
-def tdp_chain_rules(stages: int) -> dict[str, ScriptedBackend]:
+def reworded_stage(i: int) -> str:
+    """Stage i's description after a revision; keeps the text its rules match on."""
+    return f"Handle stage {i} of the queue, now that the earlier stages are clear."
+
+
+def tdp_chain_rules(stages: int, revise: bool = False) -> dict[str, RecordingBackend]:
+    """With ``revise`` the supervisor rewords the next pending node every round
+    (:func:`reworded_stage`), so every revision applies; otherwise every
+    revision is a noop."""
     node_specs = [
         (
             f"node_{i}",
@@ -559,11 +602,21 @@ def tdp_chain_rules(stages: int) -> dict[str, ScriptedBackend]:
             rule("executor:execute", [frag, f"obstacle at stage {i}:"], f"resolve {i}")
         )
         executor.append(rule("executor:execute", [frag], f"work {i}"))
-    supervisor.append(rule("supervisor:revise", [], NOOP_REVISION))
+    if revise:
+        for i in range(stages - 1, 0, -1):
+            supervisor.append(
+                rule(
+                    "supervisor:revise",
+                    [f"- node_{i} [completed]", f"- node_{i + 1} [pending]"],
+                    revision_reply((f"node_{i + 1}", reworded_stage(i + 1))),
+                )
+            )
+    else:
+        supervisor.append(rule("supervisor:revise", [], NOOP_REVISION))
     return backends(supervisor, planner, executor)
 
 
-def planact_chain_rules(stages: int) -> dict[str, ScriptedBackend]:
+def planact_chain_rules(stages: int) -> dict[str, RecordingBackend]:
     planner = [
         rule(
             "planner:plan",

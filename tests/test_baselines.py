@@ -26,6 +26,7 @@ from scenarios import (
     eval_reply,
     plan_reply,
     planact_chain_rules,
+    recording,
     replan_decline,
     rule,
 )
@@ -66,7 +67,7 @@ class TestParseReact:
 
 
 def _react_backend():
-    return ScriptedBackend([
+    return recording([
         rule("executor:react", [FOUND_RIVER],
              "Thought: the river is named\nAction: Finish[Illinois River]"),
         rule("executor:react", [],

@@ -27,14 +27,17 @@ from tdp.graph import (
     SubTaskNode,
     TaskGraph,
     TraceEntry,
+    apply_revision,
+    graph_from_doc,
 )
-from tdp.roles import RoleFault, ScriptedBackend, load_templates
+from tdp.roles import RoleFault, ScriptedBackend, load_templates, parse_revision
 from tdp.telemetry import CounterClock, TokenLedger, TraceSink, read_trace
 
 from scenarios import (
     DIAMOND_EXPECTED,
     NOOP_REVISION,
     ChainEnv,
+    RecordingBackend,
     backends,
     chain_config,
     chain_instance,
@@ -46,6 +49,7 @@ from scenarios import (
     project,
     replan_accept,
     replan_decline,
+    reworded_stage,
     rule,
     subgoals_reply,
     tdp_chain_rules,
@@ -512,7 +516,7 @@ class TestTaskDone:
 # -- full runs ----------------------------------------------------------------------------
 
 
-def _revise_prompts(supervisor: ScriptedBackend) -> list[str]:
+def _revise_prompts(supervisor: RecordingBackend) -> list[str]:
     return [prompt for tag, prompt in supervisor.calls if tag == "supervisor:revise"]
 
 
@@ -649,10 +653,48 @@ class TestRunTask:
         events = sink.events_for(report.run_id)
         (revision_event,) = [e for e in events if e.kind == "revision"]
         assert revision_event.payload["status"] == "applied"
-        descriptions = {s["id"]: s["description"]
-                        for s in revision_event.payload["graph"]["subgoals"]}
+        descriptions = {u["node_id"]: u["new_description"]
+                        for u in revision_event.payload["delta"]["description_updates"]}
         assert descriptions["node_2"] == d2_new
         assert report.node_records["node_2"]["status"] == "completed"
+
+    def test_revision_deltas_replay_to_the_final_graph(self):
+        stages = 5
+        config = chain_config(stages, tdp_chain_rules(stages, revise=True))
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(stages), ChainEnv(), config, sink=sink)
+        assert report.terminal == "Completed"
+        events = sink.events_for(report.run_id)
+        (constructed,) = [e for e in events if e.kind == "graph_constructed"]
+        graph = graph_from_doc(constructed.payload["graph"])
+        revisions = [e for e in events if e.kind == "revision"]
+        assert [e.payload["status"] for e in revisions] == ["applied"] * (stages - 1)
+        for event in revisions:
+            result = apply_revision(graph, parse_revision(json.dumps(event.payload["delta"])))
+            assert result.applied
+            graph = result.graph
+        assert {nid: node.description for nid, node in graph.nodes.items()} == {
+            f"node_{i}": "Handle stage 1 of the queue." if i == 1 else reworded_stage(i)
+            for i in range(1, stages + 1)
+        }
+        assert sorted(graph.nodes) == sorted(events[-1].payload["node_records"])
+        # the live run planned each node from the description the replay rebuilt
+        plan_prompts = [p for tag, p in config.role_backends["planner"].calls
+                        if tag == "planner:plan"]
+        for k, prompt in enumerate(plan_prompts, start=1):
+            assert graph.nodes[f"node_{k}"].description in prompt
+
+    def test_revision_event_size_does_not_grow_with_the_graph(self):
+        sizes = {}
+        for stages in (4, 8):
+            sink = TraceSink(clock=CounterClock())
+            report = run_task(chain_instance(stages), ChainEnv(),
+                              chain_config(stages, tdp_chain_rules(stages, revise=True)),
+                              sink=sink)
+            sizes[stages] = [len(e.to_line().encode()) for e in sink.events_for(report.run_id)
+                             if e.kind == "revision" and e.payload["status"] == "applied"]
+        assert len(sizes[4]) == 3
+        assert sizes[8][:3] == sizes[4]
 
     def test_repeated_runs_write_byte_identical_traces(self, tmp_path):
         paths = []

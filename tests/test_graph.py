@@ -31,7 +31,6 @@ from tdp.graph import (
     build_node_context,
     graph_from_doc,
     graph_to_doc,
-    graph_to_json,
     legal_transition,
     next_generated_id,
     ready_nodes,
@@ -291,13 +290,13 @@ def test_description_update_lands_on_live_node_only():
         ("b", "terminal and cannot be rewritten"),
         ("zz", "unknown node"),
     ]:
-        before = graph_to_json(g)
+        before = graph_to_doc(g)
         result = apply_revision(
             g, RevisionDelta(need_update=True, description_updates=((bad_target, "x"),))
         )
         assert result.status == "rejected"
         assert any(reason_frag in r for r in result.reasons)
-        assert result.graph is g and graph_to_json(g) == before
+        assert result.graph is g and graph_to_doc(g) == before
 
     blank = apply_revision(
         g, RevisionDelta(need_update=True, description_updates=(("a", "  "),))
@@ -374,7 +373,7 @@ def test_remove_then_readd_terminal_id_is_refused():
 
 def test_rejection_is_atomic_even_when_parts_were_valid():
     g = graph_of(node("a"), node("b", deps=["a"]))
-    before = graph_to_json(g)
+    before = graph_to_doc(g)
     delta = RevisionDelta(
         need_update=True,
         description_updates=(("a", "would have landed"),),
@@ -382,7 +381,23 @@ def test_rejection_is_atomic_even_when_parts_were_valid():
     )
     result = apply_revision(g, delta)
     assert result.status == "rejected"
-    assert graph_to_json(g) == before  # the valid update must not leak through
+    assert graph_to_doc(g) == before  # the valid update must not leak through
+
+
+def test_applied_result_shares_no_mutable_structure_with_the_original():
+    g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]))
+    g.nodes["a"].local_trace.append(TraceEntry(step_index=1, action="look", observation="ok"))
+    before = graph_to_doc(g)
+    result = apply_revision(
+        g, RevisionDelta(need_update=True, description_updates=(("b", "sharper b"),))
+    )
+    assert result.applied
+    result.graph.nodes["b"].dependencies.add("c")
+    result.graph.nodes["a"].dependencies.add("z")
+    result.graph.nodes["a"].local_trace.append(
+        TraceEntry(step_index=2, action="again", observation="still ok"))
+    assert graph_to_doc(g) == before
+    assert len(g.nodes["a"].local_trace) == 1
 
 
 def test_post_edit_validation_rejects_structural_damage():
@@ -477,7 +492,7 @@ def test_doc_round_trip_preserves_everything_it_serializes():
 def test_graph_json_is_insertion_order_independent():
     forward = graph_of(node("a"), node("b", deps=["a"]))
     backward = graph_of(node("b", deps=["a"]), node("a"))
-    assert graph_to_json(forward) == graph_to_json(backward)
+    assert graph_to_doc(forward) == graph_to_doc(backward)
 
 
 def test_graph_from_doc_rejects_duplicates_and_junk():

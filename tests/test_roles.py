@@ -7,6 +7,8 @@ import random
 
 import pytest
 from parsergen import PARSER_CASES
+from scenarios import RecordingBackend
+from tdp.graph import NewNodeSpec, RevisionDelta, delta_to_doc
 from tdp.roles import (
     FORMAT_REMINDER,
     Completion,
@@ -297,6 +299,22 @@ def test_parser_round_trips_and_rejects_corruption(kind):
             parser(corrupt(rng))
 
 
+def test_revision_delta_doc_reads_back_to_an_equal_delta():
+    gen, _ = PARSER_CASES["revision"]
+    rng = random.Random(7)
+    deltas = [gen(rng)[1] for _ in range(60)]
+    deltas.append(
+        RevisionDelta(
+            thought="wire a check in",
+            need_update=True,
+            new_nodes=(NewNodeSpec(id=None, description="check", dependencies=("a",),
+                                   dependents=("b",)),),
+        )
+    )
+    for delta in deltas:
+        assert parse_revision(json.dumps(delta_to_doc(delta))) == delta
+
+
 # ---------------------------------------------------------------------------
 # scripted backend
 
@@ -320,11 +338,25 @@ def test_scripted_backend_first_match_and_filters():
 
 
 def test_scripted_backend_is_referentially_transparent():
-    backend = ScriptedBackend([ScriptRule(match=("q",), responses=("a",))])
+    backend = RecordingBackend(ScriptedBackend([ScriptRule(match=("q",), responses=("a",))]))
     first = backend.complete("r", "q 1")
     second = backend.complete("r", "q 1")
     assert first.text == second.text and first.usage == second.usage
     assert backend.calls == [("r", "q 1"), ("r", "q 1")]
+
+
+def test_scripted_backend_keeps_no_state_per_call():
+    backend = ScriptedBackend(
+        [
+            ScriptRule(match=("q",), responses=("first", "second")),
+            ScriptRule(match=(), responses=("fallback",)),
+        ]
+    )
+    before = repr(vars(backend))  # repr, so growth inside a held list shows too
+    for i in range(200):
+        backend.complete(f"role:{i % 3}", f"q {i}" + f"\n{FORMAT_REMINDER}" * (i % 2))
+        backend.complete("role", f"miss {i}")
+    assert repr(vars(backend)) == before
 
 
 def test_scripted_backend_retry_indexing_clamps():
@@ -386,9 +418,9 @@ def test_call_role_success_reports_usage_and_attempts():
 
 
 def test_call_role_retries_with_cumulative_reminders():
-    backend = ScriptedBackend(
+    backend = RecordingBackend(ScriptedBackend(
         [ScriptRule(match=(), responses=("not json", "still not", '{"ok": true}'))]
-    )
+    ))
     value, usage, attempts = call_role(
         backend, _template(), {"question": "ping"}, extract_json, retry_budget=2
     )
