@@ -1,8 +1,9 @@
 """Reference agent loops for cost/quality comparison.
 
-All three baselines share the engine's backends, budgets, and telemetry, and
-reuse its prompt templates with whole-task bindings wherever the shape allows,
-so the comparison isolates orchestration strategy rather than prompt wording:
+All three baselines are loop bodies over the engine's :class:`~tdp.engine.Run`,
+so they share its backends, budgets, and telemetry, and they reuse its prompt
+templates with whole-task bindings wherever the shape allows.  The comparison
+thus isolates orchestration strategy rather than prompt wording:
 
 * ReAct     — a single role; every step sees the full accumulated history.
 * CoT       — one up-front plan, executed step-for-step, never revised.
@@ -15,17 +16,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Any, Callable
+from typing import Callable
 
-from .engine import (
-    NO_ACTIONS_YET,
-    RunConfig,
-    RunReport,
-    StepCounter,
-    assemble_history,
-    call_and_record,
-    format_commands,
-)
+from .engine import NO_ACTIONS_YET, Run, RunConfig, RunReport, assemble_history
 from .environments import Environment, TaskInstance
 from .graph import TraceEntry
 from .roles import (
@@ -33,13 +26,12 @@ from .roles import (
     Plan,
     RoleFault,
     extract_action,
-    load_templates,
     parse_evaluation,
     parse_plan,
     parse_replan,
     render_plan,
 )
-from .telemetry import TokenLedger, TraceSink
+from .telemetry import TraceSink
 
 __all__ = [
     "BaselineKind",
@@ -73,111 +65,6 @@ def parse_react(text: str) -> tuple[str, str]:
     return thought, action
 
 
-def _full_history(trace: list[TraceEntry]) -> str:
-    # Deliberately uncapped: these baselines carry everything, every step.
-    if not trace:
-        return NO_ACTIONS_YET
-    return "\n".join(f"Action: {e.action}\nObservation: {e.observation}" for e in trace)
-
-
-class _BaselineRun:
-    """Shared scaffolding: reset, trace, events, and the final report."""
-
-    def __init__(
-        self,
-        method: str,
-        instance: TaskInstance,
-        env: Environment,
-        config: RunConfig,
-        sink: TraceSink | None,
-        run_id: str | None,
-    ):
-        self.method = method
-        self.instance = instance
-        self.env = env
-        self.config = config
-        self.run_id = run_id or f"{method}__{instance.id}"
-        self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
-        self.templates = load_templates(config.template_dir)
-        self.ledger = TokenLedger()
-        self.steps = StepCounter(used=0, limit=config.s_max)
-        self.trace: list[TraceEntry] = []
-        env.reset(instance)
-        self.commands = format_commands(env)
-        self.sink.begin_run(
-            self.run_id,
-            meta={
-                "method": method,
-                "task_id": instance.id,
-                "environment": instance.environment,
-                "query": instance.query,
-                "gold": dict(instance.gold),
-                "s_max": config.s_max,
-            },
-        )
-
-    def call(
-        self, role: str, template_name: str, bindings: dict[str, Any], parser: Callable[[str], Any]
-    ) -> Any:
-        return call_and_record(
-            role,
-            self.templates[template_name],
-            bindings,
-            parser,
-            scope="global",
-            config=self.config,
-            ledger=self.ledger,
-            sink=self.sink,
-            run_id=self.run_id,
-        )
-
-    def act(self, action: str) -> None:
-        result = self.env.step(action)
-        index = self.steps.next_index()
-        entry = TraceEntry(step_index=index, action=action, observation=result.observation)
-        self.trace.append(entry)
-        self.sink.emit(
-            self.run_id,
-            "env_step",
-            step_index=index,
-            action=action,
-            observation=result.observation,
-            reward_delta=result.reward_delta,
-            done=result.done,
-            scope="global",
-        )
-
-    def finish(self, terminal: str, reason: str) -> RunReport:
-        env_metrics = self.env.metrics()
-        delivered = bool(env_metrics.get("delivered", False))
-        role_tokens = {
-            role: usage.to_dict() for role, usage in self.ledger.role_totals().items()
-        }
-        self.sink.emit(
-            self.run_id,
-            "run_end",
-            terminal=terminal,
-            reason=reason,
-            steps_used=self.steps.used,
-            delivered=delivered,
-            method=self.method,
-            env_metrics=env_metrics,
-            node_records={},
-            role_tokens=role_tokens,
-        )
-        return RunReport(
-            run_id=self.run_id,
-            method=self.method,
-            terminal=terminal,
-            reason=reason,
-            steps_used=self.steps.used,
-            node_records={},
-            role_tokens=role_tokens,
-            env_metrics=env_metrics,
-            delivered=delivered,
-        )
-
-
 def run_react(
     instance: TaskInstance,
     env: Environment,
@@ -188,7 +75,8 @@ def run_react(
 ) -> RunReport:
     """Interleaved think/act loop; one role, full history in every prompt."""
     config.require_roles("executor")
-    run = _BaselineRun("react", instance, env, config, sink, run_id)
+    run = Run("react", instance, env, config, sink=sink, run_id=run_id)
+    trace: list[TraceEntry] = []
     while True:
         if env.done:
             return run.finish("Completed", "task done")
@@ -201,13 +89,14 @@ def run_react(
                 {
                     "task_description": instance.query,
                     "admissible_commands": run.commands,
-                    "history": _full_history(run.trace),
+                    # deliberately uncapped: the baselines carry everything, every step
+                    "history": assemble_history(trace, len(trace)),
                 },
                 parse_react,
             )
         except RoleFault as fault:
             return run.finish("Terminated", f"role fault: {fault}")
-        run.act(action)
+        trace.append(run.act(action))
 
 
 def run_cot(
@@ -224,7 +113,8 @@ def run_cot(
     environment reports done, the run terminates with a plan-exhausted record.
     """
     config.require_roles("planner", "executor")
-    run = _BaselineRun("cot", instance, env, config, sink, run_id)
+    run = Run("cot", instance, env, config, sink=sink, run_id=run_id)
+    trace: list[TraceEntry] = []
     try:
         plan: Plan = run.call(
             "planner",
@@ -255,13 +145,13 @@ def run_cot(
                     "plan": render_plan(plan),
                     "guidance": None,
                     "admissible_commands": run.commands,
-                    "history": _full_history(run.trace),
+                    "history": assemble_history(trace, len(trace)),
                 },
                 extract_action,
             )
         except RoleFault as fault:
             return run.finish("Terminated", f"role fault: {fault}")
-        run.act(action)
+        trace.append(run.act(action))
 
     if env.done:
         return run.finish("Completed", "task done")
@@ -284,7 +174,8 @@ def run_plan_and_act(
     replan cap applies to the single global plan.
     """
     config.require_roles("supervisor", "planner", "executor")
-    run = _BaselineRun("plan-act", instance, env, config, sink, run_id)
+    run = Run("plan-act", instance, env, config, sink=sink, run_id=run_id)
+    trace: list[TraceEntry] = []
     try:
         plan: Plan = run.call(
             "planner",
@@ -317,14 +208,15 @@ def run_plan_and_act(
                     "plan": render_plan(plan),
                     "guidance": guidance,
                     "admissible_commands": run.commands,
-                    "history": _full_history(run.trace),
+                    "history": assemble_history(trace, len(trace)),
                 },
                 extract_action,
             )
         except RoleFault as fault:
             return run.finish("Terminated", f"role fault: {fault}")
         guidance = None
-        run.act(action)
+        trace.append(run.act(action))
+        history = assemble_history(trace, len(trace))
 
         try:
             evaluation = run.call(
@@ -335,7 +227,7 @@ def run_plan_and_act(
                     "subgoal": instance.query,
                     "current_plan": render_plan(plan),
                     "admissible_commands": run.commands,
-                    "history": _full_history(run.trace),
+                    "history": history,
                 },
                 parse_evaluation,
             )
@@ -344,15 +236,7 @@ def run_plan_and_act(
 
         if evaluation.need_replan:
             if replans >= config.max_replans_per_node:
-                run.sink.emit(
-                    run.run_id,
-                    "replan",
-                    scope="global",
-                    accepted=False,
-                    budget_exhausted=True,
-                    replan_count=replans,
-                    nodes_touched=None,
-                )
+                run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
                 return run.finish("Terminated", f"replan budget exhausted ({replans})")
             try:
                 decision = run.call(
@@ -364,7 +248,7 @@ def run_plan_and_act(
                         "current_plan": render_plan(plan),
                         "reason": evaluation.reason,
                         "admissible_commands": run.commands,
-                        "history": _full_history(run.trace),
+                        "history": history,
                     },
                     parse_replan,
                 )
@@ -374,23 +258,7 @@ def run_plan_and_act(
                 assert decision.new_plan is not None
                 plan = decision.new_plan
                 replans += 1
-                run.sink.emit(
-                    run.run_id,
-                    "replan",
-                    scope="global",
-                    accepted=True,
-                    replan_count=replans,
-                    nodes_touched=None,
-                )
-            else:
-                run.sink.emit(
-                    run.run_id,
-                    "replan",
-                    scope="global",
-                    accepted=False,
-                    replan_count=replans,
-                    nodes_touched=None,
-                )
+            run.replan("global", accepted=decision.replan, replan_count=replans)
         elif evaluation.status == "needs_more_steps":
             guidance = evaluation.reason
 

@@ -22,7 +22,6 @@ from .engine import RunConfig, RunReport, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
 from .roles import ModelBackend, RemoteChatBackend, ScriptedBackend
 from .telemetry import (
-    CounterClock,
     MetricsRecord,
     TraceSink,
     compare_report,
@@ -212,19 +211,29 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_records(path: Path) -> list[MetricsRecord]:
+    """Replayed metrics of every run in one trace file, in run-id order."""
+    headers, events = read_trace(path)
+    records = []
+    for run_id in sorted(headers):
+        meta = headers[run_id].get("meta", {})
+        run_events = [e for e in events if e.run_id == run_id]
+        records.append(
+            compute_metrics(
+                run_events, meta.get("gold") or {}, method=meta.get("method", ""), run_id=run_id
+            )
+        )
+    return records
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise CliError(f"trace file not found: {path}")
-    headers, events = read_trace(path)
-    if not headers:
+    records = _trace_records(path)
+    if not records:
         raise CliError(f"trace file has no run header: {path}")
-    for run_id in sorted(headers):
-        meta = headers[run_id].get("meta", {})
-        run_events = [e for e in events if e.run_id == run_id]
-        record = compute_metrics(
-            run_events, meta.get("gold") or {}, method=meta.get("method", ""), run_id=run_id
-        )
+    for record in records:
         print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
 
@@ -240,13 +249,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         paths.extend(expanded)
     batches: dict[str, list[MetricsRecord]] = {}
     for path in paths:
-        headers, events = read_trace(path)
-        for run_id in sorted(headers):
-            meta = headers[run_id].get("meta", {})
-            run_events = [e for e in events if e.run_id == run_id]
-            record = compute_metrics(
-                run_events, meta.get("gold") or {}, method=meta.get("method", ""), run_id=run_id
-            )
+        for record in _trace_records(path):
             batches.setdefault(record.method or "unknown", []).append(record)
     if not batches:
         raise CliError("no runs found in the given traces")
@@ -313,3 +316,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,10 @@ small and node work order-independent.  The supervisor's between-round
 revision prompt is scoped the same way, to the round: it sees the actions
 taken since the previous revision plus the graph state, in which settled
 nodes are reduced to their id and status.
+
+The bookkeeping around the loop (trace header, recorded role calls and
+environment steps, ``run_end`` and the report) lives in :class:`Run`, which
+the baselines share.
 """
 
 from __future__ import annotations
@@ -58,13 +62,14 @@ from .roles import (
     render_plan,
     render_prompt,
 )
-from .telemetry import CounterClock, TokenLedger, TraceSink
+from .telemetry import CounterClock, TokenLedger, TraceEvent, TraceSink
 
 __all__ = [
     "EngineError",
     "RunConfig",
     "StepCounter",
     "RunReport",
+    "Run",
     "format_commands",
     "assemble_history",
     "render_context_history",
@@ -154,7 +159,7 @@ class StepCounter:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a finished run hands back, independent of any trace file."""
+    """What a finished run hands back: its id plus its ``run_end`` payload."""
 
     run_id: str
     method: str
@@ -256,8 +261,8 @@ def call_and_record(
     scope: str,
     config: RunConfig,
     ledger: TokenLedger,
-    sink: TraceSink | None = None,
-    run_id: str = "adhoc",
+    sink: TraceSink,
+    run_id: str,
 ) -> Any:
     """call_role plus ledger cell + role_call event; faults are recorded too."""
     backend = config.backend(role)
@@ -265,19 +270,18 @@ def call_and_record(
     prompt_chars = len(render_prompt(template, bindings))
 
     def emit(usage: TokenUsage, attempts: int, ok: bool) -> None:
-        if sink is not None:
-            sink.emit(
-                run_id,
-                "role_call",
-                role=role,
-                template=template.name,
-                scope=scope,
-                attempts=attempts,
-                prompt_tokens=usage.prompt_tokens,
-                output_tokens=usage.output_tokens,
-                prompt_chars=prompt_chars,
-                ok=ok,
-            )
+        sink.emit(
+            run_id,
+            "role_call",
+            role=role,
+            template=template.name,
+            scope=scope,
+            attempts=attempts,
+            prompt_tokens=usage.prompt_tokens,
+            output_tokens=usage.output_tokens,
+            prompt_chars=prompt_chars,
+            ok=ok,
+        )
 
     try:
         value, usage, attempts = call_role(
@@ -293,6 +297,160 @@ def call_and_record(
 
 
 # ---------------------------------------------------------------------------
+# the run scaffold
+
+
+def _sinks_completed(graph: TaskGraph | None) -> bool:
+    if graph is None or not graph.nodes:
+        return False
+    return all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
+
+
+def _node_records(graph: TaskGraph | None) -> dict[str, dict[str, Any]]:
+    if graph is None:
+        return {}
+    return {
+        nid: {
+            "status": node.status.value,
+            "replan_count": node.replan_count,
+            "trace_len": len(node.local_trace),
+        }
+        for nid, node in sorted(graph.nodes.items())
+    }
+
+
+class Run:
+    """One run's bookkeeping, shared by tdp and every baseline.
+
+    Creating a run resets the environment and writes the trace header; the
+    methods record role calls, environment steps and replan/node events, and
+    :meth:`finish` writes ``run_end`` and builds the report from its payload.
+    Without a caller's sink the run keeps its events in an in-memory one.  A
+    run keeps no trace of its own: each method holds whatever history its
+    prompts need.
+    """
+
+    def __init__(
+        self,
+        method: str,
+        instance: TaskInstance,
+        env: Environment,
+        config: RunConfig,
+        *,
+        sink: TraceSink | None = None,
+        run_id: str | None = None,
+    ) -> None:
+        self.method = method
+        self.env = env
+        self.config = config
+        self.run_id = run_id or f"{method}__{instance.id}"
+        self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
+        self.templates = load_templates(config.template_dir)
+        self.ledger = TokenLedger()
+        self.steps = StepCounter(limit=config.s_max)
+        env.reset(instance)
+        self.commands = format_commands(env)
+        self.sink.begin_run(
+            self.run_id,
+            meta={
+                "method": method,
+                "task_id": instance.id,
+                "environment": instance.environment,
+                "query": instance.query,
+                "gold": dict(instance.gold),
+                "s_max": config.s_max,
+            },
+        )
+
+    def emit(self, kind: str, **payload: Any) -> TraceEvent:
+        return self.sink.emit(self.run_id, kind, **payload)
+
+    def call(
+        self,
+        role: str,
+        template: str,
+        bindings: dict[str, Any],
+        parser: Callable[[str], Any],
+        scope: str = "global",
+    ) -> Any:
+        return call_and_record(
+            role,
+            self.templates[template],
+            bindings,
+            parser,
+            scope=scope,
+            config=self.config,
+            ledger=self.ledger,
+            sink=self.sink,
+            run_id=self.run_id,
+        )
+
+    def act(self, action: str, scope: str = "global") -> TraceEntry:
+        """Step the environment (the caller has checked the step budget)."""
+        result = self.env.step(action)
+        index = self.steps.next_index()
+        self.emit(
+            "env_step",
+            step_index=index,
+            action=action,
+            observation=result.observation,
+            reward_delta=result.reward_delta,
+            done=result.done,
+            scope=scope,
+        )
+        return TraceEntry(step_index=index, action=action, observation=result.observation)
+
+    def replan(
+        self,
+        scope: str,
+        accepted: bool,
+        replan_count: int,
+        nodes_touched: int | None = None,
+        budget_exhausted: bool = False,
+    ) -> None:
+        """A replan decision; ``budget_exhausted`` is written only when true."""
+        extra = {"budget_exhausted": True} if budget_exhausted else {}
+        self.emit(
+            "replan",
+            scope=scope,
+            accepted=accepted,
+            replan_count=replan_count,
+            nodes_touched=nodes_touched,
+            **extra,
+        )
+
+    def node_status(self, node: SubTaskNode) -> None:
+        self.emit(
+            "node_status",
+            node_id=node.id,
+            status=node.status.value,
+            replan_count=node.replan_count,
+        )
+
+    def finish(self, terminal: str, reason: str, graph: TaskGraph | None = None) -> RunReport:
+        """Write ``run_end`` and return the report built from its payload.
+
+        The task counts as delivered when the environment says so or when
+        every sink node of `graph` completed.
+        """
+        env_metrics = self.env.metrics()
+        run_end = self.emit(
+            "run_end",
+            terminal=terminal,
+            reason=reason,
+            steps_used=self.steps.used,
+            delivered=bool(env_metrics.get("delivered", False)) or _sinks_completed(graph),
+            method=self.method,
+            env_metrics=env_metrics,
+            node_records=_node_records(graph),
+            role_tokens={
+                role: usage.to_dict() for role, usage in self.ledger.role_totals().items()
+            },
+        )
+        return RunReport(run_id=self.run_id, **run_end.payload)
+
+
+# ---------------------------------------------------------------------------
 # construction
 
 
@@ -305,23 +463,12 @@ def _subgoals_to_graph(task_description: str, specs: Sequence[SubgoalSpec]) -> T
     return graph
 
 
-def construct(
-    task: str,
-    env: Environment,
-    config: RunConfig,
-    *,
-    templates: dict[str, PromptTemplate] | None = None,
-    ledger: TokenLedger | None = None,
-    sink: TraceSink | None = None,
-    run_id: str = "adhoc",
-) -> TaskGraph:
+def construct(task: str, run: Run) -> TaskGraph:
     """Ask the supervisor for a decomposition and validate it into a graph.
 
     Malformed JSON and structurally invalid graphs share the bounded retry
     budget; exhaustion raises the underlying :class:`RoleFault`.
     """
-    templates = templates or load_templates(config.template_dir)
-    ledger = ledger if ledger is not None else TokenLedger()
 
     def parse_and_validate(text: str) -> TaskGraph:
         specs = parse_subgoals(text)
@@ -331,16 +478,11 @@ def construct(
             raise ParseFault("invalid decomposition: " + "; ".join(violations), raw_text=text)
         return graph
 
-    return call_and_record(
+    return run.call(
         "supervisor",
-        templates["construct"],
-        {"task_description": task, "admissible_commands": format_commands(env)},
+        "construct",
+        {"task_description": task, "admissible_commands": run.commands},
         parse_and_validate,
-        scope="global",
-        config=config,
-        ledger=ledger,
-        sink=sink,
-        run_id=run_id,
     )
 
 
@@ -360,38 +502,18 @@ def _node_outcome(node: SubTaskNode, reason: str | None, keep: int) -> OutcomeSu
     )
 
 
-def _close_node(
-    node: SubTaskNode,
-    status: NodeStatus,
-    reason: str | None,
-    config: RunConfig,
-    sink: TraceSink | None,
-    run_id: str,
-) -> NodeStatus:
+def _close_node(run: Run, node: SubTaskNode, status: NodeStatus, reason: str | None) -> NodeStatus:
     node.set_status(status)
-    node.outcome = _node_outcome(node, reason, config.outcome_keep)
-    if sink is not None:
-        sink.emit(
-            run_id,
-            "node_status",
-            node_id=node.id,
-            status=node.status.value,
-            replan_count=node.replan_count,
-        )
+    node.outcome = _node_outcome(node, reason, run.config.outcome_keep)
+    run.node_status(node)
     return node.status
 
 
 def execute_node(
     graph: TaskGraph,
     node_id: str,
-    env: Environment,
-    config: RunConfig,
-    steps: StepCounter,
+    run: Run,
     *,
-    templates: dict[str, PromptTemplate] | None = None,
-    ledger: TokenLedger | None = None,
-    sink: TraceSink | None = None,
-    run_id: str = "adhoc",
     round_trace: list[TraceEntry] | None = None,
 ) -> NodeStatus:
     """Work one ready node to a terminal status (or until a budget stops it).
@@ -403,54 +525,35 @@ def execute_node(
     or the episode already ended (environment done).  Every environment step
     is also appended to ``round_trace`` when one is given.
     """
-    templates = templates or load_templates(config.template_dir)
-    ledger = ledger if ledger is not None else TokenLedger()
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
-    if sink is not None:
-        sink.emit(
-            run_id,
-            "node_status",
-            node_id=node_id,
-            status=node.status.value,
-            replan_count=node.replan_count,
-        )
-    commands = format_commands(env)
+    run.node_status(node)
+    commands = run.commands
     task = graph.task_description
-
-    def role(
-        name: str, template_name: str, bindings: dict[str, Any], parser: Callable[[str], Any]
-    ) -> Any:
-        return call_and_record(
-            name,
-            templates[template_name],
-            bindings,
-            parser,
-            scope=node_id,
-            config=config,
-            ledger=ledger,
-            sink=sink,
-            run_id=run_id,
-        )
+    cap = run.config.history_cap
 
     try:
         context = build_node_context(graph, node_id)
-        plan: Plan = role(
-            "planner", "plan", planner_bindings(task, context, commands, config), parse_plan
+        plan: Plan = run.call(
+            "planner",
+            "plan",
+            planner_bindings(task, context, commands, run.config),
+            parse_plan,
+            scope=node_id,
         )
     except RoleFault as fault:
-        return _close_node(node, NodeStatus.FAILED, f"planner fault: {fault}", config, sink, run_id)
+        return _close_node(run, node, NodeStatus.FAILED, f"planner fault: {fault}")
     node.plan = plan
 
     guidance: str | None = None
     while True:
-        if steps.exhausted():
+        if run.steps.exhausted():
             return node.status  # still InProgress; the caller terminates the run
 
         context = build_node_context(graph, node_id, guidance)
-        history = render_context_history(context, config.history_cap)
+        history = render_context_history(context, cap)
         try:
-            action = role(
+            action = run.call(
                 "executor",
                 "execute",
                 {
@@ -462,35 +565,21 @@ def execute_node(
                     "history": history,
                 },
                 extract_action,
+                scope=node_id,
             )
         except RoleFault as fault:
-            return _close_node(
-                node, NodeStatus.FAILED, f"executor fault: {fault}", config, sink, run_id
-            )
+            return _close_node(run, node, NodeStatus.FAILED, f"executor fault: {fault}")
         guidance = None  # guidance lives for exactly one executor call
 
-        result = env.step(action)
-        index = steps.next_index()
-        entry = TraceEntry(step_index=index, action=action, observation=result.observation)
+        entry = run.act(action, scope=node_id)
         node.local_trace.append(entry)
         if round_trace is not None:
             round_trace.append(entry)
-        if sink is not None:
-            sink.emit(
-                run_id,
-                "env_step",
-                step_index=index,
-                action=action,
-                observation=result.observation,
-                reward_delta=result.reward_delta,
-                done=result.done,
-                scope=node_id,
-            )
 
         context = build_node_context(graph, node_id)
-        history = render_context_history(context, config.history_cap)
+        history = render_context_history(context, cap)
         try:
-            evaluation = role(
+            evaluation = run.call(
                 "supervisor",
                 "evaluate",
                 {
@@ -501,23 +590,20 @@ def execute_node(
                     "history": history,
                 },
                 parse_evaluation,
+                scope=node_id,
             )
         except RoleFault as fault:
-            return _close_node(
-                node, NodeStatus.FAILED, f"evaluator fault: {fault}", config, sink, run_id
-            )
+            return _close_node(run, node, NodeStatus.FAILED, f"evaluator fault: {fault}")
 
         if evaluation.status == "completed":
-            return _close_node(
-                node, NodeStatus.COMPLETED, evaluation.reason, config, sink, run_id
-            )
+            return _close_node(run, node, NodeStatus.COMPLETED, evaluation.reason)
         if evaluation.status == "failed":
-            return _close_node(node, NodeStatus.FAILED, evaluation.reason, config, sink, run_id)
+            return _close_node(run, node, NodeStatus.FAILED, evaluation.reason)
 
         # needs_more_steps from here on
         if evaluation.need_replan:
             try:
-                decision = role(
+                decision = run.call(
                     "planner",
                     "replan",
                     {
@@ -529,56 +615,30 @@ def execute_node(
                         "history": history,
                     },
                     parse_replan,
+                    scope=node_id,
                 )
             except RoleFault as fault:
-                return _close_node(
-                    node, NodeStatus.FAILED, f"replanner fault: {fault}", config, sink, run_id
+                return _close_node(run, node, NodeStatus.FAILED, f"replanner fault: {fault}")
+            if not decision.replan:
+                run.replan(node_id, accepted=False, replan_count=node.replan_count)
+            elif node.replan_count >= run.config.max_replans_per_node:
+                run.replan(
+                    node_id, accepted=False, replan_count=node.replan_count, budget_exhausted=True
                 )
-            if decision.replan:
-                if node.replan_count >= config.max_replans_per_node:
-                    if sink is not None:
-                        sink.emit(
-                            run_id,
-                            "replan",
-                            scope=node_id,
-                            accepted=False,
-                            budget_exhausted=True,
-                            replan_count=node.replan_count,
-                            nodes_touched=None,
-                        )
-                    return _close_node(
-                        node,
-                        NodeStatus.FAILED,
-                        f"replan budget exhausted ({node.replan_count})",
-                        config,
-                        sink,
-                        run_id,
-                    )
+                return _close_node(
+                    run,
+                    node,
+                    NodeStatus.FAILED,
+                    f"replan budget exhausted ({node.replan_count})",
+                )
+            else:
                 node.plan = decision.new_plan
                 node.replan_count += 1
-                if sink is not None:
-                    sink.emit(
-                        run_id,
-                        "replan",
-                        scope=node_id,
-                        accepted=True,
-                        replan_count=node.replan_count,
-                        nodes_touched=1,
-                    )
-            else:
-                if sink is not None:
-                    sink.emit(
-                        run_id,
-                        "replan",
-                        scope=node_id,
-                        accepted=False,
-                        replan_count=node.replan_count,
-                        nodes_touched=None,
-                    )
+                run.replan(node_id, accepted=True, replan_count=node.replan_count, nodes_touched=1)
         else:
             guidance = evaluation.reason  # hand to exactly the next executor call
 
-        if env.done:
+        if run.env.done:
             return node.status  # episode over; run_task settles the run outcome
 
 
@@ -587,24 +647,7 @@ def execute_node(
 
 
 def task_done(env: Environment, graph: TaskGraph | None) -> bool:
-    if env.done:
-        return True
-    if graph is None or not graph.nodes:
-        return False
-    return all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
-
-
-def _node_records(graph: TaskGraph | None) -> dict[str, dict[str, Any]]:
-    if graph is None:
-        return {}
-    return {
-        nid: {
-            "status": node.status.value,
-            "replan_count": node.replan_count,
-            "trace_len": len(node.local_trace),
-        }
-        for nid, node in sorted(graph.nodes.items())
-    }
+    return env.done or _sinks_completed(graph)
 
 
 def run_task(
@@ -634,133 +677,51 @@ def run_task(
     ``parse_revision(json.dumps(delta))`` in order.
     """
     config.require_roles("supervisor", "planner", "executor")
-    rid = run_id or f"{method}__{instance.id}"
-    if sink is None:
-        sink = TraceSink(clock=config.make_clock())
-    templates = load_templates(config.template_dir)
-    ledger = TokenLedger()
-
-    env.reset(instance)
-    sink.begin_run(
-        rid,
-        meta={
-            "method": method,
-            "task_id": instance.id,
-            "environment": instance.environment,
-            "query": instance.query,
-            "gold": dict(instance.gold),
-            "s_max": config.s_max,
-        },
-    )
-    commands = format_commands(env)
-    steps = StepCounter(used=0, limit=config.s_max)
-    graph: TaskGraph | None = None
-    terminal, reason = "Completed", "task done"
-
+    run = Run(method, instance, env, config, sink=sink, run_id=run_id)
     try:
-        graph = construct(
-            instance.query,
-            env,
-            config,
-            templates=templates,
-            ledger=ledger,
-            sink=sink,
-            run_id=rid,
-        )
+        graph = construct(instance.query, run)
     except RoleFault as fault:
-        terminal, reason = "Terminated", f"construction fault: {fault}"
-    else:
-        sink.emit(rid, "graph_constructed", graph=graph_to_doc(graph))
-        while True:
-            if task_done(env, graph):
-                terminal, reason = "Completed", "task done"
-                break
-            if steps.exhausted():
-                terminal, reason = "Terminated", "step budget exhausted"
-                break
-            ready = ready_nodes(graph)
-            round_trace: list[TraceEntry] = []
-            for nid in ready:
-                if task_done(env, graph) or steps.exhausted():
-                    break
-                sink.emit(rid, "node_dispatched", node_id=nid)
-                execute_node(
-                    graph,
-                    nid,
-                    env,
-                    config,
-                    steps,
-                    templates=templates,
-                    ledger=ledger,
-                    sink=sink,
-                    run_id=rid,
-                    round_trace=round_trace,
-                )
-            if task_done(env, graph):
-                continue
-            if steps.exhausted():
-                terminal, reason = "Terminated", "step budget exhausted"
-                break
-            try:
-                delta: RevisionDelta = call_and_record(
-                    "supervisor",
-                    templates["revise"],
-                    {
-                        "task_description": instance.query,
-                        "current_step": str(steps.used),
-                        "history": assemble_history(round_trace, config.history_cap),
-                        "dag_state": render_dag_state(graph),
-                        "admissible_commands": commands,
-                    },
-                    parse_revision,
-                    scope="global",
-                    config=config,
-                    ledger=ledger,
-                    sink=sink,
-                    run_id=rid,
-                )
-            except RoleFault as fault:
-                delta = RevisionDelta(need_update=False, thought=f"revision fault: {fault}")
-            result = apply_revision(graph, delta)
-            sink.emit(
-                rid,
-                "revision",
-                status=result.status,
-                reasons=list(result.reasons),
-                delta=delta_to_doc(delta) if delta.need_update else None,
-            )
-            graph = result.graph
-            if not ready and not result.applied:
-                terminal, reason = "Terminated", "stall: no ready nodes and no graph update"
-                break
+        return run.finish("Terminated", f"construction fault: {fault}")
+    run.emit("graph_constructed", graph=graph_to_doc(graph))
 
-    env_metrics = env.metrics()
-    delivered = bool(env_metrics.get("delivered", False)) or (
-        graph is not None
-        and bool(graph.nodes)
-        and all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
-    )
-    role_tokens = {role: usage.to_dict() for role, usage in ledger.role_totals().items()}
-    sink.emit(
-        rid,
-        "run_end",
-        terminal=terminal,
-        reason=reason,
-        steps_used=steps.used,
-        delivered=delivered,
-        method=method,
-        env_metrics=env_metrics,
-        node_records=_node_records(graph),
-        role_tokens=role_tokens,
-    )
-    return RunReport(
-        run_id=rid,
-        method=method,
-        terminal=terminal,
-        reason=reason,
-        steps_used=steps.used,
-        node_records=_node_records(graph),
-        role_tokens=role_tokens,
-        env_metrics=env_metrics,
-        delivered=delivered,
-    )
+    while True:
+        if task_done(env, graph):
+            return run.finish("Completed", "task done", graph)
+        if run.steps.exhausted():
+            return run.finish("Terminated", "step budget exhausted", graph)
+        ready = ready_nodes(graph)
+        round_trace: list[TraceEntry] = []
+        for nid in ready:
+            if task_done(env, graph) or run.steps.exhausted():
+                break
+            run.emit("node_dispatched", node_id=nid)
+            execute_node(graph, nid, run, round_trace=round_trace)
+        if task_done(env, graph):
+            continue
+        if run.steps.exhausted():
+            return run.finish("Terminated", "step budget exhausted", graph)
+        try:
+            delta: RevisionDelta = run.call(
+                "supervisor",
+                "revise",
+                {
+                    "task_description": instance.query,
+                    "current_step": str(run.steps.used),
+                    "history": assemble_history(round_trace, config.history_cap),
+                    "dag_state": render_dag_state(graph),
+                    "admissible_commands": run.commands,
+                },
+                parse_revision,
+            )
+        except RoleFault as fault:
+            delta = RevisionDelta(need_update=False, thought=f"revision fault: {fault}")
+        result = apply_revision(graph, delta)
+        run.emit(
+            "revision",
+            status=result.status,
+            reasons=list(result.reasons),
+            delta=delta_to_doc(delta) if delta.need_update else None,
+        )
+        graph = result.graph
+        if not ready and not result.applied:
+            return run.finish("Terminated", "stall: no ready nodes and no graph update", graph)

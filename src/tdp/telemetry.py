@@ -135,31 +135,33 @@ class TraceSink:
 
     def append_event(self, event: TraceEvent) -> int:
         """Append one event; returns its sequence number as acknowledgment."""
-        if event.kind not in EVENT_KINDS:
-            raise TraceError(f"unknown event kind {event.kind!r}")
         with self._lock:
-            if event.run_id not in self._headers:
-                raise TraceError(f"run {event.run_id!r} has no header; call begin_run first")
-            expected = self._last_seq[event.run_id] + 1
-            if event.seq != expected:
-                raise SequenceError(
-                    f"run {event.run_id!r}: expected seq {expected}, got {event.seq}"
-                )
-            self._last_seq[event.run_id] = event.seq
-            self._events.append(event)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(event.to_line() + "\n")
-            return event.seq
+            return self._append_locked(event)
 
     def emit(self, run_id: str, kind: str, **payload: Any) -> TraceEvent:
         """Build the next event for `run_id` and append it."""
         with self._lock:
             seq = self._last_seq.get(run_id, -1) + 1
-            ts = self.clock()
-        event = TraceEvent(run_id=run_id, seq=seq, timestamp=ts, kind=kind, payload=payload)
-        self.append_event(event)
+            event = TraceEvent(
+                run_id=run_id, seq=seq, timestamp=self.clock(), kind=kind, payload=payload
+            )
+            self._append_locked(event)
         return event
+
+    def _append_locked(self, event: TraceEvent) -> int:
+        if event.kind not in EVENT_KINDS:
+            raise TraceError(f"unknown event kind {event.kind!r}")
+        if event.run_id not in self._headers:
+            raise TraceError(f"run {event.run_id!r} has no header; call begin_run first")
+        expected = self._last_seq[event.run_id] + 1
+        if event.seq != expected:
+            raise SequenceError(f"run {event.run_id!r}: expected seq {expected}, got {event.seq}")
+        self._last_seq[event.run_id] = event.seq
+        self._events.append(event)
+        if self.path is not None:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(event.to_line() + "\n")
+        return event.seq
 
     def events_for(self, run_id: str) -> list[TraceEvent]:
         with self._lock:

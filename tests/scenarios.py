@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from tdp.engine import RunConfig
+from tdp.engine import RunConfig, RunReport
 from tdp.environments.base import Environment, StepResult, TaskInstance
 from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule
-from tdp.telemetry import TraceEvent
+from tdp.telemetry import TraceEvent, TraceSink
 
 # ---------------------------------------------------------------------------
 # reply builders
@@ -138,6 +138,15 @@ def project(event: TraceEvent) -> tuple[Any, ...]:
     if event.kind == "run_end":
         return (event.kind, p["terminal"], p["reason"], p["steps_used"], p["delivered"])
     return (event.kind,)
+
+
+def assert_ends_on_record(report: RunReport, sink: TraceSink) -> None:
+    """The run's last event is its only ``run_end``, and the report is that
+    event's payload."""
+    events = sink.events_for(report.run_id)
+    run_ends = [e for e in events if e.kind == "run_end"]
+    assert run_ends == [events[-1]]
+    assert report == RunReport(run_id=report.run_id, **run_ends[0].payload)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import pytest
 from tdp.baselines import run_baseline, run_plan_and_act
 from tdp.cli import load_config
 from tdp.engine import (
+    Run,
     RunConfig,
-    StepCounter,
     build_planner_prompt,
     execute_node,
     run_task,
@@ -203,19 +203,17 @@ def test_criterion_03_replanning_is_confined_to_the_blocked_node():
     # replayed step by step: other nodes' serialized state is byte-identical
     # before and after the replanning node runs
     config2 = travel_locality_config(travel_locality_rules())
-    env = make_environment(instance.environment)
-    env.reset(instance)
+    run = Run("tdp", instance, make_environment(instance.environment), config2)
     graph = _locality_graph()
-    steps = StepCounter(limit=config2.s_max)
 
-    assert execute_node(graph, "node_1", env, config2, steps) is NodeStatus.COMPLETED
+    assert execute_node(graph, "node_1", run) is NodeStatus.COMPLETED
     before = {nid: _snapshot(graph.nodes[nid]) for nid in ("node_1", "node_3")}
-    assert execute_node(graph, "node_2", env, config2, steps) is NodeStatus.COMPLETED
+    assert execute_node(graph, "node_2", run) is NodeStatus.COMPLETED
     assert graph.nodes["node_2"].replan_count == 1
     after = {nid: _snapshot(graph.nodes[nid]) for nid in ("node_1", "node_3")}
     assert after == before
 
-    assert execute_node(graph, "node_3", env, config2, steps) is NodeStatus.COMPLETED
+    assert execute_node(graph, "node_3", run) is NodeStatus.COMPLETED
     for sentinel in TRAVEL_SENTINELS:
         assert sentinel not in _snapshot(graph.nodes["node_3"]).decode()
     _passed(3)

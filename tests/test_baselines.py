@@ -19,6 +19,7 @@ from tdp.telemetry import CounterClock, TraceSink
 
 from scenarios import (
     ChainEnv,
+    assert_ends_on_record,
     backends,
     chain_config,
     chain_instance,
@@ -107,10 +108,12 @@ class TestReact:
     def test_role_fault_terminates(self, wiki_instance):
         backend = ScriptedBackend([rule("executor:react", [], "no action line here")])
         config = RunConfig(parser_retry_budget=0, role_backends={"executor": backend})
-        report = run_react(wiki_instance, _wiki_env(wiki_instance), config)
+        sink = TraceSink(clock=CounterClock())
+        report = run_react(wiki_instance, _wiki_env(wiki_instance), config, sink=sink)
         assert report.terminal == "Terminated"
         assert report.reason.startswith("role fault:")
         assert report.steps_used == 0
+        assert_ends_on_record(report, sink)
 
 
 # -- cot ----------------------------------------------------------------------------
@@ -143,10 +146,12 @@ class TestCot:
     def test_plan_exhaustion_is_a_terminal_reason(self, wiki_instance):
         role_backends = _cot_backends(["Find the Peoria page."])  # never finishes
         config = RunConfig(s_max=6, role_backends=role_backends)
-        report = run_cot(wiki_instance, _wiki_env(wiki_instance), config)
+        sink = TraceSink(clock=CounterClock())
+        report = run_cot(wiki_instance, _wiki_env(wiki_instance), config, sink=sink)
         assert report.terminal == "Terminated"
         assert report.reason == "plan exhausted before task completion"
         assert report.delivered is False
+        assert_ends_on_record(report, sink)
 
     def test_episode_end_stops_remaining_steps(self, wiki_instance):
         role_backends = _cot_backends(
@@ -269,6 +274,7 @@ class TestPlanAct:
         assert report.reason == "replan budget exhausted (0)"
         (replan,) = [e for e in sink.events_for(report.run_id) if e.kind == "replan"]
         assert replan.payload["budget_exhausted"] is True
+        assert_ends_on_record(report, sink)
 
     def test_chain_replans_see_the_whole_past(self):
         stages = 3

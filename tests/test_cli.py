@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
 from tdp.cli import CliError, METHODS, dispatch, load_config
 from tdp.roles import RemoteChatBackend, ScriptedBackend
 
-from conftest import CONFIG_DIR, FIXTURE_DIR
+from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
 
 WIKI_CONFIG = str(CONFIG_DIR / "scripted_wiki.json")
 TRAVEL_CONFIG = str(CONFIG_DIR / "scripted_travel.json")
@@ -278,5 +280,14 @@ class TestReport:
 @pytest.mark.skipif(shutil.which("tdp") is None, reason="console script not on PATH")
 def test_console_script_exists():
     proc = subprocess.run(["tdp", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "run" in proc.stdout and "replay" in proc.stdout
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdp.cli", "--help"], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "replay" in proc.stdout

@@ -9,6 +9,7 @@ import pytest
 from tdp.engine import (
     NO_ACTIONS_YET,
     EngineError,
+    Run,
     RunConfig,
     StepCounter,
     assemble_history,
@@ -31,13 +32,14 @@ from tdp.graph import (
     graph_from_doc,
 )
 from tdp.roles import RoleFault, ScriptedBackend, load_templates, parse_revision
-from tdp.telemetry import CounterClock, TokenLedger, TraceSink, read_trace
+from tdp.telemetry import CounterClock, TraceSink, read_trace
 
 from scenarios import (
     DIAMOND_EXPECTED,
     NOOP_REVISION,
     ChainEnv,
     RecordingBackend,
+    assert_ends_on_record,
     backends,
     chain_config,
     chain_instance,
@@ -206,6 +208,15 @@ def _lab_env():
     return env
 
 
+def _lab_run(config, steps=None, sink=None, instance=None) -> Run:
+    """A run on the lab mock (which it resets), with `steps` as its step counter."""
+    run = Run("tdp", instance or diamond_instance(), make_environment("textlab"), config,
+              sink=sink, run_id="r")
+    if steps is not None:
+        run.steps = steps
+    return run
+
+
 class TestConstruct:
     def test_valid_decomposition_becomes_a_graph(self):
         reply = subgoals_reply(("node_1", "Open the drawer.", []),
@@ -213,15 +224,14 @@ class TestConstruct:
         config = RunConfig(role_backends={"supervisor": ScriptedBackend([
             rule("supervisor:construct", [], reply)])})
         sink = TraceSink(clock=CounterClock())
-        sink.begin_run("r", {})
-        ledger = TokenLedger()
-        graph = construct("Survey.", _lab_env(), config, ledger=ledger, sink=sink, run_id="r")
+        run = _lab_run(config, sink=sink)
+        graph = construct("Survey.", run)
         assert set(graph.nodes) == {"node_1", "node_2"}
         assert graph.nodes["node_2"].dependencies == {"node_1"}
         assert graph.task_description == "Survey."
         (event,) = sink.events_for("r")
         assert event.payload["ok"] is True and event.payload["scope"] == "global"
-        assert ledger.total().output_tokens > 0
+        assert run.ledger.total().output_tokens > 0
 
     def test_structurally_invalid_decomposition_consumes_retries(self):
         bad = subgoals_reply(("node_1", "First.", []), ("node_2", "Orphan.", ["ghost"]))
@@ -231,8 +241,7 @@ class TestConstruct:
             role_backends={"supervisor": ScriptedBackend([
                 rule("supervisor:construct", [], bad, good)])})
         sink = TraceSink(clock=CounterClock())
-        sink.begin_run("r", {})
-        graph = construct("Survey.", _lab_env(), config, sink=sink, run_id="r")
+        graph = construct("Survey.", _lab_run(config, sink=sink))
         assert set(graph.nodes) == {"node_1"}
         (event,) = sink.events_for("r")
         assert event.payload["attempts"] == 2
@@ -244,9 +253,9 @@ class TestConstruct:
             role_backends={"supervisor": ScriptedBackend([
                 rule("supervisor:construct", [], bad)])})
         sink = TraceSink(clock=CounterClock())
-        sink.begin_run("r", {})
+        run = _lab_run(config, sink=sink)
         with pytest.raises(RoleFault, match="failed after 2 attempt"):
-            construct("Survey.", _lab_env(), config, sink=sink, run_id="r")
+            construct("Survey.", run)
         (event,) = sink.events_for("r")
         assert event.payload["ok"] is False and event.payload["attempts"] == 2
 
@@ -281,8 +290,7 @@ class TestExecuteNode:
             [rule("executor:execute", [D1], "open drawer")],
         )
         graph = _single_node_graph()
-        env = _lab_env()
-        status = execute_node(graph, "node_1", env, config, StepCounter(limit=5))
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.outcome.summary_text == "Drawer opened and inspected."
@@ -297,7 +305,7 @@ class TestExecuteNode:
             [rule("executor:execute", [], "open drawer")],
         )
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_env(), config, StepCounter(limit=5))
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text == "Wrong room entirely."
 
@@ -321,8 +329,7 @@ class TestExecuteNode:
             ],
         )
         graph = _single_node_graph()
-        env = _lab_env()
-        status = execute_node(graph, "node_1", env, config, StepCounter(limit=9))
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9)))
         assert status is NodeStatus.COMPLETED
         prompts = [p for _tag, p in config.role_backends["executor"].calls]
         assert len(prompts) == 3
@@ -352,9 +359,7 @@ class TestExecuteNode:
         )
         graph = _single_node_graph()
         sink = TraceSink(clock=CounterClock())
-        sink.begin_run("r", {})
-        status = execute_node(graph, "node_1", _lab_env(), config,
-                              StepCounter(limit=9), sink=sink, run_id="r")
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9), sink))
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 1
@@ -385,9 +390,7 @@ class TestExecuteNode:
         )
         graph = _single_node_graph()
         sink = TraceSink(clock=CounterClock())
-        sink.begin_run("r", {})
-        status = execute_node(graph, "node_1", _lab_env(), config,
-                              StepCounter(limit=9), sink=sink, run_id="r")
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9), sink))
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 0
@@ -410,9 +413,7 @@ class TestExecuteNode:
         )
         graph = _single_node_graph()
         sink = TraceSink(clock=CounterClock())
-        sink.begin_run("r", {})
-        status = execute_node(graph, "node_1", _lab_env(), config,
-                              StepCounter(limit=9), sink=sink, run_id="r")
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9), sink))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text == "replan budget exhausted (0)"
         (replan,) = [e for e in sink.events_for("r") if e.kind == "replan"]
@@ -436,7 +437,7 @@ class TestExecuteNode:
             parser_retry_budget=0,
             role_backends={name: ScriptedBackend(rules) for name, rules in roles.items()})
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_env(), config, StepCounter(limit=5))
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text.startswith(prefix)
 
@@ -452,7 +453,7 @@ class TestExecuteNode:
         )
         config.parser_retry_budget = 0
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_env(), config, StepCounter(limit=5))
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text.startswith("replanner fault:")
 
@@ -463,8 +464,7 @@ class TestExecuteNode:
             [rule("executor:execute", [], "open drawer")],
         )
         graph = _single_node_graph()
-        env = _lab_env()
-        status = execute_node(graph, "node_1", env, config, StepCounter(used=5, limit=5))
+        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(used=5, limit=5)))
         assert status is NodeStatus.IN_PROGRESS
         assert graph.nodes["node_1"].local_trace == []
         assert config.role_backends["executor"].calls == []
@@ -475,8 +475,6 @@ class TestExecuteNode:
             id="one_shot", environment="textlab", query="Focus the plant.",
             gold={"conditions": [{"kind": "focused", "object": "plant"}]},
             payload=instance.payload)
-        env = make_environment("textlab")
-        env.reset(instance)
         config = _exec_config(
             [rule("supervisor:evaluate", [],
                   eval_reply("needs_more_steps", "Keep checking the dial."))],
@@ -484,8 +482,9 @@ class TestExecuteNode:
             [rule("executor:execute", [], "focus plant")],
         )
         graph = _single_node_graph("Focus the plant.")
-        status = execute_node(graph, "node_1", env, config, StepCounter(limit=5))
-        assert env.done
+        run = _lab_run(config, StepCounter(limit=5), instance=instance)
+        status = execute_node(graph, "node_1", run)
+        assert run.env.done
         assert status is NodeStatus.IN_PROGRESS
         assert len(graph.nodes["node_1"].local_trace) == 1
 
@@ -539,6 +538,7 @@ class TestRunTask:
         assert report.terminal == "Terminated"
         assert report.reason == "step budget exhausted"
         assert report.steps_used == 3
+        assert_ends_on_record(report, sink)
 
     def test_travel_locality_run_completes_with_one_scoped_replan(self):
         sink = TraceSink(clock=CounterClock())
@@ -555,6 +555,8 @@ class TestRunTask:
         assert statuses == {"node_1": "completed", "node_2": "completed",
                             "node_3": "completed"}
         assert report.node_records["node_2"]["replan_count"] == 1
+        assert report.reason == "task done"
+        assert_ends_on_record(report, sink)
 
     def test_construction_fault_terminates_the_run(self):
         config = RunConfig(
@@ -572,6 +574,7 @@ class TestRunTask:
         kinds = [e.kind for e in sink.events_for(report.run_id)]
         assert "graph_constructed" not in kinds
         assert kinds[-1] == "run_end"
+        assert_ends_on_record(report, sink)
 
     def test_failed_sink_then_unchanged_revision_stalls(self):
         config = _exec_config(
@@ -588,6 +591,7 @@ class TestRunTask:
         report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
         assert report.terminal == "Terminated"
         assert report.reason == "stall: no ready nodes and no graph update"
+        assert_ends_on_record(report, sink)
         revisions = [e for e in sink.events_for(report.run_id) if e.kind == "revision"]
         assert [e.payload["status"] for e in revisions] == ["noop", "noop"]
         # the second round dispatched nothing, so its revision saw no actions
