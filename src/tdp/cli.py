@@ -14,11 +14,12 @@ import glob as globlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
 
 from .baselines import BASELINES, run_baseline
-from .engine import RunConfig, RunReport, run_task
+from .engine import EngineError, RunConfig, RunReport, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
 from .roles import ModelBackend, RemoteChatBackend, ScriptedBackend
 from .telemetry import (
@@ -70,34 +71,54 @@ def _build_backend(spec: dict[str, Any], base_dir: Path) -> ModelBackend:
     raise CliError(f"unknown backend kind {kind!r} (expected 'scripted' or 'remote')")
 
 
+def _config_value(key: str, value: Any, default: Any) -> Any:
+    """`value` if it has the type of `key`'s :class:`RunConfig` default."""
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:  # the optional string fields
+        ok, expected = value is None or isinstance(value, str), "a string or null"
+    if not ok:
+        raise CliError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read a run-config JSON file into a RunConfig with live backends."""
+    """Read a run-config JSON file into a RunConfig with live backends.
+
+    Every top-level key except ``backends`` names a :class:`RunConfig` field,
+    whose default applies when the key is absent; an unknown key or a value
+    of the wrong type is an error.
+    """
     path = Path(path)
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise CliError(f"config must be a JSON object: {path}")
     base_dir = path.parent
-    backends = {
-        role: _build_backend(spec, base_dir)
-        for role, spec in doc.get("backends", {}).items()
-    }
-    template_dir = doc.get("template_dir")
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "role_backends"}
+    kwargs: dict[str, Any] = {}
+    for key, value in doc.items():
+        if key == "backends":
+            if not isinstance(value, dict) or not all(isinstance(v, dict) for v in value.values()):
+                raise CliError("config key 'backends' must map each role to a backend object")
+            kwargs["role_backends"] = {
+                role: _build_backend(spec, base_dir) for role, spec in value.items()
+            }
+        elif key in defaults:
+            kwargs[key] = _config_value(key, value, defaults[key])
+        else:
+            raise CliError(f"unknown config key {key!r}")
+    template_dir = kwargs.get("template_dir")
     if template_dir is not None and not Path(template_dir).is_absolute():
-        template_dir = str((base_dir / template_dir).resolve())
-    return RunConfig(
-        s_max=int(doc.get("s_max", 30)),
-        max_replans_per_node=int(doc.get("max_replans_per_node", 3)),
-        parser_retry_budget=int(doc.get("parser_retry_budget", 2)),
-        history_cap=int(doc.get("history_cap", 30)),
-        outcome_keep=int(doc.get("outcome_keep", 3)),
-        role_backends=backends,
-        environment=doc.get("environment"),
-        template_dir=template_dir,
-        trace_dir=doc.get("trace_dir"),
-        deterministic_clock=bool(doc.get("deterministic_clock", True)),
-        parallel_tasks=int(doc.get("parallel_tasks", 1)),
-    )
+        kwargs["template_dir"] = str((base_dir / template_dir).resolve())
+    try:
+        return RunConfig(**kwargs)
+    except EngineError as err:
+        raise CliError(str(err)) from None
 
 
 def _collect_instances(tasks_path: str, config: RunConfig) -> list[TaskInstance]:

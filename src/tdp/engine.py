@@ -62,7 +62,7 @@ from .roles import (
     render_plan,
     render_prompt,
 )
-from .telemetry import CounterClock, TokenLedger, TraceEvent, TraceSink
+from .telemetry import CounterClock, TraceEvent, TraceSink
 
 __all__ = [
     "EngineError",
@@ -75,7 +75,6 @@ __all__ = [
     "render_context_history",
     "planner_bindings",
     "build_planner_prompt",
-    "call_and_record",
     "construct",
     "execute_node",
     "task_done",
@@ -249,54 +248,6 @@ def build_planner_prompt(
 
 
 # ---------------------------------------------------------------------------
-# recorded role calls
-
-
-def call_and_record(
-    role: str,
-    template: PromptTemplate,
-    bindings: dict[str, Any],
-    parser: Callable[[str], Any],
-    *,
-    scope: str,
-    config: RunConfig,
-    ledger: TokenLedger,
-    sink: TraceSink,
-    run_id: str,
-) -> Any:
-    """call_role plus ledger cell + role_call event; faults are recorded too."""
-    backend = config.backend(role)
-    tag = f"{role}:{template.name}"
-    prompt_chars = len(render_prompt(template, bindings))
-
-    def emit(usage: TokenUsage, attempts: int, ok: bool) -> None:
-        sink.emit(
-            run_id,
-            "role_call",
-            role=role,
-            template=template.name,
-            scope=scope,
-            attempts=attempts,
-            prompt_tokens=usage.prompt_tokens,
-            output_tokens=usage.output_tokens,
-            prompt_chars=prompt_chars,
-            ok=ok,
-        )
-
-    try:
-        value, usage, attempts = call_role(
-            backend, template, bindings, parser, config.parser_retry_budget, role_tag=tag
-        )
-    except RoleFault as fault:
-        ledger.record(role, scope, fault.usage)
-        emit(fault.usage, fault.attempts, ok=False)
-        raise
-    ledger.record(role, scope, usage)
-    emit(usage, attempts, ok=True)
-    return value
-
-
-# ---------------------------------------------------------------------------
 # the run scaffold
 
 
@@ -346,7 +297,7 @@ class Run:
         self.run_id = run_id or f"{method}__{instance.id}"
         self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
         self.templates = load_templates(config.template_dir)
-        self.ledger = TokenLedger()
+        self.role_tokens: dict[str, TokenUsage] = {}
         self.steps = StepCounter(limit=config.s_max)
         env.reset(instance)
         self.commands = format_commands(env)
@@ -373,17 +324,39 @@ class Run:
         parser: Callable[[str], Any],
         scope: str = "global",
     ) -> Any:
-        return call_and_record(
-            role,
-            self.templates[template],
-            bindings,
-            parser,
+        """:func:`call_role`, recorded as a ``role_call`` event and added to the
+        run's per-role token totals; a :class:`RoleFault` is recorded, then
+        re-raised."""
+        backend = self.config.backend(role)
+        prompt_template = self.templates[template]
+        prompt_chars = len(render_prompt(prompt_template, bindings))
+        fault: RoleFault | None = None
+        try:
+            value, usage, attempts = call_role(
+                backend,
+                prompt_template,
+                bindings,
+                parser,
+                self.config.parser_retry_budget,
+                role_tag=f"{role}:{template}",
+            )
+        except RoleFault as err:
+            fault, value, usage, attempts = err, None, err.usage, err.attempts
+        self.role_tokens[role] = self.role_tokens.get(role, TokenUsage()) + usage
+        self.emit(
+            "role_call",
+            role=role,
+            template=template,
             scope=scope,
-            config=self.config,
-            ledger=self.ledger,
-            sink=self.sink,
-            run_id=self.run_id,
+            attempts=attempts,
+            prompt_tokens=usage.prompt_tokens,
+            output_tokens=usage.output_tokens,
+            prompt_chars=prompt_chars,
+            ok=fault is None,
         )
+        if fault is not None:
+            raise fault
+        return value
 
     def act(self, action: str, scope: str = "global") -> TraceEntry:
         """Step the environment (the caller has checked the step budget)."""
@@ -444,7 +417,7 @@ class Run:
             env_metrics=env_metrics,
             node_records=_node_records(graph),
             role_tokens={
-                role: usage.to_dict() for role, usage in self.ledger.role_totals().items()
+                role: usage.to_dict() for role, usage in sorted(self.role_tokens.items())
             },
         )
         return RunReport(run_id=self.run_id, **run_end.payload)

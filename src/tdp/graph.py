@@ -154,13 +154,6 @@ class TaskGraph:
             depended_on.update(node.dependencies)
         return [nid for nid in self.sorted_ids() if nid not in depended_on]
 
-    def dependents_of(self, node_id: NodeId) -> list[NodeId]:
-        return [
-            nid
-            for nid in self.sorted_ids()
-            if node_id in self.nodes[nid].dependencies
-        ]
-
 
 @dataclass(frozen=True)
 class RevisionDelta:

@@ -1,4 +1,4 @@
-"""Run telemetry: append-only traces, token accounting, metrics, comparisons.
+"""Run telemetry: append-only traces, replayable metrics, comparisons.
 
 A trace is line-delimited JSON: one versioned header line per run followed by
 its events, sequence-numbered contiguously from 0.  Everything needed to
@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .roles import TokenUsage
-
 __all__ = [
     "EVENT_KINDS",
     "TraceEvent",
@@ -30,7 +28,6 @@ __all__ = [
     "TraceSink",
     "CounterClock",
     "read_trace",
-    "TokenLedger",
     "MetricsRecord",
     "normalize_answer",
     "compute_metrics",
@@ -214,55 +211,6 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                 )
             )
     return headers, events
-
-
-# ---------------------------------------------------------------------------
-# token accounting
-
-
-class TokenLedger:
-    """Per-(role, scope) token cells; conservation holds by construction.
-
-    Every role call lands in exactly one cell, so the grand total always
-    equals the sum over roles and over scopes alike.
-    """
-
-    def __init__(self) -> None:
-        self._cells: dict[tuple[str, str], TokenUsage] = {}
-        self._lock = threading.Lock()
-
-    def record(self, role: str, scope: str, usage: TokenUsage) -> None:
-        with self._lock:
-            key = (role, scope)
-            self._cells[key] = self._cells.get(key, TokenUsage()) + usage
-
-    def role_totals(self) -> dict[str, TokenUsage]:
-        with self._lock:
-            out: dict[str, TokenUsage] = {}
-            for (role, _scope), usage in sorted(self._cells.items()):
-                out[role] = out.get(role, TokenUsage()) + usage
-            return out
-
-    def scope_totals(self) -> dict[str, TokenUsage]:
-        with self._lock:
-            out: dict[str, TokenUsage] = {}
-            for (_role, scope), usage in sorted(self._cells.items()):
-                out[scope] = out.get(scope, TokenUsage()) + usage
-            return out
-
-    def total(self) -> TokenUsage:
-        with self._lock:
-            total = TokenUsage()
-            for usage in self._cells.values():
-                total = total + usage
-            return total
-
-    def to_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                f"{role}/{scope}": usage.to_dict()
-                for (role, scope), usage in sorted(self._cells.items())
-            }
 
 
 # ---------------------------------------------------------------------------

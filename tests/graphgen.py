@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from tdp.graph import (
     NewNodeSpec,
@@ -32,6 +32,9 @@ STATUSES = (
     NodeStatus.COMPLETED,
     NodeStatus.FAILED,
 )
+
+_PENDING = STATUSES.index(NodeStatus.PENDING)
+_COMPLETED = STATUSES.index(NodeStatus.COMPLETED)
 
 # labeled-DAG counts by node count (for cross-checking the enumerator)
 LABELED_DAG_COUNTS = {1: 1, 2: 3, 3: 25, 4: 543, 5: 29281}
@@ -63,10 +66,33 @@ def graph_from_edges(
     return graph
 
 
-def assign_statuses(graph: TaskGraph, combo: tuple[int, ...]) -> None:
-    """Directly stamp a status per node in sorted-id order (bypasses lifecycle)."""
-    for nid, k in zip(sorted(graph.nodes), combo):
-        graph.nodes[nid].status = STATUSES[k]
+def sorted_nodes(graph: TaskGraph) -> list[SubTaskNode]:
+    """The graph's nodes in sorted-id order, the order a status combo follows."""
+    return [graph.nodes[nid] for nid in sorted(graph.nodes)]
+
+
+def assign_statuses(nodes: Sequence[SubTaskNode], combo: tuple[int, ...]) -> None:
+    """Directly stamp ``STATUSES[combo[k]]`` on ``nodes[k]`` (bypasses lifecycle)."""
+    for node, k in zip(nodes, combo):
+        node.status = STATUSES[k]
+
+
+def dependency_indices(graph: TaskGraph) -> list[tuple[int, ...]]:
+    """Per node in sorted-id order, the sorted-order positions of its dependencies."""
+    position = {nid: k for k, nid in enumerate(sorted(graph.nodes))}
+    return [tuple(position[dep] for dep in node.dependencies) for node in sorted_nodes(graph)]
+
+
+def oracle_ready_for_combo(
+    ids: Sequence[str], deps: Sequence[tuple[int, ...]], combo: tuple[int, ...]
+) -> list[str]:
+    """The ready set under the statuses `combo` stamps, read from the combo alone:
+    node k is ready when its code is Pending and each dependency's is Completed."""
+    return [
+        ids[k]
+        for k, node_deps in enumerate(deps)
+        if combo[k] == _PENDING and all(combo[d] == _COMPLETED for d in node_deps)
+    ]
 
 
 def oracle_ready(graph: TaskGraph) -> list[str]:

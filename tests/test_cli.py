@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,6 +95,45 @@ class TestLoadConfig:
         assert all(isinstance(b, RemoteChatBackend)
                    for b in config.role_backends.values())
         assert config.deterministic_clock is False
+
+    def test_every_key_maps_onto_its_run_config_field(self, tmp_path):
+        doc = {"environment": "mockwiki", "s_max": 9, "max_replans_per_node": 1,
+               "parser_retry_budget": 0, "history_cap": 5, "outcome_keep": 2,
+               "deterministic_clock": False, "trace_dir": "out", "parallel_tasks": 2}
+        config = load_config(_write_config(tmp_path, {**doc, "template_dir": "tpl"}))
+        assert {key: getattr(config, key) for key in doc} == doc
+        assert config.template_dir == str(tmp_path / "tpl")
+        assert config.make_clock() is time.time
+        assert config.role_backends == {}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"deterministic_clock": "false"}, "'deterministic_clock' must be true or false"),
+        ({"deterministic_clock": 0}, "'deterministic_clock' must be true or false"),
+        ({"s_max": 7.9}, "'s_max' must be an integer, got 7.9"),
+        ({"parallel_tasks": "2"}, "'parallel_tasks' must be an integer"),
+        ({"history_cap": True}, "'history_cap' must be an integer"),
+        ({"trace_dir": 3}, "'trace_dir' must be a string or null"),
+        ({"s_mx": 8}, "unknown config key 's_mx'"),
+        ({"backends": None}, "'backends' must map each role to a backend object"),
+        ({"backends": {"executor": "scripted"}}, "'backends' must map each role"),
+        ({"s_max": 0}, "s_max must be >= 1"),
+    ])
+    def test_misread_values_and_unknown_keys_are_errors(self, tmp_path, doc, message):
+        with pytest.raises(CliError, match=message):
+            load_config(_write_config(tmp_path, doc))
+
+    def test_unknown_key_is_exit_two_naming_the_key(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {"s_mx": 8})
+        code = dispatch(["run", "--method", "tdp", "--tasks", WIKI_ONE,
+                         "--config", str(path), "--trace-dir", str(tmp_path)])
+        assert code == 2
+        assert "unknown config key 's_mx'" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 # -- run ---------------------------------------------------------------------------------
@@ -193,6 +233,26 @@ class TestCompare:
         err = capsys.readouterr().err
         assert code == 2
         assert "reference method 'cot' is not among" in err
+
+    def test_thread_pool_writes_the_same_traces_and_table(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "scripted_wiki.json").read_text())
+        for spec in doc["backends"].values():
+            spec["rules"] = str(CONFIG_DIR / spec["rules"])
+        outputs, traces = [], []
+        for workers in (1, 2):
+            run_dir = tmp_path / f"workers_{workers}"
+            run_dir.mkdir()
+            config = _write_config(run_dir, {**doc, "parallel_tasks": workers})
+            code = dispatch(["compare", "--methods", ",".join(METHODS),
+                             "--tasks", WIKI_TASKS, "--config", str(config),
+                             "--trace-dir", str(run_dir / "traces")])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+            traces.append({p.name: p.read_bytes()
+                           for p in (run_dir / "traces").glob("*.jsonl")})
+        assert len(traces[0]) == len(METHODS) * 3
+        assert traces[1] == traces[0]
+        assert outputs[1] == outputs[0]
 
     def test_empty_methods_list(self, tmp_path, capsys):
         code = dispatch(["compare", "--methods", " , ", "--tasks", WIKI_ONE,

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from tdp.baselines import run_baseline
+from tdp.cli import METHODS, load_config
 from tdp.engine import (
     NO_ACTIONS_YET,
     EngineError,
@@ -20,7 +22,7 @@ from tdp.engine import (
     run_task,
     task_done,
 )
-from tdp.environments import make_environment
+from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
     NodeScopedContext,
     NodeStatus,
@@ -34,6 +36,7 @@ from tdp.graph import (
 from tdp.roles import RoleFault, ScriptedBackend, load_templates, parse_revision
 from tdp.telemetry import CounterClock, TraceSink, read_trace
 
+from conftest import CONFIG_DIR, WIKI_FIXTURES
 from scenarios import (
     DIAMOND_EXPECTED,
     NOOP_REVISION,
@@ -231,7 +234,7 @@ class TestConstruct:
         assert graph.task_description == "Survey."
         (event,) = sink.events_for("r")
         assert event.payload["ok"] is True and event.payload["scope"] == "global"
-        assert run.ledger.total().output_tokens > 0
+        assert event.payload["output_tokens"] > 0
 
     def test_structurally_invalid_decomposition_consumes_retries(self):
         bad = subgoals_reply(("node_1", "First.", []), ("node_2", "Orphan.", ["ghost"]))
@@ -721,18 +724,38 @@ class TestRunTask:
         assert [project(e) for e in events] == DIAMOND_EXPECTED
 
     def test_role_tokens_match_role_call_events(self):
-        sink = TraceSink(clock=CounterClock())
-        report = run_task(travel_locality_instance("direct"),
-                          make_environment("traveltoy"),
-                          travel_locality_config(travel_locality_rules()), sink=sink)
-        events = sink.events_for(report.run_id)
-        by_role: dict[str, int] = {}
-        for event in events:
-            if event.kind == "role_call":
-                payload = event.payload
-                by_role[payload["role"]] = (
-                    by_role.get(payload["role"], 0) + payload["output_tokens"])
-        assert {role: usage["output_tokens"] for role, usage in report.role_tokens.items()} == by_role
+        """run_end's per-role totals are the per-role sums of the run's role_call
+        events, prompt and output tokens alike, for every method and for a run
+        ended by a role fault, whose usage counts too."""
+        wiki = load_task_instance(WIKI_FIXTURES[0])
+        travel = travel_locality_instance("direct")
+        unparseable = RunConfig(parser_retry_budget=1, role_backends={
+            "executor": ScriptedBackend([rule("executor:react", [], "no action line here")])})
+        cases = [
+            ("tdp", travel, travel_locality_config(travel_locality_rules())),
+            *((method, wiki, load_config(CONFIG_DIR / "scripted_wiki.json")) for method in METHODS),
+            ("react", wiki, unparseable),
+        ]
+        for method, instance, config in cases:
+            sink = TraceSink(clock=CounterClock())
+            env = make_environment(instance.environment)
+            if method == "tdp":
+                report = run_task(instance, env, config, sink=sink)
+            else:
+                report = run_baseline(method, instance, env, config, sink=sink)
+            assert_ends_on_record(report, sink)
+            calls = [e.payload for e in sink.events_for(report.run_id) if e.kind == "role_call"]
+            by_role: dict[str, dict[str, int]] = {}
+            for call in calls:
+                totals = by_role.setdefault(call["role"], {"prompt_tokens": 0, "output_tokens": 0})
+                totals["prompt_tokens"] += call["prompt_tokens"]
+                totals["output_tokens"] += call["output_tokens"]
+            assert report.role_tokens == by_role, (method, instance.id)
+            assert list(report.role_tokens) == sorted(by_role)
+            assert all(t["prompt_tokens"] > 0 and t["output_tokens"] > 0 for t in by_role.values())
+        (fault,) = calls  # the last case: one react call, faulted after its retry
+        assert fault["ok"] is False and fault["attempts"] == 2
+        assert report.reason.startswith("role fault:")
 
     def test_direct_variant_needs_no_replan(self):
         sink = TraceSink(clock=CounterClock())

@@ -1,4 +1,4 @@
-"""Trace sink, replayable metrics, token ledger, and the comparison report."""
+"""Trace sink, replayable metrics, and the comparison report."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import threading
 
 import pytest
 
-from tdp.roles import TokenUsage
 from tdp.telemetry import (
     CounterClock,
     MetricsRecord,
     SequenceError,
-    TokenLedger,
     TraceError,
     TraceEvent,
     TraceSink,
@@ -178,41 +176,6 @@ class TestReadTrace:
         )
         with pytest.raises(SequenceError, match="expected seq 1, got 2"):
             read_trace(path)
-
-
-# -- token ledger ------------------------------------------------------------------
-
-
-class TestTokenLedger:
-    def test_cells_accumulate(self):
-        ledger = TokenLedger()
-        ledger.record("executor", "node_1", TokenUsage(10, 5))
-        ledger.record("executor", "node_1", TokenUsage(3, 2))
-        assert ledger.to_dict() == {
-            "executor/node_1": {"prompt_tokens": 13, "output_tokens": 7}
-        }
-
-    def test_conservation_across_views(self):
-        import random
-
-        rng = random.Random(11)
-        ledger = TokenLedger()
-        roles = ["planner", "executor", "supervisor"]
-        scopes = ["global", "node_1", "node_2", "node_3"]
-        for _ in range(200):
-            ledger.record(
-                rng.choice(roles), rng.choice(scopes),
-                TokenUsage(rng.randrange(100), rng.randrange(100)),
-            )
-        by_role = sum(ledger.role_totals().values(), TokenUsage())
-        by_scope = sum(ledger.scope_totals().values(), TokenUsage())
-        assert by_role == by_scope == ledger.total()
-
-    def test_empty_ledger_totals(self):
-        ledger = TokenLedger()
-        assert ledger.total() == TokenUsage()
-        assert ledger.role_totals() == {}
-        assert ledger.to_dict() == {}
 
 
 # -- metrics -------------------------------------------------------------------------
