@@ -9,7 +9,7 @@ reduction relative to plan-act.
 from collections import defaultdict
 from pathlib import Path
 
-from tdp.baselines import run_baseline
+from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import run_task
 from tdp.environments import load_task_instance, make_environment
@@ -30,7 +30,7 @@ def main() -> None:
             if method == "tdp":
                 report = run_task(instance, env, config, sink=sink)
             else:
-                report = run_baseline(method, instance, env, config, sink=sink)
+                report = BASELINES[method](instance, env, config, sink=sink)
             batches[method].append(
                 compute_metrics(sink.events_for(report.run_id), instance.gold)
             )

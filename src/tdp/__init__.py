@@ -10,7 +10,7 @@ and metrics so comparisons stay apples-to-apples.
 
 from __future__ import annotations
 
-from .baselines import BaselineKind, run_baseline
+from .baselines import BASELINES
 from .engine import RunConfig, RunReport, run_task
 from .environments import (
     Environment,
@@ -32,7 +32,6 @@ from .roles import (
     ModelBackend,
     RemoteChatBackend,
     ScriptedBackend,
-    call_role,
     load_templates,
 )
 from .telemetry import (
@@ -45,7 +44,7 @@ from .telemetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineKind",
+    "BASELINES",
     "Environment",
     "ModelBackend",
     "NodeStatus",
@@ -60,7 +59,6 @@ __all__ = [
     "TaskInstance",
     "TraceSink",
     "apply_revision",
-    "call_role",
     "compare_report",
     "compute_metrics",
     "load_task_instance",
@@ -68,7 +66,6 @@ __all__ = [
     "make_environment",
     "read_trace",
     "ready_nodes",
-    "run_baseline",
     "run_task",
     "validate_graph",
     "__version__",

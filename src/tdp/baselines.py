@@ -15,7 +15,6 @@ thus isolates orchestration strategy rather than prompt wording:
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import Callable
 
 from .engine import NO_ACTIONS_YET, Run, RunConfig, RunReport, assemble_history
@@ -34,20 +33,12 @@ from .roles import (
 from .telemetry import TraceSink
 
 __all__ = [
-    "BaselineKind",
     "parse_react",
     "run_react",
     "run_cot",
     "run_plan_and_act",
-    "run_baseline",
     "BASELINES",
 ]
-
-
-class BaselineKind(str, Enum):
-    REACT = "react"
-    COT = "cot"
-    PLAN_AND_ACT = "plan-act"
 
 
 _ACTION_LINE_RE = re.compile(r"^Action:\s*(.+)$", re.MULTILINE)
@@ -65,6 +56,40 @@ def parse_react(text: str) -> tuple[str, str]:
     return thought, action
 
 
+def _whole_task_plan(run: Run, instance: TaskInstance) -> Plan:
+    """The planner's one up-front plan for the whole task."""
+    return run.call(
+        "planner",
+        "plan",
+        {
+            "task_description": instance.query,
+            "nodes_description": instance.query,
+            "admissible_commands": run.commands,
+            "history": NO_ACTIONS_YET,
+        },
+        parse_plan,
+    )
+
+
+def _whole_task_action(
+    run: Run, instance: TaskInstance, plan: Plan, guidance: str | None, trace: list[TraceEntry]
+) -> str:
+    """The executor's next action under the whole-task plan and full history."""
+    return run.call(
+        "executor",
+        "execute",
+        {
+            "task_description": instance.query,
+            "subgoal": instance.query,
+            "plan": render_plan(plan),
+            "guidance": guidance,
+            "admissible_commands": run.commands,
+            "history": assemble_history(trace, len(trace)),
+        },
+        extract_action,
+    )
+
+
 def run_react(
     instance: TaskInstance,
     env: Environment,
@@ -77,12 +102,12 @@ def run_react(
     config.require_roles("executor")
     run = Run("react", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
-    while True:
-        if env.done:
-            return run.finish("Completed", "task done")
-        if run.steps.exhausted():
-            return run.finish("Terminated", "step budget exhausted")
-        try:
+    try:
+        while True:
+            if env.done:
+                return run.finish("Completed", "task done")
+            if run.steps.exhausted():
+                return run.finish("Terminated", "step budget exhausted")
             _thought, action = run.call(
                 "executor",
                 "react",
@@ -94,9 +119,9 @@ def run_react(
                 },
                 parse_react,
             )
-        except RoleFault as fault:
-            return run.finish("Terminated", f"role fault: {fault}")
-        trace.append(run.act(action))
+            trace.append(run.act(action))
+    except RoleFault as fault:
+        return run.finish("Terminated", f"role fault: {fault}")
 
 
 def run_cot(
@@ -116,43 +141,15 @@ def run_cot(
     run = Run("cot", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
     try:
-        plan: Plan = run.call(
-            "planner",
-            "plan",
-            {
-                "task_description": instance.query,
-                "nodes_description": instance.query,
-                "admissible_commands": run.commands,
-                "history": NO_ACTIONS_YET,
-            },
-            parse_plan,
-        )
+        plan = _whole_task_plan(run, instance)
+        for _step in plan.steps:
+            if env.done:
+                break
+            if run.steps.exhausted():
+                return run.finish("Terminated", "step budget exhausted")
+            trace.append(run.act(_whole_task_action(run, instance, plan, None, trace)))
     except RoleFault as fault:
         return run.finish("Terminated", f"role fault: {fault}")
-
-    for _step in plan.steps:
-        if env.done:
-            break
-        if run.steps.exhausted():
-            return run.finish("Terminated", "step budget exhausted")
-        try:
-            action = run.call(
-                "executor",
-                "execute",
-                {
-                    "task_description": instance.query,
-                    "subgoal": instance.query,
-                    "plan": render_plan(plan),
-                    "guidance": None,
-                    "admissible_commands": run.commands,
-                    "history": assemble_history(trace, len(trace)),
-                },
-                extract_action,
-            )
-        except RoleFault as fault:
-            return run.finish("Terminated", f"role fault: {fault}")
-        trace.append(run.act(action))
-
     if env.done:
         return run.finish("Completed", "task done")
     return run.finish("Terminated", "plan exhausted before task completion")
@@ -177,48 +174,18 @@ def run_plan_and_act(
     run = Run("plan-act", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
     try:
-        plan: Plan = run.call(
-            "planner",
-            "plan",
-            {
-                "task_description": instance.query,
-                "nodes_description": instance.query,
-                "admissible_commands": run.commands,
-                "history": NO_ACTIONS_YET,
-            },
-            parse_plan,
-        )
-    except RoleFault as fault:
-        return run.finish("Terminated", f"role fault: {fault}")
-
-    replans = 0
-    guidance: str | None = None
-    while True:
-        if env.done:
-            return run.finish("Completed", "task done")
-        if run.steps.exhausted():
-            return run.finish("Terminated", "step budget exhausted")
-        try:
-            action = run.call(
-                "executor",
-                "execute",
-                {
-                    "task_description": instance.query,
-                    "subgoal": instance.query,
-                    "plan": render_plan(plan),
-                    "guidance": guidance,
-                    "admissible_commands": run.commands,
-                    "history": assemble_history(trace, len(trace)),
-                },
-                extract_action,
-            )
-        except RoleFault as fault:
-            return run.finish("Terminated", f"role fault: {fault}")
-        guidance = None
-        trace.append(run.act(action))
-        history = assemble_history(trace, len(trace))
-
-        try:
+        plan = _whole_task_plan(run, instance)
+        replans = 0
+        guidance: str | None = None
+        while True:
+            if env.done:
+                return run.finish("Completed", "task done")
+            if run.steps.exhausted():
+                return run.finish("Terminated", "step budget exhausted")
+            action = _whole_task_action(run, instance, plan, guidance, trace)
+            guidance = None
+            trace.append(run.act(action))
+            history = assemble_history(trace, len(trace))
             evaluation = run.call(
                 "supervisor",
                 "evaluate",
@@ -231,14 +198,10 @@ def run_plan_and_act(
                 },
                 parse_evaluation,
             )
-        except RoleFault as fault:
-            return run.finish("Terminated", f"role fault: {fault}")
-
-        if evaluation.need_replan:
-            if replans >= config.max_replans_per_node:
-                run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
-                return run.finish("Terminated", f"replan budget exhausted ({replans})")
-            try:
+            if evaluation.need_replan:
+                if replans >= config.max_replans_per_node:
+                    run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
+                    return run.finish("Terminated", f"replan budget exhausted ({replans})")
                 decision = run.call(
                     "planner",
                     "replan",
@@ -252,38 +215,19 @@ def run_plan_and_act(
                     },
                     parse_replan,
                 )
-            except RoleFault as fault:
-                return run.finish("Terminated", f"role fault: {fault}")
-            if decision.replan:
-                assert decision.new_plan is not None
-                plan = decision.new_plan
-                replans += 1
-            run.replan("global", accepted=decision.replan, replan_count=replans)
-        elif evaluation.status == "needs_more_steps":
-            guidance = evaluation.reason
+                if decision.replan:
+                    assert decision.new_plan is not None
+                    plan = decision.new_plan
+                    replans += 1
+                run.replan("global", accepted=decision.replan, replan_count=replans)
+            elif evaluation.status == "needs_more_steps":
+                guidance = evaluation.reason
+    except RoleFault as fault:
+        return run.finish("Terminated", f"role fault: {fault}")
 
 
 BASELINES: dict[str, Callable[..., RunReport]] = {
-    BaselineKind.REACT.value: run_react,
-    BaselineKind.COT.value: run_cot,
-    BaselineKind.PLAN_AND_ACT.value: run_plan_and_act,
+    "react": run_react,
+    "cot": run_cot,
+    "plan-act": run_plan_and_act,
 }
-
-
-def run_baseline(
-    kind: str | BaselineKind,
-    instance: TaskInstance,
-    env: Environment,
-    config: RunConfig,
-    *,
-    sink: TraceSink | None = None,
-    run_id: str | None = None,
-) -> RunReport:
-    key = kind.value if isinstance(kind, BaselineKind) else str(kind)
-    try:
-        runner = BASELINES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown baseline {key!r}; known: {', '.join(sorted(BASELINES))}"
-        ) from None
-    return runner(instance, env, config, sink=sink, run_id=run_id)

@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
 
-from .baselines import BASELINES, run_baseline
+from .baselines import BASELINES
 from .engine import EngineError, RunConfig, RunReport, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
 from .roles import ModelBackend, RemoteChatBackend, ScriptedBackend
@@ -147,10 +147,8 @@ def _single_run(
     run_id = f"{method}__{instance.id}"
     trace_path = trace_dir / f"{run_id}.jsonl"
     sink = TraceSink(path=trace_path, clock=config.make_clock())
-    if method == "tdp":
-        report = run_task(instance, env, config, sink=sink, run_id=run_id)
-    else:
-        report = run_baseline(method, instance, env, config, sink=sink, run_id=run_id)
+    runner = run_task if method == "tdp" else BASELINES[method]
+    report = runner(instance, env, config, sink=sink, run_id=run_id)
     record = compute_metrics(
         sink.events_for(run_id), instance.gold, method=method, run_id=run_id
     )
@@ -327,7 +325,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CliError as err:
+    except (CliError, EngineError) as err:  # EngineError: e.g. a role with no backend
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as err:

@@ -44,6 +44,7 @@ from .graph import (
     validate_graph,
 )
 from .roles import (
+    FORMAT_REMINDER,
     ModelBackend,
     ParseFault,
     Plan,
@@ -51,7 +52,6 @@ from .roles import (
     RoleFault,
     SubgoalSpec,
     TokenUsage,
-    call_role,
     extract_action,
     load_templates,
     parse_evaluation,
@@ -324,24 +324,35 @@ class Run:
         parser: Callable[[str], Any],
         scope: str = "global",
     ) -> Any:
-        """:func:`call_role`, recorded as a ``role_call`` event and added to the
-        run's per-role token totals; a :class:`RoleFault` is recorded, then
-        re-raised."""
+        """Render, complete and parse one role call, retrying parse faults.
+
+        The prompt is rendered once.  Each retry re-sends it with one more
+        :data:`~tdp.roles.FORMAT_REMINDER` line appended, so every attempt is
+        a distinct prompt, up to ``1 + parser_retry_budget`` attempts.  The
+        call, faulted or not, is recorded as a ``role_call`` event, and its
+        usage, summed over the attempts, is added to the run's per-role
+        totals; then the parsed value is returned or a :class:`RoleFault`
+        carrying the last raw reply is raised.  Backend errors propagate.
+        """
         backend = self.config.backend(role)
-        prompt_template = self.templates[template]
-        prompt_chars = len(render_prompt(prompt_template, bindings))
+        tag = f"{role}:{template}"
+        prompt = render_prompt(self.templates[template], bindings)
+        prompt_chars = len(prompt)
+        usage = TokenUsage()
+        value: Any = None
         fault: RoleFault | None = None
-        try:
-            value, usage, attempts = call_role(
-                backend,
-                prompt_template,
-                bindings,
-                parser,
-                self.config.parser_retry_budget,
-                role_tag=f"{role}:{template}",
-            )
-        except RoleFault as err:
-            fault, value, usage, attempts = err, None, err.usage, err.attempts
+        for attempts in range(1, self.config.parser_retry_budget + 2):
+            completion = backend.complete(tag, prompt)
+            usage = usage + completion.usage
+            try:
+                value, fault = parser(completion.text), None
+                break
+            except ParseFault as err:
+                fault = RoleFault(
+                    f"role {tag!r} failed after {attempts} attempt(s): {err}",
+                    raw_text=completion.text,
+                )
+                prompt = prompt + "\n" + FORMAT_REMINDER
         self.role_tokens[role] = self.role_tokens.get(role, TokenUsage()) + usage
         self.emit(
             "role_call",

@@ -3,8 +3,8 @@
 Each agent role (supervisor, planner, executor) is a prompt template plus a
 parser over the model's raw reply.  All parsing is strict — silent coercion of
 a malformed reply into a default would hide model drift, so every defect is a
-:class:`ParseFault` and the bounded retry loop in :func:`call_role` decides
-what happens next.
+:class:`ParseFault` and the bounded retry loop in :meth:`tdp.engine.Run.call`
+decides what happens next.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .graph import NewNodeSpec, RevisionDelta
 
@@ -47,7 +47,6 @@ __all__ = [
     "ScriptedBackend",
     "ScriptRule",
     "RemoteChatBackend",
-    "call_role",
     "FORMAT_REMINDER",
 ]
 
@@ -67,11 +66,9 @@ class RenderFault(ValueError):
 class RoleFault(RuntimeError):
     """A role call whose retry budget ran out; carries the last raw reply."""
 
-    def __init__(self, message: str, raw_text: str, usage: "TokenUsage", attempts: int):
+    def __init__(self, message: str, raw_text: str):
         super().__init__(message)
         self.raw_text = raw_text
-        self.usage = usage
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -539,14 +536,19 @@ class ScriptRule:
     match: tuple[str, ...]
     responses: tuple[str, ...]
     role: str | None = None
-    regex: bool = False
 
     def matches(self, role_tag: str, prompt: str) -> bool:
         if self.role is not None and self.role != role_tag:
             return False
-        if self.regex:
-            return all(re.search(pattern, prompt) for pattern in self.match)
         return all(needle in prompt for needle in self.match)
+
+
+def _rule_strings(value: Any, where: str) -> tuple[str, ...]:
+    if isinstance(value, str):
+        return (value,)
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise ValueError(f"{where} must be a string or a list of strings, got {value!r}")
 
 
 class ScriptedBackend(ModelBackend):
@@ -559,26 +561,30 @@ class ScriptedBackend(ModelBackend):
 
     def __init__(self, rules: Sequence[ScriptRule | Mapping[str, Any]]):
         self.rules: tuple[ScriptRule, ...] = tuple(
-            rule if isinstance(rule, ScriptRule) else self._rule_from_mapping(rule)
-            for rule in rules
+            rule if isinstance(rule, ScriptRule) else self._rule_from_mapping(i, rule)
+            for i, rule in enumerate(rules)
         )
 
     @staticmethod
-    def _rule_from_mapping(doc: Mapping[str, Any]) -> ScriptRule:
-        raw_match = doc.get("match", "")
-        match = (raw_match,) if isinstance(raw_match, str) else tuple(raw_match)
-        raw_responses = doc["responses"]
-        responses = (
-            (raw_responses,) if isinstance(raw_responses, str) else tuple(raw_responses)
-        )
+    def _rule_from_mapping(index: int, doc: Any) -> ScriptRule:
+        """Rule `index` of a script: an object with ``responses`` and optional
+        ``match`` and ``role``; anything else is a ValueError naming the rule."""
+        where = f"script rule [{index}]"
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"{where} must be an object, got {doc!r}")
+        unknown = sorted(set(doc) - {"match", "responses", "role"})
+        if unknown:
+            raise ValueError(f"{where} has unknown key(s) {unknown}; known: match, responses, role")
+        if "responses" not in doc:
+            raise ValueError(f"{where} has no 'responses'")
+        responses = _rule_strings(doc["responses"], f"{where} 'responses'")
         if not responses:
-            raise ValueError("script rule needs at least one response")
-        return ScriptRule(
-            match=match,
-            responses=responses,
-            role=doc.get("role"),
-            regex=bool(doc.get("regex", False)),
-        )
+            raise ValueError(f"{where} needs at least one response")
+        role = doc.get("role")
+        if role is not None and not isinstance(role, str):
+            raise ValueError(f"{where} 'role' must be a string, got {role!r}")
+        match = _rule_strings(doc.get("match", ""), f"{where} 'match'")
+        return ScriptRule(match=match, responses=responses, role=role)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
@@ -586,7 +592,10 @@ class ScriptedBackend(ModelBackend):
             rules = json.load(handle)
         if not isinstance(rules, list):
             raise ValueError(f"script file {path} must hold a JSON list of rules")
-        return cls(rules)
+        try:
+            return cls(rules)
+        except ValueError as err:
+            raise ValueError(f"script file {path}: {err}") from None
 
     def complete(self, role_tag: str, prompt: str) -> Completion:
         attempt = prompt.count(FORMAT_REMINDER)
@@ -657,47 +666,3 @@ class RemoteChatBackend(ModelBackend):
                 output_tokens=int(usage.get("completion_tokens", 0)),
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# the role-call loop
-
-
-def call_role(
-    backend: ModelBackend,
-    template: PromptTemplate,
-    bindings: Mapping[str, Any],
-    parser: Callable[[str], Any],
-    retry_budget: int = 2,
-    role_tag: str | None = None,
-) -> tuple[Any, TokenUsage, int]:
-    """Render, complete, parse — with a bounded parse-retry loop.
-
-    Each retry re-sends the prompt with one more reminder line appended, so
-    every attempt is a distinct prompt.  Returns (value, usage summed over all
-    attempts, attempts made).  When the budget runs out the accumulated usage
-    travels on the :class:`RoleFault`.
-    """
-    prompt = render_prompt(template, bindings)
-    tag = role_tag or template.name
-    usage = TokenUsage()
-    attempts = 0
-    last_text = ""
-    last_error = "no attempts made"
-    max_attempts = 1 + max(0, retry_budget)
-    for _ in range(max_attempts):
-        attempts += 1
-        completion = backend.complete(tag, prompt)
-        usage = usage + completion.usage
-        last_text = completion.text
-        try:
-            return parser(completion.text), usage, attempts
-        except ParseFault as fault:
-            last_error = str(fault)
-            prompt = prompt + "\n" + FORMAT_REMINDER
-    raise RoleFault(
-        f"role {tag!r} failed after {attempts} attempt(s): {last_error}",
-        raw_text=last_text,
-        usage=usage,
-        attempts=attempts,
-    )

@@ -57,7 +57,7 @@ class TraceError(ValueError):
 
 
 class SequenceError(TraceError):
-    """An appended event whose sequence number is not last+1 for its run."""
+    """A trace-file event whose sequence number is not last+1 for its run."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class CounterClock:
 class TraceSink:
     """Append-only event stream, optionally mirrored to a JSONL file.
 
-    Tolerates concurrent appends from independent runs; each run's events stay
-    contiguous by sequence number (gaps are rejected loudly, not repaired).
+    Tolerates concurrent appends from independent runs; the sink numbers each
+    run's events itself, contiguously from 0.
     """
 
     def __init__(self, path: str | Path | None = None, clock: Callable[[], float] = time.time):
@@ -109,14 +109,13 @@ class TraceSink:
         self._lock = threading.Lock()
         self._last_seq: dict[str, int] = {}
         self._events: list[TraceEvent] = []
-        self._headers: dict[str, dict[str, Any]] = {}
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.write_text("", encoding="utf-8")
 
     def begin_run(self, run_id: str, meta: Mapping[str, Any]) -> None:
         with self._lock:
-            if run_id in self._headers:
+            if run_id in self._last_seq:
                 raise TraceError(f"run {run_id!r} already started in this sink")
             header = {
                 "kind": "header",
@@ -124,41 +123,28 @@ class TraceSink:
                 "run_id": run_id,
                 "meta": dict(meta),
             }
-            self._headers[run_id] = header
             self._last_seq[run_id] = -1
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(json.dumps(header, sort_keys=True) + "\n")
 
-    def append_event(self, event: TraceEvent) -> int:
-        """Append one event; returns its sequence number as acknowledgment."""
-        with self._lock:
-            return self._append_locked(event)
-
     def emit(self, run_id: str, kind: str, **payload: Any) -> TraceEvent:
-        """Build the next event for `run_id` and append it."""
+        """Append the next event of `run_id`, a run begun with :meth:`begin_run`."""
+        if kind not in EVENT_KINDS:
+            raise TraceError(f"unknown event kind {kind!r}")
         with self._lock:
-            seq = self._last_seq.get(run_id, -1) + 1
+            if run_id not in self._last_seq:
+                raise TraceError(f"run {run_id!r} has no header; call begin_run first")
+            seq = self._last_seq[run_id] + 1
             event = TraceEvent(
                 run_id=run_id, seq=seq, timestamp=self.clock(), kind=kind, payload=payload
             )
-            self._append_locked(event)
+            self._last_seq[run_id] = seq
+            self._events.append(event)
+            if self.path is not None:
+                with open(self.path, "a", encoding="utf-8") as handle:
+                    handle.write(event.to_line() + "\n")
         return event
-
-    def _append_locked(self, event: TraceEvent) -> int:
-        if event.kind not in EVENT_KINDS:
-            raise TraceError(f"unknown event kind {event.kind!r}")
-        if event.run_id not in self._headers:
-            raise TraceError(f"run {event.run_id!r} has no header; call begin_run first")
-        expected = self._last_seq[event.run_id] + 1
-        if event.seq != expected:
-            raise SequenceError(f"run {event.run_id!r}: expected seq {expected}, got {event.seq}")
-        self._last_seq[event.run_id] = event.seq
-        self._events.append(event)
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(event.to_line() + "\n")
-        return event.seq
 
     def events_for(self, run_id: str) -> list[TraceEvent]:
         with self._lock:

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from tdp.baselines import run_baseline, run_plan_and_act
+from tdp.baselines import BASELINES, run_plan_and_act
 from tdp.cli import load_config
 from tdp.engine import (
     Run,
@@ -447,7 +447,7 @@ def test_criterion_09_replayed_metrics_equal_live_metrics(tmp_path):
         if method == "tdp":
             report = run_task(instance, env, config, sink=sink)
         else:
-            report = run_baseline(method, instance, env, config, sink=sink)
+            report = BASELINES[method](instance, env, config, sink=sink)
 
         live = compute_metrics(sink.events_for(report.run_id), instance.gold)
         _, replayed_events = read_trace(path)
@@ -481,8 +481,8 @@ def test_criterion_10_live_backend_smoke(tmp_path):
     instance = load_task_instance(WIKI_FIXTURES[-1])
     path = tmp_path / "live.jsonl"
     sink = TraceSink(path, clock=config.make_clock())
-    report = run_baseline(
-        "react", instance, make_environment(instance.environment), config, sink=sink
+    report = BASELINES["react"](
+        instance, make_environment(instance.environment), config, sink=sink
     )
     assert report.terminal in ("Completed", "Terminated")
     assert path.exists() and path.stat().st_size > 0

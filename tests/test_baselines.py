@@ -7,7 +7,6 @@ import pytest
 from tdp.baselines import (
     BASELINES,
     parse_react,
-    run_baseline,
     run_cot,
     run_plan_and_act,
     run_react,
@@ -304,13 +303,9 @@ class TestDispatch:
     def test_registry_names(self):
         assert sorted(BASELINES) == ["cot", "plan-act", "react"]
 
-    def test_unknown_kind(self, wiki_instance):
-        with pytest.raises(ValueError, match="unknown baseline 'zen'"):
-            run_baseline("zen", wiki_instance, _wiki_env(wiki_instance), RunConfig())
-
     def test_dispatch_by_name_runs_the_right_loop(self, wiki_instance):
         backend = _react_backend()
         config = RunConfig(s_max=6, role_backends={"executor": backend})
-        report = run_baseline("react", wiki_instance, _wiki_env(wiki_instance), config)
+        report = BASELINES["react"](wiki_instance, _wiki_env(wiki_instance), config)
         assert report.method == "react"
         assert report.terminal == "Completed"

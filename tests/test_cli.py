@@ -191,6 +191,34 @@ class TestRun:
         assert code == 2
         assert not list(tmp_path.glob("*.jsonl"))
 
+    @pytest.mark.parametrize("bad_rule, message", [
+        ({"match": "Search"}, "script rule [1] has no 'responses'"),
+        (["Search", "Finish[x]"], "script rule [1] must be an object"),
+        ({"match": "Search", "responses": "Finish[x]", "regex": True},
+         "script rule [1] has unknown key(s) ['regex']"),
+    ])
+    def test_malformed_script_rule_is_exit_one_with_one_line(self, tmp_path, capsys,
+                                                              bad_rule, message):
+        script = tmp_path / "executor.json"
+        script.write_text(json.dumps([{"match": "Lookup", "responses": "Finish[x]"}, bad_rule]))
+        path = _write_config(tmp_path, {"backends": {
+            "executor": {"kind": "scripted", "rules": "executor.json"}}})
+        code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,
+                         "--config", str(path), "--trace-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: script file {script}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_missing_role_backend_is_exit_two_with_one_line(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {"backends": {
+            "executor": {"kind": "scripted", "rules": [{"responses": "Finish[x]"}]}}})
+        code = dispatch(["run", "--method", "tdp", "--tasks", WIKI_ONE,
+                         "--config", str(path), "--trace-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: missing backend(s) for role(s): supervisor, planner\n")
+
     def test_remote_config_refuses_before_any_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TDP_API_KEY", raising=False)
         code = dispatch(["run", "--method", "tdp", "--tasks", WIKI_ONE,

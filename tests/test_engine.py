@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tdp.baselines import run_baseline
+from tdp.baselines import BASELINES
 from tdp.cli import METHODS, load_config
 from tdp.engine import (
     NO_ACTIONS_YET,
@@ -742,7 +742,7 @@ class TestRunTask:
             if method == "tdp":
                 report = run_task(instance, env, config, sink=sink)
             else:
-                report = run_baseline(method, instance, env, config, sink=sink)
+                report = BASELINES[method](instance, env, config, sink=sink)
             assert_ends_on_record(report, sink)
             calls = [e.payload for e in sink.events_for(report.run_id) if e.kind == "role_call"]
             by_role: dict[str, dict[str, int]] = {}
@@ -756,6 +756,30 @@ class TestRunTask:
         (fault,) = calls  # the last case: one react call, faulted after its retry
         assert fault["ok"] is False and fault["attempts"] == 2
         assert report.reason.startswith("role fault:")
+
+    def test_each_prompt_is_rendered_once(self, monkeypatch):
+        """Run.call renders a prompt once, for the backend and for its
+        ``prompt_chars`` alike."""
+        import tdp.engine
+        import tdp.roles
+
+        renders = []
+        real_render = tdp.roles.render_prompt
+
+        def counting_render(template, bindings):
+            renders.append(template.name)
+            return real_render(template, bindings)
+
+        monkeypatch.setattr(tdp.engine, "render_prompt", counting_render)
+        monkeypatch.setattr(tdp.roles, "render_prompt", counting_render)
+        instance = load_task_instance(WIKI_FIXTURES[0])
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(instance, make_environment(instance.environment),
+                          load_config(CONFIG_DIR / "scripted_wiki.json"), sink=sink)
+        calls = [e.payload["template"] for e in sink.events_for(report.run_id)
+                 if e.kind == "role_call"]
+        assert len(calls) > 5
+        assert renders == calls
 
     def test_direct_variant_needs_no_replan(self):
         sink = TraceSink(clock=CounterClock())

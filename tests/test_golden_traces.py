@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import pytest
 
-from tdp.baselines import run_baseline
+from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import RunConfig, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
@@ -122,7 +122,7 @@ def trace_hash(case: Case, trace_dir: Path) -> str:
     if method == "tdp":
         run_task(instance, env, config, sink=sink)
     else:
-        run_baseline(method, instance, env, config, sink=sink)
+        BASELINES[method](instance, env, config, sink=sink)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -1,4 +1,5 @@
-"""Templates, reply parsing, scripted backends, and the role-call retry loop."""
+"""Templates, reply parsing, scripted backends, and the role-call retry loop
+(:meth:`tdp.engine.Run.call`)."""
 
 from __future__ import annotations
 
@@ -6,8 +7,11 @@ import json
 import random
 
 import pytest
+from conftest import WIKI_FIXTURES
 from parsergen import PARSER_CASES
 from scenarios import RecordingBackend
+from tdp.engine import Run, RunConfig
+from tdp.environments import load_task_instance, make_environment
 from tdp.graph import NewNodeSpec, RevisionDelta, delta_to_doc
 from tdp.roles import (
     FORMAT_REMINDER,
@@ -26,7 +30,6 @@ from tdp.roles import (
     SubgoalSpec,
     TEMPLATE_PLACEHOLDERS,
     TokenUsage,
-    call_role,
     extract_action,
     extract_json,
     load_template,
@@ -325,7 +328,6 @@ def test_scripted_backend_first_match_and_filters():
             ScriptRule(match=("alpha", "beta"), responses=("both",)),
             ScriptRule(match=("alpha",), responses=("just alpha",)),
             ScriptRule(match=("gamma",), responses=("for planner",), role="planner:plan"),
-            ScriptRule(match=(r"stage \d+ done",), responses=("regex hit",), regex=True),
             ScriptRule(match=(), responses=("fallback",)),
         ]
     )
@@ -333,7 +335,6 @@ def test_scripted_backend_first_match_and_filters():
     assert backend.complete("any", "alpha only").text == "just alpha"
     assert backend.complete("planner:plan", "has gamma").text == "for planner"
     assert backend.complete("executor:execute", "has gamma").text == "fallback"  # role filter
-    assert backend.complete("any", "stage 12 done").text == "regex hit"
     assert backend.complete("any", "nothing matches").text == "fallback"
 
 
@@ -399,37 +400,73 @@ def test_scripted_backend_from_file_and_mapping_coercion(tmp_path):
         ScriptedBackend([{"match": "x", "responses": []}])
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ({"match": "x"}, r"script rule \[1\] has no 'responses'"),
+        ("just a string", r"script rule \[1\] must be an object"),
+        ({"match": "x", "responses": "y", "regex": True},
+         r"script rule \[1\] has unknown key\(s\) \['regex'\]"),
+        ({"mach": "x", "responses": "y"}, r"script rule \[1\] has unknown key\(s\) \['mach'\]"),
+        ({"responses": 3}, r"script rule \[1\] 'responses' must be a string or a list"),
+        ({"match": ["a", 1], "responses": "y"}, r"script rule \[1\] 'match' must be a string"),
+        ({"responses": "y", "role": 7}, r"script rule \[1\] 'role' must be a string"),
+    ],
+)
+def test_malformed_script_rule_is_a_value_error_naming_it(rule, message):
+    with pytest.raises(ValueError, match=message):
+        ScriptedBackend([{"responses": "fine"}, rule])
+
+
 # ---------------------------------------------------------------------------
-# call_role
+# the role-call loop: Run.call renders, completes with parse retries, records
 
 
 def _template(body="Q: {question}", placeholders=("question",)):
     return PromptTemplate(name="probe", body=body, placeholders=frozenset(placeholders))
 
 
+def _probe_run(backend, retry_budget=2) -> Run:
+    """A run with `backend` as its supervisor and a ``probe`` template, "Q: {question}"."""
+    instance = load_task_instance(WIKI_FIXTURES[0])
+    config = RunConfig(parser_retry_budget=retry_budget, role_backends={"supervisor": backend})
+    run = Run("tdp", instance, make_environment(instance.environment), config, run_id="r")
+    run.templates["probe"] = _template()
+    return run
+
+
+def _probe(run, question="ping"):
+    return run.call("supervisor", "probe", {"question": question}, extract_json)
+
+
+def _role_call(run) -> dict:
+    (event,) = [e.payload for e in run.sink.events_for("r") if e.kind == "role_call"]
+    return event
+
+
 def test_call_role_success_reports_usage_and_attempts():
-    backend = ScriptedBackend([ScriptRule(match=(), responses=('{"a": 1}',))])
-    value, usage, attempts = call_role(
-        backend, _template(), {"question": "ping"}, extract_json, retry_budget=2
-    )
-    assert value == {"a": 1}
-    assert attempts == 1
-    assert usage == TokenUsage(prompt_tokens=2, output_tokens=2)  # whitespace tokens
+    run = _probe_run(ScriptedBackend([ScriptRule(match=(), responses=('{"a": 1}',))]))
+    assert _probe(run) == {"a": 1}
+    event = _role_call(run)
+    assert event["attempts"] == 1 and event["ok"] is True
+    assert (event["prompt_tokens"], event["output_tokens"]) == (2, 2)  # whitespace tokens
+    assert run.role_tokens["supervisor"] == TokenUsage(prompt_tokens=2, output_tokens=2)
 
 
 def test_call_role_retries_with_cumulative_reminders():
     backend = RecordingBackend(ScriptedBackend(
         [ScriptRule(match=(), responses=("not json", "still not", '{"ok": true}'))]
     ))
-    value, usage, attempts = call_role(
-        backend, _template(), {"question": "ping"}, extract_json, retry_budget=2
-    )
-    assert value == {"ok": True} and attempts == 3
+    run = _probe_run(backend, retry_budget=2)
+    assert _probe(run) == {"ok": True}
+    event = _role_call(run)
+    assert event["attempts"] == 3
     prompts = [prompt for _, prompt in backend.calls]
     assert prompts[0].count(FORMAT_REMINDER) == 0
     assert prompts[1].count(FORMAT_REMINDER) == 1
     assert prompts[2].count(FORMAT_REMINDER) == 2
     assert prompts[2].startswith(prompts[1])  # reminders accumulate on one prompt
+    assert event["prompt_chars"] == len(prompts[0])  # the render, without reminders
     # usage sums across all three attempts
     per_attempt = [
         TokenUsage(len(p.split()), len(r.split()))
@@ -438,46 +475,46 @@ def test_call_role_retries_with_cumulative_reminders():
     total = TokenUsage()
     for u in per_attempt:
         total = total + u
-    assert usage == total
+    assert (event["prompt_tokens"], event["output_tokens"]) == (
+        total.prompt_tokens, total.output_tokens)
+    assert run.role_tokens["supervisor"] == total
 
 
 def test_call_role_exhaustion_carries_usage_and_raw_text():
-    backend = ScriptedBackend([ScriptRule(match=(), responses=("garbage",))])
+    run = _probe_run(ScriptedBackend([ScriptRule(match=(), responses=("garbage",))]),
+                     retry_budget=1)
     with pytest.raises(RoleFault) as info:
-        call_role(backend, _template(), {"question": "p"}, extract_json, retry_budget=1)
+        _probe(run, "p")
     fault = info.value
-    assert fault.attempts == 2
     assert fault.raw_text == "garbage"
-    assert fault.usage.output_tokens == 2  # one token per attempt
     assert "failed after 2 attempt(s)" in str(fault)
+    event = _role_call(run)  # the faulted call is recorded too
+    assert event["ok"] is False and event["attempts"] == 2
+    assert event["output_tokens"] == 2  # one token per attempt
+    assert run.role_tokens["supervisor"].output_tokens == 2
 
 
 def test_call_role_zero_budget_means_one_attempt():
-    backend = ScriptedBackend([ScriptRule(match=(), responses=("junk",))])
-    with pytest.raises(RoleFault) as info:
-        call_role(backend, _template(), {"question": "p"}, extract_json, retry_budget=0)
-    assert info.value.attempts == 1
+    run = _probe_run(ScriptedBackend([ScriptRule(match=(), responses=("junk",))]),
+                     retry_budget=0)
+    with pytest.raises(RoleFault):
+        _probe(run, "p")
+    assert _role_call(run)["attempts"] == 1
 
 
 def test_call_role_lets_backend_errors_propagate():
     # only parse faults are retried; a backend with no matching rule is a bug
-    backend = ScriptedBackend([ScriptRule(match=("absent",), responses=("x",))])
+    run = _probe_run(ScriptedBackend([ScriptRule(match=("absent",), responses=("x",))]),
+                     retry_budget=3)
     with pytest.raises(LookupError):
-        call_role(backend, _template(), {"question": "p"}, extract_json, retry_budget=3)
+        _probe(run, "p")
 
 
 def test_call_role_uses_role_tag_for_backend_dispatch():
-    backend = ScriptedBackend(
+    run = _probe_run(ScriptedBackend(
         [ScriptRule(match=(), responses=('{"seen": true}',), role="supervisor:probe")]
-    )
-    value, _, _ = call_role(
-        backend,
-        _template(),
-        {"question": "p"},
-        extract_json,
-        role_tag="supervisor:probe",
-    )
-    assert value == {"seen": True}
+    ))
+    assert _probe(run, "p") == {"seen": True}
 
 
 # ---------------------------------------------------------------------------
