@@ -1,14 +1,18 @@
-"""Golden traces: the behaviour oracle for refactors.
+"""Golden traces and prompts: the behaviour oracle for refactors.
 
 Every case below runs one method on one task with a scripted backend and the
 counter clock, writes its trace to a file and hashes the file's bytes
-(SHA-256).  ``golden_traces.json`` holds the expected hash of each case, so a
-refactor that is meant to keep behaviour must keep every hash.  The test only
-reads that file.  A change that alters traces on purpose regenerates it with
+(SHA-256).  Traces carry only prompt sizes, so the case's role backends are
+also wrapped in a recording delegate that hashes every prompt sent, in call
+order, as ``role_tag NUL prompt NUL``.  ``golden_traces.json`` and
+``golden_prompts.json`` hold the expected hashes of each case, so a refactor
+that is meant to keep behaviour must keep every hash.  The tests only read
+those files.  A change that alters traces or prompts on purpose regenerates
+both with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and says in CHANGES.md why the traces changed.
+and says in CHANGES.md why they changed.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -26,6 +31,7 @@ from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import RunConfig, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
+from tdp.roles import Completion, ModelBackend
 from tdp.telemetry import CounterClock, TraceSink
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
@@ -44,6 +50,7 @@ from scenarios import (
 )
 
 GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
+PROMPTS_PATH = Path(__file__).with_name("golden_prompts.json")
 
 # a case builds (method, instance, environment, config) afresh each time it runs
 Case = Callable[[], tuple[str, TaskInstance, Environment, RunConfig]]
@@ -114,36 +121,69 @@ def _cases() -> dict[str, Case]:
 CASES = _cases()
 
 
-def trace_hash(case: Case, trace_dir: Path) -> str:
-    """Run `case` with a file sink on the counter clock; SHA-256 of the file."""
+class RecordingBackend(ModelBackend):
+    """Delegates to `inner`, feeding each call's role tag and prompt to `digest`."""
+
+    def __init__(self, inner: ModelBackend, digest: Any) -> None:
+        self.inner = inner
+        self.digest = digest
+
+    def complete(self, role_tag: str, prompt: str) -> Completion:
+        self.digest.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
+        return self.inner.complete(role_tag, prompt)
+
+
+def case_hashes(case: Case, trace_dir: Path) -> tuple[str, str]:
+    """Run `case` with a file sink on the counter clock; SHA-256 of the trace
+    file and of every (role tag, prompt) the backends received."""
     method, instance, env, config = case()
+    prompts = hashlib.sha256()
+    config.role_backends = {
+        role: RecordingBackend(backend, prompts) for role, backend in config.role_backends.items()
+    }
     path = trace_dir / f"{method}__{instance.id}.jsonl"
     sink = TraceSink(path, clock=CounterClock())
     if method == "tdp":
         run_task(instance, env, config, sink=sink)
     else:
         BASELINES[method](instance, env, config, sink=sink)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest(), prompts.hexdigest()
 
 
-def _golden() -> dict[str, str]:
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+@lru_cache(maxsize=None)
+def _hashes_of(name: str) -> tuple[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return case_hashes(CASES[name], Path(tmp))
+
+
+def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_golden_file_covers_exactly_the_cases():
     assert sorted(_golden()) == sorted(CASES)
+    assert sorted(_golden(PROMPTS_PATH)) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_matches_its_golden_hash(name, tmp_path):
-    assert trace_hash(CASES[name], tmp_path) == _golden()[name]
+def test_trace_matches_its_golden_hash(name):
+    assert _hashes_of(name)[0] == _golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_prompts_match_their_golden_hash(name):
+    assert _hashes_of(name)[1] == _golden(PROMPTS_PATH)[name]
+
+
+def _write(path: Path, hashes: dict[str, str]) -> None:
+    path.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(hashes)} hashes to {path}", file=sys.stderr)
 
 
 def _regenerate() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        hashes = {name: trace_hash(case, Path(tmp)) for name, case in sorted(CASES.items())}
-    GOLDEN_PATH.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(hashes)} hashes to {GOLDEN_PATH}", file=sys.stderr)
+    hashes = {name: _hashes_of(name) for name in sorted(CASES)}
+    _write(GOLDEN_PATH, {name: pair[0] for name, pair in hashes.items()})
+    _write(PROMPTS_PATH, {name: pair[1] for name, pair in hashes.items()})
 
 
 if __name__ == "__main__":
