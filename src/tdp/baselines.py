@@ -15,9 +15,9 @@ thus isolates orchestration strategy rather than prompt wording:
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Any, Callable
 
-from .engine import NO_ACTIONS_YET, Run, RunConfig, RunReport, assemble_history
+from .engine import Run, RunConfig, RunReport, assemble_history
 from .environments import Environment, TaskInstance
 from .graph import TraceEntry
 from .roles import (
@@ -56,38 +56,23 @@ def parse_react(text: str) -> tuple[str, str]:
     return thought, action
 
 
-def _whole_task_plan(run: Run, instance: TaskInstance) -> Plan:
-    """The planner's one up-front plan for the whole task."""
-    return run.call(
-        "planner",
-        "plan",
-        {
-            "task_description": instance.query,
-            "nodes_description": instance.query,
-            "admissible_commands": run.commands,
-            "history": NO_ACTIONS_YET,
-        },
-        parse_plan,
-    )
-
-
-def _whole_task_action(
-    run: Run, instance: TaskInstance, plan: Plan, guidance: str | None, trace: list[TraceEntry]
-) -> str:
-    """The executor's next action under the whole-task plan and full history."""
-    return run.call(
-        "executor",
-        "execute",
-        {
-            "task_description": instance.query,
-            "subgoal": instance.query,
-            "plan": render_plan(plan),
-            "guidance": guidance,
-            "admissible_commands": run.commands,
-            "history": assemble_history(trace, len(trace)),
-        },
-        extract_action,
-    )
+def _whole_task_bindings(
+    run: Run,
+    instance: TaskInstance,
+    trace: list[TraceEntry],
+    plan: Plan | None = None,
+    guidance: str | None = None,
+) -> dict[str, Any]:
+    """The whole-task view: the task is the sub-goal and the history is never
+    capped, because the baselines carry everything, every step."""
+    return {
+        "task_description": instance.query,
+        "subgoal": instance.query,
+        "current_plan": render_plan(plan) if plan is not None else None,
+        "guidance": guidance,
+        "admissible_commands": run.commands,
+        "history": assemble_history(trace, len(trace)),
+    }
 
 
 def run_react(
@@ -109,15 +94,7 @@ def run_react(
             if run.steps.exhausted():
                 return run.finish("Terminated", "step budget exhausted")
             _thought, action = run.call(
-                "executor",
-                "react",
-                {
-                    "task_description": instance.query,
-                    "admissible_commands": run.commands,
-                    # deliberately uncapped: the baselines carry everything, every step
-                    "history": assemble_history(trace, len(trace)),
-                },
-                parse_react,
+                "executor", "react", _whole_task_bindings(run, instance, trace), parse_react
             )
             trace.append(run.act(action))
     except RoleFault as fault:
@@ -141,13 +118,14 @@ def run_cot(
     run = Run("cot", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
     try:
-        plan = _whole_task_plan(run, instance)
+        plan = run.call("planner", "plan", _whole_task_bindings(run, instance, trace), parse_plan)
         for _step in plan.steps:
             if env.done:
                 break
             if run.steps.exhausted():
                 return run.finish("Terminated", "step budget exhausted")
-            trace.append(run.act(_whole_task_action(run, instance, plan, None, trace)))
+            view = _whole_task_bindings(run, instance, trace, plan)
+            trace.append(run.act(run.call("executor", "execute", view, extract_action)))
     except RoleFault as fault:
         return run.finish("Terminated", f"role fault: {fault}")
     if env.done:
@@ -174,7 +152,7 @@ def run_plan_and_act(
     run = Run("plan-act", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
     try:
-        plan = _whole_task_plan(run, instance)
+        plan = run.call("planner", "plan", _whole_task_bindings(run, instance, trace), parse_plan)
         replans = 0
         guidance: str | None = None
         while True:
@@ -182,38 +160,17 @@ def run_plan_and_act(
                 return run.finish("Completed", "task done")
             if run.steps.exhausted():
                 return run.finish("Terminated", "step budget exhausted")
-            action = _whole_task_action(run, instance, plan, guidance, trace)
+            view = _whole_task_bindings(run, instance, trace, plan, guidance)
             guidance = None
-            trace.append(run.act(action))
-            history = assemble_history(trace, len(trace))
-            evaluation = run.call(
-                "supervisor",
-                "evaluate",
-                {
-                    "task_description": instance.query,
-                    "subgoal": instance.query,
-                    "current_plan": render_plan(plan),
-                    "admissible_commands": run.commands,
-                    "history": history,
-                },
-                parse_evaluation,
-            )
+            trace.append(run.act(run.call("executor", "execute", view, extract_action)))
+            view = _whole_task_bindings(run, instance, trace, plan)
+            evaluation = run.call("supervisor", "evaluate", view, parse_evaluation)
             if evaluation.need_replan:
                 if replans >= config.max_replans_per_node:
                     run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
                     return run.finish("Terminated", f"replan budget exhausted ({replans})")
                 decision = run.call(
-                    "planner",
-                    "replan",
-                    {
-                        "task_description": instance.query,
-                        "subgoal": instance.query,
-                        "current_plan": render_plan(plan),
-                        "reason": evaluation.reason,
-                        "admissible_commands": run.commands,
-                        "history": history,
-                    },
-                    parse_replan,
+                    "planner", "replan", {**view, "reason": evaluation.reason}, parse_replan
                 )
                 if decision.replan:
                     assert decision.new_plan is not None

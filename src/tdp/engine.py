@@ -7,13 +7,14 @@ graph.  The environment-interaction budget is enforced *before* every
 interaction, so a run never exceeds it.
 
 Context discipline is the load-bearing property: every planner/executor
-prompt for a node is assembled exclusively from that node's description, its
-direct dependencies' outcome summaries, its own local trace, and optional
-one-shot guidance.  Nothing else leaks in, which is what keeps replan prompts
-small and node work order-independent.  The supervisor's between-round
-revision prompt is scoped the same way, to the round: it sees the actions
-taken since the previous revision plus the graph state, in which settled
-nodes are reduced to their id and status.
+prompt for a node renders from one view, :func:`node_bindings`, assembled
+exclusively from that node's description, its current plan, its direct
+dependencies' outcome summaries, its own local trace, and optional one-shot
+guidance.  Nothing else leaks in, which is what keeps replan prompts small and
+node work order-independent.  The supervisor's between-round revision prompt
+is scoped the same way, to the round: it sees the actions taken since the
+previous revision plus the graph state, in which settled nodes are reduced to
+their id and status.
 
 The bookkeeping around the loop (trace header, recorded role calls and
 environment steps, ``run_end`` and the report) lives in :class:`Run`, which
@@ -73,7 +74,7 @@ __all__ = [
     "format_commands",
     "assemble_history",
     "render_context_history",
-    "planner_bindings",
+    "node_bindings",
     "build_planner_prompt",
     "construct",
     "execute_node",
@@ -82,6 +83,10 @@ __all__ = [
 ]
 
 NO_ACTIONS_YET = "(no actions yet)"
+#: A rendered history keeps the first trace entry plus the most recent 29.
+HISTORY_CAP = 30
+#: How many trailing observations a finished node's outcome summary carries.
+OUTCOME_KEEP = 3
 
 
 class EngineError(RuntimeError):
@@ -93,16 +98,12 @@ class RunConfig:
     """Everything a run needs besides the task and the environment.
 
     ``role_backends`` maps role names (supervisor/planner/executor) to model
-    backends; the history cap keeps the first entry plus the most recent
-    ``history_cap - 1``; ``outcome_keep`` is how many trailing observations an
-    outcome summary carries forward.
+    backends.
     """
 
     s_max: int = 30
     max_replans_per_node: int = 3
     parser_retry_budget: int = 2
-    history_cap: int = 30
-    outcome_keep: int = 3
     role_backends: dict[str, ModelBackend] = field(default_factory=dict)
     environment: str | None = None
     template_dir: str | None = None
@@ -113,14 +114,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.s_max < 1:
             raise EngineError(f"s_max must be >= 1, got {self.s_max}")
-        if self.history_cap < 2:
-            raise EngineError(f"history_cap must be >= 2, got {self.history_cap}")
         if self.max_replans_per_node < 0:
             raise EngineError("max_replans_per_node must be >= 0")
         if self.parser_retry_budget < 0:
             raise EngineError("parser_retry_budget must be >= 0")
-        if self.outcome_keep < 1:
-            raise EngineError("outcome_keep must be >= 1")
         if self.parallel_tasks < 1:
             raise EngineError("parallel_tasks must be >= 1")
 
@@ -215,17 +212,24 @@ def render_context_history(context: NodeScopedContext, cap: int) -> str:
     return "\n\n".join(parts)
 
 
-def planner_bindings(
-    task_description: str,
-    context: NodeScopedContext,
-    commands: str,
-    config: RunConfig,
+def node_bindings(
+    graph: TaskGraph, node_id: str, commands: str, guidance: str | None = None
 ) -> dict[str, Any]:
+    """The node's view: every binding a node-scoped role prompt may use.
+
+    Task, sub-goal, the node's rendered current plan, one-shot guidance, the
+    admissible commands and the capped history from :func:`build_node_context`.
+    Each template renders the names it declares and ignores the rest.
+    """
+    context = build_node_context(graph, node_id)
+    plan = graph.nodes[node_id].plan
     return {
-        "task_description": task_description,
-        "nodes_description": context.subgoal,
+        "task_description": graph.task_description,
+        "subgoal": context.subgoal,
+        "current_plan": render_plan(plan) if plan is not None else None,
+        "guidance": guidance,
         "admissible_commands": commands,
-        "history": render_context_history(context, config.history_cap),
+        "history": render_context_history(context, HISTORY_CAP),
     }
 
 
@@ -242,9 +246,7 @@ def build_planner_prompt(
     rendering path.
     """
     templates = templates or load_templates(config.template_dir)
-    context = build_node_context(graph, node_id)
-    bindings = planner_bindings(graph.task_description, context, format_commands(env), config)
-    return render_prompt(templates["plan"], bindings)
+    return render_prompt(templates["plan"], node_bindings(graph, node_id, format_commands(env)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +476,8 @@ def construct(task: str, run: Run) -> TaskGraph:
 # node execution
 
 
-def _node_outcome(node: SubTaskNode, reason: str | None, keep: int) -> OutcomeSummary:
-    observations = tuple(e.observation for e in node.local_trace[-keep:])
+def _node_outcome(node: SubTaskNode, reason: str | None) -> OutcomeSummary:
+    observations = tuple(e.observation for e in node.local_trace[-OUTCOME_KEEP:])
     summary = (reason or "").strip()
     if not summary:
         summary = " / ".join(o for o in observations if o.strip())
@@ -488,7 +490,7 @@ def _node_outcome(node: SubTaskNode, reason: str | None, keep: int) -> OutcomeSu
 
 def _close_node(run: Run, node: SubTaskNode, status: NodeStatus, reason: str | None) -> NodeStatus:
     node.set_status(status)
-    node.outcome = _node_outcome(node, reason, run.config.outcome_keep)
+    node.outcome = _node_outcome(node, reason)
     run.node_status(node)
     return node.status
 
@@ -513,17 +515,10 @@ def execute_node(
     node.set_status(NodeStatus.IN_PROGRESS)
     run.node_status(node)
     commands = run.commands
-    task = graph.task_description
-    cap = run.config.history_cap
 
     try:
-        context = build_node_context(graph, node_id)
         plan: Plan = run.call(
-            "planner",
-            "plan",
-            planner_bindings(task, context, commands, run.config),
-            parse_plan,
-            scope=node_id,
+            "planner", "plan", node_bindings(graph, node_id, commands), parse_plan, scope=node_id
         )
     except RoleFault as fault:
         return _close_node(run, node, NodeStatus.FAILED, f"planner fault: {fault}")
@@ -534,20 +529,11 @@ def execute_node(
         if run.steps.exhausted():
             return node.status  # still InProgress; the caller terminates the run
 
-        context = build_node_context(graph, node_id, guidance)
-        history = render_context_history(context, cap)
         try:
             action = run.call(
                 "executor",
                 "execute",
-                {
-                    "task_description": task,
-                    "subgoal": context.subgoal,
-                    "plan": render_plan(node.plan),
-                    "guidance": context.guidance,
-                    "admissible_commands": commands,
-                    "history": history,
-                },
+                node_bindings(graph, node_id, commands, guidance),
                 extract_action,
                 scope=node_id,
             )
@@ -560,22 +546,9 @@ def execute_node(
         if round_trace is not None:
             round_trace.append(entry)
 
-        context = build_node_context(graph, node_id)
-        history = render_context_history(context, cap)
+        view = node_bindings(graph, node_id, commands)
         try:
-            evaluation = run.call(
-                "supervisor",
-                "evaluate",
-                {
-                    "task_description": task,
-                    "subgoal": context.subgoal,
-                    "current_plan": render_plan(node.plan),
-                    "admissible_commands": commands,
-                    "history": history,
-                },
-                parse_evaluation,
-                scope=node_id,
-            )
+            evaluation = run.call("supervisor", "evaluate", view, parse_evaluation, scope=node_id)
         except RoleFault as fault:
             return _close_node(run, node, NodeStatus.FAILED, f"evaluator fault: {fault}")
 
@@ -590,14 +563,7 @@ def execute_node(
                 decision = run.call(
                     "planner",
                     "replan",
-                    {
-                        "task_description": task,
-                        "subgoal": context.subgoal,
-                        "current_plan": render_plan(node.plan),
-                        "reason": evaluation.reason,
-                        "admissible_commands": commands,
-                        "history": history,
-                    },
+                    {**view, "reason": evaluation.reason},
                     parse_replan,
                     scope=node_id,
                 )
@@ -691,7 +657,7 @@ def run_task(
                 {
                     "task_description": instance.query,
                     "current_step": str(run.steps.used),
-                    "history": assemble_history(round_trace, config.history_cap),
+                    "history": assemble_history(round_trace, HISTORY_CAP),
                     "dag_state": render_dag_state(graph),
                     "admissible_commands": run.commands,
                 },

@@ -84,9 +84,14 @@ def load_task_instance(path: str | Path) -> TaskInstance:
         raise FixtureError(f"fixture not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise FixtureError(f"fixture {path}: must be a JSON object")
     for key in ("id", "environment", "query"):
         if not isinstance(doc.get(key), str) or not doc[key].strip():
             raise FixtureError(f"fixture {path}: missing or empty {key!r}")
+    for key in ("gold", "payload"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise FixtureError(f"fixture {path}: {key!r} must be an object")
     instance = TaskInstance(
         id=doc["id"],
         environment=doc["environment"],

@@ -58,13 +58,18 @@ class TextLab(Environment):
         if payload.get("start_room") not in rooms:
             raise FixtureError(f"fixture {instance.id}: start_room missing from rooms")
         for name, room in rooms.items():
+            if not isinstance(room, dict):
+                raise FixtureError(f"fixture {instance.id}: room {name!r} must be an object")
             for other in room.get("connects", []):
                 if other not in rooms:
                     raise FixtureError(
                         f"fixture {instance.id}: room {name!r} connects to unknown {other!r}"
                     )
         objects = cls._world_objects(payload)
-        for cond in instance.gold.get("conditions", []):
+        conditions = instance.gold.get("conditions", [])
+        if not isinstance(conditions, list) or not all(isinstance(c, dict) for c in conditions):
+            raise FixtureError(f"fixture {instance.id}: gold.conditions must be a list of objects")
+        for cond in conditions:
             kind = cond.get("kind")
             if kind not in _CONDITION_KINDS:
                 raise FixtureError(f"fixture {instance.id}: unknown condition kind {kind!r}")

@@ -63,7 +63,10 @@ class TravelToy(Environment):
         for key in ("cities", "accommodations", "restaurants", "attractions"):
             if key in payload and not isinstance(payload[key], dict):
                 raise FixtureError(f"fixture {instance.id}: payload.{key} must be a map")
-        for constraint in instance.gold.get("constraints", []):
+        constraints = instance.gold.get("constraints", [])
+        if not isinstance(constraints, list) or not all(isinstance(c, dict) for c in constraints):
+            raise FixtureError(f"fixture {instance.id}: gold.constraints must be a list of objects")
+        for constraint in constraints:
             kind = constraint.get("kind")
             if kind not in ("mentions", "avoids"):
                 raise FixtureError(

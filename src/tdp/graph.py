@@ -180,18 +180,19 @@ class NewNodeSpec:
 
 @dataclass(frozen=True)
 class NodeScopedContext:
-    """Everything the planner/executor roles may see while working one node.
+    """Everything of the graph the planner/executor roles may see while
+    working one node.
 
     By construction: the node's own description, the outcomes of its direct
     dependencies (in dependency-id order, ids carried alongside for labeling),
-    its own local trace, and optional supervisor guidance.  Nothing else.
+    and its own local trace.  Nothing else; the node's plan and one-shot
+    guidance join it as prompt bindings (:func:`tdp.engine.node_bindings`).
     """
 
     subgoal: str
     dependency_ids: tuple[NodeId, ...]
     dependency_outcomes: tuple[OutcomeSummary, ...]
     local_trace: tuple[TraceEntry, ...]
-    guidance: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +274,7 @@ def ready_nodes(graph: TaskGraph) -> list[NodeId]:
     return out
 
 
-def build_node_context(
-    graph: TaskGraph, node_id: NodeId, guidance: str | None = None
-) -> NodeScopedContext:
+def build_node_context(graph: TaskGraph, node_id: NodeId) -> NodeScopedContext:
     """Assemble the complete — and only — context for working `node_id`."""
     if node_id not in graph.nodes:
         raise SchedulingError(f"unknown node {node_id!r}")
@@ -297,7 +296,6 @@ def build_node_context(
         dependency_ids=tuple(dep_ids),
         dependency_outcomes=tuple(outcomes),
         local_trace=tuple(node.local_trace),
-        guidance=guidance,
     )
 
 

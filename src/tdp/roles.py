@@ -26,7 +26,7 @@ __all__ = [
     "TokenUsage",
     "Completion",
     "PromptTemplate",
-    "TEMPLATE_PLACEHOLDERS",
+    "TEMPLATE_NAMES",
     "load_template",
     "load_templates",
     "render_prompt",
@@ -97,40 +97,8 @@ class Completion:
 # ---------------------------------------------------------------------------
 # templates
 
-#: Exact placeholder set each template must carry — no more, no fewer.
-TEMPLATE_PLACEHOLDERS: dict[str, frozenset[str]] = {
-    "construct": frozenset({"task_description", "admissible_commands"}),
-    "plan": frozenset(
-        {"task_description", "nodes_description", "admissible_commands", "history"}
-    ),
-    "execute": frozenset(
-        {
-            "task_description",
-            "subgoal",
-            "plan",
-            "guidance",
-            "admissible_commands",
-            "history",
-        }
-    ),
-    "evaluate": frozenset(
-        {"task_description", "subgoal", "current_plan", "admissible_commands", "history"}
-    ),
-    "replan": frozenset(
-        {
-            "task_description",
-            "subgoal",
-            "current_plan",
-            "reason",
-            "admissible_commands",
-            "history",
-        }
-    ),
-    "revise": frozenset(
-        {"task_description", "current_step", "history", "dag_state", "admissible_commands"}
-    ),
-    "react": frozenset({"task_description", "admissible_commands", "history"}),
-}
+#: The packaged role prompt templates.
+TEMPLATE_NAMES = ("construct", "evaluate", "execute", "plan", "react", "replan", "revise")
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
@@ -143,41 +111,38 @@ class PromptTemplate:
     body: str
     placeholders: frozenset[str]
 
-    def found_placeholders(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER_RE.findall(self.body))
 
-
-def _check_template(template: PromptTemplate) -> PromptTemplate:
-    found = template.found_placeholders()
-    if found != template.placeholders:
-        missing = sorted(template.placeholders - found)
-        extra = sorted(found - template.placeholders)
-        raise RenderFault(
-            f"template {template.name!r} placeholder mismatch"
-            + (f"; missing: {missing}" if missing else "")
-            + (f"; undeclared: {extra}" if extra else "")
-        )
-    return template
+def _placeholders(body: str) -> frozenset[str]:
+    return frozenset(_PLACEHOLDER_RE.findall(body))
 
 
 def load_template(name: str, template_dir: str | Path | None = None) -> PromptTemplate:
-    """Load one template by name, from `template_dir` if given else the built-ins."""
-    if name not in TEMPLATE_PLACEHOLDERS:
+    """Load one template by name, from `template_dir` if given else the built-ins.
+
+    A template declares the placeholders its packaged body holds.  An override
+    from `template_dir` must hold exactly those, or loading raises a
+    :class:`RenderFault` naming the missing and undeclared ones.
+    """
+    if name not in TEMPLATE_NAMES:
         raise KeyError(f"unknown template {name!r}")
+    body = (resources.files("tdp") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
+    placeholders = _placeholders(body)
     if template_dir is not None:
-        path = Path(template_dir) / f"{name}.txt"
-        body = path.read_text(encoding="utf-8")
-    else:
-        body = (resources.files("tdp") / "templates" / f"{name}.txt").read_text(
-            encoding="utf-8"
-        )
-    return _check_template(
-        PromptTemplate(name=name, body=body, placeholders=TEMPLATE_PLACEHOLDERS[name])
-    )
+        body = (Path(template_dir) / f"{name}.txt").read_text(encoding="utf-8")
+        found = _placeholders(body)
+        if found != placeholders:
+            missing = sorted(placeholders - found)
+            extra = sorted(found - placeholders)
+            raise RenderFault(
+                f"template {name!r} placeholder mismatch"
+                + (f"; missing: {missing}" if missing else "")
+                + (f"; undeclared: {extra}" if extra else "")
+            )
+    return PromptTemplate(name=name, body=body, placeholders=placeholders)
 
 
 def load_templates(template_dir: str | Path | None = None) -> dict[str, PromptTemplate]:
-    return {name: load_template(name, template_dir) for name in sorted(TEMPLATE_PLACEHOLDERS)}
+    return {name: load_template(name, template_dir) for name in TEMPLATE_NAMES}
 
 
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, Any]) -> str:
@@ -246,6 +211,16 @@ def _as_bool(value: Any, key: str, raw: str) -> bool:
     if isinstance(value, bool):
         return value
     raise ParseFault(f"field {key!r} must be a JSON boolean, got {value!r}", raw_text=raw)
+
+
+def _list_field(doc: Mapping[str, Any], key: str, raw: str) -> list[Any]:
+    """``doc[key]`` as a list; absent or null reads as empty."""
+    value = doc.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ParseFault(f"field {key!r} must be a list, got {value!r}", raw_text=raw)
+    return value
 
 
 def _as_str_list(value: Any, key: str, raw: str) -> list[str]:
@@ -429,7 +404,8 @@ def parse_replan(text: str) -> ReplanDecision:
 def parse_revision(text: str) -> RevisionDelta:
     """Parse a graph-update reply into a :class:`~tdp.graph.RevisionDelta`.
 
-    Unknown top-level fields are ignored; list fields default to empty.
+    Unknown top-level fields are ignored; list fields default to empty, and
+    a list field holding anything but a list is a parse fault.
     """
     doc = extract_json(text)
     need_update = _as_bool(_require(doc, "need_update", text), "need_update", text)
@@ -438,7 +414,7 @@ def parse_revision(text: str) -> RevisionDelta:
         raise ParseFault("'thought' must be a string", raw_text=text)
 
     updates: list[tuple[str, str]] = []
-    for entry in doc.get("description_updates") or []:
+    for entry in _list_field(doc, "description_updates", text):
         if not isinstance(entry, Mapping):
             raise ParseFault("each description update must be an object", raw_text=text)
         node_id = _require(entry, "node_id", text)
@@ -448,7 +424,7 @@ def parse_revision(text: str) -> RevisionDelta:
         updates.append((node_id, new_description))
 
     new_nodes: list[NewNodeSpec] = []
-    for entry in doc.get("new_nodes") or []:
+    for entry in _list_field(doc, "new_nodes", text):
         if not isinstance(entry, Mapping):
             raise ParseFault("each new node must be an object", raw_text=text)
         raw_id = entry.get("id")
@@ -468,7 +444,7 @@ def parse_revision(text: str) -> RevisionDelta:
             )
         )
 
-    remove_nodes = _as_str_list(doc.get("remove_nodes", []) or [], "remove_nodes", text)
+    remove_nodes = _as_str_list(_list_field(doc, "remove_nodes", text), "remove_nodes", text)
     return RevisionDelta(
         thought=thought,
         need_update=need_update,

@@ -98,7 +98,7 @@ class TestLoadConfig:
 
     def test_every_key_maps_onto_its_run_config_field(self, tmp_path):
         doc = {"environment": "mockwiki", "s_max": 9, "max_replans_per_node": 1,
-               "parser_retry_budget": 0, "history_cap": 5, "outcome_keep": 2,
+               "parser_retry_budget": 0,
                "deterministic_clock": False, "trace_dir": "out", "parallel_tasks": 2}
         config = load_config(_write_config(tmp_path, {**doc, "template_dir": "tpl"}))
         assert {key: getattr(config, key) for key in doc} == doc
@@ -111,7 +111,7 @@ class TestLoadConfig:
         ({"deterministic_clock": 0}, "'deterministic_clock' must be true or false"),
         ({"s_max": 7.9}, "'s_max' must be an integer, got 7.9"),
         ({"parallel_tasks": "2"}, "'parallel_tasks' must be an integer"),
-        ({"history_cap": True}, "'history_cap' must be an integer"),
+        ({"max_replans_per_node": True}, "'max_replans_per_node' must be an integer"),
         ({"trace_dir": 3}, "'trace_dir' must be a string or null"),
         ({"s_mx": 8}, "unknown config key 's_mx'"),
         ({"backends": None}, "'backends' must map each role to a backend object"),
@@ -208,6 +208,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: script file {script}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("fixture, edit, message", [
+        ("wiki/wiki_peoria.json", lambda doc: [doc], "must be a JSON object"),
+        ("wiki/wiki_peoria.json", lambda doc: {**doc, "gold": "Illinois River"},
+         "'gold' must be an object"),
+        ("wiki/wiki_peoria.json", lambda doc: {**doc, "payload": ["Peoria"]},
+         "'payload' must be an object"),
+        ("travel/illinois_trip.json",
+         lambda doc: {**doc, "gold": {**doc["gold"], "constraints": ["mentions Peoria"]}},
+         "gold.constraints must be a list of objects"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"],
+                                         "rooms": {**doc["payload"]["rooms"], "lab": "shut"}}},
+         "room 'lab' must be an object"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "gold": {"conditions": [["open", "cupboard"]]}},
+         "gold.conditions must be a list of objects"),
+    ])
+    def test_malformed_fixture_is_exit_one_with_one_line(self, tmp_path, capsys,
+                                                         fixture, edit, message):
+        doc = json.loads((FIXTURE_DIR / fixture).read_text(encoding="utf-8"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(doc)))
+        code = dispatch(["run", "--method", "tdp", "--tasks", str(path),
+                         "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: fixture ") and message in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_role_backend_is_exit_two_with_one_line(self, tmp_path, capsys):

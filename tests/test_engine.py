@@ -9,6 +9,7 @@ import pytest
 from tdp.baselines import BASELINES
 from tdp.cli import METHODS, load_config
 from tdp.engine import (
+    HISTORY_CAP,
     NO_ACTIONS_YET,
     EngineError,
     Run,
@@ -76,10 +77,10 @@ class TestRunConfig:
         "kwargs, message",
         [
             ({"s_max": 0}, "s_max must be >= 1"),
-            ({"history_cap": 1}, "history_cap must be >= 2"),
+            ({"s_max": -1}, "s_max must be >= 1, got -1"),
             ({"max_replans_per_node": -1}, "max_replans_per_node"),
             ({"parser_retry_budget": -1}, "parser_retry_budget"),
-            ({"outcome_keep": 0}, "outcome_keep"),
+            ({"parallel_tasks": -2}, "parallel_tasks must be >= 1"),
             ({"parallel_tasks": 0}, "parallel_tasks"),
         ],
     )
@@ -622,7 +623,7 @@ class TestRunTask:
                 assert f"obstacle at stage {j}:" not in prompt
             assert f"obstacle at stage {k}:" in prompt
             assert _revise_history(prompt) == assemble_history(
-                round_steps[f"node_{k}"], config.history_cap)
+                round_steps[f"node_{k}"], HISTORY_CAP)
 
     def test_applied_revision_redirects_the_next_round(self):
         d2_old = "Check the stove."
@@ -780,6 +781,37 @@ class TestRunTask:
                  if e.kind == "role_call"]
         assert len(calls) > 5
         assert renders == calls
+
+    def test_malformed_revise_reply_becomes_a_revision_fault_noop(self, monkeypatch):
+        import tdp.engine
+
+        deltas = []
+        real_apply = tdp.engine.apply_revision
+
+        def recording_apply(graph, delta):
+            deltas.append(delta)
+            return real_apply(graph, delta)
+
+        monkeypatch.setattr(tdp.engine, "apply_revision", recording_apply)
+        config = load_config(CONFIG_DIR / "scripted_wiki.json")
+        bad = rule("supervisor:revise", [], '{"need_update": true, "new_nodes": true}')
+        config.role_backends["supervisor"] = ScriptedBackend(
+            [bad, *config.role_backends["supervisor"].rules])
+        instance = load_task_instance(WIKI_FIXTURES[0])
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(instance, make_environment(instance.environment), config, sink=sink)
+        events = sink.events_for(report.run_id)
+        (revise,) = [e.payload for e in events
+                     if e.kind == "role_call" and e.payload["template"] == "revise"]
+        assert revise["ok"] is False
+        assert revise["attempts"] == config.parser_retry_budget + 1
+        (revision,) = [e.payload for e in events if e.kind == "revision"]
+        assert revision["status"] == "noop"
+        (delta,) = deltas
+        assert delta.thought.startswith("revision fault:")
+        assert "field 'new_nodes' must be a list" in delta.thought
+        assert report.terminal == "Completed"
+        assert_ends_on_record(report, sink)
 
     def test_direct_variant_needs_no_replan(self):
         sink = TraceSink(clock=CounterClock())

@@ -3,12 +3,12 @@
 Every case below runs one method on one task with a scripted backend and the
 counter clock, writes its trace to a file and hashes the file's bytes
 (SHA-256).  Traces carry only prompt sizes, so the case's role backends are
-also wrapped in a recording delegate that hashes every prompt sent, in call
-order, as ``role_tag NUL prompt NUL``.  ``golden_traces.json`` and
-``golden_prompts.json`` hold the expected hashes of each case, so a refactor
-that is meant to keep behaviour must keep every hash.  The tests only read
-those files.  A change that alters traces or prompts on purpose regenerates
-both with
+also wrapped in recording delegates sharing one call log, and every prompt
+sent is hashed, in call order, as ``role_tag NUL prompt NUL``.
+``golden_traces.json`` and ``golden_prompts.json`` hold the expected hashes of
+each case, so a refactor that is meant to keep behaviour must keep every hash.
+The tests only read those files.  A change that alters traces or prompts on
+purpose regenerates both with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
@@ -31,12 +31,12 @@ from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import RunConfig, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
-from tdp.roles import Completion, ModelBackend
 from tdp.telemetry import CounterClock, TraceSink
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
 from scenarios import (
     ChainEnv,
+    RecordingBackend,
     chain_config,
     chain_instance,
     diamond_config,
@@ -121,32 +121,23 @@ def _cases() -> dict[str, Case]:
 CASES = _cases()
 
 
-class RecordingBackend(ModelBackend):
-    """Delegates to `inner`, feeding each call's role tag and prompt to `digest`."""
-
-    def __init__(self, inner: ModelBackend, digest: Any) -> None:
-        self.inner = inner
-        self.digest = digest
-
-    def complete(self, role_tag: str, prompt: str) -> Completion:
-        self.digest.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
-        return self.inner.complete(role_tag, prompt)
-
-
 def case_hashes(case: Case, trace_dir: Path) -> tuple[str, str]:
     """Run `case` with a file sink on the counter clock; SHA-256 of the trace
     file and of every (role tag, prompt) the backends received."""
     method, instance, env, config = case()
-    prompts = hashlib.sha256()
-    config.role_backends = {
-        role: RecordingBackend(backend, prompts) for role, backend in config.role_backends.items()
-    }
+    calls: list[tuple[str, str]] = []
+    for role, backend in config.role_backends.items():
+        config.role_backends[role] = recorder = RecordingBackend(backend)
+        recorder.calls = calls
     path = trace_dir / f"{method}__{instance.id}.jsonl"
     sink = TraceSink(path, clock=CounterClock())
     if method == "tdp":
         run_task(instance, env, config, sink=sink)
     else:
         BASELINES[method](instance, env, config, sink=sink)
+    prompts = hashlib.sha256()
+    for role_tag, prompt in calls:
+        prompts.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
     return hashlib.sha256(path.read_bytes()).hexdigest(), prompts.hexdigest()
 
 

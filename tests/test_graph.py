@@ -251,12 +251,11 @@ def test_build_node_context_carries_exactly_the_allowed_parts():
         node("c", deps=["b", "a"], description="combine the parts"),
     )
     g.nodes["c"].local_trace.append(TraceEntry(step_index=3, action="look", observation="parts"))
-    ctx = build_node_context(g, "c", guidance="weld carefully")
+    ctx = build_node_context(g, "c")
     assert ctx.subgoal == "combine the parts"
     assert ctx.dependency_ids == ("a", "b")  # sorted, regardless of declaration order
     assert [o.summary_text for o in ctx.dependency_outcomes] == ["a finished", "b finished"]
     assert ctx.local_trace == (TraceEntry(step_index=3, action="look", observation="parts"),)
-    assert ctx.guidance == "weld carefully"
 
 
 def test_build_node_context_refuses_unfinished_dependencies():
