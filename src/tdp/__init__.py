@@ -3,7 +3,8 @@
 A supervisor turns a task into a dependency graph of sub-task nodes, a planner
 drafts a short plan for one node at a time, and an executor acts in the
 environment with only that node's context in view.  Evaluation can trigger a
-node-local replan, and the whole graph is revised between dispatch rounds.
+node-local replan, and between dispatch rounds the supervisor revises the
+graph from a view of its frontier, in which every other node is only counted.
 Baselines (react, cot, plan-act) share the same environments, trace format,
 and metrics so comparisons stay apples-to-apples.
 """

@@ -12,9 +12,9 @@ exclusively from that node's description, its current plan, its direct
 dependencies' outcome summaries, its own local trace, and optional one-shot
 guidance.  Nothing else leaks in, which is what keeps replan prompts small and
 node work order-independent.  The supervisor's between-round revision prompt
-is scoped the same way, to the round: it sees the actions taken since the
-previous revision plus the graph state, in which settled nodes are reduced to
-their id and status.
+is scoped the same way, to the round and the frontier: it sees the actions
+taken since the previous revision plus the graph's frontier, with every other
+node only counted (:func:`~tdp.graph.render_dag_state`).
 
 The bookkeeping around the loop (trace header, recorded role calls and
 environment steps, ``run_end`` and the report) lives in :class:`Run`, which
@@ -615,14 +615,19 @@ def run_task(
     step-budget exhaustion, a construction fault, or a stalled round (no ready
     nodes and a revision that changed nothing).  The revision call that closes
     a round renders only that round's trace entries as its history, plus the
-    graph state from :func:`render_dag_state`.
+    graph's frontier from :func:`render_dag_state`: the in-progress, failed
+    and ready nodes, the pending dependents of failed nodes and the completed
+    nodes those depend on, with every other node only counted.  So the
+    supervisor can edit only the nodes it sees; :func:`apply_revision` rejects
+    any other id.
 
     The trace records the graph once, in ``graph_constructed``.  Each
     ``revision`` event carries its ``status`` and ``reasons`` plus, unless it
     is a noop, the parsed delta in the schema of the supervisor's revise reply
-    (:func:`~tdp.graph.delta_to_doc`).  Because :func:`apply_revision` assigns
-    ids deterministically, the graph's ids, descriptions and dependencies at
-    any revision are rebuilt by starting from
+    (:func:`~tdp.graph.delta_to_doc`).  A revise call that faulted is a noop
+    whose event also carries the fault's message as ``error``.  Because
+    :func:`apply_revision` assigns ids deterministically, the graph's ids,
+    descriptions and dependencies at any revision are rebuilt by starting from
     ``graph_from_doc(graph_constructed)`` and applying each applied event's
     ``parse_revision(json.dumps(delta))`` in order.
     """
@@ -650,6 +655,7 @@ def run_task(
             continue
         if run.steps.exhausted():
             return run.finish("Terminated", "step budget exhausted", graph)
+        fault_record: dict[str, str] = {}
         try:
             delta: RevisionDelta = run.call(
                 "supervisor",
@@ -664,13 +670,15 @@ def run_task(
                 parse_revision,
             )
         except RoleFault as fault:
-            delta = RevisionDelta(need_update=False, thought=f"revision fault: {fault}")
+            delta = RevisionDelta()
+            fault_record = {"error": f"revision fault: {fault}"}
         result = apply_revision(graph, delta)
         run.emit(
             "revision",
             status=result.status,
             reasons=list(result.reasons),
             delta=delta_to_doc(delta) if delta.need_update else None,
+            **fault_record,
         )
         graph = result.graph
         if not ready and not result.applied:

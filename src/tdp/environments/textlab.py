@@ -19,6 +19,10 @@ _PUT_RE = re.compile(r"^put\s+(.+?)\s+in\s+(.+)$")
 _CONDITION_KINDS = ("at", "holding", "activated", "measured", "focused", "open", "in")
 
 
+def _is_name_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 class TextLab(Environment):
     name = "textlab"
 
@@ -60,11 +64,24 @@ class TextLab(Environment):
         for name, room in rooms.items():
             if not isinstance(room, dict):
                 raise FixtureError(f"fixture {instance.id}: room {name!r} must be an object")
+            for key in ("connects", "objects"):
+                if not _is_name_list(room.get(key, [])):
+                    raise FixtureError(
+                        f"fixture {instance.id}: room {name!r} {key} must be a list of names"
+                    )
             for other in room.get("connects", []):
                 if other not in rooms:
                     raise FixtureError(
                         f"fixture {instance.id}: room {name!r} connects to unknown {other!r}"
                     )
+        for key in ("containers", "measurements"):
+            if not isinstance(payload.get(key, {}), dict):
+                raise FixtureError(f"fixture {instance.id}: payload.{key} must be a map")
+        for name, contents in payload.get("containers", {}).items():
+            if not _is_name_list(contents):
+                raise FixtureError(
+                    f"fixture {instance.id}: container {name!r} must be a list of names"
+                )
         objects = cls._world_objects(payload)
         conditions = instance.gold.get("conditions", [])
         if not isinstance(conditions, list) or not all(isinstance(c, dict) for c in conditions):

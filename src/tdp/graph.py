@@ -412,27 +412,47 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
 
 
 def render_dag_state(graph: TaskGraph) -> str:
-    """Deterministic one-line-per-node view handed to the revision prompt.
+    """Deterministic view of the graph's frontier, handed to the revision prompt.
 
-    A settled node — completed, with every dependent completed too (a
-    completed sink included) — renders as its id and status alone; every other
-    node also shows its dependencies and description.
+    A full line, with dependencies and description, goes to every in-progress,
+    failed and ready node, to every pending node that depends directly on a
+    failed node, so that the supervisor can rewire it around the failure, and
+    to every completed node one of those depends on.  The other nodes are only
+    counted, in at most two lines, each emitted when its count is nonzero: the
+    other completed nodes, and the pending nodes waiting behind the nodes
+    shown.  So the view grows with the frontier, not with the graph.
     """
-    unsettled_deps = {
+    if not graph.nodes:
+        return "(empty graph)"
+    nodes = graph.nodes
+    failed = {nid for nid, node in nodes.items() if node.status is NodeStatus.FAILED}
+    frontier = failed | set(ready_nodes(graph))
+    for nid, node in nodes.items():
+        if node.status is NodeStatus.IN_PROGRESS or (
+            node.status is NodeStatus.PENDING and node.dependencies & failed
+        ):
+            frontier.add(nid)
+    shown = frontier | {
         dep
-        for node in graph.nodes.values()
-        if node.status is not NodeStatus.COMPLETED
-        for dep in node.dependencies
+        for nid in frontier
+        for dep in nodes[nid].dependencies
+        if dep in nodes and nodes[dep].status is NodeStatus.COMPLETED
     }
     lines = []
-    for nid in graph.sorted_ids():
-        node = graph.nodes[nid]
-        if node.status is NodeStatus.COMPLETED and nid not in unsettled_deps:
-            lines.append(f"- {nid} [{node.status.value}]")
-            continue
+    for nid in sorted(shown):
+        node = nodes[nid]
         deps = ", ".join(sorted(node.dependencies)) or "none"
         lines.append(f"- {nid} [{node.status.value}] (deps: {deps}): {node.description}")
-    return "\n".join(lines) if lines else "(empty graph)"
+    hidden = [nodes[nid].status for nid in nodes.keys() - shown]
+    for status, note in (
+        (NodeStatus.COMPLETED, ""),
+        (NodeStatus.PENDING, ", waiting on the nodes above"),
+    ):
+        count = hidden.count(status)
+        if count:
+            plural = "" if count == 1 else "s"
+            lines.append(f"- ({count} {status.value} node{plural} not shown{note})")
+    return "\n".join(lines)
 
 
 def graph_to_doc(graph: TaskGraph) -> dict[str, Any]:

@@ -226,6 +226,27 @@ class TestRun:
         ("lab/heat_water.json",
          lambda doc: {**doc, "gold": {"conditions": [["open", "cupboard"]]}},
          "gold.conditions must be a list of objects"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"], "rooms": {
+             **doc["payload"]["rooms"], "lab": {"connects": 5, "objects": []}}}},
+         "room 'lab' connects must be a list of names"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"], "rooms": {
+             **doc["payload"]["rooms"], "lab": {"connects": [["hallway"]], "objects": []}}}},
+         "room 'lab' connects must be a list of names"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"], "rooms": {
+             **doc["payload"]["rooms"], "lab": {"connects": ["hallway"], "objects": 3}}}},
+         "room 'lab' objects must be a list of names"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"], "containers": {"cupboard": 3}}},
+         "container 'cupboard' must be a list of names"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"], "containers": ["cupboard"]}},
+         "payload.containers must be a map"),
+        ("lab/heat_water.json",
+         lambda doc: {**doc, "payload": {**doc["payload"], "measurements": 5}},
+         "payload.measurements must be a map"),
     ])
     def test_malformed_fixture_is_exit_one_with_one_line(self, tmp_path, capsys,
                                                          fixture, edit, message):

@@ -704,6 +704,21 @@ class TestRunTask:
         assert len(sizes[4]) == 3
         assert sizes[8][:3] == sizes[4]
 
+    def test_revise_prompt_size_does_not_grow_with_the_pending_nodes(self):
+        """The same round's revise prompt costs as many tokens at W = 8 as at
+        W = 40: the nodes pending behind the frontier are only counted."""
+        sizes = {}
+        for stages in (8, 40):
+            sink = TraceSink(clock=CounterClock())
+            report = run_task(chain_instance(stages), ChainEnv(),
+                              chain_config(stages, tdp_chain_rules(stages)), sink=sink)
+            assert report.terminal == "Completed"
+            sizes[stages] = [e.payload["prompt_tokens"] for e in sink.events_for(report.run_id)
+                             if e.kind == "role_call" and e.payload["template"] == "revise"]
+        # through round 6 of W = 8 at least one node still waits behind the frontier
+        assert len(sizes[8]) == 7
+        assert sizes[40][:6] == sizes[8][:6]
+
     def test_repeated_runs_write_byte_identical_traces(self, tmp_path):
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -782,17 +797,7 @@ class TestRunTask:
         assert len(calls) > 5
         assert renders == calls
 
-    def test_malformed_revise_reply_becomes_a_revision_fault_noop(self, monkeypatch):
-        import tdp.engine
-
-        deltas = []
-        real_apply = tdp.engine.apply_revision
-
-        def recording_apply(graph, delta):
-            deltas.append(delta)
-            return real_apply(graph, delta)
-
-        monkeypatch.setattr(tdp.engine, "apply_revision", recording_apply)
+    def test_malformed_revise_reply_becomes_a_revision_fault_noop(self):
         config = load_config(CONFIG_DIR / "scripted_wiki.json")
         bad = rule("supervisor:revise", [], '{"need_update": true, "new_nodes": true}')
         config.role_backends["supervisor"] = ScriptedBackend(
@@ -807,9 +812,9 @@ class TestRunTask:
         assert revise["attempts"] == config.parser_retry_budget + 1
         (revision,) = [e.payload for e in events if e.kind == "revision"]
         assert revision["status"] == "noop"
-        (delta,) = deltas
-        assert delta.thought.startswith("revision fault:")
-        assert "field 'new_nodes' must be a list" in delta.thought
+        assert revision["delta"] is None
+        assert revision["error"].startswith("revision fault:")
+        assert "field 'new_nodes' must be a list" in revision["error"]
         assert report.terminal == "Completed"
         assert_ends_on_record(report, sink)
 

@@ -461,20 +461,55 @@ def test_render_dag_state_exact_format():
     assert render_dag_state(TaskGraph(task_description="t")) == "(empty graph)"
 
 
-def test_render_dag_state_shortens_only_settled_nodes():
-    # a is settled (its one dependent b completed too); b still feeds pending c.
+def test_render_dag_state_shows_the_frontier_and_counts_the_rest():
+    # a is folded (only completed b depends on it); b feeds ready c; d failed and
+    # its pending dependent e is shown; g is in progress; f and h wait behind c.
     g = graph_of(
         node("a", status=NodeStatus.COMPLETED),
         node("b", deps=["a"], status=NodeStatus.COMPLETED),
         node("c", deps=["b"]),
         node("d", status=NodeStatus.FAILED),
+        node("e", deps=["d"]),
+        node("f", deps=["c"]),
+        node("g", status=NodeStatus.IN_PROGRESS),
+        node("h", deps=["f", "g"]),
     )
     assert render_dag_state(g) == (
-        "- a [completed]\n"
         "- b [completed] (deps: a): work item b\n"
         "- c [pending] (deps: b): work item c\n"
-        "- d [failed] (deps: none): work item d"
+        "- d [failed] (deps: none): work item d\n"
+        "- e [pending] (deps: d): work item e\n"
+        "- g [in_progress] (deps: none): work item g\n"
+        "- (1 completed node not shown)\n"
+        "- (2 pending nodes not shown, waiting on the nodes above)"
     )
+
+
+def test_render_dag_state_accounts_for_every_node_once():
+    rng = random.Random(8)
+    for _ in range(500):
+        g = random_valid_graph(rng)
+        shown, counted = [], {"completed": 0, "pending": 0}
+        for line in render_dag_state(g).splitlines():
+            if line.startswith("- ("):
+                count, status = line[3:].split()[:2]
+                counted[status] += int(count)
+            else:
+                shown.append(line.split()[1])
+        assert shown == sorted(shown)
+        assert len(shown) + sum(counted.values()) == len(g.nodes)
+        nodes = g.nodes
+        active = {nid for nid, n in nodes.items()
+                  if n.status in (NodeStatus.IN_PROGRESS, NodeStatus.FAILED)}
+        blocked = {nid for nid, n in nodes.items() if n.status is NodeStatus.PENDING
+                   and any(d in active and nodes[d].status is NodeStatus.FAILED
+                           for d in n.dependencies)}
+        frontier = active | blocked | set(oracle_ready(g))
+        feeders = {d for nid in frontier for d in nodes[nid].dependencies
+                   if nodes[d].status is NodeStatus.COMPLETED}
+        assert set(shown) == frontier | feeders
+        hidden = [nodes[nid].status.value for nid in nodes.keys() - set(shown)]
+        assert counted == {s: hidden.count(s) for s in counted}
 
 
 def test_doc_round_trip_preserves_everything_it_serializes():
