@@ -59,12 +59,15 @@ def _build_backend(spec: dict[str, Any], base_dir: Path) -> ModelBackend:
         for key in ("endpoint", "model", "credential_env"):
             if not spec.get(key):
                 raise CliError(f"remote backend config missing {key!r}")
+        temperature = spec.get("temperature", 0.0)
+        if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
+            raise CliError(f"remote backend 'temperature' must be a number, got {temperature!r}")
         try:
             return RemoteChatBackend(
                 endpoint=spec["endpoint"],
                 model=spec["model"],
                 credential_env=spec["credential_env"],
-                temperature=float(spec.get("temperature", 0.0)),
+                temperature=float(temperature),
             )
         except RuntimeError as err:  # unset credential env var
             raise CliError(str(err)) from None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from .base import (
     Environment,
     EnvironmentClosedError,
@@ -9,7 +12,6 @@ from .base import (
     FixtureError,
     StepResult,
     TaskInstance,
-    load_task_instance,
 )
 from .mockwiki import MockWiki
 from .textlab import TextLab
@@ -40,6 +42,32 @@ def validate_instance(instance: TaskInstance) -> None:
             f"fixture {instance.id}: unknown environment {instance.environment!r}"
         )
     cls.validate_instance(instance)
+
+
+def load_task_instance(path: str | Path) -> TaskInstance:
+    """Read one fixture file and run its environment's consistency checks."""
+    path = Path(path)
+    if not path.exists():
+        raise FixtureError(f"fixture not found: {path}")
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise FixtureError(f"fixture {path}: must be a JSON object")
+    for key in ("id", "environment", "query"):
+        if not isinstance(doc.get(key), str) or not doc[key].strip():
+            raise FixtureError(f"fixture {path}: missing or empty {key!r}")
+    for key in ("gold", "payload"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise FixtureError(f"fixture {path}: {key!r} must be an object")
+    instance = TaskInstance(
+        id=doc["id"],
+        environment=doc["environment"],
+        query=doc["query"],
+        gold=doc.get("gold", {}),
+        payload=doc.get("payload", {}),
+    )
+    validate_instance(instance)
+    return instance
 
 
 __all__ = [

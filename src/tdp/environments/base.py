@@ -1,4 +1,4 @@
-"""Environment interface and task-fixture loading.
+"""The environment base class and the task-fixture types.
 
 Environments are deterministic: no RNG in `step`, no wall-clock reads, so a
 replayed action sequence always reproduces its observations.
@@ -6,9 +6,7 @@ replayed action sequence always reproduces its observations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping
 
 
@@ -45,59 +43,56 @@ class TaskInstance:
 
 
 class Environment:
-    """Deterministic mock environment contract.
+    """Deterministic mock environment; the base class owns the episode lifecycle.
 
-    Lifecycle: ``reset(instance)`` returns the initial observation; ``step``
-    consumes one action string and is rejected once ``done`` is True;
-    ``metrics`` summarizes the episode for reporting.
+    ``reset(instance)`` validates the instance, zeroes the done flag and the
+    step count, and returns the initial observation from ``_start``.
+    ``step(action)`` refuses a finished episode, counts the step and returns
+    what ``_act`` makes of the action.  ``done`` reads the flag, and
+    ``metrics()`` adds ``done`` and ``env_steps`` to the mock's own
+    ``_metrics()``.  A mock supplies ``validate_instance``, ``_start``,
+    ``_act``, ``_metrics`` and ``admissible_commands``, and ends its episode
+    by setting ``self._done``.
     """
 
     name = "base"
+    _done = False
+    _steps = 0
 
-    def reset(self, instance: TaskInstance) -> str:  # pragma: no cover - interface
+    @classmethod
+    def validate_instance(cls, instance: TaskInstance) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def step(self, action: str) -> StepResult:  # pragma: no cover - interface
-        raise NotImplementedError
+    def reset(self, instance: TaskInstance) -> str:
+        self.validate_instance(instance)
+        self._done = False
+        self._steps = 0
+        return self._start(instance)
+
+    def step(self, action: str) -> StepResult:
+        self._guard_open()
+        self._steps += 1
+        return self._act(action)
+
+    @property
+    def done(self) -> bool:
+        return self._done
+
+    def metrics(self) -> dict[str, Any]:
+        return {**self._metrics(), "done": self._done, "env_steps": self._steps}
 
     def admissible_commands(self) -> list[str]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    @property
-    def done(self) -> bool:  # pragma: no cover - interface
+    def _start(self, instance: TaskInstance) -> str:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def metrics(self) -> dict[str, Any]:  # pragma: no cover - interface
+    def _act(self, action: str) -> StepResult:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def _metrics(self) -> dict[str, Any]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def _guard_open(self) -> None:
         if self.done:
             raise EnvironmentClosedError(f"{self.name}: step() after episode finished")
-
-
-def load_task_instance(path: str | Path) -> TaskInstance:
-    """Read one fixture file and run its environment's consistency checks."""
-    from . import validate_instance  # late import; the registry lives in __init__
-
-    path = Path(path)
-    if not path.exists():
-        raise FixtureError(f"fixture not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise FixtureError(f"fixture {path}: must be a JSON object")
-    for key in ("id", "environment", "query"):
-        if not isinstance(doc.get(key), str) or not doc[key].strip():
-            raise FixtureError(f"fixture {path}: missing or empty {key!r}")
-    for key in ("gold", "payload"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise FixtureError(f"fixture {path}: {key!r} must be an object")
-    instance = TaskInstance(
-        id=doc["id"],
-        environment=doc["environment"],
-        query=doc["query"],
-        gold=doc.get("gold", {}),
-        payload=doc.get("payload", {}),
-    )
-    validate_instance(instance)
-    return instance

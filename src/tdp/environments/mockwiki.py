@@ -26,14 +26,6 @@ def _normalize(text: str) -> str:
 class MockWiki(Environment):
     name = "mockwiki"
 
-    def __init__(self) -> None:
-        self._articles: dict[str, str] = {}
-        self._active_page: str | None = None
-        self._cursors: dict[str, int] = {}
-        self._answer: str | None = None
-        self._done = False
-        self._steps = 0
-
     @staticmethod
     def validate_instance(instance: TaskInstance) -> None:
         articles = instance.payload.get("articles")
@@ -51,14 +43,11 @@ class MockWiki(Environment):
                     "does not occur in any article"
                 )
 
-    def reset(self, instance: TaskInstance) -> str:
-        self.validate_instance(instance)
+    def _start(self, instance: TaskInstance) -> str:
         self._articles = {str(k): str(v) for k, v in instance.payload["articles"].items()}
-        self._active_page = None
-        self._cursors = {}
-        self._answer = None
-        self._done = False
-        self._steps = 0
+        self._active_page: str | None = None
+        self._cursors: dict[str, int] = {}
+        self._answer: str | None = None
         return instance.query
 
     def admissible_commands(self) -> list[str]:
@@ -70,17 +59,8 @@ class MockWiki(Environment):
             "Finish[answer] - submit the final answer and finish the task",
         ]
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def metrics(self) -> dict[str, Any]:
-        return {
-            "answer": self._answer,
-            "delivered": self._answer is not None,
-            "done": self._done,
-            "env_steps": self._steps,
-        }
+    def _metrics(self) -> dict[str, Any]:
+        return {"answer": self._answer, "delivered": self._answer is not None}
 
     # -- action semantics ---------------------------------------------------
 
@@ -117,9 +97,7 @@ class MockWiki(Environment):
         self._cursors[_normalize(keyword)] = cursor + 1
         return f"(Result {cursor + 1} / {len(matches)}) {matches[cursor]}"
 
-    def step(self, action: str) -> StepResult:
-        self._guard_open()
-        self._steps += 1
+    def _act(self, action: str) -> StepResult:
         match = _ACTION_RE.match(action.strip())
         if not match:
             return StepResult(

@@ -26,22 +26,6 @@ def _is_name_list(value: Any) -> bool:
 class TextLab(Environment):
     name = "textlab"
 
-    def __init__(self) -> None:
-        self._rooms: dict[str, dict[str, Any]] = {}
-        self._containers: dict[str, list[str]] = {}
-        self._measurements: dict[str, str] = {}
-        self._conditions: list[dict[str, Any]] = []
-        self._room = ""
-        self._inventory: set[str] = set()
-        self._opened: set[str] = set()
-        self._activated: set[str] = set()
-        self._measured: set[str] = set()
-        self._focused: set[str] = set()
-        self._containment: dict[str, set[str]] = {}
-        self._satisfied_ever: set[int] = set()
-        self._done = False
-        self._steps = 0
-
     # -- fixture checks -------------------------------------------------------
 
     @staticmethod
@@ -110,8 +94,7 @@ class TextLab(Environment):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def reset(self, instance: TaskInstance) -> str:
-        self.validate_instance(instance)
+    def _start(self, instance: TaskInstance) -> str:
         payload = instance.payload
         self._rooms = {
             name: {
@@ -124,15 +107,13 @@ class TextLab(Environment):
         self._measurements = dict(payload.get("measurements", {}))
         self._conditions = [dict(c) for c in instance.gold.get("conditions", [])]
         self._room = payload["start_room"]
-        self._inventory = set()
-        self._opened = set()
-        self._activated = set()
-        self._measured = set()
-        self._focused = set()
-        self._containment = {}
-        self._satisfied_ever = set()
-        self._done = False
-        self._steps = 0
+        self._inventory: set[str] = set()
+        self._opened: set[str] = set()
+        self._activated: set[str] = set()
+        self._measured: set[str] = set()
+        self._focused: set[str] = set()
+        self._containment: dict[str, set[str]] = {}
+        self._satisfied_ever: set[int] = set()
         self._settle_rewards()  # an empty goal set is vacuously complete
         return f"{instance.query}\n{self._describe_room()}"
 
@@ -147,19 +128,12 @@ class TextLab(Environment):
             "focus <object> - direct attention to a visible object",
         ]
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def metrics(self) -> dict[str, Any]:
-        total = len(self._conditions)
+    def _metrics(self) -> dict[str, Any]:
         return {
             "reward": self._cumulative_reward(),
-            "done": self._done,
             "delivered": self._done,
             "satisfied": len(self._satisfied_ever),
-            "total_conditions": total,
-            "env_steps": self._steps,
+            "total_conditions": len(self._conditions),
         }
 
     # -- reward bookkeeping ------------------------------------------------------
@@ -281,9 +255,7 @@ class TextLab(Environment):
             return f"You focus on the {arg}."
         return "Nothing happens."
 
-    def step(self, action: str) -> StepResult:
-        self._guard_open()
-        self._steps += 1
+    def _act(self, action: str) -> StepResult:
         observation = self._apply(action.strip())
         delta = self._settle_rewards()
         return StepResult(observation=observation, reward_delta=delta, done=self._done)

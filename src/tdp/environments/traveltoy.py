@@ -9,23 +9,14 @@ error or a guess.
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import Any, Callable
 
 from .base import Environment, FixtureError, StepResult, TaskInstance
 
 _CALL_RE = re.compile(r"^([A-Za-z]+)\[(.*)\]$", re.DOTALL)
 
-_TOOL_ARITY = {
-    "FlightSearch": 3,
-    "GoogleDistanceMatrix": 3,
-    "AccommodationSearch": 1,
-    "RestaurantSearch": 1,
-    "AttractionSearch": 1,
-    "CitySearch": 1,
-    "NotebookWrite": 1,
-    "MakePlan": 1,
-}
-
+# A tool takes one comma-separated argument per slot of its usage line; the
+# free-text tools take their whole bracket, commas and all, as one argument.
 _USAGE = {
     "FlightSearch": "FlightSearch[origin city, destination city, date]",
     "GoogleDistanceMatrix": "GoogleDistanceMatrix[origin city, destination city, mode]",
@@ -36,6 +27,19 @@ _USAGE = {
     "NotebookWrite": "NotebookWrite[short description of the information to store]",
     "MakePlan": "MakePlan[the travel query to plan for]",
 }
+_FREE_TEXT = ("NotebookWrite", "MakePlan")
+
+# the keys a tool reads from every row of its table; flights and distances
+# are lists of rows, the other tables map a city to its list of rows
+_ROW_KEYS = {
+    "flights": ("origin", "destination", "date", "flight_no", "depart", "arrive", "price"),
+    "distances": ("from", "to", "mode", "distance_km", "duration", "cost"),
+    "accommodations": ("name", "price"),
+    "restaurants": ("name", "avg_cost"),
+    "attractions": ("name",),
+}
+# row fields compared with a tool's arguments as text
+_MATCHED = ("origin", "destination", "from", "to", "mode")
 
 _MODES = ("self-driving", "taxi")
 
@@ -44,15 +48,33 @@ def _norm(text: str) -> str:
     return text.strip().casefold()
 
 
+def _table_search(table: str, render: Callable[[dict[str, Any]], str]):
+    """The tool listing `table`'s rows for one city, each drawn by `render`."""
+
+    def search(env: TravelToy, city: str) -> str:
+        for name, rows in env._payload.get(table, {}).items():
+            if _norm(name) == _norm(city):
+                if not rows:
+                    break
+                return "\n".join(render(row) for row in rows)
+        return f"No {table} found in {city}."
+
+    return search
+
+
+def _check_row(instance_id: str, table: str, keys: tuple[str, ...], row: Any) -> None:
+    where = f"fixture {instance_id}: payload.{table} row"
+    if not isinstance(row, dict):
+        raise FixtureError(f"{where} must be an object, got {row!r}")
+    for key in keys:
+        if key not in row:
+            raise FixtureError(f"{where} lacks {key!r}")
+        if key in _MATCHED and not isinstance(row[key], str):
+            raise FixtureError(f"{where} field {key!r} must be a string, got {row[key]!r}")
+
+
 class TravelToy(Environment):
     name = "traveltoy"
-
-    def __init__(self) -> None:
-        self._payload: dict[str, Any] = {}
-        self._notebook: list[str] = []
-        self._plan_text: str | None = None
-        self._done = False
-        self._steps = 0
 
     @staticmethod
     def validate_instance(instance: TaskInstance) -> None:
@@ -63,6 +85,21 @@ class TravelToy(Environment):
         for key in ("cities", "accommodations", "restaurants", "attractions"):
             if key in payload and not isinstance(payload[key], dict):
                 raise FixtureError(f"fixture {instance.id}: payload.{key} must be a map")
+        for state, listed in payload.get("cities", {}).items():
+            if not isinstance(listed, list) or not all(isinstance(c, str) for c in listed):
+                raise FixtureError(
+                    f"fixture {instance.id}: payload.cities {state!r} must be a list of names"
+                )
+        for table, keys in _ROW_KEYS.items():
+            rows = payload.get(table, [])
+            groups = rows.items() if isinstance(rows, dict) else [(None, rows)]
+            for city, group in groups:
+                if not isinstance(group, list):
+                    raise FixtureError(
+                        f"fixture {instance.id}: payload.{table} {city!r} must be a list of rows"
+                    )
+                for row in group:
+                    _check_row(instance.id, table, keys, row)
         constraints = instance.gold.get("constraints", [])
         if not isinstance(constraints, list) or not all(isinstance(c, dict) for c in constraints):
             raise FixtureError(f"fixture {instance.id}: gold.constraints must be a list of objects")
@@ -75,13 +112,10 @@ class TravelToy(Environment):
             if not str(constraint.get("value", "")).strip():
                 raise FixtureError(f"fixture {instance.id}: constraint without a value")
 
-    def reset(self, instance: TaskInstance) -> str:
-        self.validate_instance(instance)
+    def _start(self, instance: TaskInstance) -> str:
         self._payload = dict(instance.payload)
-        self._notebook = []
-        self._plan_text = None
-        self._done = False
-        self._steps = 0
+        self._notebook: list[str] = []
+        self._plan_text: str | None = None
         return instance.query
 
     def admissible_commands(self) -> list[str]:
@@ -97,17 +131,11 @@ class TravelToy(Environment):
             "MakePlan[query] - assemble the final travel plan from the notebook and finish",
         ]
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def metrics(self) -> dict[str, Any]:
+    def _metrics(self) -> dict[str, Any]:
         return {
             "plan_text": self._plan_text,
             "delivered": self._plan_text is not None,
-            "done": self._done,
             "notebook_entries": len(self._notebook),
-            "env_steps": self._steps,
         }
 
     # -- tools ---------------------------------------------------------------
@@ -118,10 +146,10 @@ class TravelToy(Environment):
             for row in self._payload.get("flights", [])
             if _norm(row["origin"]) == _norm(origin)
             and _norm(row["destination"]) == _norm(destination)
-            and row["date"] == date.strip()
+            and row["date"] == date
         ]
         if not rows:
-            return f"No flights found from {origin.strip()} to {destination.strip()} on {date.strip()}."
+            return f"No flights found from {origin} to {destination} on {date}."
         lines = [
             f"{row['flight_no']} | {row['origin']} -> {row['destination']} | {row['date']} | "
             f"depart {row['depart']} arrive {row['arrive']} | ${row['price']}"
@@ -131,7 +159,7 @@ class TravelToy(Environment):
 
     def _distance(self, origin: str, destination: str, mode: str) -> str:
         if _norm(mode) not in _MODES:
-            return f"Unknown mode '{mode.strip()}'. Modes: {', '.join(_MODES)}."
+            return f"Unknown mode '{mode}'. Modes: {', '.join(_MODES)}."
         rows = [
             row
             for row in self._payload.get("distances", [])
@@ -140,24 +168,12 @@ class TravelToy(Environment):
             and _norm(row["mode"]) == _norm(mode)
         ]
         if not rows:
-            return (
-                f"No distance data for {origin.strip()} to {destination.strip()} "
-                f"by {mode.strip()}."
-            )
+            return f"No distance data for {origin} to {destination} by {mode}."
         row = rows[0]
         return (
             f"{row['mode']} from {row['from']} to {row['to']}: {row['distance_km']} km, "
             f"{row['duration']}, cost ${row['cost']}"
         )
-
-    def _table_search(self, table: str, city: str, render) -> str:
-        books = self._payload.get(table, {})
-        for name, rows in books.items():
-            if _norm(name) == _norm(city):
-                if not rows:
-                    break
-                return "\n".join(render(row) for row in rows)
-        return f"No {table} found in {city.strip()}."
 
     def _city_search(self, state: str) -> str:
         cities = self._payload.get("cities", {})
@@ -166,66 +182,52 @@ class TravelToy(Environment):
                 if listed:
                     return f"Cities in {name}: {', '.join(listed)}"
                 break
-        return f"No cities known in {state.strip()}."
+        return f"No cities known in {state}."
+
+    def _notebook_write(self, note: str) -> str:
+        self._notebook.append(note)
+        return f"Noted ({len(self._notebook)} entries)."
 
     def _make_plan(self, query: str) -> str:
-        lines = [f"Travel plan for: {query.strip()}"]
+        lines = [f"Travel plan for: {query}"]
         for i, note in enumerate(self._notebook, start=1):
             lines.append(f"{i}. {note}")
         self._plan_text = "\n".join(lines)
         self._done = True
         return f"Plan created from {len(self._notebook)} notebook entr{'y' if len(self._notebook) == 1 else 'ies'}."
 
-    def step(self, action: str) -> StepResult:
-        self._guard_open()
-        self._steps += 1
+    _TOOLS = {
+        "FlightSearch": _flight_search,
+        "GoogleDistanceMatrix": _distance,
+        "AccommodationSearch": _table_search(
+            "accommodations",
+            lambda r: f"{r['name']} | {r.get('room_type', 'room')} | ${r['price']}",
+        ),
+        "RestaurantSearch": _table_search(
+            "restaurants",
+            lambda r: f"{r['name']} | {r.get('cuisine', 'food')} | avg ${r['avg_cost']}",
+        ),
+        "AttractionSearch": _table_search("attractions", lambda r: str(r["name"])),
+        "CitySearch": _city_search,
+        "NotebookWrite": _notebook_write,
+        "MakePlan": _make_plan,
+    }
+
+    def _act(self, action: str) -> StepResult:
         match = _CALL_RE.match(action.strip())
         if not match:
             return StepResult(
                 observation="Invalid call. Use tool[argument, ...] — one of: "
-                + ", ".join(sorted(_TOOL_ARITY))
+                + ", ".join(sorted(_USAGE))
             )
         tool, raw_args = match.group(1), match.group(2)
-        if tool not in _TOOL_ARITY:
+        usage = _USAGE.get(tool)
+        if usage is None:
             return StepResult(
-                observation=f"Unknown tool '{tool}'. Tools: {', '.join(sorted(_TOOL_ARITY))}."
+                observation=f"Unknown tool '{tool}'. Tools: {', '.join(sorted(_USAGE))}."
             )
-        if tool in ("NotebookWrite", "MakePlan"):
-            args = [raw_args]
-        else:
-            args = [a.strip() for a in raw_args.split(",")]
-        if len(args) != _TOOL_ARITY[tool] or any(not a.strip() for a in args):
-            return StepResult(observation=f"Usage: {_USAGE[tool]}")
+        args = [a.strip() for a in ([raw_args] if tool in _FREE_TEXT else raw_args.split(","))]
+        if len(args) != usage.count(",") + 1 or not all(args):
+            return StepResult(observation=f"Usage: {usage}")
+        return StepResult(observation=self._TOOLS[tool](self, *args), done=self._done)
 
-        if tool == "FlightSearch":
-            return StepResult(observation=self._flight_search(*args))
-        if tool == "GoogleDistanceMatrix":
-            return StepResult(observation=self._distance(*args))
-        if tool == "AccommodationSearch":
-            return StepResult(
-                observation=self._table_search(
-                    "accommodations",
-                    args[0],
-                    lambda r: f"{r['name']} | {r.get('room_type', 'room')} | ${r['price']}",
-                )
-            )
-        if tool == "RestaurantSearch":
-            return StepResult(
-                observation=self._table_search(
-                    "restaurants",
-                    args[0],
-                    lambda r: f"{r['name']} | {r.get('cuisine', 'food')} | avg ${r['avg_cost']}",
-                )
-            )
-        if tool == "AttractionSearch":
-            return StepResult(
-                observation=self._table_search(
-                    "attractions", args[0], lambda r: str(r["name"])
-                )
-            )
-        if tool == "CitySearch":
-            return StepResult(observation=self._city_search(args[0]))
-        if tool == "NotebookWrite":
-            self._notebook.append(args[0].strip())
-            return StepResult(observation=f"Noted ({len(self._notebook)} entries).")
-        return StepResult(observation=self._make_plan(args[0]), done=True)

@@ -168,16 +168,23 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                 doc = json.loads(line)
             except json.JSONDecodeError as err:
                 raise TraceError(f"{path}:{line_no}: not JSON: {err}") from None
+            if not isinstance(doc, dict):
+                raise TraceError(f"{path}:{line_no}: not a JSON object")
             if doc.get("kind") == "header":
                 if doc.get("version") != TRACE_VERSION:
                     raise TraceError(
                         f"{path}:{line_no}: unsupported trace version {doc.get('version')!r}"
                     )
+                if "run_id" not in doc:
+                    raise TraceError(f"{path}:{line_no}: header lacks 'run_id'")
                 headers[doc["run_id"]] = doc
                 last_seq[doc["run_id"]] = -1
                 continue
             if doc.get("kind") not in EVENT_KINDS:
                 raise TraceError(f"{path}:{line_no}: unknown event kind {doc.get('kind')!r}")
+            for key in ("run_id", "seq", "ts"):
+                if key not in doc:
+                    raise TraceError(f"{path}:{line_no}: {doc['kind']} event lacks {key!r}")
             run_id = doc["run_id"]
             if run_id not in headers:
                 raise TraceError(f"{path}:{line_no}: event before header for run {run_id!r}")

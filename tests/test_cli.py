@@ -27,6 +27,25 @@ TRAVEL_ONE = str(FIXTURE_DIR / "travel" / "illinois_trip.json")
 # -- config loading -----------------------------------------------------------------
 
 
+def _remote(**spec):
+    """A config whose executor is a remote backend, with `spec` laid over it."""
+    return {"backends": {"executor": {
+        "kind": "remote", "endpoint": "http://localhost:9/v1/chat/completions",
+        "model": "m", "credential_env": "TDP_API_KEY", **spec}}}
+
+
+def _travel(doc, **tables):
+    """`doc` with the given payload tables replaced."""
+    return {**doc, "payload": {**doc["payload"], **tables}}
+
+
+def _first_flight(doc, **fields):
+    """`doc` whose first flight row has `fields` laid over it (None drops a key)."""
+    first, *rest = doc["payload"]["flights"]
+    row = {k: v for k, v in {**first, **fields}.items() if v is not None}
+    return _travel(doc, flights=[row, *rest])
+
+
 class TestLoadConfig:
     def test_shipped_config_round_trips(self):
         config = load_config(WIKI_CONFIG)
@@ -117,8 +136,13 @@ class TestLoadConfig:
         ({"backends": None}, "'backends' must map each role to a backend object"),
         ({"backends": {"executor": "scripted"}}, "'backends' must map each role"),
         ({"s_max": 0}, "s_max must be >= 1"),
+        (_remote(temperature=None), "remote backend 'temperature' must be a number, got None"),
+        (_remote(temperature="hot"), "remote backend 'temperature' must be a number, got 'hot'"),
+        (_remote(temperature=True), "remote backend 'temperature' must be a number, got True"),
     ])
-    def test_misread_values_and_unknown_keys_are_errors(self, tmp_path, doc, message):
+    def test_misread_values_and_unknown_keys_are_errors(self, tmp_path, monkeypatch,
+                                                        doc, message):
+        monkeypatch.setenv("TDP_API_KEY", "k-local-test")
         with pytest.raises(CliError, match=message):
             load_config(_write_config(tmp_path, doc))
 
@@ -247,14 +271,29 @@ class TestRun:
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "measurements": 5}},
          "payload.measurements must be a map"),
+        ("travel/illinois_trip.json", lambda doc: _first_flight(doc, origin=None),
+         "payload.flights row lacks 'origin'"),
+        ("travel/illinois_trip.json", lambda doc: _travel(doc, flights=[5]),
+         "payload.flights row must be an object, got 5"),
+        ("travel/illinois_trip.json", lambda doc: _first_flight(doc, origin=5),
+         "payload.flights row field 'origin' must be a string, got 5"),
+        ("travel/illinois_trip.json", lambda doc: _travel(doc, accommodations={"Peoria": 5}),
+         "payload.accommodations 'Peoria' must be a list of rows"),
+        ("travel/illinois_trip.json",
+         lambda doc: _travel(doc, accommodations={"Peoria": [{"room_type": "double",
+                                                              "price": 95}]}),
+         "payload.accommodations row lacks 'name'"),
+        ("travel/illinois_trip.json", lambda doc: _travel(doc, cities={"Illinois": 5}),
+         "payload.cities 'Illinois' must be a list of names"),
     ])
     def test_malformed_fixture_is_exit_one_with_one_line(self, tmp_path, capsys,
                                                          fixture, edit, message):
         doc = json.loads((FIXTURE_DIR / fixture).read_text(encoding="utf-8"))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edit(doc)))
+        config = TRAVEL_CONFIG if fixture.startswith("travel/") else WIKI_CONFIG
         code = dispatch(["run", "--method", "tdp", "--tasks", str(path),
-                         "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])
+                         "--config", config, "--trace-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: fixture ") and message in err
@@ -366,6 +405,19 @@ class TestReplay:
         code = dispatch(["replay", "--trace", "/nowhere.jsonl"])
         assert code == 2
         assert "trace file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        json.dumps({"kind": "header", "version": 1, "meta": {}}),
+    ])
+    def test_malformed_trace_is_exit_one_with_one_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        code = dispatch(["replay", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}:1: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_headerless_trace(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -590,3 +592,60 @@ class TestDeterminism:
         actions = ACTION_POOLS[instance.environment](random.Random(7), instance, 20)
         log, _ = run_stream(instance, actions)
         assert all(entry[2] is None for entry in log[1:])
+
+
+# SHA-256 of ``json.dumps([log, metrics], sort_keys=True)`` for the seeded
+# 40-action stream of seeds 0-4 on each shipped fixture.  The streams reach
+# observations no golden trace does (usage lines, unknown tools, invalid
+# calls, unknown modes, exhausted lookups), so a refactor of the mocks must
+# keep every one of these hashes.
+OBSERVATION_PINS = {
+    "wiki_bridge": [
+        "e1af7c851acd569450e5303aa8be0c5ff5d7e8a0801a6b2777d4ee5c911f0e9c",
+        "5b53d5b53794ae0101b985356f9eedbb69105650320f9d54a64a72eaf3d463a2",
+        "71f582b58be31e747089a2590dbcbf99b7975ca93f5b4349c0e0f224667aeb80",
+        "916a27ba4854d189bef2bc4522eb69637ef01bbe50c7d9b1e92355ed6ef08599",
+        "b96c8339d0635583abe4cadaf4c50370de9590fd11730297169d73b48a7300a7",
+    ],
+    "wiki_composer": [
+        "916c4ebc93e45a6aa932e16cfb607959d3c8c77717297c3ae1dd5c56b5bf1783",
+        "5f7db8316267df1332155f976ff0ecea513d710d78c14a361eeac32a4770bdee",
+        "879e862480eadc53872184df1336d813f11c7a3e8e5efacfdcec12d6e7bbc1f9",
+        "c463a3985f8f5d334da0b6c03c78acc075870b5e41e14f5c2eeb3e9a04de5cd4",
+        "f9d0d443eaf820daae620456c82e76a16e6912161cda5fbb34814c2a4bcfd79a",
+    ],
+    "wiki_peoria": [
+        "739ca1d2f239c105c7ca11243f85438e4d2e3211de836254d0cf9fddbda9f94d",
+        "4699622852fe837160a499c1121313ce5fd56a762d1d76ea7f514d6bd8ef97bb",
+        "0cdf29b7f2e08000b336b59c508c7c5fbe01fba8564a1f6848b2b6b4e5b52cf9",
+        "8f26fb4131dc8cf8bd34ec4db23d81bf33e3c30db6686f0f6cc0c43ab863f4eb",
+        "ccbd1376e27962194ab93c0d79b7105c7d99278631b941eaa49b6a273dc350f7",
+    ],
+    "illinois_trip": [
+        "74098b0ae5c6bd39751534e312a68c9b9d8e81bcc97be3654b00bd86a721319c",
+        "ee7ca8c4a3c08b9a0c44bd1ae67f55a0d303d404c29e6a3875ec727cfc1ead1f",
+        "c461de37ab55a1c3f86cc7b2d2dc1ae51b487bae80ab7b00b66021429f863df5",
+        "a594724e6b99f39b9354cafb6993ebca13ccf0290d44e6df90aff24fad5ffeb8",
+        "ad395b2bbc13f8a395ee84eac8ae3b3773be1adcfff6e82ec1a86126c0e8a8f6",
+    ],
+    "heat_water": [
+        "fb44e9bfd295fba6ccf5c6f9dcd08f0223ba847e1311d8f812bdca7675bfe0f3",
+        "fde7fe8ff25235b68f38535759b00dcbe76451790b3b92b55bebba5a1c8f9e1e",
+        "9635553685835b316338a0a05404744f7e7d05d5383f4f3b3921b745c692ed7c",
+        "72d3cdf43a163c3343bee97c060b5dffaf811b0b4b9b953188af78195c328389",
+        "dea34a3aef7d4bc30486d32529a3be58f7c0050d5022c385d3df599d66c7833d",
+    ],
+}
+
+
+class TestObservationPins:
+    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+    def test_seeded_streams_match_recorded_hashes(self, path):
+        instance = load_task_instance(path)
+        make_actions = ACTION_POOLS[instance.environment]
+        digests = []
+        for seed in range(5):
+            log, metrics = run_stream(instance, make_actions(random.Random(seed), instance, 40))
+            blob = json.dumps([log, metrics], sort_keys=True).encode("utf-8")
+            digests.append(hashlib.sha256(blob).hexdigest())
+        assert digests == OBSERVATION_PINS[path.stem]

@@ -117,6 +117,9 @@ class TestTraceSink:
         assert json.loads(lines[1])["kind"] == "run_end"
 
 
+_HEADER = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
+
+
 class TestReadTrace:
     def _write(self, tmp_path, lines):
         path = tmp_path / "trace.jsonl"
@@ -143,6 +146,23 @@ class TestReadTrace:
     def test_non_json_line(self, tmp_path):
         path = self._write(tmp_path, ["{not json"])
         with pytest.raises(TraceError, match=r"trace\.jsonl:1: not JSON"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["[1, 2]"], r"trace\.jsonl:1: not a JSON object"),
+        (["5"], r"trace\.jsonl:1: not a JSON object"),
+        ([json.dumps({"kind": "header", "version": 1, "meta": {}})],
+         r"trace\.jsonl:1: header lacks 'run_id'"),
+        ([_HEADER, json.dumps({"kind": "run_end", "seq": 0, "ts": 0})],
+         r"trace\.jsonl:2: run_end event lacks 'run_id'"),
+        ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "ts": 0})],
+         r"trace\.jsonl:2: run_end event lacks 'seq'"),
+        ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0})],
+         r"trace\.jsonl:2: run_end event lacks 'ts'"),
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, lines, message):
+        path = self._write(tmp_path, lines)
+        with pytest.raises(TraceError, match=message):
             read_trace(path)
 
     def test_unsupported_version(self, tmp_path):
