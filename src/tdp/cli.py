@@ -158,21 +158,45 @@ def _single_run(
     return report, record, trace_path
 
 
+def _guarded_run(
+    method: str, instance: TaskInstance, config: RunConfig, trace_dir: Path
+) -> tuple[RunReport, MetricsRecord, Path] | str:
+    """:func:`_single_run`, or the one-line account of the error that ended it.
+
+    Configuration errors (:class:`CliError`, :class:`EngineError`) would end
+    every run alike, so they propagate.
+    """
+    try:
+        return _single_run(method, instance, config, trace_dir)
+    except (CliError, EngineError):
+        raise
+    except Exception as err:
+        message = " ".join(str(err).splitlines())
+        return f"{method}__{instance.id}: failed: {type(err).__name__}: {message}"
+
+
 def _run_matrix(
     methods: Sequence[str],
     instances: Sequence[TaskInstance],
     config: RunConfig,
     trace_dir: Path,
-) -> list[tuple[RunReport, MetricsRecord, Path]]:
-    jobs = [(method, instance) for method in methods for instance in instances]
+) -> tuple[list[tuple[RunReport, MetricsRecord, Path]], int]:
+    """Run every (method, instance) pair; return the finished runs and how
+    many failed.
+
+    A run that raises does not stop the others: its failure line is printed,
+    in job order on both the sequential and the thread-pool path.
+    """
+    jobs = [(method, instance, config, trace_dir) for method in methods for instance in instances]
     if config.parallel_tasks > 1:
         with ThreadPoolExecutor(max_workers=config.parallel_tasks) as pool:
-            futures = [
-                pool.submit(_single_run, method, instance, config, trace_dir)
-                for method, instance in jobs
-            ]
-            return [f.result() for f in futures]
-    return [_single_run(method, instance, config, trace_dir) for method, instance in jobs]
+            outcomes = list(pool.map(lambda job: _guarded_run(*job), jobs))
+    else:
+        outcomes = [_guarded_run(*job) for job in jobs]
+    failures = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    for line in failures:
+        print(line)
+    return [outcome for outcome in outcomes if not isinstance(outcome, str)], len(failures)
 
 
 def _trace_dir(args: argparse.Namespace, config: RunConfig) -> Path:
@@ -198,12 +222,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     instances = _collect_instances(args.tasks, config)
     trace_dir = _trace_dir(args, config)
-    results = _run_matrix([args.method], instances, config, trace_dir)
+    results, failed = _run_matrix([args.method], instances, config, trace_dir)
     for report, _record, trace_path in results:
         print(_report_line(report))
         print(f"  trace: {trace_path}")
-    print(f"completed {len(results)} run(s)")
-    return 0
+    print(f"completed {len(results)} run(s)" + (f", {failed} failed" if failed else ""))
+    return 1 if failed else 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -213,24 +237,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for method in methods:
         if method not in METHODS:
             raise CliError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
-    config = load_config(args.config)
-    instances = _collect_instances(args.tasks, config)
-    trace_dir = _trace_dir(args, config)
-    results = _run_matrix(methods, instances, config, trace_dir)
-    for report, _record, _path in results:
-        print(_report_line(report))
-    batches: dict[str, list[MetricsRecord]] = {m: [] for m in methods}
-    for _report, record, _path in results:
-        batches[record.method].append(record)
     reference = args.reference
-    if reference not in batches:
+    if reference not in methods:
         raise CliError(
             f"reference method {reference!r} is not among --methods {', '.join(methods)}"
         )
-    report_obj = compare_report(batches, reference=reference)
+    config = load_config(args.config)
+    instances = _collect_instances(args.tasks, config)
+    trace_dir = _trace_dir(args, config)
+    results, failed = _run_matrix(methods, instances, config, trace_dir)
+    for report, _record, _path in results:
+        print(_report_line(report))
+    batches: dict[str, list[MetricsRecord]] = {}
+    for _report, record, _path in results:
+        batches.setdefault(record.method, []).append(record)
     print()
-    print(report_obj.format_table())
-    return 0
+    if reference in batches:
+        print(compare_report(batches, reference=reference).format_table())
+    else:
+        print(f"no table: reference method {reference!r} has no finished run")
+    return 1 if failed else 0
 
 
 def _trace_records(path: Path) -> list[MetricsRecord]:

@@ -11,10 +11,13 @@ prompt for a node renders from one view, :func:`node_bindings`, assembled
 exclusively from that node's description, its current plan, its direct
 dependencies' outcome summaries, its own local trace, and optional one-shot
 guidance.  Nothing else leaks in, which is what keeps replan prompts small and
-node work order-independent.  The supervisor's between-round revision prompt
-is scoped the same way, to the round and the frontier: it sees the actions
-taken since the previous revision plus the graph's frontier, with every other
-node only counted (:func:`~tdp.graph.render_dag_state`).
+node work order-independent.  What crosses a dependency edge is scoped too: a
+finished node's outcome summary carries only the observations its final plan
+produced, so an obstacle it met and replanned around stays in its own trace.
+The supervisor's between-round revision prompt is scoped the same way, to the
+round and the frontier: it sees the actions taken since the previous revision
+plus the graph's frontier, with every other node only counted
+(:func:`~tdp.graph.render_dag_state`).
 
 The bookkeeping around the loop (trace header, recorded role calls and
 environment steps, ``run_end`` and the report) lives in :class:`Run`, which
@@ -85,8 +88,13 @@ __all__ = [
 NO_ACTIONS_YET = "(no actions yet)"
 #: A rendered history keeps the first trace entry plus the most recent 29.
 HISTORY_CAP = 30
-#: How many trailing observations a finished node's outcome summary carries.
+#: How many trailing observations a finished node's outcome summary carries,
+#: taken from the entries its final plan produced (after its last accepted
+#: replan).
 OUTCOME_KEEP = 3
+#: How many consecutive rounds may pass without an environment step before
+#: the run is ended as stalled.
+STALL_ROUNDS = 3
 
 
 class EngineError(RuntimeError):
@@ -476,8 +484,10 @@ def construct(task: str, run: Run) -> TaskGraph:
 # node execution
 
 
-def _node_outcome(node: SubTaskNode, reason: str | None) -> OutcomeSummary:
-    observations = tuple(e.observation for e in node.local_trace[-OUTCOME_KEEP:])
+def _node_outcome(
+    node: SubTaskNode, reason: str | None, final_plan_entries: Sequence[TraceEntry]
+) -> OutcomeSummary:
+    observations = tuple(e.observation for e in final_plan_entries[-OUTCOME_KEEP:])
     summary = (reason or "").strip()
     if not summary:
         summary = " / ".join(o for o in observations if o.strip())
@@ -486,13 +496,6 @@ def _node_outcome(node: SubTaskNode, reason: str | None) -> OutcomeSummary:
     return OutcomeSummary(
         terminal_status=node.status, summary_text=summary, key_observations=observations
     )
-
-
-def _close_node(run: Run, node: SubTaskNode, status: NodeStatus, reason: str | None) -> NodeStatus:
-    node.set_status(status)
-    node.outcome = _node_outcome(node, reason)
-    run.node_status(node)
-    return node.status
 
 
 def execute_node(
@@ -506,22 +509,31 @@ def execute_node(
 
     The loop is strictly: executor action -> environment step -> supervisor
     evaluation -> optional node-local replan.  Replacing the plan never
-    touches any other node.  A role fault marks the node Failed.  Returning
-    with the node still InProgress means the run must terminate (step budget)
-    or the episode already ended (environment done).  Every environment step
-    is also appended to ``round_trace`` when one is given.
+    touches any other node.  The outcome a closed node hands its dependents
+    reads only the entries made since its last accepted replan.  A role fault
+    marks the node Failed.  Returning with the node still InProgress means the
+    run must terminate (step budget) or the episode already ended (environment
+    done).  Every environment step is also appended to ``round_trace`` when
+    one is given.
     """
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
     run.node_status(node)
     commands = run.commands
+    plan_start = 0  # where the current plan's entries begin in node.local_trace
+
+    def close(status: NodeStatus, reason: str | None) -> NodeStatus:
+        node.set_status(status)
+        node.outcome = _node_outcome(node, reason, node.local_trace[plan_start:])
+        run.node_status(node)
+        return node.status
 
     try:
         plan: Plan = run.call(
             "planner", "plan", node_bindings(graph, node_id, commands), parse_plan, scope=node_id
         )
     except RoleFault as fault:
-        return _close_node(run, node, NodeStatus.FAILED, f"planner fault: {fault}")
+        return close(NodeStatus.FAILED, f"planner fault: {fault}")
     node.plan = plan
 
     guidance: str | None = None
@@ -538,7 +550,7 @@ def execute_node(
                 scope=node_id,
             )
         except RoleFault as fault:
-            return _close_node(run, node, NodeStatus.FAILED, f"executor fault: {fault}")
+            return close(NodeStatus.FAILED, f"executor fault: {fault}")
         guidance = None  # guidance lives for exactly one executor call
 
         entry = run.act(action, scope=node_id)
@@ -550,12 +562,12 @@ def execute_node(
         try:
             evaluation = run.call("supervisor", "evaluate", view, parse_evaluation, scope=node_id)
         except RoleFault as fault:
-            return _close_node(run, node, NodeStatus.FAILED, f"evaluator fault: {fault}")
+            return close(NodeStatus.FAILED, f"evaluator fault: {fault}")
 
         if evaluation.status == "completed":
-            return _close_node(run, node, NodeStatus.COMPLETED, evaluation.reason)
+            return close(NodeStatus.COMPLETED, evaluation.reason)
         if evaluation.status == "failed":
-            return _close_node(run, node, NodeStatus.FAILED, evaluation.reason)
+            return close(NodeStatus.FAILED, evaluation.reason)
 
         # needs_more_steps from here on
         if evaluation.need_replan:
@@ -568,22 +580,18 @@ def execute_node(
                     scope=node_id,
                 )
             except RoleFault as fault:
-                return _close_node(run, node, NodeStatus.FAILED, f"replanner fault: {fault}")
+                return close(NodeStatus.FAILED, f"replanner fault: {fault}")
             if not decision.replan:
                 run.replan(node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:
                 run.replan(
                     node_id, accepted=False, replan_count=node.replan_count, budget_exhausted=True
                 )
-                return _close_node(
-                    run,
-                    node,
-                    NodeStatus.FAILED,
-                    f"replan budget exhausted ({node.replan_count})",
-                )
+                return close(NodeStatus.FAILED, f"replan budget exhausted ({node.replan_count})")
             else:
                 node.plan = decision.new_plan
                 node.replan_count += 1
+                plan_start = len(node.local_trace)
                 run.replan(node_id, accepted=True, replan_count=node.replan_count, nodes_touched=1)
         else:
             guidance = evaluation.reason  # hand to exactly the next executor call
@@ -612,14 +620,16 @@ def run_task(
     """Run one task end to end and return its report.
 
     Terminates on: task done (environment done or every sink node Completed),
-    step-budget exhaustion, a construction fault, or a stalled round (no ready
-    nodes and a revision that changed nothing).  The revision call that closes
-    a round renders only that round's trace entries as its history, plus the
-    graph's frontier from :func:`render_dag_state`: the in-progress, failed
-    and ready nodes, the pending dependents of failed nodes and the completed
-    nodes those depend on, with every other node only counted.  So the
-    supervisor can edit only the nodes it sees; :func:`apply_revision` rejects
-    any other id.
+    step-budget exhaustion, a construction fault, a stalled round (no ready
+    nodes and a revision that changed nothing), or :data:`STALL_ROUNDS`
+    consecutive rounds without an environment step (a supervisor that keeps
+    revising a graph whose remaining nodes can never become ready).  The
+    revision call that closes a round renders only that round's trace entries
+    as its history, plus the graph's frontier from :func:`render_dag_state`:
+    the in-progress, failed and ready nodes, the pending dependents of failed
+    nodes and the completed nodes those depend on, with every other node only
+    counted.  So the supervisor can edit only the nodes it sees;
+    :func:`apply_revision` rejects any other id.
 
     The trace records the graph once, in ``graph_constructed``.  Each
     ``revision`` event carries its ``status`` and ``reasons`` plus, unless it
@@ -639,6 +649,7 @@ def run_task(
         return run.finish("Terminated", f"construction fault: {fault}")
     run.emit("graph_constructed", graph=graph_to_doc(graph))
 
+    idle_rounds = 0
     while True:
         if task_done(env, graph):
             return run.finish("Completed", "task done", graph)
@@ -683,3 +694,8 @@ def run_task(
         graph = result.graph
         if not ready and not result.applied:
             return run.finish("Terminated", "stall: no ready nodes and no graph update", graph)
+        idle_rounds = 0 if round_trace else idle_rounds + 1
+        if idle_rounds >= STALL_ROUNDS:
+            return run.finish(
+                "Terminated", f"stall: {STALL_ROUNDS} rounds without an environment step", graph
+            )

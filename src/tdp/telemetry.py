@@ -177,15 +177,24 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                     )
                 if "run_id" not in doc:
                     raise TraceError(f"{path}:{line_no}: header lacks 'run_id'")
+                if not isinstance(doc["run_id"], str):
+                    raise TraceError(f"{path}:{line_no}: header 'run_id' is not a string")
+                if not isinstance(doc.get("meta", {}), dict):
+                    raise TraceError(f"{path}:{line_no}: header 'meta' is not an object")
                 headers[doc["run_id"]] = doc
                 last_seq[doc["run_id"]] = -1
                 continue
             if doc.get("kind") not in EVENT_KINDS:
                 raise TraceError(f"{path}:{line_no}: unknown event kind {doc.get('kind')!r}")
+            kind = doc["kind"]
             for key in ("run_id", "seq", "ts"):
                 if key not in doc:
-                    raise TraceError(f"{path}:{line_no}: {doc['kind']} event lacks {key!r}")
+                    raise TraceError(f"{path}:{line_no}: {kind} event lacks {key!r}")
             run_id = doc["run_id"]
+            if not isinstance(run_id, str):
+                raise TraceError(f"{path}:{line_no}: {kind} event 'run_id' is not a string")
+            if not isinstance(doc.get("payload", {}), dict):
+                raise TraceError(f"{path}:{line_no}: {kind} event 'payload' is not an object")
             if run_id not in headers:
                 raise TraceError(f"{path}:{line_no}: event before header for run {run_id!r}")
             expected = last_seq[run_id] + 1

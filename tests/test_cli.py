@@ -187,6 +187,16 @@ class TestRun:
         assert code == 0
         assert "tdp__illinois_trip: Completed" in capsys.readouterr().out
 
+    def test_failed_run_is_one_line_and_exit_one(self, tmp_path, capsys):
+        # the travel scripts have no react rules
+        code = dispatch(["run", "--method", "react", "--tasks", TRAVEL_ONE,
+                         "--config", TRAVEL_CONFIG, "--trace-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        first, last = out.splitlines()
+        assert first.startswith("react__illinois_trip: failed: LookupError: ")
+        assert last == "completed 0 run(s), 1 failed"
+
     def test_environment_filter_refuses_mismatched_fixtures(self, tmp_path, capsys):
         code = dispatch(["run", "--method", "tdp",
                          "--tasks", str(FIXTURE_DIR / "travel"),
@@ -371,6 +381,35 @@ class TestCompare:
         assert traces[1] == traces[0]
         assert outputs[1] == outputs[0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_run_does_not_sink_the_others(self, tmp_path, capsys, workers):
+        """The travel scripts have no react rules, so react's run raises.  Its
+        failure is one line, tdp's run still finishes, and the exit code is 1;
+        with react as the reference there is no table, only a line saying so."""
+        doc = json.loads((CONFIG_DIR / "scripted_travel.json").read_text())
+        for spec in doc["backends"].values():
+            spec["rules"] = str(CONFIG_DIR / spec["rules"])
+        config = str(_write_config(tmp_path, {**doc, "parallel_tasks": workers}))
+        outs = {}
+        for reference in ("tdp", "react"):
+            code = dispatch(["compare", "--methods", "tdp,react",
+                             "--tasks", str(FIXTURE_DIR / "travel"), "--config", config,
+                             "--reference", reference,
+                             "--trace-dir", str(tmp_path / reference)])
+            assert code == 1
+            outs[reference] = capsys.readouterr().out
+        for out in outs.values():
+            failed = [l for l in out.splitlines() if ": failed: " in l]
+            assert failed == [l for l in failed if l.startswith(
+                "react__illinois_trip: failed: LookupError: no scripted rule matches role "
+                "'executor:react'")]
+            assert len(failed) == 1
+            assert "tdp__illinois_trip: Completed (task done)" in out
+        assert "tdp (ref)" in outs["tdp"]
+        assert "react" not in outs["tdp"].split("\n\n", 1)[1]
+        assert outs["react"].endswith(
+            "\nno table: reference method 'react' has no finished run\n")
+
     def test_empty_methods_list(self, tmp_path, capsys):
         code = dispatch(["compare", "--methods", " , ", "--tasks", WIKI_ONE,
                          "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])
@@ -406,17 +445,21 @@ class TestReplay:
         assert code == 2
         assert "trace file not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", [
-        "[1, 2]",
-        json.dumps({"kind": "header", "version": 1, "meta": {}}),
+    @pytest.mark.parametrize("lines", [
+        ["[1, 2]"],
+        [json.dumps({"kind": "header", "version": 1, "meta": {}})],
+        [json.dumps({"kind": "header", "version": 1, "run_id": ["r"], "meta": {}})],
+        [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": 5})],
+        [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}}),
+         json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0, "payload": 5})],
     ])
-    def test_malformed_trace_is_exit_one_with_one_line(self, tmp_path, capsys, line):
+    def test_malformed_trace_is_exit_one_with_one_line(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.jsonl"
-        path.write_text(line + "\n")
+        path.write_text("\n".join(lines) + "\n")
         code = dispatch(["replay", "--trace", str(path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {path}:1: ")
+        assert err.startswith(f"error: {path}:{len(lines)}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_headerless_trace(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from tdp.cli import METHODS, load_config
 from tdp.engine import (
     HISTORY_CAP,
     NO_ACTIONS_YET,
+    STALL_ROUNDS,
     EngineError,
     Run,
     RunConfig,
@@ -56,6 +57,7 @@ from scenarios import (
     replan_accept,
     replan_decline,
     reworded_stage,
+    revision_reply,
     rule,
     subgoals_reply,
     tdp_chain_rules,
@@ -278,6 +280,43 @@ def _exec_config(supervisor, planner, executor, **kwargs) -> RunConfig:
 
 
 D1 = "Inspect the drawer."
+LAB_D1 = "Open the drawer in the lab."
+LAB_D2 = "Activate the stove next."
+# node_1's plans, in the order the two-replan variant tries them
+LAB_PLANS = ("Twist the knob.", "Push the lever.", "Open the drawer directly.")
+LAB_ACTIONS = ("twist knob", "push lever", "open drawer")
+
+
+def _two_replan_lab_config(replans: int) -> RunConfig:
+    """node_1 opens the drawer after `replans` (0 or 2) accepted replans, each
+    dead end answered by "Nothing happens."; node_2 depends on node_1."""
+    plans = LAB_PLANS[2 - replans:]
+    return _exec_config(
+        [
+            rule("supervisor:construct", [],
+                 subgoals_reply(("node_1", LAB_D1, []), ("node_2", LAB_D2, ["node_1"]))),
+            rule("supervisor:evaluate", [LAB_D2, "You activate the stove"],
+                 eval_reply("completed", "Stove on.")),
+            rule("supervisor:evaluate", [LAB_D1, "You open the drawer"],
+                 eval_reply("completed", "Drawer open.")),
+            rule("supervisor:evaluate", [LAB_D1, "Nothing happens"],
+                 eval_reply("needs_more_steps", "That did nothing.", need_replan=True)),
+            rule("supervisor:revise", [], NOOP_REVISION),
+        ],
+        [
+            rule("planner:plan", [LAB_D2], plan_reply("Activate it.")),
+            rule("planner:plan", [LAB_D1], plan_reply(plans[0])),
+            *(rule("planner:replan", [LAB_D1, old], replan_accept(plan_reply(new)))
+              for old, new in zip(plans, plans[1:])),
+        ],
+        [
+            rule("executor:execute", [LAB_D2], "activate stove"),
+            *(rule("executor:execute", [LAB_D1, plan], action)
+              for plan, action in zip(LAB_PLANS, LAB_ACTIONS)),
+        ],
+        s_max=10,
+    )
+
 
 # replies each role cannot recover from: the planner and supervisor need
 # structure they don't get, and the executor's action text is blank
@@ -301,6 +340,23 @@ class TestExecuteNode:
         assert node.outcome.key_observations == (
             "You open the drawer. Inside you see: key.",)
         assert [e.action for e in node.local_trace] == ["open drawer"]
+
+    def test_outcome_carries_only_what_the_final_plan_observed(self):
+        """The obstacle node_1 met before its accepted replan stays in its own
+        trace; its outcome keeps only the observations made after the replan."""
+        stages = 3
+        config = chain_config(stages, tdp_chain_rules(stages))
+        instance = chain_instance(stages)
+        graph = TaskGraph(task_description=instance.query)
+        graph.nodes["node_1"] = SubTaskNode(id="node_1", description="Handle stage 1 of the queue.")
+        run = Run("tdp", instance, ChainEnv(), config, run_id="r")
+        assert execute_node(graph, "node_1", run) is NodeStatus.COMPLETED
+        node = graph.nodes["node_1"]
+        assert node.replan_count == 1
+        assert [e.action for e in node.local_trace] == ["work 1", "resolve 1"]
+        assert node.local_trace[0].observation.startswith("obstacle at stage 1:")
+        assert node.outcome.key_observations == ("stage 1 resolved",)
+        assert node.outcome.summary_text == "Stage 1 finished with its blocker cleared."
 
     def test_failed_verdict_closes_the_node(self):
         config = _exec_config(
@@ -817,6 +873,86 @@ class TestRunTask:
         assert "field 'new_nodes' must be a list" in revision["error"]
         assert report.terminal == "Completed"
         assert_ends_on_record(report, sink)
+
+    def test_replanned_away_obstacles_do_not_cross_the_dependency_edge(self):
+        """On the W = 3 chain every stage meets an obstacle and replans around
+        it.  node_1's own prompts see its obstacle; no node-scoped prompt for
+        node_2 or node_3 does.  (The revise prompt is the round's, not a
+        node's.)"""
+        stages = 3
+        config = chain_config(stages, tdp_chain_rules(stages))
+        report = run_task(chain_instance(stages), ChainEnv(), config)
+        assert report.terminal == "Completed"
+        by_node: dict[int, dict[str, list[str]]] = {}
+        for backend in config.role_backends.values():
+            for tag, prompt in backend.calls:
+                for k in range(1, stages + 1):
+                    if tag != "supervisor:revise" and f"Handle stage {k} of the queue." in prompt:
+                        by_node.setdefault(k, {}).setdefault(tag, []).append(prompt)
+        own = by_node[1]
+        for tag in ("executor:execute", "supervisor:evaluate", "planner:replan"):
+            assert any("obstacle at stage 1:" in p for p in own[tag]), tag
+        for k in (2, 3):
+            assert set(by_node[k]) == {"planner:plan", "executor:execute",
+                                       "supervisor:evaluate", "planner:replan"}
+            for tag, prompts in by_node[k].items():
+                assert not any("obstacle at stage 1:" in p for p in prompts), (k, tag)
+                assert not any(f"obstacle at stage {k - 1}:" in p for p in prompts), (k, tag)
+
+    def test_dependent_plan_prompt_ignores_how_its_dependency_got_there(self):
+        """node_2's planner prompt costs the same whether node_1 opened the
+        drawer at once or after two accepted replans."""
+        prompts = {}
+        for n in (0, 2):
+            sink = TraceSink(clock=CounterClock())
+            config = _two_replan_lab_config(n)
+            report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
+            assert report.terminal == "Completed"
+            assert report.node_records["node_1"]["replan_count"] == n
+            assert report.node_records["node_1"]["trace_len"] == n + 1
+            (tokens,) = [e.payload["prompt_tokens"] for e in sink.events_for(report.run_id)
+                         if e.kind == "role_call" and e.payload["scope"] == "node_2"
+                         and e.payload["template"] == "plan"]
+            (prompt,) = [p for tag, p in config.role_backends["planner"].calls
+                         if tag == "planner:plan" and LAB_D2 in p]
+            prompts[n] = (tokens, prompt)
+        assert prompts[2] == prompts[0]
+        assert "Nothing happens" not in prompts[2][1]
+
+    def test_revisions_without_step_progress_end_the_run(self):
+        """node_1 fails and node_2 waits behind it for ever; a supervisor that
+        rewords node_2 every round is stopped after STALL_ROUNDS idle rounds.
+        The supervisor refuses a runaway number of revise calls, so a run with
+        no bound fails here instead of looping."""
+
+        class CappedRevisions(RecordingBackend):
+            def complete(self, role_tag, prompt):
+                if role_tag == "supervisor:revise" and len(self.calls) > 50:
+                    raise AssertionError("revision loop did not end")
+                return super().complete(role_tag, prompt)
+
+        config = _exec_config(
+            [
+                rule("supervisor:construct", [],
+                     subgoals_reply(("node_1", D1, []),
+                                    ("node_2", "Activate the stove.", ["node_1"]))),
+                rule("supervisor:evaluate", [], eval_reply("failed", "No way in.")),
+                rule("supervisor:revise", [], revision_reply(("node_2", "Turn the stove on."))),
+            ],
+            [rule("planner:plan", [], plan_reply("Try."))],
+            [rule("executor:execute", [], "open drawer")],
+        )
+        config.role_backends["supervisor"] = CappedRevisions(
+            config.role_backends["supervisor"].inner)
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
+        assert report.terminal == "Terminated"
+        assert report.reason == f"stall: {STALL_ROUNDS} rounds without an environment step"
+        assert report.steps_used == 1
+        assert_ends_on_record(report, sink)
+        revisions = [e for e in sink.events_for(report.run_id) if e.kind == "revision"]
+        # round 1 stepped; then STALL_ROUNDS rounds in a row did not
+        assert [e.payload["status"] for e in revisions] == ["applied"] * (1 + STALL_ROUNDS)
 
     def test_direct_variant_needs_no_replan(self):
         sink = TraceSink(clock=CounterClock())

@@ -159,6 +159,15 @@ class TestReadTrace:
          r"trace\.jsonl:2: run_end event lacks 'seq'"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0})],
          r"trace\.jsonl:2: run_end event lacks 'ts'"),
+        ([json.dumps({"kind": "header", "version": 1, "run_id": ["r"], "meta": {}})],
+         r"trace\.jsonl:1: header 'run_id' is not a string"),
+        ([json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": 5})],
+         r"trace\.jsonl:1: header 'meta' is not an object"),
+        ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0,
+                               "payload": 5})],
+         r"trace\.jsonl:2: run_end event 'payload' is not an object"),
+        ([_HEADER, json.dumps({"kind": "run_end", "run_id": ["r"], "seq": 0, "ts": 0})],
+         r"trace\.jsonl:2: run_end event 'run_id' is not a string"),
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, lines, message):
         path = self._write(tmp_path, lines)
