@@ -1,9 +1,11 @@
 """Reference agent loops for cost/quality comparison.
 
-All three baselines are loop bodies over the engine's :class:`~tdp.engine.Run`,
-so they share its backends, budgets, and telemetry, and they reuse its prompt
-templates with whole-task bindings wherever the shape allows.  The comparison
-thus isolates orchestration strategy rather than prompt wording:
+All three baselines are loop bodies over the engine's one run scaffold
+(:func:`~tdp.engine.run_method` around a :class:`~tdp.engine.Run`), so they
+share its backends, budgets, end-of-run check and telemetry, write
+``run_end`` however they end, and reuse its prompt templates with whole-task
+bindings wherever the shape allows.  The comparison thus isolates
+orchestration strategy rather than prompt wording:
 
 * ReAct     — a single role; every step sees the full accumulated history.
 * CoT       — one up-front plan, executed step-for-step, never revised.
@@ -17,20 +19,17 @@ from __future__ import annotations
 import re
 from typing import Any, Callable
 
-from .engine import Run, RunConfig, RunReport, assemble_history
-from .environments import Environment, TaskInstance
+from .engine import Run, RunReport, assemble_history, run_method
 from .graph import TraceEntry
 from .roles import (
     ParseFault,
     Plan,
-    RoleFault,
     extract_action,
     parse_evaluation,
     parse_plan,
     parse_replan,
     render_plan,
 )
-from .telemetry import TraceSink
 
 __all__ = [
     "parse_react",
@@ -58,7 +57,6 @@ def parse_react(text: str) -> tuple[str, str]:
 
 def _whole_task_bindings(
     run: Run,
-    instance: TaskInstance,
     trace: list[TraceEntry],
     plan: Plan | None = None,
     guidance: str | None = None,
@@ -66,8 +64,8 @@ def _whole_task_bindings(
     """The whole-task view: the task is the sub-goal and the history is never
     capped, because the baselines carry everything, every step."""
     return {
-        "task_description": instance.query,
-        "subgoal": instance.query,
+        "task_description": run.instance.query,
+        "subgoal": run.instance.query,
         "current_plan": render_plan(plan) if plan is not None else None,
         "guidance": guidance,
         "admissible_commands": run.commands,
@@ -75,72 +73,39 @@ def _whole_task_bindings(
     }
 
 
-def run_react(
-    instance: TaskInstance,
-    env: Environment,
-    config: RunConfig,
-    *,
-    sink: TraceSink | None = None,
-    run_id: str | None = None,
-) -> RunReport:
+@run_method("react", "executor")
+def run_react(run: Run) -> tuple[str, str]:
     """Interleaved think/act loop; one role, full history in every prompt."""
-    config.require_roles("executor")
-    run = Run("react", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
-    try:
-        while True:
-            if env.done:
-                return run.finish("Completed", "task done")
-            if run.steps.exhausted():
-                return run.finish("Terminated", "step budget exhausted")
-            _thought, action = run.call(
-                "executor", "react", _whole_task_bindings(run, instance, trace), parse_react
-            )
-            trace.append(run.act(action))
-    except RoleFault as fault:
-        return run.finish("Terminated", f"role fault: {fault}")
+    while (end := run.stop()) is None:
+        view = _whole_task_bindings(run, trace)
+        _thought, action = run.call("executor", "react", view, parse_react)
+        trace.append(run.act(action))
+    return end
 
 
-def run_cot(
-    instance: TaskInstance,
-    env: Environment,
-    config: RunConfig,
-    *,
-    sink: TraceSink | None = None,
-    run_id: str | None = None,
-) -> RunReport:
+@run_method("cot", "planner", "executor")
+def run_cot(run: Run) -> tuple[str, str]:
     """One up-front plan, executed step-for-step; the plan is never revised.
 
     The planner is consulted exactly once; if the plan runs out before the
-    environment reports done, the run terminates with a plan-exhausted record.
+    environment reports done, the run terminates with a plan-exhausted record,
+    also when the step budget ran out with it.
     """
-    config.require_roles("planner", "executor")
-    run = Run("cot", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
-    try:
-        plan = run.call("planner", "plan", _whole_task_bindings(run, instance, trace), parse_plan)
-        for _step in plan.steps:
-            if env.done:
-                break
-            if run.steps.exhausted():
-                return run.finish("Terminated", "step budget exhausted")
-            view = _whole_task_bindings(run, instance, trace, plan)
-            trace.append(run.act(run.call("executor", "execute", view, extract_action)))
-    except RoleFault as fault:
-        return run.finish("Terminated", f"role fault: {fault}")
-    if env.done:
-        return run.finish("Completed", "task done")
-    return run.finish("Terminated", "plan exhausted before task completion")
+    plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)
+    for _step in plan.steps:
+        if (end := run.stop()) is not None:
+            return end
+        view = _whole_task_bindings(run, trace, plan)
+        trace.append(run.act(run.call("executor", "execute", view, extract_action)))
+    if (end := run.stop()) is None or end[0] == "Terminated":  # the plan ran out, budget or not
+        return "Terminated", "plan exhausted before task completion"
+    return end
 
 
-def run_plan_and_act(
-    instance: TaskInstance,
-    env: Environment,
-    config: RunConfig,
-    *,
-    sink: TraceSink | None = None,
-    run_id: str | None = None,
-) -> RunReport:
+@run_method("plan-act", "supervisor", "planner", "executor")
+def run_plan_and_act(run: Run) -> tuple[str, str]:
     """Global plan + stepwise execution; deviations regenerate the whole plan.
 
     The evaluator (the engine's evaluation prompt, bound to the whole task)
@@ -148,39 +113,31 @@ def run_plan_and_act(
     full accumulated history and may replace the entire plan.  The per-node
     replan cap applies to the single global plan.
     """
-    config.require_roles("supervisor", "planner", "executor")
-    run = Run("plan-act", instance, env, config, sink=sink, run_id=run_id)
     trace: list[TraceEntry] = []
-    try:
-        plan = run.call("planner", "plan", _whole_task_bindings(run, instance, trace), parse_plan)
-        replans = 0
-        guidance: str | None = None
-        while True:
-            if env.done:
-                return run.finish("Completed", "task done")
-            if run.steps.exhausted():
-                return run.finish("Terminated", "step budget exhausted")
-            view = _whole_task_bindings(run, instance, trace, plan, guidance)
-            guidance = None
-            trace.append(run.act(run.call("executor", "execute", view, extract_action)))
-            view = _whole_task_bindings(run, instance, trace, plan)
-            evaluation = run.call("supervisor", "evaluate", view, parse_evaluation)
-            if evaluation.need_replan:
-                if replans >= config.max_replans_per_node:
-                    run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
-                    return run.finish("Terminated", f"replan budget exhausted ({replans})")
-                decision = run.call(
-                    "planner", "replan", {**view, "reason": evaluation.reason}, parse_replan
-                )
-                if decision.replan:
-                    assert decision.new_plan is not None
-                    plan = decision.new_plan
-                    replans += 1
-                run.replan("global", accepted=decision.replan, replan_count=replans)
-            elif evaluation.status == "needs_more_steps":
-                guidance = evaluation.reason
-    except RoleFault as fault:
-        return run.finish("Terminated", f"role fault: {fault}")
+    plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)
+    replans = 0
+    guidance: str | None = None
+    while (end := run.stop()) is None:
+        view = _whole_task_bindings(run, trace, plan, guidance)
+        guidance = None
+        trace.append(run.act(run.call("executor", "execute", view, extract_action)))
+        view = _whole_task_bindings(run, trace, plan)
+        evaluation = run.call("supervisor", "evaluate", view, parse_evaluation)
+        if evaluation.need_replan:
+            if replans >= run.config.max_replans_per_node:
+                run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
+                return "Terminated", f"replan budget exhausted ({replans})"
+            decision = run.call(
+                "planner", "replan", {**view, "reason": evaluation.reason}, parse_replan
+            )
+            if decision.replan:
+                assert decision.new_plan is not None
+                plan = decision.new_plan
+                replans += 1
+            run.replan("global", accepted=decision.replan, replan_count=replans)
+        elif evaluation.status == "needs_more_steps":
+            guidance = evaluation.reason
+    return end
 
 
 BASELINES: dict[str, Callable[..., RunReport]] = {

@@ -24,6 +24,7 @@ from .environments import TaskInstance, load_task_instance, make_environment
 from .roles import ModelBackend, RemoteChatBackend, ScriptedBackend
 from .telemetry import (
     MetricsRecord,
+    TraceError,
     TraceSink,
     compare_report,
     compute_metrics,
@@ -266,11 +267,13 @@ def _trace_records(path: Path) -> list[MetricsRecord]:
     for run_id in sorted(headers):
         meta = headers[run_id].get("meta", {})
         run_events = [e for e in events if e.run_id == run_id]
-        records.append(
-            compute_metrics(
+        try:
+            record = compute_metrics(
                 run_events, meta.get("gold") or {}, method=meta.get("method", ""), run_id=run_id
             )
-        )
+        except TraceError as err:  # say, no run_end: its process was killed
+            raise TraceError(f"{path}: run {run_id!r}: {err}") from None
+        records.append(record)
     return records
 
 

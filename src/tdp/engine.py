@@ -19,9 +19,11 @@ round and the frontier: it sees the actions taken since the previous revision
 plus the graph's frontier, with every other node only counted
 (:func:`~tdp.graph.render_dag_state`).
 
-The bookkeeping around the loop (trace header, recorded role calls and
-environment steps, ``run_end`` and the report) lives in :class:`Run`, which
-the baselines share.
+tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
+over one scaffold, :func:`run_method`, which writes ``run_end`` however the
+body ends.  :class:`Run` holds the bookkeeping: trace header, recorded role
+calls and environment steps, the end-of-run check :meth:`Run.stop`, and the
+report, whose ``role_tokens`` is a fold over the run's ``role_call`` events.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .roles import (
     FORMAT_REMINDER,
     ModelBackend,
     ParseFault,
-    Plan,
     PromptTemplate,
     RoleFault,
     SubgoalSpec,
@@ -66,7 +67,7 @@ from .roles import (
     render_plan,
     render_prompt,
 )
-from .telemetry import CounterClock, TraceEvent, TraceSink
+from .telemetry import CounterClock, TraceEvent, TraceSink, role_tokens
 
 __all__ = [
     "EngineError",
@@ -74,6 +75,7 @@ __all__ = [
     "StepCounter",
     "RunReport",
     "Run",
+    "run_method",
     "format_commands",
     "assemble_history",
     "render_context_history",
@@ -267,6 +269,10 @@ def _sinks_completed(graph: TaskGraph | None) -> bool:
     return all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
 
 
+def task_done(env: Environment, graph: TaskGraph | None) -> bool:
+    return env.done or _sinks_completed(graph)
+
+
 def _node_records(graph: TaskGraph | None) -> dict[str, dict[str, Any]]:
     if graph is None:
         return {}
@@ -287,8 +293,7 @@ class Run:
     methods record role calls, environment steps and replan/node events, and
     :meth:`finish` writes ``run_end`` and builds the report from its payload.
     Without a caller's sink the run keeps its events in an in-memory one.  A
-    run keeps no trace of its own: each method holds whatever history its
-    prompts need.
+    run keeps no trace of its own, and only tdp sets :attr:`graph`.
     """
 
     def __init__(
@@ -302,12 +307,13 @@ class Run:
         run_id: str | None = None,
     ) -> None:
         self.method = method
+        self.instance = instance
         self.env = env
         self.config = config
+        self.graph: TaskGraph | None = None
         self.run_id = run_id or f"{method}__{instance.id}"
         self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
         self.templates = load_templates(config.template_dir)
-        self.role_tokens: dict[str, TokenUsage] = {}
         self.steps = StepCounter(limit=config.s_max)
         env.reset(instance)
         self.commands = format_commands(env)
@@ -339,10 +345,10 @@ class Run:
         The prompt is rendered once.  Each retry re-sends it with one more
         :data:`~tdp.roles.FORMAT_REMINDER` line appended, so every attempt is
         a distinct prompt, up to ``1 + parser_retry_budget`` attempts.  The
-        call, faulted or not, is recorded as a ``role_call`` event, and its
-        usage, summed over the attempts, is added to the run's per-role
-        totals; then the parsed value is returned or a :class:`RoleFault`
-        carrying the last raw reply is raised.  Backend errors propagate.
+        call, faulted or not, is recorded as a ``role_call`` event carrying
+        its usage summed over the attempts; then the parsed value is returned
+        or a :class:`RoleFault` carrying the last raw reply is raised.
+        Backend errors propagate.
         """
         backend = self.config.backend(role)
         tag = f"{role}:{template}"
@@ -363,7 +369,6 @@ class Run:
                     raw_text=completion.text,
                 )
                 prompt = prompt + "\n" + FORMAT_REMINDER
-        self.role_tokens[role] = self.role_tokens.get(role, TokenUsage()) + usage
         self.emit(
             "role_call",
             role=role,
@@ -421,11 +426,20 @@ class Run:
             replan_count=node.replan_count,
         )
 
-    def finish(self, terminal: str, reason: str, graph: TaskGraph | None = None) -> RunReport:
+    def stop(self) -> tuple[str, str] | None:
+        """The run's ``(terminal, reason)`` once the task is done (which wins)
+        or the step budget is spent; ``None`` while the run goes on."""
+        if task_done(self.env, self.graph):
+            return "Completed", "task done"
+        if self.steps.exhausted():
+            return "Terminated", "step budget exhausted"
+        return None
+
+    def finish(self, terminal: str, reason: str) -> RunReport:
         """Write ``run_end`` and return the report built from its payload.
 
         The task counts as delivered when the environment says so or when
-        every sink node of `graph` completed.
+        every sink node of :attr:`graph` completed.
         """
         env_metrics = self.env.metrics()
         run_end = self.emit(
@@ -433,15 +447,54 @@ class Run:
             terminal=terminal,
             reason=reason,
             steps_used=self.steps.used,
-            delivered=bool(env_metrics.get("delivered", False)) or _sinks_completed(graph),
+            delivered=bool(env_metrics.get("delivered", False)) or _sinks_completed(self.graph),
             method=self.method,
             env_metrics=env_metrics,
-            node_records=_node_records(graph),
-            role_tokens={
-                role: usage.to_dict() for role, usage in sorted(self.role_tokens.items())
-            },
+            node_records=_node_records(self.graph),
+            role_tokens=role_tokens(self.sink.events_for(self.run_id)),
         )
         return RunReport(run_id=self.run_id, **run_end.payload)
+
+
+LoopBody = Callable[[Run], tuple[str, str]]
+
+
+def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., RunReport]]:
+    """Wrap a loop body ``body(run) -> (terminal, reason)`` into `method`'s runner.
+
+    The runner checks `roles`, opens the :class:`Run` and writes ``run_end``
+    once, however the body ends: a :class:`RoleFault` escaping it ends the run
+    ``role fault: ...``, any other exception ``error: <type>: <message>``,
+    re-raised after ``run_end``.
+    """
+
+    def wrap(body: LoopBody) -> Callable[..., RunReport]:
+        def runner(
+            instance: TaskInstance,
+            env: Environment,
+            config: RunConfig,
+            *,
+            sink: TraceSink | None = None,
+            run_id: str | None = None,
+        ) -> RunReport:
+            config.require_roles(*roles)
+            run = Run(method, instance, env, config, sink=sink, run_id=run_id)
+            try:
+                terminal, reason = body(run)
+            except RoleFault as fault:
+                terminal, reason = "Terminated", f"role fault: {fault}"
+            except BaseException as err:
+                terminal, reason = "Terminated", f"error: {type(err).__name__}: {err}"
+                raise
+            finally:
+                report = run.finish(terminal, reason)
+            return report
+
+        for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(runner, attr, getattr(body, attr))
+        return runner
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +565,9 @@ def execute_node(
     touches any other node.  The outcome a closed node hands its dependents
     reads only the entries made since its last accepted replan.  A role fault
     marks the node Failed.  Returning with the node still InProgress means the
-    run must terminate (step budget) or the episode already ended (environment
-    done).  Every environment step is also appended to ``round_trace`` when
-    one is given.
+    step budget is spent or the episode already ended; ``run_task`` settles
+    the run outcome.  Every environment step is also appended to
+    ``round_trace`` when one is given.
     """
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
@@ -529,18 +582,15 @@ def execute_node(
         return node.status
 
     try:
-        plan: Plan = run.call(
+        node.plan = run.call(
             "planner", "plan", node_bindings(graph, node_id, commands), parse_plan, scope=node_id
         )
     except RoleFault as fault:
         return close(NodeStatus.FAILED, f"planner fault: {fault}")
-    node.plan = plan
 
     guidance: str | None = None
-    while True:
-        if run.steps.exhausted():
-            return node.status  # still InProgress; the caller terminates the run
-
+    # Run.stop() without its sink scan: no sink completes while this node runs
+    while not (run.steps.exhausted() or run.env.done):
         try:
             action = run.call(
                 "executor",
@@ -595,28 +645,15 @@ def execute_node(
                 run.replan(node_id, accepted=True, replan_count=node.replan_count, nodes_touched=1)
         else:
             guidance = evaluation.reason  # hand to exactly the next executor call
-
-        if run.env.done:
-            return node.status  # episode over; run_task settles the run outcome
+    return node.status
 
 
 # ---------------------------------------------------------------------------
 # the run loop
 
 
-def task_done(env: Environment, graph: TaskGraph | None) -> bool:
-    return env.done or _sinks_completed(graph)
-
-
-def run_task(
-    instance: TaskInstance,
-    env: Environment,
-    config: RunConfig,
-    *,
-    sink: TraceSink | None = None,
-    run_id: str | None = None,
-    method: str = "tdp",
-) -> RunReport:
+@run_method("tdp", "supervisor", "planner", "executor")
+def run_task(run: Run) -> tuple[str, str]:
     """Run one task end to end and return its report.
 
     Terminates on: task done (environment done or every sink node Completed),
@@ -641,38 +678,30 @@ def run_task(
     ``graph_from_doc(graph_constructed)`` and applying each applied event's
     ``parse_revision(json.dumps(delta))`` in order.
     """
-    config.require_roles("supervisor", "planner", "executor")
-    run = Run(method, instance, env, config, sink=sink, run_id=run_id)
     try:
-        graph = construct(instance.query, run)
+        graph = run.graph = construct(run.instance.query, run)
     except RoleFault as fault:
-        return run.finish("Terminated", f"construction fault: {fault}")
+        return "Terminated", f"construction fault: {fault}"
     run.emit("graph_constructed", graph=graph_to_doc(graph))
 
     idle_rounds = 0
-    while True:
-        if task_done(env, graph):
-            return run.finish("Completed", "task done", graph)
-        if run.steps.exhausted():
-            return run.finish("Terminated", "step budget exhausted", graph)
+    while (end := run.stop()) is None:
         ready = ready_nodes(graph)
         round_trace: list[TraceEntry] = []
         for nid in ready:
-            if task_done(env, graph) or run.steps.exhausted():
+            if run.stop() is not None:
                 break
             run.emit("node_dispatched", node_id=nid)
             execute_node(graph, nid, run, round_trace=round_trace)
-        if task_done(env, graph):
-            continue
-        if run.steps.exhausted():
-            return run.finish("Terminated", "step budget exhausted", graph)
+        if (end := run.stop()) is not None:
+            return end
         fault_record: dict[str, str] = {}
         try:
             delta: RevisionDelta = run.call(
                 "supervisor",
                 "revise",
                 {
-                    "task_description": instance.query,
+                    "task_description": run.instance.query,
                     "current_step": str(run.steps.used),
                     "history": assemble_history(round_trace, HISTORY_CAP),
                     "dag_state": render_dag_state(graph),
@@ -691,11 +720,10 @@ def run_task(
             delta=delta_to_doc(delta) if delta.need_update else None,
             **fault_record,
         )
-        graph = result.graph
+        graph = run.graph = result.graph
         if not ready and not result.applied:
-            return run.finish("Terminated", "stall: no ready nodes and no graph update", graph)
+            return "Terminated", "stall: no ready nodes and no graph update"
         idle_rounds = 0 if round_trace else idle_rounds + 1
         if idle_rounds >= STALL_ROUNDS:
-            return run.finish(
-                "Terminated", f"stall: {STALL_ROUNDS} rounds without an environment step", graph
-            )
+            return "Terminated", f"stall: {STALL_ROUNDS} rounds without an environment step"
+    return end

@@ -30,6 +30,7 @@ __all__ = [
     "read_trace",
     "MetricsRecord",
     "normalize_answer",
+    "role_tokens",
     "compute_metrics",
     "MethodSummary",
     "ComparisonReport",
@@ -265,6 +266,18 @@ class MetricsRecord:
         }
 
 
+def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int]]:
+    """Per-role prompt and output tokens summed over the ``role_call`` events,
+    in role order: the one account of a run's tokens."""
+    totals: dict[str, dict[str, int]] = {}
+    for event in events:
+        if event.kind == "role_call":
+            sums = totals.setdefault(event.payload.get("role", ""), {})
+            for key in ("prompt_tokens", "output_tokens"):
+                sums[key] = sums.get(key, 0) + event.payload.get(key, 0)
+    return dict(sorted(totals.items()))
+
+
 def _check_constraints(plan_text: str, constraints: Sequence[Mapping[str, Any]]) -> tuple[float, bool]:
     satisfied = 0
     for constraint in constraints:
@@ -308,9 +321,7 @@ def compute_metrics(
         )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
-    output_tokens = sum(
-        e.payload.get("output_tokens", 0) for e in events if e.kind == "role_call"
-    )
+    output_tokens = sum(role["output_tokens"] for role in role_tokens(events).values())
 
     accepted_replans = [
         e for e in events if e.kind == "replan" and e.payload.get("accepted", False)

@@ -152,6 +152,20 @@ class TestCot:
         assert report.delivered is False
         assert_ends_on_record(report, sink)
 
+    def test_plan_and_budget_running_out_together_is_plan_exhaustion(self, wiki_instance):
+        role_backends = backends(
+            [],
+            [rule("planner:plan", [], plan_reply("Find the page.", "Look again."))],
+            [rule("executor:execute", [], "Search[Peoria, Illinois]")],  # never finishes
+        )
+        config = RunConfig(s_max=2, role_backends=role_backends)
+        sink = TraceSink(clock=CounterClock())
+        report = run_cot(wiki_instance, _wiki_env(wiki_instance), config, sink=sink)
+        assert report.steps_used == config.s_max
+        assert report.terminal == "Terminated"
+        assert report.reason == "plan exhausted before task completion"
+        assert_ends_on_record(report, sink)
+
     def test_episode_end_stops_remaining_steps(self, wiki_instance):
         role_backends = _cot_backends(
             ["Find the page.", "Answer.", "This step is never reached."])

@@ -13,6 +13,7 @@ import pytest
 
 from tdp.cli import CliError, METHODS, dispatch, load_config
 from tdp.roles import RemoteChatBackend, ScriptedBackend
+from tdp.telemetry import read_trace
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
 
@@ -505,6 +506,38 @@ class TestReport:
                          "--reference", "react"])
         assert code == 2
         assert "reference method 'react' not present" in capsys.readouterr().err
+
+    def test_a_compare_with_a_failed_run_reports_every_run(self, tmp_path, capsys):
+        """The travel scripts have no react rules, so react's run raises; its
+        trace still ends on ``run_end``, so the directory reports both methods."""
+        code = dispatch(["compare", "--methods", "tdp,react",
+                         "--tasks", str(FIXTURE_DIR / "travel"), "--config", TRAVEL_CONFIG,
+                         "--reference", "tdp", "--trace-dir", str(tmp_path)])
+        assert code == 1
+        capsys.readouterr()
+        code = dispatch(["report", "--traces", str(tmp_path / "*.jsonl")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[2:]] == ["react", "tdp"]
+        (end,) = [e for e in read_trace(tmp_path / "react__illinois_trip.jsonl")[1]
+                  if e.kind == "run_end"]
+        assert end.payload["terminal"] == "Terminated"
+        assert end.payload["reason"].startswith(
+            "error: LookupError: no scripted rule matches role 'executor:react'")
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_a_run_with_no_run_end_is_named(tmp_path, capsys, command):
+    """A trace cut off mid-run, as by a killed process, is an error naming the
+    file and the run."""
+    path = tmp_path / "cut.jsonl"
+    path.write_text(
+        json.dumps({"kind": "header", "version": 1, "run_id": "tdp__cut", "meta": {}}) + "\n"
+        + json.dumps({"kind": "node_dispatched", "run_id": "tdp__cut", "seq": 0, "ts": 0,
+                      "payload": {"node_id": "node_1"}}) + "\n")
+    code = dispatch([command, "--trace" if command == "replay" else "--traces", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: run 'tdp__cut': run has no run_end event\n"
 
 
 # -- the installed entry point ----------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from tdp.engine import (
     EngineError,
     Run,
     RunConfig,
+    RunReport,
     StepCounter,
     assemble_history,
     build_planner_prompt,
@@ -35,7 +37,14 @@ from tdp.graph import (
     apply_revision,
     graph_from_doc,
 )
-from tdp.roles import RoleFault, ScriptedBackend, load_templates, parse_revision
+from tdp.roles import (
+    Completion,
+    ModelBackend,
+    RoleFault,
+    ScriptedBackend,
+    load_templates,
+    parse_revision,
+)
 from tdp.telemetry import CounterClock, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, WIKI_FIXTURES
@@ -575,6 +584,22 @@ class TestTaskDone:
 # -- full runs ----------------------------------------------------------------------------
 
 
+class _FailingBackend(ModelBackend):
+    """Delegates to `inner`, but model call number `fail_at` of those logged
+    in the shared `calls` raises :class:`LookupError`."""
+
+    def __init__(self, inner: ModelBackend, calls: list[str], fail_at: int) -> None:
+        self.inner = inner
+        self.calls = calls
+        self.fail_at = fail_at
+
+    def complete(self, role_tag: str, prompt: str) -> Completion:
+        self.calls.append(role_tag)
+        if len(self.calls) == self.fail_at:
+            raise LookupError(f"backend unavailable at call {self.fail_at}")
+        return self.inner.complete(role_tag, prompt)
+
+
 def _revise_prompts(supervisor: RecordingBackend) -> list[str]:
     return [prompt for tag, prompt in supervisor.calls if tag == "supervisor:revise"]
 
@@ -828,6 +853,30 @@ class TestRunTask:
         (fault,) = calls  # the last case: one react call, faulted after its retry
         assert fault["ok"] is False and fault["attempts"] == 2
         assert report.reason.startswith("role fault:")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_backend_error_ends_the_run_on_record(self, method, fail_at):
+        """A backend error at model call `fail_at` still writes ``run_end`` as
+        the run's last event, naming the error, and then propagates."""
+        config = load_config(CONFIG_DIR / "scripted_wiki.json")
+        calls: list[str] = []
+        config = replace(config, role_backends={
+            role: _FailingBackend(backend, calls, fail_at)
+            for role, backend in config.role_backends.items()})
+        instance = load_task_instance(WIKI_FIXTURES[0])
+        sink = TraceSink(clock=CounterClock())
+        runner = run_task if method == "tdp" else BASELINES[method]
+        with pytest.raises(LookupError, match="backend unavailable"):
+            runner(instance, make_environment(instance.environment), config, sink=sink,
+                   run_id="r")
+        assert len(calls) == fail_at
+        report = RunReport(run_id="r", **sink.events_for("r")[-1].payload)
+        assert_ends_on_record(report, sink)
+        assert report.terminal == "Terminated"
+        assert report.reason == f"error: LookupError: backend unavailable at call {fail_at}"
+        role_calls = [e for e in sink.events_for("r") if e.kind == "role_call"]
+        assert len(role_calls) == fail_at - 1  # the failed call left no role_call
 
     def test_each_prompt_is_rendered_once(self, monkeypatch):
         """Run.call renders a prompt once, for the backend and for its

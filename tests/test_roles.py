@@ -44,6 +44,7 @@ from tdp.roles import (
     render_plan,
     render_prompt,
 )
+from tdp.telemetry import role_tokens
 
 PARSERS = {
     "subgoals": parse_subgoals,
@@ -494,7 +495,8 @@ def test_call_role_success_reports_usage_and_attempts():
     event = _role_call(run)
     assert event["attempts"] == 1 and event["ok"] is True
     assert (event["prompt_tokens"], event["output_tokens"]) == (2, 2)  # whitespace tokens
-    assert run.role_tokens["supervisor"] == TokenUsage(prompt_tokens=2, output_tokens=2)
+    assert role_tokens(run.sink.events_for("r")) == {
+        "supervisor": TokenUsage(prompt_tokens=2, output_tokens=2).to_dict()}
 
 
 def test_call_role_retries_with_cumulative_reminders():
@@ -521,7 +523,7 @@ def test_call_role_retries_with_cumulative_reminders():
         total = total + u
     assert (event["prompt_tokens"], event["output_tokens"]) == (
         total.prompt_tokens, total.output_tokens)
-    assert run.role_tokens["supervisor"] == total
+    assert role_tokens(run.sink.events_for("r"))["supervisor"] == total.to_dict()
 
 
 def test_call_role_exhaustion_carries_usage_and_raw_text():
@@ -535,7 +537,7 @@ def test_call_role_exhaustion_carries_usage_and_raw_text():
     event = _role_call(run)  # the faulted call is recorded too
     assert event["ok"] is False and event["attempts"] == 2
     assert event["output_tokens"] == 2  # one token per attempt
-    assert run.role_tokens["supervisor"].output_tokens == 2
+    assert role_tokens(run.sink.events_for("r"))["supervisor"]["output_tokens"] == 2
 
 
 def test_call_role_zero_budget_means_one_attempt():
