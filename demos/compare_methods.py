@@ -2,8 +2,8 @@
 """Run every method over the wiki task set and print the comparison table.
 
 Same scripted backends, same fixtures, four controllers: the graph engine and
-the three single-context baselines.  The last column is the output-token
-reduction relative to plan-act.
+the three single-context baselines.  The last column is the reduction in
+total (prompt plus output) tokens relative to plan-act.
 """
 
 from collections import defaultdict

@@ -208,10 +208,13 @@ def _trace_dir(args: argparse.Namespace, config: RunConfig) -> Path:
 
 
 def _report_line(report: RunReport) -> str:
-    tokens = sum(usage["output_tokens"] for usage in report.role_tokens.values())
+    usages = report.role_tokens.values()
+    prompt = sum(usage["prompt_tokens"] for usage in usages)
+    output = sum(usage["output_tokens"] for usage in usages)
     return (
         f"{report.run_id}: {report.terminal} ({report.reason}) "
-        f"steps={report.steps_used} delivered={report.delivered} output_tokens={tokens}"
+        f"steps={report.steps_used} delivered={report.delivered} "
+        f"prompt_tokens={prompt} output_tokens={output}"
     )
 
 
@@ -260,33 +263,43 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _trace_records(path: Path) -> list[MetricsRecord]:
-    """Replayed metrics of every run in one trace file, in run-id order."""
-    headers, events = read_trace(path)
-    records = []
+def _trace_records(path: Path) -> tuple[list[MetricsRecord], list[str]]:
+    """Replayed metrics of every run in one trace file, in run-id order, and
+    one message naming the file and run for each run that cannot be replayed
+    (a file that does not parse is one such message, naming its line)."""
+    try:
+        headers, events = read_trace(path)
+    except TraceError as err:  # say, a last line cut short by a killed process
+        return [], [str(err)]
+    records, errors = [], []
     for run_id in sorted(headers):
         meta = headers[run_id].get("meta", {})
         run_events = [e for e in events if e.run_id == run_id]
         try:
-            record = compute_metrics(
+            records.append(compute_metrics(
                 run_events, meta.get("gold") or {}, method=meta.get("method", ""), run_id=run_id
-            )
+            ))
         except TraceError as err:  # say, no run_end: its process was killed
-            raise TraceError(f"{path}: run {run_id!r}: {err}") from None
-        records.append(record)
-    return records
+            errors.append(f"{path}: run {run_id!r}: {err}")
+    return records, errors
+
+
+def _print_errors(errors: Sequence[str]) -> None:
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise CliError(f"trace file not found: {path}")
-    records = _trace_records(path)
-    if not records:
+    records, errors = _trace_records(path)
+    if not records and not errors:
         raise CliError(f"trace file has no run header: {path}")
     for record in records:
         print(json.dumps(record.to_dict(), sort_keys=True))
-    return 0
+    _print_errors(errors)
+    return 1 if errors else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -299,16 +312,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise CliError(f"no trace files match: {pattern}")
         paths.extend(expanded)
     batches: dict[str, list[MetricsRecord]] = {}
+    errors: list[str] = []
     for path in paths:
-        for record in _trace_records(path):
+        records, unread = _trace_records(path)
+        errors.extend(unread)
+        for record in records:
             batches.setdefault(record.method or "unknown", []).append(record)
+    _print_errors(errors)
     if not batches:
+        if errors:
+            return 1
         raise CliError("no runs found in the given traces")
     reference = args.reference or ("plan-act" if "plan-act" in batches else sorted(batches)[0])
     if reference not in batches:
         raise CliError(f"reference method {reference!r} not present in traces")
     print(compare_report(batches, reference=reference).format_table())
-    return 0
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------

@@ -668,6 +668,22 @@ def run_task(run: Run) -> tuple[str, str]:
     counted.  So the supervisor can edit only the nodes it sees;
     :func:`apply_revision` rejects any other id.
 
+    :func:`validate_graph` caps a graph at :data:`~tdp.graph.MAX_NODES`
+    nodes, so a larger decomposition is a retried parse fault and a revision
+    that would grow past the cap is rejected.  That bounds the model attempts
+    of a run.  A round dispatches at most ``MAX_NODES`` ready nodes, each
+    costing one planner call plus at most one executor call that faults
+    before acting, and ends with one revise call.  Every environment step
+    costs at most an executor, an evaluate and a replan call.  A round with
+    no step is idle, and :data:`STALL_ROUNDS` idle rounds in a row end the
+    run, so ``rounds <= STALL_ROUNDS * (s_max + 1)``.  Counting the construct
+    call, a run makes at most::
+
+        (1 + parser_retry_budget)
+            * (1 + rounds * (2 * MAX_NODES + 1) + 3 * s_max)
+
+    model attempts.
+
     The trace records the graph once, in ``graph_constructed``.  Each
     ``revision`` event carries its ``status`` and ``reasons`` plus, unless it
     is a noop, the parsed delta in the schema of the supervisor's revise reply

@@ -17,6 +17,11 @@ from typing import Any, Iterable, Mapping, Sequence
 
 NodeId = str
 
+#: The most nodes a graph may hold.  Every ready node costs at least one
+#: planner call, so the cap bounds a run's model calls where the model's reply
+#: would not.  It admits the 100-stage chain the benchmark runs.
+MAX_NODES = 100
+
 _GENERATED_ID_RE = re.compile(r"^node_(\d+)$")
 
 
@@ -245,6 +250,8 @@ def validate_graph(graph: TaskGraph) -> list[str]:
             violations.append(f"outcome: non-terminal node {nid!r} carries an outcome")
         if node.status.terminal and node.outcome is None:
             violations.append(f"outcome: terminal node {nid!r} has no outcome")
+    if len(graph.nodes) > MAX_NODES:
+        violations.append(f"size: graph has {len(graph.nodes)} nodes, over the cap of {MAX_NODES}")
     if graph.nodes:
         violations.extend(_cycle_violations(graph.nodes))
         if not graph.sinks():
@@ -527,6 +534,7 @@ def graph_from_doc(doc: Mapping[str, Any]) -> TaskGraph:
 
 __all__ = [
     "NodeId",
+    "MAX_NODES",
     "GraphError",
     "SchedulingError",
     "NodeStatus",

@@ -336,10 +336,14 @@ def parse_plan(text: str) -> Plan:
 
 
 def render_plan(plan: Plan) -> str:
-    """Inverse of :func:`parse_plan` for well-formed plans."""
+    """Inverse of :func:`parse_plan` for well-formed plans.
+
+    A step without reasoning renders without a ``Reasoning:`` line.
+    """
     blocks = []
     for step in plan.steps:
-        blocks.append(f"## Step {step.index}\nReasoning: {step.reasoning}\nStep: {step.step_text}")
+        reasoning = f"Reasoning: {step.reasoning}\n" if step.reasoning else ""
+        blocks.append(f"## Step {step.index}\n{reasoning}Step: {step.step_text}")
     return "\n".join(blocks)
 
 

@@ -240,6 +240,7 @@ class MetricsRecord:
     accuracy: bool | None
     delivered_accuracy: bool | None
     avg_reward: float | None
+    avg_prompt_tokens: float  # for one run: its total prompt tokens
     avg_output_tokens: float  # for one run: its total output tokens
     replans_total: int
     nodes_touched_per_replan: float | None
@@ -256,6 +257,7 @@ class MetricsRecord:
             "accuracy": self.accuracy,
             "delivered_accuracy": self.delivered_accuracy,
             "avg_reward": self.avg_reward,
+            "avg_prompt_tokens": self.avg_prompt_tokens,
             "avg_output_tokens": self.avg_output_tokens,
             "replans_total": self.replans_total,
             "nodes_touched_per_replan": self.nodes_touched_per_replan,
@@ -321,7 +323,9 @@ def compute_metrics(
         )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
-    output_tokens = sum(role["output_tokens"] for role in role_tokens(events).values())
+    tokens = role_tokens(events).values()
+    prompt_tokens = sum(role["prompt_tokens"] for role in tokens)
+    output_tokens = sum(role["output_tokens"] for role in tokens)
 
     accepted_replans = [
         e for e in events if e.kind == "replan" and e.payload.get("accepted", False)
@@ -350,6 +354,7 @@ def compute_metrics(
         accuracy=accuracy,
         delivered_accuracy=delivered_accuracy,
         avg_reward=env_metrics.get("reward"),
+        avg_prompt_tokens=float(prompt_tokens),
         avg_output_tokens=float(output_tokens),
         replans_total=len(accepted_replans),
         nodes_touched_per_replan=nodes_touched,
@@ -379,7 +384,9 @@ class MethodSummary:
     accuracy_rate: float | None
     delivered_accuracy_rate: float | None
     avg_reward: float | None
+    avg_prompt_tokens: float
     avg_output_tokens: float
+    avg_total_tokens: float
     replans_mean: float
     nodes_touched_mean: float | None
     constraint_micro: float | None
@@ -410,7 +417,9 @@ class ComparisonReport:
             "accuracy",
             "deliv_acc",
             "reward",
+            "prompt_tokens",
             "out_tokens",
+            "total_tokens",
             "replans",
             "avg_score",
             "tok_reduction",
@@ -433,7 +442,9 @@ class ComparisonReport:
                     fmt(m.accuracy_rate, percent=True),
                     fmt(m.delivered_accuracy_rate, percent=True),
                     fmt(m.avg_reward),
+                    fmt(m.avg_prompt_tokens),
                     fmt(m.avg_output_tokens),
+                    fmt(m.avg_total_tokens),
                     fmt(m.replans_mean),
                     fmt(m.avg_score, percent=True),
                     fmt(m.token_reduction_vs_reference, percent=True),
@@ -455,6 +466,7 @@ def _summarize(method: str, records: Sequence[MetricsRecord]) -> dict[str, Any]:
         float(r.delivered_accuracy) for r in records if r.delivered_accuracy is not None
     )
     avg_reward = _mean(r.avg_reward for r in records if r.avg_reward is not None)
+    avg_prompt_tokens = _mean(r.avg_prompt_tokens for r in records) or 0.0
     avg_output_tokens = _mean(r.avg_output_tokens for r in records) or 0.0
     replans_mean = _mean(float(r.replans_total) for r in records) or 0.0
     nodes_touched_mean = _mean(
@@ -485,7 +497,9 @@ def _summarize(method: str, records: Sequence[MetricsRecord]) -> dict[str, Any]:
         "accuracy_rate": accuracy_rate,
         "delivered_accuracy_rate": delivered_accuracy_rate,
         "avg_reward": avg_reward,
+        "avg_prompt_tokens": avg_prompt_tokens,
         "avg_output_tokens": avg_output_tokens,
+        "avg_total_tokens": avg_prompt_tokens + avg_output_tokens,
         "replans_mean": replans_mean,
         "nodes_touched_mean": nodes_touched_mean,
         "constraint_micro": constraint_micro,
@@ -499,7 +513,8 @@ def compare_report(
 ) -> ComparisonReport:
     """Aggregate per-method batches and compute token reduction vs the reference.
 
-    reduction = 1 - tokens(method) / tokens(reference); e.g. 250 vs 1000 -> 75%.
+    reduction = 1 - tokens(method) / tokens(reference), on the mean total of
+    prompt and output tokens per run; e.g. 250 vs 1000 -> 75%.
     """
     if not batches:
         raise TraceError("compare_report needs at least one method batch")
@@ -511,12 +526,12 @@ def compare_report(
             f"reference method {reference!r} not among batches: {sorted(batches)}"
         )
     summaries = {method: _summarize(method, records) for method, records in batches.items()}
-    ref_tokens = summaries[reference]["avg_output_tokens"]
+    ref_tokens = summaries[reference]["avg_total_tokens"]
     methods = []
     for method in sorted(summaries):
         summary = summaries[method]
         reduction = None
         if method != reference and ref_tokens > 0:
-            reduction = 1.0 - summary["avg_output_tokens"] / ref_tokens
+            reduction = 1.0 - summary["avg_total_tokens"] / ref_tokens
         methods.append(MethodSummary(token_reduction_vs_reference=reduction, **summary))
     return ComparisonReport(reference=reference, methods=tuple(methods))

@@ -526,18 +526,79 @@ class TestReport:
             "error: LookupError: no scripted rule matches role 'executor:react'")
 
 
-@pytest.mark.parametrize("command", ["replay", "report"])
-def test_a_run_with_no_run_end_is_named(tmp_path, capsys, command):
-    """A trace cut off mid-run, as by a killed process, is an error naming the
-    file and the run."""
-    path = tmp_path / "cut.jsonl"
+def _write_cut_trace(path):
+    """A trace cut off mid-run, as by a killed process: a header and one event."""
     path.write_text(
         json.dumps({"kind": "header", "version": 1, "run_id": "tdp__cut", "meta": {}}) + "\n"
         + json.dumps({"kind": "node_dispatched", "run_id": "tdp__cut", "seq": 0, "ts": 0,
                       "payload": {"node_id": "node_1"}}) + "\n")
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_a_run_with_no_run_end_is_named(tmp_path, capsys, command):
+    """A run with no run_end is an error naming the file and the run."""
+    path = tmp_path / "cut.jsonl"
+    _write_cut_trace(path)
     code = dispatch([command, "--trace" if command == "replay" else "--traces", str(path)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}: run 'tdp__cut': run has no run_end event\n"
+
+
+def test_report_tabulates_the_runs_it_can_read(tmp_path, capsys):
+    """One trace cut off by a killed process does not hide the finished runs."""
+    _produce_trace(tmp_path)
+    cut = tmp_path / "cut.jsonl"
+    _write_cut_trace(cut)
+    capsys.readouterr()
+    code = dispatch(["report", "--traces", str(tmp_path / "*.jsonl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {cut}: run 'tdp__cut': run has no run_end event\n"
+    assert [line.split()[0] for line in captured.out.splitlines()[2:]] == ["tdp"]
+
+
+def _table_rows(table):
+    """{method: {column: cell}} of a comparison table, read by header position."""
+    header, _rule, *rows = table.splitlines()
+    names = header.split()
+    starts = [header.index(name) for name in names]
+    ends = starts[1:] + [None]
+    return {
+        row.split()[0]: {n: row[a:b].strip() for n, a, b in zip(names, starts, ends)}
+        for row in rows
+    }
+
+
+def test_token_columns_are_the_role_call_sums_for_every_method(tmp_path, capsys):
+    """compare, report and replay count prompt, output and total tokens as
+    the role_call events of each run add them up; tok_reduction is on the total."""
+    assert dispatch(["compare", "--methods", ",".join(METHODS), "--tasks", WIKI_TASKS,
+                     "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)]) == 0
+    compare_table = capsys.readouterr().out.split("\n\n")[-1].strip()
+    assert dispatch(["report", "--traces", str(tmp_path / "*.jsonl")]) == 0
+    assert capsys.readouterr().out.strip() == compare_table
+
+    sums = {}
+    for trace in sorted(tmp_path.glob("*.jsonl")):
+        calls = [e.payload for e in read_trace(trace)[1] if e.kind == "role_call"]
+        prompt = sum(c["prompt_tokens"] for c in calls)
+        output = sum(c["output_tokens"] for c in calls)
+        sums.setdefault(trace.name.split("__")[0], []).append((prompt, output))
+        assert dispatch(["replay", "--trace", str(trace)]) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        assert (replayed["avg_prompt_tokens"], replayed["avg_output_tokens"]) == (prompt, output)
+
+    rows = _table_rows(compare_table)
+    assert sorted(rows) == sorted(METHODS) and len(sums) == len(METHODS)
+    mean = {m: [sum(col) / len(runs) for col in zip(*runs)] for m, runs in sums.items()}
+    ref_total = sum(mean["plan-act"])
+    for method, (prompt, output) in mean.items():
+        row = rows[method]
+        assert row["prompt_tokens"] == f"{prompt:.2f}"
+        assert row["out_tokens"] == f"{output:.2f}"
+        assert row["total_tokens"] == f"{prompt + output:.2f}"
+        reduction = 1 - (prompt + output) / ref_total
+        assert row["tok_reduction"] == ("-" if method == "plan-act" else f"{reduction:.1%}")
 
 
 # -- the installed entry point ----------------------------------------------------------

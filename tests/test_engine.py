@@ -28,6 +28,7 @@ from tdp.engine import (
 )
 from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
+    MAX_NODES,
     NodeScopedContext,
     NodeStatus,
     OutcomeSummary,
@@ -659,6 +660,22 @@ class TestRunTask:
         kinds = [e.kind for e in sink.events_for(report.run_id)]
         assert "graph_constructed" not in kinds
         assert kinds[-1] == "run_end"
+        assert_ends_on_record(report, sink)
+
+    def test_a_decomposition_over_the_node_cap_is_a_retried_fault(self):
+        """Twice the cap of independent nodes, and a planner that only replies
+        garbage: the decomposition is refused before any planner call."""
+        reply = subgoals_reply(
+            *((f"node_{i}", f"Part {i}.", []) for i in range(1, 2 * MAX_NODES + 1)))
+        config = _exec_config([rule("supervisor:construct", [], reply)],
+                              [rule(None, [], "garbage")], [])
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
+        assert report.reason.startswith("construction fault:")
+        assert f"over the cap of {MAX_NODES}" in report.reason
+        calls = [e.payload for e in sink.events_for(report.run_id) if e.kind == "role_call"]
+        assert [(c["template"], c["attempts"]) for c in calls] == [
+            ("construct", 1 + config.parser_retry_budget)]
         assert_ends_on_record(report, sink)
 
     def test_failed_sink_then_unchanged_revision_stalls(self):

@@ -21,6 +21,7 @@ from graphgen import (
     sorted_nodes,
 )
 from tdp.graph import (
+    MAX_NODES,
     GraphError,
     NewNodeSpec,
     NodeStatus,
@@ -415,6 +416,18 @@ def test_post_edit_validation_rejects_structural_damage():
     result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
     assert result.status == "rejected"
     assert any("dangling" in r for r in result.reasons)
+
+
+def test_a_revision_past_the_node_cap_is_rejected():
+    g = graph_of(*(node(f"n{i:03d}") for i in range(MAX_NODES)))
+    assert validate_graph(g) == []
+    spec = NewNodeSpec(id="extra", description="one node too many")
+    result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+    assert result.status == "rejected"
+    assert result.reasons == (
+        f"size: graph has {MAX_NODES + 1} nodes, over the cap of {MAX_NODES}",
+    )
+    assert result.graph is g
 
 
 def test_applied_revision_preserves_unrelated_state():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
 from importlib import resources
 
@@ -84,6 +85,44 @@ def test_all_builtin_templates_load_and_declare_their_placeholders():
         assert template.placeholders <= VOCABULARY
         for placeholder in template.placeholders:
             assert "{" + placeholder + "}" in template.body
+
+
+#: What each packaged template must show of its reply format: every JSON key
+#: its parser reads, quoted as in the schema, or the plain-text markers.
+PLAN_FORMAT = ("## Step N", "Reasoning:", "Step:")
+TEMPLATE_FORMAT = {
+    "construct": ('"subgoals":', '"id":', '"description":', '"dependencies":'),
+    "evaluate": ('"status":', '"reason":', '"need_replan":', "completed|failed|needs_more_steps"),
+    "execute": (),
+    "plan": PLAN_FORMAT,
+    "react": ("Thought:", "Action:"),
+    "replan": ('"RePlan":', '"Thought":', '"NewPlan":', *PLAN_FORMAT),
+    "revise": ('"thought":', '"need_update":', '"description_updates":', '"node_id":',
+               '"new_description":', '"new_nodes":', '"id":', '"description":',
+               '"dependencies":', '"dependents":', '"remove_nodes":'),
+}
+#: The most words each packaged template may spend outside its placeholders.
+FIXED_WORD_CEILING = {
+    "construct": 130, "evaluate": 110, "execute": 60, "plan": 110, "react": 60,
+    "replan": 95, "revise": 220,
+}
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_packaged_template_contract(name):
+    """Each template keeps its placeholders, shows every key or marker its
+    parser reads, and states its instructions within its word ceiling."""
+    template = load_template(name)
+    body = template.body
+    assert template.placeholders == TEMPLATE_BINDINGS[name]
+    missing = [marker for marker in TEMPLATE_FORMAT[name] if marker not in body]
+    assert not missing, f"{name} does not show {missing}"
+    fixed_words = len(re.sub(r"\{[a-z_]+\}", " ", body).split())
+    assert fixed_words <= FIXED_WORD_CEILING[name]
+    if name == "construct":  # the example decomposition is itself a valid reply
+        example = extract_json(body)["subgoals"]
+        assert all(set(entry) == {"id", "description", "dependencies"} for entry in example)
+        assert parse_subgoals(body)
 
 
 def test_template_dir_override_and_placeholder_set_enforcement(tmp_path):
@@ -227,13 +266,19 @@ def test_parse_plan_contiguity_and_steps():
 
 
 def test_plan_render_parse_round_trip():
+    """A step parsed without reasoning renders without a ``Reasoning:`` line."""
     plan = Plan(
         steps=(
             PlanStep(index=1, reasoning="check stock first", step_text="open the ledger"),
             PlanStep(index=2, reasoning="", step_text="tally the entries"),
         )
     )
-    assert parse_plan(render_plan(plan)) == plan
+    rendered = render_plan(plan)
+    assert rendered == (
+        "## Step 1\nReasoning: check stock first\nStep: open the ledger\n"
+        "## Step 2\nStep: tally the entries"
+    )
+    assert parse_plan(rendered) == plan
 
 
 def test_parse_evaluation_edges():

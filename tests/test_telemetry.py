@@ -315,7 +315,8 @@ class TestComputeMetrics:
 def _record(method, tokens, **overrides):
     base = dict(
         run_id=f"{method}-{tokens}", method=method, delivery=True, accuracy=None,
-        delivered_accuracy=None, avg_reward=None, avg_output_tokens=float(tokens),
+        delivered_accuracy=None, avg_reward=None, avg_prompt_tokens=0.0,
+        avg_output_tokens=float(tokens),
         replans_total=0, nodes_touched_per_replan=None,
     )
     base.update(overrides)
