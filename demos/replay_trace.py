@@ -46,8 +46,10 @@ def main() -> None:
     live = compute_metrics(sink.events_for(report.run_id), instance.gold)
     replayed = compute_metrics(events, instance.gold)
     print(f"metrics replayed from file equal live metrics: {replayed == live}")
+    prompt, output = replayed.avg_prompt_tokens, replayed.avg_output_tokens
     print(f"delivery={replayed.delivery}, accuracy={replayed.accuracy}, "
-          f"output_tokens={replayed.avg_output_tokens:.0f}")
+          f"prompt_tokens={prompt:.0f} output_tokens={output:.0f} "
+          f"total_tokens={prompt + output:.0f}")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,9 @@ def main() -> None:
     metrics = compute_metrics(events, instance.gold)
     print(f"\noutcome: {report.terminal} ({report.reason})")
     print(f"answer: {report.env_metrics.get('answer')!r}  (expected {instance.gold.get('answer')!r})")
-    print(f"steps: {report.steps_used}, output tokens: {metrics.avg_output_tokens:.0f}")
+    prompt, output = metrics.avg_prompt_tokens, metrics.avg_output_tokens
+    print(f"steps: {report.steps_used}, prompt tokens: {prompt:.0f}, "
+          f"output tokens: {output:.0f}, total tokens: {prompt + output:.0f}")
 
 
 if __name__ == "__main__":

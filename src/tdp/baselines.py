@@ -75,7 +75,8 @@ def _whole_task_bindings(
 
 @run_method("react", "executor")
 def run_react(run: Run) -> tuple[str, str]:
-    """Interleaved think/act loop; one role, full history in every prompt."""
+    """Interleaved think/act loop; one role, full history in every prompt, one
+    call per step: at most ``(1 + parser_retry_budget) * s_max`` model attempts."""
     trace: list[TraceEntry] = []
     while (end := run.stop()) is None:
         view = _whole_task_bindings(run, trace)
@@ -90,7 +91,8 @@ def run_cot(run: Run) -> tuple[str, str]:
 
     The planner is consulted exactly once; if the plan runs out before the
     environment reports done, the run terminates with a plan-exhausted record,
-    also when the step budget ran out with it.
+    also when the step budget ran out with it.  One plan call, then one call
+    per step: at most ``(1 + parser_retry_budget) * (1 + s_max)`` model attempts.
     """
     trace: list[TraceEntry] = []
     plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)
@@ -111,7 +113,8 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
     The evaluator (the engine's evaluation prompt, bound to the whole task)
     runs after every step; when it flags need_replan, the replanner sees the
     full accumulated history and may replace the entire plan.  The per-node
-    replan cap applies to the single global plan.
+    replan cap applies to the single global plan.  One plan call, then up to
+    three per step: at most ``(1 + parser_retry_budget) * (1 + 3 * s_max)`` attempts.
     """
     trace: list[TraceEntry] = []
     plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)

@@ -6,16 +6,16 @@ replanning confined to that node; between rounds the supervisor may revise the
 graph.  The environment-interaction budget is enforced *before* every
 interaction, so a run never exceeds it.
 
-Context discipline is the load-bearing property: every planner/executor
-prompt for a node renders from one view, :func:`node_bindings`, assembled
-exclusively from that node's description, its current plan, its direct
-dependencies' outcome summaries, its own local trace, and optional one-shot
-guidance.  Nothing else leaks in, which is what keeps replan prompts small and
-node work order-independent.  What crosses a dependency edge is scoped too: a
-finished node's outcome summary carries only the observations its final plan
-produced, so an obstacle it met and replanned around stays in its own trace.
-The supervisor's between-round revision prompt is scoped the same way, to the
-round and the frontier: it sees the actions taken since the previous revision
+Context discipline is the load-bearing property: a node's plan, execute,
+evaluate and replan prompts render from one view, :func:`node_bindings`: that
+node's description, current plan, direct dependencies' outcome summaries, own
+local trace, one-shot guidance and, for the roles that plan or act, the
+admissible commands.  The whole task never enters it, which keeps replan
+prompts small and node work order-independent.  A finished node's outcome
+summary carries only the observations its final plan produced, so an obstacle
+it replanned around stays in its own trace.  The supervisor's revision prompt
+is scoped to the round and the frontier: the outcomes of the nodes dispatched
+since the previous revision, as dependents see them (:func:`render_outcomes`),
 plus the graph's frontier, with every other node only counted
 (:func:`~tdp.graph.render_dag_state`).
 
@@ -78,6 +78,7 @@ __all__ = [
     "run_method",
     "format_commands",
     "assemble_history",
+    "render_outcomes",
     "render_context_history",
     "node_bindings",
     "build_planner_prompt",
@@ -88,6 +89,7 @@ __all__ = [
 ]
 
 NO_ACTIONS_YET = "(no actions yet)"
+NO_OUTCOMES_YET = "(no node ran this round)"
 #: A rendered history keeps the first trace entry plus the most recent 29.
 HISTORY_CAP = 30
 #: How many trailing observations a finished node's outcome summary carries,
@@ -207,19 +209,24 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
     return "\n".join(parts)
 
 
+def render_outcomes(node_ids: Sequence[str], outcomes: Sequence[OutcomeSummary]) -> str:
+    """Outcome summaries as a node's dependents see them: one ``- [id] status:
+    summary`` line each, then its kept observations."""
+    lines: list[str] = []
+    for node_id, outcome in zip(node_ids, outcomes):
+        lines.append(f"- [{node_id}] {outcome.terminal_status.value}: {outcome.summary_text}")
+        lines.extend(f"  observed: {obs}" for obs in outcome.key_observations)
+    return "\n".join(lines) if lines else NO_OUTCOMES_YET
+
+
 def render_context_history(context: NodeScopedContext, cap: int) -> str:
     """The {history} binding for node-scoped prompts: dependency outcomes
     first, then the node's own capped trace."""
-    parts: list[str] = []
-    if context.dependency_outcomes:
-        lines = ["Results from prerequisite sub-tasks:"]
-        for dep_id, outcome in zip(context.dependency_ids, context.dependency_outcomes):
-            lines.append(f"- [{dep_id}] {outcome.terminal_status.value}: {outcome.summary_text}")
-            for obs in outcome.key_observations:
-                lines.append(f"  observed: {obs}")
-        parts.append("\n".join(lines))
-    parts.append(assemble_history(context.local_trace, cap))
-    return "\n\n".join(parts)
+    local = assemble_history(context.local_trace, cap)
+    if not context.dependency_outcomes:
+        return local
+    outcomes = render_outcomes(context.dependency_ids, context.dependency_outcomes)
+    return f"Results from prerequisite sub-tasks:\n{outcomes}\n\n{local}"
 
 
 def node_bindings(
@@ -227,14 +234,13 @@ def node_bindings(
 ) -> dict[str, Any]:
     """The node's view: every binding a node-scoped role prompt may use.
 
-    Task, sub-goal, the node's rendered current plan, one-shot guidance, the
+    Sub-goal, the node's rendered current plan, one-shot guidance, the
     admissible commands and the capped history from :func:`build_node_context`.
     Each template renders the names it declares and ignores the rest.
     """
     context = build_node_context(graph, node_id)
     plan = graph.nodes[node_id].plan
     return {
-        "task_description": graph.task_description,
         "subgoal": context.subgoal,
         "current_plan": render_plan(plan) if plan is not None else None,
         "guidance": guidance,
@@ -342,12 +348,12 @@ class Run:
     ) -> Any:
         """Render, complete and parse one role call, retrying parse faults.
 
-        The prompt is rendered once.  Each retry re-sends it with one more
-        :data:`~tdp.roles.FORMAT_REMINDER` line appended, so every attempt is
-        a distinct prompt, up to ``1 + parser_retry_budget`` attempts.  The
-        call, faulted or not, is recorded as a ``role_call`` event carrying
-        its usage summed over the attempts; then the parsed value is returned
-        or a :class:`RoleFault` carrying the last raw reply is raised.
+        The prompt is rendered once.  Each retry re-sends it plus one more
+        :data:`~tdp.roles.FORMAT_REMINDER` line that names why the last reply
+        was refused, up to ``1 + parser_retry_budget`` attempts.  The call,
+        faulted or not, is recorded as a ``role_call`` event carrying its
+        usage summed over the attempts; then the parsed value is returned or a
+        :class:`RoleFault` carrying the last raw reply is raised.
         Backend errors propagate.
         """
         backend = self.config.backend(role)
@@ -368,7 +374,7 @@ class Run:
                     f"role {tag!r} failed after {attempts} attempt(s): {err}",
                     raw_text=completion.text,
                 )
-                prompt = prompt + "\n" + FORMAT_REMINDER
+                prompt = f"{prompt}\n{FORMAT_REMINDER} Refused: {err}"
         self.emit(
             "role_call",
             role=role,
@@ -551,13 +557,7 @@ def _node_outcome(
     )
 
 
-def execute_node(
-    graph: TaskGraph,
-    node_id: str,
-    run: Run,
-    *,
-    round_trace: list[TraceEntry] | None = None,
-) -> NodeStatus:
+def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     """Work one ready node to a terminal status (or until a budget stops it).
 
     The loop is strictly: executor action -> environment step -> supervisor
@@ -566,8 +566,7 @@ def execute_node(
     reads only the entries made since its last accepted replan.  A role fault
     marks the node Failed.  Returning with the node still InProgress means the
     step budget is spent or the episode already ended; ``run_task`` settles
-    the run outcome.  Every environment step is also appended to
-    ``round_trace`` when one is given.
+    the run outcome.
     """
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
@@ -605,8 +604,6 @@ def execute_node(
 
         entry = run.act(action, scope=node_id)
         node.local_trace.append(entry)
-        if round_trace is not None:
-            round_trace.append(entry)
 
         view = node_bindings(graph, node_id, commands)
         try:
@@ -661,8 +658,8 @@ def run_task(run: Run) -> tuple[str, str]:
     nodes and a revision that changed nothing), or :data:`STALL_ROUNDS`
     consecutive rounds without an environment step (a supervisor that keeps
     revising a graph whose remaining nodes can never become ready).  The
-    revision call that closes a round renders only that round's trace entries
-    as its history, plus the graph's frontier from :func:`render_dag_state`:
+    revision call that closes a round sees the outcomes of the round's nodes
+    (:func:`render_outcomes`), plus the frontier from :func:`render_dag_state`:
     the in-progress, failed and ready nodes, the pending dependents of failed
     nodes and the completed nodes those depend on, with every other node only
     counted.  So the supervisor can edit only the nodes it sees;
@@ -703,14 +700,14 @@ def run_task(run: Run) -> tuple[str, str]:
     idle_rounds = 0
     while (end := run.stop()) is None:
         ready = ready_nodes(graph)
-        round_trace: list[TraceEntry] = []
+        steps_before = run.steps.used
         for nid in ready:
             if run.stop() is not None:
                 break
             run.emit("node_dispatched", node_id=nid)
-            execute_node(graph, nid, run, round_trace=round_trace)
+            execute_node(graph, nid, run)
         if (end := run.stop()) is not None:
-            return end
+            return end  # otherwise every ready node closed, with an outcome
         fault_record: dict[str, str] = {}
         try:
             delta: RevisionDelta = run.call(
@@ -719,7 +716,7 @@ def run_task(run: Run) -> tuple[str, str]:
                 {
                     "task_description": run.instance.query,
                     "current_step": str(run.steps.used),
-                    "history": assemble_history(round_trace, HISTORY_CAP),
+                    "history": render_outcomes(ready, [graph.nodes[n].outcome for n in ready]),
                     "dag_state": render_dag_state(graph),
                     "admissible_commands": run.commands,
                 },
@@ -739,7 +736,7 @@ def run_task(run: Run) -> tuple[str, str]:
         graph = run.graph = result.graph
         if not ready and not result.applied:
             return "Terminated", "stall: no ready nodes and no graph update"
-        idle_rounds = 0 if round_trace else idle_rounds + 1
+        idle_rounds = 0 if run.steps.used > steps_before else idle_rounds + 1
         if idle_rounds >= STALL_ROUNDS:
             return "Terminated", f"stall: {STALL_ROUNDS} rounds without an environment step"
     return end

@@ -323,3 +323,47 @@ class TestDispatch:
         report = BASELINES["react"](wiki_instance, _wiki_env(wiki_instance), config)
         assert report.method == "react"
         assert report.terminal == "Completed"
+
+
+# -- model-call bounds ------------------------------------------------------------------
+
+
+def _last_attempt_parses(role_tag: str, garbage: str, reply: str, retries: int):
+    """A rule whose reply fails to parse on every attempt but the last one."""
+    return rule(role_tag, [], *([garbage] * retries), reply)
+
+
+#: Each baseline's docstring bound on model attempts, as a function of
+#: (s_max, parser_retry_budget).
+CALL_BOUNDS = {
+    "react": lambda s_max, retries: (1 + retries) * s_max,
+    "cot": lambda s_max, retries: (1 + retries) * (1 + s_max),
+    "plan-act": lambda s_max, retries: (1 + retries) * (1 + 3 * s_max),
+}
+
+
+@pytest.mark.parametrize("retries", [0, 2])
+@pytest.mark.parametrize("method", sorted(CALL_BOUNDS))
+def test_a_never_done_run_stays_within_its_model_call_bound(method, retries):
+    """Every action goes nowhere, every reply parses only on its last attempt,
+    plan-act's evaluator asks for a replan after every step and cot's plan is
+    longer than the budget: the worst case each docstring bound allows."""
+    s_max = 5
+    long_plan = plan_reply(*(f"Wait, round {i}." for i in range(1, 2 * s_max + 1)))
+    role_backends = backends(
+        [_last_attempt_parses("supervisor:evaluate", "not json",
+                              eval_reply("needs_more_steps", "Keep going.", need_replan=True),
+                              retries)],
+        [_last_attempt_parses("planner:plan", "no plan", long_plan, retries),
+         _last_attempt_parses("planner:replan", "not json", replan_decline(), retries)],
+        [_last_attempt_parses("executor:execute", "", "wait", retries),
+         _last_attempt_parses("executor:react", "Thought: hmm", "Action: wait", retries)],
+    )
+    config = RunConfig(s_max=s_max, parser_retry_budget=retries, role_backends=role_backends)
+    sink = TraceSink(clock=CounterClock())
+    report = BASELINES[method](chain_instance(3), ChainEnv(), config, sink=sink)
+    assert report.terminal == "Terminated"
+    assert report.steps_used == s_max
+    attempts = sum(len(backend.calls) for backend in role_backends.values())
+    assert attempts == CALL_BOUNDS[method](s_max, retries)  # within it, and it is tight
+    assert_ends_on_record(report, sink)

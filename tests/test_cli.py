@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import runpy
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -174,6 +177,25 @@ class TestRun:
         traces = sorted(p.name for p in tmp_path.glob("*.jsonl"))
         assert traces == ["tdp__wiki_bridge.jsonl", "tdp__wiki_composer.jsonl",
                           "tdp__wiki_peoria.jsonl"]
+
+    def test_demos_report_the_cli_token_counts(self, tmp_path, capsys, monkeypatch):
+        """Both demos run tdp on the Peoria fixture; each prints the prompt,
+        output and total tokens that `tdp run` prints for the same run."""
+        code = dispatch(["run", "--method", "tdp", "--tasks", WIKI_ONE,
+                         "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])
+        assert code == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        prompt, output = (int(re.search(rf"{key}=(\d+)", line).group(1))
+                          for key in ("prompt_tokens", "output_tokens"))
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda **_: str(tmp_path))
+        for demo, shown in (
+            ("run_wiki_demo.py", f"prompt tokens: {prompt}, output tokens: {output}, "
+                                 f"total tokens: {prompt + output}"),
+            ("replay_trace.py", f"prompt_tokens={prompt} output_tokens={output} "
+                                f"total_tokens={prompt + output}"),
+        ):
+            runpy.run_path(str(REPO_ROOT / "demos" / demo), run_name="__main__")
+            assert shown in capsys.readouterr().out, demo
 
     def test_single_fixture_file(self, tmp_path, capsys):
         code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,

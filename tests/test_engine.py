@@ -10,8 +10,8 @@ import pytest
 from tdp.baselines import BASELINES
 from tdp.cli import METHODS, load_config
 from tdp.engine import (
-    HISTORY_CAP,
     NO_ACTIONS_YET,
+    NO_OUTCOMES_YET,
     STALL_ROUNDS,
     EngineError,
     Run,
@@ -23,6 +23,7 @@ from tdp.engine import (
     construct,
     execute_node,
     render_context_history,
+    render_outcomes,
     run_task,
     task_done,
 )
@@ -39,6 +40,7 @@ from tdp.graph import (
     graph_from_doc,
 )
 from tdp.roles import (
+    FORMAT_REMINDER,
     Completion,
     ModelBackend,
     RoleFault,
@@ -179,6 +181,18 @@ class TestRenderContextHistory:
             "(no actions yet)"
         )
 
+    def test_outcomes_render_one_block_per_node_and_a_marker_when_none(self):
+        failed = OutcomeSummary(terminal_status=NodeStatus.FAILED, summary_text="No way in.")
+        done = OutcomeSummary(terminal_status=NodeStatus.COMPLETED, summary_text="Done.",
+                              key_observations=("o1", "o2"))
+        assert render_outcomes(["node_2", "node_1"], [failed, done]) == (
+            "- [node_2] failed: No way in.\n"
+            "- [node_1] completed: Done.\n"
+            "  observed: o1\n"
+            "  observed: o2"
+        )
+        assert render_outcomes([], []) == NO_OUTCOMES_YET
+
 
 # -- node-scoped planner prompts -------------------------------------------------------
 
@@ -211,6 +225,7 @@ class TestPlannerPromptBoundedness:
             widened = build_planner_prompt(_graph_with_target(extra), "node_2", env, config)
             assert widened == baseline
         assert "Unrelated chore" not in baseline
+        assert "Survey the lab." not in baseline  # the whole task stays out
         assert "Measure the scale." in baseline
         assert "Prerequisite finished." in baseline
 
@@ -676,6 +691,13 @@ class TestRunTask:
         calls = [e.payload for e in sink.events_for(report.run_id) if e.kind == "role_call"]
         assert [(c["template"], c["attempts"]) for c in calls] == [
             ("construct", 1 + config.parser_retry_budget)]
+        # every retry says why the last reply was refused
+        first, *retries = [p for _tag, p in config.role_backends["supervisor"].calls]
+        assert len(retries) == config.parser_retry_budget
+        assert f"over the cap of {MAX_NODES}" not in first
+        for n, prompt in enumerate(retries, start=1):
+            assert prompt.count(FORMAT_REMINDER) == n
+            assert prompt.count(f"over the cap of {MAX_NODES}") == n
         assert_ends_on_record(report, sink)
 
     def test_failed_sink_then_unchanged_revision_stalls(self):
@@ -696,32 +718,37 @@ class TestRunTask:
         assert_ends_on_record(report, sink)
         revisions = [e for e in sink.events_for(report.run_id) if e.kind == "revision"]
         assert [e.payload["status"] for e in revisions] == ["noop", "noop"]
-        # the second round dispatched nothing, so its revision saw no actions
+        # the first round's revision sees node_1's outcome, never its actions;
+        # the second round dispatched nothing, so its revision saw no outcome
         first, second = _revise_prompts(config.role_backends["supervisor"])
-        assert "Action: open drawer" in _revise_history(first)
-        assert _revise_history(second) == NO_ACTIONS_YET
+        assert _revise_history(first) == (
+            "- [node_1] failed: No way in.\n"
+            "  observed: You open the drawer. Inside you see: key.")
+        assert _revise_history(second) == NO_OUTCOMES_YET
 
-    def test_revision_prompt_sees_only_its_own_rounds_actions(self):
+    def test_revision_prompt_sees_its_rounds_outcomes_as_dependents_do(self):
+        """The chain works node_k, and only node_k, in round k; that round's
+        revision renders node_k's outcome summary, the same text node_k+1's
+        prompts show, and none of the round's raw actions."""
         stages = 4
         config = chain_config(stages, tdp_chain_rules(stages))
-        sink = TraceSink(clock=CounterClock())
-        report = run_task(chain_instance(stages), ChainEnv(), config, sink=sink)
+        report = run_task(chain_instance(stages), ChainEnv(), config)
         assert report.terminal == "Completed"
-        round_steps: dict[str, list[TraceEntry]] = {}
-        for event in sink.events_for(report.run_id):
-            if event.kind == "env_step":
-                payload = event.payload
-                round_steps.setdefault(payload["scope"], []).append(
-                    entry(payload["step_index"], payload["action"], payload["observation"]))
         prompts = _revise_prompts(config.role_backends["supervisor"])
         assert len(prompts) == stages - 1
-        # the chain works node_k, and only node_k, in round k
         for k, prompt in enumerate(prompts, start=1):
-            for j in range(1, k):
-                assert f"obstacle at stage {j}:" not in prompt
-            assert f"obstacle at stage {k}:" in prompt
-            assert _revise_history(prompt) == assemble_history(
-                round_steps[f"node_{k}"], HISTORY_CAP)
+            outcome = OutcomeSummary(
+                terminal_status=NodeStatus.COMPLETED,
+                summary_text=f"Stage {k} finished with its blocker cleared.",
+                key_observations=(f"stage {k} resolved",))
+            history = _revise_history(prompt)
+            assert history == render_outcomes([f"node_{k}"], [outcome])
+            (dependent_plan,) = [
+                p for tag, p in config.role_backends["planner"].calls
+                if tag == "planner:plan" and f"Handle stage {k + 1} of the queue." in p]
+            assert f"Results from prerequisite sub-tasks:\n{history}\n\n" in dependent_plan
+            assert "Action:" not in prompt
+            assert "obstacle at stage" not in prompt
 
     def test_applied_revision_redirects_the_next_round(self):
         d2_old = "Check the stove."
@@ -942,28 +969,22 @@ class TestRunTask:
 
     def test_replanned_away_obstacles_do_not_cross_the_dependency_edge(self):
         """On the W = 3 chain every stage meets an obstacle and replans around
-        it.  node_1's own prompts see its obstacle; no node-scoped prompt for
-        node_2 or node_3 does.  (The revise prompt is the round's, not a
-        node's.)"""
+        it.  A stage's obstacle reaches exactly its own node's execute,
+        evaluate and replan prompts: no other node's prompt and no revise
+        prompt carries it."""
         stages = 3
         config = chain_config(stages, tdp_chain_rules(stages))
         report = run_task(chain_instance(stages), ChainEnv(), config)
         assert report.terminal == "Completed"
-        by_node: dict[int, dict[str, list[str]]] = {}
-        for backend in config.role_backends.values():
-            for tag, prompt in backend.calls:
-                for k in range(1, stages + 1):
-                    if tag != "supervisor:revise" and f"Handle stage {k} of the queue." in prompt:
-                        by_node.setdefault(k, {}).setdefault(tag, []).append(prompt)
-        own = by_node[1]
-        for tag in ("executor:execute", "supervisor:evaluate", "planner:replan"):
-            assert any("obstacle at stage 1:" in p for p in own[tag]), tag
-        for k in (2, 3):
-            assert set(by_node[k]) == {"planner:plan", "executor:execute",
-                                       "supervisor:evaluate", "planner:replan"}
-            for tag, prompts in by_node[k].items():
-                assert not any("obstacle at stage 1:" in p for p in prompts), (k, tag)
-                assert not any(f"obstacle at stage {k - 1}:" in p for p in prompts), (k, tag)
+        calls = [call for backend in config.role_backends.values() for call in backend.calls]
+        tags = {tag for tag, _ in calls}
+        assert {"planner:plan", "supervisor:revise"} <= tags
+        for k in range(1, stages + 1):
+            carriers = [(tag, p) for tag, p in calls if f"obstacle at stage {k}:" in p]
+            assert {tag for tag, _ in carriers} == {
+                "executor:execute", "supervisor:evaluate", "planner:replan"}, k
+            for tag, prompt in carriers:
+                assert f"Current Subgoal: Handle stage {k} of the queue." in prompt, (k, tag)
 
     def test_dependent_plan_prompt_ignores_how_its_dependency_got_there(self):
         """node_2's planner prompt costs the same whether node_1 opened the

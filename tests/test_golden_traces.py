@@ -7,6 +7,7 @@ also wrapped in recording delegates sharing one call log, and every prompt
 sent is hashed, in call order, as ``role_tag NUL prompt NUL``.
 ``golden_traces.json`` and ``golden_prompts.json`` hold the expected hashes of
 each case, so a refactor that is meant to keep behaviour must keep every hash.
+The same runs also check that tdp's node prompts stay scoped to their node.
 The tests only read those files.  A change that alters traces or prompts on
 purpose regenerates both with
 
@@ -21,6 +22,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
@@ -121,9 +123,20 @@ def _cases() -> dict[str, Case]:
 CASES = _cases()
 
 
-def case_hashes(case: Case, trace_dir: Path) -> tuple[str, str]:
-    """Run `case` with a file sink on the counter clock; SHA-256 of the trace
-    file and of every (role tag, prompt) the backends received."""
+@dataclass(frozen=True)
+class CaseRun:
+    """What one run of a case left: its trace file's bytes, every (role tag,
+    prompt) the backends received in call order, the task query and the
+    environment's admissible commands."""
+
+    trace: bytes
+    calls: tuple[tuple[str, str], ...]
+    query: str
+    commands: tuple[str, ...]
+
+
+def run_case(case: Case, trace_dir: Path) -> CaseRun:
+    """Run `case` with a file sink on the counter clock and recording backends."""
     method, instance, env, config = case()
     calls: list[tuple[str, str]] = []
     for role, backend in config.role_backends.items():
@@ -135,16 +148,23 @@ def case_hashes(case: Case, trace_dir: Path) -> tuple[str, str]:
         run_task(instance, env, config, sink=sink)
     else:
         BASELINES[method](instance, env, config, sink=sink)
-    prompts = hashlib.sha256()
-    for role_tag, prompt in calls:
-        prompts.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
-    return hashlib.sha256(path.read_bytes()).hexdigest(), prompts.hexdigest()
+    return CaseRun(path.read_bytes(), tuple(calls), instance.query,
+                   tuple(env.admissible_commands()))
 
 
 @lru_cache(maxsize=None)
-def _hashes_of(name: str) -> tuple[str, str]:
+def _run_of(name: str) -> CaseRun:
     with tempfile.TemporaryDirectory() as tmp:
-        return case_hashes(CASES[name], Path(tmp))
+        return run_case(CASES[name], Path(tmp))
+
+
+def _hashes_of(name: str) -> tuple[str, str]:
+    """SHA-256 of the case's trace file and of every (role tag, prompt) sent."""
+    run = _run_of(name)
+    prompts = hashlib.sha256()
+    for role_tag, prompt in run.calls:
+        prompts.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
+    return hashlib.sha256(run.trace).hexdigest(), prompts.hexdigest()
 
 
 def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
@@ -164,6 +184,25 @@ def test_trace_matches_its_golden_hash(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_prompts_match_their_golden_hash(name):
     assert _hashes_of(name)[1] == _golden(PROMPTS_PATH)[name]
+
+
+NODE_SCOPED = ("planner:plan", "executor:execute", "supervisor:evaluate", "planner:replan")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("tdp")))
+def test_node_prompts_stay_scoped_to_their_node(name):
+    """A node's prompts name the task only where its sub-goal does, and the
+    evaluator, which judges but never acts, is never shown the action list."""
+    run = _run_of(name)
+    node_calls = [(tag, prompt) for tag, prompt in run.calls if tag in NODE_SCOPED]
+    assert {tag for tag, _ in node_calls} >= {"planner:plan", "supervisor:evaluate"}
+    for tag, prompt in node_calls:
+        subgoal = prompt.split("Current Subgoal: ", 1)[1].split("\nCurrent Plan:", 1)[0]
+        subgoal = subgoal.split("\nAvailable actions:", 1)[0]
+        assert run.query not in prompt or run.query in subgoal, (tag, prompt)
+        if tag == "supervisor:evaluate":
+            shown = [command for command in run.commands if command in prompt]
+            assert not shown, (tag, shown)
 
 
 def _write(path: Path, hashes: dict[str, str]) -> None:

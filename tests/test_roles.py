@@ -65,13 +65,15 @@ VOCABULARY = frozenset({
     "task_description", "subgoal", "current_plan", "guidance", "reason",
     "admissible_commands", "history", "current_step", "dag_state",
 })
-NODE_VIEW = {"task_description", "subgoal", "admissible_commands", "history"}
+#: A node's prompts never name the whole task, and the evaluator, which judges
+#: but does not act, never sees the action list.
+NODE_VIEW = {"subgoal", "current_plan", "history"}
 TEMPLATE_BINDINGS = {
     "construct": {"task_description", "admissible_commands"},
-    "plan": NODE_VIEW,
-    "execute": NODE_VIEW | {"current_plan", "guidance"},
-    "evaluate": NODE_VIEW | {"current_plan"},
-    "replan": NODE_VIEW | {"current_plan", "reason"},
+    "plan": {"subgoal", "admissible_commands", "history"},
+    "execute": NODE_VIEW | {"guidance", "admissible_commands"},
+    "evaluate": NODE_VIEW,
+    "replan": NODE_VIEW | {"reason", "admissible_commands"},
     "revise": {"task_description", "current_step", "history", "dag_state", "admissible_commands"},
     "react": {"task_description", "admissible_commands", "history"},
 }
@@ -163,12 +165,24 @@ def test_override_with_a_pre_vocabulary_placeholder_fails_to_load(tmp_path):
         load_templates(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["plan", "execute", "evaluate", "replan"])
+def test_override_that_still_names_the_task_in_a_node_template_fails_to_load(tmp_path, name):
+    # a copy of the packaged templates whose node template keeps a Task: line
+    for other in TEMPLATE_NAMES:
+        with resources.as_file(resources.files("tdp") / "templates" / f"{other}.txt") as src:
+            shutil.copy(src, tmp_path / f"{other}.txt")
+    node = tmp_path / f"{name}.txt"
+    node.write_text("Task: {task_description}\n" + node.read_text())
+    with pytest.raises(RenderFault, match=rf"'{name}'.*undeclared: \['task_description'\]"):
+        load_templates(tmp_path)
+
+
 def test_render_prompt_missing_binding_names_the_placeholder():
     template = load_template("plan")
     with pytest.raises(RenderFault, match="history"):
         render_prompt(
             template,
-            {"task_description": "t", "subgoal": "n", "admissible_commands": "c"},
+            {"subgoal": "n", "admissible_commands": "c"},
         )
 
 
