@@ -25,10 +25,8 @@ def run_once(instance_path: Path, trace_path: Path):
     return instance, sink, report
 
 
-def main() -> None:
-    fixture = ROOT / "fixtures" / "wiki" / "wiki_peoria.json"
-    workdir = Path(tempfile.mkdtemp(prefix="tdp-replay-"))
-
+def replay(fixture: Path, workdir: Path) -> None:
+    """Run `fixture` twice into `workdir`, then replay the first trace."""
     instance, sink, report = run_once(fixture, workdir / "first.jsonl")
     run_once(fixture, workdir / "second.jsonl")
 
@@ -50,6 +48,12 @@ def main() -> None:
     print(f"delivery={replayed.delivery}, accuracy={replayed.accuracy}, "
           f"prompt_tokens={prompt:.0f} output_tokens={output:.0f} "
           f"total_tokens={prompt + output:.0f}")
+
+
+def main() -> None:
+    fixture = ROOT / "fixtures" / "wiki" / "wiki_peoria.json"
+    with tempfile.TemporaryDirectory(prefix="tdp-replay-") as tmp:
+        replay(fixture, Path(tmp))
 
 
 if __name__ == "__main__":

@@ -111,10 +111,11 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
     """Global plan + stepwise execution; deviations regenerate the whole plan.
 
     The evaluator (the engine's evaluation prompt, bound to the whole task)
-    runs after every step; when it flags need_replan, the replanner sees the
-    full accumulated history and may replace the entire plan.  The per-node
-    replan cap applies to the single global plan.  One plan call, then up to
-    three per step: at most ``(1 + parser_retry_budget) * (1 + 3 * s_max)`` attempts.
+    judges each step after which the run goes on; when it flags need_replan,
+    the replanner sees the full accumulated history and may replace the entire
+    plan.  The per-node replan cap applies to the single global plan.  One plan
+    call, then up to three per step but one for the last: at most
+    ``(1 + parser_retry_budget) * (3 * s_max - 1)`` attempts.
     """
     trace: list[TraceEntry] = []
     plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)
@@ -124,6 +125,8 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
         view = _whole_task_bindings(run, trace, plan, guidance)
         guidance = None
         trace.append(run.act(run.call("executor", "execute", view, extract_action)))
+        if (end := run.stop()) is not None:
+            break
         view = _whole_task_bindings(run, trace, plan)
         evaluation = run.call("supervisor", "evaluate", view, parse_evaluation)
         if evaluation.need_replan:

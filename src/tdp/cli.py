@@ -152,7 +152,10 @@ def _single_run(
     trace_path = trace_dir / f"{run_id}.jsonl"
     sink = TraceSink(path=trace_path, clock=config.make_clock())
     runner = run_task if method == "tdp" else BASELINES[method]
-    report = runner(instance, env, config, sink=sink, run_id=run_id)
+    try:
+        report = runner(instance, env, config, sink=sink, run_id=run_id)
+    finally:
+        sink.close()  # also when the runner refuses the config before the run starts
     record = compute_metrics(
         sink.events_for(run_id), instance.gold, method=method, run_id=run_id
     )

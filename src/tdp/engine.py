@@ -4,7 +4,10 @@ One run is a sequence of rounds.  Each round dispatches every ready node; a
 node is worked by the planner/executor pair under supervisor evaluation, with
 replanning confined to that node; between rounds the supervisor may revise the
 graph.  The environment-interaction budget is enforced *before* every
-interaction, so a run never exceeds it.
+interaction, so a run never exceeds it.  No role is called once its answer
+can no longer change the run's outcome: nothing after the step that ends the
+episode, and no replan once the step budget is spent, since a new plan could
+never run.  tdp and every baseline keep this rule.
 
 Context discipline is the load-bearing property: a node's plan, execute,
 evaluate and replan prompts render from one view, :func:`node_bindings`: that
@@ -353,8 +356,9 @@ class Run:
         was refused, up to ``1 + parser_retry_budget`` attempts.  The call,
         faulted or not, is recorded as a ``role_call`` event carrying its
         usage summed over the attempts; then the parsed value is returned or a
-        :class:`RoleFault` carrying the last raw reply is raised.
-        Backend errors propagate.
+        :class:`RoleFault` carrying the last raw reply is raised.  A backend
+        error is recorded too, ``ok: false`` with the attempts made, the usage
+        so far and ``error: "<type>: <message>"``, and then re-raised.
         """
         backend = self.config.backend(role)
         tag = f"{role}:{template}"
@@ -363,8 +367,27 @@ class Run:
         usage = TokenUsage()
         value: Any = None
         fault: RoleFault | None = None
+
+        def record(attempts: int, ok: bool, **error: str) -> None:
+            self.emit(
+                "role_call",
+                role=role,
+                template=template,
+                scope=scope,
+                attempts=attempts,
+                prompt_tokens=usage.prompt_tokens,
+                output_tokens=usage.output_tokens,
+                prompt_chars=prompt_chars,
+                ok=ok,
+                **error,
+            )
+
         for attempts in range(1, self.config.parser_retry_budget + 2):
-            completion = backend.complete(tag, prompt)
+            try:
+                completion = backend.complete(tag, prompt)
+            except Exception as err:
+                record(attempts, False, error=f"{type(err).__name__}: {err}")
+                raise
             usage = usage + completion.usage
             try:
                 value, fault = parser(completion.text), None
@@ -375,17 +398,7 @@ class Run:
                     raw_text=completion.text,
                 )
                 prompt = f"{prompt}\n{FORMAT_REMINDER} Refused: {err}"
-        self.emit(
-            "role_call",
-            role=role,
-            template=template,
-            scope=scope,
-            attempts=attempts,
-            prompt_tokens=usage.prompt_tokens,
-            output_tokens=usage.output_tokens,
-            prompt_chars=prompt_chars,
-            ok=fault is None,
-        )
+        record(attempts, fault is None)
         if fault is not None:
             raise fault
         return value
@@ -471,7 +484,7 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., R
     The runner checks `roles`, opens the :class:`Run` and writes ``run_end``
     once, however the body ends: a :class:`RoleFault` escaping it ends the run
     ``role fault: ...``, any other exception ``error: <type>: <message>``,
-    re-raised after ``run_end``.
+    re-raised after ``run_end``.  Then it closes the sink's trace file.
     """
 
     def wrap(body: LoopBody) -> Callable[..., RunReport]:
@@ -494,6 +507,7 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., R
                 raise
             finally:
                 report = run.finish(terminal, reason)
+                run.sink.close()
             return report
 
         for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
@@ -566,7 +580,9 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     reads only the entries made since its last accepted replan.  A role fault
     marks the node Failed.  Returning with the node still InProgress means the
     step budget is spent or the episode already ended; ``run_task`` settles
-    the run outcome.
+    the run outcome.  So the step that ends the episode is not evaluated, and
+    after the step that spends the budget the evaluator is still asked (its
+    ``completed`` verdict may close the last sink) but the replanner is not.
     """
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
@@ -604,6 +620,8 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
         entry = run.act(action, scope=node_id)
         node.local_trace.append(entry)
+        if run.env.done:
+            return node.status
 
         view = node_bindings(graph, node_id, commands)
         try:
@@ -617,6 +635,8 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             return close(NodeStatus.FAILED, evaluation.reason)
 
         # needs_more_steps from here on
+        if run.steps.exhausted():
+            return node.status
         if evaluation.need_replan:
             try:
                 decision = run.call(

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 __all__ = [
     "EVENT_KINDS",
@@ -101,7 +101,10 @@ class TraceSink:
     """Append-only event stream, optionally mirrored to a JSONL file.
 
     Tolerates concurrent appends from independent runs; the sink numbers each
-    run's events itself, contiguously from 0.
+    run's events itself, contiguously from 0.  A file-backed sink writes every
+    line through one handle, flushed per line so a crash loses no emitted
+    event; :meth:`close` releases it, and a later line reopens the file for
+    appending.
     """
 
     def __init__(self, path: str | Path | None = None, clock: Callable[[], float] = time.time):
@@ -110,9 +113,10 @@ class TraceSink:
         self._lock = threading.Lock()
         self._last_seq: dict[str, int] = {}
         self._events: list[TraceEvent] = []
+        self._handle: TextIO | None = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("", encoding="utf-8")
+            self._handle = open(self.path, "w", encoding="utf-8")
 
     def begin_run(self, run_id: str, meta: Mapping[str, Any]) -> None:
         with self._lock:
@@ -125,9 +129,7 @@ class TraceSink:
                 "meta": dict(meta),
             }
             self._last_seq[run_id] = -1
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(header, sort_keys=True) + "\n")
+            self._write(json.dumps(header, sort_keys=True))
 
     def emit(self, run_id: str, kind: str, **payload: Any) -> TraceEvent:
         """Append the next event of `run_id`, a run begun with :meth:`begin_run`."""
@@ -142,10 +144,23 @@ class TraceSink:
             )
             self._last_seq[run_id] = seq
             self._events.append(event)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(event.to_line() + "\n")
+            self._write(event.to_line())
         return event
+
+    def _write(self, line: str) -> None:
+        if self.path is None:
+            return
+        if self._handle is None:
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(line + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        """Close the trace file's handle, if one is open."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def events_for(self, run_id: str) -> list[TraceEvent]:
         with self._lock:

@@ -205,13 +205,13 @@ def _planact_wiki_backends():
 
 
 class TestPlanAct:
-    def test_evaluates_after_every_step_including_the_last(self, wiki_instance):
+    def test_evaluates_after_every_step_until_the_episode_ends(self, wiki_instance):
         role_backends = _planact_wiki_backends()
         config = RunConfig(s_max=6, role_backends=role_backends)
         report = run_plan_and_act(wiki_instance, _wiki_env(wiki_instance), config)
         assert report.terminal == "Completed"
         assert report.steps_used == 2
-        assert len(role_backends["supervisor"].calls) == 2
+        assert len(role_backends["supervisor"].calls) == 1  # the last step is not judged
 
     def test_guidance_reaches_the_next_executor_prompt(self, wiki_instance):
         role_backends = _planact_wiki_backends()
@@ -338,7 +338,7 @@ def _last_attempt_parses(role_tag: str, garbage: str, reply: str, retries: int):
 CALL_BOUNDS = {
     "react": lambda s_max, retries: (1 + retries) * s_max,
     "cot": lambda s_max, retries: (1 + retries) * (1 + s_max),
-    "plan-act": lambda s_max, retries: (1 + retries) * (1 + 3 * s_max),
+    "plan-act": lambda s_max, retries: (1 + retries) * (3 * s_max - 1),
 }
 
 

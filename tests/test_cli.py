@@ -187,7 +187,7 @@ class TestRun:
         line = capsys.readouterr().out.splitlines()[0]
         prompt, output = (int(re.search(rf"{key}=(\d+)", line).group(1))
                           for key in ("prompt_tokens", "output_tokens"))
-        monkeypatch.setattr(tempfile, "mkdtemp", lambda **_: str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         for demo, shown in (
             ("run_wiki_demo.py", f"prompt tokens: {prompt}, output tokens: {output}, "
                                  f"total tokens: {prompt + output}"),
@@ -196,6 +196,7 @@ class TestRun:
         ):
             runpy.run_path(str(REPO_ROOT / "demos" / demo), run_name="__main__")
             assert shown in capsys.readouterr().out, demo
+        assert not list(tmp_path.glob("tdp-replay-*"))  # the replay demo cleans up
 
     def test_single_fixture_file(self, tmp_path, capsys):
         code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,

@@ -572,6 +572,38 @@ class TestExecuteNode:
         assert run.env.done
         assert status is NodeStatus.IN_PROGRESS
         assert len(graph.nodes["node_1"].local_trace) == 1
+        assert config.role_backends["supervisor"].calls == []  # no verdict can change it
+
+    def test_no_replan_after_the_step_that_spends_the_budget(self):
+        """A never-done chain whose evaluator always asks for a replan: every
+        step is still evaluated, but the step that spends the budget is not
+        followed by a replan, since a new plan could never run."""
+        s_max = 4
+        config = _exec_config(
+            [
+                rule("supervisor:construct", [],
+                     subgoals_reply(("node_1", "Handle the queue.", []))),
+                rule("supervisor:evaluate", [],
+                     eval_reply("needs_more_steps", "Nothing moved.", need_replan=True)),
+            ],
+            [
+                rule("planner:plan", [], plan_reply("Wait.")),
+                rule("planner:replan", [], replan_decline()),
+            ],
+            [rule("executor:execute", [], "wait")],
+            s_max=s_max,
+        )
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(3), ChainEnv(), config, sink=sink, run_id="r")
+        assert (report.terminal, report.reason) == ("Terminated", "step budget exhausted")
+        events = sink.events_for("r")
+        last_step = next(i for i, e in enumerate(events)
+                         if e.kind == "env_step" and e.payload["step_index"] == s_max)
+        after = [e.payload["template"] for e in events[last_step:] if e.kind == "role_call"]
+        assert after == ["evaluate"]
+        tags = [tag for tag, _ in config.role_backends["planner"].calls]
+        assert tags == ["planner:plan"] + ["planner:replan"] * (s_max - 1)
+        assert_ends_on_record(report, sink)
 
 
 # -- task_done --------------------------------------------------------------------------
@@ -901,8 +933,9 @@ class TestRunTask:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("fail_at", [1, 2])
     def test_backend_error_ends_the_run_on_record(self, method, fail_at):
-        """A backend error at model call `fail_at` still writes ``run_end`` as
-        the run's last event, naming the error, and then propagates."""
+        """A backend error at model call `fail_at` is a recorded call, and
+        still writes ``run_end`` as the run's last event, naming the error,
+        and then propagates."""
         config = load_config(CONFIG_DIR / "scripted_wiki.json")
         calls: list[str] = []
         config = replace(config, role_backends={
@@ -919,8 +952,13 @@ class TestRunTask:
         assert_ends_on_record(report, sink)
         assert report.terminal == "Terminated"
         assert report.reason == f"error: LookupError: backend unavailable at call {fail_at}"
-        role_calls = [e for e in sink.events_for("r") if e.kind == "role_call"]
-        assert len(role_calls) == fail_at - 1  # the failed call left no role_call
+        role_calls = [e.payload for e in sink.events_for("r") if e.kind == "role_call"]
+        assert len(role_calls) == fail_at
+        assert [call["ok"] for call in role_calls] == [True] * (fail_at - 1) + [False]
+        failed = role_calls[-1]
+        assert failed["error"] == f"LookupError: backend unavailable at call {fail_at}"
+        assert failed["attempts"] == 1
+        assert (failed["prompt_tokens"], failed["output_tokens"]) == (0, 0)
 
     def test_each_prompt_is_rendered_once(self, monkeypatch):
         """Run.call renders a prompt once, for the backend and for its

@@ -7,13 +7,15 @@ also wrapped in recording delegates sharing one call log, and every prompt
 sent is hashed, in call order, as ``role_tag NUL prompt NUL``.
 ``golden_traces.json`` and ``golden_prompts.json`` hold the expected hashes of
 each case, so a refactor that is meant to keep behaviour must keep every hash.
-The same runs also check that tdp's node prompts stay scoped to their node.
+The same runs also check that tdp's node prompts stay scoped to their node
+and that no method calls a role after the step that ends the episode.
 The tests only read those files.  A change that alters traces or prompts on
 purpose regenerates both with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and says in CHANGES.md why they changed.
+and says in CHANGES.md why they changed; it prints each case whose trace or
+prompt hash moved.
 """
 
 from __future__ import annotations
@@ -205,13 +207,29 @@ def test_node_prompts_stay_scoped_to_their_node(name):
             assert not shown, (tag, shown)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_role_is_called_after_the_episode_ends(name):
+    events = [json.loads(line) for line in _run_of(name).trace.splitlines()]
+    ends = [i for i, e in enumerate(events) if e["kind"] == "env_step" and e["payload"]["done"]]
+    after = [e["kind"] for e in events[ends[0] + 1:]] if ends else []
+    assert "role_call" not in after, after
+
+
 def _write(path: Path, hashes: dict[str, str]) -> None:
     path.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {path}", file=sys.stderr)
 
 
 def _regenerate() -> None:
+    """Rewrite both golden files, first printing each case whose trace or
+    prompt hash moved."""
     hashes = {name: _hashes_of(name) for name in sorted(CASES)}
+    old = (_golden(GOLDEN_PATH), _golden(PROMPTS_PATH))
+    for name, pair in hashes.items():
+        moved = [what for what, golden, new in zip(("trace", "prompts"), old, pair)
+                 if golden.get(name) != new]
+        if moved:
+            print(f"changed: {name} ({', '.join(moved)})")
     _write(GOLDEN_PATH, {name: pair[0] for name, pair in hashes.items()})
     _write(PROMPTS_PATH, {name: pair[1] for name, pair in hashes.items()})
 

@@ -613,6 +613,30 @@ def test_call_role_lets_backend_errors_propagate():
                      retry_budget=3)
     with pytest.raises(LookupError):
         _probe(run, "p")
+    event = _role_call(run)  # recorded before it propagates
+    assert event["ok"] is False and event["attempts"] == 1
+    assert event["error"].startswith("LookupError: ")
+
+
+class _FailsOnRetry(ModelBackend):
+    """Replies unparseably once, then raises on the retry."""
+
+    def complete(self, role_tag: str, prompt: str) -> Completion:
+        if FORMAT_REMINDER in prompt:
+            raise ConnectionError("backend went away")
+        return Completion("not json", TokenUsage(prompt_tokens=5, output_tokens=2))
+
+
+def test_call_role_backend_error_on_a_retry_records_the_usage_so_far():
+    run = _probe_run(_FailsOnRetry(), retry_budget=2)
+    with pytest.raises(ConnectionError):
+        _probe(run, "p")
+    event = _role_call(run)
+    assert event["ok"] is False and event["attempts"] == 2
+    assert event["error"] == "ConnectionError: backend went away"
+    assert (event["prompt_tokens"], event["output_tokens"]) == (5, 2)
+    assert role_tokens(run.sink.events_for("r"))["supervisor"] == {
+        "prompt_tokens": 5, "output_tokens": 2}
 
 
 def test_call_role_uses_role_tag_for_backend_dispatch():

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import builtins
 import json
+import os
 import threading
 
 import pytest
 
+from tdp.cli import load_config
+from tdp.engine import run_task
+from tdp.environments import make_environment
 from tdp.telemetry import (
     CounterClock,
     MetricsRecord,
@@ -19,6 +24,8 @@ from tdp.telemetry import (
     normalize_answer,
     read_trace,
 )
+
+from conftest import CONFIG_DIR
 
 
 def _run_end(run_id="r1", **overrides):
@@ -34,6 +41,26 @@ def _run_end(run_id="r1", **overrides):
     }
     payload.update(overrides)
     return TraceEvent(run_id=run_id, seq=0, timestamp=0.0, kind="run_end", payload=payload)
+
+
+def _file_backed_run(path, instance, monkeypatch):
+    """One scripted tdp run into a sink on `path`; every handle opened on
+    `path` meanwhile, in order."""
+    handles = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    config = load_config(CONFIG_DIR / "scripted_wiki.json")
+    sink = TraceSink(path, clock=config.make_clock())
+    report = run_task(instance, make_environment(instance.environment), config, sink=sink)
+    monkeypatch.undo()
+    return sink, report, handles
 
 
 def _event(seq, kind, run_id="r1", **payload):
@@ -64,6 +91,7 @@ class TestTraceSink:
         assert [e.seq for e in sink.events_for("b")] == [0]
         headers, _ = read_trace(path)
         assert set(headers) == {"a", "b"}
+        sink.close()
 
     def test_duplicate_run_id_refused(self):
         sink = TraceSink()
@@ -115,6 +143,32 @@ class TestTraceSink:
         header = json.loads(lines[0])
         assert header["kind"] == "header" and header["meta"]["method"] == "react"
         assert json.loads(lines[1])["kind"] == "run_end"
+        sink.close()
+
+    def test_a_file_backed_run_opens_its_trace_once(self, tmp_path, wiki_instance, monkeypatch):
+        path = tmp_path / "run.jsonl"
+        sink, report, handles = _file_backed_run(path, wiki_instance, monkeypatch)
+        assert len(handles) == 1
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + len(sink.events_for(report.run_id))
+
+    def test_the_run_closes_its_trace_handle(self, tmp_path, wiki_instance, monkeypatch):
+        path = tmp_path / "run.jsonl"
+        _sink, _report, (handle,) = _file_backed_run(path, wiki_instance, monkeypatch)
+        assert handle.closed
+
+    def test_a_closed_sink_reopens_for_appending(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        sink = TraceSink(path, clock=CounterClock())
+        sink.begin_run("a", {})
+        sink.emit("a", "run_end", terminal="Completed")
+        sink.close()
+        sink.begin_run("b", {})
+        sink.emit("b", "run_end", terminal="Completed")
+        sink.close()
+        headers, events = read_trace(path)
+        assert list(headers) == ["a", "b"]
+        assert [e.run_id for e in events] == ["a", "b"]
 
 
 _HEADER = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
@@ -135,6 +189,7 @@ class TestReadTrace:
         headers, events = read_trace(path)
         assert headers["r1"]["meta"]["gold"] == {"answer": "x"}
         assert events == sink.events_for("r1")
+        sink.close()
 
     def test_blank_lines_tolerated(self, tmp_path):
         header = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
