@@ -50,7 +50,6 @@ from .graph import (
     graph_to_doc,
     ready_nodes,
     render_dag_state,
-    validate_graph,
 )
 from .roles import (
     FORMAT_REMINDER,
@@ -58,7 +57,6 @@ from .roles import (
     ParseFault,
     PromptTemplate,
     RoleFault,
-    SubgoalSpec,
     TokenUsage,
     extract_action,
     load_templates,
@@ -521,35 +519,19 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., R
 # construction
 
 
-def _subgoals_to_graph(task_description: str, specs: Sequence[SubgoalSpec]) -> TaskGraph:
-    graph = TaskGraph(task_description=task_description)
-    for spec in specs:
-        graph.nodes[spec.id] = SubTaskNode(
-            id=spec.id, description=spec.description, dependencies=set(spec.dependencies)
-        )
-    return graph
-
-
 def construct(task: str, run: Run) -> TaskGraph:
-    """Ask the supervisor for a decomposition and validate it into a graph.
+    """Ask the supervisor for a decomposition of `task` and read it into a graph.
 
-    Malformed JSON and structurally invalid graphs share the bounded retry
-    budget; exhaustion raises the underlying :class:`RoleFault`.
+    :func:`~tdp.roles.parse_subgoals` reads the reply as a revision of the
+    empty graph, so the decomposition is held to the rules of every revision.
+    A malformed reply and a refused graph share the bounded retry budget;
+    exhaustion raises the underlying :class:`RoleFault`.
     """
-
-    def parse_and_validate(text: str) -> TaskGraph:
-        specs = parse_subgoals(text)
-        graph = _subgoals_to_graph(task, specs)
-        violations = validate_graph(graph)
-        if violations:
-            raise ParseFault("invalid decomposition: " + "; ".join(violations), raw_text=text)
-        return graph
-
     return run.call(
         "supervisor",
         "construct",
         {"task_description": task, "admissible_commands": run.commands},
-        parse_and_validate,
+        lambda text: parse_subgoals(text, task),
     )
 
 
@@ -685,9 +667,9 @@ def run_task(run: Run) -> tuple[str, str]:
     counted.  So the supervisor can edit only the nodes it sees;
     :func:`apply_revision` rejects any other id.
 
-    :func:`validate_graph` caps a graph at :data:`~tdp.graph.MAX_NODES`
-    nodes, so a larger decomposition is a retried parse fault and a revision
-    that would grow past the cap is rejected.  That bounds the model attempts
+    :func:`~tdp.graph.validate_graph` caps a graph at
+    :data:`~tdp.graph.MAX_NODES` nodes, so a larger decomposition is a retried
+    parse fault and a revision that would grow past the cap is rejected.  That bounds the model attempts
     of a run.  A round dispatches at most ``MAX_NODES`` ready nodes, each
     costing one planner call plus at most one executor call that faults
     before acting, and ends with one revise call.  Every environment step

@@ -338,7 +338,11 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
 
     Either every edit in the delta lands and the result validates, or the
     original graph object is returned untouched with the rejection reasons.
-    Terminal nodes may be removed but never rewritten or resurrected.
+    Terminal nodes may be removed but never rewritten or resurrected.  This is
+    the one place a graph is built or changed: a decomposition is a revision
+    of the empty graph (:func:`~tdp.roles.parse_subgoals`).  The edits check
+    only what they refer to; every structural rule of the result is
+    :func:`validate_graph`'s.
     """
     if not delta.need_update:
         return RevisionResult(graph=graph, status="noop")
@@ -362,8 +366,6 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
             reasons.append(f"update: unknown node {node_id!r}")
         elif node.status.terminal:
             reasons.append(f"update: node {node_id!r} is terminal and cannot be rewritten")
-        elif not new_description.strip():
-            reasons.append(f"update: empty description for node {node_id!r}")
         else:
             node.description = new_description
 
@@ -385,9 +387,6 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
             continue
         if nid in removed_terminal:
             reasons.append(f"add: id {nid!r} would resurrect a terminal node removed above")
-            continue
-        if not spec.description.strip():
-            reasons.append(f"add: empty description for node {nid!r}")
             continue
         work.nodes[nid] = SubTaskNode(
             id=nid,

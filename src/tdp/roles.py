@@ -4,7 +4,10 @@ Each agent role (supervisor, planner, executor) is a prompt template plus a
 parser over the model's raw reply.  All parsing is strict — silent coercion of
 a malformed reply into a default would hide model drift, so every defect is a
 :class:`ParseFault` and the bounded retry loop in :meth:`tdp.engine.Run.call`
-decides what happens next.
+decides what happens next.  The parsers check shape only.  A decomposition
+and a revision read their node entries with one reader, and both reach the
+graph through :func:`~tdp.graph.apply_revision`, so every structural rule is
+checked once, by :func:`~tdp.graph.validate_graph`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .graph import NewNodeSpec, RevisionDelta
+from .graph import NewNodeSpec, RevisionDelta, TaskGraph, apply_revision
 
 __all__ = [
     "ParseFault",
@@ -31,7 +34,6 @@ __all__ = [
     "load_templates",
     "render_prompt",
     "extract_json",
-    "SubgoalSpec",
     "parse_subgoals",
     "PlanStep",
     "Plan",
@@ -229,52 +231,53 @@ def _as_str_list(value: Any, key: str, raw: str) -> list[str]:
     return list(value)
 
 
-@dataclass(frozen=True)
-class SubgoalSpec:
-    """One node of a proposed decomposition, before it becomes a graph node."""
+def _node_entry(entry: Any, raw: str, *, id_required: bool) -> NewNodeSpec:
+    """One ``{id, description, dependencies, dependents}`` node entry, read
+    for shape only; the graph rules are :func:`~tdp.graph.validate_graph`'s.
 
-    id: str
-    description: str
-    dependencies: tuple[str, ...]
-
-
-def parse_subgoals(text: str) -> list[SubgoalSpec]:
-    """Parse a decomposition reply: ``{"subgoals": [{id, description, dependencies}]}``.
-
-    Rejects an empty decomposition, duplicate ids, and dependency references
-    to ids not present in the same reply (the offending name is reported).
+    A decomposition's entry must carry its ``id``; a revision's new node may
+    leave it out, and :func:`~tdp.graph.apply_revision` then generates one.
     """
-    doc = extract_json(text)
-    entries = _require(doc, "subgoals", text)
+    if not isinstance(entry, Mapping):
+        raise ParseFault("each node entry must be an object", raw_text=raw)
+    node_id = _require(entry, "id", raw) if id_required else entry.get("id")
+    if (id_required or node_id is not None) and (
+        not isinstance(node_id, str) or not node_id.strip()
+    ):
+        raise ParseFault(
+            f"node 'id' must be a nonempty string when present, got {node_id!r}", raw_text=raw
+        )
+    description = _require(entry, "description", raw)
+    if not isinstance(description, str):
+        raise ParseFault("node 'description' must be a string", raw_text=raw)
+    return NewNodeSpec(
+        id=node_id,
+        description=description,
+        dependencies=tuple(_as_str_list(entry.get("dependencies", []), "dependencies", raw)),
+        dependents=tuple(_as_str_list(entry.get("dependents", []), "dependents", raw)),
+    )
+
+
+def parse_subgoals(text: str, task_description: str = "") -> TaskGraph:
+    """Parse a decomposition reply, ``{"subgoals": [{id, description,
+    dependencies}]}``, into the graph of `task_description`.
+
+    A decomposition is a revision of the empty graph that adds every entry,
+    so :func:`~tdp.graph.apply_revision` builds it and holds it to the same
+    rules as every later revision; a refused graph is a parse fault that
+    names each violation.
+    """
+    entries = _require(extract_json(text), "subgoals", text)
     if not isinstance(entries, list):
         raise ParseFault("'subgoals' must be a list", raw_text=text)
-    if not entries:
-        raise ParseFault("empty decomposition: 'subgoals' has no entries", raw_text=text)
-    specs: list[SubgoalSpec] = []
-    seen: set[str] = set()
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ParseFault("each subgoal must be an object", raw_text=text)
-        sid = _require(entry, "id", text)
-        desc = _require(entry, "description", text)
-        if not isinstance(sid, str) or not sid.strip():
-            raise ParseFault(f"subgoal id must be a nonempty string, got {sid!r}", raw_text=text)
-        if not isinstance(desc, str) or not desc.strip():
-            raise ParseFault(f"subgoal {sid!r} has an empty description", raw_text=text)
-        if sid in seen:
-            raise ParseFault(f"duplicate subgoal id {sid!r}", raw_text=text)
-        seen.add(sid)
-        deps = _as_str_list(entry.get("dependencies", []), "dependencies", text)
-        specs.append(SubgoalSpec(id=sid, description=desc, dependencies=tuple(deps)))
-    ids = {s.id for s in specs}
-    for spec in specs:
-        for dep in spec.dependencies:
-            if dep not in ids:
-                raise ParseFault(
-                    f"subgoal {spec.id!r} references unknown dependency {dep!r}",
-                    raw_text=text,
-                )
-    return specs
+    delta = RevisionDelta(
+        need_update=True,
+        new_nodes=tuple(_node_entry(entry, text, id_required=True) for entry in entries),
+    )
+    result = apply_revision(TaskGraph(task_description=task_description), delta)
+    if not result.applied:
+        raise ParseFault("invalid decomposition: " + "; ".join(result.reasons), raw_text=text)
+    return result.graph
 
 
 @dataclass(frozen=True)
@@ -427,33 +430,15 @@ def parse_revision(text: str) -> RevisionDelta:
             raise ParseFault("description updates need string node_id/new_description", raw_text=text)
         updates.append((node_id, new_description))
 
-    new_nodes: list[NewNodeSpec] = []
-    for entry in _list_field(doc, "new_nodes", text):
-        if not isinstance(entry, Mapping):
-            raise ParseFault("each new node must be an object", raw_text=text)
-        raw_id = entry.get("id")
-        if raw_id is not None and (not isinstance(raw_id, str) or not raw_id.strip()):
-            raise ParseFault("new node 'id' must be a nonempty string when present", raw_text=text)
-        description = _require(entry, "description", text)
-        if not isinstance(description, str):
-            raise ParseFault("new node 'description' must be a string", raw_text=text)
-        deps = _as_str_list(entry.get("dependencies", []), "dependencies", text)
-        dependents = _as_str_list(entry.get("dependents", []), "dependents", text)
-        new_nodes.append(
-            NewNodeSpec(
-                id=raw_id,
-                description=description,
-                dependencies=tuple(deps),
-                dependents=tuple(dependents),
-            )
-        )
-
+    new_nodes = tuple(
+        _node_entry(entry, text, id_required=False) for entry in _list_field(doc, "new_nodes", text)
+    )
     remove_nodes = _as_str_list(_list_field(doc, "remove_nodes", text), "remove_nodes", text)
     return RevisionDelta(
         thought=thought,
         need_update=need_update,
         description_updates=tuple(updates),
-        new_nodes=tuple(new_nodes),
+        new_nodes=new_nodes,
         remove_nodes=tuple(remove_nodes),
     )
 

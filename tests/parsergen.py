@@ -13,8 +13,8 @@ import json
 import random
 from typing import Any, Callable
 
-from tdp.graph import NewNodeSpec, RevisionDelta
-from tdp.roles import Evaluation, Plan, PlanStep, SubgoalSpec, render_plan
+from tdp.graph import NewNodeSpec, RevisionDelta, SubTaskNode, TaskGraph
+from tdp.roles import Evaluation, Plan, PlanStep, render_plan
 
 _WORDS = (
     "survey", "the", "area", "collect", "figures", "verify", "totals", "draft",
@@ -42,11 +42,11 @@ def decorate_json(rng: random.Random, payload: str) -> str:
 # subgoals
 
 
-def gen_subgoals(rng: random.Random) -> tuple[str, list[SubgoalSpec]]:
+def gen_subgoals(rng: random.Random) -> tuple[str, TaskGraph]:
     n = rng.randint(1, 6)
     ids = [f"node_{i + 1}" for i in range(n)]
     entries = []
-    expected = []
+    expected = TaskGraph(task_description="")
     for i, sid in enumerate(ids):
         deps = [d for d in ids[:i] if rng.random() < 0.4]
         desc = _phrase(rng)
@@ -54,7 +54,7 @@ def gen_subgoals(rng: random.Random) -> tuple[str, list[SubgoalSpec]]:
         if deps or rng.random() < 0.5:
             entry["dependencies"] = deps
         entries.append(entry)
-        expected.append(SubgoalSpec(id=sid, description=desc, dependencies=tuple(deps)))
+        expected.nodes[sid] = SubTaskNode(id=sid, description=desc, dependencies=set(deps))
     text = decorate_json(rng, json.dumps({"subgoals": entries}))
     return text, expected
 

@@ -15,7 +15,15 @@ from parsergen import PARSER_CASES
 from scenarios import RecordingBackend
 from tdp.engine import Run, RunConfig
 from tdp.environments import load_task_instance, make_environment
-from tdp.graph import NewNodeSpec, RevisionDelta, delta_to_doc
+from tdp.graph import (
+    MAX_NODES,
+    NewNodeSpec,
+    RevisionDelta,
+    SubTaskNode,
+    TaskGraph,
+    apply_revision,
+    delta_to_doc,
+)
 from tdp.roles import (
     FORMAT_REMINDER,
     Completion,
@@ -30,7 +38,6 @@ from tdp.roles import (
     RoleFault,
     ScriptRule,
     ScriptedBackend,
-    SubgoalSpec,
     TEMPLATE_NAMES,
     TokenUsage,
     extract_action,
@@ -240,27 +247,59 @@ def test_extract_json_no_object_is_a_parse_fault():
 
 
 def test_parse_subgoals_rejections():
-    ok = parse_subgoals('{"subgoals": [{"id": "a", "description": "d"}]}')
-    assert ok == [SubgoalSpec(id="a", description="d", dependencies=())]
+    ok = parse_subgoals('{"subgoals": [{"id": "a", "description": "d"}]}', "task")
+    expected = TaskGraph(task_description="task")
+    expected.nodes["a"] = SubTaskNode(id="a", description="d")
+    assert ok == expected
 
     cases = [
-        ('{"subgoals": []}', "empty decomposition"),
+        ('{"subgoals": []}', "invalid decomposition: empty: graph has no nodes"),
         ('{"subgoals": "x"}', "must be a list"),
         ('{"noise": 1}', "missing required field 'subgoals'"),
         ('{"subgoals": [{"description": "d"}]}', "missing required field 'id'"),
-        ('{"subgoals": [{"id": "a", "description": " "}]}', "empty description"),
+        (
+            '{"subgoals": [{"id": "a", "description": " "}]}',
+            "invalid decomposition: description: node 'a' has an empty description",
+        ),
         (
             '{"subgoals": [{"id": "a", "description": "d"}, {"id": "a", "description": "e"}]}',
-            "duplicate subgoal id 'a'",
+            "invalid decomposition: add: id 'a' already exists",
         ),
         (
             '{"subgoals": [{"id": "a", "description": "d", "dependencies": ["zz"]}]}',
-            "unknown dependency 'zz'",
+            "invalid decomposition: dangling: node 'a' depends on unknown 'zz'",
         ),
     ]
     for text, frag in cases:
-        with pytest.raises(ParseFault, match=frag):
+        with pytest.raises(ParseFault, match=re.escape(frag)):
             parse_subgoals(text)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [("a", "d", []), ("b", "e", ["ghost"])],
+        [("a", "d", ["b"]), ("b", "e", ["a"]), ("c", "f", ["a"])],
+        [("a", "d", []), ("b", "  ", ["a"])],
+        [(f"n{i}", "d", []) for i in range(MAX_NODES + 1)],
+    ],
+    ids=["dangling", "cycle", "empty_description", "over_cap"],
+)
+def test_a_decomposition_is_refused_for_the_reasons_of_a_revision(specs):
+    """A decomposition is a revision of the empty graph: its fault names
+    exactly the reasons apply_revision gives for the same nodes."""
+    new_nodes = tuple(
+        NewNodeSpec(id=nid, description=desc, dependencies=tuple(deps))
+        for nid, desc, deps in specs
+    )
+    delta = RevisionDelta(need_update=True, new_nodes=new_nodes)
+    result = apply_revision(TaskGraph(task_description="t"), delta)
+    assert result.status == "rejected" and result.reasons
+    reply = json.dumps({"subgoals": [
+        {"id": nid, "description": desc, "dependencies": deps} for nid, desc, deps in specs]})
+    with pytest.raises(ParseFault) as caught:
+        parse_subgoals(reply, "t")
+    assert str(caught.value) == "invalid decomposition: " + "; ".join(result.reasons)
 
 
 def test_parse_plan_contiguity_and_steps():
