@@ -7,7 +7,9 @@ graph.  The environment-interaction budget is enforced *before* every
 interaction, so a run never exceeds it.  No role is called once its answer
 can no longer change the run's outcome: nothing after the step that ends the
 episode, and no replan once the step budget is spent, since a new plan could
-never run.  tdp and every baseline keep this rule.
+never run.  tdp and every baseline keep this rule; under tdp, the node whose
+step ended the episode is closed Completed, so the run's node records show
+which node delivered.
 
 Context discipline is the load-bearing property: a node's plan, execute,
 evaluate and replan prompts render from one view, :func:`node_bindings`: that
@@ -560,11 +562,12 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     evaluation -> optional node-local replan.  Replacing the plan never
     touches any other node.  The outcome a closed node hands its dependents
     reads only the entries made since its last accepted replan.  A role fault
-    marks the node Failed.  Returning with the node still InProgress means the
-    step budget is spent or the episode already ended; ``run_task`` settles
-    the run outcome.  So the step that ends the episode is not evaluated, and
-    after the step that spends the budget the evaluator is still asked (its
-    ``completed`` verdict may close the last sink) but the replanner is not.
+    marks the node Failed.  The step that ends the episode closes the node
+    Completed without an evaluation, since no verdict could change the run.
+    Returning with the node still InProgress means the step budget is spent;
+    ``run_task`` settles the run outcome.  After the step that spends the
+    budget the evaluator is still asked (its ``completed`` verdict may close
+    the last sink) but the replanner is not.
     """
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
@@ -603,7 +606,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
         entry = run.act(action, scope=node_id)
         node.local_trace.append(entry)
         if run.env.done:
-            return node.status
+            return close(NodeStatus.COMPLETED, None)
 
         view = node_bindings(graph, node_id, commands)
         try:

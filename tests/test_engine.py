@@ -570,8 +570,11 @@ class TestExecuteNode:
         run = _lab_run(config, StepCounter(limit=5), instance=instance)
         status = execute_node(graph, "node_1", run)
         assert run.env.done
-        assert status is NodeStatus.IN_PROGRESS
-        assert len(graph.nodes["node_1"].local_trace) == 1
+        assert status is NodeStatus.COMPLETED  # it delivered, with no verdict asked
+        node = graph.nodes["node_1"]
+        assert len(node.local_trace) == 1
+        assert node.outcome is not None and node.outcome.key_observations == (
+            node.local_trace[0].observation,)
         assert config.role_backends["supervisor"].calls == []  # no verdict can change it
 
     def test_no_replan_after_the_step_that_spends_the_budget(self):
