@@ -16,7 +16,7 @@ import json
 import string
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -265,22 +265,7 @@ class MetricsRecord:
     terminal: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "method": self.method,
-            "delivery": self.delivery,
-            "accuracy": self.accuracy,
-            "delivered_accuracy": self.delivered_accuracy,
-            "avg_reward": self.avg_reward,
-            "avg_prompt_tokens": self.avg_prompt_tokens,
-            "avg_output_tokens": self.avg_output_tokens,
-            "replans_total": self.replans_total,
-            "nodes_touched_per_replan": self.nodes_touched_per_replan,
-            "constraint_micro": self.constraint_micro,
-            "constraint_macro": self.constraint_macro,
-            "steps_used": self.steps_used,
-            "terminal": self.terminal,
-        }
+        return asdict(self)
 
 
 def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int]]:
@@ -410,7 +395,7 @@ class MethodSummary:
     token_reduction_vs_reference: float | None
 
     def to_dict(self) -> dict[str, Any]:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -425,102 +410,79 @@ class ComparisonReport:
         }
 
     def format_table(self) -> str:
-        headers = [
-            "method",
-            "runs",
-            "delivery",
-            "accuracy",
-            "deliv_acc",
-            "reward",
-            "prompt_tokens",
-            "out_tokens",
-            "total_tokens",
-            "replans",
-            "avg_score",
-            "tok_reduction",
-        ]
-
-        def fmt(value: Any, percent: bool = False) -> str:
+        def fmt(value: Any, percent: bool) -> str:
             if value is None:
                 return "-"
             if isinstance(value, float):
                 return f"{value * 100:.1f}%" if percent else f"{value:.2f}"
             return str(value)
 
-        rows = [headers]
+        rows = [[header for header, _, _ in _COLUMNS]]
         for m in self.methods:
-            rows.append(
-                [
-                    m.method + (" (ref)" if m.method == self.reference else ""),
-                    str(m.runs),
-                    fmt(m.delivery_rate, percent=True),
-                    fmt(m.accuracy_rate, percent=True),
-                    fmt(m.delivered_accuracy_rate, percent=True),
-                    fmt(m.avg_reward),
-                    fmt(m.avg_prompt_tokens),
-                    fmt(m.avg_output_tokens),
-                    fmt(m.avg_total_tokens),
-                    fmt(m.replans_mean),
-                    fmt(m.avg_score, percent=True),
-                    fmt(m.token_reduction_vs_reference, percent=True),
-                ]
-            )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
+            row = [fmt(getattr(m, name), percent) for _, name, percent in _COLUMNS]
+            row[0] += " (ref)" if m.method == self.reference else ""
+            rows.append(row)
+        widths = [max(len(row[i]) for row in rows) for i in range(len(_COLUMNS))]
         lines = []
         for r, row in enumerate(rows):
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
             if r == 0:
-                lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
+                lines.append("  ".join("-" * width for width in widths))
         return "\n".join(lines)
 
 
+#: The comparison table's columns: header, :class:`MethodSummary` field, and
+#: whether the value is shown as a percentage.
+_COLUMNS = (
+    ("method", "method", False),
+    ("runs", "runs", False),
+    ("delivery", "delivery_rate", True),
+    ("accuracy", "accuracy_rate", True),
+    ("deliv_acc", "delivered_accuracy_rate", True),
+    ("reward", "avg_reward", False),
+    ("prompt_tokens", "avg_prompt_tokens", False),
+    ("out_tokens", "avg_output_tokens", False),
+    ("total_tokens", "avg_total_tokens", False),
+    ("replans", "replans_mean", False),
+    ("avg_score", "avg_score", True),
+    ("tok_reduction", "token_reduction_vs_reference", True),
+)
+
+#: Each averaged :class:`MethodSummary` field and the :class:`MetricsRecord`
+#: field it is the mean of, over the runs where that is defined.
+_AVERAGED = {
+    "delivery_rate": "delivery",
+    "accuracy_rate": "accuracy",
+    "delivered_accuracy_rate": "delivered_accuracy",
+    "avg_reward": "avg_reward",
+    "avg_prompt_tokens": "avg_prompt_tokens",
+    "avg_output_tokens": "avg_output_tokens",
+    "replans_mean": "replans_total",
+    "nodes_touched_mean": "nodes_touched_per_replan",
+    "constraint_micro": "constraint_micro",
+    "constraint_macro_rate": "constraint_macro",
+}
+#: The fraction-valued summary fields whose defined values ``avg_score`` averages.
+_SCORED = (
+    "delivery_rate",
+    "accuracy_rate",
+    "delivered_accuracy_rate",
+    "avg_reward",
+    "constraint_micro",
+    "constraint_macro_rate",
+)
+
+
 def _summarize(method: str, records: Sequence[MetricsRecord]) -> dict[str, Any]:
-    delivery_rate = _mean(float(r.delivery) for r in records) or 0.0
-    accuracy_rate = _mean(float(r.accuracy) for r in records if r.accuracy is not None)
-    delivered_accuracy_rate = _mean(
-        float(r.delivered_accuracy) for r in records if r.delivered_accuracy is not None
-    )
-    avg_reward = _mean(r.avg_reward for r in records if r.avg_reward is not None)
-    avg_prompt_tokens = _mean(r.avg_prompt_tokens for r in records) or 0.0
-    avg_output_tokens = _mean(r.avg_output_tokens for r in records) or 0.0
-    replans_mean = _mean(float(r.replans_total) for r in records) or 0.0
-    nodes_touched_mean = _mean(
-        r.nodes_touched_per_replan for r in records if r.nodes_touched_per_replan is not None
-    )
-    constraint_micro = _mean(
-        r.constraint_micro for r in records if r.constraint_micro is not None
-    )
-    constraint_macro_rate = _mean(
-        float(r.constraint_macro) for r in records if r.constraint_macro is not None
-    )
-    score_parts = [
-        v
-        for v in (
-            delivery_rate,
-            accuracy_rate,
-            delivered_accuracy_rate,
-            avg_reward,
-            constraint_micro,
-            constraint_macro_rate,
+    summary: dict[str, Any] = {
+        name: _mean(
+            float(value) for r in records if (value := getattr(r, source)) is not None
         )
-        if v is not None
-    ]
-    return {
-        "method": method,
-        "runs": len(records),
-        "delivery_rate": delivery_rate,
-        "accuracy_rate": accuracy_rate,
-        "delivered_accuracy_rate": delivered_accuracy_rate,
-        "avg_reward": avg_reward,
-        "avg_prompt_tokens": avg_prompt_tokens,
-        "avg_output_tokens": avg_output_tokens,
-        "avg_total_tokens": avg_prompt_tokens + avg_output_tokens,
-        "replans_mean": replans_mean,
-        "nodes_touched_mean": nodes_touched_mean,
-        "constraint_micro": constraint_micro,
-        "constraint_macro_rate": constraint_macro_rate,
-        "avg_score": _mean(score_parts),
+        for name, source in _AVERAGED.items()
     }
+    summary["avg_total_tokens"] = summary["avg_prompt_tokens"] + summary["avg_output_tokens"]
+    summary["avg_score"] = _mean(v for n in _SCORED if (v := summary[n]) is not None)
+    return {"method": method, "runs": len(records), **summary}
 
 
 def compare_report(
