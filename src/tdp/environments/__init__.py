@@ -8,7 +8,6 @@ from pathlib import Path
 from .base import (
     Environment,
     EnvironmentClosedError,
-    EnvironmentError_,
     FixtureError,
     StepResult,
     TaskInstance,
@@ -72,7 +71,6 @@ def load_task_instance(path: str | Path) -> TaskInstance:
 
 __all__ = [
     "Environment",
-    "EnvironmentError_",
     "EnvironmentClosedError",
     "FixtureError",
     "StepResult",

@@ -10,15 +10,11 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 
-class EnvironmentError_(ValueError):
-    """Base class for environment failures (underscored: the builtin shadows us)."""
-
-
-class EnvironmentClosedError(EnvironmentError_):
+class EnvironmentClosedError(ValueError):
     """step() called after the episode finished."""
 
 
-class FixtureError(EnvironmentError_):
+class FixtureError(ValueError):
     """A task fixture that fails its consistency checks."""
 
 

@@ -84,9 +84,6 @@ class TokenUsage:
             output_tokens=self.output_tokens + other.output_tokens,
         )
 
-    def to_dict(self) -> dict[str, int]:
-        return {"prompt_tokens": self.prompt_tokens, "output_tokens": self.output_tokens}
-
 
 @dataclass(frozen=True)
 class Completion:

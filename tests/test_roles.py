@@ -594,7 +594,7 @@ def test_call_role_success_reports_usage_and_attempts():
     assert event["attempts"] == 1 and event["ok"] is True
     assert (event["prompt_tokens"], event["output_tokens"]) == (2, 2)  # whitespace tokens
     assert role_tokens(run.sink.events_for("r")) == {
-        "supervisor": TokenUsage(prompt_tokens=2, output_tokens=2).to_dict()}
+        "supervisor": {"prompt_tokens": 2, "output_tokens": 2}}
 
 
 def test_call_role_retries_with_cumulative_reminders():
@@ -621,7 +621,8 @@ def test_call_role_retries_with_cumulative_reminders():
         total = total + u
     assert (event["prompt_tokens"], event["output_tokens"]) == (
         total.prompt_tokens, total.output_tokens)
-    assert role_tokens(run.sink.events_for("r"))["supervisor"] == total.to_dict()
+    assert role_tokens(run.sink.events_for("r"))["supervisor"] == {
+        "prompt_tokens": total.prompt_tokens, "output_tokens": total.output_tokens}
 
 
 def test_call_role_exhaustion_carries_usage_and_raw_text():
