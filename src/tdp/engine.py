@@ -670,9 +670,9 @@ def run_task(run: Run) -> tuple[str, str]:
     counted.  So the supervisor can edit only the nodes it sees;
     :func:`apply_revision` rejects any other id.
 
-    :func:`~tdp.graph.validate_graph` caps a graph at
-    :data:`~tdp.graph.MAX_NODES` nodes, so a larger decomposition is a retried
-    parse fault and a revision that would grow past the cap is rejected.  That bounds the model attempts
+    :func:`validate_graph` caps a graph at :data:`~tdp.graph.MAX_NODES`
+    nodes, so a larger decomposition is a retried parse fault and a revision
+    that would grow past the cap is rejected.  That bounds the model attempts
     of a run.  A round dispatches at most ``MAX_NODES`` ready nodes, each
     costing one planner call plus at most one executor call that faults
     before acting, and ends with one revise call.  Every environment step

@@ -338,10 +338,10 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
 
     Either every edit in the delta lands and the result validates, or the
     original graph object is returned untouched with the rejection reasons.
-    Terminal nodes may be removed but never rewritten or resurrected.  This is
-    the one place a graph is built or changed: a decomposition is a revision
+    Terminal nodes may be removed but never rewritten or resurrected.  Every
+    graph the supervisor proposes is built here: a decomposition is a revision
     of the empty graph (:func:`~tdp.roles.parse_subgoals`).  The edits check
-    only what they refer to; every structural rule of the result is
+    only the ids they name; every structural rule of the result is
     :func:`validate_graph`'s.
     """
     if not delta.need_update:
