@@ -11,7 +11,7 @@ on every run.
 from pathlib import Path
 
 from tdp.cli import load_config
-from tdp.engine import run_task
+from tdp.engine import replay_graph, run_task
 from tdp.environments import load_task_instance, make_environment
 from tdp.telemetry import TraceSink, compute_metrics
 
@@ -27,11 +27,13 @@ def main() -> None:
     report = run_task(instance, make_environment(instance.environment), config, sink=sink)
     events = sink.events_for(report.run_id)
 
-    constructed = next(e for e in events if e.kind == "graph_constructed")
+    # the graph as the trace records it right after the decomposition
+    constructed = next(i for i, e in enumerate(events) if e.kind == "graph_constructed")
+    graph = replay_graph(instance.query, events[: constructed + 1])
     print("decomposition:")
-    for node in constructed.payload["graph"]["subgoals"]:
-        deps = ", ".join(node["dependencies"]) or "none"
-        print(f"  {node['id']}: {node['description']}  (needs: {deps})")
+    for nid, node in sorted(graph.nodes.items()):
+        deps = ", ".join(sorted(node.dependencies)) or "none"
+        print(f"  {nid}: {node.description}  (needs: {deps})")
 
     print("\nexecution:")
     for event in events:

@@ -33,9 +33,10 @@ report, whose ``role_tokens`` is a fold over the run's ``role_call`` events.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .environments import Environment, TaskInstance
 from .graph import (
@@ -49,7 +50,6 @@ from .graph import (
     apply_revision,
     build_node_context,
     delta_to_doc,
-    graph_to_doc,
     ready_nodes,
     render_dag_state,
 )
@@ -70,7 +70,7 @@ from .roles import (
     render_plan,
     render_prompt,
 )
-from .telemetry import CounterClock, TraceEvent, TraceSink, role_tokens
+from .telemetry import CounterClock, TraceError, TraceEvent, TraceSink, role_tokens
 
 __all__ = [
     "EngineError",
@@ -89,6 +89,7 @@ __all__ = [
     "execute_node",
     "task_done",
     "run_task",
+    "replay_graph",
 ]
 
 NO_ACTIONS_YET = "(no actions yet)"
@@ -521,8 +522,9 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., R
 # construction
 
 
-def construct(task: str, run: Run) -> TaskGraph:
-    """Ask the supervisor for a decomposition of `task` and read it into a graph.
+def construct(task: str, run: Run) -> tuple[TaskGraph, RevisionDelta]:
+    """Ask the supervisor for a decomposition of `task`; return its graph and
+    the delta that built it.
 
     :func:`~tdp.roles.parse_subgoals` reads the reply as a revision of the
     empty graph, so the decomposition is held to the rules of every revision.
@@ -686,21 +688,20 @@ def run_task(run: Run) -> tuple[str, str]:
 
     model attempts.
 
-    The trace records the graph once, in ``graph_constructed``.  Each
-    ``revision`` event carries its ``status`` and ``reasons`` plus, unless it
-    is a noop, the parsed delta in the schema of the supervisor's revise reply
-    (:func:`~tdp.graph.delta_to_doc`).  A revise call that faulted is a noop
-    whose event also carries the fault's message as ``error``.  Because
-    :func:`apply_revision` assigns ids deterministically, the graph's ids,
-    descriptions and dependencies at any revision are rebuilt by starting from
-    ``graph_from_doc(graph_constructed)`` and applying each applied event's
-    ``parse_revision(json.dumps(delta))`` in order.
+    The trace records every graph edit as a delta in the schema of the
+    supervisor's revise reply (:func:`~tdp.graph.delta_to_doc`):
+    ``graph_constructed`` carries the decomposition's, and each ``revision``
+    event its ``status`` and ``reasons`` plus, unless it is a noop, its own.
+    A revise call that faulted is a noop whose event also carries the fault's
+    message as ``error``.  :func:`replay_graph` folds these deltas back into
+    the graph's ids, descriptions and dependencies at any event.
     """
     try:
-        graph = run.graph = construct(run.instance.query, run)
+        graph, decomposition = construct(run.instance.query, run)
     except RoleFault as fault:
         return "Terminated", f"construction fault: {fault}"
-    run.emit("graph_constructed", graph=graph_to_doc(graph))
+    run.graph = graph
+    run.emit("graph_constructed", delta=delta_to_doc(decomposition))
 
     idle_rounds = 0
     while (end := run.stop()) is None:
@@ -745,3 +746,34 @@ def run_task(run: Run) -> tuple[str, str]:
         if idle_rounds >= STALL_ROUNDS:
             return "Terminated", f"stall: {STALL_ROUNDS} rounds without an environment step"
     return end
+
+
+def replay_graph(query: str, events: Iterable[TraceEvent]) -> TaskGraph:
+    """Rebuild the ids, descriptions and dependencies of a tdp run's graph,
+    as they stood after the last of `events`, from the trace alone.
+
+    Starts from the empty graph of `query` and applies the delta of
+    ``graph_constructed`` and then of each applied ``revision``, in order,
+    each read back through :func:`~tdp.roles.parse_revision` since a trace is
+    outside input.  Statuses are the ``node_status`` events'.  Raises
+    :class:`~tdp.telemetry.TraceError` on a delta that is missing (version-1
+    traces recorded a snapshot), unreadable or refused.
+    """
+    graph = TaskGraph(task_description=query)
+    for event in events:
+        applied = event.kind == "revision" and event.payload.get("status") == "applied"
+        if not (applied or event.kind == "graph_constructed"):
+            continue
+        where = f"{event.kind} event {event.seq} of run {event.run_id!r}"
+        doc = event.payload.get("delta")
+        if not isinstance(doc, dict):
+            raise TraceError(f"{where} carries no delta; a version-1 trace cannot be replayed")
+        try:
+            delta = parse_revision(json.dumps(doc))
+        except ParseFault as fault:
+            raise TraceError(f"{where}: unreadable delta: {fault}") from None
+        result = apply_revision(graph, delta)
+        if not result.applied:
+            raise TraceError(f"{where}: delta does not apply: {'; '.join(result.reasons)}")
+        graph = result.graph
+    return graph

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 NodeId = str
 
@@ -98,21 +98,6 @@ class OutcomeSummary:
             )
         if self.terminal_status is NodeStatus.COMPLETED and not self.summary_text.strip():
             raise GraphError("completed outcome requires nonempty summary_text")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "terminal_status": self.terminal_status.value,
-            "summary_text": self.summary_text,
-            "key_observations": list(self.key_observations),
-        }
-
-    @staticmethod
-    def from_dict(doc: Mapping[str, Any]) -> "OutcomeSummary":
-        return OutcomeSummary(
-            terminal_status=NodeStatus(doc["terminal_status"]),
-            summary_text=str(doc["summary_text"]),
-            key_observations=tuple(str(o) for o in doc.get("key_observations", [])),
-        )
 
 
 @dataclass
@@ -461,28 +446,6 @@ def render_dag_state(graph: TaskGraph) -> str:
     return "\n".join(lines)
 
 
-def graph_to_doc(graph: TaskGraph) -> dict[str, Any]:
-    """JSON-ready document; mirrors the construction schema plus status fields."""
-    subgoals = []
-    for nid in graph.sorted_ids():
-        node = graph.nodes[nid]
-        subgoals.append(
-            {
-                "id": nid,
-                "description": node.description,
-                "dependencies": sorted(node.dependencies),
-                "status": node.status.value,
-                "outcome": node.outcome.to_dict() if node.outcome else None,
-                "replan_count": node.replan_count,
-            }
-        )
-    return {
-        "version": 1,
-        "task_description": graph.task_description,
-        "subgoals": subgoals,
-    }
-
-
 def delta_to_doc(delta: RevisionDelta) -> dict[str, Any]:
     """JSON-ready document in the schema of the supervisor's revise reply, so
     :func:`~tdp.roles.parse_revision` reads it back to an equal delta."""
@@ -506,31 +469,6 @@ def delta_to_doc(delta: RevisionDelta) -> dict[str, Any]:
     }
 
 
-def graph_from_doc(doc: Mapping[str, Any]) -> TaskGraph:
-    """Inverse of :func:`graph_to_doc`; strict about shape, silent on extras."""
-    if not isinstance(doc, Mapping):
-        raise GraphError("graph document must be an object")
-    entries = doc.get("subgoals")
-    if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-        raise GraphError("graph document missing 'subgoals' list")
-    graph = TaskGraph(task_description=str(doc.get("task_description", "")))
-    for entry in entries:
-        nid = str(entry["id"])
-        if nid in graph.nodes:
-            raise GraphError(f"duplicate node id {nid!r} in document")
-        outcome_doc = entry.get("outcome")
-        node = SubTaskNode(
-            id=nid,
-            description=str(entry["description"]),
-            dependencies={str(d) for d in entry.get("dependencies", [])},
-            status=NodeStatus(entry.get("status", "pending")),
-            outcome=OutcomeSummary.from_dict(outcome_doc) if outcome_doc else None,
-            replan_count=int(entry.get("replan_count", 0)),
-        )
-        graph.nodes[nid] = node
-    return graph
-
-
 __all__ = [
     "NodeId",
     "MAX_NODES",
@@ -552,7 +490,5 @@ __all__ = [
     "apply_revision",
     "next_generated_id",
     "render_dag_state",
-    "graph_to_doc",
     "delta_to_doc",
-    "graph_from_doc",
 ]

@@ -255,14 +255,16 @@ def _node_entry(entry: Any, raw: str, *, id_required: bool) -> NewNodeSpec:
     )
 
 
-def parse_subgoals(text: str, task_description: str = "") -> TaskGraph:
+def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, RevisionDelta]:
     """Parse a decomposition reply, ``{"subgoals": [{id, description,
-    dependencies}]}``, into the graph of `task_description`.
+    dependencies}]}``, into the graph of `task_description` and the delta
+    that built it.
 
     A decomposition is a revision of the empty graph that adds every entry,
     so :func:`~tdp.graph.apply_revision` builds it and holds it to the same
     rules as every later revision; a refused graph is a parse fault that
-    names each violation.
+    names each violation.  The trace records the delta, so replaying it
+    rebuilds the graph (:func:`~tdp.engine.replay_graph`).
     """
     entries = _require(extract_json(text), "subgoals", text)
     if not isinstance(entries, list):
@@ -274,7 +276,7 @@ def parse_subgoals(text: str, task_description: str = "") -> TaskGraph:
     result = apply_revision(TaskGraph(task_description=task_description), delta)
     if not result.applied:
         raise ParseFault("invalid decomposition: " + "; ".join(result.reasons), raw_text=text)
-    return result.graph
+    return result.graph, delta
 
 
 @dataclass(frozen=True)

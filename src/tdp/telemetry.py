@@ -37,7 +37,9 @@ __all__ = [
     "compare_report",
 ]
 
-TRACE_VERSION = 1
+#: Version 2 records the decomposition in ``graph_constructed`` as a delta;
+#: version 1, still read, recorded it as a graph snapshot.
+TRACE_VERSION = 2
 
 EVENT_KINDS = frozenset(
     {
@@ -170,7 +172,8 @@ class TraceSink:
 def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceEvent]]:
     """Load a trace file back into (headers by run_id, events in file order).
 
-    Re-validates version, event kinds, and per-run sequence contiguity.
+    Re-validates version (1 or 2), event kinds, one header per run, and
+    per-run sequence contiguity.
     """
     headers: dict[str, dict[str, Any]] = {}
     events: list[TraceEvent] = []
@@ -187,7 +190,7 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
             if not isinstance(doc, dict):
                 raise TraceError(f"{path}:{line_no}: not a JSON object")
             if doc.get("kind") == "header":
-                if doc.get("version") != TRACE_VERSION:
+                if doc.get("version") not in (1, TRACE_VERSION):
                     raise TraceError(
                         f"{path}:{line_no}: unsupported trace version {doc.get('version')!r}"
                     )
@@ -197,6 +200,8 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                     raise TraceError(f"{path}:{line_no}: header 'run_id' is not a string")
                 if not isinstance(doc.get("meta", {}), dict):
                     raise TraceError(f"{path}:{line_no}: header 'meta' is not an object")
+                if doc["run_id"] in headers:
+                    raise TraceError(f"{path}:{line_no}: second header for run {doc['run_id']!r}")
                 headers[doc["run_id"]] = doc
                 last_seq[doc["run_id"]] = -1
                 continue
@@ -247,7 +252,8 @@ def normalize_answer(text: str) -> str:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Per-run metrics; ``None`` marks a metric that is undefined for the run."""
+    """Per-run metrics; ``None`` marks a metric that is undefined for the run,
+    as the tokens of a run with a model call that ended on a backend error."""
 
     run_id: str
     method: str
@@ -255,8 +261,8 @@ class MetricsRecord:
     accuracy: bool | None
     delivered_accuracy: bool | None
     avg_reward: float | None
-    avg_prompt_tokens: float  # for one run: its total prompt tokens
-    avg_output_tokens: float  # for one run: its total output tokens
+    avg_prompt_tokens: float | None  # for one run: its total prompt tokens
+    avg_output_tokens: float | None  # for one run: its total output tokens
     replans_total: int
     nodes_touched_per_replan: float | None
     constraint_micro: float | None = None
@@ -323,9 +329,11 @@ def compute_metrics(
         )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
+    # a backend error's usage is not known, so neither is the run's
+    known = not any(e.kind == "role_call" and "error" in e.payload for e in events)
     tokens = role_tokens(events).values()
-    prompt_tokens = sum(role["prompt_tokens"] for role in tokens)
-    output_tokens = sum(role["output_tokens"] for role in tokens)
+    prompt_tokens = float(sum(role["prompt_tokens"] for role in tokens)) if known else None
+    output_tokens = float(sum(role["output_tokens"] for role in tokens)) if known else None
 
     accepted_replans = [
         e for e in events if e.kind == "replan" and e.payload.get("accepted", False)
@@ -354,8 +362,8 @@ def compute_metrics(
         accuracy=accuracy,
         delivered_accuracy=delivered_accuracy,
         avg_reward=env_metrics.get("reward"),
-        avg_prompt_tokens=float(prompt_tokens),
-        avg_output_tokens=float(output_tokens),
+        avg_prompt_tokens=prompt_tokens,
+        avg_output_tokens=output_tokens,
         replans_total=len(accepted_replans),
         nodes_touched_per_replan=nodes_touched,
         constraint_micro=constraint_micro,
@@ -384,9 +392,9 @@ class MethodSummary:
     accuracy_rate: float | None
     delivered_accuracy_rate: float | None
     avg_reward: float | None
-    avg_prompt_tokens: float
-    avg_output_tokens: float
-    avg_total_tokens: float
+    avg_prompt_tokens: float | None
+    avg_output_tokens: float | None
+    avg_total_tokens: float | None
     replans_mean: float
     nodes_touched_mean: float | None
     constraint_micro: float | None
@@ -480,7 +488,8 @@ def _summarize(method: str, records: Sequence[MetricsRecord]) -> dict[str, Any]:
         )
         for name, source in _AVERAGED.items()
     }
-    summary["avg_total_tokens"] = summary["avg_prompt_tokens"] + summary["avg_output_tokens"]
+    prompt, output = summary["avg_prompt_tokens"], summary["avg_output_tokens"]
+    summary["avg_total_tokens"] = None if prompt is None else prompt + output
     summary["avg_score"] = _mean(v for n in _SCORED if (v := summary[n]) is not None)
     return {"method": method, "runs": len(records), **summary}
 
@@ -491,7 +500,9 @@ def compare_report(
     """Aggregate per-method batches and compute token reduction vs the reference.
 
     reduction = 1 - tokens(method) / tokens(reference), on the mean total of
-    prompt and output tokens per run; e.g. 250 vs 1000 -> 75%.
+    prompt and output tokens per run; e.g. 250 vs 1000 -> 75%.  The means
+    leave out runs whose tokens are undefined, and a method none of whose runs
+    has defined tokens gets no token mean and no reduction.
     """
     if not batches:
         raise TraceError("compare_report needs at least one method batch")
@@ -508,7 +519,8 @@ def compare_report(
     for method in sorted(summaries):
         summary = summaries[method]
         reduction = None
-        if method != reference and ref_tokens > 0:
-            reduction = 1.0 - summary["avg_total_tokens"] / ref_tokens
+        tokens = summary["avg_total_tokens"]
+        if method != reference and ref_tokens and tokens is not None:
+            reduction = 1.0 - tokens / ref_tokens
         methods.append(MethodSummary(token_reduction_vs_reference=reduction, **summary))
     return ComparisonReport(reference=reference, methods=tuple(methods))

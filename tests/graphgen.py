@@ -10,6 +10,7 @@ atomicity contract at every step.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from typing import Iterator, Sequence
@@ -22,7 +23,6 @@ from tdp.graph import (
     SubTaskNode,
     TaskGraph,
     apply_revision,
-    graph_to_doc,
     validate_graph,
 )
 
@@ -212,7 +212,7 @@ def run_revision_sequence(rng: random.Random, length: int = 10) -> int:
     graph = random_valid_graph(rng)
     applied = 0
     for serial in range(length):
-        before_doc = graph_to_doc(graph)
+        before = copy.deepcopy(graph)
         before_terminal = {
             nid: (node.status, node.description, node.replan_count)
             for nid, node in graph.nodes.items()
@@ -233,12 +233,12 @@ def run_revision_sequence(rng: random.Random, length: int = 10) -> int:
                     assert survivor.replan_count == replans
                     assert survivor.outcome is not None
             # the input graph object itself must not have been mutated
-            assert graph_to_doc(graph) == before_doc
+            assert graph == before
             graph = result.graph
         else:
             assert result.status in ("noop", "rejected")
             assert result.graph is graph
-            assert graph_to_doc(graph) == before_doc
+            assert graph == before
             if result.status == "rejected":
                 assert result.reasons, "rejections must carry reasons"
     return applied

@@ -42,10 +42,11 @@ def decorate_json(rng: random.Random, payload: str) -> str:
 # subgoals
 
 
-def gen_subgoals(rng: random.Random) -> tuple[str, TaskGraph]:
+def gen_subgoals(rng: random.Random) -> tuple[str, tuple[TaskGraph, RevisionDelta]]:
     n = rng.randint(1, 6)
     ids = [f"node_{i + 1}" for i in range(n)]
     entries = []
+    specs = []
     expected = TaskGraph(task_description="")
     for i, sid in enumerate(ids):
         deps = [d for d in ids[:i] if rng.random() < 0.4]
@@ -55,8 +56,9 @@ def gen_subgoals(rng: random.Random) -> tuple[str, TaskGraph]:
             entry["dependencies"] = deps
         entries.append(entry)
         expected.nodes[sid] = SubTaskNode(id=sid, description=desc, dependencies=set(deps))
+        specs.append(NewNodeSpec(id=sid, description=desc, dependencies=tuple(deps)))
     text = decorate_json(rng, json.dumps({"subgoals": entries}))
-    return text, expected
+    return text, (expected, RevisionDelta(need_update=True, new_nodes=tuple(specs)))
 
 
 def corrupt_subgoals(rng: random.Random) -> str:

@@ -116,7 +116,7 @@ def project(event: TraceEvent) -> tuple[Any, ...]:
     if event.kind == "role_call":
         return (event.kind, p["role"], p["template"], p["scope"], p["ok"])
     if event.kind == "graph_constructed":
-        return (event.kind, tuple(s["id"] for s in p["graph"]["subgoals"]))
+        return (event.kind, tuple(n["id"] for n in p["delta"]["new_nodes"]))
     if event.kind == "node_dispatched":
         return (event.kind, p["node_id"])
     if event.kind == "node_status":

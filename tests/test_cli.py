@@ -624,6 +624,24 @@ def test_token_columns_are_the_role_call_sums_for_every_method(tmp_path, capsys)
         assert row["tok_reduction"] == ("-" if method == "plan-act" else f"{reduction:.1%}")
 
 
+def test_a_run_ended_by_a_backend_error_reads_as_no_token_count(tmp_path, capsys):
+    """The travel scripts have rules for tdp only, so the other methods' runs
+    end on a backend error before any usage is known: report shows no tokens
+    and no reduction for them, not 0 tokens and a 100% reduction."""
+    dispatch(["compare", "--methods", "tdp,react,cot,plan-act",
+              "--tasks", str(FIXTURE_DIR / "travel"), "--config", TRAVEL_CONFIG,
+              "--trace-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert dispatch(["report", "--traces", str(tmp_path / "*.jsonl"),
+                     "--reference", "tdp"]) == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert sorted(rows) == ["cot", "plan-act", "react", "tdp"]
+    token_columns = ("prompt_tokens", "out_tokens", "total_tokens", "tok_reduction")
+    for method in ("cot", "plan-act", "react"):
+        assert [rows[method][column] for column in token_columns] == ["-"] * 4, method
+    assert float(rows["tdp"]["prompt_tokens"]) > 0
+
+
 # -- the installed entry point ----------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from tdp.engine import (
     execute_node,
     render_context_history,
     render_outcomes,
+    replay_graph,
     run_task,
     task_done,
 )
@@ -33,11 +34,12 @@ from tdp.graph import (
     NodeScopedContext,
     NodeStatus,
     OutcomeSummary,
+    RevisionDelta,
     SubTaskNode,
     TaskGraph,
     TraceEntry,
     apply_revision,
-    graph_from_doc,
+    delta_to_doc,
 )
 from tdp.roles import (
     FORMAT_REMINDER,
@@ -46,9 +48,8 @@ from tdp.roles import (
     RoleFault,
     ScriptedBackend,
     load_templates,
-    parse_revision,
 )
-from tdp.telemetry import CounterClock, TraceSink, read_trace
+from tdp.telemetry import CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, WIKI_FIXTURES
 from scenarios import (
@@ -256,10 +257,12 @@ class TestConstruct:
             rule("supervisor:construct", [], reply)])})
         sink = TraceSink(clock=CounterClock())
         run = _lab_run(config, sink=sink)
-        graph = construct("Survey.", run)
+        graph, delta = construct("Survey.", run)
         assert set(graph.nodes) == {"node_1", "node_2"}
         assert graph.nodes["node_2"].dependencies == {"node_1"}
         assert graph.task_description == "Survey."
+        # the delta is the one that built the graph
+        assert apply_revision(TaskGraph(task_description="Survey."), delta).graph == graph
         (event,) = sink.events_for("r")
         assert event.payload["ok"] is True and event.payload["scope"] == "global"
         assert event.payload["output_tokens"] > 0
@@ -272,7 +275,7 @@ class TestConstruct:
             role_backends={"supervisor": ScriptedBackend([
                 rule("supervisor:construct", [], bad, good)])})
         sink = TraceSink(clock=CounterClock())
-        graph = construct("Survey.", _lab_run(config, sink=sink))
+        graph, _ = construct("Survey.", _lab_run(config, sink=sink))
         assert set(graph.nodes) == {"node_1"}
         (event,) = sink.events_for("r")
         assert event.payload["attempts"] == 2
@@ -826,31 +829,50 @@ class TestRunTask:
         assert descriptions["node_2"] == d2_new
         assert report.node_records["node_2"]["status"] == "completed"
 
-    def test_revision_deltas_replay_to_the_final_graph(self):
+    def test_replay_rebuilds_the_graph_the_run_planned_each_node_from(self):
         stages = 5
         config = chain_config(stages, tdp_chain_rules(stages, revise=True))
         sink = TraceSink(clock=CounterClock())
         report = run_task(chain_instance(stages), ChainEnv(), config, sink=sink)
         assert report.terminal == "Completed"
         events = sink.events_for(report.run_id)
-        (constructed,) = [e for e in events if e.kind == "graph_constructed"]
-        graph = graph_from_doc(constructed.payload["graph"])
         revisions = [e for e in events if e.kind == "revision"]
         assert [e.payload["status"] for e in revisions] == ["applied"] * (stages - 1)
-        for event in revisions:
-            result = apply_revision(graph, parse_revision(json.dumps(event.payload["delta"])))
-            assert result.applied
-            graph = result.graph
+        graph = replay_graph(chain_instance(stages).query, events)
         assert {nid: node.description for nid, node in graph.nodes.items()} == {
             f"node_{i}": "Handle stage 1 of the queue." if i == 1 else reworded_stage(i)
             for i in range(1, stages + 1)
         }
-        assert sorted(graph.nodes) == sorted(events[-1].payload["node_records"])
-        # the live run planned each node from the description the replay rebuilt
+        # node k was planned from the graph as it stood when node k was dispatched,
+        # and the replay of the events before its dispatch rebuilds that graph
+        dispatches = [i for i, e in enumerate(events) if e.kind == "node_dispatched"]
         plan_prompts = [p for tag, p in config.role_backends["planner"].calls
                         if tag == "planner:plan"]
-        for k, prompt in enumerate(plan_prompts, start=1):
-            assert graph.nodes[f"node_{k}"].description in prompt
+        assert len(dispatches) == len(plan_prompts) == stages
+        for k, (at, prompt) in enumerate(zip(dispatches, plan_prompts), start=1):
+            then = replay_graph(chain_instance(stages).query, events[:at])
+            assert then.nodes[f"node_{k}"].description in prompt
+
+    def test_replay_refuses_a_delta_that_does_not_apply(self):
+        stages = 3
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(stages), ChainEnv(),
+                          chain_config(stages, tdp_chain_rules(stages, revise=True)), sink=sink)
+        events = sink.events_for(report.run_id)
+        at = next(i for i, e in enumerate(events) if e.kind == "revision")
+        ghost = RevisionDelta(need_update=True, description_updates=(("ghost", "x"),))
+        events[at] = replace(events[at], payload={**events[at].payload,
+                                                  "delta": delta_to_doc(ghost)})
+        with pytest.raises(TraceError, match=f"revision event {events[at].seq} .*"
+                                             "delta does not apply: update: unknown node 'ghost'"):
+            replay_graph(chain_instance(stages).query, events)
+        # a rejected revision's delta is not replayed, whatever it holds
+        events[at] = replace(events[at], payload={**events[at].payload, "status": "rejected"})
+        assert "node_1" in replay_graph(chain_instance(stages).query, events).nodes
+        built = next(i for i, e in enumerate(events) if e.kind == "graph_constructed")
+        events[built] = replace(events[built], payload={"delta": {"new_nodes": 1}})
+        with pytest.raises(TraceError, match="unreadable delta"):
+            replay_graph(chain_instance(stages).query, events)
 
     def test_revision_event_size_does_not_grow_with_the_graph(self):
         sizes = {}

@@ -7,8 +7,9 @@ also wrapped in recording delegates sharing one call log, and every prompt
 sent is hashed, in call order, as ``role_tag NUL prompt NUL``.
 ``golden_traces.json`` and ``golden_prompts.json`` hold the expected hashes of
 each case, so a refactor that is meant to keep behaviour must keep every hash.
-The same runs also check that tdp's node prompts stay scoped to their node
-and that no method calls a role after the step that ends the episode.
+The same runs also check that tdp's node prompts stay scoped to their node,
+that no method calls a role after the step that ends the episode, and that
+every tdp trace alone rebuilds its run's graph.
 The tests only read those files.  A change that alters traces or prompts on
 purpose regenerates both with
 
@@ -33,9 +34,9 @@ import pytest
 
 from tdp.baselines import BASELINES
 from tdp.cli import load_config
-from tdp.engine import RunConfig, run_task
+from tdp.engine import RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
-from tdp.telemetry import CounterClock, TraceSink
+from tdp.telemetry import CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
 from scenarios import (
@@ -47,6 +48,7 @@ from scenarios import (
     diamond_instance,
     diamond_rules,
     planact_chain_rules,
+    reworded_stage,
     tdp_chain_rules,
     travel_locality_config,
     travel_locality_instance,
@@ -123,6 +125,7 @@ def _cases() -> dict[str, Case]:
 
 
 CASES = _cases()
+TDP_CASES = sorted(n for n in CASES if n.startswith("tdp"))
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def test_prompts_match_their_golden_hash(name):
 NODE_SCOPED = ("planner:plan", "executor:execute", "supervisor:evaluate", "planner:replan")
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("tdp")))
+@pytest.mark.parametrize("name", TDP_CASES)
 def test_node_prompts_stay_scoped_to_their_node(name):
     """A node's prompts name the task only where its sub-goal does, and the
     evaluator, which judges but never acts, is never shown the action list."""
@@ -213,6 +216,35 @@ def test_no_role_is_called_after_the_episode_ends(name):
     ends = [i for i, e in enumerate(events) if e["kind"] == "env_step" and e["payload"]["done"]]
     after = [e["kind"] for e in events[ends[0] + 1:]] if ends else []
     assert "role_call" not in after, after
+
+
+@pytest.mark.parametrize("name", TDP_CASES)
+def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
+    """replay_graph over the trace file gives exactly the nodes of the run's
+    node records; the revising chains' nodes carry their reworded descriptions."""
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(_run_of(name).trace)
+    headers, events = read_trace(path)
+    ((_, header),) = headers.items()
+    assert header["version"] == 2
+    graph = replay_graph(header["meta"]["query"], events)
+    (run_end,) = [e for e in events if e.kind == "run_end"]
+    assert graph.nodes and sorted(graph.nodes) == sorted(run_end.payload["node_records"])
+    if name.startswith("tdp-revise/"):
+        stages = len(graph.nodes)
+        assert {nid: node.description for nid, node in graph.nodes.items()} == {
+            f"node_{i}": "Handle stage 1 of the queue." if i == 1 else reworded_stage(i)
+            for i in range(1, stages + 1)
+        }
+
+
+def test_a_version_1_trace_cannot_be_replayed():
+    """Version 1 recorded the decomposition as a snapshot, not as a delta."""
+    headers, events = read_trace(Path(__file__).with_name("trace_v1.jsonl"))
+    ((_, header),) = headers.items()
+    with pytest.raises(TraceError, match="graph_constructed event 1 of run 'tdp__chain3' "
+                                         "carries no delta; a version-1 trace"):
+        replay_graph(header["meta"]["query"], events)
 
 
 def _write(path: Path, hashes: dict[str, str]) -> None:

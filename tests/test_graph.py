@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -33,8 +34,6 @@ from tdp.graph import (
     TraceEntry,
     apply_revision,
     build_node_context,
-    graph_from_doc,
-    graph_to_doc,
     legal_transition,
     next_generated_id,
     ready_nodes,
@@ -294,13 +293,13 @@ def test_description_update_lands_on_live_node_only():
         ("b", "terminal and cannot be rewritten"),
         ("zz", "unknown node"),
     ]:
-        before = graph_to_doc(g)
+        before = copy.deepcopy(g)
         result = apply_revision(
             g, RevisionDelta(need_update=True, description_updates=((bad_target, "x"),))
         )
         assert result.status == "rejected"
         assert any(reason_frag in r for r in result.reasons)
-        assert result.graph is g and graph_to_doc(g) == before
+        assert result.graph is g and g == before
 
     blank = apply_revision(
         g, RevisionDelta(need_update=True, description_updates=(("a", "  "),))
@@ -377,7 +376,7 @@ def test_remove_then_readd_terminal_id_is_refused():
 
 def test_rejection_is_atomic_even_when_parts_were_valid():
     g = graph_of(node("a"), node("b", deps=["a"]))
-    before = graph_to_doc(g)
+    before = copy.deepcopy(g)
     delta = RevisionDelta(
         need_update=True,
         description_updates=(("a", "would have landed"),),
@@ -385,13 +384,13 @@ def test_rejection_is_atomic_even_when_parts_were_valid():
     )
     result = apply_revision(g, delta)
     assert result.status == "rejected"
-    assert graph_to_doc(g) == before  # the valid update must not leak through
+    assert g == before  # the valid update must not leak through
 
 
 def test_applied_result_shares_no_mutable_structure_with_the_original():
     g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]))
     g.nodes["a"].local_trace.append(TraceEntry(step_index=1, action="look", observation="ok"))
-    before = graph_to_doc(g)
+    before = copy.deepcopy(g)
     result = apply_revision(
         g, RevisionDelta(need_update=True, description_updates=(("b", "sharper b"),))
     )
@@ -400,7 +399,7 @@ def test_applied_result_shares_no_mutable_structure_with_the_original():
     result.graph.nodes["a"].dependencies.add("z")
     result.graph.nodes["a"].local_trace.append(
         TraceEntry(step_index=2, action="again", observation="still ok"))
-    assert graph_to_doc(g) == before
+    assert g == before
     assert len(g.nodes["a"].local_trace) == 1
 
 
@@ -523,41 +522,6 @@ def test_render_dag_state_accounts_for_every_node_once():
         assert set(shown) == frontier | feeders
         hidden = [nodes[nid].status.value for nid in nodes.keys() - set(shown)]
         assert counted == {s: hidden.count(s) for s in counted}
-
-
-def test_doc_round_trip_preserves_everything_it_serializes():
-    g = graph_of(
-        node("a", status=NodeStatus.COMPLETED),
-        node("b", deps=["a"], status=NodeStatus.FAILED),
-        node("c", deps=["a"]),
-    )
-    g.nodes["c"].replan_count = 3
-    doc = graph_to_doc(g)
-    back = graph_from_doc(doc)
-    assert graph_to_doc(back) == doc
-    assert back.nodes["a"].outcome is not None
-    assert back.nodes["b"].status is NodeStatus.FAILED
-    assert back.nodes["c"].replan_count == 3
-
-
-def test_graph_json_is_insertion_order_independent():
-    forward = graph_of(node("a"), node("b", deps=["a"]))
-    backward = graph_of(node("b", deps=["a"]), node("a"))
-    assert graph_to_doc(forward) == graph_to_doc(backward)
-
-
-def test_graph_from_doc_rejects_duplicates_and_junk():
-    with pytest.raises(GraphError, match="duplicate node id"):
-        graph_from_doc(
-            {
-                "subgoals": [
-                    {"id": "a", "description": "d"},
-                    {"id": "a", "description": "d2"},
-                ]
-            }
-        )
-    with pytest.raises(GraphError, match="missing 'subgoals'"):
-        graph_from_doc({"task_description": "t"})
 
 
 def test_sinks_and_dependents_ordering():

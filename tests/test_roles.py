@@ -131,7 +131,8 @@ def test_packaged_template_contract(name):
     if name == "construct":  # the example decomposition is itself a valid reply
         example = extract_json(body)["subgoals"]
         assert all(set(entry) == {"id", "description", "dependencies"} for entry in example)
-        assert parse_subgoals(body)
+        graph, _ = parse_subgoals(body)
+        assert graph.nodes
 
 
 def test_template_dir_override_and_placeholder_set_enforcement(tmp_path):
@@ -247,10 +248,13 @@ def test_extract_json_no_object_is_a_parse_fault():
 
 
 def test_parse_subgoals_rejections():
-    ok = parse_subgoals('{"subgoals": [{"id": "a", "description": "d"}]}', "task")
+    graph, delta = parse_subgoals('{"subgoals": [{"id": "a", "description": "d"}]}', "task")
     expected = TaskGraph(task_description="task")
     expected.nodes["a"] = SubTaskNode(id="a", description="d")
-    assert ok == expected
+    assert graph == expected
+    assert delta == RevisionDelta(
+        need_update=True, new_nodes=(NewNodeSpec(id="a", description="d"),)
+    )
 
     cases = [
         ('{"subgoals": []}', "invalid decomposition: empty: graph has no nodes"),

@@ -6,6 +6,7 @@ import builtins
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,10 @@ from tdp.telemetry import (
 )
 
 from conftest import CONFIG_DIR
+
+#: The ``tdp-revise/chain3`` golden case as trace version 1 wrote it:
+#: ``graph_constructed`` holds a graph snapshot instead of a delta.
+V1_TRACE = Path(__file__).with_name("trace_v1.jsonl")
 
 
 def _run_end(run_id="r1", **overrides):
@@ -247,6 +252,30 @@ class TestReadTrace:
         with pytest.raises(TraceError, match="event before header for run 'r'"):
             read_trace(path)
 
+    def test_second_header_for_a_run_refused(self, tmp_path):
+        """A run id headed twice would merge two runs' events into one."""
+        path = self._write(
+            tmp_path,
+            [_HEADER, _event(0, "node_dispatched", run_id="r", node_id="n").to_line(),
+             _event(1, "run_end", run_id="r").to_line(),
+             _HEADER, _event(0, "run_end", run_id="r").to_line()],
+        )
+        with pytest.raises(TraceError, match=r"trace\.jsonl:4: second header for run 'r'"):
+            read_trace(path)
+
+    def test_a_version_1_trace_still_reads(self):
+        """Its metrics are the record computed when it was written."""
+        headers, events = read_trace(V1_TRACE)
+        (header,) = headers.values()
+        assert header["version"] == 1
+        assert "graph" in next(e for e in events if e.kind == "graph_constructed").payload
+        assert compute_metrics(events, header["meta"]["gold"]) == MetricsRecord(
+            run_id="tdp__chain3", method="tdp", delivery=True, accuracy=None,
+            delivered_accuracy=None, avg_reward=None, avg_prompt_tokens=3360.0,
+            avg_output_tokens=306.0, replans_total=3, nodes_touched_per_replan=1.0,
+            constraint_micro=None, constraint_macro=None, steps_used=6, terminal="Completed",
+        )
+
     def test_sequence_gap_in_file(self, tmp_path):
         header = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
         path = self._write(
@@ -313,6 +342,22 @@ class TestComputeMetrics:
             _run_end(),
         ]
         assert compute_metrics(events).avg_output_tokens == 12.0
+
+    def test_a_backend_error_leaves_the_run_tokens_undefined(self):
+        """A call that ended on a backend error has no known usage, so neither
+        has the run; it must not read as a run that used no tokens."""
+        events = [
+            _event(0, "role_call", role="planner", prompt_tokens=9, output_tokens=5),
+            _event(1, "role_call", role="executor", prompt_tokens=0, output_tokens=0,
+                   ok=False, error="LookupError: no scripted rule"),
+            _run_end(),
+        ]
+        record = compute_metrics(events)
+        assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
+        faulted = _event(1, "role_call", role="executor", prompt_tokens=4, output_tokens=2,
+                         ok=False)  # a parse fault: its usage is known
+        record = compute_metrics([events[0], faulted, events[2]])
+        assert (record.avg_prompt_tokens, record.avg_output_tokens) == (13.0, 7.0)
 
     def test_replan_counting_and_locality_mean(self):
         events = [
@@ -408,6 +453,28 @@ class TestCompareReport:
         })
         by_name = {m.method: m for m in report.methods}
         assert by_name["tdp"].token_reduction_vs_reference is None
+
+    def test_runs_with_undefined_tokens_are_left_out_of_the_token_means(self):
+        unknown = dict(avg_prompt_tokens=None, avg_output_tokens=None)
+        report = compare_report({
+            "plan-act": [_record("plan-act", 1000)],
+            "react": [_record("react", 0, **unknown), _record("react", 0, **unknown)],
+            "tdp": [_record("tdp", 250), _record("tdp", 0, delivery=False, **unknown)],
+        })
+        by_name = {m.method: m for m in report.methods}
+        assert by_name["tdp"].avg_total_tokens == pytest.approx(250.0)
+        assert by_name["tdp"].token_reduction_vs_reference == pytest.approx(0.75)
+        assert by_name["tdp"].delivery_rate == pytest.approx(0.5)  # the run still counts
+        react = by_name["react"]
+        assert (react.avg_prompt_tokens, react.avg_output_tokens, react.avg_total_tokens,
+                react.token_reduction_vs_reference) == (None, None, None, None)
+        react_row = next(l for l in report.format_table().splitlines() if l.startswith("react"))
+        assert react_row.split()[6:10] == ["-", "-", "-", "0.00"]
+        assert react_row.split()[-1] == "-"
+        # with no known tokens for the reference, no method has a reduction
+        report = compare_report({"react": [_record("react", 0, **unknown)],
+                                 "tdp": [_record("tdp", 250)]}, reference="react")
+        assert all(m.token_reduction_vs_reference is None for m in report.methods)
 
     def test_avg_score_means_only_defined_parts(self):
         report = compare_report(
