@@ -211,9 +211,12 @@ def _trace_dir(args: argparse.Namespace, config: RunConfig) -> Path:
 
 
 def _report_line(report: RunReport) -> str:
-    usages = report.role_tokens.values()
-    prompt = sum(usage["prompt_tokens"] for usage in usages)
-    output = sum(usage["output_tokens"] for usage in usages)
+    """One run's summary; a token total with an unreported count shows ``-``."""
+    totals = []
+    for key in ("prompt_tokens", "output_tokens"):
+        counts = [usage[key] for usage in report.role_tokens.values()]
+        totals.append("-" if None in counts else sum(counts))
+    prompt, output = totals
     return (
         f"{report.run_id}: {report.terminal} ({report.reason}) "
         f"steps={report.steps_used} delivered={report.delivered} "

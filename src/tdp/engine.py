@@ -179,7 +179,7 @@ class RunReport:
     reason: str
     steps_used: int
     node_records: dict[str, dict[str, Any]]
-    role_tokens: dict[str, dict[str, int]]
+    role_tokens: dict[str, dict[str, int | None]]
     env_metrics: dict[str, Any]
     delivered: bool
 
@@ -230,7 +230,7 @@ def render_context_history(context: NodeScopedContext, cap: int) -> str:
     if not context.dependency_outcomes:
         return local
     outcomes = render_outcomes(context.dependency_ids, context.dependency_outcomes)
-    return f"Results from prerequisite sub-tasks:\n{outcomes}\n\n{local}"
+    return f"Prerequisite results:\n{outcomes}\n\n{local}"
 
 
 def node_bindings(
@@ -274,9 +274,16 @@ def build_planner_prompt(
 
 
 def _sinks_completed(graph: TaskGraph | None) -> bool:
+    """True when the graph has nodes and every sink completed.  :meth:`Run.stop`
+    asks before every dispatch, so unlike :meth:`TaskGraph.sinks` this sorts
+    nothing."""
     if graph is None or not graph.nodes:
         return False
-    return all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
+    nodes = graph.nodes
+    depended_on = set().union(*[node.dependencies for node in nodes.values()])
+    return all(
+        node.status is NodeStatus.COMPLETED for nid, node in nodes.items() if nid not in depended_on
+    )
 
 
 def task_done(env: Environment, graph: TaskGraph | None) -> bool:
@@ -356,7 +363,8 @@ class Run:
         :data:`~tdp.roles.FORMAT_REMINDER` line that names why the last reply
         was refused, up to ``1 + parser_retry_budget`` attempts.  The call,
         faulted or not, is recorded as a ``role_call`` event carrying its
-        usage summed over the attempts; then the parsed value is returned or a
+        usage summed over the attempts, ``null`` for a count the backend did
+        not report; then the parsed value is returned or a
         :class:`RoleFault` carrying the last raw reply is raised.  A backend
         error is recorded too, ``ok: false`` with the attempts made, the usage
         so far and ``error: "<type>: <message>"``, and then re-raised.

@@ -441,8 +441,7 @@ def render_dag_state(graph: TaskGraph) -> str:
     ):
         count = hidden.count(status)
         if count:
-            plural = "" if count == 1 else "s"
-            lines.append(f"- ({count} {status.value} node{plural} not shown{note})")
+            lines.append(f"- ({count} {status.value} not shown{note})")
     return "\n".join(lines)
 
 

@@ -73,15 +73,22 @@ class RoleFault(RuntimeError):
         self.raw_text = raw_text
 
 
+def _add_counts(a: int | None, b: int | None) -> int | None:
+    return None if a is None or b is None else a + b
+
+
 @dataclass(frozen=True)
 class TokenUsage:
-    prompt_tokens: int = 0
-    output_tokens: int = 0
+    """A call's token counts; ``None`` is a count the backend did not report,
+    and a sum with an unknown count is unknown."""
+
+    prompt_tokens: int | None = 0
+    output_tokens: int | None = 0
 
     def __add__(self, other: "TokenUsage") -> "TokenUsage":
         return TokenUsage(
-            prompt_tokens=self.prompt_tokens + other.prompt_tokens,
-            output_tokens=self.output_tokens + other.output_tokens,
+            prompt_tokens=_add_counts(self.prompt_tokens, other.prompt_tokens),
+            output_tokens=_add_counts(self.output_tokens, other.output_tokens),
         )
 
 
@@ -579,6 +586,9 @@ class ScriptedBackend(ModelBackend):
 class RemoteChatBackend(ModelBackend):
     """Chat-completions HTTP backend.
 
+    A count the response's ``usage`` does not give is unknown (``None``), not
+    zero, so a reply without usage cannot read as a call that cost nothing.
+
     The API key is read from the environment variable named in the
     configuration — never stored in config files.  Construction fails fast
     when the variable is unset so no run starts half-credentialed.
@@ -622,11 +632,15 @@ class RemoteChatBackend(ModelBackend):
         response.raise_for_status()
         doc = response.json()
         text = doc["choices"][0]["message"]["content"]
-        usage = doc.get("usage", {})
+        usage = doc.get("usage") or {}
+
+        def reported(key: str) -> int | None:
+            return None if usage.get(key) is None else int(usage[key])
+
         return Completion(
             text=text,
             usage=TokenUsage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                output_tokens=int(usage.get("completion_tokens", 0)),
+                prompt_tokens=reported("prompt_tokens"),
+                output_tokens=reported("completion_tokens"),
             ),
         )

@@ -253,7 +253,8 @@ def normalize_answer(text: str) -> str:
 @dataclass(frozen=True)
 class MetricsRecord:
     """Per-run metrics; ``None`` marks a metric that is undefined for the run,
-    as the tokens of a run with a model call that ended on a backend error."""
+    as the tokens of a run with a model call that ended on a backend error or
+    whose backend did not report them."""
 
     run_id: str
     method: str
@@ -274,15 +275,17 @@ class MetricsRecord:
         return asdict(self)
 
 
-def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int]]:
+def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]]:
     """Per-role prompt and output tokens summed over the ``role_call`` events,
-    in role order: the one account of a run's tokens."""
-    totals: dict[str, dict[str, int]] = {}
+    in role order: the one account of a run's tokens.  A role's sum is
+    ``None`` once one of its calls has a count its backend did not report."""
+    totals: dict[str, dict[str, int | None]] = {}
     for event in events:
         if event.kind == "role_call":
             sums = totals.setdefault(event.payload.get("role", ""), {})
             for key in ("prompt_tokens", "output_tokens"):
-                sums[key] = sums.get(key, 0) + event.payload.get(key, 0)
+                total, count = sums.get(key, 0), event.payload.get(key, 0)
+                sums[key] = None if total is None or count is None else total + count
     return dict(sorted(totals.items()))
 
 
@@ -329,11 +332,16 @@ def compute_metrics(
         )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
-    # a backend error's usage is not known, so neither is the run's
+    # a backend error's usage is not known, nor an unreported count, so
+    # neither is the run's
     known = not any(e.kind == "role_call" and "error" in e.payload for e in events)
     tokens = role_tokens(events).values()
-    prompt_tokens = float(sum(role["prompt_tokens"] for role in tokens)) if known else None
-    output_tokens = float(sum(role["output_tokens"] for role in tokens)) if known else None
+
+    def run_total(key: str) -> float | None:
+        counts = [role[key] for role in tokens]
+        return float(sum(counts)) if known and None not in counts else None
+
+    prompt_tokens, output_tokens = run_total("prompt_tokens"), run_total("output_tokens")
 
     accepted_replans = [
         e for e in events if e.kind == "replan" and e.payload.get("accepted", False)
@@ -489,7 +497,7 @@ def _summarize(method: str, records: Sequence[MetricsRecord]) -> dict[str, Any]:
         for name, source in _AVERAGED.items()
     }
     prompt, output = summary["avg_prompt_tokens"], summary["avg_output_tokens"]
-    summary["avg_total_tokens"] = None if prompt is None else prompt + output
+    summary["avg_total_tokens"] = None if prompt is None or output is None else prompt + output
     summary["avg_score"] = _mean(v for n in _SCORED if (v := summary[n]) is not None)
     return {"method": method, "runs": len(records), **summary}
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -52,6 +54,14 @@ from tdp.roles import (
 from tdp.telemetry import CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, WIKI_FIXTURES
+from graphgen import (
+    STATUSES,
+    assign_statuses,
+    enumerate_labeled_dags,
+    graph_from_edges,
+    random_dag,
+    sorted_nodes,
+)
 from scenarios import (
     DIAMOND_EXPECTED,
     NOOP_REVISION,
@@ -175,7 +185,7 @@ class TestRenderContextHistory:
             dependency_outcomes=(outcome,), local_trace=())
         text = render_context_history(context, cap=5)
         assert text == (
-            "Results from prerequisite sub-tasks:\n"
+            "Prerequisite results:\n"
             "- [node_1] completed: Cities confirmed.\n"
             "  observed: Cities in Illinois: Chicago, Peoria\n"
             "\n"
@@ -634,6 +644,26 @@ class TestTaskDone:
         env = _lab_env()
         assert not task_done(env, TaskGraph(task_description="t"))
 
+    def test_agrees_with_the_sorted_sinks_on_every_small_graph(self):
+        """Every labeled DAG on up to three nodes under every status combo, and
+        random DAGs up to twelve nodes: done exactly when every sink completed."""
+        env = _lab_env()
+        graphs = []
+        for n in (1, 2, 3):
+            for edges in enumerate_labeled_dags(n):
+                for combo in itertools.product(range(len(STATUSES)), repeat=n):
+                    graph = graph_from_edges(n, edges)
+                    assign_statuses(sorted_nodes(graph), combo)
+                    graphs.append(graph)
+        rng = random.Random(11)
+        graphs.extend(random_dag(rng, rng.randint(1, 12)) for _ in range(500))
+        done = 0
+        for graph in graphs:
+            expected = all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
+            assert task_done(env, graph) is expected, sorted(graph.nodes.items())
+            done += expected
+        assert 0 < done < len(graphs)
+
 
 # -- full runs ----------------------------------------------------------------------------
 
@@ -662,7 +692,7 @@ def _revise_history(prompt: str) -> str:
     """The {history} binding of a rendered revise prompt, cut out between the
     template text that surrounds the placeholder."""
     before, after = load_templates()["revise"].body.split("{history}")
-    head = before.rsplit("\n", 1)[-1]
+    head = before.rsplit("}", 1)[-1]
     tail = after.split("{", 1)[0]
     return prompt.split(head, 1)[1].split(tail, 1)[0]
 
@@ -784,7 +814,7 @@ class TestRunTask:
             (dependent_plan,) = [
                 p for tag, p in config.role_backends["planner"].calls
                 if tag == "planner:plan" and f"Handle stage {k + 1} of the queue." in p]
-            assert f"Results from prerequisite sub-tasks:\n{history}\n\n" in dependent_plan
+            assert f"Prerequisite results:\n{history}\n\n" in dependent_plan
             assert "Action:" not in prompt
             assert "obstacle at stage" not in prompt
 

@@ -492,8 +492,8 @@ def test_render_dag_state_shows_the_frontier_and_counts_the_rest():
         "- d [failed] (deps: none): work item d\n"
         "- e [pending] (deps: d): work item e\n"
         "- g [in_progress] (deps: none): work item g\n"
-        "- (1 completed node not shown)\n"
-        "- (2 pending nodes not shown, waiting on the nodes above)"
+        "- (1 completed not shown)\n"
+        "- (2 pending not shown, waiting on the nodes above)"
     )
 
 

@@ -10,6 +10,7 @@ import shutil
 from importlib import resources
 
 import pytest
+import requests
 from conftest import WIKI_FIXTURES
 from parsergen import PARSER_CASES
 from scenarios import RecordingBackend
@@ -52,7 +53,8 @@ from tdp.roles import (
     render_plan,
     render_prompt,
 )
-from tdp.telemetry import role_tokens
+from tdp.cli import _report_line
+from tdp.telemetry import compare_report, compute_metrics, role_tokens
 
 PARSERS = {
     "subgoals": parse_subgoals,
@@ -110,22 +112,87 @@ TEMPLATE_FORMAT = {
                '"new_description":', '"new_nodes":', '"id":', '"description":',
                '"dependencies":', '"dependents":', '"remove_nodes":'),
 }
-#: The most words each packaged template may spend outside its placeholders.
+#: The most words each packaged template may spend outside its placeholders:
+#: each template's own count, so fixed text cannot grow back unnoticed.
 FIXED_WORD_CEILING = {
-    "construct": 130, "evaluate": 110, "execute": 60, "plan": 110, "react": 60,
-    "replan": 95, "revise": 220,
+    "construct": 103, "evaluate": 65, "execute": 38, "plan": 72, "react": 39,
+    "replan": 65, "revise": 146,
+}
+#: The words that state each packaged template's decision rules, one entry
+#: per rule; a shorter wording must keep every rule.
+TEMPLATE_RULES = {
+    "construct": (
+        "directed acyclic graph of sub-goals",
+        "seeing only its description and a limited context",
+        "self-contained, concrete and achievable with the available actions",
+        "Cover the whole task",
+        "a final node for the action that completes it",
+        "one coherent goal and may take several actions",
+        "no redundant or overlapping nodes",
+        "no steps the task does not need",
+    ),
+    "evaluate": (
+        "after its latest action",
+        "failed means beyond repair",
+        "if needs_more_steps without replan: guidance for the next action",
+        "else a brief explanation or null",
+        "true ONLY if the plan clearly fails",
+        "(repeated failures or contradicting observations)",
+        "hits an impassable obstacle",
+        "lacks steps now clearly required",
+    ),
+    "execute": (
+        "Act on the first plan step the history shows is not done",
+        "guidance, if any, comes first",
+        "only one action, in the exact syntax of the available actions",
+    ),
+    "plan": (
+        "Plan ONLY the current sub-goal",
+        "Skip work already done in the history",
+        "If the sub-goal is the task's final action, plan just that",
+        "naming specific objects, places and parameters, not commands",
+        "Keep the plan short",
+        "steps numbered from 1",
+    ),
+    "react": (
+        "think briefly",
+        "choose exactly one next action",
+        "exactly two lines",
+        "one action in the exact syntax of the available actions",
+    ),
+    "replan": (
+        "Replan ONLY if its reason shows a wrong approach, invalid parameters or a "
+        "missing prerequisite",
+        "if false, Thought and NewPlan are null",
+        "the whole new plan, for this sub-goal only",
+    ),
+    "revise": (
+        "decide whether to change the graph",
+        "reword pending or in-progress nodes with concrete values found so far",
+        "add nodes for missing work (such as a way around a failed node)",
+        "remove nodes now unneeded or impossible",
+        "If no pending node is ready (all its dependencies completed)",
+        "or the pending nodes cannot finish the task, you MUST add the missing nodes",
+        "Never duplicate or overlap a node",
+        "self-contained and achievable with the available actions",
+        "keep a final node for the action that completes the task",
+        "if false, all three lists are empty",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", TEMPLATE_NAMES)
 def test_packaged_template_contract(name):
     """Each template keeps its placeholders, shows every key or marker its
-    parser reads, and states its instructions within its word ceiling."""
+    parser reads, and states each of its rules within its word ceiling."""
     template = load_template(name)
     body = template.body
     assert template.placeholders == TEMPLATE_BINDINGS[name]
     missing = [marker for marker in TEMPLATE_FORMAT[name] if marker not in body]
     assert not missing, f"{name} does not show {missing}"
+    prose = " ".join(body.split())
+    dropped = [rule for rule in TEMPLATE_RULES[name] if rule not in prose]
+    assert not dropped, f"{name} no longer states {dropped}"
     fixed_words = len(re.sub(r"\{[a-z_]+\}", " ", body).split())
     assert fixed_words <= FIXED_WORD_CEILING[name]
     if name == "construct":  # the example decomposition is itself a valid reply
@@ -711,3 +778,61 @@ def test_remote_backend_reads_key_from_environment_only(monkeypatch):
 def test_token_usage_addition():
     total = TokenUsage(prompt_tokens=3, output_tokens=4) + TokenUsage(5, 6)
     assert total == TokenUsage(prompt_tokens=8, output_tokens=10)
+    # a count the backend did not report stays unknown through a sum
+    assert total + TokenUsage(None, 1) == TokenUsage(prompt_tokens=None, output_tokens=11)
+
+
+class _Response:
+    """The part of a ``requests`` response that the remote backend reads."""
+
+    def __init__(self, doc: dict):
+        self._doc = doc
+
+    def raise_for_status(self) -> None:
+        pass
+
+    def json(self) -> dict:
+        return self._doc
+
+
+def _remote_run(monkeypatch, *usages):
+    """A probe run on a remote backend whose ``requests.post`` answers
+    ``{"a": 1}`` with each of `usages` in turn (``None``: no usage field)."""
+    monkeypatch.setenv("PROBE_KEY", "sk-test-123")
+    replies = iter(usages)
+
+    def post(url, **kwargs):
+        doc = {"choices": [{"message": {"content": '{"a": 1}'}}]}
+        usage = next(replies)
+        return _Response(doc if usage is None else {**doc, "usage": usage})
+
+    monkeypatch.setattr(requests, "post", post)
+    return _probe_run(RemoteChatBackend(
+        endpoint="https://example.invalid/v1", model="m", credential_env="PROBE_KEY"))
+
+
+def test_remote_reply_without_usage_is_unknown_not_free(monkeypatch):
+    """A response with no usage must not read as a call that cost nothing:
+    its role_call says null, and the run's tokens and table cells are unknown."""
+    run = _remote_run(monkeypatch, {"prompt_tokens": 9, "completion_tokens": 3}, None)
+    assert _probe(run) == _probe(run) == {"a": 1}
+    events = [e.payload for e in run.sink.events_for("r") if e.kind == "role_call"]
+    assert [(e["prompt_tokens"], e["output_tokens"]) for e in events] == [(9, 3), (None, None)]
+    assert json.loads(json.dumps(events[1]))["prompt_tokens"] is None  # null in the trace
+    report = run.finish("Completed", "task done")
+    assert report.role_tokens == {"supervisor": {"prompt_tokens": None, "output_tokens": None}}
+    assert "prompt_tokens=- output_tokens=-" in _report_line(report)
+    record = compute_metrics(run.sink.events_for("r"))
+    assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
+    table = compare_report({"tdp": [record]}, reference="tdp").format_table()
+    assert table.splitlines()[2].split()[7:10] == ["-", "-", "-"]
+
+
+def test_remote_usage_missing_one_count_leaves_only_that_count_unknown(monkeypatch):
+    run = _remote_run(monkeypatch, {"prompt_tokens": 9})
+    _probe(run)
+    event = _role_call(run)
+    assert (event["prompt_tokens"], event["output_tokens"]) == (9, None)
+    run.finish("Completed", "task done")
+    record = compute_metrics(run.sink.events_for("r"))
+    assert (record.avg_prompt_tokens, record.avg_output_tokens) == (9.0, None)
