@@ -27,8 +27,9 @@ plus the graph's frontier, with every other node only counted
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
 over one scaffold, :func:`run_method`, which writes ``run_end`` however the
 body ends.  :class:`Run` holds the bookkeeping: trace header, recorded role
-calls and environment steps, the end-of-run check :meth:`Run.stop`, and the
-report, whose ``role_tokens`` is a fold over the run's ``role_call`` events.
+calls, environment steps and the step budget they spend, the end-of-run check
+:meth:`Run.stop`, and the report, whose ``role_tokens`` is a fold over the
+run's ``role_call`` events.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .roles import (
     FORMAT_REMINDER,
     ModelBackend,
     ParseFault,
-    PromptTemplate,
     RoleFault,
     TokenUsage,
     extract_action,
@@ -75,7 +75,6 @@ from .telemetry import CounterClock, TraceError, TraceEvent, TraceSink, role_tok
 __all__ = [
     "EngineError",
     "RunConfig",
-    "StepCounter",
     "RunReport",
     "Run",
     "run_method",
@@ -84,7 +83,6 @@ __all__ = [
     "render_outcomes",
     "render_context_history",
     "node_bindings",
-    "build_planner_prompt",
     "construct",
     "execute_node",
     "task_done",
@@ -150,23 +148,6 @@ class RunConfig:
 
     def make_clock(self) -> Callable[[], float]:
         return CounterClock() if self.deterministic_clock else time.time
-
-
-@dataclass
-class StepCounter:
-    """Run-global environment-interaction counter with a hard ceiling."""
-
-    used: int = 0
-    limit: int = 30
-
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
-    def next_index(self) -> int:
-        if self.exhausted():
-            raise EngineError("step budget overrun — gate before acting")
-        self.used += 1
-        return self.used
 
 
 @dataclass(frozen=True)
@@ -253,37 +234,15 @@ def node_bindings(
     }
 
 
-def build_planner_prompt(
-    graph: TaskGraph,
-    node_id: str,
-    env: Environment,
-    config: RunConfig,
-    templates: dict[str, PromptTemplate] | None = None,
-) -> str:
-    """Exactly the prompt the planner would receive for `node_id` right now.
-
-    Exposed so tests can pin the context-boundedness property to the real
-    rendering path.
-    """
-    templates = templates or load_templates(config.template_dir)
-    return render_prompt(templates["plan"], node_bindings(graph, node_id, format_commands(env)))
-
-
 # ---------------------------------------------------------------------------
 # the run scaffold
 
 
 def _sinks_completed(graph: TaskGraph | None) -> bool:
-    """True when the graph has nodes and every sink completed.  :meth:`Run.stop`
-    asks before every dispatch, so unlike :meth:`TaskGraph.sinks` this sorts
-    nothing."""
+    """True when the graph has nodes and every sink completed."""
     if graph is None or not graph.nodes:
         return False
-    nodes = graph.nodes
-    depended_on = set().union(*[node.dependencies for node in nodes.values()])
-    return all(
-        node.status is NodeStatus.COMPLETED for nid, node in nodes.items() if nid not in depended_on
-    )
+    return all(graph.nodes[nid].status is NodeStatus.COMPLETED for nid in graph.sinks())
 
 
 def task_done(env: Environment, graph: TaskGraph | None) -> bool:
@@ -309,8 +268,10 @@ class Run:
     Creating a run resets the environment and writes the trace header; the
     methods record role calls, environment steps and replan/node events, and
     :meth:`finish` writes ``run_end`` and builds the report from its payload.
-    Without a caller's sink the run keeps its events in an in-memory one.  A
-    run keeps no trace of its own, and only tdp sets :attr:`graph`.
+    :attr:`steps_used` counts the environment steps taken against
+    ``config.s_max`` (:meth:`budget_spent`).  Without a caller's sink the run
+    keeps its events in an in-memory one.  A run keeps no trace of its own,
+    and only tdp sets :attr:`graph`.
     """
 
     def __init__(
@@ -331,7 +292,7 @@ class Run:
         self.run_id = run_id or f"{method}__{instance.id}"
         self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
         self.templates = load_templates(config.template_dir)
-        self.steps = StepCounter(limit=config.s_max)
+        self.steps_used = 0
         env.reset(instance)
         self.commands = format_commands(env)
         self.sink.begin_run(
@@ -412,20 +373,28 @@ class Run:
             raise fault
         return value
 
+    def budget_spent(self) -> bool:
+        """True once the run has taken ``config.s_max`` environment steps."""
+        return self.steps_used >= self.config.s_max
+
     def act(self, action: str, scope: str = "global") -> TraceEntry:
-        """Step the environment (the caller has checked the step budget)."""
+        """Step the environment.  The caller gates on :meth:`budget_spent`;
+        a step past the budget is an orchestration defect, refused before
+        the environment moves."""
+        if self.budget_spent():
+            raise EngineError("step budget overrun — gate before acting")
         result = self.env.step(action)
-        index = self.steps.next_index()
+        self.steps_used += 1
         self.emit(
             "env_step",
-            step_index=index,
+            step_index=self.steps_used,
             action=action,
             observation=result.observation,
             reward_delta=result.reward_delta,
             done=result.done,
             scope=scope,
         )
-        return TraceEntry(step_index=index, action=action, observation=result.observation)
+        return TraceEntry(step_index=self.steps_used, action=action, observation=result.observation)
 
     def replan(
         self,
@@ -459,7 +428,7 @@ class Run:
         or the step budget is spent; ``None`` while the run goes on."""
         if task_done(self.env, self.graph):
             return "Completed", "task done"
-        if self.steps.exhausted():
+        if self.budget_spent():
             return "Terminated", "step budget exhausted"
         return None
 
@@ -474,7 +443,7 @@ class Run:
             "run_end",
             terminal=terminal,
             reason=reason,
-            steps_used=self.steps.used,
+            steps_used=self.steps_used,
             delivered=bool(env_metrics.get("delivered", False)) or _sinks_completed(self.graph),
             method=self.method,
             env_metrics=env_metrics,
@@ -600,7 +569,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
     guidance: str | None = None
     # Run.stop() without its sink scan: no sink completes while this node runs
-    while not (run.steps.exhausted() or run.env.done):
+    while not (run.budget_spent() or run.env.done):
         try:
             action = run.call(
                 "executor",
@@ -630,7 +599,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             return close(NodeStatus.FAILED, evaluation.reason)
 
         # needs_more_steps from here on
-        if run.steps.exhausted():
+        if run.budget_spent():
             return node.status
         if evaluation.need_replan:
             try:
@@ -714,7 +683,7 @@ def run_task(run: Run) -> tuple[str, str]:
     idle_rounds = 0
     while (end := run.stop()) is None:
         ready = ready_nodes(graph)
-        steps_before = run.steps.used
+        steps_before = run.steps_used
         for nid in ready:
             if run.stop() is not None:
                 break
@@ -729,7 +698,7 @@ def run_task(run: Run) -> tuple[str, str]:
                 "revise",
                 {
                     "task_description": run.instance.query,
-                    "current_step": str(run.steps.used),
+                    "current_step": str(run.steps_used),
                     "history": render_outcomes(ready, [graph.nodes[n].outcome for n in ready]),
                     "dag_state": render_dag_state(graph),
                     "admissible_commands": run.commands,
@@ -750,7 +719,7 @@ def run_task(run: Run) -> tuple[str, str]:
         graph = run.graph = result.graph
         if not ready and not result.applied:
             return "Terminated", "stall: no ready nodes and no graph update"
-        idle_rounds = 0 if run.steps.used > steps_before else idle_rounds + 1
+        idle_rounds = 0 if run.steps_used > steps_before else idle_rounds + 1
         if idle_rounds >= STALL_ROUNDS:
             return "Terminated", f"stall: {STALL_ROUNDS} rounds without an environment step"
     return end

@@ -137,12 +137,10 @@ class TaskGraph:
     def sorted_ids(self) -> list[NodeId]:
         return sorted(self.nodes)
 
-    def sinks(self) -> list[NodeId]:
-        """Nodes nothing depends on, in lexicographic order."""
-        depended_on: set[NodeId] = set()
-        for node in self.nodes.values():
-            depended_on.update(node.dependencies)
-        return [nid for nid in self.sorted_ids() if nid not in depended_on]
+    def sinks(self) -> set[NodeId]:
+        """Nodes nothing depends on, unordered: the end-of-run check asks
+        before every dispatch, so this sorts nothing."""
+        return self.nodes.keys() - set().union(*[n.dependencies for n in self.nodes.values()])
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from tdp.engine import RunConfig, RunReport
+from tdp.engine import Run, RunConfig, RunReport, execute_node
+from tdp.environments import make_environment
 from tdp.environments.base import Environment, StepResult, TaskInstance
+from tdp.graph import NodeStatus, OutcomeSummary, SubTaskNode, TaskGraph
 from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule
 from tdp.telemetry import TraceEvent, TraceSink
 
@@ -454,6 +456,49 @@ DIAMOND_EXPECTED: list[tuple[Any, ...]] = [
     ("node_status", "node_3", "completed"),
     ("run_end", "Terminated", "step budget exhausted", 3, False),
 ]
+
+
+# ---------------------------------------------------------------------------
+# planner-prompt scenario: node_2 depends on the completed node_1, and any
+# number of unrelated completed nodes sit beside them
+
+
+def graph_with_target(extra_completed: int = 0) -> TaskGraph:
+    graph = TaskGraph(task_description="Survey the lab.")
+    done = OutcomeSummary(
+        terminal_status=NodeStatus.COMPLETED,
+        summary_text="Prerequisite finished.",
+        key_observations=("all clear",),
+    )
+    graph.nodes["node_1"] = SubTaskNode(
+        id="node_1", description="Scout the room.", status=NodeStatus.COMPLETED, outcome=done
+    )
+    graph.nodes["node_2"] = SubTaskNode(
+        id="node_2", description="Measure the scale.", dependencies={"node_1"}
+    )
+    for i in range(extra_completed):
+        nid = f"node_x{i}"
+        graph.nodes[nid] = SubTaskNode(
+            id=nid,
+            description=f"Unrelated chore {i} with its own long story.",
+            status=NodeStatus.COMPLETED,
+            outcome=done,
+        )
+    return graph
+
+
+def target_plan_prompt(graph: TaskGraph) -> str:
+    """The prompt the planner backend receives when ``execute_node`` works
+    node_2 of `graph` on the lab mock.  The run's step budget is spent
+    beforehand, so the node stops right after planning and no other role is
+    called."""
+    planner = recording([rule("planner:plan", [], plan_reply("Measure the scale."))])
+    config = RunConfig(role_backends={"planner": planner})
+    run = Run("tdp", diamond_instance(), make_environment("textlab"), config)
+    run.steps_used = run.config.s_max
+    execute_node(graph, "node_2", run)
+    ((_tag, prompt),) = planner.calls
+    return prompt
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,12 @@ from tdp.cli import load_config
 from tdp.engine import (
     Run,
     RunConfig,
-    build_planner_prompt,
     execute_node,
     run_task,
 )
 from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
     NodeStatus,
-    OutcomeSummary,
     SubTaskNode,
     TaskGraph,
     ready_nodes,
@@ -76,8 +74,10 @@ from scenarios import (
     diamond_config,
     diamond_instance,
     diamond_rules,
+    graph_with_target,
     planact_chain_rules,
     project,
+    target_plan_prompt,
     tdp_chain_rules,
     travel_locality_config,
     travel_locality_instance,
@@ -234,42 +234,10 @@ def test_criterion_03_replanning_is_confined_to_the_blocked_node():
 #    unrelated completed nodes to the graph
 
 
-def _graph_with_target(extra_completed: int = 0) -> TaskGraph:
-    graph = TaskGraph(task_description="Survey the lab.")
-    done = OutcomeSummary(
-        terminal_status=NodeStatus.COMPLETED,
-        summary_text="Prerequisite finished.",
-        key_observations=("all clear",),
-    )
-    graph.nodes["node_1"] = SubTaskNode(
-        id="node_1",
-        description="Scout the room.",
-        status=NodeStatus.COMPLETED,
-        outcome=done,
-    )
-    graph.nodes["node_2"] = SubTaskNode(
-        id="node_2", description="Measure the scale.", dependencies={"node_1"}
-    )
-    for i in range(extra_completed):
-        nid = f"node_x{i}"
-        graph.nodes[nid] = SubTaskNode(
-            id=nid,
-            description=f"Unrelated chore {i} with its own long story.",
-            status=NodeStatus.COMPLETED,
-            outcome=done,
-        )
-    return graph
-
-
 def test_criterion_04_planner_prompt_invariant_under_unrelated_nodes():
-    env = make_environment("textlab")
-    env.reset(diamond_instance())
-    config = RunConfig()
-    baseline = build_planner_prompt(_graph_with_target(0), "node_2", env, config)
+    baseline = target_plan_prompt(graph_with_target(0))
     for extra in range(1, 21):
-        widened = build_planner_prompt(
-            _graph_with_target(extra), "node_2", env, config
-        )
+        widened = target_plan_prompt(graph_with_target(extra))
         assert widened == baseline, f"prompt drifted with {extra} unrelated nodes"
     _passed(4)
 

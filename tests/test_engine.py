@@ -19,9 +19,7 @@ from tdp.engine import (
     Run,
     RunConfig,
     RunReport,
-    StepCounter,
     assemble_history,
-    build_planner_prompt,
     construct,
     execute_node,
     render_context_history,
@@ -75,6 +73,7 @@ from scenarios import (
     diamond_instance,
     diamond_rules,
     eval_reply,
+    graph_with_target,
     plan_reply,
     project,
     replan_accept,
@@ -83,6 +82,7 @@ from scenarios import (
     revision_reply,
     rule,
     subgoals_reply,
+    target_plan_prompt,
     tdp_chain_rules,
     travel_locality_config,
     travel_locality_instance,
@@ -127,18 +127,22 @@ class TestRunConfig:
         assert RunConfig(deterministic_clock=False).make_clock() is time.time
 
 
-class TestStepCounter:
-    def test_counts_up_to_limit(self):
-        steps = StepCounter(used=0, limit=2)
-        assert not steps.exhausted()
-        assert steps.next_index() == 1
-        assert steps.next_index() == 2
-        assert steps.exhausted()
+class TestRunStepBudget:
+    def test_counts_steps_up_to_s_max(self):
+        run = _lab_run(RunConfig(s_max=2))
+        assert run.steps_used == 0 and not run.budget_spent()
+        assert run.act("look around").step_index == 1
+        assert run.act("look around").step_index == 2
+        assert run.steps_used == 2 and run.budget_spent()
+        assert run.stop() == ("Terminated", "step budget exhausted")
 
-    def test_overrun_is_a_defect(self):
-        steps = StepCounter(used=1, limit=1)
+    def test_overrun_is_refused_before_the_environment_steps(self):
+        run = _lab_run(RunConfig(s_max=1))
+        run.act("look around")
         with pytest.raises(EngineError, match="gate before acting"):
-            steps.next_index()
+            run.act("look around")
+        assert run.steps_used == 1
+        assert run.env.metrics()["env_steps"] == 1
 
 
 # -- history rendering ---------------------------------------------------------------
@@ -208,33 +212,11 @@ class TestRenderContextHistory:
 # -- node-scoped planner prompts -------------------------------------------------------
 
 
-def _graph_with_target(extra_completed: int = 0) -> TaskGraph:
-    graph = TaskGraph(task_description="Survey the lab.")
-    done = OutcomeSummary(
-        terminal_status=NodeStatus.COMPLETED, summary_text="Prerequisite finished.",
-        key_observations=("all clear",))
-    graph.nodes["node_1"] = SubTaskNode(
-        id="node_1", description="Scout the room.",
-        status=NodeStatus.COMPLETED, outcome=done)
-    graph.nodes["node_2"] = SubTaskNode(
-        id="node_2", description="Measure the scale.", dependencies={"node_1"})
-    for i in range(extra_completed):
-        nid = f"node_x{i}"
-        graph.nodes[nid] = SubTaskNode(
-            id=nid, description=f"Unrelated chore {i} with its own long story.",
-            status=NodeStatus.COMPLETED, outcome=done)
-    return graph
-
-
 class TestPlannerPromptBoundedness:
     def test_unrelated_completed_nodes_leave_the_prompt_identical(self):
-        env = make_environment("textlab")
-        env.reset(diamond_instance())
-        config = RunConfig()
-        baseline = build_planner_prompt(_graph_with_target(0), "node_2", env, config)
+        baseline = target_plan_prompt(graph_with_target(0))
         for extra in (1, 3):
-            widened = build_planner_prompt(_graph_with_target(extra), "node_2", env, config)
-            assert widened == baseline
+            assert target_plan_prompt(graph_with_target(extra)) == baseline
         assert "Unrelated chore" not in baseline
         assert "Survey the lab." not in baseline  # the whole task stays out
         assert "Measure the scale." in baseline
@@ -250,13 +232,11 @@ def _lab_env():
     return env
 
 
-def _lab_run(config, steps=None, sink=None, instance=None) -> Run:
-    """A run on the lab mock (which it resets), with `steps` as its step counter."""
-    run = Run("tdp", instance or diamond_instance(), make_environment("textlab"), config,
-              sink=sink, run_id="r")
-    if steps is not None:
-        run.steps = steps
-    return run
+def _lab_run(config, sink=None, instance=None) -> Run:
+    """A run on the lab mock (which it resets), with ``config.s_max`` as its
+    step budget."""
+    return Run("tdp", instance or diamond_instance(), make_environment("textlab"), config,
+               sink=sink, run_id="r")
 
 
 class TestConstruct:
@@ -369,9 +349,10 @@ class TestExecuteNode:
                   eval_reply("completed", "Drawer opened and inspected."))],
             [rule("planner:plan", [D1], plan_reply("Open it."))],
             [rule("executor:execute", [D1], "open drawer")],
+            s_max=5,
         )
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
+        status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.outcome.summary_text == "Drawer opened and inspected."
@@ -401,9 +382,10 @@ class TestExecuteNode:
             [rule("supervisor:evaluate", [], eval_reply("failed", "Wrong room entirely."))],
             [rule("planner:plan", [], plan_reply("Try."))],
             [rule("executor:execute", [], "open drawer")],
+            s_max=5,
         )
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
+        status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text == "Wrong room entirely."
 
@@ -425,9 +407,10 @@ class TestExecuteNode:
                 rule("executor:execute", [g1], "activate stove"),
                 rule("executor:execute", [D1], "focus plant"),
             ],
+            s_max=9,
         )
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9)))
+        status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.COMPLETED
         prompts = [p for _tag, p in config.role_backends["executor"].calls]
         assert len(prompts) == 3
@@ -454,10 +437,11 @@ class TestExecuteNode:
                 rule("executor:execute", ["Open the drawer directly."], "open drawer"),
                 rule("executor:execute", [D1], "twist knob"),
             ],
+            s_max=9,
         )
         graph = _single_node_graph()
         sink = TraceSink(clock=CounterClock())
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9), sink))
+        status = execute_node(graph, "node_1", _lab_run(config, sink))
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 1
@@ -485,10 +469,11 @@ class TestExecuteNode:
                 rule("executor:execute", ["Nothing happens"], "open drawer"),
                 rule("executor:execute", [D1], "push lever"),
             ],
+            s_max=9,
         )
         graph = _single_node_graph()
         sink = TraceSink(clock=CounterClock())
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9), sink))
+        status = execute_node(graph, "node_1", _lab_run(config, sink))
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 0
@@ -508,10 +493,11 @@ class TestExecuteNode:
             ],
             [rule("executor:execute", [], "push lever")],
             max_replans_per_node=0,
+            s_max=9,
         )
         graph = _single_node_graph()
         sink = TraceSink(clock=CounterClock())
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=9), sink))
+        status = execute_node(graph, "node_1", _lab_run(config, sink))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text == "replan budget exhausted (0)"
         (replan,) = [e for e in sink.events_for("r") if e.kind == "replan"]
@@ -532,10 +518,10 @@ class TestExecuteNode:
         }
         roles[broken_role] = [rule(None, [], FAULTY[broken_role])]
         config = RunConfig(
-            parser_retry_budget=0,
+            parser_retry_budget=0, s_max=5,
             role_backends={name: ScriptedBackend(rules) for name, rules in roles.items()})
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
+        status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text.startswith(prefix)
 
@@ -548,10 +534,11 @@ class TestExecuteNode:
                 rule("planner:replan", [], "%% never a decision %%"),
             ],
             [rule("executor:execute", [], "open drawer")],
+            s_max=5,
         )
         config.parser_retry_budget = 0
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(limit=5)))
+        status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.FAILED
         assert graph.nodes["node_1"].outcome.summary_text.startswith("replanner fault:")
 
@@ -562,7 +549,9 @@ class TestExecuteNode:
             [rule("executor:execute", [], "open drawer")],
         )
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config, StepCounter(used=5, limit=5)))
+        run = _lab_run(config)
+        run.steps_used = config.s_max
+        status = execute_node(graph, "node_1", run)
         assert status is NodeStatus.IN_PROGRESS
         assert graph.nodes["node_1"].local_trace == []
         assert config.role_backends["executor"].calls == []
@@ -578,9 +567,10 @@ class TestExecuteNode:
                   eval_reply("needs_more_steps", "Keep checking the dial."))],
             [rule("planner:plan", [], plan_reply("Focus."))],
             [rule("executor:execute", [], "focus plant")],
+            s_max=5,
         )
         graph = _single_node_graph("Focus the plant.")
-        run = _lab_run(config, StepCounter(limit=5), instance=instance)
+        run = _lab_run(config, instance=instance)
         status = execute_node(graph, "node_1", run)
         assert run.env.done
         assert status is NodeStatus.COMPLETED  # it delivered, with no verdict asked
@@ -635,7 +625,7 @@ class TestTaskDone:
 
     def test_all_sinks_completed(self):
         env = _lab_env()
-        graph = _graph_with_target(0)
+        graph = graph_with_target(0)
         assert not task_done(env, graph)  # node_2 (sink) still pending
         graph.nodes["node_2"].status = NodeStatus.COMPLETED
         assert task_done(env, graph)
@@ -644,9 +634,10 @@ class TestTaskDone:
         env = _lab_env()
         assert not task_done(env, TaskGraph(task_description="t"))
 
-    def test_agrees_with_the_sorted_sinks_on_every_small_graph(self):
+    def test_done_exactly_when_every_sink_completed_on_every_small_graph(self):
         """Every labeled DAG on up to three nodes under every status combo, and
-        random DAGs up to twelve nodes: done exactly when every sink completed."""
+        500 random DAGs up to twelve nodes: done exactly when every node that
+        no other node depends on completed, as read off the edges here."""
         env = _lab_env()
         graphs = []
         for n in (1, 2, 3):
@@ -659,7 +650,11 @@ class TestTaskDone:
         graphs.extend(random_dag(rng, rng.randint(1, 12)) for _ in range(500))
         done = 0
         for graph in graphs:
-            expected = all(graph.nodes[s].status is NodeStatus.COMPLETED for s in graph.sinks())
+            expected = all(
+                node.status is NodeStatus.COMPLETED
+                for nid, node in graph.nodes.items()
+                if not any(nid in other.dependencies for other in graph.nodes.values())
+            )
             assert task_done(env, graph) is expected, sorted(graph.nodes.items())
             done += expected
         assert 0 < done < len(graphs)
