@@ -145,8 +145,6 @@ def _collect_instances(tasks_path: str, config: RunConfig) -> list[TaskInstance]
 def _single_run(
     method: str, instance: TaskInstance, config: RunConfig, trace_dir: Path
 ) -> tuple[RunReport, MetricsRecord, Path]:
-    if method not in METHODS:
-        raise CliError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
     env = make_environment(instance.environment)
     run_id = f"{method}__{instance.id}"
     trace_path = trace_dir / f"{run_id}.jsonl"
@@ -210,13 +208,13 @@ def _trace_dir(args: argparse.Namespace, config: RunConfig) -> Path:
     return path
 
 
-def _report_line(report: RunReport) -> str:
-    """One run's summary; a token total with an unreported count shows ``-``."""
-    totals = []
-    for key in ("prompt_tokens", "output_tokens"):
-        counts = [usage[key] for usage in report.role_tokens.values()]
-        totals.append("-" if None in counts else sum(counts))
-    prompt, output = totals
+def _report_line(report: RunReport, record: MetricsRecord) -> str:
+    """One run's summary, its token totals read from its metrics record; an
+    unknown total shows ``-``."""
+    prompt, output = (
+        "-" if total is None else int(total)
+        for total in (record.avg_prompt_tokens, record.avg_output_tokens)
+    )
     return (
         f"{report.run_id}: {report.terminal} ({report.reason}) "
         f"steps={report.steps_used} delivered={report.delivered} "
@@ -233,8 +231,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     instances = _collect_instances(args.tasks, config)
     trace_dir = _trace_dir(args, config)
     results, failed = _run_matrix([args.method], instances, config, trace_dir)
-    for report, _record, trace_path in results:
-        print(_report_line(report))
+    for report, record, trace_path in results:
+        print(_report_line(report, record))
         print(f"  trace: {trace_path}")
     print(f"completed {len(results)} run(s)" + (f", {failed} failed" if failed else ""))
     return 1 if failed else 0
@@ -256,8 +254,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     instances = _collect_instances(args.tasks, config)
     trace_dir = _trace_dir(args, config)
     results, failed = _run_matrix(methods, instances, config, trace_dir)
-    for report, _record, _path in results:
-        print(_report_line(report))
+    for report, record, _path in results:
+        print(_report_line(report, record))
     batches: dict[str, list[MetricsRecord]] = {}
     for _report, record, _path in results:
         batches.setdefault(record.method, []).append(record)

@@ -821,9 +821,9 @@ def test_remote_reply_without_usage_is_unknown_not_free(monkeypatch):
     assert json.loads(json.dumps(events[1]))["prompt_tokens"] is None  # null in the trace
     report = run.finish("Completed", "task done")
     assert report.role_tokens == {"supervisor": {"prompt_tokens": None, "output_tokens": None}}
-    assert "prompt_tokens=- output_tokens=-" in _report_line(report)
     record = compute_metrics(run.sink.events_for("r"))
     assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
+    assert "prompt_tokens=- output_tokens=-" in _report_line(report, record)
     table = compare_report({"tdp": [record]}, reference="tdp").format_table()
     assert table.splitlines()[2].split()[7:10] == ["-", "-", "-"]
 
