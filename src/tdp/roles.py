@@ -155,9 +155,12 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, Any]) -> str:
     """Substitute bindings into the template in one pass.
 
     Values are inserted verbatim and never re-scanned, so a binding containing
-    brace text cannot smuggle in another expansion.  ``None`` renders as the
-    literal string "None".  A declared placeholder without a binding is a
-    :class:`RenderFault` naming the placeholder.
+    brace text cannot smuggle in another expansion.  A template line whose
+    placeholders are all bound to ``None`` is left out, so an absent optional
+    value (guidance, a supervisor's reason) leaves no trace in the prompt; on
+    a line that also holds a bound value, ``None`` renders as "None".  A
+    declared placeholder without a binding is a :class:`RenderFault` naming
+    the placeholder.
     """
     missing = sorted(template.placeholders - set(bindings))
     if missing:
@@ -169,10 +172,16 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, Any]) -> str:
         name = match.group(1)
         if name not in template.placeholders:
             return match.group(0)  # literal text that merely looks like a placeholder
-        value = bindings[name]
-        return "None" if value is None else str(value)
+        return str(bindings[name])
 
-    return _PLACEHOLDER_RE.sub(_sub, template.body)
+    def _bound(line: str) -> bool:
+        names = [n for n in _PLACEHOLDER_RE.findall(line) if n in template.placeholders]
+        return not names or any(bindings[n] is not None for n in names)
+
+    body = template.body
+    if any(bindings[name] is None for name in template.placeholders):
+        body = "\n".join(line for line in body.split("\n") if _bound(line))
+    return _PLACEHOLDER_RE.sub(_sub, body)
 
 
 # ---------------------------------------------------------------------------
