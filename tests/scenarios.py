@@ -10,13 +10,14 @@ earlier ones (a node's history accumulates every marker it has ever seen).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Any
 
-from tdp.engine import Run, RunConfig, RunReport, execute_node
+from tdp.engine import STALL_ROUNDS, Run, RunConfig, RunReport, execute_node
 from tdp.environments import make_environment
 from tdp.environments.base import Environment, StepResult, TaskInstance
-from tdp.graph import NodeStatus, OutcomeSummary, SubTaskNode, TaskGraph
-from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule
+from tdp.graph import MAX_NODES, NodeStatus, OutcomeSummary, SubTaskNode, TaskGraph
+from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule, TokenUsage
 from tdp.telemetry import TraceEvent, TraceSink
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,56 @@ class RecordingBackend(ModelBackend):
     def complete(self, role_tag: str, prompt: str) -> Completion:
         self.calls.append((role_tag, prompt))
         return self.inner.complete(role_tag, prompt)
+
+
+class FaultAt(ModelBackend):
+    """Delegates to `inner`, except at model call number `at`, counted in the
+    `calls` list that every role's wrapper of one run shares.  There it does
+    `fault`: ``"error"`` raises :class:`RuntimeError`, ``"unparseable"``
+    replies with an empty text no role's parser accepts, and ``"no_usage"``
+    gives the inner reply with neither token count reported."""
+
+    FAULTS = ("error", "unparseable", "no_usage")
+
+    def __init__(self, inner: ModelBackend, calls: list[str], at: int, fault: str) -> None:
+        assert fault in self.FAULTS, fault
+        self.inner = inner
+        self.calls = calls
+        self.at = at
+        self.fault = fault
+
+    def complete(self, role_tag: str, prompt: str) -> Completion:
+        self.calls.append(role_tag)
+        if len(self.calls) != self.at:
+            return self.inner.complete(role_tag, prompt)
+        if self.fault == "error":
+            raise RuntimeError(f"injected fault at call {self.at}")
+        reply = self.inner.complete(role_tag, prompt)
+        if self.fault == "unparseable":
+            return Completion("", reply.usage)
+        return Completion(reply.text, TokenUsage(None, None))
+
+
+def with_fault(config: RunConfig, at: int, fault: str) -> tuple[RunConfig, list[str]]:
+    """A copy of `config` whose backends do `fault` at model call `at`, and
+    the shared log of the role tags called."""
+    calls: list[str] = []
+    role_backends = {
+        role: FaultAt(backend, calls, at, fault) for role, backend in config.role_backends.items()
+    }
+    return replace(config, role_backends=role_backends), calls
+
+
+#: Each method's docstring bound on model attempts, as a function of
+#: (s_max, parser_retry_budget).  tdp's runs over at most
+#: ``STALL_ROUNDS * (s_max + 1)`` rounds.
+ATTEMPT_BOUNDS = {
+    "tdp": lambda s_max, retries: (1 + retries)
+    * (1 + STALL_ROUNDS * (s_max + 1) * (2 * MAX_NODES + 1) + 3 * s_max),
+    "react": lambda s_max, retries: (1 + retries) * s_max,
+    "cot": lambda s_max, retries: (1 + retries) * (1 + s_max),
+    "plan-act": lambda s_max, retries: (1 + retries) * (3 * s_max - 1),
+}
 
 
 def recording(rules: list[ScriptRule]) -> RecordingBackend:

@@ -17,6 +17,7 @@ from tdp.roles import ParseFault, ScriptedBackend
 from tdp.telemetry import CounterClock, TraceSink
 
 from scenarios import (
+    ATTEMPT_BOUNDS,
     ChainEnv,
     assert_ends_on_record,
     backends,
@@ -333,17 +334,8 @@ def _last_attempt_parses(role_tag: str, garbage: str, reply: str, retries: int):
     return rule(role_tag, [], *([garbage] * retries), reply)
 
 
-#: Each baseline's docstring bound on model attempts, as a function of
-#: (s_max, parser_retry_budget).
-CALL_BOUNDS = {
-    "react": lambda s_max, retries: (1 + retries) * s_max,
-    "cot": lambda s_max, retries: (1 + retries) * (1 + s_max),
-    "plan-act": lambda s_max, retries: (1 + retries) * (3 * s_max - 1),
-}
-
-
 @pytest.mark.parametrize("retries", [0, 2])
-@pytest.mark.parametrize("method", sorted(CALL_BOUNDS))
+@pytest.mark.parametrize("method", sorted(BASELINES))
 def test_a_never_done_run_stays_within_its_model_call_bound(method, retries):
     """Every action goes nowhere, every reply parses only on its last attempt,
     plan-act's evaluator asks for a replan after every step and cot's plan is
@@ -365,5 +357,5 @@ def test_a_never_done_run_stays_within_its_model_call_bound(method, retries):
     assert report.terminal == "Terminated"
     assert report.steps_used == s_max
     attempts = sum(len(backend.calls) for backend in role_backends.values())
-    assert attempts == CALL_BOUNDS[method](s_max, retries)  # within it, and it is tight
+    assert attempts == ATTEMPT_BOUNDS[method](s_max, retries)  # within it, and it is tight
     assert_ends_on_record(report, sink)

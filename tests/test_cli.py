@@ -198,6 +198,20 @@ class TestRun:
             assert shown in capsys.readouterr().out, demo
         assert not list(tmp_path.glob("tdp-replay-*"))  # the replay demo cleans up
 
+    def test_the_case_study_demo_shows_the_scoped_repair(self, capsys):
+        runpy.run_path(str(REPO_ROOT / "demos" / "run_case_study.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "node_2: 1  <- plan rewritten here" in out
+        assert "Completed (task done) in 9 steps" in out
+
+    def test_an_unknown_method_is_refused_before_any_run(self, tmp_path, capsys):
+        for argv in (["run", "--method", "tot"], ["compare", "--methods", "tdp,tot"]):
+            code = dispatch([*argv, "--tasks", WIKI_ONE, "--config", WIKI_CONFIG,
+                             "--trace-dir", str(tmp_path)])
+            assert code == 2
+            assert "'tot'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_single_fixture_file(self, tmp_path, capsys):
         code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,
                          "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])
@@ -376,6 +390,17 @@ class TestCompare:
             assert f"{method}__wiki_peoria" in out
         header = next(l for l in out.splitlines() if l.startswith("method"))
         assert "tok_reduction" in header
+
+    def test_the_compare_demo_prints_the_cli_table(self, tmp_path, capsys):
+        """compare_methods.py prints the table `tdp compare` prints for the
+        four methods over the wiki fixtures."""
+        code = dispatch(["compare", "--methods", "tdp,react,cot,plan-act",
+                         "--tasks", WIKI_TASKS, "--config", WIKI_CONFIG,
+                         "--reference", "plan-act", "--trace-dir", str(tmp_path)])
+        assert code == 0
+        table = capsys.readouterr().out.split("\n\n", 1)[1]
+        runpy.run_path(str(REPO_ROOT / "demos" / "compare_methods.py"), run_name="__main__")
+        assert capsys.readouterr().out == table
 
     def test_reference_must_be_among_methods(self, tmp_path, capsys):
         code = dispatch(["compare", "--methods", "tdp,react",

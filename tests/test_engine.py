@@ -41,14 +41,7 @@ from tdp.graph import (
     apply_revision,
     delta_to_doc,
 )
-from tdp.roles import (
-    FORMAT_REMINDER,
-    Completion,
-    ModelBackend,
-    RoleFault,
-    ScriptedBackend,
-    load_templates,
-)
+from tdp.roles import FORMAT_REMINDER, RoleFault, ScriptedBackend, load_templates
 from tdp.telemetry import CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, WIKI_FIXTURES
@@ -87,6 +80,7 @@ from scenarios import (
     travel_locality_config,
     travel_locality_instance,
     travel_locality_rules,
+    with_fault,
 )
 
 
@@ -663,22 +657,6 @@ class TestTaskDone:
 # -- full runs ----------------------------------------------------------------------------
 
 
-class _FailingBackend(ModelBackend):
-    """Delegates to `inner`, but model call number `fail_at` of those logged
-    in the shared `calls` raises :class:`LookupError`."""
-
-    def __init__(self, inner: ModelBackend, calls: list[str], fail_at: int) -> None:
-        self.inner = inner
-        self.calls = calls
-        self.fail_at = fail_at
-
-    def complete(self, role_tag: str, prompt: str) -> Completion:
-        self.calls.append(role_tag)
-        if len(self.calls) == self.fail_at:
-            raise LookupError(f"backend unavailable at call {self.fail_at}")
-        return self.inner.complete(role_tag, prompt)
-
-
 def _revise_prompts(supervisor: RecordingBackend) -> list[str]:
     return [prompt for tag, prompt in supervisor.calls if tag == "supervisor:revise"]
 
@@ -986,27 +964,23 @@ class TestRunTask:
         """A backend error at model call `fail_at` is a recorded call, and
         still writes ``run_end`` as the run's last event, naming the error,
         and then propagates."""
-        config = load_config(CONFIG_DIR / "scripted_wiki.json")
-        calls: list[str] = []
-        config = replace(config, role_backends={
-            role: _FailingBackend(backend, calls, fail_at)
-            for role, backend in config.role_backends.items()})
+        config, calls = with_fault(load_config(CONFIG_DIR / "scripted_wiki.json"), fail_at, "error")
         instance = load_task_instance(WIKI_FIXTURES[0])
         sink = TraceSink(clock=CounterClock())
         runner = run_task if method == "tdp" else BASELINES[method]
-        with pytest.raises(LookupError, match="backend unavailable"):
+        with pytest.raises(RuntimeError, match="injected fault"):
             runner(instance, make_environment(instance.environment), config, sink=sink,
                    run_id="r")
         assert len(calls) == fail_at
         report = RunReport(run_id="r", **sink.events_for("r")[-1].payload)
         assert_ends_on_record(report, sink)
         assert report.terminal == "Terminated"
-        assert report.reason == f"error: LookupError: backend unavailable at call {fail_at}"
+        assert report.reason == f"error: RuntimeError: injected fault at call {fail_at}"
         role_calls = [e.payload for e in sink.events_for("r") if e.kind == "role_call"]
         assert len(role_calls) == fail_at
         assert [call["ok"] for call in role_calls] == [True] * (fail_at - 1) + [False]
         failed = role_calls[-1]
-        assert failed["error"] == f"LookupError: backend unavailable at call {fail_at}"
+        assert failed["error"] == f"RuntimeError: injected fault at call {fail_at}"
         assert failed["attempts"] == 1
         assert (failed["prompt_tokens"], failed["output_tokens"]) == (0, 0)
 
