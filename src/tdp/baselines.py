@@ -48,7 +48,7 @@ def parse_react(text: str) -> tuple[str, str]:
     """(thought, action) from a think-then-act reply; the Action line is required."""
     action_match = _ACTION_LINE_RE.search(text)
     if not action_match:
-        raise ParseFault("reply has no 'Action:' line", raw_text=text)
+        raise ParseFault("reply has no 'Action:' line")
     action = extract_action(action_match.group(1))
     thought_match = _THOUGHT_LINE_RE.search(text)
     thought = thought_match.group(1).strip() if thought_match else ""

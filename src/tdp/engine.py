@@ -541,12 +541,13 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     evaluation -> optional node-local replan.  Replacing the plan never
     touches any other node.  The outcome a closed node hands its dependents
     reads only the entries made since its last accepted replan.  A role fault
-    marks the node Failed.  The step that ends the episode closes the node
-    Completed without an evaluation, since no verdict could change the run.
-    Returning with the node still InProgress means the step budget is spent;
-    ``run_task`` settles the run outcome.  After the step that spends the
-    budget the evaluator is still asked (its ``completed`` verdict may close
-    the last sink) but the replanner is not.
+    closes the node Failed; its message, which names the role, is the
+    outcome.  The step that ends the episode closes the node Completed without
+    an evaluation, since no verdict could change the run.  Returning with the
+    node still InProgress means the step budget is spent; ``run_task`` settles
+    the run outcome.  After the step that spends the budget the evaluator is
+    still asked (its ``completed`` verdict may close the last sink) but the
+    replanner is not.
     """
     node = graph.nodes[node_id]
     node.set_status(NodeStatus.IN_PROGRESS)
@@ -560,58 +561,41 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
         run.node_status(node)
         return node.status
 
+    guidance: str | None = None
     try:
         node.plan = run.call(
             "planner", "plan", node_bindings(graph, node_id, commands), parse_plan, scope=node_id
         )
-    except RoleFault as fault:
-        return close(NodeStatus.FAILED, f"planner fault: {fault}")
+        # Run.stop() without its sink scan: no sink completes while this node runs
+        while not (run.budget_spent() or run.env.done):
+            view = node_bindings(graph, node_id, commands, guidance)
+            action = run.call("executor", "execute", view, extract_action, scope=node_id)
+            guidance = None  # guidance lives for exactly one executor call
 
-    guidance: str | None = None
-    # Run.stop() without its sink scan: no sink completes while this node runs
-    while not (run.budget_spent() or run.env.done):
-        try:
-            action = run.call(
-                "executor",
-                "execute",
-                node_bindings(graph, node_id, commands, guidance),
-                extract_action,
+            node.local_trace.append(run.act(action, scope=node_id))
+            if run.env.done:
+                return close(NodeStatus.COMPLETED, None)
+
+            view = node_bindings(graph, node_id, commands)
+            evaluation = run.call("supervisor", "evaluate", view, parse_evaluation, scope=node_id)
+            if evaluation.status == "completed":
+                return close(NodeStatus.COMPLETED, evaluation.reason)
+            if evaluation.status == "failed":
+                return close(NodeStatus.FAILED, evaluation.reason)
+
+            # needs_more_steps from here on
+            if run.budget_spent():
+                return node.status
+            if not evaluation.need_replan:
+                guidance = evaluation.reason  # hand to exactly the next executor call
+                continue
+            decision = run.call(
+                "planner",
+                "replan",
+                {**view, "reason": evaluation.reason},
+                parse_replan,
                 scope=node_id,
             )
-        except RoleFault as fault:
-            return close(NodeStatus.FAILED, f"executor fault: {fault}")
-        guidance = None  # guidance lives for exactly one executor call
-
-        entry = run.act(action, scope=node_id)
-        node.local_trace.append(entry)
-        if run.env.done:
-            return close(NodeStatus.COMPLETED, None)
-
-        view = node_bindings(graph, node_id, commands)
-        try:
-            evaluation = run.call("supervisor", "evaluate", view, parse_evaluation, scope=node_id)
-        except RoleFault as fault:
-            return close(NodeStatus.FAILED, f"evaluator fault: {fault}")
-
-        if evaluation.status == "completed":
-            return close(NodeStatus.COMPLETED, evaluation.reason)
-        if evaluation.status == "failed":
-            return close(NodeStatus.FAILED, evaluation.reason)
-
-        # needs_more_steps from here on
-        if run.budget_spent():
-            return node.status
-        if evaluation.need_replan:
-            try:
-                decision = run.call(
-                    "planner",
-                    "replan",
-                    {**view, "reason": evaluation.reason},
-                    parse_replan,
-                    scope=node_id,
-                )
-            except RoleFault as fault:
-                return close(NodeStatus.FAILED, f"replanner fault: {fault}")
             if not decision.replan:
                 run.replan(node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:
@@ -624,8 +608,8 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
                 node.replan_count += 1
                 plan_start = len(node.local_trace)
                 run.replan(node_id, accepted=True, replan_count=node.replan_count, nodes_touched=1)
-        else:
-            guidance = evaluation.reason  # hand to exactly the next executor call
+    except RoleFault as fault:
+        return close(NodeStatus.FAILED, str(fault))
     return node.status
 
 
@@ -638,11 +622,12 @@ def run_task(run: Run) -> tuple[str, str]:
     """Run one task end to end and return its report.
 
     Terminates on: task done (environment done or every sink node Completed),
-    step-budget exhaustion, a construction fault, a stalled round (no ready
-    nodes and a revision that changed nothing), or :data:`STALL_ROUNDS`
-    consecutive rounds without an environment step (a supervisor that keeps
-    revising a graph whose remaining nodes can never become ready).  The
-    revision call that closes a round sees the outcomes of the round's nodes
+    step-budget exhaustion, a construction fault (``role fault: ...``, as
+    :func:`run_method` ends it), a stalled round (no ready nodes and a
+    revision that changed nothing), or :data:`STALL_ROUNDS` consecutive
+    rounds without an environment step (a supervisor that keeps revising a
+    graph whose remaining nodes can never become ready).  The revision call
+    that closes a round sees the outcomes of the round's nodes
     (:func:`render_outcomes`), plus the frontier from :func:`render_dag_state`:
     the in-progress, failed and ready nodes, the pending dependents of failed
     nodes and the completed nodes those depend on, with every other node only
@@ -673,10 +658,7 @@ def run_task(run: Run) -> tuple[str, str]:
     message as ``error``.  :func:`replay_graph` folds these deltas back into
     the graph's ids, descriptions and dependencies at any event.
     """
-    try:
-        graph, decomposition = construct(run.instance.query, run)
-    except RoleFault as fault:
-        return "Terminated", f"construction fault: {fault}"
+    graph, decomposition = construct(run.instance.query, run)
     run.graph = graph
     run.emit("graph_constructed", delta=delta_to_doc(decomposition))
 
@@ -707,7 +689,7 @@ def run_task(run: Run) -> tuple[str, str]:
             )
         except RoleFault as fault:
             delta = RevisionDelta()
-            fault_record = {"error": f"revision fault: {fault}"}
+            fault_record = {"error": str(fault)}
         result = apply_revision(graph, delta)
         run.emit(
             "revision",

@@ -3,10 +3,11 @@
 Each agent role (supervisor, planner, executor) is a prompt template plus a
 parser over the model's raw reply.  All parsing is strict — silent coercion of
 a malformed reply into a default would hide model drift, so every defect is a
-:class:`ParseFault` and the bounded retry loop in :meth:`tdp.engine.Run.call`
-decides what happens next.  The parsers check shape only.  A decomposition
-and a revision read their node entries with one reader, and both reach the
-graph through :func:`~tdp.graph.apply_revision`, so every structural rule is
+bare :class:`ParseFault`.  :meth:`tdp.engine.Run.call` retries it and, once
+the retries run out, raises a :class:`RoleFault` that names the role and
+keeps the last reply.  The parsers check shape only.  A decomposition and a
+revision read their node entries with one reader, and both reach the graph
+through :func:`~tdp.graph.apply_revision`, so every structural rule is
 checked once, by :func:`~tdp.graph.validate_graph`.
 """
 
@@ -55,10 +56,6 @@ __all__ = [
 
 class ParseFault(ValueError):
     """A model reply that does not satisfy the expected output contract."""
-
-    def __init__(self, message: str, raw_text: str = ""):
-        super().__init__(message)
-        self.raw_text = raw_text
 
 
 class RenderFault(ValueError):
@@ -213,38 +210,38 @@ def extract_json(text: str) -> dict[str, Any]:
         if isinstance(obj, dict):
             return obj
         idx = cleaned.find("{", idx + 1)
-    raise ParseFault("no JSON object found in reply", raw_text=text)
+    raise ParseFault("no JSON object found in reply")
 
 
-def _require(doc: Mapping[str, Any], key: str, raw: str) -> Any:
+def _require(doc: Mapping[str, Any], key: str) -> Any:
     if key not in doc:
-        raise ParseFault(f"missing required field {key!r}", raw_text=raw)
+        raise ParseFault(f"missing required field {key!r}")
     return doc[key]
 
 
-def _as_bool(value: Any, key: str, raw: str) -> bool:
+def _as_bool(value: Any, key: str) -> bool:
     if isinstance(value, bool):
         return value
-    raise ParseFault(f"field {key!r} must be a JSON boolean, got {value!r}", raw_text=raw)
+    raise ParseFault(f"field {key!r} must be a JSON boolean, got {value!r}")
 
 
-def _list_field(doc: Mapping[str, Any], key: str, raw: str) -> list[Any]:
+def _list_field(doc: Mapping[str, Any], key: str) -> list[Any]:
     """``doc[key]`` as a list; absent or null reads as empty."""
     value = doc.get(key)
     if value is None:
         return []
     if not isinstance(value, list):
-        raise ParseFault(f"field {key!r} must be a list, got {value!r}", raw_text=raw)
+        raise ParseFault(f"field {key!r} must be a list, got {value!r}")
     return value
 
 
-def _as_str_list(value: Any, key: str, raw: str) -> list[str]:
+def _as_str_list(value: Any, key: str) -> list[str]:
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ParseFault(f"field {key!r} must be a list of strings", raw_text=raw)
+        raise ParseFault(f"field {key!r} must be a list of strings")
     return list(value)
 
 
-def _node_entry(entry: Any, raw: str, *, id_required: bool) -> NewNodeSpec:
+def _node_entry(entry: Any, *, id_required: bool) -> NewNodeSpec:
     """One ``{id, description, dependencies, dependents}`` node entry, read
     for shape only; the graph rules are :func:`~tdp.graph.validate_graph`'s.
 
@@ -252,22 +249,20 @@ def _node_entry(entry: Any, raw: str, *, id_required: bool) -> NewNodeSpec:
     leave it out, and :func:`~tdp.graph.apply_revision` then generates one.
     """
     if not isinstance(entry, Mapping):
-        raise ParseFault("each node entry must be an object", raw_text=raw)
-    node_id = _require(entry, "id", raw) if id_required else entry.get("id")
+        raise ParseFault("each node entry must be an object")
+    node_id = _require(entry, "id") if id_required else entry.get("id")
     if (id_required or node_id is not None) and (
         not isinstance(node_id, str) or not node_id.strip()
     ):
-        raise ParseFault(
-            f"node 'id' must be a nonempty string when present, got {node_id!r}", raw_text=raw
-        )
-    description = _require(entry, "description", raw)
+        raise ParseFault(f"node 'id' must be a nonempty string when present, got {node_id!r}")
+    description = _require(entry, "description")
     if not isinstance(description, str):
-        raise ParseFault("node 'description' must be a string", raw_text=raw)
+        raise ParseFault("node 'description' must be a string")
     return NewNodeSpec(
         id=node_id,
         description=description,
-        dependencies=tuple(_as_str_list(entry.get("dependencies", []), "dependencies", raw)),
-        dependents=tuple(_as_str_list(entry.get("dependents", []), "dependents", raw)),
+        dependencies=tuple(_as_str_list(entry.get("dependencies", []), "dependencies")),
+        dependents=tuple(_as_str_list(entry.get("dependents", []), "dependents")),
     )
 
 
@@ -282,16 +277,16 @@ def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, Re
     names each violation.  The trace records the delta, so replaying it
     rebuilds the graph (:func:`~tdp.engine.replay_graph`).
     """
-    entries = _require(extract_json(text), "subgoals", text)
+    entries = _require(extract_json(text), "subgoals")
     if not isinstance(entries, list):
-        raise ParseFault("'subgoals' must be a list", raw_text=text)
+        raise ParseFault("'subgoals' must be a list")
     delta = RevisionDelta(
         need_update=True,
-        new_nodes=tuple(_node_entry(entry, text, id_required=True) for entry in entries),
+        new_nodes=tuple(_node_entry(entry, id_required=True) for entry in entries),
     )
     result = apply_revision(TaskGraph(task_description=task_description), delta)
     if not result.applied:
-        raise ParseFault("invalid decomposition: " + "; ".join(result.reasons), raw_text=text)
+        raise ParseFault("invalid decomposition: " + "; ".join(result.reasons))
     return result.graph, delta
 
 
@@ -325,14 +320,15 @@ _STEP_HEADER_RE = re.compile(r"^##\s*Step\s+(\d+)\s*$", re.MULTILINE)
 def parse_plan(text: str) -> Plan:
     """Parse the ``## Step N`` / ``Reasoning:`` / ``Step:`` plan format.
 
-    Missing headers, non-contiguous numbering, or a block without its
-    ``Step:`` line are parse faults.  ``Reasoning:`` is tolerated when absent;
-    step text may span lines up to the next header.
+    Missing headers or a block without its ``Step:`` line are parse faults,
+    and so, raised by :class:`Plan`, are non-contiguous numbering and empty
+    step text.  ``Reasoning:`` is tolerated when absent; step text may span
+    lines up to the next header.
     """
     cleaned = _strip_fences(text)
     headers = list(_STEP_HEADER_RE.finditer(cleaned))
     if not headers:
-        raise ParseFault("no '## Step N' headers found in plan", raw_text=text)
+        raise ParseFault("no '## Step N' headers found in plan")
     steps: list[PlanStep] = []
     for i, match in enumerate(headers):
         number = int(match.group(1))
@@ -340,17 +336,13 @@ def parse_plan(text: str) -> Plan:
         block = cleaned[match.end() : block_end]
         step_match = re.search(r"^Step:\s*(.*)$", block, re.MULTILINE | re.DOTALL)
         if not step_match:
-            raise ParseFault(f"plan step {number} has no 'Step:' line", raw_text=text)
+            raise ParseFault(f"plan step {number} has no 'Step:' line")
         reasoning_match = re.search(r"^Reasoning:\s*(.*?)^Step:", block, re.MULTILINE | re.DOTALL)
         reasoning = reasoning_match.group(1).strip() if reasoning_match else ""
-        step_text = step_match.group(1).strip()
-        if not step_text:
-            raise ParseFault(f"plan step {number} has empty step text", raw_text=text)
-        steps.append(PlanStep(index=number, reasoning=reasoning, step_text=step_text))
-    try:
-        return Plan(steps=tuple(steps))
-    except ParseFault as fault:
-        raise ParseFault(str(fault), raw_text=text) from None
+        steps.append(
+            PlanStep(index=number, reasoning=reasoning, step_text=step_match.group(1).strip())
+        )
+    return Plan(steps=tuple(steps))
 
 
 def render_plan(plan: Plan) -> str:
@@ -379,19 +371,16 @@ class Evaluation:
 
 def parse_evaluation(text: str) -> Evaluation:
     doc = extract_json(text)
-    status = _require(doc, "status", text)
+    status = _require(doc, "status")
     if status not in _EVAL_STATUSES:
-        raise ParseFault(
-            f"status must be one of {sorted(_EVAL_STATUSES)}, got {status!r}", raw_text=text
-        )
-    need_replan = _as_bool(_require(doc, "need_replan", text), "need_replan", text)
+        raise ParseFault(f"status must be one of {sorted(_EVAL_STATUSES)}, got {status!r}")
+    need_replan = _as_bool(_require(doc, "need_replan"), "need_replan")
     reason = doc.get("reason")
     if reason is not None and not isinstance(reason, str):
-        raise ParseFault("'reason' must be a string or null", raw_text=text)
+        raise ParseFault("'reason' must be a string or null")
     if status == "needs_more_steps" and not need_replan and not (reason or "").strip():
         raise ParseFault(
-            "status 'needs_more_steps' without replanning requires guidance in 'reason'",
-            raw_text=text,
+            "status 'needs_more_steps' without replanning requires guidance in 'reason'"
         )
     return Evaluation(status=status, reason=reason, need_replan=need_replan)
 
@@ -407,18 +396,18 @@ class ReplanDecision:
 
 def parse_replan(text: str) -> ReplanDecision:
     doc = extract_json(text)
-    replan = _as_bool(_require(doc, "RePlan", text), "RePlan", text)
+    replan = _as_bool(_require(doc, "RePlan"), "RePlan")
     thought = doc.get("Thought")
     if thought is not None and not isinstance(thought, str):
-        raise ParseFault("'Thought' must be a string or null", raw_text=text)
+        raise ParseFault("'Thought' must be a string or null")
     raw_plan = doc.get("NewPlan")
     if replan:
         if not isinstance(raw_plan, str) or not raw_plan.strip():
-            raise ParseFault("RePlan is true but 'NewPlan' is missing or empty", raw_text=text)
+            raise ParseFault("RePlan is true but 'NewPlan' is missing or empty")
         new_plan = parse_plan(raw_plan)
     else:
         if raw_plan not in (None, ""):
-            raise ParseFault("RePlan is false but 'NewPlan' is present", raw_text=text)
+            raise ParseFault("RePlan is false but 'NewPlan' is present")
         new_plan = None
     return ReplanDecision(replan=replan, thought=thought, new_plan=new_plan)
 
@@ -430,25 +419,25 @@ def parse_revision(text: str) -> RevisionDelta:
     a list field holding anything but a list is a parse fault.
     """
     doc = extract_json(text)
-    need_update = _as_bool(_require(doc, "need_update", text), "need_update", text)
+    need_update = _as_bool(_require(doc, "need_update"), "need_update")
     thought = doc.get("thought", "")
     if not isinstance(thought, str):
-        raise ParseFault("'thought' must be a string", raw_text=text)
+        raise ParseFault("'thought' must be a string")
 
     updates: list[tuple[str, str]] = []
-    for entry in _list_field(doc, "description_updates", text):
+    for entry in _list_field(doc, "description_updates"):
         if not isinstance(entry, Mapping):
-            raise ParseFault("each description update must be an object", raw_text=text)
-        node_id = _require(entry, "node_id", text)
-        new_description = _require(entry, "new_description", text)
+            raise ParseFault("each description update must be an object")
+        node_id = _require(entry, "node_id")
+        new_description = _require(entry, "new_description")
         if not isinstance(node_id, str) or not isinstance(new_description, str):
-            raise ParseFault("description updates need string node_id/new_description", raw_text=text)
+            raise ParseFault("description updates need string node_id/new_description")
         updates.append((node_id, new_description))
 
     new_nodes = tuple(
-        _node_entry(entry, text, id_required=False) for entry in _list_field(doc, "new_nodes", text)
+        _node_entry(entry, id_required=False) for entry in _list_field(doc, "new_nodes")
     )
-    remove_nodes = _as_str_list(_list_field(doc, "remove_nodes", text), "remove_nodes", text)
+    remove_nodes = _as_str_list(_list_field(doc, "remove_nodes"), "remove_nodes")
     return RevisionDelta(
         thought=thought,
         need_update=need_update,
@@ -476,7 +465,7 @@ def extract_action(text: str) -> str:
     ):
         action = action[1:-1].strip()
     if not action:
-        raise ParseFault("executor reply contains no action", raw_text=text)
+        raise ParseFault("executor reply contains no action")
     return action
 
 

@@ -499,11 +499,11 @@ class TestExecuteNode:
         assert replan.payload["accepted"] is False
 
     @pytest.mark.parametrize(
-        "broken_role, prefix",
-        [("planner", "planner fault:"), ("executor", "executor fault:"),
-         ("supervisor", "evaluator fault:")],
+        "broken_role, tag",
+        [("planner", "planner:plan"), ("executor", "executor:execute"),
+         ("supervisor", "supervisor:evaluate")],
     )
-    def test_role_faults_fail_the_node(self, broken_role, prefix):
+    def test_role_faults_fail_the_node(self, broken_role, tag):
         roles = {
             "supervisor": [rule("supervisor:evaluate", [],
                                 eval_reply("completed", "Done."))],
@@ -517,7 +517,9 @@ class TestExecuteNode:
         graph = _single_node_graph()
         status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.FAILED
-        assert graph.nodes["node_1"].outcome.summary_text.startswith(prefix)
+        # the fault's own message, which names the role, with no second prefix
+        assert graph.nodes["node_1"].outcome.summary_text.startswith(
+            f"role '{tag}' failed after 1 attempt(s): ")
 
     def test_replanner_fault_fails_the_node(self):
         config = _exec_config(
@@ -534,7 +536,8 @@ class TestExecuteNode:
         graph = _single_node_graph()
         status = execute_node(graph, "node_1", _lab_run(config))
         assert status is NodeStatus.FAILED
-        assert graph.nodes["node_1"].outcome.summary_text.startswith("replanner fault:")
+        assert graph.nodes["node_1"].outcome.summary_text.startswith(
+            "role 'planner:replan' failed after 1 attempt(s): ")
 
     def test_exhausted_budget_returns_before_any_action(self):
         config = _exec_config(
@@ -711,7 +714,8 @@ class TestRunTask:
         sink = TraceSink(clock=CounterClock())
         report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
         assert report.terminal == "Terminated"
-        assert report.reason.startswith("construction fault:")
+        assert report.reason.startswith(
+            "role fault: role 'supervisor:construct' failed after 1 attempt(s): ")
         assert report.delivered is False
         kinds = [e.kind for e in sink.events_for(report.run_id)]
         assert "graph_constructed" not in kinds
@@ -727,7 +731,7 @@ class TestRunTask:
                               [rule(None, [], "garbage")], [])
         sink = TraceSink(clock=CounterClock())
         report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
-        assert report.reason.startswith("construction fault:")
+        assert report.reason.startswith("role fault: role 'supervisor:construct' failed")
         assert f"over the cap of {MAX_NODES}" in report.reason
         calls = [e.payload for e in sink.events_for(report.run_id) if e.kind == "role_call"]
         assert [(c["template"], c["attempts"]) for c in calls] == [
@@ -1024,7 +1028,8 @@ class TestRunTask:
         (revision,) = [e.payload for e in events if e.kind == "revision"]
         assert revision["status"] == "noop"
         assert revision["delta"] is None
-        assert revision["error"].startswith("revision fault:")
+        assert revision["error"].startswith(
+            f"role 'supervisor:revise' failed after {revise['attempts']} attempt(s): ")
         assert "field 'new_nodes' must be a list" in revision["error"]
         assert report.terminal == "Completed"
         assert_ends_on_record(report, sink)

@@ -504,9 +504,8 @@ def test_parse_revision_edges():
     for field in ("description_updates", "new_nodes", "remove_nodes"):
         for value in (True, 0, {}, {"id": "x"}, "node_1"):
             text = json.dumps({"need_update": True, field: value})
-            with pytest.raises(ParseFault, match=f"field '{field}' must be a list, got") as caught:
+            with pytest.raises(ParseFault, match=f"field '{field}' must be a list, got"):
                 parse_revision(text)
-            assert caught.value.raw_text == text
 
 
 def test_extract_action_trimming():
