@@ -372,7 +372,7 @@ class Evaluation:
 def parse_evaluation(text: str) -> Evaluation:
     doc = extract_json(text)
     status = _require(doc, "status")
-    if status not in _EVAL_STATUSES:
+    if not isinstance(status, str) or status not in _EVAL_STATUSES:
         raise ParseFault(f"status must be one of {sorted(_EVAL_STATUSES)}, got {status!r}")
     need_replan = _as_bool(_require(doc, "need_replan"), "need_replan")
     reason = doc.get("reason")
@@ -586,6 +586,9 @@ class RemoteChatBackend(ModelBackend):
 
     A count the response's ``usage`` does not give is unknown (``None``), not
     zero, so a reply without usage cannot read as a call that cost nothing.
+    A reply whose ``content`` is not a string (``null``, a list of parts) is
+    a :class:`TypeError`, which :meth:`tdp.engine.Run.call` records as a
+    backend error.
 
     The API key is read from the environment variable named in the
     configuration — never stored in config files.  Construction fails fast
@@ -630,6 +633,8 @@ class RemoteChatBackend(ModelBackend):
         response.raise_for_status()
         doc = response.json()
         text = doc["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise TypeError(f"reply content must be a string, got {type(text).__name__}")
         usage = doc.get("usage") or {}
 
         def reported(key: str) -> int | None:

@@ -147,9 +147,13 @@ def corrupt_evaluation(rng: random.Random) -> str:
         "reason": _phrase(rng),
         "need_replan": False,
     }
-    mode = rng.choice(["enum_swap", "drop_status", "drop_need_replan", "stringy_bool", "no_guidance"])
+    mode = rng.choice(
+        ["enum_swap", "wrong_type", "drop_status", "drop_need_replan", "stringy_bool", "no_guidance"]
+    )
     if mode == "enum_swap":
         doc["status"] = rng.choice(["finished", "done", "in_progress", "COMPLETED"])
+    elif mode == "wrong_type":
+        doc["status"] = rng.choice([["completed"], {"completed": True}, [], 1])
     elif mode == "drop_status":
         del doc["status"]
     elif mode == "drop_need_replan":

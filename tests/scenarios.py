@@ -99,14 +99,23 @@ class RecordingBackend(ModelBackend):
         return self.inner.complete(role_tag, prompt)
 
 
+#: A JSON reply in which every field a JSON-reading parser requires has the
+#: wrong type.
+MISTYPED_REPLY = json.dumps(
+    {"subgoals": {}, "status": [], "need_replan": [], "RePlan": [], "need_update": []}
+)
+
+
 class FaultAt(ModelBackend):
     """Delegates to `inner`, except at model call number `at`, counted in the
     `calls` list that every role's wrapper of one run shares.  There it does
     `fault`: ``"error"`` raises :class:`RuntimeError`, ``"unparseable"``
-    replies with an empty text no role's parser accepts, and ``"no_usage"``
-    gives the inner reply with neither token count reported."""
+    replies with an empty text no role's parser accepts, ``"mistyped"`` with
+    :data:`MISTYPED_REPLY` (except to ``executor:execute``, whose reply is
+    free text that any action fits, so there it gives the inner reply), and
+    ``"no_usage"`` gives the inner reply with neither token count reported."""
 
-    FAULTS = ("error", "unparseable", "no_usage")
+    FAULTS = ("error", "unparseable", "mistyped", "no_usage")
 
     def __init__(self, inner: ModelBackend, calls: list[str], at: int, fault: str) -> None:
         assert fault in self.FAULTS, fault
@@ -124,6 +133,9 @@ class FaultAt(ModelBackend):
         reply = self.inner.complete(role_tag, prompt)
         if self.fault == "unparseable":
             return Completion("", reply.usage)
+        if self.fault == "mistyped":
+            text = reply.text if role_tag == "executor:execute" else MISTYPED_REPLY
+            return Completion(text, reply.usage)
         return Completion(reply.text, TokenUsage(None, None))
 
 

@@ -108,7 +108,7 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         run_end = run_ends[0].payload
 
         live = compute_metrics(events, instance.gold, method=method, run_id="r")
-        unknown = fault != "unparseable" and k <= len(clean_calls)
+        unknown = fault in ("error", "no_usage") and k <= len(clean_calls)
         assert (live.avg_prompt_tokens is None) is unknown, where
         _, replayed_events = read_trace(path)
         assert compute_metrics(replayed_events, instance.gold, method=method) == live, where

@@ -821,14 +821,14 @@ class _Response:
         return self._doc
 
 
-def _remote_run(monkeypatch, *usages):
+def _remote_run(monkeypatch, *usages, content='{"a": 1}'):
     """A probe run on a remote backend whose ``requests.post`` answers
-    ``{"a": 1}`` with each of `usages` in turn (``None``: no usage field)."""
+    `content` with each of `usages` in turn (``None``: no usage field)."""
     monkeypatch.setenv("PROBE_KEY", "sk-test-123")
     replies = iter(usages)
 
     def post(url, **kwargs):
-        doc = {"choices": [{"message": {"content": '{"a": 1}'}}]}
+        doc = {"choices": [{"message": {"content": content}}]}
         usage = next(replies)
         return _Response(doc if usage is None else {**doc, "usage": usage})
 
@@ -852,6 +852,25 @@ def test_remote_reply_without_usage_is_unknown_not_free(monkeypatch):
     assert "prompt_tokens=- output_tokens=-" in _report_line(report, record)
     table = compare_report({"tdp": [record]}, reference="tdp").format_table()
     assert table.splitlines()[2].split()[7:10] == ["-", "-", "-"]
+
+
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": '{"a": 1}'}]])
+def test_remote_reply_whose_content_is_not_a_string_is_a_recorded_backend_error(
+    monkeypatch, content
+):
+    """A reply with no text reaches no parser: the backend refuses it naming
+    the content's type, the call is recorded as failed, and the run's tokens
+    read unknown, since the refused reply's usage is not counted."""
+    run = _remote_run(monkeypatch, {"prompt_tokens": 9, "completion_tokens": 3}, content=content)
+    kind = type(content).__name__
+    with pytest.raises(TypeError, match=f"reply content must be a string, got {kind}"):
+        _probe(run)
+    event = _role_call(run)
+    assert event["ok"] is False and event["attempts"] == 1
+    assert event["error"] == f"TypeError: reply content must be a string, got {kind}"
+    run.finish("Terminated", "error")
+    record = compute_metrics(run.sink.events_for("r"))
+    assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
 
 
 def test_remote_usage_missing_one_count_leaves_only_that_count_unknown(monkeypatch):
