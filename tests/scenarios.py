@@ -425,7 +425,7 @@ def diamond_instance() -> TaskInstance:
     )
 
 
-def diamond_rules() -> dict[str, RecordingBackend]:
+def _diamond_rule_lists() -> tuple[list[ScriptRule], list[ScriptRule], list[ScriptRule]]:
     supervisor = [
         rule(
             "supervisor:construct",
@@ -471,11 +471,76 @@ def diamond_rules() -> dict[str, RecordingBackend]:
         rule("executor:execute", [DIAMOND_N2], "activate stove"),
         rule("executor:execute", [DIAMOND_N1], "open drawer"),
     ]
-    return backends(supervisor, planner, executor)
+    return supervisor, planner, executor
+
+
+def diamond_rules() -> dict[str, RecordingBackend]:
+    return backends(*_diamond_rule_lists())
 
 
 def diamond_config(role_backends: dict[str, RecordingBackend]) -> RunConfig:
     return RunConfig(s_max=DIAMOND_S_MAX, role_backends=dict(role_backends))
+
+
+# ---------------------------------------------------------------------------
+# diamond repair scenario: the diamond, but node_3 asks for a microscope the
+# lab does not have.  It closes failed; that round's revision removes it and
+# adds node_5, the plant focus, as a new dependency of the blocked node_4.
+# node_5 completes in the next round, node_4 in the one after, and the run
+# ends Completed and delivered: the supervisor's global repair.
+
+DIAMOND_BAD_N3 = "Focus the microscope on the plant."
+
+REPAIR_REVISION = json.dumps(
+    {
+        "thought": "node_3 failed: the lab has no microscope, but the plant itself can be focused.",
+        "need_update": True,
+        "description_updates": [],
+        "new_nodes": [
+            {
+                "id": "node_5",
+                "description": DIAMOND_N3,
+                "dependencies": ["node_1"],
+                "dependents": ["node_4"],
+            }
+        ],
+        "remove_nodes": ["node_3"],
+    }
+)
+
+
+def diamond_repair_instance() -> TaskInstance:
+    return replace(diamond_instance(), id="diamond_repair")
+
+
+def diamond_repair_rules() -> dict[str, RecordingBackend]:
+    supervisor, planner, executor = _diamond_rule_lists()
+    supervisor[:0] = [
+        rule(
+            "supervisor:construct",
+            ["Open the drawer, activate the stove"],
+            subgoals_reply(
+                ("node_1", DIAMOND_N1, []),
+                ("node_2", DIAMOND_N2, ["node_1"]),
+                ("node_3", DIAMOND_BAD_N3, ["node_1"]),
+                ("node_4", DIAMOND_N4, ["node_2", "node_3"]),
+            ),
+        ),
+        rule(
+            "supervisor:evaluate",
+            [DIAMOND_BAD_N3, "You don't see any microscope here."],
+            eval_reply("failed", "The lab has no microscope."),
+        ),
+        rule("supervisor:revise", ["- [node_3] failed:"], REPAIR_REVISION),
+    ]
+    planner.insert(0, rule("planner:plan", [DIAMOND_BAD_N3], plan_reply(DIAMOND_BAD_N3)))
+    executor.insert(0, rule("executor:execute", [DIAMOND_BAD_N3], "focus microscope"))
+    return backends(supervisor, planner, executor)
+
+
+def diamond_repair_config() -> RunConfig:
+    """Room for all five steps: the failed one and one per node after it."""
+    return RunConfig(s_max=8, role_backends=dict(diamond_repair_rules()))
 
 
 # The complete expected event stream (projected through `project` above),

@@ -15,8 +15,8 @@ purpose regenerates both with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and says in CHANGES.md why they changed; it prints each case whose trace or
-prompt hash moved.
+and says in CHANGES.md why they changed; it prints each case that is new
+(``added:``) and each case whose trace or prompt hash moved (``changed:``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from scenarios import (
     chain_instance,
     diamond_config,
     diamond_instance,
+    diamond_repair_config,
+    diamond_repair_instance,
     diamond_rules,
     planact_chain_rules,
     reworded_stage,
@@ -116,6 +118,7 @@ def _cases() -> dict[str, Case]:
     cases["tdp/diamond_lab"] = _scenario_case(
         diamond_instance, lambda: diamond_config(diamond_rules())
     )
+    cases["tdp/diamond_repair"] = _scenario_case(diamond_repair_instance, diamond_repair_config)
     for variant in ("blocked", "direct"):
         cases[f"tdp/travel_locality_{variant}"] = _scenario_case(
             lambda v=variant: travel_locality_instance(v),
@@ -238,6 +241,23 @@ def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
         }
 
 
+def test_the_repair_case_completes_by_revision():
+    """node_3 fails; the round's revision removes it and adds node_5 before
+    the blocked node_4; node_5 and then node_4 complete, and the run delivers."""
+    events = [json.loads(line) for line in _run_of("tdp/diamond_repair").trace.splitlines()]
+    statuses = [(e["payload"]["node_id"], e["payload"]["status"]) for e in events
+                if e["kind"] == "node_status" and e["payload"]["status"] != "in_progress"]
+    assert statuses == [("node_1", "completed"), ("node_2", "completed"),
+                        ("node_3", "failed"), ("node_5", "completed"), ("node_4", "completed")]
+    (repair,) = [e["payload"] for e in events
+                 if e["kind"] == "revision" and e["payload"]["status"] == "applied"]
+    assert repair["delta"]["remove_nodes"] == ["node_3"]
+    (new_node,) = repair["delta"]["new_nodes"]
+    assert (new_node["id"], new_node["dependents"]) == ("node_5", ["node_4"])
+    (run_end,) = [e["payload"] for e in events if e["kind"] == "run_end"]
+    assert (run_end["terminal"], run_end["delivered"]) == ("Completed", True)
+
+
 def test_a_version_1_trace_cannot_be_replayed():
     """Version 1 recorded the decomposition as a snapshot, not as a delta."""
     headers, events = read_trace(Path(__file__).with_name("trace_v1.jsonl"))
@@ -253,14 +273,16 @@ def _write(path: Path, hashes: dict[str, str]) -> None:
 
 
 def _regenerate() -> None:
-    """Rewrite both golden files, first printing each case whose trace or
-    prompt hash moved."""
+    """Rewrite both golden files, first printing each case that has no
+    golden hash yet and each case whose trace or prompt hash moved."""
     hashes = {name: _hashes_of(name) for name in sorted(CASES)}
     old = (_golden(GOLDEN_PATH), _golden(PROMPTS_PATH))
     for name, pair in hashes.items():
         moved = [what for what, golden, new in zip(("trace", "prompts"), old, pair)
                  if golden.get(name) != new]
-        if moved:
+        if all(name not in golden for golden in old):
+            print(f"added: {name}")
+        elif moved:
             print(f"changed: {name} ({', '.join(moved)})")
     _write(GOLDEN_PATH, {name: pair[0] for name, pair in hashes.items()})
     _write(PROMPTS_PATH, {name: pair[1] for name, pair in hashes.items()})
