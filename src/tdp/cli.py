@@ -201,9 +201,8 @@ def _run_matrix(
     return [outcome for outcome in outcomes if not isinstance(outcome, str)], len(failures)
 
 
-def _trace_dir(args: argparse.Namespace, config: RunConfig) -> Path:
-    raw = getattr(args, "trace_dir", None) or config.trace_dir or "traces"
-    path = Path(raw)
+def _trace_dir(args: argparse.Namespace) -> Path:
+    path = Path(args.trace_dir or "traces")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -229,7 +228,7 @@ def _report_line(report: RunReport, record: MetricsRecord) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     instances = _collect_instances(args.tasks, config)
-    trace_dir = _trace_dir(args, config)
+    trace_dir = _trace_dir(args)
     results, failed = _run_matrix([args.method], instances, config, trace_dir)
     for report, record, trace_path in results:
         print(_report_line(report, record))
@@ -252,7 +251,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     config = load_config(args.config)
     instances = _collect_instances(args.tasks, config)
-    trace_dir = _trace_dir(args, config)
+    trace_dir = _trace_dir(args)
     results, failed = _run_matrix(methods, instances, config, trace_dir)
     for report, record, _path in results:
         print(_report_line(report, record))

@@ -121,7 +121,6 @@ class RunConfig:
     role_backends: dict[str, ModelBackend] = field(default_factory=dict)
     environment: str | None = None
     template_dir: str | None = None
-    trace_dir: str | None = None
     deterministic_clock: bool = True
     parallel_tasks: int = 1
 

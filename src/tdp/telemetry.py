@@ -410,20 +410,11 @@ class MethodSummary:
     avg_score: float | None
     token_reduction_vs_reference: float | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
     reference: str
     methods: tuple[MethodSummary, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "reference": self.reference,
-            "methods": [m.to_dict() for m in self.methods],
-        }
 
     def format_table(self) -> str:
         def fmt(value: Any, percent: bool) -> str:

@@ -122,7 +122,7 @@ class TestLoadConfig:
     def test_every_key_maps_onto_its_run_config_field(self, tmp_path):
         doc = {"environment": "mockwiki", "s_max": 9, "max_replans_per_node": 1,
                "parser_retry_budget": 0,
-               "deterministic_clock": False, "trace_dir": "out", "parallel_tasks": 2}
+               "deterministic_clock": False, "parallel_tasks": 2}
         config = load_config(_write_config(tmp_path, {**doc, "template_dir": "tpl"}))
         assert {key: getattr(config, key) for key in doc} == doc
         assert config.template_dir == str(tmp_path / "tpl")
@@ -135,7 +135,8 @@ class TestLoadConfig:
         ({"s_max": 7.9}, "'s_max' must be an integer, got 7.9"),
         ({"parallel_tasks": "2"}, "'parallel_tasks' must be an integer"),
         ({"max_replans_per_node": True}, "'max_replans_per_node' must be an integer"),
-        ({"trace_dir": 3}, "'trace_dir' must be a string or null"),
+        # the --trace-dir flag alone sets the trace directory
+        ({"trace_dir": "out"}, "unknown config key 'trace_dir'"),
         ({"s_mx": 8}, "unknown config key 's_mx'"),
         ({"backends": None}, "'backends' must map each role to a backend object"),
         ({"backends": {"executor": "scripted"}}, "'backends' must map each role"),

@@ -512,9 +512,3 @@ class TestCompareReport:
         tdp_line = next(l for l in lines if l.startswith("tdp"))
         assert "(ref)" in ref_line and "-" in ref_line.split()[-1]
         assert "75.0%" in tdp_line
-
-    def test_report_to_dict(self):
-        report = compare_report({"plan-act": [_record("plan-act", 10)]})
-        doc = report.to_dict()
-        assert doc["reference"] == "plan-act"
-        assert doc["methods"][0]["method"] == "plan-act"
