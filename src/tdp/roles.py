@@ -339,9 +339,8 @@ def parse_plan(text: str) -> Plan:
             raise ParseFault(f"plan step {number} has no 'Step:' line")
         reasoning_match = re.search(r"^Reasoning:\s*(.*?)^Step:", block, re.MULTILINE | re.DOTALL)
         reasoning = reasoning_match.group(1).strip() if reasoning_match else ""
-        steps.append(
-            PlanStep(index=number, reasoning=reasoning, step_text=step_match.group(1).strip())
-        )
+        step_text = step_match.group(1).strip()
+        steps.append(PlanStep(index=number, reasoning=reasoning, step_text=step_text))
     return Plan(steps=tuple(steps))
 
 

@@ -482,6 +482,49 @@ def diamond_config(role_backends: dict[str, RecordingBackend]) -> RunConfig:
     return RunConfig(s_max=DIAMOND_S_MAX, role_backends=dict(role_backends))
 
 
+# The complete expected event stream (projected through `project` above),
+# written out by hand before the scenario was first run.  Seq numbers are the
+# list indexes.  Round 1 works node_1 and revises; round 2 works node_2 then
+# node_3 and exhausts the 3-step budget at exactly s_max, so the run ends
+# without a second revision pass and without ever dispatching node_4.
+DIAMOND_EXPECTED: list[tuple[Any, ...]] = [
+    ("role_call", "supervisor", "construct", "global", True),
+    ("graph_constructed", ("node_1", "node_2", "node_3", "node_4")),
+    ("node_dispatched", "node_1"),
+    ("node_status", "node_1", "in_progress"),
+    ("role_call", "planner", "plan", "node_1", True),
+    ("role_call", "executor", "execute", "node_1", True),
+    (
+        "env_step",
+        1,
+        "open drawer",
+        "You open the drawer. Inside you see: key.",
+        0.25,
+        False,
+        "node_1",
+    ),
+    ("role_call", "supervisor", "evaluate", "node_1", True),
+    ("node_status", "node_1", "completed"),
+    ("role_call", "supervisor", "revise", "global", True),
+    ("revision", "noop"),
+    ("node_dispatched", "node_2"),
+    ("node_status", "node_2", "in_progress"),
+    ("role_call", "planner", "plan", "node_2", True),
+    ("role_call", "executor", "execute", "node_2", True),
+    ("env_step", 2, "activate stove", "You activate the stove.", 0.25, False, "node_2"),
+    ("role_call", "supervisor", "evaluate", "node_2", True),
+    ("node_status", "node_2", "completed"),
+    ("node_dispatched", "node_3"),
+    ("node_status", "node_3", "in_progress"),
+    ("role_call", "planner", "plan", "node_3", True),
+    ("role_call", "executor", "execute", "node_3", True),
+    ("env_step", 3, "focus plant", "You focus on the plant.", 0.25, False, "node_3"),
+    ("role_call", "supervisor", "evaluate", "node_3", True),
+    ("node_status", "node_3", "completed"),
+    ("run_end", "Terminated", "step budget exhausted", 3, False),
+]
+
+
 # ---------------------------------------------------------------------------
 # diamond repair scenario: the diamond, but node_3 asks for a microscope the
 # lab does not have.  It closes failed; that round's revision removes it and
@@ -541,49 +584,6 @@ def diamond_repair_rules() -> dict[str, RecordingBackend]:
 def diamond_repair_config() -> RunConfig:
     """Room for all five steps: the failed one and one per node after it."""
     return RunConfig(s_max=8, role_backends=dict(diamond_repair_rules()))
-
-
-# The complete expected event stream (projected through `project` above),
-# written out by hand before the scenario was first run.  Seq numbers are the
-# list indexes.  Round 1 works node_1 and revises; round 2 works node_2 then
-# node_3 and exhausts the 3-step budget at exactly s_max, so the run ends
-# without a second revision pass and without ever dispatching node_4.
-DIAMOND_EXPECTED: list[tuple[Any, ...]] = [
-    ("role_call", "supervisor", "construct", "global", True),
-    ("graph_constructed", ("node_1", "node_2", "node_3", "node_4")),
-    ("node_dispatched", "node_1"),
-    ("node_status", "node_1", "in_progress"),
-    ("role_call", "planner", "plan", "node_1", True),
-    ("role_call", "executor", "execute", "node_1", True),
-    (
-        "env_step",
-        1,
-        "open drawer",
-        "You open the drawer. Inside you see: key.",
-        0.25,
-        False,
-        "node_1",
-    ),
-    ("role_call", "supervisor", "evaluate", "node_1", True),
-    ("node_status", "node_1", "completed"),
-    ("role_call", "supervisor", "revise", "global", True),
-    ("revision", "noop"),
-    ("node_dispatched", "node_2"),
-    ("node_status", "node_2", "in_progress"),
-    ("role_call", "planner", "plan", "node_2", True),
-    ("role_call", "executor", "execute", "node_2", True),
-    ("env_step", 2, "activate stove", "You activate the stove.", 0.25, False, "node_2"),
-    ("role_call", "supervisor", "evaluate", "node_2", True),
-    ("node_status", "node_2", "completed"),
-    ("node_dispatched", "node_3"),
-    ("node_status", "node_3", "in_progress"),
-    ("role_call", "planner", "plan", "node_3", True),
-    ("role_call", "executor", "execute", "node_3", True),
-    ("env_step", 3, "focus plant", "You focus on the plant.", 0.25, False, "node_3"),
-    ("role_call", "supervisor", "evaluate", "node_3", True),
-    ("node_status", "node_3", "completed"),
-    ("run_end", "Terminated", "step budget exhausted", 3, False),
-]
 
 
 # ---------------------------------------------------------------------------
