@@ -202,7 +202,7 @@ def _run_matrix(
 
 
 def _trace_dir(args: argparse.Namespace) -> Path:
-    path = Path(args.trace_dir or "traces")
+    path = Path(args.trace_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--method", required=True, choices=METHODS)
     run_p.add_argument("--tasks", required=True, help="fixture file or directory")
     run_p.add_argument("--config", required=True, help="run-config JSON file")
-    run_p.add_argument("--trace-dir", default=None, help="where trace files go")
+    run_p.add_argument("--trace-dir", default="traces", help="where trace files go")
     run_p.set_defaults(handler=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run several methods and tabulate metrics")
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--tasks", required=True)
     cmp_p.add_argument("--config", required=True)
     cmp_p.add_argument("--reference", default="plan-act", help="token-reduction reference")
-    cmp_p.add_argument("--trace-dir", default=None)
+    cmp_p.add_argument("--trace-dir", default="traces")
     cmp_p.set_defaults(handler=_cmd_compare)
 
     rep_p = sub.add_parser("replay", help="recompute metrics from a trace file")

@@ -583,7 +583,7 @@ def diamond_repair_rules() -> dict[str, RecordingBackend]:
 
 def diamond_repair_config() -> RunConfig:
     """Room for all five steps: the failed one and one per node after it."""
-    return RunConfig(s_max=8, role_backends=dict(diamond_repair_rules()))
+    return replace(diamond_config(diamond_repair_rules()), s_max=8)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,7 @@ class TestLoadConfig:
         ({"max_replans_per_node": True}, "'max_replans_per_node' must be an integer"),
         # the --trace-dir flag alone sets the trace directory
         ({"trace_dir": "out"}, "unknown config key 'trace_dir'"),
+        ({"environment": 3}, "'environment' must be a string or null"),
         ({"s_mx": 8}, "unknown config key 's_mx'"),
         ({"backends": None}, "'backends' must map each role to a backend object"),
         ({"backends": {"executor": "scripted"}}, "'backends' must map each role"),
