@@ -1,7 +1,7 @@
 """Command-line front end: run, compare, replay, report.
 
-Configuration is a JSON file; relative paths inside it (script files, template
-directory) resolve against the config file's own directory.  Remote backends
+Configuration is a JSON file; relative script-file paths inside it resolve
+against the config file's own directory.  Remote backends
 read their API key from the environment variable named in the config and
 refuse to start when it is unset.  Replay and report work purely from trace
 files — no backend and no environment is ever constructed for them.
@@ -13,7 +13,6 @@ import argparse
 import glob as globlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
@@ -116,9 +115,6 @@ def load_config(path: str | Path) -> RunConfig:
             kwargs[key] = _config_value(key, value, defaults[key])
         else:
             raise CliError(f"unknown config key {key!r}")
-    template_dir = kwargs.get("template_dir")
-    if template_dir is not None and not Path(template_dir).is_absolute():
-        kwargs["template_dir"] = str((base_dir / template_dir).resolve())
     try:
         return RunConfig(**kwargs)
     except EngineError as err:
@@ -183,18 +179,17 @@ def _run_matrix(
     config: RunConfig,
     trace_dir: Path,
 ) -> tuple[list[tuple[RunReport, MetricsRecord, Path]], int]:
-    """Run every (method, instance) pair; return the finished runs and how
-    many failed.
+    """Run every (method, instance) pair in turn; return the finished runs and
+    how many failed.
 
     A run that raises does not stop the others: its failure line is printed,
-    in job order on both the sequential and the thread-pool path.
+    in run order.
     """
-    jobs = [(method, instance, config, trace_dir) for method in methods for instance in instances]
-    if config.parallel_tasks > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_tasks) as pool:
-            outcomes = list(pool.map(lambda job: _guarded_run(*job), jobs))
-    else:
-        outcomes = [_guarded_run(*job) for job in jobs]
+    outcomes = [
+        _guarded_run(method, instance, config, trace_dir)
+        for method in methods
+        for instance in instances
+    ]
     failures = [outcome for outcome in outcomes if isinstance(outcome, str)]
     for line in failures:
         print(line)

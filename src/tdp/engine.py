@@ -120,9 +120,7 @@ class RunConfig:
     parser_retry_budget: int = 2
     role_backends: dict[str, ModelBackend] = field(default_factory=dict)
     environment: str | None = None
-    template_dir: str | None = None
     deterministic_clock: bool = True
-    parallel_tasks: int = 1
 
     def __post_init__(self) -> None:
         if self.s_max < 1:
@@ -131,8 +129,6 @@ class RunConfig:
             raise EngineError("max_replans_per_node must be >= 0")
         if self.parser_retry_budget < 0:
             raise EngineError("parser_retry_budget must be >= 0")
-        if self.parallel_tasks < 1:
-            raise EngineError("parallel_tasks must be >= 1")
 
     def backend(self, role: str) -> ModelBackend:
         try:
@@ -290,7 +286,7 @@ class Run:
         self.graph: TaskGraph | None = None
         self.run_id = run_id or f"{method}__{instance.id}"
         self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
-        self.templates = load_templates(config.template_dir)
+        self.templates = load_templates()
         self.steps_used = 0
         env.reset(instance)
         self.commands = format_commands(env)

@@ -115,37 +115,19 @@ class PromptTemplate:
     placeholders: frozenset[str]
 
 
-def _placeholders(body: str) -> frozenset[str]:
-    return frozenset(_PLACEHOLDER_RE.findall(body))
-
-
-def load_template(name: str, template_dir: str | Path | None = None) -> PromptTemplate:
-    """Load one template by name, from `template_dir` if given else the built-ins.
-
-    A template declares the placeholders its packaged body holds.  An override
-    from `template_dir` must hold exactly those, or loading raises a
-    :class:`RenderFault` naming the missing and undeclared ones.
-    """
+def load_template(name: str) -> PromptTemplate:
+    """Load one packaged template by name; it declares the placeholders its
+    body holds."""
     if name not in TEMPLATE_NAMES:
         raise KeyError(f"unknown template {name!r}")
     body = (resources.files("tdp") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
-    placeholders = _placeholders(body)
-    if template_dir is not None:
-        body = (Path(template_dir) / f"{name}.txt").read_text(encoding="utf-8")
-        found = _placeholders(body)
-        if found != placeholders:
-            missing = sorted(placeholders - found)
-            extra = sorted(found - placeholders)
-            raise RenderFault(
-                f"template {name!r} placeholder mismatch"
-                + (f"; missing: {missing}" if missing else "")
-                + (f"; undeclared: {extra}" if extra else "")
-            )
-    return PromptTemplate(name=name, body=body, placeholders=placeholders)
+    return PromptTemplate(
+        name=name, body=body, placeholders=frozenset(_PLACEHOLDER_RE.findall(body))
+    )
 
 
-def load_templates(template_dir: str | Path | None = None) -> dict[str, PromptTemplate]:
-    return {name: load_template(name, template_dir) for name in TEMPLATE_NAMES}
+def load_templates() -> dict[str, PromptTemplate]:
+    return {name: load_template(name) for name in TEMPLATE_NAMES}
 
 
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, Any]) -> str:

@@ -121,11 +121,9 @@ class TestLoadConfig:
 
     def test_every_key_maps_onto_its_run_config_field(self, tmp_path):
         doc = {"environment": "mockwiki", "s_max": 9, "max_replans_per_node": 1,
-               "parser_retry_budget": 0,
-               "deterministic_clock": False, "parallel_tasks": 2}
-        config = load_config(_write_config(tmp_path, {**doc, "template_dir": "tpl"}))
+               "parser_retry_budget": 0, "deterministic_clock": False}
+        config = load_config(_write_config(tmp_path, doc))
         assert {key: getattr(config, key) for key in doc} == doc
-        assert config.template_dir == str(tmp_path / "tpl")
         assert config.make_clock() is time.time
         assert config.role_backends == {}
 
@@ -133,10 +131,13 @@ class TestLoadConfig:
         ({"deterministic_clock": "false"}, "'deterministic_clock' must be true or false"),
         ({"deterministic_clock": 0}, "'deterministic_clock' must be true or false"),
         ({"s_max": 7.9}, "'s_max' must be an integer, got 7.9"),
-        ({"parallel_tasks": "2"}, "'parallel_tasks' must be an integer"),
+        ({"parser_retry_budget": "2"}, "'parser_retry_budget' must be an integer"),
         ({"max_replans_per_node": True}, "'max_replans_per_node' must be an integer"),
         # the --trace-dir flag alone sets the trace directory
         ({"trace_dir": "out"}, "unknown config key 'trace_dir'"),
+        # only the packaged templates load, and runs go one after another
+        ({"template_dir": "tpl"}, "unknown config key 'template_dir'"),
+        ({"parallel_tasks": 2}, "unknown config key 'parallel_tasks'"),
         ({"environment": 3}, "'environment' must be a string or null"),
         ({"s_mx": 8}, "unknown config key 's_mx'"),
         ({"backends": None}, "'backends' must map each role to a backend object"),
@@ -412,35 +413,14 @@ class TestCompare:
         assert code == 2
         assert "reference method 'cot' is not among" in err
 
-    def test_thread_pool_writes_the_same_traces_and_table(self, tmp_path, capsys):
-        doc = json.loads((CONFIG_DIR / "scripted_wiki.json").read_text())
-        for spec in doc["backends"].values():
-            spec["rules"] = str(CONFIG_DIR / spec["rules"])
-        outputs, traces = [], []
-        for workers in (1, 2):
-            run_dir = tmp_path / f"workers_{workers}"
-            run_dir.mkdir()
-            config = _write_config(run_dir, {**doc, "parallel_tasks": workers})
-            code = dispatch(["compare", "--methods", ",".join(METHODS),
-                             "--tasks", WIKI_TASKS, "--config", str(config),
-                             "--trace-dir", str(run_dir / "traces")])
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-            traces.append({p.name: p.read_bytes()
-                           for p in (run_dir / "traces").glob("*.jsonl")})
-        assert len(traces[0]) == len(METHODS) * 3
-        assert traces[1] == traces[0]
-        assert outputs[1] == outputs[0]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_failing_run_does_not_sink_the_others(self, tmp_path, capsys, workers):
+    def test_a_failing_run_does_not_sink_the_others(self, tmp_path, capsys):
         """The travel scripts have no react rules, so react's run raises.  Its
         failure is one line, tdp's run still finishes, and the exit code is 1;
         with react as the reference there is no table, only a line saying so."""
         doc = json.loads((CONFIG_DIR / "scripted_travel.json").read_text())
         for spec in doc["backends"].values():
             spec["rules"] = str(CONFIG_DIR / spec["rules"])
-        config = str(_write_config(tmp_path, {**doc, "parallel_tasks": workers}))
+        config = str(_write_config(tmp_path, doc))
         outs = {}
         for reference in ("tdp", "react"):
             code = dispatch(["compare", "--methods", "tdp,react",

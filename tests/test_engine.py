@@ -99,8 +99,6 @@ class TestRunConfig:
             ({"s_max": -1}, "s_max must be >= 1, got -1"),
             ({"max_replans_per_node": -1}, "max_replans_per_node"),
             ({"parser_retry_budget": -1}, "parser_retry_budget"),
-            ({"parallel_tasks": -2}, "parallel_tasks must be >= 1"),
-            ({"parallel_tasks": 0}, "parallel_tasks"),
         ],
     )
     def test_bounds_enforced(self, kwargs, message):

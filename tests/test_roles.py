@@ -6,8 +6,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import shutil
-from importlib import resources
 
 import pytest
 import requests
@@ -202,54 +200,9 @@ def test_packaged_template_contract(name):
         assert graph.nodes
 
 
-def test_template_dir_override_and_placeholder_set_enforcement(tmp_path):
-    # a template missing a required placeholder must be refused at load time
-    (tmp_path / "construct.txt").write_text("Only {task_description} here.")
-    with pytest.raises(RenderFault, match="missing.*admissible_commands"):
-        load_template("construct", tmp_path)
-
-    # one with an undeclared placeholder likewise
-    (tmp_path / "construct.txt").write_text(
-        "{task_description} {admissible_commands} {surprise}"
-    )
-    with pytest.raises(RenderFault, match="undeclared.*surprise"):
-        load_template("construct", tmp_path)
-
-    # and an exact-set override loads from the directory, not the package
-    (tmp_path / "construct.txt").write_text(
-        "CUSTOM {task_description} | {admissible_commands}"
-    )
-    template = load_template("construct", tmp_path)
-    assert template.body.startswith("CUSTOM ")
-
+def test_unknown_template_name_is_a_key_error():
     with pytest.raises(KeyError, match="unknown template"):
         load_template("daydream")
-
-
-def test_override_with_a_pre_vocabulary_placeholder_fails_to_load(tmp_path):
-    # a copy of the packaged templates whose execute.txt still says {plan}
-    for name in TEMPLATE_NAMES:
-        with resources.as_file(resources.files("tdp") / "templates" / f"{name}.txt") as src:
-            shutil.copy(src, tmp_path / f"{name}.txt")
-    load_templates(tmp_path)  # the unchanged copy loads
-    execute = tmp_path / "execute.txt"
-    execute.write_text(execute.read_text().replace("{current_plan}", "{plan}"))
-    with pytest.raises(
-        RenderFault, match=r"'execute'.*missing: \['current_plan'\]; undeclared: \['plan'\]"
-    ):
-        load_templates(tmp_path)
-
-
-@pytest.mark.parametrize("name", ["plan", "execute", "evaluate", "replan"])
-def test_override_that_still_names_the_task_in_a_node_template_fails_to_load(tmp_path, name):
-    # a copy of the packaged templates whose node template keeps a Task: line
-    for other in TEMPLATE_NAMES:
-        with resources.as_file(resources.files("tdp") / "templates" / f"{other}.txt") as src:
-            shutil.copy(src, tmp_path / f"{other}.txt")
-    node = tmp_path / f"{name}.txt"
-    node.write_text("Task: {task_description}\n" + node.read_text())
-    with pytest.raises(RenderFault, match=rf"'{name}'.*undeclared: \['task_description'\]"):
-        load_templates(tmp_path)
 
 
 def test_render_prompt_missing_binding_names_the_placeholder():
