@@ -278,14 +278,17 @@ class MetricsRecord:
 def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]]:
     """Per-role prompt and output tokens summed over the ``role_call`` events,
     in role order: the one account of a run's tokens.  A role's sum is
-    ``None`` once one of its calls has a count its backend did not report."""
+    ``None`` once one of its calls ended on a backend error, whose usage is
+    not known, or has a count its backend did not report."""
     totals: dict[str, dict[str, int | None]] = {}
     for event in events:
         if event.kind == "role_call":
             sums = totals.setdefault(event.payload.get("role", ""), {})
+            errored = "error" in event.payload
             for key in ("prompt_tokens", "output_tokens"):
                 total, count = sums.get(key, 0), event.payload.get(key, 0)
-                sums[key] = None if total is None or count is None else total + count
+                unknown = errored or total is None or count is None
+                sums[key] = None if unknown else total + count
     return dict(sorted(totals.items()))
 
 
@@ -332,14 +335,11 @@ def compute_metrics(
         )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
-    # a backend error's usage is not known, nor an unreported count, so
-    # neither is the run's
-    known = not any(e.kind == "role_call" and "error" in e.payload for e in events)
     tokens = role_tokens(events).values()
 
-    def run_total(key: str) -> float | None:
+    def run_total(key: str) -> float | None:  # unknown if any role's sum is
         counts = [role[key] for role in tokens]
-        return float(sum(counts)) if known and None not in counts else None
+        return None if None in counts else float(sum(counts))
 
     prompt_tokens, output_tokens = run_total("prompt_tokens"), run_total("output_tokens")
 

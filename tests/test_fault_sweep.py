@@ -5,7 +5,7 @@ fault kind (:attr:`scenarios.FaultAt.FAULTS`) and k = 1 .. n + 1, the last k
 past the run's final call.  Every run must return, or re-raise only the
 injected error; end on exactly one ``run_end``; replay from its trace file to
 its live metrics record, whose tokens are unknown exactly when a call raised
-or went unreported; stay within its method's attempt bound and ``s_max``
+or went unreported and agree with the ``run_end``'s per-role account; stay within its method's attempt bound and ``s_max``
 steps; and move each node's status only along legal transitions.  A tdp
 trace must also rebuild exactly the nodes of its ``run_end.node_records``.
 """
@@ -110,6 +110,10 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         live = compute_metrics(events, instance.gold, method=method, run_id="r")
         unknown = fault in ("error", "no_usage") and k <= len(clean_calls)
         assert (live.avg_prompt_tokens is None) is unknown, where
+        for key, total in (("prompt_tokens", live.avg_prompt_tokens),
+                           ("output_tokens", live.avg_output_tokens)):
+            sums = [role[key] for role in run_end["role_tokens"].values()]
+            assert (None if None in sums else sum(sums)) == total, where
         _, replayed_events = read_trace(path)
         assert compute_metrics(replayed_events, instance.gold, method=method) == live, where
 

@@ -725,8 +725,9 @@ def test_call_role_backend_error_on_a_retry_records_the_usage_so_far():
     assert event["ok"] is False and event["attempts"] == 2
     assert event["error"] == "ConnectionError: backend went away"
     assert (event["prompt_tokens"], event["output_tokens"]) == (5, 2)
+    # the failed attempt's usage is not known, so neither is the role's sum
     assert role_tokens(run.sink.events_for("r"))["supervisor"] == {
-        "prompt_tokens": 5, "output_tokens": 2}
+        "prompt_tokens": None, "output_tokens": None}
 
 
 def test_call_role_uses_role_tag_for_backend_dispatch():

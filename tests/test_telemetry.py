@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import run_task
-from tdp.environments import make_environment
+from tdp.environments import load_task_instance, make_environment
 from tdp.telemetry import (
     CounterClock,
     MetricsRecord,
@@ -26,7 +27,8 @@ from tdp.telemetry import (
     read_trace,
 )
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, FIXTURE_DIR
+from scenarios import with_fault
 
 #: The ``tdp-revise/chain3`` golden case as trace version 1 wrote it:
 #: ``graph_constructed`` holds a graph snapshot instead of a delta.
@@ -358,6 +360,22 @@ class TestComputeMetrics:
                          ok=False)  # a parse fault: its usage is known
         record = compute_metrics([events[0], faulted, events[2]])
         assert (record.avg_prompt_tokens, record.avg_output_tokens) == (13.0, 7.0)
+
+    def test_run_end_and_metrics_agree_on_a_backend_error_run(self):
+        """react on wiki_bridge whose executor raises on its second call: the
+        run_end's per-role account and the metrics record both read the
+        executor's tokens as unknown."""
+        instance = load_task_instance(FIXTURE_DIR / "wiki" / "wiki_bridge.json")
+        config, _ = with_fault(load_config(CONFIG_DIR / "scripted_wiki.json"), 2, "error")
+        sink = TraceSink(clock=CounterClock())
+        with pytest.raises(RuntimeError, match="injected fault at call 2"):
+            BASELINES["react"](instance, make_environment(instance.environment), config,
+                               sink=sink, run_id="r")
+        events = sink.events_for("r")
+        role_tokens = events[-1].payload["role_tokens"]
+        assert role_tokens == {"executor": {"prompt_tokens": None, "output_tokens": None}}
+        record = compute_metrics(events, instance.gold, method="react")
+        assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
 
     def test_replan_counting_and_locality_mean(self):
         events = [
