@@ -396,7 +396,6 @@ class Run:
         scope: str,
         accepted: bool,
         replan_count: int,
-        nodes_touched: int | None = None,
         budget_exhausted: bool = False,
     ) -> None:
         """A replan decision; ``budget_exhausted`` is written only when true."""
@@ -406,7 +405,6 @@ class Run:
             scope=scope,
             accepted=accepted,
             replan_count=replan_count,
-            nodes_touched=nodes_touched,
             **extra,
         )
 
@@ -602,7 +600,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
                 node.plan = decision.new_plan
                 node.replan_count += 1
                 plan_start = len(node.local_trace)
-                run.replan(node_id, accepted=True, replan_count=node.replan_count, nodes_touched=1)
+                run.replan(node_id, accepted=True, replan_count=node.replan_count)
     except RoleFault as fault:
         return close(NodeStatus.FAILED, str(fault))
     return node.status

@@ -265,7 +265,6 @@ class MetricsRecord:
     avg_prompt_tokens: float | None  # for one run: its total prompt tokens
     avg_output_tokens: float | None  # for one run: its total output tokens
     replans_total: int
-    nodes_touched_per_replan: float | None
     constraint_micro: float | None = None
     constraint_macro: bool | None = None
     steps_used: int = 0
@@ -346,12 +345,6 @@ def compute_metrics(
     accepted_replans = [
         e for e in events if e.kind == "replan" and e.payload.get("accepted", False)
     ]
-    touched = [
-        e.payload["nodes_touched"]
-        for e in accepted_replans
-        if e.payload.get("nodes_touched") is not None
-    ]
-    nodes_touched = (sum(touched) / len(touched)) if touched else None
 
     constraint_micro: float | None = None
     constraint_macro: bool | None = None
@@ -373,7 +366,6 @@ def compute_metrics(
         avg_prompt_tokens=prompt_tokens,
         avg_output_tokens=output_tokens,
         replans_total=len(accepted_replans),
-        nodes_touched_per_replan=nodes_touched,
         constraint_micro=constraint_micro,
         constraint_macro=constraint_macro,
         steps_used=int(run_end.payload.get("steps_used", 0)),
@@ -404,7 +396,6 @@ class MethodSummary:
     avg_output_tokens: float | None
     avg_total_tokens: float | None
     replans_mean: float
-    nodes_touched_mean: float | None
     constraint_micro: float | None
     constraint_macro_rate: float | None
     avg_score: float | None
@@ -465,7 +456,6 @@ _AVERAGED = {
     "avg_prompt_tokens": "avg_prompt_tokens",
     "avg_output_tokens": "avg_output_tokens",
     "replans_mean": "replans_total",
-    "nodes_touched_mean": "nodes_touched_per_replan",
     "constraint_micro": "constraint_micro",
     "constraint_macro_rate": "constraint_macro",
 }

@@ -441,7 +441,7 @@ class TestExecuteNode:
         replans = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert len(replans) == 1
         assert replans[0].payload == {
-            "scope": "node_1", "accepted": True, "replan_count": 1, "nodes_touched": 1,
+            "scope": "node_1", "accepted": True, "replan_count": 1,
         }
 
     def test_replan_decline_keeps_the_plan(self):
@@ -472,7 +472,7 @@ class TestExecuteNode:
         assert node.plan.steps[0].step_text == "Keep at it."
         (replan,) = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert replan.payload == {
-            "scope": "node_1", "accepted": False, "replan_count": 0, "nodes_touched": None,
+            "scope": "node_1", "accepted": False, "replan_count": 0,
         }
 
     def test_replan_budget_exhaustion_fails_the_node(self):

@@ -274,7 +274,7 @@ class TestReadTrace:
         assert compute_metrics(events, header["meta"]["gold"]) == MetricsRecord(
             run_id="tdp__chain3", method="tdp", delivery=True, accuracy=None,
             delivered_accuracy=None, avg_reward=None, avg_prompt_tokens=3360.0,
-            avg_output_tokens=306.0, replans_total=3, nodes_touched_per_replan=1.0,
+            avg_output_tokens=306.0, replans_total=3,
             constraint_micro=None, constraint_macro=None, steps_used=6, terminal="Completed",
         )
 
@@ -377,21 +377,17 @@ class TestComputeMetrics:
         record = compute_metrics(events, instance.gold, method="react")
         assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
 
-    def test_replan_counting_and_locality_mean(self):
+    def test_replan_counting(self):
         events = [
-            _event(0, "replan", scope="node_1", accepted=True, nodes_touched=1),
-            _event(1, "replan", scope="node_2", accepted=False, nodes_touched=4),
-            _event(2, "replan", scope="node_3", accepted=True, nodes_touched=2),
+            _event(0, "replan", scope="node_1", accepted=True),
+            _event(1, "replan", scope="node_2", accepted=False),
+            _event(2, "replan", scope="node_3", accepted=True),
             _run_end(),
         ]
-        record = compute_metrics(events)
-        assert record.replans_total == 2
-        assert record.nodes_touched_per_replan == pytest.approx(1.5)
+        assert compute_metrics(events).replans_total == 2
 
     def test_no_accepted_replans(self):
-        record = compute_metrics([_run_end()])
-        assert record.replans_total == 0
-        assert record.nodes_touched_per_replan is None
+        assert compute_metrics([_run_end()]).replans_total == 0
 
     def test_constraints_scored_on_plan_text(self):
         gold = {"constraints": [
@@ -435,7 +431,7 @@ def _record(method, tokens, **overrides):
         run_id=f"{method}-{tokens}", method=method, delivery=True, accuracy=None,
         delivered_accuracy=None, avg_reward=None, avg_prompt_tokens=0.0,
         avg_output_tokens=float(tokens),
-        replans_total=0, nodes_touched_per_replan=None,
+        replans_total=0,
     )
     base.update(overrides)
     return MetricsRecord(**base)
