@@ -624,8 +624,9 @@ def run_task(run: Run) -> tuple[str, str]:
     (:func:`render_outcomes`), plus the frontier from :func:`render_dag_state`:
     the in-progress, failed and ready nodes, the pending dependents of failed
     nodes and the completed nodes those depend on, with every other node only
-    counted.  So the supervisor can edit only the nodes it sees;
-    :func:`apply_revision` rejects any other id.
+    counted.  The view does not limit the edits: :func:`apply_revision`
+    rejects only unknown ids and rewrites of terminal nodes, so a revision
+    may still change a pending node that the view only counted.
 
     :func:`validate_graph` caps a graph at :data:`~tdp.graph.MAX_NODES`
     nodes, so a larger decomposition is a retried parse fault and a revision

@@ -11,10 +11,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 import pytest
 
 from tdp.cli import CliError, METHODS, dispatch, load_config
+from tdp.engine import RunConfig
 from tdp.roles import RemoteChatBackend, ScriptedBackend
 from tdp.telemetry import read_trace
 
@@ -159,6 +161,18 @@ class TestLoadConfig:
                          "--config", str(path), "--trace-dir", str(tmp_path)])
         assert code == 2
         assert "unknown config key 's_mx'" in capsys.readouterr().err
+
+    def test_readme_names_exactly_the_config_keys(self):
+        """Each top-level bullet of README's "Configuration" section names one
+        key ``load_config`` accepts, and every such key has one: the
+        :class:`RunConfig` fields, with ``backends`` for ``role_backends``."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        bullets = [line for line in section.splitlines() if line.startswith("- ")]
+        keys = [re.match(r"- `(\w+)`", line) for line in bullets]
+        assert None not in keys, [line for line, key in zip(bullets, keys) if key is None]
+        accepted = {f.name for f in fields(RunConfig)} - {"role_backends"} | {"backends"}
+        assert sorted(key.group(1) for key in keys) == sorted(accepted)
 
 
 def _write_config(tmp_path, doc):
