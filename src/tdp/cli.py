@@ -1,10 +1,10 @@
 """Command-line front end: run, compare, replay, report.
 
 Configuration is a JSON file; relative script-file paths inside it resolve
-against the config file's own directory.  Remote backends
-read their API key from the environment variable named in the config and
-refuse to start when it is unset.  Replay and report work purely from trace
-files — no backend and no environment is ever constructed for them.
+against the config file's own directory.  Remote backends read their API key
+from the environment variable named in the config and refuse to start when it
+is unset.  Replay and report work purely from trace files — no backend and no
+environment is ever constructed for them.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _config_value(key: str, value: Any, default: Any) -> Any:
         ok, expected = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    else:  # the optional string fields
+    else:  # environment, the optional string field
         ok, expected = value is None or isinstance(value, str), "a string or null"
     if not ok:
         raise CliError(f"config key {key!r} must be {expected}, got {value!r}")

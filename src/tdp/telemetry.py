@@ -336,7 +336,7 @@ def compute_metrics(
 
     tokens = role_tokens(events).values()
 
-    def run_total(key: str) -> float | None:  # unknown if any role's sum is
+    def run_total(key: str) -> float | None:
         counts = [role[key] for role in tokens]
         return None if None in counts else float(sum(counts))
 

@@ -5,9 +5,10 @@ fault kind (:attr:`scenarios.FaultAt.FAULTS`) and k = 1 .. n + 1, the last k
 past the run's final call.  Every run must return, or re-raise only the
 injected error; end on exactly one ``run_end``; replay from its trace file to
 its live metrics record, whose tokens are unknown exactly when a call raised
-or went unreported and agree with the ``run_end``'s per-role account; stay within its method's attempt bound and ``s_max``
-steps; and move each node's status only along legal transitions.  A tdp
-trace must also rebuild exactly the nodes of its ``run_end.node_records``.
+or went unreported and agree with the ``run_end``'s per-role account; stay
+within its method's attempt bound and ``s_max`` steps; and move each node's
+status only along legal transitions.  A tdp trace must also rebuild exactly
+the nodes of its ``run_end.node_records``.
 """
 
 from __future__ import annotations
