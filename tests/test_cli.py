@@ -11,14 +11,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
 
+from tdp.baselines import BASELINES
 from tdp.cli import CliError, METHODS, dispatch, load_config
-from tdp.engine import RunConfig
+from tdp.engine import RunConfig, run_task
+from tdp.environments import load_task_instance, make_environment
 from tdp.roles import RemoteChatBackend, ScriptedBackend
-from tdp.telemetry import read_trace
+from tdp.telemetry import TraceSink, read_trace
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
 
@@ -426,6 +429,52 @@ class TestCompare:
         err = capsys.readouterr().err
         assert code == 2
         assert "reference method 'cot' is not among" in err
+
+    @pytest.mark.parametrize("key, value", [("template_dir", "tpl"), ("parallel_tasks", 2)])
+    def test_a_dropped_knob_is_one_error_before_any_run(self, tmp_path, capsys, key, value):
+        """A config that still sets a knob no run reads is refused once, with
+        exit 2, before any run prints a line or writes a trace."""
+        doc = json.loads((CONFIG_DIR / "scripted_wiki.json").read_text())
+        for spec in doc["backends"].values():
+            spec["rules"] = str(CONFIG_DIR / spec["rules"])
+        config = _write_config(tmp_path, {**doc, key: value})
+        code = dispatch(["compare", "--methods", ",".join(METHODS), "--tasks", WIKI_TASKS,
+                         "--config", str(config), "--trace-dir", str(tmp_path / "traces")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count(f"unknown config key '{key}'") == 1
+        assert out == ""
+        assert not list(tmp_path.glob("**/*.jsonl"))
+
+    def test_runs_driven_from_threads_write_the_traces_compare_writes(self, tmp_path, capsys):
+        """A library caller may drive the runs from threads: each run, with
+        its own sink and clock, writes the bytes the sequential compare does."""
+        code = dispatch(["compare", "--methods", ",".join(METHODS), "--tasks", WIKI_TASKS,
+                         "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path / "loop")])
+        assert code == 0
+        capsys.readouterr()
+        config = load_config(WIKI_CONFIG)
+        instances = [load_task_instance(p) for p in sorted((FIXTURE_DIR / "wiki").glob("*.json"))]
+        threaded = tmp_path / "threads"
+        threaded.mkdir()
+
+        def run(method, instance):
+            run_id = f"{method}__{instance.id}"
+            sink = TraceSink(threaded / f"{run_id}.jsonl", clock=config.make_clock())
+            runner = run_task if method == "tdp" else BASELINES[method]
+            try:
+                runner(instance, make_environment(instance.environment), config,
+                       sink=sink, run_id=run_id)
+            finally:
+                sink.close()
+
+        pairs = [(method, instance) for method in METHODS for instance in instances]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda pair: run(*pair), pairs))
+        traces = [{p.name: p.read_bytes() for p in (tmp_path / sub).glob("*.jsonl")}
+                  for sub in ("loop", "threads")]
+        assert len(traces[0]) == len(METHODS) * 3
+        assert traces[1] == traces[0]
 
     def test_a_failing_run_does_not_sink_the_others(self, tmp_path, capsys):
         """The travel scripts have no react rules, so react's run raises.  Its

@@ -25,6 +25,7 @@ from tdp.telemetry import (
     compute_metrics,
     normalize_answer,
     read_trace,
+    role_tokens,
 )
 
 from conftest import CONFIG_DIR, FIXTURE_DIR
@@ -99,6 +100,33 @@ class TestTraceSink:
         headers, _ = read_trace(path)
         assert set(headers) == {"a", "b"}
         sink.close()
+
+    def test_runs_on_their_own_threads_stay_contiguous_per_run(self, tmp_path):
+        """Runs that append to one sink from their own threads each number
+        their events 0, 1, 2, ..., and the file reads back whole."""
+        path = tmp_path / "trace.jsonl"
+        sink = TraceSink(path, clock=CounterClock())
+        run_ids = [f"r{i}" for i in range(4)]
+
+        def worker(run_id):
+            sink.begin_run(run_id, {})
+            for i in range(200):
+                sink.emit(run_id, "node_dispatched", node_id=f"n{i}")
+
+        threads = [threading.Thread(target=worker, args=(run_id,)) for run_id in run_ids]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        sink.close()
+        for run_id in run_ids:
+            events = sink.events_for(run_id)
+            assert [e.seq for e in events] == list(range(200))
+            assert [e.payload["node_id"] for e in events] == [f"n{i}" for i in range(200)]
+        headers, events = read_trace(path)
+        assert set(headers) == set(run_ids)
+        assert len(events) == 800
+        assert len({e.timestamp for e in events}) == 800  # one clock, one tick per event
 
     def test_duplicate_run_id_refused(self):
         sink = TraceSink()
@@ -372,10 +400,27 @@ class TestComputeMetrics:
             BASELINES["react"](instance, make_environment(instance.environment), config,
                                sink=sink, run_id="r")
         events = sink.events_for("r")
-        role_tokens = events[-1].payload["role_tokens"]
-        assert role_tokens == {"executor": {"prompt_tokens": None, "output_tokens": None}}
+        account = events[-1].payload["role_tokens"]
+        assert account == {"executor": {"prompt_tokens": None, "output_tokens": None}}
         record = compute_metrics(events, instance.gold, method="react")
         assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
+
+    def test_a_backend_error_makes_only_its_own_role_unknown(self):
+        """The errored role's sums stay unknown through its later calls; the
+        other roles keep theirs."""
+        events = [
+            _event(0, "role_call", role="supervisor", prompt_tokens=10, output_tokens=3),
+            _event(1, "role_call", role="executor", prompt_tokens=4, output_tokens=1),
+            _event(2, "role_call", role="executor", prompt_tokens=5, output_tokens=2,
+                   error="ConnectionError: backend went away"),
+            _event(3, "role_call", role="executor", prompt_tokens=6, output_tokens=2),
+            _event(4, "role_call", role="planner", prompt_tokens=7, output_tokens=4),
+        ]
+        assert role_tokens(events) == {
+            "executor": {"prompt_tokens": None, "output_tokens": None},
+            "planner": {"prompt_tokens": 7, "output_tokens": 4},
+            "supervisor": {"prompt_tokens": 10, "output_tokens": 3},
+        }
 
     def test_replan_counting(self):
         events = [
