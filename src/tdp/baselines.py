@@ -17,7 +17,7 @@ orchestration strategy rather than prompt wording:
 from __future__ import annotations
 
 import re
-from typing import Any, Callable
+from typing import AbstractSet, Any, Callable
 
 from .engine import Run, RunReport, assemble_history, run_method
 from .graph import TraceEntry
@@ -44,12 +44,13 @@ _ACTION_LINE_RE = re.compile(r"^Action:\s*(.+)$", re.MULTILINE)
 _THOUGHT_LINE_RE = re.compile(r"^Thought:\s*(.+)$", re.MULTILINE)
 
 
-def parse_react(text: str) -> tuple[str, str]:
-    """(thought, action) from a think-then-act reply; the Action line is required."""
+def parse_react(text: str, verbs: AbstractSet[str]) -> tuple[str, str]:
+    """(thought, action) from a think-then-act reply; the Action line is
+    required and read by :func:`~tdp.roles.extract_action`."""
     action_match = _ACTION_LINE_RE.search(text)
     if not action_match:
         raise ParseFault("reply has no 'Action:' line")
-    action = extract_action(action_match.group(1))
+    action = extract_action(action_match.group(1), verbs)
     thought_match = _THOUGHT_LINE_RE.search(text)
     thought = thought_match.group(1).strip() if thought_match else ""
     return thought, action
@@ -80,7 +81,9 @@ def run_react(run: Run) -> tuple[str, str]:
     trace: list[TraceEntry] = []
     while (end := run.stop()) is None:
         view = _whole_task_bindings(run, trace)
-        _thought, action = run.call("executor", "react", view, parse_react)
+        _thought, action = run.call(
+            "executor", "react", view, lambda text: parse_react(text, run.verbs)
+        )
         trace.append(run.act(action))
     return end
 
@@ -100,7 +103,7 @@ def run_cot(run: Run) -> tuple[str, str]:
         if (end := run.stop()) is not None:
             return end
         view = _whole_task_bindings(run, trace, plan)
-        trace.append(run.act(run.call("executor", "execute", view, extract_action)))
+        trace.append(run.act(run.call("executor", "execute", view, run.parse_action)))
     if (end := run.stop()) is None or end[0] == "Terminated":  # the plan ran out, budget or not
         return "Terminated", "plan exhausted before task completion"
     return end
@@ -124,7 +127,7 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
     while (end := run.stop()) is None:
         view = _whole_task_bindings(run, trace, plan, guidance)
         guidance = None
-        trace.append(run.act(run.call("executor", "execute", view, extract_action)))
+        trace.append(run.act(run.call("executor", "execute", view, run.parse_action)))
         if (end := run.stop()) is not None:
             break
         view = _whole_task_bindings(run, trace, plan)

@@ -22,7 +22,9 @@ it replanned around stays in its own trace.  The supervisor's revision prompt
 is scoped to the round and the frontier: the outcomes of the nodes dispatched
 since the previous revision, as dependents see them (:func:`render_outcomes`),
 plus the graph's frontier, with every other node only counted
-(:func:`~tdp.graph.render_dag_state`).
+(:func:`~tdp.graph.render_dag_state`); a revision may edit only the nodes
+shown.  An executor reply that is not one of the environment's commands is
+a parse fault, so it never reaches the environment.
 
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
 over one scaffold, :func:`run_method`, which writes ``run_end`` however the
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .environments import Environment, TaskInstance
+from .environments.base import command_verb
 from .graph import (
     NodeScopedContext,
     NodeStatus,
@@ -266,7 +269,9 @@ class Run:
     :attr:`steps_used` counts the environment steps taken against
     ``config.s_max`` (:meth:`budget_spent`).  Without a caller's sink the run
     keeps its events in an in-memory one.  A run keeps no trace of its own,
-    and only tdp sets :attr:`graph`.
+    and only tdp sets :attr:`graph`.  :attr:`verbs` holds the verbs of the
+    environment's admissible commands, the only ones an executor action may
+    start with (:meth:`parse_action`).
     """
 
     def __init__(
@@ -290,6 +295,7 @@ class Run:
         self.steps_used = 0
         env.reset(instance)
         self.commands = format_commands(env)
+        self.verbs = frozenset(map(command_verb, env.admissible_commands()))
         self.sink.begin_run(
             self.run_id,
             meta={
@@ -367,6 +373,11 @@ class Run:
         if fault is not None:
             raise fault
         return value
+
+    def parse_action(self, text: str) -> str:
+        """The executor's reply as one of the environment's commands: the
+        parser of every ``execute`` call (:func:`~tdp.roles.extract_action`)."""
+        return extract_action(text, self.verbs)
 
     def budget_spent(self) -> bool:
         """True once the run has taken ``config.s_max`` environment steps."""
@@ -562,7 +573,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
         # Run.stop() without its sink scan: no sink completes while this node runs
         while not (run.budget_spent() or run.env.done):
             view = node_bindings(graph, node_id, commands, guidance)
-            action = run.call("executor", "execute", view, extract_action, scope=node_id)
+            action = run.call("executor", "execute", view, run.parse_action, scope=node_id)
             guidance = None  # guidance lives for exactly one executor call
 
             node.local_trace.append(run.act(action, scope=node_id))
@@ -624,9 +635,9 @@ def run_task(run: Run) -> tuple[str, str]:
     (:func:`render_outcomes`), plus the frontier from :func:`render_dag_state`:
     the in-progress, failed and ready nodes, the pending dependents of failed
     nodes and the completed nodes those depend on, with every other node only
-    counted.  The view does not limit the edits: :func:`apply_revision`
-    rejects only unknown ids and rewrites of terminal nodes, so a revision
-    may still change a pending node that the view only counted.
+    counted.  The view is also the edit scope: :func:`apply_revision` rejects
+    a revision that names, to reword, remove or wire a new node to, any id
+    the view did not show, other than those of the revision's own new nodes.
 
     :func:`validate_graph` caps a graph at :data:`~tdp.graph.MAX_NODES`
     nodes, so a larger decomposition is a retried parse fault and a revision
@@ -668,6 +679,7 @@ def run_task(run: Run) -> tuple[str, str]:
         if (end := run.stop()) is not None:
             return end  # otherwise every ready node closed, with an outcome
         fault_record: dict[str, str] = {}
+        dag_state, shown = render_dag_state(graph)
         try:
             delta: RevisionDelta = run.call(
                 "supervisor",
@@ -676,7 +688,7 @@ def run_task(run: Run) -> tuple[str, str]:
                     "task_description": run.instance.query,
                     "current_step": str(run.steps_used),
                     "history": render_outcomes(ready, [graph.nodes[n].outcome for n in ready]),
-                    "dag_state": render_dag_state(graph),
+                    "dag_state": dag_state,
                     "admissible_commands": run.commands,
                 },
                 parse_revision,
@@ -684,7 +696,7 @@ def run_task(run: Run) -> tuple[str, str]:
         except RoleFault as fault:
             delta = RevisionDelta()
             fault_record = {"error": str(fault)}
-        result = apply_revision(graph, delta)
+        result = apply_revision(graph, delta, scope=shown)
         run.emit(
             "revision",
             status=result.status,

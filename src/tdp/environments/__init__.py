@@ -17,9 +17,7 @@ from .textlab import TextLab
 from .traveltoy import TravelToy
 
 ENVIRONMENTS: dict[str, type[Environment]] = {
-    MockWiki.name: MockWiki,
-    TravelToy.name: TravelToy,
-    TextLab.name: TextLab,
+    cls.name: cls for cls in (MockWiki, TravelToy, TextLab)
 }
 
 

@@ -6,8 +6,13 @@ replayed action sequence always reproduces its observations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple
+
+#: A bracket call, ``Verb[argument]``, whose argument may span lines.
+BRACKET_CALL_RE = re.compile(r"^([A-Za-z]+)\[(.*)\]$", re.DOTALL)
+_VERB_RE = re.compile(r"[A-Za-z]+")
 
 
 class EnvironmentClosedError(ValueError):
@@ -25,6 +30,28 @@ class StepResult:
     observation: str
     reward_delta: float | None = None
     done: bool = False
+
+
+class Command(NamedTuple):
+    """One row of a command table: the line the prompts list (the call, `` - ``
+    and what it does), ``handler(env, *args)`` giving the observation for the
+    arguments the mock's ``_act`` reads from an action, and the usage reply
+    where it names the call in other words than the line."""
+
+    line: str
+    handler: Callable[..., str]
+    usage: str | None = None
+
+    @property
+    def syntax(self) -> str:
+        """How the command is called: its usage, or its line up to the help."""
+        return self.usage or self.line.split(" - ", 1)[0]
+
+
+def command_verb(text: str) -> str:
+    """The verb a command line or an action starts with: its leading letters."""
+    match = _VERB_RE.match(text.strip())
+    return match.group(0) if match else ""
 
 
 @dataclass(frozen=True)
@@ -47,11 +74,14 @@ class Environment:
     what ``_act`` makes of the action.  ``done`` reads the flag, and
     ``metrics()`` adds ``done`` and ``env_steps`` to the mock's own
     ``_metrics()``.  A mock supplies ``validate_instance``, ``_start``,
-    ``_act``, ``_metrics`` and ``admissible_commands``, and ends its episode
-    by setting ``self._done``.
+    ``_act``, ``_metrics`` and ``commands``, the :class:`Command` row of each
+    verb: ``admissible_commands()`` lists the rows' lines in table order and
+    ``_act`` dispatches through them.  It ends its episode by setting
+    ``self._done``.
     """
 
     name = "base"
+    commands: ClassVar[Mapping[str, Command]] = {}
     _done = False
     _steps = 0
 
@@ -77,8 +107,8 @@ class Environment:
     def metrics(self) -> dict[str, Any]:
         return {**self._metrics(), "done": self._done, "env_steps": self._steps}
 
-    def admissible_commands(self) -> list[str]:  # pragma: no cover - interface
-        raise NotImplementedError
+    def admissible_commands(self) -> list[str]:
+        return [command.line for command in self.commands.values()]
 
     def _start(self, instance: TaskInstance) -> str:  # pragma: no cover - interface
         raise NotImplementedError

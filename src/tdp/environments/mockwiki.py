@@ -1,21 +1,12 @@
-"""Deterministic lookup-encyclopedia mock: search pages, scan sentences, answer.
-
-Three actions:
-  Search[keyword]  - exact (case-insensitive) title match returns the page's
-                     first paragraph; otherwise a ranked list of similar titles.
-  Lookup[keyword]  - next sentence containing the keyword in the active page,
-                     advancing a per-keyword cursor in document order.
-  Finish[answer]   - submit the final answer and end the episode.
-"""
+"""Deterministic lookup-encyclopedia mock: search pages, scan sentences, answer."""
 
 from __future__ import annotations
 
 import re
 from typing import Any
 
-from .base import Environment, FixtureError, StepResult, TaskInstance
+from .base import BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance
 
-_ACTION_RE = re.compile(r"^(Search|Lookup|Finish)\[(.*)\]$", re.DOTALL)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 
@@ -49,15 +40,6 @@ class MockWiki(Environment):
         self._cursors: dict[str, int] = {}
         self._answer: str | None = None
         return instance.query
-
-    def admissible_commands(self) -> list[str]:
-        return [
-            "Search[keyword] - look a page up by title; an exact match returns its "
-            "first paragraph, otherwise similar titles are listed",
-            "Lookup[keyword] - return the next sentence containing the keyword in "
-            "the page found by the last Search",
-            "Finish[answer] - submit the final answer and finish the task",
-        ]
 
     def _metrics(self) -> dict[str, Any]:
         return {"answer": self._answer, "delivered": self._answer is not None}
@@ -97,20 +79,29 @@ class MockWiki(Environment):
         self._cursors[_normalize(keyword)] = cursor + 1
         return f"(Result {cursor + 1} / {len(matches)}) {matches[cursor]}"
 
-    def _act(self, action: str) -> StepResult:
-        match = _ACTION_RE.match(action.strip())
-        if not match:
-            return StepResult(
-                observation=(
-                    "Invalid action. Valid actions: Search[keyword], "
-                    "Lookup[keyword], Finish[answer]."
-                )
-            )
-        verb, arg = match.group(1), match.group(2)
-        if verb == "Search":
-            return StepResult(observation=self._search(arg))
-        if verb == "Lookup":
-            return StepResult(observation=self._lookup(arg))
-        self._answer = arg
+    def _finish(self, answer: str) -> str:
+        self._answer = answer
         self._done = True
-        return StepResult(observation=f"Final answer recorded: {arg}", done=True)
+        return f"Final answer recorded: {answer}"
+
+    commands = {
+        "Search": Command(
+            "Search[keyword] - look a page up by title; an exact match returns its "
+            "first paragraph, otherwise similar titles are listed",
+            _search,
+        ),
+        "Lookup": Command(
+            "Lookup[keyword] - return the next sentence containing the keyword in "
+            "the page found by the last Search",
+            _lookup,
+        ),
+        "Finish": Command("Finish[answer] - submit the final answer and finish the task", _finish),
+    }
+
+    def _act(self, action: str) -> StepResult:
+        match = BRACKET_CALL_RE.match(action.strip())
+        command = self.commands.get(match.group(1)) if match else None
+        if command is None:
+            valid = ", ".join(c.syntax for c in self.commands.values())
+            return StepResult(observation=f"Invalid action. Valid actions: {valid}.")
+        return StepResult(observation=command.handler(self, match.group(2)), done=self._done)

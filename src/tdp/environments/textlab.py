@@ -1,10 +1,9 @@
 """Deterministic text-lab mock: rooms, objects, and dense goal-condition rewards.
 
-Actions are plain verb phrases (``go kitchen``, ``open drawer``, ``put key in
-pot`` ...).  Each goal condition contributes an equal share of reward the
-first time it is satisfied; shares never un-earn, so cumulative reward is
-nondecreasing and capped at 1.0, and the episode ends when every condition
-has been met at least once.
+An action is a verb and its argument.  Each goal condition contributes an
+equal share of reward the first time it is satisfied; shares never un-earn, so
+cumulative reward is nondecreasing and capped at 1.0, and the episode ends
+when every condition has been met at least once.
 """
 
 from __future__ import annotations
@@ -12,11 +11,15 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from .base import Environment, FixtureError, StepResult, TaskInstance
+from .base import Command, Environment, FixtureError, StepResult, TaskInstance
 
-_PUT_RE = re.compile(r"^put\s+(.+?)\s+in\s+(.+)$")
+_PUT_RE = re.compile(r"^(.+?)\s+in\s+(.+)$")
+_NOTHING = "Nothing happens."
 
-_CONDITION_KINDS = ("at", "holding", "activated", "measured", "focused", "open", "in")
+# the condition kinds met by an object in the set of that name; "at" reads the
+# current room and "in" a container's contents
+_MARKS = ("holding", "activated", "measured", "focused", "open")
+_CONDITION_KINDS = ("at", "in", *_MARKS)
 
 
 def _is_name_list(value: Any) -> bool:
@@ -74,22 +77,13 @@ class TextLab(Environment):
             kind = cond.get("kind")
             if kind not in _CONDITION_KINDS:
                 raise FixtureError(f"fixture {instance.id}: unknown condition kind {kind!r}")
-            if kind == "at":
-                if cond.get("room") not in rooms:
+            targets = [("room", rooms)] if kind == "at" else [("object", objects)]
+            if kind == "in":
+                targets.append(("container", objects))
+            for key, known in targets:
+                if cond.get(key) not in known:
                     raise FixtureError(
-                        f"fixture {instance.id}: condition targets unknown room "
-                        f"{cond.get('room')!r}"
-                    )
-            else:
-                if cond.get("object") not in objects:
-                    raise FixtureError(
-                        f"fixture {instance.id}: condition targets unknown object "
-                        f"{cond.get('object')!r}"
-                    )
-                if kind == "in" and cond.get("container") not in objects:
-                    raise FixtureError(
-                        f"fixture {instance.id}: condition targets unknown container "
-                        f"{cond.get('container')!r}"
+                        f"fixture {instance.id}: condition targets unknown {key} {cond.get(key)!r}"
                     )
 
     # -- lifecycle -------------------------------------------------------------
@@ -107,26 +101,11 @@ class TextLab(Environment):
         self._measurements = dict(payload.get("measurements", {}))
         self._conditions = [dict(c) for c in instance.gold.get("conditions", [])]
         self._room = payload["start_room"]
-        self._inventory: set[str] = set()
-        self._opened: set[str] = set()
-        self._activated: set[str] = set()
-        self._measured: set[str] = set()
-        self._focused: set[str] = set()
+        self._marked: dict[str, set[str]] = {kind: set() for kind in _MARKS}
         self._containment: dict[str, set[str]] = {}
         self._satisfied_ever: set[int] = set()
         self._settle_rewards()  # an empty goal set is vacuously complete
         return f"{instance.query}\n{self._describe_room()}"
-
-    def admissible_commands(self) -> list[str]:
-        return [
-            "go <room> - move to a connected room",
-            "open <object> - open a container in the current room",
-            "take <object> - pick up a visible object",
-            "put <object> in <container> - place a held object into a visible one",
-            "activate <object> - switch a visible object on",
-            "measure <object> - take a reading of a visible object",
-            "focus <object> - direct attention to a visible object",
-        ]
 
     def _metrics(self) -> dict[str, Any]:
         return {
@@ -143,17 +122,9 @@ class TextLab(Environment):
         if kind == "at":
             return self._room == cond["room"]
         obj = cond.get("object", "")
-        if kind == "holding":
-            return obj in self._inventory
-        if kind == "activated":
-            return obj in self._activated
-        if kind == "measured":
-            return obj in self._measured
-        if kind == "focused":
-            return obj in self._focused
-        if kind == "open":
-            return obj in self._opened
-        return obj in self._containment.get(cond.get("container", ""), set())
+        if kind == "in":
+            return obj in self._containment.get(cond.get("container", ""), set())
+        return obj in self._marked[kind]
 
     def _cumulative_reward(self) -> float:
         if not self._conditions:
@@ -177,85 +148,97 @@ class TextLab(Environment):
         seen = ", ".join(sorted(room["objects"])) or "nothing"
         return f"You are in the {self._room}. Exits: {exits}. You see: {seen}."
 
-    def _visible(self, obj: str) -> bool:
-        if obj in self._rooms[self._room]["objects"]:
-            return True
-        for container in self._rooms[self._room]["objects"]:
-            if container in self._opened and obj in self._containers.get(container, []):
-                return True
-        return False
+    def _holder(self, obj: str) -> list[str] | None:
+        """The list a visible `obj` lies in: the room's objects or the contents
+        of an open container there; None when `obj` is not in sight."""
+        room_objects = self._rooms[self._room]["objects"]
+        if obj in room_objects:
+            return room_objects
+        for container in room_objects:
+            contents = self._containers.get(container, [])
+            if container in self._marked["open"] and obj in contents:
+                return contents
+        return None
 
     def _reachable(self, obj: str) -> bool:
-        return self._visible(obj) or obj in self._inventory
+        return self._holder(obj) is not None or obj in self._marked["holding"]
 
-    # -- stepping -----------------------------------------------------------------
+    # -- stepping: one handler per verb, given the text after the verb -----------
 
-    def _apply(self, action: str) -> str:
-        put = _PUT_RE.match(action)
-        if put:
-            obj, container = put.group(1).strip(), put.group(2).strip()
-            if obj not in self._inventory:
-                return f"You are not holding any {obj}."
-            if not self._reachable(container):
-                return f"You don't see any {container} here."
-            self._inventory.discard(obj)
-            self._containment.setdefault(container, set()).add(obj)
-            return f"You put the {obj} in the {container}."
+    def _go(self, room: str) -> str:
+        if room in self._rooms[self._room]["connects"]:
+            self._room = room
+            return self._describe_room()
+        return f"You can't go to '{room}' from here."
 
-        parts = action.split(None, 1)
-        if len(parts) != 2:
-            return "Nothing happens."
-        verb, arg = parts[0], parts[1].strip()
+    def _open(self, obj: str) -> str:
+        if self._holder(obj) is None:
+            return f"You don't see any {obj} here."
+        if obj not in self._containers:
+            return f"The {obj} can't be opened."
+        if obj in self._marked["open"]:
+            return f"The {obj} is already open."
+        self._marked["open"].add(obj)
+        inside = ", ".join(sorted(self._containers[obj])) or "nothing"
+        return f"You open the {obj}. Inside you see: {inside}."
 
-        if verb == "go":
-            if arg in self._rooms[self._room]["connects"]:
-                self._room = arg
-                return self._describe_room()
-            return f"You can't go to '{arg}' from here."
-        if verb == "open":
-            if not self._visible(arg):
-                return f"You don't see any {arg} here."
-            if arg not in self._containers:
-                return f"The {arg} can't be opened."
-            if arg in self._opened:
-                return f"The {arg} is already open."
-            self._opened.add(arg)
-            inside = ", ".join(sorted(self._containers[arg])) or "nothing"
-            return f"You open the {arg}. Inside you see: {inside}."
-        if verb == "take":
-            if not self._visible(arg):
-                return f"You don't see any {arg} here."
-            room_objects = self._rooms[self._room]["objects"]
-            if arg in room_objects:
-                room_objects.remove(arg)
-            else:
-                for container in list(room_objects):
-                    if container in self._opened and arg in self._containers.get(container, []):
-                        self._containers[container].remove(arg)
-                        break
-            self._inventory.add(arg)
-            return f"You take the {arg}."
-        if verb == "activate":
-            if not self._reachable(arg):
-                return f"You don't see any {arg} here."
-            if arg in self._activated:
-                return f"The {arg} is already activated."
-            self._activated.add(arg)
-            return f"You activate the {arg}."
-        if verb == "measure":
-            if not self._reachable(arg):
-                return f"You don't see any {arg} here."
-            self._measured.add(arg)
-            reading = self._measurements.get(arg, "a stable reading")
-            return f"You measure the {arg}: {reading}."
-        if verb == "focus":
-            if not self._reachable(arg):
-                return f"You don't see any {arg} here."
-            self._focused.add(arg)
-            return f"You focus on the {arg}."
-        return "Nothing happens."
+    def _take(self, obj: str) -> str:
+        holder = self._holder(obj)
+        if holder is None:
+            return f"You don't see any {obj} here."
+        holder.remove(obj)
+        self._marked["holding"].add(obj)
+        return f"You take the {obj}."
+
+    def _put(self, argument: str) -> str:
+        put = _PUT_RE.match(argument)
+        if not put:
+            return _NOTHING
+        obj, container = put.group(1).strip(), put.group(2).strip()
+        if obj not in self._marked["holding"]:
+            return f"You are not holding any {obj}."
+        if not self._reachable(container):
+            return f"You don't see any {container} here."
+        self._marked["holding"].discard(obj)
+        self._containment.setdefault(container, set()).add(obj)
+        return f"You put the {obj} in the {container}."
+
+    def _activate(self, obj: str) -> str:
+        if not self._reachable(obj):
+            return f"You don't see any {obj} here."
+        if obj in self._marked["activated"]:
+            return f"The {obj} is already activated."
+        self._marked["activated"].add(obj)
+        return f"You activate the {obj}."
+
+    def _measure(self, obj: str) -> str:
+        if not self._reachable(obj):
+            return f"You don't see any {obj} here."
+        self._marked["measured"].add(obj)
+        reading = self._measurements.get(obj, "a stable reading")
+        return f"You measure the {obj}: {reading}."
+
+    def _focus(self, obj: str) -> str:
+        if not self._reachable(obj):
+            return f"You don't see any {obj} here."
+        self._marked["focused"].add(obj)
+        return f"You focus on the {obj}."
+
+    commands = {
+        "go": Command("go <room> - move to a connected room", _go),
+        "open": Command("open <object> - open a container in the current room", _open),
+        "take": Command("take <object> - pick up a visible object", _take),
+        "put": Command(
+            "put <object> in <container> - place a held object into a visible one", _put
+        ),
+        "activate": Command("activate <object> - switch a visible object on", _activate),
+        "measure": Command("measure <object> - take a reading of a visible object", _measure),
+        "focus": Command("focus <object> - direct attention to a visible object", _focus),
+    }
 
     def _act(self, action: str) -> StepResult:
-        observation = self._apply(action.strip())
+        parts = action.split(None, 1)
+        command = self.commands.get(parts[0]) if len(parts) == 2 else None
+        observation = command.handler(self, parts[1].strip()) if command else _NOTHING
         delta = self._settle_rewards()
         return StepResult(observation=observation, reward_delta=delta, done=self._done)

@@ -8,26 +8,9 @@ error or a guess.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable
 
-from .base import Environment, FixtureError, StepResult, TaskInstance
-
-_CALL_RE = re.compile(r"^([A-Za-z]+)\[(.*)\]$", re.DOTALL)
-
-# A tool takes one comma-separated argument per slot of its usage line; the
-# free-text tools take their whole bracket, commas and all, as one argument.
-_USAGE = {
-    "FlightSearch": "FlightSearch[origin city, destination city, date]",
-    "GoogleDistanceMatrix": "GoogleDistanceMatrix[origin city, destination city, mode]",
-    "AccommodationSearch": "AccommodationSearch[city]",
-    "RestaurantSearch": "RestaurantSearch[city]",
-    "AttractionSearch": "AttractionSearch[city]",
-    "CitySearch": "CitySearch[state]",
-    "NotebookWrite": "NotebookWrite[short description of the information to store]",
-    "MakePlan": "MakePlan[the travel query to plan for]",
-}
-_FREE_TEXT = ("NotebookWrite", "MakePlan")
+from .base import BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance
 
 # the keys a tool reads from every row of its table; flights and distances
 # are lists of rows, the other tables map a city to its list of rows
@@ -48,15 +31,19 @@ def _norm(text: str) -> str:
     return text.strip().casefold()
 
 
-def _table_search(table: str, render: Callable[[dict[str, Any]], str]):
-    """The tool listing `table`'s rows for one city, each drawn by `render`."""
+def _table_search(table: str, row_format: str):
+    """The tool listing `table`'s rows for one city, each filled into
+    `row_format`, where a room type defaults to "room" and a cuisine to "food"."""
 
     def search(env: TravelToy, city: str) -> str:
         for name, rows in env._payload.get(table, {}).items():
             if _norm(name) == _norm(city):
                 if not rows:
                     break
-                return "\n".join(render(row) for row in rows)
+                return "\n".join(
+                    row_format.format_map({"room_type": "room", "cuisine": "food", **row})
+                    for row in rows
+                )
         return f"No {table} found in {city}."
 
     return search
@@ -117,19 +104,6 @@ class TravelToy(Environment):
         self._notebook: list[str] = []
         self._plan_text: str | None = None
         return instance.query
-
-    def admissible_commands(self) -> list[str]:
-        return [
-            "FlightSearch[origin, destination, date] - list flights between two cities on a date",
-            "GoogleDistanceMatrix[origin, destination, mode] - distance, duration and cost "
-            "between two cities (mode: self-driving or taxi)",
-            "AccommodationSearch[city] - list places to stay in a city",
-            "RestaurantSearch[city] - list restaurants in a city",
-            "AttractionSearch[city] - list attractions in a city",
-            "CitySearch[state] - list cities in a state",
-            "NotebookWrite[note] - store one piece of gathered information in the notebook",
-            "MakePlan[query] - assemble the final travel plan from the notebook and finish",
-        ]
 
     def _metrics(self) -> dict[str, Any]:
         return {
@@ -196,38 +170,58 @@ class TravelToy(Environment):
         self._done = True
         return f"Plan created from {len(self._notebook)} notebook entr{'y' if len(self._notebook) == 1 else 'ies'}."
 
-    _TOOLS = {
-        "FlightSearch": _flight_search,
-        "GoogleDistanceMatrix": _distance,
-        "AccommodationSearch": _table_search(
-            "accommodations",
-            lambda r: f"{r['name']} | {r.get('room_type', 'room')} | ${r['price']}",
+    # the tools that take their whole bracket, commas and all, as one argument
+    _WHOLE_BRACKET = (_notebook_write, _make_plan)
+
+    commands = {
+        "FlightSearch": Command(
+            "FlightSearch[origin, destination, date] - list flights between two cities on a date",
+            _flight_search,
+            "FlightSearch[origin city, destination city, date]",
         ),
-        "RestaurantSearch": _table_search(
-            "restaurants",
-            lambda r: f"{r['name']} | {r.get('cuisine', 'food')} | avg ${r['avg_cost']}",
+        "GoogleDistanceMatrix": Command(
+            "GoogleDistanceMatrix[origin, destination, mode] - distance, duration and cost "
+            "between two cities (mode: self-driving or taxi)",
+            _distance,
+            "GoogleDistanceMatrix[origin city, destination city, mode]",
         ),
-        "AttractionSearch": _table_search("attractions", lambda r: str(r["name"])),
-        "CitySearch": _city_search,
-        "NotebookWrite": _notebook_write,
-        "MakePlan": _make_plan,
+        "AccommodationSearch": Command(
+            "AccommodationSearch[city] - list places to stay in a city",
+            _table_search("accommodations", "{name} | {room_type} | ${price}"),
+        ),
+        "RestaurantSearch": Command(
+            "RestaurantSearch[city] - list restaurants in a city",
+            _table_search("restaurants", "{name} | {cuisine} | avg ${avg_cost}"),
+        ),
+        "AttractionSearch": Command(
+            "AttractionSearch[city] - list attractions in a city",
+            _table_search("attractions", "{name}"),
+        ),
+        "CitySearch": Command("CitySearch[state] - list cities in a state", _city_search),
+        "NotebookWrite": Command(
+            "NotebookWrite[note] - store one piece of gathered information in the notebook",
+            _notebook_write,
+            "NotebookWrite[short description of the information to store]",
+        ),
+        "MakePlan": Command(
+            "MakePlan[query] - assemble the final travel plan from the notebook and finish",
+            _make_plan,
+            "MakePlan[the travel query to plan for]",
+        ),
     }
 
     def _act(self, action: str) -> StepResult:
-        match = _CALL_RE.match(action.strip())
+        tools = ", ".join(sorted(self.commands))
+        match = BRACKET_CALL_RE.match(action.strip())
         if not match:
-            return StepResult(
-                observation="Invalid call. Use tool[argument, ...] — one of: "
-                + ", ".join(sorted(_USAGE))
-            )
-        tool, raw_args = match.group(1), match.group(2)
-        usage = _USAGE.get(tool)
-        if usage is None:
-            return StepResult(
-                observation=f"Unknown tool '{tool}'. Tools: {', '.join(sorted(_USAGE))}."
-            )
-        args = [a.strip() for a in ([raw_args] if tool in _FREE_TEXT else raw_args.split(","))]
-        if len(args) != usage.count(",") + 1 or not all(args):
-            return StepResult(observation=f"Usage: {usage}")
-        return StepResult(observation=self._TOOLS[tool](self, *args), done=self._done)
-
+            return StepResult(f"Invalid call. Use tool[argument, ...] — one of: {tools}")
+        tool, bracket = match.groups()
+        command = self.commands.get(tool)
+        if command is None:
+            return StepResult(f"Unknown tool '{tool}'. Tools: {tools}.")
+        # one comma-separated argument per slot of the tool's usage line
+        whole = command.handler in self._WHOLE_BRACKET
+        args = [a.strip() for a in ([bracket] if whole else bracket.split(","))]
+        if len(args) != command.syntax.count(",") + 1 or not all(args):
+            return StepResult(f"Usage: {command.syntax}")
+        return StepResult(observation=command.handler(self, *args), done=self._done)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import AbstractSet, Any, Iterable, Mapping
 
 NodeId = str
 
@@ -316,19 +316,33 @@ def next_generated_id(existing: Iterable[NodeId]) -> NodeId:
     return f"node_{best + 1}"
 
 
-def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
+def apply_revision(
+    graph: TaskGraph, delta: RevisionDelta, scope: AbstractSet[NodeId] | None = None
+) -> RevisionResult:
     """Apply a revision atomically.
 
     Either every edit in the delta lands and the result validates, or the
     original graph object is returned untouched with the rejection reasons.
     Terminal nodes may be removed but never rewritten or resurrected.  Every
     graph the supervisor proposes is built here: a decomposition is a revision
-    of the empty graph (:func:`~tdp.roles.parse_subgoals`).  The edits check
-    only the ids they name; every structural rule of the result is
-    :func:`validate_graph`'s.
+    of the empty graph (:func:`~tdp.roles.parse_subgoals`).  Given a `scope`,
+    the ids :func:`render_dag_state` showed, the delta may name only those
+    ids and the ids of its own new nodes, in its updates, its removals and its
+    new nodes' dependencies and dependents; each other id it names is one
+    rejection reason.  The edits check only the ids they name; every
+    structural rule of the result is :func:`validate_graph`'s.
     """
     if not delta.need_update:
         return RevisionResult(graph=graph, status="noop")
+    if scope is not None:
+        allowed = set(scope) | {spec.id for spec in delta.new_nodes if spec.id}
+        named = [nid for nid, _ in delta.description_updates] + list(delta.remove_nodes)
+        for spec in delta.new_nodes:
+            named += [*spec.dependencies, *spec.dependents]
+        outside = [nid for nid in dict.fromkeys(named) if nid not in allowed]
+        if outside:
+            reasons = tuple(f"scope: node {nid!r} is not in the revise view" for nid in outside)
+            return RevisionResult(graph=graph, status="rejected", reasons=reasons)
 
     reasons: list[str] = []
     # Copy the structure the edits below touch; plans, trace entries and
@@ -400,8 +414,10 @@ def apply_revision(graph: TaskGraph, delta: RevisionDelta) -> RevisionResult:
 # rendering + serialization
 
 
-def render_dag_state(graph: TaskGraph) -> str:
-    """Deterministic view of the graph's frontier, handed to the revision prompt.
+def render_dag_state(graph: TaskGraph) -> tuple[str, frozenset[NodeId]]:
+    """Deterministic view of the graph's frontier, handed to the revision
+    prompt, and the ids it shows, the scope of the revision's edits
+    (:func:`apply_revision`).
 
     A full line, with dependencies and description, goes to every in-progress,
     failed and ready node, to every pending node that depends directly on a
@@ -412,7 +428,7 @@ def render_dag_state(graph: TaskGraph) -> str:
     shown.  So the view grows with the frontier, not with the graph.
     """
     if not graph.nodes:
-        return "(empty graph)"
+        return "(empty graph)", frozenset()
     nodes = graph.nodes
     failed = {nid for nid, node in nodes.items() if node.status is NodeStatus.FAILED}
     frontier = failed | set(ready_nodes(graph))
@@ -440,7 +456,7 @@ def render_dag_state(graph: TaskGraph) -> str:
         count = hidden.count(status)
         if count:
             lines.append(f"- ({count} {status.value} not shown{note})")
-    return "\n".join(lines)
+    return "\n".join(lines), frozenset(shown)
 
 
 def delta_to_doc(delta: RevisionDelta) -> dict[str, Any]:

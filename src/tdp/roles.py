@@ -19,8 +19,9 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import AbstractSet, Any, Mapping, Sequence
 
+from .environments.base import command_verb
 from .graph import NewNodeSpec, RevisionDelta, TaskGraph, apply_revision
 
 __all__ = [
@@ -431,12 +432,15 @@ def parse_revision(text: str) -> RevisionDelta:
 _WRAPPING_QUOTES = ('"', "'", "`")
 
 
-def extract_action(text: str) -> str:
-    """The executor's reply, taken verbatim after trimming.
+def extract_action(text: str, verbs: AbstractSet[str]) -> str:
+    """The executor's reply, taken verbatim after trimming, as one command
+    whose verb is in `verbs`.
 
     Strips surrounding whitespace, one wrapping code fence, and one matched
-    pair of wrapping quotes.  An empty result is a parse fault — the executor
-    must always emit an action.
+    pair of wrapping quotes.  What is left must be one line whose verb
+    (:func:`~tdp.environments.base.command_verb`) is one of `verbs`;
+    anything else, an empty reply too, is a parse fault, so a reply meant for
+    another role is retried and never reaches the environment.
     """
     action = _strip_fences(text).strip()
     if (
@@ -447,6 +451,10 @@ def extract_action(text: str) -> str:
         action = action[1:-1].strip()
     if not action:
         raise ParseFault("executor reply contains no action")
+    if len(action.splitlines()) > 1:
+        raise ParseFault("executor reply must be one action on one line")
+    if command_verb(action) not in verbs:
+        raise ParseFault(f"the action must start with one of: {', '.join(sorted(verbs))}")
     return action
 
 

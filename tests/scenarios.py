@@ -111,9 +111,9 @@ class FaultAt(ModelBackend):
     `calls` list that every role's wrapper of one run shares.  There it does
     `fault`: ``"error"`` raises :class:`RuntimeError`, ``"unparseable"``
     replies with an empty text no role's parser accepts, ``"mistyped"`` with
-    :data:`MISTYPED_REPLY` (except to ``executor:execute``, whose reply is
-    free text that any action fits, so there it gives the inner reply), and
-    ``"no_usage"`` gives the inner reply with neither token count reported."""
+    :data:`MISTYPED_REPLY`, which the executor's parser refuses as no command
+    of the environment, and ``"no_usage"`` gives the inner reply with neither
+    token count reported."""
 
     FAULTS = ("error", "unparseable", "mistyped", "no_usage")
 
@@ -134,8 +134,7 @@ class FaultAt(ModelBackend):
         if self.fault == "unparseable":
             return Completion("", reply.usage)
         if self.fault == "mistyped":
-            text = reply.text if role_tag == "executor:execute" else MISTYPED_REPLY
-            return Completion(text, reply.usage)
+            return Completion(MISTYPED_REPLY, reply.usage)
         return Completion(reply.text, TokenUsage(None, None))
 
 

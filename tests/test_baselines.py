@@ -44,24 +44,31 @@ def _wiki_env(wiki_instance):
 # -- the react reply parser ------------------------------------------------------
 
 
+WIKI_VERBS = frozenset({"Search", "Lookup", "Finish"})
+
+
 class TestParseReact:
     def test_thought_and_action(self):
         thought, action = parse_react(
-            "Thought: the page will name the river\nAction: Search[Peoria, Illinois]")
+            "Thought: the page will name the river\nAction: Search[Peoria, Illinois]", WIKI_VERBS)
         assert thought == "the page will name the river"
         assert action == "Search[Peoria, Illinois]"
 
     def test_action_alone_is_enough(self):
-        thought, action = parse_react("Action: Lookup[river]")
+        thought, action = parse_react("Action: Lookup[river]", WIKI_VERBS)
         assert thought == "" and action == "Lookup[river]"
 
     def test_quoted_action_unwrapped(self):
-        _, action = parse_react('Thought: go\nAction: "Finish[Illinois River]"')
+        _, action = parse_react('Thought: go\nAction: "Finish[Illinois River]"', WIKI_VERBS)
         assert action == "Finish[Illinois River]"
 
     def test_missing_action_line(self):
         with pytest.raises(ParseFault, match="no 'Action:' line"):
-            parse_react("Thought: hmm, unsure what to do next")
+            parse_react("Thought: hmm, unsure what to do next", WIKI_VERBS)
+
+    def test_action_must_be_a_command_of_the_environment(self):
+        with pytest.raises(ParseFault, match="must start with one of: Finish, Lookup, Search"):
+            parse_react("Thought: open it\nAction: open drawer", WIKI_VERBS)
 
 
 # -- react -------------------------------------------------------------------------
@@ -348,8 +355,8 @@ def test_a_never_done_run_stays_within_its_model_call_bound(method, retries):
                               retries)],
         [_last_attempt_parses("planner:plan", "no plan", long_plan, retries),
          _last_attempt_parses("planner:replan", "not json", replan_decline(), retries)],
-        [_last_attempt_parses("executor:execute", "", "wait", retries),
-         _last_attempt_parses("executor:react", "Thought: hmm", "Action: wait", retries)],
+        [_last_attempt_parses("executor:execute", "", "work 9", retries),
+         _last_attempt_parses("executor:react", "Thought: hmm", "Action: work 9", retries)],
     )
     config = RunConfig(s_max=s_max, parser_retry_budget=retries, role_backends=role_backends)
     sink = TraceSink(clock=CounterClock())

@@ -69,6 +69,7 @@ from scenarios import (
     graph_with_target,
     plan_reply,
     project,
+    recording,
     replan_accept,
     replan_decline,
     reworded_stage,
@@ -294,7 +295,9 @@ LAB_D1 = "Open the drawer in the lab."
 LAB_D2 = "Activate the stove next."
 # node_1's plans, in the order the two-replan variant tries them
 LAB_PLANS = ("Twist the knob.", "Push the lever.", "Open the drawer directly.")
-LAB_ACTIONS = ("twist knob", "push lever", "open drawer")
+# the dead ends are admissible verbs the lab answers "Nothing happens.": a put
+# that names no container
+LAB_ACTIONS = ("put knob", "put lever", "open drawer")
 
 
 def _two_replan_lab_config(replans: int) -> RunConfig:
@@ -410,6 +413,37 @@ class TestExecuteNode:
         assert g1 in prompts[1] and g2 not in prompts[1]
         assert g2 in prompts[2] and g1 not in prompts[2]
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_a_reply_meant_for_another_role_takes_no_step(self, retries):
+        """The executor answers with the evaluator's JSON verdict first: that
+        is a parse fault, retried within the budget, and the environment never
+        sees it.  Without a retry the node fails before any step."""
+        verdict = eval_reply("completed", "Drawer opened and inspected.")
+        config = _exec_config(
+            [rule("supervisor:evaluate", ["You open the drawer"], verdict)],
+            [rule("planner:plan", [D1], plan_reply("Open it."))],
+            [rule("executor:execute", [D1], verdict, "open drawer")],
+            parser_retry_budget=retries,
+        )
+        graph = _single_node_graph()
+        sink = TraceSink(clock=CounterClock())
+        run = _lab_run(config, sink)
+        status = execute_node(graph, "node_1", run)
+        events = sink.events_for("r")
+        (execute,) = [e.payload for e in events
+                      if e.kind == "role_call" and e.payload["template"] == "execute"]
+        steps = [e.payload["action"] for e in events if e.kind == "env_step"]
+        assert execute["attempts"] == 1 + retries
+        assert run.env.metrics()["env_steps"] == run.steps_used == len(steps)
+        if retries:
+            assert status is NodeStatus.COMPLETED and execute["ok"]
+            assert steps == ["open drawer"]
+        else:
+            assert status is NodeStatus.FAILED and not execute["ok"]
+            assert steps == []
+            assert "the action must start with one of: activate, focus, go, measure, open, " \
+                "put, take" in graph.nodes["node_1"].outcome.summary_text
+
     def test_replan_accept_swaps_the_plan_in_place(self):
         new_plan = plan_reply("Open the drawer directly.")
         config = _exec_config(
@@ -427,7 +461,7 @@ class TestExecuteNode:
             ],
             [
                 rule("executor:execute", ["Open the drawer directly."], "open drawer"),
-                rule("executor:execute", [D1], "twist knob"),
+                rule("executor:execute", [D1], "put knob"),
             ],
             s_max=9,
         )
@@ -459,7 +493,7 @@ class TestExecuteNode:
             ],
             [
                 rule("executor:execute", ["Nothing happens"], "open drawer"),
-                rule("executor:execute", [D1], "push lever"),
+                rule("executor:execute", [D1], "put lever"),
             ],
             s_max=9,
         )
@@ -483,7 +517,7 @@ class TestExecuteNode:
                 rule("planner:plan", [D1], plan_reply("Push.")),
                 rule("planner:replan", [], replan_accept(plan_reply("Push harder."))),
             ],
-            [rule("executor:execute", [], "push lever")],
+            [rule("executor:execute", [], "put lever")],
             max_replans_per_node=0,
             s_max=9,
         )
@@ -591,7 +625,7 @@ class TestExecuteNode:
                 rule("planner:plan", [], plan_reply("Wait.")),
                 rule("planner:replan", [], replan_decline()),
             ],
-            [rule("executor:execute", [], "wait")],
+            [rule("executor:execute", [], "work 9")],
             s_max=s_max,
         )
         sink = TraceSink(clock=CounterClock())
@@ -1070,6 +1104,28 @@ class TestRunTask:
             prompts[n] = (tokens, prompt)
         assert prompts[2] == prompts[0]
         assert "Nothing happens" not in prompts[2][1]
+
+    def test_a_revision_may_not_edit_a_node_its_view_only_counted(self):
+        """After round 1 of a three-stage chain the revise view shows node_1
+        and node_2 and only counts node_3.  A revision that rewords node_3 is
+        rejected with one reason, and node_3 keeps its wording."""
+        role_backends = tdp_chain_rules(3)
+        hidden = rule("supervisor:revise", ["- node_1 [completed]", "- node_2 [pending]"],
+                      revision_reply(("node_3", "Handle stage 3 of the queue, unseen.")))
+        role_backends["supervisor"] = recording(
+            [hidden, *role_backends["supervisor"].inner.rules])
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(3), ChainEnv(), chain_config(3, role_backends),
+                          sink=sink, run_id="r")
+        assert report.terminal == "Completed"
+        prompts = [p for tag, p in role_backends["supervisor"].calls
+                   if tag == "supervisor:revise"]
+        assert "- (1 pending not shown, waiting on the nodes above)" in prompts[0]
+        first = next(e.payload for e in sink.events_for("r") if e.kind == "revision")
+        assert first["status"] == "rejected"
+        assert first["reasons"] == ["scope: node 'node_3' is not in the revise view"]
+        rebuilt = replay_graph(chain_instance(3).query, sink.events_for("r"))
+        assert rebuilt.nodes["node_3"].description == "Handle stage 3 of the queue."
 
     def test_revisions_without_step_progress_end_the_run(self):
         """node_1 fails and node_2 waits behind it for ever; a supervisor that

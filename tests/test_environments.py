@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -20,11 +21,58 @@ from tdp.environments import (
     make_environment,
     validate_instance,
 )
+from tdp.engine import Run, RunConfig
+from tdp.environments.base import command_verb
 
 from conftest import FIXTURE_DIR, LAB_FIXTURE, TRAVEL_FIXTURE, WIKI_FIXTURES
 from envgen import ACTION_POOLS, run_stream, stream_rewards
+from scenarios import ChainEnv, chain_instance
 
 ALL_FIXTURES = WIKI_FIXTURES + [TRAVEL_FIXTURE, LAB_FIXTURE]
+
+
+# -- the command tables and what reads them -----------------------------------
+
+FIXTURE_OF = {load_task_instance(path).environment: path for path in ALL_FIXTURES}
+
+
+def _junk_call(syntax: str) -> str:
+    """The call `syntax` shows, with "zzjunk" in every slot of its argument."""
+    syntax = re.sub(r"<[^>]+>", "zzjunk", syntax)
+    return re.sub(r"\[(.*)\]", lambda m: f"[{', '.join(['zzjunk'] * len(m[1].split(',')))}]",
+                  syntax)
+
+
+@pytest.mark.parametrize("env_id", sorted(ENVIRONMENTS))
+class TestCommandTables:
+    def test_admissible_commands_are_the_table_lines_in_order(self, env_id):
+        table = ENVIRONMENTS[env_id].commands
+        assert make_environment(env_id).admissible_commands() == [c.line for c in table.values()]
+
+    def test_the_executor_reads_the_table_verbs(self, env_id):
+        instance = load_task_instance(FIXTURE_OF[env_id])
+        run = Run("tdp", instance, make_environment(env_id), RunConfig())
+        assert run.verbs == set(ENVIRONMENTS[env_id].commands)
+
+    def test_every_verb_with_a_junk_argument_gets_its_own_reply(self, env_id):
+        instance = load_task_instance(FIXTURE_OF[env_id])
+        for verb, command in ENVIRONMENTS[env_id].commands.items():
+            action = _junk_call(command.syntax)
+            assert action.startswith(verb) and "zzjunk" in action
+            unknown = "Xyzzy" + action[len(verb):]
+            replies = []
+            for attempt in (action, unknown):
+                env = make_environment(env_id)
+                env.reset(instance)
+                replies.append(env.step(attempt).observation)
+            assert replies[0] != replies[1], (verb, replies)
+
+
+def test_the_chain_env_verbs_come_from_its_command_lines():
+    run = Run("tdp", chain_instance(3), ChainEnv(), RunConfig())
+    assert run.verbs == {"work", "resolve"}
+    assert command_verb("  resolve <n> - clear the blocker") == "resolve"
+    assert command_verb("[x]") == ""
 
 
 # -- fixture loading and the registry -----------------------------------------

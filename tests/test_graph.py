@@ -353,6 +353,45 @@ def test_add_node_paths():
         assert any(frag in r for r in result.reasons)
 
 
+def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
+    # the view shows c and b, the completed node c feeds; a and d are only counted
+    g = graph_of(
+        node("a", status=NodeStatus.COMPLETED),
+        node("b", status=NodeStatus.COMPLETED),
+        node("c", deps=["b"]),
+        node("d", deps=["c"]),
+    )
+    view, scope = render_dag_state(g)
+    assert scope == {"b", "c"}
+    assert view.endswith(
+        "- (1 completed not shown)\n- (1 pending not shown, waiting on the nodes above)")
+    inside = RevisionDelta(
+        need_update=True,
+        description_updates=(("c", "sharper goal"),),
+        new_nodes=(
+            NewNodeSpec(id="check", description="check c", dependencies=("c",)),
+            NewNodeSpec(id="wrap", description="wrap up", dependencies=("check", "b")),
+        ),
+    )
+    assert apply_revision(g, inside, scope=scope).applied
+    outside = RevisionDelta(
+        need_update=True,
+        description_updates=(("d", "reworded unseen"), ("c", "fine")),
+        remove_nodes=("d",),
+        new_nodes=(NewNodeSpec(id="x", description="x", dependencies=("a",),
+                               dependents=("ghost", "c")),),
+    )
+    before = copy.deepcopy(g)
+    result = apply_revision(g, outside, scope=scope)
+    assert result.status == "rejected" and result.graph is g and g == before
+    assert result.reasons == tuple(
+        f"scope: node {nid!r} is not in the revise view" for nid in ("d", "a", "ghost"))
+    # unscoped, as a decomposition or a replay applies it, d is fair game
+    reworded = RevisionDelta(need_update=True, description_updates=(("d", "reworded"),))
+    assert apply_revision(g, reworded).applied
+    assert not apply_revision(g, reworded, scope=scope).applied
+
+
 def test_new_node_cannot_feed_a_terminal_dependent():
     g = graph_of(node("done", status=NodeStatus.COMPLETED), node("live"))
     spec = NewNodeSpec(id="late", description="too late", dependents=("done",))
@@ -468,9 +507,10 @@ def test_render_dag_state_exact_format():
     g = graph_of(node("b", deps=["a"]), node("a", status=NodeStatus.COMPLETED))
     assert render_dag_state(g) == (
         "- a [completed] (deps: none): work item a\n"
-        "- b [pending] (deps: a): work item b"
+        "- b [pending] (deps: a): work item b",
+        {"a", "b"},
     )
-    assert render_dag_state(TaskGraph(task_description="t")) == "(empty graph)"
+    assert render_dag_state(TaskGraph(task_description="t")) == ("(empty graph)", set())
 
 
 def test_render_dag_state_shows_the_frontier_and_counts_the_rest():
@@ -493,7 +533,8 @@ def test_render_dag_state_shows_the_frontier_and_counts_the_rest():
         "- e [pending] (deps: d): work item e\n"
         "- g [in_progress] (deps: none): work item g\n"
         "- (1 completed not shown)\n"
-        "- (2 pending not shown, waiting on the nodes above)"
+        "- (2 pending not shown, waiting on the nodes above)",
+        {"b", "c", "d", "e", "g"},
     )
 
 
@@ -502,13 +543,14 @@ def test_render_dag_state_accounts_for_every_node_once():
     for _ in range(500):
         g = random_valid_graph(rng)
         shown, counted = [], {"completed": 0, "pending": 0}
-        for line in render_dag_state(g).splitlines():
+        view, scope = render_dag_state(g)
+        for line in view.splitlines():
             if line.startswith("- ("):
                 count, status = line[3:].split()[:2]
                 counted[status] += int(count)
             else:
                 shown.append(line.split()[1])
-        assert shown == sorted(shown)
+        assert shown == sorted(shown) and set(shown) == scope
         assert len(shown) + sum(counted.values()) == len(g.nodes)
         nodes = g.nodes
         active = {nid for nid, n in nodes.items()

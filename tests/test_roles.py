@@ -461,17 +461,35 @@ def test_parse_revision_edges():
                 parse_revision(text)
 
 
+VERBS = frozenset({"Search", "Finish", "look"})
+
+
 def test_extract_action_trimming():
-    assert extract_action("  Search[Peoria]  ") == "Search[Peoria]"
-    assert extract_action('"Search[Peoria]"') == "Search[Peoria]"
-    assert extract_action("`look around`") == "look around"
-    assert extract_action("```\nFinish[42]\n```") == "Finish[42]"
-    # mismatched wrappers stay put
-    assert extract_action("\"half wrapped'") == "\"half wrapped'"
+    assert extract_action("  Search[Peoria]  ", VERBS) == "Search[Peoria]"
+    assert extract_action('"Search[Peoria]"', VERBS) == "Search[Peoria]"
+    assert extract_action("`look around`", VERBS) == "look around"
+    assert extract_action("```\nFinish[42]\n```", VERBS) == "Finish[42]"
+    # mismatched wrappers stay put, so no verb leads the action
+    with pytest.raises(ParseFault, match="must start with one of: Finish, Search, look"):
+        extract_action("\"look around'", VERBS)
     with pytest.raises(ParseFault, match="no action"):
-        extract_action("   ")
+        extract_action("   ", VERBS)
     with pytest.raises(ParseFault):
-        extract_action('""')
+        extract_action('""', VERBS)
+
+
+@pytest.mark.parametrize("reply", [
+    json.dumps({"status": "completed", "reason": "done", "need_replan": False}),
+    "Search[Peoria]\nFinish[42]",
+    "search[Peoria]",
+    "Searching[Peoria]",
+    "[Peoria]",
+])
+def test_extract_action_takes_only_one_command_of_the_environment(reply):
+    """A reply meant for another role, two actions, or a verb the environment
+    does not list is a parse fault, whatever follows the verb."""
+    with pytest.raises(ParseFault):
+        extract_action(reply, VERBS)
 
 
 # ---------------------------------------------------------------------------
