@@ -3,9 +3,9 @@
 All three baselines are loop bodies over the engine's one run scaffold
 (:func:`~tdp.engine.run_method` around a :class:`~tdp.engine.Run`), so they
 share its backends, budgets, end-of-run check and telemetry, write
-``run_end`` however they end, and reuse its prompt templates with whole-task
-bindings wherever the shape allows.  The comparison thus isolates
-orchestration strategy rather than prompt wording:
+``run_end`` however they end, and call its prompt templates, each of which
+names its role and its reply reader, with whole-task bindings.  The
+comparison thus isolates orchestration strategy rather than prompt wording:
 
 * ReAct     — a single role; every step sees the full accumulated history.
 * CoT       — one up-front plan, executed step-for-step, never revised.
@@ -16,44 +16,18 @@ orchestration strategy rather than prompt wording:
 
 from __future__ import annotations
 
-import re
-from typing import AbstractSet, Any, Callable
+from typing import Any, Callable
 
 from .engine import Run, RunReport, assemble_history, run_method
 from .graph import TraceEntry
-from .roles import (
-    ParseFault,
-    Plan,
-    extract_action,
-    parse_evaluation,
-    parse_plan,
-    parse_replan,
-    render_plan,
-)
+from .roles import Plan, render_plan
 
 __all__ = [
-    "parse_react",
     "run_react",
     "run_cot",
     "run_plan_and_act",
     "BASELINES",
 ]
-
-
-_ACTION_LINE_RE = re.compile(r"^Action:\s*(.+)$", re.MULTILINE)
-_THOUGHT_LINE_RE = re.compile(r"^Thought:\s*(.+)$", re.MULTILINE)
-
-
-def parse_react(text: str, verbs: AbstractSet[str]) -> tuple[str, str]:
-    """(thought, action) from a think-then-act reply; the Action line is
-    required and read by :func:`~tdp.roles.extract_action`."""
-    action_match = _ACTION_LINE_RE.search(text)
-    if not action_match:
-        raise ParseFault("reply has no 'Action:' line")
-    action = extract_action(action_match.group(1), verbs)
-    thought_match = _THOUGHT_LINE_RE.search(text)
-    thought = thought_match.group(1).strip() if thought_match else ""
-    return thought, action
 
 
 def _whole_task_bindings(
@@ -81,9 +55,7 @@ def run_react(run: Run) -> tuple[str, str]:
     trace: list[TraceEntry] = []
     while (end := run.stop()) is None:
         view = _whole_task_bindings(run, trace)
-        _thought, action = run.call(
-            "executor", "react", view, lambda text: parse_react(text, run.verbs)
-        )
+        _thought, action = run.call("react", view)
         trace.append(run.act(action))
     return end
 
@@ -98,12 +70,12 @@ def run_cot(run: Run) -> tuple[str, str]:
     per step: at most ``(1 + parser_retry_budget) * (1 + s_max)`` model attempts.
     """
     trace: list[TraceEntry] = []
-    plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)
+    plan = run.call("plan", _whole_task_bindings(run, trace))
     for _step in plan.steps:
         if (end := run.stop()) is not None:
             return end
         view = _whole_task_bindings(run, trace, plan)
-        trace.append(run.act(run.call("executor", "execute", view, run.parse_action)))
+        trace.append(run.act(run.call("execute", view)))
     if (end := run.stop()) is None or end[0] == "Terminated":  # the plan ran out, budget or not
         return "Terminated", "plan exhausted before task completion"
     return end
@@ -121,24 +93,22 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
     ``(1 + parser_retry_budget) * (3 * s_max - 1)`` attempts.
     """
     trace: list[TraceEntry] = []
-    plan = run.call("planner", "plan", _whole_task_bindings(run, trace), parse_plan)
+    plan = run.call("plan", _whole_task_bindings(run, trace))
     replans = 0
     guidance: str | None = None
     while (end := run.stop()) is None:
         view = _whole_task_bindings(run, trace, plan, guidance)
         guidance = None
-        trace.append(run.act(run.call("executor", "execute", view, run.parse_action)))
+        trace.append(run.act(run.call("execute", view)))
         if (end := run.stop()) is not None:
             break
         view = _whole_task_bindings(run, trace, plan)
-        evaluation = run.call("supervisor", "evaluate", view, parse_evaluation)
+        evaluation = run.call("evaluate", view)
         if evaluation.need_replan:
             if replans >= run.config.max_replans_per_node:
                 run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
                 return "Terminated", f"replan budget exhausted ({replans})"
-            decision = run.call(
-                "planner", "replan", {**view, "reason": evaluation.reason}, parse_replan
-            )
+            decision = run.call("replan", {**view, "reason": evaluation.reason})
             if decision.replan:
                 assert decision.new_plan is not None
                 plan = decision.new_plan

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from .baselines import BASELINES
 from .engine import EngineError, RunConfig, RunReport, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
-from .roles import ModelBackend, RemoteChatBackend, ScriptedBackend
+from .roles import TEMPLATE_TABLE, ModelBackend, RemoteChatBackend, ScriptedBackend
 from .telemetry import (
     MetricsRecord,
     TraceError,
@@ -30,9 +30,11 @@ from .telemetry import (
     read_trace,
 )
 
-__all__ = ["CliError", "load_config", "dispatch", "main", "METHODS"]
+__all__ = ["CliError", "load_config", "dispatch", "main", "METHODS", "ROLES"]
 
 METHODS = ("tdp",) + tuple(sorted(BASELINES))
+#: The roles a backend may be configured for: those the templates name.
+ROLES = tuple(sorted({role for role, _read in TEMPLATE_TABLE.values()}))
 
 
 class CliError(ValueError):
@@ -92,7 +94,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     Every top-level key except ``backends`` names a :class:`RunConfig` field,
     whose default applies when the key is absent; an unknown key or a value
-    of the wrong type is an error.
+    of the wrong type is an error.  ``backends`` maps roles a template names
+    (:data:`ROLES`) to backend objects; any other role is an error.
     """
     path = Path(path)
     if not path.exists():
@@ -108,6 +111,12 @@ def load_config(path: str | Path) -> RunConfig:
         if key == "backends":
             if not isinstance(value, dict) or not all(isinstance(v, dict) for v in value.values()):
                 raise CliError("config key 'backends' must map each role to a backend object")
+            unknown = sorted(set(value) - set(ROLES))
+            if unknown:
+                raise CliError(
+                    f"config key 'backends' names unknown role(s) {', '.join(map(repr, unknown))}"
+                    f"; known roles: {', '.join(ROLES)}"
+                )
             kwargs["role_backends"] = {
                 role: _build_backend(spec, base_dir) for role, spec in value.items()
             }

@@ -23,8 +23,8 @@ is scoped to the round and the frontier: the outcomes of the nodes dispatched
 since the previous revision, as dependents see them (:func:`render_outcomes`),
 plus the graph's frontier, with every other node only counted
 (:func:`~tdp.graph.render_dag_state`); a revision may edit only the nodes
-shown.  An executor reply that is not one of the environment's commands is
-a parse fault, so it never reaches the environment.
+shown.  An executor reply whose verb is not one of the commands its prompt
+listed is a parse fault, so it never reaches the environment.
 
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
 over one scaffold, :func:`run_method`, which writes ``run_end`` however the
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .environments import Environment, TaskInstance
-from .environments.base import command_verb
 from .graph import (
     NodeScopedContext,
     NodeStatus,
@@ -63,13 +62,8 @@ from .roles import (
     ParseFault,
     RoleFault,
     TokenUsage,
-    extract_action,
     load_templates,
-    parse_evaluation,
-    parse_plan,
-    parse_replan,
     parse_revision,
-    parse_subgoals,
     render_plan,
     render_prompt,
 )
@@ -81,7 +75,6 @@ __all__ = [
     "RunReport",
     "Run",
     "run_method",
-    "format_commands",
     "assemble_history",
     "render_outcomes",
     "render_context_history",
@@ -165,10 +158,6 @@ class RunReport:
 
 # ---------------------------------------------------------------------------
 # prompt assembly
-
-
-def format_commands(env: Environment) -> str:
-    return "\n".join(env.admissible_commands())
 
 
 def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
@@ -269,9 +258,9 @@ class Run:
     :attr:`steps_used` counts the environment steps taken against
     ``config.s_max`` (:meth:`budget_spent`).  Without a caller's sink the run
     keeps its events in an in-memory one.  A run keeps no trace of its own,
-    and only tdp sets :attr:`graph`.  :attr:`verbs` holds the verbs of the
-    environment's admissible commands, the only ones an executor action may
-    start with (:meth:`parse_action`).
+    and only tdp sets :attr:`graph`.  :attr:`templates` holds the packaged
+    templates, each with its role and reply reader (:meth:`call`), and
+    :attr:`commands` the environment's command lines, one per line.
     """
 
     def __init__(
@@ -294,8 +283,7 @@ class Run:
         self.templates = load_templates()
         self.steps_used = 0
         env.reset(instance)
-        self.commands = format_commands(env)
-        self.verbs = frozenset(map(command_verb, env.admissible_commands()))
+        self.commands = "\n".join(env.admissible_commands())
         self.sink.begin_run(
             self.run_id,
             meta={
@@ -311,29 +299,25 @@ class Run:
     def emit(self, kind: str, **payload: Any) -> TraceEvent:
         return self.sink.emit(self.run_id, kind, **payload)
 
-    def call(
-        self,
-        role: str,
-        template: str,
-        bindings: dict[str, Any],
-        parser: Callable[[str], Any],
-        scope: str = "global",
-    ) -> Any:
-        """Render, complete and parse one role call, retrying parse faults.
+    def call(self, template: str, bindings: dict[str, Any], scope: str = "global") -> Any:
+        """Render, complete and read one call of `template`, retrying parse faults.
 
-        The prompt is rendered once.  Each retry re-sends it plus one more
-        :data:`~tdp.roles.FORMAT_REMINDER` line that names why the last reply
-        was refused, up to ``1 + parser_retry_budget`` attempts.  The call,
-        faulted or not, is recorded as a ``role_call`` event carrying its
-        usage summed over the attempts, ``null`` for a count the backend did
-        not report; then the parsed value is returned or a
+        The template names the role whose backend answers, tagged
+        ``role:template``, and the reader of the reply, which also sees
+        `bindings`.  The prompt is rendered once.  Each retry re-sends it plus
+        one more :data:`~tdp.roles.FORMAT_REMINDER` line that names why the
+        last reply was refused, up to ``1 + parser_retry_budget`` attempts.
+        The call, faulted or not, is recorded as a ``role_call`` event
+        carrying its usage summed over the attempts, ``null`` for a count the
+        backend did not report; then the parsed value is returned or a
         :class:`RoleFault` carrying the last raw reply is raised.  A backend
         error is recorded too, ``ok: false`` with the attempts made, the usage
         so far and ``error: "<type>: <message>"``, and then re-raised.
         """
-        backend = self.config.backend(role)
-        tag = f"{role}:{template}"
-        prompt = render_prompt(self.templates[template], bindings)
+        spec = self.templates[template]
+        backend = self.config.backend(spec.role)
+        tag = f"{spec.role}:{template}"
+        prompt = render_prompt(spec, bindings)
         prompt_chars = len(prompt)
         usage = TokenUsage()
         value: Any = None
@@ -342,7 +326,7 @@ class Run:
         def record(attempts: int, ok: bool, **error: str) -> None:
             self.emit(
                 "role_call",
-                role=role,
+                role=spec.role,
                 template=template,
                 scope=scope,
                 attempts=attempts,
@@ -361,7 +345,7 @@ class Run:
                 raise
             usage = usage + completion.usage
             try:
-                value, fault = parser(completion.text), None
+                value, fault = spec.read(completion.text, bindings), None
                 break
             except ParseFault as err:
                 fault = RoleFault(
@@ -373,11 +357,6 @@ class Run:
         if fault is not None:
             raise fault
         return value
-
-    def parse_action(self, text: str) -> str:
-        """The executor's reply as one of the environment's commands: the
-        parser of every ``execute`` call (:func:`~tdp.roles.extract_action`)."""
-        return extract_action(text, self.verbs)
 
     def budget_spent(self) -> bool:
         """True once the run has taken ``config.s_max`` environment steps."""
@@ -512,12 +491,7 @@ def construct(task: str, run: Run) -> tuple[TaskGraph, RevisionDelta]:
     A malformed reply and a refused graph share the bounded retry budget;
     exhaustion raises the underlying :class:`RoleFault`.
     """
-    return run.call(
-        "supervisor",
-        "construct",
-        {"task_description": task, "admissible_commands": run.commands},
-        lambda text: parse_subgoals(text, task),
-    )
+    return run.call("construct", {"task_description": task, "admissible_commands": run.commands})
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +541,11 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
     guidance: str | None = None
     try:
-        node.plan = run.call(
-            "planner", "plan", node_bindings(graph, node_id, commands), parse_plan, scope=node_id
-        )
+        node.plan = run.call("plan", node_bindings(graph, node_id, commands), scope=node_id)
         # Run.stop() without its sink scan: no sink completes while this node runs
         while not (run.budget_spent() or run.env.done):
             view = node_bindings(graph, node_id, commands, guidance)
-            action = run.call("executor", "execute", view, run.parse_action, scope=node_id)
+            action = run.call("execute", view, scope=node_id)
             guidance = None  # guidance lives for exactly one executor call
 
             node.local_trace.append(run.act(action, scope=node_id))
@@ -581,7 +553,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
                 return close(NodeStatus.COMPLETED, None)
 
             view = node_bindings(graph, node_id, commands)
-            evaluation = run.call("supervisor", "evaluate", view, parse_evaluation, scope=node_id)
+            evaluation = run.call("evaluate", view, scope=node_id)
             if evaluation.status == "completed":
                 return close(NodeStatus.COMPLETED, evaluation.reason)
             if evaluation.status == "failed":
@@ -593,13 +565,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if not evaluation.need_replan:
                 guidance = evaluation.reason  # hand to exactly the next executor call
                 continue
-            decision = run.call(
-                "planner",
-                "replan",
-                {**view, "reason": evaluation.reason},
-                parse_replan,
-                scope=node_id,
-            )
+            decision = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
             if not decision.replan:
                 run.replan(node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:
@@ -682,7 +648,6 @@ def run_task(run: Run) -> tuple[str, str]:
         dag_state, shown = render_dag_state(graph)
         try:
             delta: RevisionDelta = run.call(
-                "supervisor",
                 "revise",
                 {
                     "task_description": run.instance.query,
@@ -691,7 +656,6 @@ def run_task(run: Run) -> tuple[str, str]:
                     "dag_state": dag_state,
                     "admissible_commands": run.commands,
                 },
-                parse_revision,
             )
         except RoleFault as fault:
             delta = RevisionDelta()

@@ -1,14 +1,14 @@
 """Role plumbing: prompt templates, structured-output parsers, and model backends.
 
-Each agent role (supervisor, planner, executor) is a prompt template plus a
-parser over the model's raw reply.  All parsing is strict — silent coercion of
-a malformed reply into a default would hide model drift, so every defect is a
-bare :class:`ParseFault`.  :meth:`tdp.engine.Run.call` retries it and, once
-the retries run out, raises a :class:`RoleFault` that names the role and
-keeps the last reply.  The parsers check shape only.  A decomposition and a
-revision read their node entries with one reader, and both reach the graph
-through :func:`~tdp.graph.apply_revision`, so every structural rule is
-checked once, by :func:`~tdp.graph.validate_graph`.
+Each prompt template names, once, in :data:`TEMPLATE_TABLE`, its agent role
+(supervisor, planner, executor) and the reader of the reply.  All parsing is
+strict — silent coercion of a malformed reply into a default would hide model
+drift, so every defect is a bare :class:`ParseFault`.  :meth:`Run.call
+<tdp.engine.Run.call>` retries it and, once the retries run out, raises a
+:class:`RoleFault` that names the role and keeps the last reply.  The parsers
+check shape only.  A decomposition and a revision read their node entries with
+one reader, and both reach the graph through :func:`~tdp.graph.apply_revision`,
+so every structural rule is checked once, by :func:`~tdp.graph.validate_graph`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import AbstractSet, Any, Mapping, Sequence
+from typing import AbstractSet, Any, Callable, Mapping, Sequence
 
 from .environments.base import command_verb
 from .graph import NewNodeSpec, RevisionDelta, TaskGraph, apply_revision
@@ -31,6 +31,7 @@ __all__ = [
     "TokenUsage",
     "Completion",
     "PromptTemplate",
+    "TEMPLATE_TABLE",
     "TEMPLATE_NAMES",
     "load_template",
     "load_templates",
@@ -47,6 +48,7 @@ __all__ = [
     "parse_replan",
     "parse_revision",
     "extract_action",
+    "parse_react",
     "ModelBackend",
     "ScriptedBackend",
     "ScriptRule",
@@ -101,30 +103,52 @@ class Completion:
 # ---------------------------------------------------------------------------
 # templates
 
+#: ``read(text, bindings)``: the parsed reply to a prompt rendered from `bindings`.
+Reader = Callable[[str, Mapping[str, Any]], Any]
+
+
+def _listed_verbs(bindings: Mapping[str, Any]) -> frozenset[str]:
+    """The verbs of the command lines the prompt listed: an action's only verbs."""
+    return frozenset(map(command_verb, bindings["admissible_commands"].splitlines()))
+
+
+#: Each packaged template's role and reply reader; an executor reader takes
+#: only the verbs of the command lines its prompt listed.
+TEMPLATE_TABLE: dict[str, tuple[str, Reader]] = {
+    "construct": ("supervisor", lambda text, b: parse_subgoals(text, b["task_description"])),
+    "evaluate": ("supervisor", lambda text, _: parse_evaluation(text)),
+    "execute": ("executor", lambda text, b: extract_action(text, _listed_verbs(b))),
+    "plan": ("planner", lambda text, _: parse_plan(text)),
+    "react": ("executor", lambda text, b: parse_react(text, _listed_verbs(b))),
+    "replan": ("planner", lambda text, _: parse_replan(text)),
+    "revise": ("supervisor", lambda text, _: parse_revision(text)),
+}
 #: The packaged role prompt templates.
-TEMPLATE_NAMES = ("construct", "evaluate", "execute", "plan", "react", "replan", "revise")
+TEMPLATE_NAMES = tuple(TEMPLATE_TABLE)
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named template body with a declared placeholder set."""
+    """A named template body with a declared placeholder set, the role that
+    answers it and the reader of that role's reply."""
 
     name: str
     body: str
     placeholders: frozenset[str]
+    role: str
+    read: Reader
 
 
 def load_template(name: str) -> PromptTemplate:
     """Load one packaged template by name; it declares the placeholders its
-    body holds."""
-    if name not in TEMPLATE_NAMES:
+    body holds, and its role and reader are its :data:`TEMPLATE_TABLE` row."""
+    if name not in TEMPLATE_TABLE:
         raise KeyError(f"unknown template {name!r}")
     body = (resources.files("tdp") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
-    return PromptTemplate(
-        name=name, body=body, placeholders=frozenset(_PLACEHOLDER_RE.findall(body))
-    )
+    placeholders = frozenset(_PLACEHOLDER_RE.findall(body))
+    return PromptTemplate(name, body, placeholders, *TEMPLATE_TABLE[name])
 
 
 def load_templates() -> dict[str, PromptTemplate]:
@@ -456,6 +480,22 @@ def extract_action(text: str, verbs: AbstractSet[str]) -> str:
     if command_verb(action) not in verbs:
         raise ParseFault(f"the action must start with one of: {', '.join(sorted(verbs))}")
     return action
+
+
+_ACTION_LINE_RE = re.compile(r"^Action:\s*(.+)$", re.MULTILINE)
+_THOUGHT_LINE_RE = re.compile(r"^Thought:\s*(.+)$", re.MULTILINE)
+
+
+def parse_react(text: str, verbs: AbstractSet[str]) -> tuple[str, str]:
+    """(thought, action) from a think-then-act reply; the Action line is
+    required and read by :func:`extract_action`."""
+    action_match = _ACTION_LINE_RE.search(text)
+    if not action_match:
+        raise ParseFault("reply has no 'Action:' line")
+    action = extract_action(action_match.group(1), verbs)
+    thought_match = _THOUGHT_LINE_RE.search(text)
+    thought = thought_match.group(1).strip() if thought_match else ""
+    return thought, action
 
 
 # ---------------------------------------------------------------------------

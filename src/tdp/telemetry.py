@@ -278,7 +278,8 @@ def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]
     """Per-role prompt and output tokens summed over the ``role_call`` events,
     in role order: the one account of a run's tokens.  A role's sum is
     ``None`` once one of its calls ended on a backend error, whose usage is
-    not known, or has a count its backend did not report."""
+    not known, or has a count its backend did not report.  A count that is
+    neither an integer nor ``null`` is a :class:`TraceError`."""
     totals: dict[str, dict[str, int | None]] = {}
     for event in events:
         if event.kind == "role_call":
@@ -286,6 +287,11 @@ def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]
             errored = "error" in event.payload
             for key in ("prompt_tokens", "output_tokens"):
                 total, count = sums.get(key, 0), event.payload.get(key, 0)
+                if count is not None and type(count) is not int:
+                    raise TraceError(
+                        f"role_call event {event.seq}: {key!r} must be an integer or null, "
+                        f"got {count!r}"
+                    )
                 unknown = errored or total is None or count is None
                 sums[key] = None if unknown else total + count
     return dict(sorted(totals.items()))
@@ -312,15 +318,22 @@ def compute_metrics(
     """Reduce one run's events (+ its gold record) to a MetricsRecord.
 
     Pure function of its inputs — this is what both live reporting and
-    offline replay call, so the two can be compared for exact equality.
+    offline replay call, so the two can be compared for exact equality.  A
+    field of the wrong type is a :class:`TraceError` naming the field.
     """
     gold = gold or {}
+    if not isinstance(gold, Mapping):
+        raise TraceError(f"'gold' must be an object, got {gold!r}")
     run_end = next((e for e in reversed(events) if e.kind == "run_end"), None)
     if run_end is None:
         raise TraceError("run has no run_end event")
     if not run_id:
         run_id = run_end.run_id
     env_metrics = run_end.payload.get("env_metrics", {})
+    if not isinstance(env_metrics, dict):
+        raise TraceError(
+            f"run_end event {run_end.seq}: 'env_metrics' must be an object, got {env_metrics!r}"
+        )
 
     delivery = bool(run_end.payload.get("delivered", False))
 

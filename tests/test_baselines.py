@@ -6,14 +6,13 @@ import pytest
 
 from tdp.baselines import (
     BASELINES,
-    parse_react,
     run_cot,
     run_plan_and_act,
     run_react,
 )
 from tdp.engine import RunConfig
 from tdp.environments import make_environment
-from tdp.roles import ParseFault, ScriptedBackend
+from tdp.roles import ParseFault, ScriptedBackend, parse_react
 from tdp.telemetry import CounterClock, TraceSink
 
 from scenarios import (

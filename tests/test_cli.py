@@ -165,6 +165,22 @@ class TestLoadConfig:
         assert code == 2
         assert "unknown config key 's_mx'" in capsys.readouterr().err
 
+    def test_a_backend_for_a_role_no_template_has_is_exit_two_naming_the_roles(
+        self, tmp_path, capsys
+    ):
+        """A misspelt role would build a backend no call uses; it is refused
+        with the roles the templates name."""
+        path = _write_config(tmp_path, {"backends": {
+            "planer": {"kind": "scripted", "rules": []},
+            "executor": {"kind": "scripted", "rules": []}}})
+        code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,
+                         "--config", str(path), "--trace-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'backends' names unknown role(s) 'planer'; "
+            "known roles: executor, planner, supervisor\n")
+        assert not list(tmp_path.glob("*.jsonl"))  # refused before any run
+
     def test_readme_names_exactly_the_config_keys(self):
         """Each top-level bullet of README's "Configuration" section names one
         key ``load_config`` accepts, and every such key has one: the
@@ -648,6 +664,47 @@ def test_report_tabulates_the_runs_it_can_read(tmp_path, capsys):
     assert code == 1
     assert captured.err == f"error: {cut}: run 'tdp__cut': run has no run_end event\n"
     assert [line.split()[0] for line in captured.out.splitlines()[2:]] == ["tdp"]
+
+
+def _set_payload(**fields):
+    return lambda doc: doc["payload"].update(fields)
+
+
+#: A trace line of a valid run given a field of the wrong type: the kind of
+#: the first line changed, the change, and the error that names the field.
+MISTYPED_FIELDS = {
+    "role_call tokens": ("role_call", _set_payload(prompt_tokens="12"),
+                         r"role_call event \d+: 'prompt_tokens' must be an integer or null, "
+                         r"got '12'"),
+    "run_end env_metrics": ("run_end", _set_payload(env_metrics=3),
+                            r"run_end event \d+: 'env_metrics' must be an object, got 3"),
+    "header gold": ("header", lambda doc: doc["meta"].update(gold=5),
+                    r"'gold' must be an object, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_a_mistyped_trace_field_is_named_and_the_other_runs_are_tabulated(
+    tmp_path, capsys, case
+):
+    """Replay names the file, the run and the field; report tabulates the
+    good trace beside it."""
+    kind, change, message = MISTYPED_FIELDS[case]
+    good = _produce_trace(tmp_path)
+    docs = [json.loads(line) for line in good.read_text().splitlines()]
+    change(next(doc for doc in docs if doc["kind"] == kind))
+    bad = tmp_path / "mistyped" / "bad.jsonl"
+    bad.parent.mkdir()
+    bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    error = re.escape(f"error: {bad}: run 'tdp__wiki_peoria': ") + message + "\n"
+    capsys.readouterr()
+    assert dispatch(["replay", "--trace", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(error, captured.err)
+    assert dispatch(["report", "--traces", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(error, captured.err)
+    assert {m: row["runs"] for m, row in _table_rows(captured.out).items()} == {"tdp": "1"}
 
 
 def _table_rows(table):

@@ -23,6 +23,7 @@ from tdp.environments import (
 )
 from tdp.engine import Run, RunConfig
 from tdp.environments.base import command_verb
+from tdp.roles import ParseFault
 
 from conftest import FIXTURE_DIR, LAB_FIXTURE, TRAVEL_FIXTURE, WIKI_FIXTURES
 from envgen import ACTION_POOLS, run_stream, stream_rewards
@@ -50,9 +51,16 @@ class TestCommandTables:
         assert make_environment(env_id).admissible_commands() == [c.line for c in table.values()]
 
     def test_the_executor_reads_the_table_verbs(self, env_id):
+        """The execute reader, given the run's command lines, takes a call of
+        every table verb and refuses any other verb."""
         instance = load_task_instance(FIXTURE_OF[env_id])
         run = Run("tdp", instance, make_environment(env_id), RunConfig())
-        assert run.verbs == set(ENVIRONMENTS[env_id].commands)
+        read, view = run.templates["execute"].read, {"admissible_commands": run.commands}
+        for command in ENVIRONMENTS[env_id].commands.values():
+            action = _junk_call(command.syntax)
+            assert read(action, view) == action
+        with pytest.raises(ParseFault, match="must start with one of"):
+            read("Xyzzy[zzjunk]", view)
 
     def test_every_verb_with_a_junk_argument_gets_its_own_reply(self, env_id):
         instance = load_task_instance(FIXTURE_OF[env_id])
@@ -70,7 +78,10 @@ class TestCommandTables:
 
 def test_the_chain_env_verbs_come_from_its_command_lines():
     run = Run("tdp", chain_instance(3), ChainEnv(), RunConfig())
-    assert run.verbs == {"work", "resolve"}
+    read, view = run.templates["execute"].read, {"admissible_commands": run.commands}
+    assert [read(action, view) for action in ("work 1", "resolve 1")] == ["work 1", "resolve 1"]
+    with pytest.raises(ParseFault, match="must start with one of: resolve, work"):
+        read("Finish[x]", view)
     assert command_verb("  resolve <n> - clear the blocker") == "resolve"
     assert command_verb("[x]") == ""
 

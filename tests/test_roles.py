@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from importlib import resources
 
 import pytest
 import requests
@@ -38,6 +39,7 @@ from tdp.roles import (
     ScriptRule,
     ScriptedBackend,
     TEMPLATE_NAMES,
+    TEMPLATE_TABLE,
     TokenUsage,
     extract_action,
     extract_json,
@@ -94,6 +96,28 @@ def test_all_builtin_templates_load_and_declare_their_placeholders():
         assert template.placeholders <= VOCABULARY
         for placeholder in template.placeholders:
             assert "{" + placeholder + "}" in template.body
+
+
+def test_each_template_names_its_role_and_reply_reader_once():
+    """One table row per packaged template: a role of the three, whose reader
+    the loaded template carries; an executor reader takes only the verbs of
+    the command lines its prompt listed."""
+    packaged = {
+        path.name.removesuffix(".txt")
+        for path in (resources.files("tdp") / "templates").iterdir()
+        if path.name.endswith(".txt")
+    }
+    assert set(TEMPLATE_TABLE) == set(TEMPLATE_NAMES) == packaged
+    for name, template in load_templates().items():
+        assert template.role in {"supervisor", "planner", "executor"}
+        assert (template.role, template.read) == TEMPLATE_TABLE[name]
+    listed = {"admissible_commands": "Search[entity] - search\nLookup[keyword] - look up"}
+    read_execute, read_react = TEMPLATE_TABLE["execute"][1], TEMPLATE_TABLE["react"][1]
+    assert read_execute("Search[x]", listed) == "Search[x]"
+    assert read_react("Thought: t\nAction: Lookup[x]", listed) == ("t", "Lookup[x]")
+    for read, reply in ((read_execute, "Finish[x]"), (read_react, "Action: Finish[x]")):
+        with pytest.raises(ParseFault, match="must start with one of: Lookup, Search"):
+            read(reply, listed)
 
 
 #: What each packaged template must show of its reply format: every JSON key
@@ -215,11 +239,7 @@ def test_render_prompt_missing_binding_names_the_placeholder():
 
 
 def test_render_prompt_none_single_pass_and_literal_braces():
-    template = PromptTemplate(
-        name="probe",
-        body="A={alpha} B={beta} L={not_declared}",
-        placeholders=frozenset({"alpha", "beta"}),
-    )
+    template = _template(body="A={alpha} B={beta} L={not_declared}", placeholders=("alpha", "beta"))
     out = render_prompt(template, {"alpha": None, "beta": "{alpha}"})
     # None renders as the string "None"; substitution is single-pass, so a
     # binding that contains placeholder syntax stays literal; brace text that
@@ -228,10 +248,9 @@ def test_render_prompt_none_single_pass_and_literal_braces():
 
 
 def test_render_prompt_leaves_out_lines_bound_only_to_none():
-    template = PromptTemplate(
-        name="probe",
+    template = _template(
         body="Head\nGuidance: {guidance}\nBoth: {alpha} {guidance}\nL={not_declared}\nTail",
-        placeholders=frozenset({"alpha", "guidance"}),
+        placeholders=("alpha", "guidance"),
     )
 
     def render(alpha, guidance):
@@ -634,7 +653,14 @@ def test_malformed_script_rule_is_a_value_error_naming_it(rule, message):
 
 
 def _template(body="Q: {question}", placeholders=("question",)):
-    return PromptTemplate(name="probe", body=body, placeholders=frozenset(placeholders))
+    """A ``probe`` template the supervisor answers with a JSON object."""
+    return PromptTemplate(
+        name="probe",
+        body=body,
+        placeholders=frozenset(placeholders),
+        role="supervisor",
+        read=lambda text, _: extract_json(text),
+    )
 
 
 def _probe_run(backend, retry_budget=2) -> Run:
@@ -647,7 +673,7 @@ def _probe_run(backend, retry_budget=2) -> Run:
 
 
 def _probe(run, question="ping"):
-    return run.call("supervisor", "probe", {"question": question}, extract_json)
+    return run.call("probe", {"question": question})
 
 
 def _role_call(run) -> dict:
