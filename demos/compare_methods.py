@@ -13,7 +13,7 @@ from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import run_task
 from tdp.environments import load_task_instance, make_environment
-from tdp.telemetry import TraceSink, compare_report, compute_metrics
+from tdp.telemetry import TraceSink, compare_report
 
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = ("tdp", "react", "cot", "plan-act")
@@ -27,13 +27,8 @@ def main() -> None:
             config = load_config(ROOT / "configs" / "scripted_wiki.json")
             env = make_environment(instance.environment)
             sink = TraceSink(clock=config.make_clock())
-            if method == "tdp":
-                report = run_task(instance, env, config, sink=sink)
-            else:
-                report = BASELINES[method](instance, env, config, sink=sink)
-            batches[method].append(
-                compute_metrics(sink.events_for(report.run_id), instance.gold)
-            )
+            runner = run_task if method == "tdp" else BASELINES[method]
+            batches[method].append(runner(instance, env, config, sink=sink))
 
     print(compare_report(batches, reference="plan-act").format_table())
 

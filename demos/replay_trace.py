@@ -21,13 +21,13 @@ def run_once(instance_path: Path, trace_path: Path):
     instance = load_task_instance(instance_path)
     config = load_config(ROOT / "configs" / "scripted_wiki.json")
     sink = TraceSink(trace_path, clock=config.make_clock())
-    report = run_task(instance, make_environment(instance.environment), config, sink=sink)
-    return instance, sink, report
+    record = run_task(instance, make_environment(instance.environment), config, sink=sink)
+    return instance, record
 
 
 def replay(fixture: Path, workdir: Path) -> None:
     """Run `fixture` twice into `workdir`, then replay the first trace."""
-    instance, sink, report = run_once(fixture, workdir / "first.jsonl")
+    instance, live = run_once(fixture, workdir / "first.jsonl")
     run_once(fixture, workdir / "second.jsonl")
 
     first = (workdir / "first.jsonl").read_bytes()
@@ -41,7 +41,6 @@ def replay(fixture: Path, workdir: Path) -> None:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
     print("events by kind:", ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
 
-    live = compute_metrics(sink.events_for(report.run_id), instance.gold)
     replayed = compute_metrics(events, instance.gold)
     print(f"metrics replayed from file equal live metrics: {replayed == live}")
     prompt, output = replayed.avg_prompt_tokens, replayed.avg_output_tokens

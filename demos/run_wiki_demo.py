@@ -13,7 +13,7 @@ from pathlib import Path
 from tdp.cli import load_config
 from tdp.engine import replay_graph, run_task
 from tdp.environments import load_task_instance, make_environment
-from tdp.telemetry import TraceSink, compute_metrics
+from tdp.telemetry import TraceSink
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,10 +42,9 @@ def main() -> None:
             print(f"  [{p['scope']}] step {p['step_index']}: {p['action']}")
             print(f"      -> {p['observation'][:96]}")
 
-    metrics = compute_metrics(events, instance.gold)
     print(f"\noutcome: {report.terminal} ({report.reason})")
     print(f"answer: {report.env_metrics.get('answer')!r}  (expected {instance.gold.get('answer')!r})")
-    prompt, output = metrics.avg_prompt_tokens, metrics.avg_output_tokens
+    prompt, output = report.avg_prompt_tokens, report.avg_output_tokens
     print(f"steps: {report.steps_used}, prompt tokens: {prompt:.0f}, "
           f"output tokens: {output:.0f}, total tokens: {prompt + output:.0f}")
 

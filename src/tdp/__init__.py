@@ -12,7 +12,7 @@ and metrics so comparisons stay apples-to-apples.
 from __future__ import annotations
 
 from .baselines import BASELINES
-from .engine import RunConfig, RunReport, run_task
+from .engine import RunConfig, run_task
 from .environments import (
     Environment,
     TaskInstance,
@@ -36,6 +36,7 @@ from .roles import (
     load_templates,
 )
 from .telemetry import (
+    MetricsRecord,
     TraceSink,
     compare_report,
     compute_metrics,
@@ -47,13 +48,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BASELINES",
     "Environment",
+    "MetricsRecord",
     "ModelBackend",
     "NodeStatus",
     "OutcomeSummary",
     "RemoteChatBackend",
     "RevisionDelta",
     "RunConfig",
-    "RunReport",
     "ScriptedBackend",
     "SubTaskNode",
     "TaskGraph",

@@ -3,9 +3,11 @@
 All three baselines are loop bodies over the engine's one run scaffold
 (:func:`~tdp.engine.run_method` around a :class:`~tdp.engine.Run`), so they
 share its backends, budgets, end-of-run check and telemetry, write
-``run_end`` however they end, and call its prompt templates, each of which
-names its role and its reply reader, with whole-task bindings.  The
-comparison thus isolates orchestration strategy rather than prompt wording:
+``run_end`` however they end, return the run's
+:class:`~tdp.telemetry.MetricsRecord` as tdp does, and call its prompt
+templates, each of which names its role and its reply reader, with whole-task
+bindings.  The comparison thus isolates orchestration strategy rather than
+prompt wording:
 
 * ReAct     — a single role; every step sees the full accumulated history.
 * CoT       — one up-front plan, executed step-for-step, never revised.
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .engine import Run, RunReport, assemble_history, run_method
+from .engine import Run, assemble_history, run_method
 from .graph import TraceEntry
 from .roles import Plan, render_plan
+from .telemetry import MetricsRecord
 
 __all__ = [
     "run_react",
@@ -119,7 +122,7 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
     return end
 
 
-BASELINES: dict[str, Callable[..., RunReport]] = {
+BASELINES: dict[str, Callable[..., MetricsRecord]] = {
     "react": run_react,
     "cot": run_cot,
     "plan-act": run_plan_and_act,

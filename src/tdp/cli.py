@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .baselines import BASELINES
-from .engine import EngineError, RunConfig, RunReport, run_task
+from .engine import EngineError, RunConfig, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
 from .roles import TEMPLATE_TABLE, ModelBackend, RemoteChatBackend, ScriptedBackend
 from .telemetry import (
@@ -149,32 +149,30 @@ def _collect_instances(tasks_path: str, config: RunConfig) -> list[TaskInstance]
 
 def _single_run(
     method: str, instance: TaskInstance, config: RunConfig, trace_dir: Path
-) -> tuple[RunReport, MetricsRecord, Path]:
+) -> tuple[MetricsRecord, MetricsRecord, Path]:
     env = make_environment(instance.environment)
     run_id = f"{method}__{instance.id}"
     trace_path = trace_dir / f"{run_id}.jsonl"
     sink = TraceSink(path=trace_path, clock=config.make_clock())
     runner = run_task if method == "tdp" else BASELINES[method]
     try:
-        report = runner(instance, env, config, sink=sink, run_id=run_id)
+        record = runner(instance, env, config, sink=sink, run_id=run_id)
     finally:
         sink.close()  # also when the runner refuses the config before the run starts
-    record = compute_metrics(
-        sink.events_for(run_id), instance.gold, method=method, run_id=run_id
-    )
-    return report, record, trace_path
+    # the record twice: perfbench's fixtures workload unpacks (report, record, path)
+    return record, record, trace_path
 
 
 def _guarded_run(
     method: str, instance: TaskInstance, config: RunConfig, trace_dir: Path
-) -> tuple[RunReport, MetricsRecord, Path] | str:
+) -> tuple[MetricsRecord, Path] | str:
     """:func:`_single_run`, or the one-line account of the error that ended it.
 
     Configuration errors (:class:`CliError`, :class:`EngineError`) would end
     every run alike, so they propagate.
     """
     try:
-        return _single_run(method, instance, config, trace_dir)
+        return _single_run(method, instance, config, trace_dir)[1:]
     except (CliError, EngineError):
         raise
     except Exception as err:
@@ -187,7 +185,7 @@ def _run_matrix(
     instances: Sequence[TaskInstance],
     config: RunConfig,
     trace_dir: Path,
-) -> tuple[list[tuple[RunReport, MetricsRecord, Path]], int]:
+) -> tuple[list[tuple[MetricsRecord, Path]], int]:
     """Run every (method, instance) pair in turn; return the finished runs and
     how many failed.
 
@@ -211,16 +209,15 @@ def _trace_dir(args: argparse.Namespace) -> Path:
     return path
 
 
-def _report_line(report: RunReport, record: MetricsRecord) -> str:
-    """One run's summary, its token totals read from its metrics record; an
-    unknown total shows ``-``."""
+def _report_line(record: MetricsRecord) -> str:
+    """One run's summary from its record; an unknown token total shows ``-``."""
     prompt, output = (
         "-" if total is None else int(total)
         for total in (record.avg_prompt_tokens, record.avg_output_tokens)
     )
     return (
-        f"{report.run_id}: {report.terminal} ({report.reason}) "
-        f"steps={report.steps_used} delivered={report.delivered} "
+        f"{record.run_id}: {record.terminal} ({record.reason}) "
+        f"steps={record.steps_used} delivered={record.delivery} "
         f"prompt_tokens={prompt} output_tokens={output}"
     )
 
@@ -234,8 +231,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     instances = _collect_instances(args.tasks, config)
     trace_dir = _trace_dir(args)
     results, failed = _run_matrix([args.method], instances, config, trace_dir)
-    for report, record, trace_path in results:
-        print(_report_line(report, record))
+    for record, trace_path in results:
+        print(_report_line(record))
         print(f"  trace: {trace_path}")
     print(f"completed {len(results)} run(s)" + (f", {failed} failed" if failed else ""))
     return 1 if failed else 0
@@ -257,10 +254,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     instances = _collect_instances(args.tasks, config)
     trace_dir = _trace_dir(args)
     results, failed = _run_matrix(methods, instances, config, trace_dir)
-    for report, record, _path in results:
-        print(_report_line(report, record))
     batches: dict[str, list[MetricsRecord]] = {}
-    for _report, record, _path in results:
+    for record, _path in results:
+        print(_report_line(record))
         batches.setdefault(record.method, []).append(record)
     print()
     if reference in batches:

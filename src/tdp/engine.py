@@ -30,8 +30,9 @@ tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
 over one scaffold, :func:`run_method`, which writes ``run_end`` however the
 body ends.  :class:`Run` holds the bookkeeping: trace header, recorded role
 calls, environment steps and the step budget they spend, the end-of-run check
-:meth:`Run.stop`, and the report, whose ``role_tokens`` is a fold over the
-run's ``role_call`` events.
+:meth:`Run.stop`, and the run's one record, the
+:class:`~tdp.telemetry.MetricsRecord` that
+:func:`~tdp.telemetry.compute_metrics` folds from its events, as replay does.
 """
 
 from __future__ import annotations
@@ -61,18 +62,17 @@ from .roles import (
     ModelBackend,
     ParseFault,
     RoleFault,
-    TokenUsage,
     load_templates,
     parse_revision,
     render_plan,
     render_prompt,
 )
-from .telemetry import CounterClock, TraceError, TraceEvent, TraceSink, role_tokens
+from .telemetry import CounterClock, MetricsRecord, TokenUsage, TraceError, TraceEvent, TraceSink
+from .telemetry import compute_metrics, role_tokens
 
 __all__ = [
     "EngineError",
     "RunConfig",
-    "RunReport",
     "Run",
     "run_method",
     "assemble_history",
@@ -139,21 +139,6 @@ class RunConfig:
 
     def make_clock(self) -> Callable[[], float]:
         return CounterClock() if self.deterministic_clock else time.time
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """What a finished run hands back: its id plus its ``run_end`` payload."""
-
-    run_id: str
-    method: str
-    terminal: str  # "Completed" | "Terminated"
-    reason: str
-    steps_used: int
-    node_records: dict[str, dict[str, Any]]
-    role_tokens: dict[str, dict[str, int | None]]
-    env_metrics: dict[str, Any]
-    delivered: bool
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +239,7 @@ class Run:
 
     Creating a run resets the environment and writes the trace header; the
     methods record role calls, environment steps and replan/node events, and
-    :meth:`finish` writes ``run_end`` and builds the report from its payload.
+    :meth:`finish` writes ``run_end`` and returns the run's record.
     :attr:`steps_used` counts the environment steps taken against
     ``config.s_max`` (:meth:`budget_spent`).  Without a caller's sink the run
     keeps its events in an in-memory one.  A run keeps no trace of its own,
@@ -415,13 +400,16 @@ class Run:
             return "Terminated", "step budget exhausted"
         return None
 
-    def finish(self, terminal: str, reason: str) -> RunReport:
-        """Write ``run_end`` and return the report built from its payload.
+    def finish(self, terminal: str, reason: str) -> MetricsRecord:
+        """Write ``run_end`` and return the record
+        :func:`~tdp.telemetry.compute_metrics` folds from the run's events and
+        the instance's gold, the one replay recomputes from the trace.
 
         The task counts as delivered when the environment says so or when
         every sink node of :attr:`graph` completed.
         """
         env_metrics = self.env.metrics()
+        events = self.sink.events_for(self.run_id)
         run_end = self.emit(
             "run_end",
             terminal=terminal,
@@ -431,24 +419,27 @@ class Run:
             method=self.method,
             env_metrics=env_metrics,
             node_records=_node_records(self.graph),
-            role_tokens=role_tokens(self.sink.events_for(self.run_id)),
+            role_tokens=role_tokens(events),
         )
-        return RunReport(run_id=self.run_id, **run_end.payload)
+        return compute_metrics(
+            [*events, run_end], self.instance.gold, method=self.method, run_id=self.run_id
+        )
 
 
 LoopBody = Callable[[Run], tuple[str, str]]
 
 
-def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., RunReport]]:
+def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., MetricsRecord]]:
     """Wrap a loop body ``body(run) -> (terminal, reason)`` into `method`'s runner.
 
     The runner checks `roles`, opens the :class:`Run` and writes ``run_end``
     once, however the body ends: a :class:`RoleFault` escaping it ends the run
     ``role fault: ...``, any other exception ``error: <type>: <message>``,
-    re-raised after ``run_end``.  Then it closes the sink's trace file.
+    re-raised after ``run_end``.  Then it closes the sink's trace file, also
+    when :meth:`Run.finish` raises, and returns the run's record.
     """
 
-    def wrap(body: LoopBody) -> Callable[..., RunReport]:
+    def wrap(body: LoopBody) -> Callable[..., MetricsRecord]:
         def runner(
             instance: TaskInstance,
             env: Environment,
@@ -456,7 +447,7 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., R
             *,
             sink: TraceSink | None = None,
             run_id: str | None = None,
-        ) -> RunReport:
+        ) -> MetricsRecord:
             config.require_roles(*roles)
             run = Run(method, instance, env, config, sink=sink, run_id=run_id)
             try:
@@ -467,9 +458,11 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., R
                 terminal, reason = "Terminated", f"error: {type(err).__name__}: {err}"
                 raise
             finally:
-                report = run.finish(terminal, reason)
-                run.sink.close()
-            return report
+                try:
+                    record = run.finish(terminal, reason)
+                finally:
+                    run.sink.close()
+            return record
 
         for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
             setattr(runner, attr, getattr(body, attr))
@@ -589,7 +582,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
 @run_method("tdp", "supervisor", "planner", "executor")
 def run_task(run: Run) -> tuple[str, str]:
-    """Run one task end to end and return its report.
+    """Run one task end to end and return its record.
 
     Terminates on: task done (environment done or every sink node Completed),
     step-budget exhaustion, a construction fault (``role fault: ...``, as

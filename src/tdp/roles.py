@@ -23,6 +23,7 @@ from typing import AbstractSet, Any, Callable, Mapping, Sequence
 
 from .environments.base import command_verb
 from .graph import NewNodeSpec, RevisionDelta, TaskGraph, apply_revision
+from .telemetry import TokenUsage
 
 __all__ = [
     "ParseFault",
@@ -71,25 +72,6 @@ class RoleFault(RuntimeError):
     def __init__(self, message: str, raw_text: str):
         super().__init__(message)
         self.raw_text = raw_text
-
-
-def _add_counts(a: int | None, b: int | None) -> int | None:
-    return None if a is None or b is None else a + b
-
-
-@dataclass(frozen=True)
-class TokenUsage:
-    """A call's token counts; ``None`` is a count the backend did not report,
-    and a sum with an unknown count is unknown."""
-
-    prompt_tokens: int | None = 0
-    output_tokens: int | None = 0
-
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(
-            prompt_tokens=_add_counts(self.prompt_tokens, other.prompt_tokens),
-            output_tokens=_add_counts(self.output_tokens, other.output_tokens),
-        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import json
 import string
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -28,6 +28,7 @@ __all__ = [
     "TraceSink",
     "CounterClock",
     "read_trace",
+    "TokenUsage",
     "MetricsRecord",
     "normalize_answer",
     "role_tokens",
@@ -251,8 +252,22 @@ def normalize_answer(text: str) -> str:
 
 
 @dataclass(frozen=True)
+class TokenUsage:
+    """A call's token counts; ``None`` is a count the backend did not report,
+    and a sum with an unknown count is unknown: the one rule for token sums."""
+
+    prompt_tokens: int | None = 0
+    output_tokens: int | None = 0
+
+    def __add__(self, other: TokenUsage) -> TokenUsage:
+        pairs = (self.prompt_tokens, other.prompt_tokens), (self.output_tokens, other.output_tokens)
+        return TokenUsage(*(None if None in pair else sum(pair) for pair in pairs))
+
+
+@dataclass(frozen=True)
 class MetricsRecord:
-    """Per-run metrics; ``None`` marks a metric that is undefined for the run,
+    """One run's record: what its runner returns and what replay recomputes
+    from its trace.  ``None`` marks a metric that is undefined for the run,
     as the tokens of a run with a model call that ended on a backend error or
     whose backend did not report them."""
 
@@ -269,32 +284,48 @@ class MetricsRecord:
     constraint_macro: bool | None = None
     steps_used: int = 0
     terminal: str = ""
+    reason: str = ""
+    env_metrics: dict[str, Any] = field(default_factory=dict)
+    node_records: dict[str, dict[str, Any]] = field(default_factory=dict)
+    role_tokens: dict[str, dict[str, int | None]] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
 
+_NONE = type(None)
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               dict: "an object", _NONE: "null"}
+
+
+def _field(doc: Mapping[str, Any], key: str, default: Any, where: str, *types: type) -> Any:
+    """``doc[key]``, or `default` when it is absent: the one checked read of a
+    trace field.  A value of none of `types`, a bool where `bool` is not one
+    of them, is a :class:`TraceError` naming `where` and `key`."""
+    value = doc.get(key, default)
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        return value
+    expected = " or ".join(_TYPE_NAMES[t] for t in types)
+    raise TraceError(f"{where}: {key!r} must be {expected}, got {value!r}")
+
+
 def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]]:
     """Per-role prompt and output tokens summed over the ``role_call`` events,
-    in role order: the one account of a run's tokens.  A role's sum is
-    ``None`` once one of its calls ended on a backend error, whose usage is
-    not known, or has a count its backend did not report.  A count that is
-    neither an integer nor ``null`` is a :class:`TraceError`."""
-    totals: dict[str, dict[str, int | None]] = {}
+    in role order: the one account of a run's tokens.  A call that ended on a
+    backend error adds unknown counts, since its usage is not known."""
+    usages: dict[str, TokenUsage] = {}
     for event in events:
         if event.kind == "role_call":
-            sums = totals.setdefault(event.payload.get("role", ""), {})
-            errored = "error" in event.payload
-            for key in ("prompt_tokens", "output_tokens"):
-                total, count = sums.get(key, 0), event.payload.get(key, 0)
-                if count is not None and type(count) is not int:
-                    raise TraceError(
-                        f"role_call event {event.seq}: {key!r} must be an integer or null, "
-                        f"got {count!r}"
-                    )
-                unknown = errored or total is None or count is None
-                sums[key] = None if unknown else total + count
-    return dict(sorted(totals.items()))
+            p, where = event.payload, f"role_call event {event.seq}"
+            usage = TokenUsage(
+                _field(p, "prompt_tokens", 0, where, int, _NONE),
+                _field(p, "output_tokens", 0, where, int, _NONE),
+            )
+            if "error" in p:
+                usage = TokenUsage(None, None)
+            role = _field(p, "role", "", where, str)
+            usages[role] = usages.get(role, TokenUsage()) + usage
+    return {role: asdict(usage) for role, usage in sorted(usages.items())}
 
 
 def _check_constraints(plan_text: str, constraints: Sequence[Mapping[str, Any]]) -> tuple[float, bool]:
@@ -319,7 +350,8 @@ def compute_metrics(
 
     Pure function of its inputs — this is what both live reporting and
     offline replay call, so the two can be compared for exact equality.  A
-    field of the wrong type is a :class:`TraceError` naming the field.
+    field of the wrong type, `method` included, is a :class:`TraceError`
+    naming the event and the field.
     """
     gold = gold or {}
     if not isinstance(gold, Mapping):
@@ -327,15 +359,9 @@ def compute_metrics(
     run_end = next((e for e in reversed(events) if e.kind == "run_end"), None)
     if run_end is None:
         raise TraceError("run has no run_end event")
-    if not run_id:
-        run_id = run_end.run_id
-    env_metrics = run_end.payload.get("env_metrics", {})
-    if not isinstance(env_metrics, dict):
-        raise TraceError(
-            f"run_end event {run_end.seq}: 'env_metrics' must be an object, got {env_metrics!r}"
-        )
-
-    delivery = bool(run_end.payload.get("delivered", False))
+    end, where = run_end.payload, f"run_end event {run_end.seq}"
+    env_metrics = _field(end, "env_metrics", {}, where, dict)
+    delivery = _field(end, "delivered", False, where, bool)
 
     accuracy: bool | None = None
     gold_answer = gold.get("answer")
@@ -347,42 +373,41 @@ def compute_metrics(
         )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
-    tokens = role_tokens(events).values()
+    tokens = role_tokens(events)
+    total = sum((TokenUsage(**role) for role in tokens.values()), TokenUsage())
+    prompt_tokens, output_tokens = (None if n is None else float(n) for n in astuple(total))
 
-    def run_total(key: str) -> float | None:
-        counts = [role[key] for role in tokens]
-        return None if None in counts else float(sum(counts))
-
-    prompt_tokens, output_tokens = run_total("prompt_tokens"), run_total("output_tokens")
-
-    accepted_replans = [
-        e for e in events if e.kind == "replan" and e.payload.get("accepted", False)
-    ]
+    replans = sum(1 for e in events if e.kind == "replan" and e.payload.get("accepted", False))
 
     constraint_micro: float | None = None
     constraint_macro: bool | None = None
     constraints = gold.get("constraints")
     if constraints:
-        plan_text = env_metrics.get("plan_text") or ""
+        plan_text = _field(env_metrics, "plan_text", None, f"{where} env_metrics", str, _NONE)
         if plan_text:
             constraint_micro, constraint_macro = _check_constraints(plan_text, constraints)
         else:
             constraint_micro, constraint_macro = 0.0, False
 
     return MetricsRecord(
-        run_id=run_id,
-        method=method or run_end.payload.get("method", ""),
+        run_id=run_id or run_end.run_id,
+        method=_field({"method": method}, "method", "", "compute_metrics", str)
+        or _field(end, "method", "", where, str),
         delivery=delivery,
         accuracy=accuracy,
         delivered_accuracy=delivered_accuracy,
-        avg_reward=env_metrics.get("reward"),
+        avg_reward=_field(env_metrics, "reward", None, f"{where} env_metrics", float, int, _NONE),
         avg_prompt_tokens=prompt_tokens,
         avg_output_tokens=output_tokens,
-        replans_total=len(accepted_replans),
+        replans_total=replans,
         constraint_micro=constraint_micro,
         constraint_macro=constraint_macro,
-        steps_used=int(run_end.payload.get("steps_used", 0)),
-        terminal=str(run_end.payload.get("terminal", "")),
+        steps_used=_field(end, "steps_used", 0, where, int),
+        terminal=_field(end, "terminal", "", where, str),
+        reason=_field(end, "reason", "", where, str),
+        env_metrics=env_metrics,
+        node_records=_field(end, "node_records", {}, where, dict),
+        role_tokens=tokens,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+from itertools import compress
 from typing import Iterator, Sequence
 
 from tdp.graph import (
@@ -93,6 +94,52 @@ def oracle_ready_for_combo(
         for k, node_deps in enumerate(deps)
         if combo[k] == _PENDING and all(combo[d] == _COMPLETED for d in node_deps)
     ]
+
+
+def gray_steps(n: int) -> list[tuple[int, int]]:
+    """The restamps ``(node position, status code)`` that walk all 4**n status
+    combos of n nodes from all-Pending in reflected base-4 Gray-code order, so
+    each step changes one node's status."""
+    combos: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        combos = [
+            combo + (code,)
+            for code in range(len(STATUSES))
+            for combo in (combos if code % 2 == 0 else combos[::-1])
+        ]
+    return [
+        next((k, b[k]) for k in range(n) if a[k] != b[k]) for a, b in zip(combos, combos[1:])
+    ]
+
+
+def oracle_ready_sweep(
+    graph: TaskGraph, steps: Sequence[tuple[int, int]]
+) -> Iterator[list[str]]:
+    """Stamp all-Pending on `graph`, then each of `steps` in turn, yielding the
+    ready set after each stamp, read off the status codes alone: node j is
+    ready when its code is Pending and none of its dependencies' codes is
+    other than Completed.  A step updates only the restamped node and, when
+    it moved into or out of Completed, the count of unfinished dependencies of
+    its direct dependents: no other node's readiness can change."""
+    ids, nodes, deps = sorted(graph.nodes), sorted_nodes(graph), dependency_indices(graph)
+    dependents = [
+        [j for j, node_deps in enumerate(deps) if k in node_deps] for k in range(len(deps))
+    ]
+    codes = [_PENDING] * len(ids)
+    assign_statuses(nodes, codes)
+    unfinished = [len(node_deps) for node_deps in deps]
+    flags = [count == 0 for count in unfinished]
+    yield list(compress(ids, flags))
+    for k, code in steps:
+        nodes[k].status = STATUSES[code]
+        change = (codes[k] == _COMPLETED) - (code == _COMPLETED)  # +1 left, -1 entered
+        codes[k] = code
+        flags[k] = code == _PENDING and unfinished[k] == 0
+        if change:
+            for j in dependents[k]:
+                unfinished[j] += change
+                flags[j] = codes[j] == _PENDING and unfinished[j] == 0
+        yield list(compress(ids, flags))
 
 
 def oracle_ready(graph: TaskGraph) -> list[str]:

@@ -13,12 +13,12 @@ import json
 from dataclasses import replace
 from typing import Any
 
-from tdp.engine import STALL_ROUNDS, Run, RunConfig, RunReport, execute_node
+from tdp.engine import STALL_ROUNDS, Run, RunConfig, execute_node
 from tdp.environments import make_environment
 from tdp.environments.base import Environment, StepResult, TaskInstance
 from tdp.graph import MAX_NODES, NodeStatus, OutcomeSummary, SubTaskNode, TaskGraph
 from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule, TokenUsage
-from tdp.telemetry import TraceEvent, TraceSink
+from tdp.telemetry import MetricsRecord, TraceEvent, TraceSink
 
 # ---------------------------------------------------------------------------
 # reply builders
@@ -204,13 +204,16 @@ def project(event: TraceEvent) -> tuple[Any, ...]:
     return (event.kind,)
 
 
-def assert_ends_on_record(report: RunReport, sink: TraceSink) -> None:
-    """The run's last event is its only ``run_end``, and the report is that
-    event's payload."""
+def assert_ends_on_record(report: MetricsRecord, sink: TraceSink) -> None:
+    """The run's last event is its only ``run_end``, the one its record reads.
+
+    That the record is ``compute_metrics`` over the run's trace is
+    ``test_engine.py::test_a_runner_returns_the_record_its_trace_replays_to``."""
     events = sink.events_for(report.run_id)
     run_ends = [e for e in events if e.kind == "run_end"]
     assert run_ends == [events[-1]]
-    assert report == RunReport(run_id=report.run_id, **run_ends[0].payload)
+    assert (report.terminal, report.reason) == (run_ends[0].payload["terminal"],
+                                                run_ends[0].payload["reason"])
 
 
 # ---------------------------------------------------------------------------

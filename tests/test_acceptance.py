@@ -2,19 +2,18 @@
 
 One test per shipped guarantee, each pinned at its stated tolerance.  These
 are deliberately heavier than the unit modules (exhaustive sweeps, multi-run
-batches); `test_criterion_02` dominates the wall time at about 181 seconds
-on a 2-core host under Python 3.11.7 (whole suite 197 s). Its sweep reads
-each graph's sorted node list and dependency positions once
-(`graphgen.sorted_nodes`, `graphgen.dependency_indices`), stamps every status
-combo onto that list (`graphgen.assign_statuses`) and checks `ready_nodes`
-against `graphgen.oracle_ready_for_combo`, which reads the ready set off the
-combo alone; with the per-combo re-sort and the graph-reading oracle it took
-245 s of a 262 s suite.
+batches); `test_criterion_02` dominates the wall time at about 114 seconds
+on a shared 2-core host under Python 3.11.7.  Its sweep walks each graph
+through every status combo in reflected base-4 Gray-code order
+(`graphgen.gray_steps`), so each combo restamps one node, and checks
+`ready_nodes` against `graphgen.oracle_ready_sweep`, which updates the ready
+set it reads off the status codes for that node and its direct dependents
+only.  Stamping every node of every combo and re-reading the whole combo
+(`graphgen.oracle_ready_for_combo`) took 169 s, timed back to back.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import random
@@ -52,15 +51,13 @@ from conftest import CONFIG_DIR, LAB_FIXTURE, TRAVEL_FIXTURE, WIKI_FIXTURES
 from envgen import ACTION_POOLS, run_stream, stream_rewards
 from graphgen import (
     LABELED_DAG_COUNTS,
-    assign_statuses,
-    dependency_indices,
     enumerate_labeled_dags,
     graph_from_edges,
+    gray_steps,
     oracle_ready,
-    oracle_ready_for_combo,
+    oracle_ready_sweep,
     random_dag,
     run_revision_sequence,
-    sorted_nodes,
 )
 from parsergen import PARSER_CASES
 from scenarios import (
@@ -115,13 +112,12 @@ def test_criterion_02_ready_set_matches_oracle_exhaustively_to_five_nodes():
     checked = 0
     for n in range(1, 6):
         count = 0
+        steps = gray_steps(n)
         for edges in enumerate_labeled_dags(n):
             count += 1
             graph = graph_from_edges(n, edges, task="sweep")
-            ids, nodes, deps = sorted(graph.nodes), sorted_nodes(graph), dependency_indices(graph)
-            for combo in itertools.product(range(4), repeat=n):
-                assign_statuses(nodes, combo)
-                assert ready_nodes(graph) == oracle_ready_for_combo(ids, deps, combo)
+            for expected in oracle_ready_sweep(graph, steps):
+                assert ready_nodes(graph) == expected
                 checked += 1
         assert count == LABELED_DAG_COUNTS[n]
     assert checked == sum(LABELED_DAG_COUNTS[n] * 4**n for n in range(1, 6))

@@ -88,7 +88,7 @@ class TestReact:
         config = RunConfig(s_max=6, role_backends={"executor": backend})
         report = run_react(wiki_instance, _wiki_env(wiki_instance), config)
         assert report.terminal == "Completed" and report.reason == "task done"
-        assert report.delivered is True
+        assert report.delivery is True
         assert report.env_metrics["answer"] == "Illinois River"
         assert report.steps_used == 2
         assert report.run_id == "react__wiki_peoria"
@@ -144,7 +144,7 @@ class TestCot:
         sink = TraceSink(clock=CounterClock())
         report = run_cot(wiki_instance, _wiki_env(wiki_instance), config, sink=sink)
         assert report.terminal == "Completed"
-        assert report.delivered is True
+        assert report.delivery is True
         assert len(role_backends["planner"].calls) == 1
         events = sink.events_for(report.run_id)
         assert [e.kind for e in events if e.kind == "replan"] == []
@@ -156,7 +156,7 @@ class TestCot:
         report = run_cot(wiki_instance, _wiki_env(wiki_instance), config, sink=sink)
         assert report.terminal == "Terminated"
         assert report.reason == "plan exhausted before task completion"
-        assert report.delivered is False
+        assert report.delivery is False
         assert_ends_on_record(report, sink)
 
     def test_plan_and_budget_running_out_together_is_plan_exhaustion(self, wiki_instance):

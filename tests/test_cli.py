@@ -549,6 +549,11 @@ class TestReplay:
         assert record["method"] == "tdp"
         assert record["delivery"] is True
         assert record["accuracy"] is True
+        assert record["reason"] == "task done"
+        assert record["node_records"] and all(
+            node["status"] == "completed" for node in record["node_records"].values())
+        assert sorted(record["role_tokens"]) == ["executor", "planner", "supervisor"]
+        assert all(count > 0 for role in record["role_tokens"].values() for count in role.values())
 
     def test_missing_trace(self, capsys):
         code = dispatch(["replay", "--trace", "/nowhere.jsonl"])
@@ -680,6 +685,17 @@ MISTYPED_FIELDS = {
                             r"run_end event \d+: 'env_metrics' must be an object, got 3"),
     "header gold": ("header", lambda doc: doc["meta"].update(gold=5),
                     r"'gold' must be an object, got 5"),
+    "header method": ("header", lambda doc: doc["meta"].update(method=5),
+                      r"compute_metrics: 'method' must be a string, got 5"),
+    "run_end steps_used": ("run_end", _set_payload(steps_used="x"),
+                           r"run_end event \d+: 'steps_used' must be an integer, got 'x'"),
+    "run_end reward": ("run_end", lambda doc: doc["payload"]["env_metrics"].update(reward="abc"),
+                       r"run_end event \d+ env_metrics: 'reward' must be a number or an integer "
+                       r"or null, got 'abc'"),
+    "run_end reason": ("run_end", _set_payload(reason=None),
+                       r"run_end event \d+: 'reason' must be a string, got None"),
+    "run_end node_records": ("run_end", _set_payload(node_records=[]),
+                             r"run_end event \d+: 'node_records' must be an object, got \[\]"),
 }
 
 

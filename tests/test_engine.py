@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,6 @@ from tdp.engine import (
     EngineError,
     Run,
     RunConfig,
-    RunReport,
     assemble_history,
     construct,
     execute_node,
@@ -42,9 +43,9 @@ from tdp.graph import (
     delta_to_doc,
 )
 from tdp.roles import FORMAT_REMINDER, RoleFault, ScriptedBackend, load_templates
-from tdp.telemetry import CounterClock, TraceError, TraceSink, read_trace
+from tdp.telemetry import CounterClock, TraceError, TraceSink, compute_metrics, read_trace
 
-from conftest import CONFIG_DIR, WIKI_FIXTURES
+from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
 from graphgen import (
     STATUSES,
     assign_statuses,
@@ -692,6 +693,13 @@ class TestTaskDone:
 # -- full runs ----------------------------------------------------------------------------
 
 
+#: (config, fixture, method): every method on every shipped fixture its config scripts.
+RECORD_CASES = [
+    *(("scripted_wiki.json", fixture, method) for fixture in WIKI_FIXTURES for method in METHODS),
+    ("scripted_travel.json", TRAVEL_FIXTURE, "tdp"),
+]
+
+
 def _revise_prompts(supervisor: RecordingBackend) -> list[str]:
     return [prompt for tag, prompt in supervisor.calls if tag == "supervisor:revise"]
 
@@ -723,7 +731,7 @@ class TestRunTask:
                           make_environment("traveltoy"),
                           travel_locality_config(travel_locality_rules()), sink=sink)
         assert report.terminal == "Completed"
-        assert report.delivered is True  # every sink node completed
+        assert report.delivery is True  # every sink node completed
         replans = [e for e in sink.events_for(report.run_id) if e.kind == "replan"]
         assert len(replans) == 1
         assert replans[0].payload["scope"] == "node_2"
@@ -748,7 +756,7 @@ class TestRunTask:
         assert report.terminal == "Terminated"
         assert report.reason.startswith(
             "role fault: role 'supervisor:construct' failed after 1 attempt(s): ")
-        assert report.delivered is False
+        assert report.delivery is False
         kinds = [e.kind for e in sink.events_for(report.run_id)]
         assert "graph_constructed" not in kinds
         assert kinds[-1] == "run_end"
@@ -994,6 +1002,44 @@ class TestRunTask:
         assert fault["ok"] is False and fault["attempts"] == 2
         assert report.reason.startswith("role fault:")
 
+    @pytest.mark.parametrize("config, fixture, method", RECORD_CASES,
+                             ids=[f"{m}__{f.stem}" for _, f, m in RECORD_CASES])
+    def test_a_runner_returns_the_record_its_trace_replays_to(
+        self, tmp_path, config, fixture, method
+    ):
+        """A runner returns its run's one record: ``compute_metrics`` over the
+        trace file read back, as ``tdp replay`` and perfbench compute it."""
+        instance = load_task_instance(fixture)
+        path = tmp_path / "trace.jsonl"
+        runner = run_task if method == "tdp" else BASELINES[method]
+        record = runner(instance, make_environment(instance.environment),
+                        load_config(CONFIG_DIR / config),
+                        sink=TraceSink(path, clock=CounterClock()))
+        headers, events = read_trace(path)
+        meta = headers[record.run_id]["meta"]
+        assert record == compute_metrics(events, meta["gold"], method=meta["method"],
+                                         run_id=record.run_id)
+        assert record.method == method and record.reason and record.role_tokens
+        assert bool(record.node_records) is (method == "tdp")
+
+    def test_a_finish_that_raises_still_closes_the_trace_file(self, tmp_path):
+        """A gold record that is not an object reaches the trace header but
+        fails the fold in ``Run.finish``: ``run_end`` is written, the error
+        propagates, and the file sink is closed, so no ResourceWarning escapes."""
+        stages = 2
+        instance = replace(chain_instance(stages), gold=[("answer", "stage 2")])
+        path = tmp_path / "trace.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TraceError, match="'gold' must be an object"):
+                run_task(instance, ChainEnv(), chain_config(stages, tdp_chain_rules(stages)),
+                         sink=TraceSink(path, clock=CounterClock()))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        headers, events = read_trace(path)
+        assert headers["tdp__chain2"]["meta"]["gold"] == {"answer": "stage 2"}
+        assert events[-1].kind == "run_end" and events[-1].payload["terminal"] == "Completed"
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("fail_at", [1, 2])
     def test_backend_error_ends_the_run_on_record(self, method, fail_at):
@@ -1008,7 +1054,7 @@ class TestRunTask:
             runner(instance, make_environment(instance.environment), config, sink=sink,
                    run_id="r")
         assert len(calls) == fail_at
-        report = RunReport(run_id="r", **sink.events_for("r")[-1].payload)
+        report = compute_metrics(sink.events_for("r"), instance.gold, method=method)
         assert_ends_on_record(report, sink)
         assert report.terminal == "Terminated"
         assert report.reason == f"error: RuntimeError: injected fault at call {fail_at}"

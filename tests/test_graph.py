@@ -14,8 +14,10 @@ from graphgen import (
     dependency_indices,
     enumerate_labeled_dags,
     graph_from_edges,
+    gray_steps,
     oracle_ready,
     oracle_ready_for_combo,
+    oracle_ready_sweep,
     random_dag,
     random_valid_graph,
     run_revision_sequence,
@@ -207,6 +209,36 @@ def test_ready_exhaustive_up_to_four_nodes():
                 assign_statuses(nodes, combo)
                 assert ready_nodes(g) == oracle_ready(g) == oracle_ready_for_combo(ids, deps, combo)
         assert count == LABELED_DAG_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gray_steps_visit_every_status_combo_once(n):
+    """Each restamp changes one node's status, and the walk from all-Pending
+    meets each of the 4**n status combos exactly once."""
+    combo = [0] * n
+    visited = [tuple(combo)]
+    for k, code in gray_steps(n):
+        assert combo[k] != code
+        combo[k] = code
+        visited.append(tuple(combo))
+    assert len(visited) == len(set(visited)) == len(STATUSES) ** n
+
+
+def test_the_sweep_oracle_reads_each_combo_as_the_combo_oracle_does():
+    """Up to four nodes, the incrementally kept ready set equals the one read
+    off the whole combo, and the graph carries the combo's statuses."""
+    for n in range(1, 5):
+        steps = gray_steps(n)
+        for edges in enumerate_labeled_dags(n):
+            g = graph_from_edges(n, edges)
+            ids, nodes, deps = sorted(g.nodes), sorted_nodes(g), dependency_indices(g)
+            combo = [0] * n
+            for i, expected in enumerate(oracle_ready_sweep(g, steps)):
+                if i:
+                    k, code = steps[i - 1]
+                    combo[k] = code
+                assert [STATUSES.index(node.status) for node in nodes] == combo
+                assert expected == oracle_ready_for_combo(ids, deps, tuple(combo))
 
 
 def test_ready_random_twelve_node_dags():

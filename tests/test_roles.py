@@ -54,7 +54,7 @@ from tdp.roles import (
     render_prompt,
 )
 from tdp.cli import _report_line
-from tdp.telemetry import compare_report, compute_metrics, role_tokens
+from tdp.telemetry import compare_report, role_tokens
 
 PARSERS = {
     "subgoals": parse_subgoals,
@@ -843,11 +843,10 @@ def test_remote_reply_without_usage_is_unknown_not_free(monkeypatch):
     events = [e.payload for e in run.sink.events_for("r") if e.kind == "role_call"]
     assert [(e["prompt_tokens"], e["output_tokens"]) for e in events] == [(9, 3), (None, None)]
     assert json.loads(json.dumps(events[1]))["prompt_tokens"] is None  # null in the trace
-    report = run.finish("Completed", "task done")
-    assert report.role_tokens == {"supervisor": {"prompt_tokens": None, "output_tokens": None}}
-    record = compute_metrics(run.sink.events_for("r"))
+    record = run.finish("Completed", "task done")
+    assert record.role_tokens == {"supervisor": {"prompt_tokens": None, "output_tokens": None}}
     assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
-    assert "prompt_tokens=- output_tokens=-" in _report_line(report, record)
+    assert "prompt_tokens=- output_tokens=-" in _report_line(record)
     table = compare_report({"tdp": [record]}, reference="tdp").format_table()
     assert table.splitlines()[2].split()[7:10] == ["-", "-", "-"]
 
@@ -866,8 +865,7 @@ def test_remote_reply_whose_content_is_not_a_string_is_a_recorded_backend_error(
     event = _role_call(run)
     assert event["ok"] is False and event["attempts"] == 1
     assert event["error"] == f"TypeError: reply content must be a string, got {kind}"
-    run.finish("Terminated", "error")
-    record = compute_metrics(run.sink.events_for("r"))
+    record = run.finish("Terminated", "error")
     assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
 
 
@@ -876,6 +874,5 @@ def test_remote_usage_missing_one_count_leaves_only_that_count_unknown(monkeypat
     _probe(run)
     event = _role_call(run)
     assert (event["prompt_tokens"], event["output_tokens"]) == (9, None)
-    run.finish("Completed", "task done")
-    record = compute_metrics(run.sink.events_for("r"))
+    record = run.finish("Completed", "task done")
     assert (record.avg_prompt_tokens, record.avg_output_tokens) == (9.0, None)

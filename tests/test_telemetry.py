@@ -44,7 +44,7 @@ def _run_end(run_id="r1", **overrides):
         "delivered": True,
         "method": "tdp",
         "env_metrics": {},
-        "node_records": [],
+        "node_records": {},
         "role_tokens": {},
     }
     payload.update(overrides)
@@ -304,6 +304,13 @@ class TestReadTrace:
             delivered_accuracy=None, avg_reward=None, avg_prompt_tokens=3360.0,
             avg_output_tokens=306.0, replans_total=3,
             constraint_micro=None, constraint_macro=None, steps_used=6, terminal="Completed",
+            reason="task done",
+            env_metrics={"delivered": True, "stages_cleared": 3, "stages_total": 3},
+            node_records={nid: {"replan_count": 1, "status": "completed", "trace_len": 2}
+                          for nid in ("node_1", "node_2", "node_3")},
+            role_tokens={"executor": {"prompt_tokens": 766, "output_tokens": 12},
+                         "planner": {"prompt_tokens": 1018, "output_tokens": 114},
+                         "supervisor": {"prompt_tokens": 1576, "output_tokens": 180}},
         )
 
     def test_sequence_gap_in_file(self, tmp_path):
