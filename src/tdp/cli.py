@@ -14,12 +14,14 @@ import glob as globlib
 import json
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
 from .baselines import BASELINES
 from .engine import EngineError, RunConfig, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
+from .fields import check_value, load_json, read_field
 from .roles import TEMPLATE_TABLE, ModelBackend, RemoteChatBackend, ScriptedBackend
 from .telemetry import (
     MetricsRecord,
@@ -45,48 +47,32 @@ class CliError(ValueError):
 # config + inputs
 
 
-def _build_backend(spec: dict[str, Any], base_dir: Path) -> ModelBackend:
+def _build_backend(role: str, spec: Any, base_dir: Path) -> ModelBackend:
+    check_value(spec, dict, name=f"config: backend {role!r}", error=CliError)
     kind = spec.get("kind")
+    read = partial(read_field, spec, where=f"{kind} backend", error=CliError)
     if kind == "scripted":
-        rules = spec.get("rules")
-        if isinstance(rules, str):
-            path = (base_dir / rules).resolve() if not Path(rules).is_absolute() else Path(rules)
-            if not path.exists():
-                raise CliError(f"script file not found: {path}")
-            return ScriptedBackend.from_file(path)
+        rules = read("rules", str, list)
         if isinstance(rules, list):
             return ScriptedBackend(rules)
-        raise CliError("scripted backend needs 'rules': a file path or an inline list")
+        path = (base_dir / rules).resolve() if not Path(rules).is_absolute() else Path(rules)
+        if not path.exists():
+            raise CliError(f"script file not found: {path}")
+        return ScriptedBackend.from_file(path)
     if kind == "remote":
         for key in ("endpoint", "model", "credential_env"):
             if not spec.get(key):
                 raise CliError(f"remote backend config missing {key!r}")
-        temperature = spec.get("temperature", 0.0)
-        if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
-            raise CliError(f"remote backend 'temperature' must be a number, got {temperature!r}")
         try:
             return RemoteChatBackend(
                 endpoint=spec["endpoint"],
                 model=spec["model"],
                 credential_env=spec["credential_env"],
-                temperature=float(temperature),
+                temperature=float(read("temperature", float, int, default=0.0)),
             )
         except RuntimeError as err:  # unset credential env var
             raise CliError(str(err)) from None
     raise CliError(f"unknown backend kind {kind!r} (expected 'scripted' or 'remote')")
-
-
-def _config_value(key: str, value: Any, default: Any) -> Any:
-    """`value` if it has the type of `key`'s :class:`RunConfig` default."""
-    if isinstance(default, bool):
-        ok, expected = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    else:  # environment, the optional string field
-        ok, expected = value is None or isinstance(value, str), "a string or null"
-    if not ok:
-        raise CliError(f"config key {key!r} must be {expected}, got {value!r}")
-    return value
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -100,28 +86,26 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise CliError(f"config must be a JSON object: {path}")
-    base_dir = path.parent
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "role_backends"}
+    doc = check_value(load_json(path, CliError), dict, name=f"config {path}", error=CliError)
+    read = partial(read_field, doc, where="config", error=CliError)
+    # the type of each field's default; the one optional field is the environment
+    types = {f.name: (type(f.default),) if f.default is not None else (str, None)
+             for f in fields(RunConfig) if f.name != "role_backends"}
     kwargs: dict[str, Any] = {}
-    for key, value in doc.items():
+    for key in doc:
         if key == "backends":
-            if not isinstance(value, dict) or not all(isinstance(v, dict) for v in value.values()):
-                raise CliError("config key 'backends' must map each role to a backend object")
-            unknown = sorted(set(value) - set(ROLES))
+            backends = read(key, dict)
+            unknown = sorted(set(backends) - set(ROLES))
             if unknown:
                 raise CliError(
                     f"config key 'backends' names unknown role(s) {', '.join(map(repr, unknown))}"
                     f"; known roles: {', '.join(ROLES)}"
                 )
             kwargs["role_backends"] = {
-                role: _build_backend(spec, base_dir) for role, spec in value.items()
+                role: _build_backend(role, spec, path.parent) for role, spec in backends.items()
             }
-        elif key in defaults:
-            kwargs[key] = _config_value(key, value, defaults[key])
+        elif key in types:
+            kwargs[key] = read(key, *types[key])
         else:
             raise CliError(f"unknown config key {key!r}")
     try:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import json
+from functools import partial
 from pathlib import Path
 
+from ..fields import check_value, load_json, read_field
 from .base import (
     Environment,
     EnvironmentClosedError,
@@ -46,22 +47,18 @@ def load_task_instance(path: str | Path) -> TaskInstance:
     path = Path(path)
     if not path.exists():
         raise FixtureError(f"fixture not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise FixtureError(f"fixture {path}: must be a JSON object")
+    doc = check_value(load_json(path, FixtureError), dict, name=f"fixture {path}",
+                      error=FixtureError)
+    read = partial(read_field, doc, where=f"fixture {path}", error=FixtureError)
     for key in ("id", "environment", "query"):
-        if not isinstance(doc.get(key), str) or not doc[key].strip():
+        if not read(key, str).strip():
             raise FixtureError(f"fixture {path}: missing or empty {key!r}")
-    for key in ("gold", "payload"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise FixtureError(f"fixture {path}: {key!r} must be an object")
     instance = TaskInstance(
         id=doc["id"],
         environment=doc["environment"],
         query=doc["query"],
-        gold=doc.get("gold", {}),
-        payload=doc.get("payload", {}),
+        gold=read("gold", dict, default={}),
+        payload=read("payload", dict, default={}),
     )
     validate_instance(instance)
     return instance

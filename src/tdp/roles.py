@@ -6,9 +6,11 @@ strict — silent coercion of a malformed reply into a default would hide model
 drift, so every defect is a bare :class:`ParseFault`.  :meth:`Run.call
 <tdp.engine.Run.call>` retries it and, once the retries run out, raises a
 :class:`RoleFault` that names the role and keeps the last reply.  The parsers
-check shape only.  A decomposition and a revision read their node entries with
-one reader, and both reach the graph through :func:`~tdp.graph.apply_revision`,
-so every structural rule is checked once, by :func:`~tdp.graph.validate_graph`.
+check shape only, reading every JSON field through :func:`tdp.fields.read_field`
+as script rules are read.  A decomposition and a revision read their node
+entries with one reader, and both reach the graph through
+:func:`~tdp.graph.apply_revision`, so every structural rule is checked once, by
+:func:`~tdp.graph.validate_graph`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Mapping, Sequence
 
 from .environments.base import command_verb
+from .fields import check_value, load_json, read_field
 from .graph import NewNodeSpec, RevisionDelta, TaskGraph, apply_revision
 from .telemetry import TokenUsage
 
@@ -202,56 +206,22 @@ def extract_json(text: str) -> dict[str, Any]:
     raise ParseFault("no JSON object found in reply")
 
 
-def _require(doc: Mapping[str, Any], key: str) -> Any:
-    if key not in doc:
-        raise ParseFault(f"missing required field {key!r}")
-    return doc[key]
-
-
-def _as_bool(value: Any, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise ParseFault(f"field {key!r} must be a JSON boolean, got {value!r}")
-
-
-def _list_field(doc: Mapping[str, Any], key: str) -> list[Any]:
-    """``doc[key]`` as a list; absent or null reads as empty."""
-    value = doc.get(key)
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ParseFault(f"field {key!r} must be a list, got {value!r}")
-    return value
-
-
-def _as_str_list(value: Any, key: str) -> list[str]:
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ParseFault(f"field {key!r} must be a list of strings")
-    return list(value)
-
-
-def _node_entry(entry: Any, *, id_required: bool) -> NewNodeSpec:
+def _node_entry(entry: Mapping[str, Any], *, id_required: bool) -> NewNodeSpec:
     """One ``{id, description, dependencies, dependents}`` node entry, read
     for shape only; the graph rules are :func:`~tdp.graph.validate_graph`'s.
 
     A decomposition's entry must carry its ``id``; a revision's new node may
     leave it out, and :func:`~tdp.graph.apply_revision` then generates one.
     """
-    if not isinstance(entry, Mapping):
-        raise ParseFault("each node entry must be an object")
-    node_id = _require(entry, "id") if id_required else entry.get("id")
-    if (id_required or node_id is not None) and (
-        not isinstance(node_id, str) or not node_id.strip()
-    ):
+    read = partial(read_field, entry, where="node entry", error=ParseFault)
+    node_id = read("id", str) if id_required else read("id", str, None, default=None)
+    if node_id is not None and not node_id.strip():
         raise ParseFault(f"node 'id' must be a nonempty string when present, got {node_id!r}")
-    description = _require(entry, "description")
-    if not isinstance(description, str):
-        raise ParseFault("node 'description' must be a string")
     return NewNodeSpec(
         id=node_id,
-        description=description,
-        dependencies=tuple(_as_str_list(entry.get("dependencies", []), "dependencies")),
-        dependents=tuple(_as_str_list(entry.get("dependents", []), "dependents")),
+        description=read("description", str),
+        dependencies=tuple(read("dependencies", list[str], default=[])),
+        dependents=tuple(read("dependents", list[str], default=[])),
     )
 
 
@@ -266,9 +236,9 @@ def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, Re
     names each violation.  The trace records the delta, so replaying it
     rebuilds the graph (:func:`~tdp.engine.replay_graph`).
     """
-    entries = _require(extract_json(text), "subgoals")
-    if not isinstance(entries, list):
-        raise ParseFault("'subgoals' must be a list")
+    entries = read_field(
+        extract_json(text), "subgoals", list[dict], where="decomposition reply", error=ParseFault
+    )
     delta = RevisionDelta(
         need_update=True,
         new_nodes=tuple(_node_entry(entry, id_required=True) for entry in entries),
@@ -358,14 +328,12 @@ class Evaluation:
 
 
 def parse_evaluation(text: str) -> Evaluation:
-    doc = extract_json(text)
-    status = _require(doc, "status")
-    if not isinstance(status, str) or status not in _EVAL_STATUSES:
+    read = partial(read_field, extract_json(text), where="evaluation reply", error=ParseFault)
+    status = read("status", str)
+    if status not in _EVAL_STATUSES:
         raise ParseFault(f"status must be one of {sorted(_EVAL_STATUSES)}, got {status!r}")
-    need_replan = _as_bool(_require(doc, "need_replan"), "need_replan")
-    reason = doc.get("reason")
-    if reason is not None and not isinstance(reason, str):
-        raise ParseFault("'reason' must be a string or null")
+    need_replan = read("need_replan", bool)
+    reason = read("reason", str, None, default=None)
     if status == "needs_more_steps" and not need_replan and not (reason or "").strip():
         raise ParseFault(
             "status 'needs_more_steps' without replanning requires guidance in 'reason'"
@@ -383,20 +351,15 @@ class ReplanDecision:
 
 
 def parse_replan(text: str) -> ReplanDecision:
-    doc = extract_json(text)
-    replan = _as_bool(_require(doc, "RePlan"), "RePlan")
-    thought = doc.get("Thought")
-    if thought is not None and not isinstance(thought, str):
-        raise ParseFault("'Thought' must be a string or null")
-    raw_plan = doc.get("NewPlan")
-    if replan:
-        if not isinstance(raw_plan, str) or not raw_plan.strip():
-            raise ParseFault("RePlan is true but 'NewPlan' is missing or empty")
-        new_plan = parse_plan(raw_plan)
-    else:
-        if raw_plan not in (None, ""):
-            raise ParseFault("RePlan is false but 'NewPlan' is present")
-        new_plan = None
+    read = partial(read_field, extract_json(text), where="replan reply", error=ParseFault)
+    replan = read("RePlan", bool)
+    thought = read("Thought", str, None, default=None)
+    raw_plan = read("NewPlan", str, None, default=None)
+    if replan and not (raw_plan or "").strip():
+        raise ParseFault("RePlan is true but 'NewPlan' is missing or empty")
+    if not replan and raw_plan:
+        raise ParseFault("RePlan is false but 'NewPlan' is present")
+    new_plan = parse_plan(raw_plan) if replan else None
     return ReplanDecision(replan=replan, thought=thought, new_plan=new_plan)
 
 
@@ -407,31 +370,21 @@ def parse_revision(text: str) -> RevisionDelta:
     a list field holding anything but a list is a parse fault.
     """
     doc = extract_json(text)
-    need_update = _as_bool(_require(doc, "need_update"), "need_update")
-    thought = doc.get("thought", "")
-    if not isinstance(thought, str):
-        raise ParseFault("'thought' must be a string")
-
-    updates: list[tuple[str, str]] = []
-    for entry in _list_field(doc, "description_updates"):
-        if not isinstance(entry, Mapping):
-            raise ParseFault("each description update must be an object")
-        node_id = _require(entry, "node_id")
-        new_description = _require(entry, "new_description")
-        if not isinstance(node_id, str) or not isinstance(new_description, str):
-            raise ParseFault("description updates need string node_id/new_description")
-        updates.append((node_id, new_description))
-
-    new_nodes = tuple(
-        _node_entry(entry, id_required=False) for entry in _list_field(doc, "new_nodes")
-    )
-    remove_nodes = _as_str_list(_list_field(doc, "remove_nodes"), "remove_nodes")
+    read = partial(read_field, where="revision reply", error=ParseFault)
+    need_update = read(doc, "need_update", bool)
+    thought = read(doc, "thought", str, default="")
     return RevisionDelta(
         thought=thought,
         need_update=need_update,
-        description_updates=tuple(updates),
-        new_nodes=new_nodes,
-        remove_nodes=tuple(remove_nodes),
+        description_updates=tuple(
+            (read(entry, "node_id", str), read(entry, "new_description", str))
+            for entry in read(doc, "description_updates", list[dict], None, default=None) or ()
+        ),
+        new_nodes=tuple(
+            _node_entry(entry, id_required=False)
+            for entry in read(doc, "new_nodes", list[dict], None, default=None) or ()
+        ),
+        remove_nodes=tuple(read(doc, "remove_nodes", list[str], None, default=None) or ()),
     )
 
 
@@ -523,14 +476,6 @@ class ScriptRule:
         return all(needle in prompt for needle in self.match)
 
 
-def _rule_strings(value: Any, where: str) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    raise ValueError(f"{where} must be a string or a list of strings, got {value!r}")
-
-
 class ScriptedBackend(ModelBackend):
     """Deterministic pattern -> response backend for tests and offline runs.
 
@@ -550,28 +495,26 @@ class ScriptedBackend(ModelBackend):
         """Rule `index` of a script: an object with ``responses`` and optional
         ``match`` and ``role``; anything else is a ValueError naming the rule."""
         where = f"script rule [{index}]"
-        if not isinstance(doc, Mapping):
-            raise ValueError(f"{where} must be an object, got {doc!r}")
+        check_value(doc, Mapping, name=where, error=ValueError)
         unknown = sorted(set(doc) - {"match", "responses", "role"})
         if unknown:
             raise ValueError(f"{where} has unknown key(s) {unknown}; known: match, responses, role")
-        if "responses" not in doc:
-            raise ValueError(f"{where} has no 'responses'")
-        responses = _rule_strings(doc["responses"], f"{where} 'responses'")
+        read = partial(read_field, doc, where=where, error=ValueError)
+        responses = read("responses", str, list[str])
+        responses = (responses,) if isinstance(responses, str) else tuple(responses)
         if not responses:
             raise ValueError(f"{where} needs at least one response")
-        role = doc.get("role")
-        if role is not None and not isinstance(role, str):
-            raise ValueError(f"{where} 'role' must be a string, got {role!r}")
-        match = _rule_strings(doc.get("match", ""), f"{where} 'match'")
-        return ScriptRule(match=match, responses=responses, role=role)
+        match = read("match", str, list[str], default="")
+        return ScriptRule(
+            match=(match,) if isinstance(match, str) else tuple(match),
+            responses=responses,
+            role=read("role", str, None, default=None),
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        with open(path, "r", encoding="utf-8") as handle:
-            rules = json.load(handle)
-        if not isinstance(rules, list):
-            raise ValueError(f"script file {path} must hold a JSON list of rules")
+        rules = check_value(load_json(path, ValueError), list, name=f"script file {path}",
+                            error=ValueError)
         try:
             return cls(rules)
         except ValueError as err:
@@ -643,9 +586,8 @@ class RemoteChatBackend(ModelBackend):
         )
         response.raise_for_status()
         doc = response.json()
-        text = doc["choices"][0]["message"]["content"]
-        if not isinstance(text, str):
-            raise TypeError(f"reply content must be a string, got {type(text).__name__}")
+        message = doc["choices"][0]["message"]
+        text = read_field(message, "content", str, where="reply", error=TypeError)
         usage = doc.get("usage") or {}
 
         def reported(key: str) -> int | None:

@@ -17,8 +17,11 @@ import string
 import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
+
+from .fields import check_value, read_field
 
 __all__ = [
     "EVENT_KINDS",
@@ -188,51 +191,37 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                 doc = json.loads(line)
             except json.JSONDecodeError as err:
                 raise TraceError(f"{path}:{line_no}: not JSON: {err}") from None
-            if not isinstance(doc, dict):
-                raise TraceError(f"{path}:{line_no}: not a JSON object")
+            check_value(doc, dict, name=f"{path}:{line_no}: line", error=TraceError)
             if doc.get("kind") == "header":
                 if doc.get("version") not in (1, TRACE_VERSION):
                     raise TraceError(
                         f"{path}:{line_no}: unsupported trace version {doc.get('version')!r}"
                     )
-                if "run_id" not in doc:
-                    raise TraceError(f"{path}:{line_no}: header lacks 'run_id'")
-                if not isinstance(doc["run_id"], str):
-                    raise TraceError(f"{path}:{line_no}: header 'run_id' is not a string")
-                if not isinstance(doc.get("meta", {}), dict):
-                    raise TraceError(f"{path}:{line_no}: header 'meta' is not an object")
-                if doc["run_id"] in headers:
-                    raise TraceError(f"{path}:{line_no}: second header for run {doc['run_id']!r}")
-                headers[doc["run_id"]] = doc
-                last_seq[doc["run_id"]] = -1
+                read = partial(read_field, doc, where=f"{path}:{line_no}: header",
+                               error=TraceError)
+                run_id = read("run_id", str)
+                read("meta", dict, default={})
+                if run_id in headers:
+                    raise TraceError(f"{path}:{line_no}: second header for run {run_id!r}")
+                headers[run_id] = doc
+                last_seq[run_id] = -1
                 continue
             if doc.get("kind") not in EVENT_KINDS:
                 raise TraceError(f"{path}:{line_no}: unknown event kind {doc.get('kind')!r}")
-            kind = doc["kind"]
-            for key in ("run_id", "seq", "ts"):
-                if key not in doc:
-                    raise TraceError(f"{path}:{line_no}: {kind} event lacks {key!r}")
-            run_id = doc["run_id"]
-            if not isinstance(run_id, str):
-                raise TraceError(f"{path}:{line_no}: {kind} event 'run_id' is not a string")
-            if not isinstance(doc.get("payload", {}), dict):
-                raise TraceError(f"{path}:{line_no}: {kind} event 'payload' is not an object")
+            read = partial(read_field, doc, where=f"{path}:{line_no}: {doc['kind']} event",
+                           error=TraceError)
+            run_id, seq, ts = read("run_id", str), read("seq"), read("ts")
+            payload = read("payload", dict, default={})
             if run_id not in headers:
                 raise TraceError(f"{path}:{line_no}: event before header for run {run_id!r}")
             expected = last_seq[run_id] + 1
-            if doc["seq"] != expected:
+            if seq != expected:
                 raise SequenceError(
-                    f"{path}:{line_no}: run {run_id!r} expected seq {expected}, got {doc['seq']}"
+                    f"{path}:{line_no}: run {run_id!r} expected seq {expected}, got {seq}"
                 )
-            last_seq[run_id] = doc["seq"]
+            last_seq[run_id] = seq
             events.append(
-                TraceEvent(
-                    run_id=run_id,
-                    seq=doc["seq"],
-                    timestamp=doc["ts"],
-                    kind=doc["kind"],
-                    payload=doc.get("payload", {}),
-                )
+                TraceEvent(run_id=run_id, seq=seq, timestamp=ts, kind=doc["kind"], payload=payload)
             )
     return headers, events
 
@@ -293,22 +282,6 @@ class MetricsRecord:
         return asdict(self)
 
 
-_NONE = type(None)
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-               dict: "an object", _NONE: "null"}
-
-
-def _field(doc: Mapping[str, Any], key: str, default: Any, where: str, *types: type) -> Any:
-    """``doc[key]``, or `default` when it is absent: the one checked read of a
-    trace field.  A value of none of `types`, a bool where `bool` is not one
-    of them, is a :class:`TraceError` naming `where` and `key`."""
-    value = doc.get(key, default)
-    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
-        return value
-    expected = " or ".join(_TYPE_NAMES[t] for t in types)
-    raise TraceError(f"{where}: {key!r} must be {expected}, got {value!r}")
-
-
 def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]]:
     """Per-role prompt and output tokens summed over the ``role_call`` events,
     in role order: the one account of a run's tokens.  A call that ended on a
@@ -316,27 +289,27 @@ def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]
     usages: dict[str, TokenUsage] = {}
     for event in events:
         if event.kind == "role_call":
-            p, where = event.payload, f"role_call event {event.seq}"
+            read = partial(read_field, event.payload, where=f"role_call event {event.seq}",
+                           error=TraceError)
             usage = TokenUsage(
-                _field(p, "prompt_tokens", 0, where, int, _NONE),
-                _field(p, "output_tokens", 0, where, int, _NONE),
+                read("prompt_tokens", int, None, default=0),
+                read("output_tokens", int, None, default=0),
             )
-            if "error" in p:
+            if "error" in event.payload:
                 usage = TokenUsage(None, None)
-            role = _field(p, "role", "", where, str)
+            role = read("role", str, default="")
             usages[role] = usages.get(role, TokenUsage()) + usage
     return {role: asdict(usage) for role, usage in sorted(usages.items())}
 
 
 def _check_constraints(plan_text: str, constraints: Sequence[Mapping[str, Any]]) -> tuple[float, bool]:
     satisfied = 0
-    for constraint in constraints:
-        value = str(constraint["value"])
+    for index, constraint in enumerate(constraints):
+        read = partial(read_field, constraint, where=f"gold constraint [{index}]", error=TraceError)
+        kind, value = read("kind", str), str(read("value"))
         present = value.casefold() in plan_text.casefold()
-        ok = present if constraint["kind"] == "mentions" else not present
-        satisfied += int(ok)
-    micro = satisfied / len(constraints)
-    return micro, satisfied == len(constraints)
+        satisfied += int(present if kind == "mentions" else not present)
+    return satisfied / len(constraints), satisfied == len(constraints)
 
 
 def compute_metrics(
@@ -353,15 +326,16 @@ def compute_metrics(
     field of the wrong type, `method` included, is a :class:`TraceError`
     naming the event and the field.
     """
-    gold = gold or {}
-    if not isinstance(gold, Mapping):
-        raise TraceError(f"'gold' must be an object, got {gold!r}")
+    gold = check_value(gold or {}, Mapping, name="'gold'", error=TraceError)
     run_end = next((e for e in reversed(events) if e.kind == "run_end"), None)
     if run_end is None:
         raise TraceError("run has no run_end event")
-    end, where = run_end.payload, f"run_end event {run_end.seq}"
-    env_metrics = _field(end, "env_metrics", {}, where, dict)
-    delivery = _field(end, "delivered", False, where, bool)
+    read = partial(read_field, run_end.payload, where=f"run_end event {run_end.seq}",
+                   error=TraceError)
+    env_metrics = read("env_metrics", dict, default={})
+    read_env = partial(read_field, env_metrics, where=f"run_end event {run_end.seq} env_metrics",
+                       error=TraceError)
+    delivery = read("delivered", bool, default=False)
 
     accuracy: bool | None = None
     gold_answer = gold.get("answer")
@@ -381,9 +355,10 @@ def compute_metrics(
 
     constraint_micro: float | None = None
     constraint_macro: bool | None = None
-    constraints = gold.get("constraints")
+    constraints = read_field(gold, "constraints", list[dict], None, default=None, where="gold",
+                             error=TraceError)
     if constraints:
-        plan_text = _field(env_metrics, "plan_text", None, f"{where} env_metrics", str, _NONE)
+        plan_text = read_env("plan_text", str, None, default=None)
         if plan_text:
             constraint_micro, constraint_macro = _check_constraints(plan_text, constraints)
         else:
@@ -391,22 +366,22 @@ def compute_metrics(
 
     return MetricsRecord(
         run_id=run_id or run_end.run_id,
-        method=_field({"method": method}, "method", "", "compute_metrics", str)
-        or _field(end, "method", "", where, str),
+        method=check_value(method, str, name="compute_metrics: 'method'", error=TraceError)
+        or read("method", str, default=""),
         delivery=delivery,
         accuracy=accuracy,
         delivered_accuracy=delivered_accuracy,
-        avg_reward=_field(env_metrics, "reward", None, f"{where} env_metrics", float, int, _NONE),
+        avg_reward=read_env("reward", float, int, None, default=None),
         avg_prompt_tokens=prompt_tokens,
         avg_output_tokens=output_tokens,
         replans_total=replans,
         constraint_micro=constraint_micro,
         constraint_macro=constraint_macro,
-        steps_used=_field(end, "steps_used", 0, where, int),
-        terminal=_field(end, "terminal", "", where, str),
-        reason=_field(end, "reason", "", where, str),
+        steps_used=read("steps_used", int, default=0),
+        terminal=read("terminal", str, default=""),
+        reason=read("reason", str, default=""),
         env_metrics=env_metrics,
-        node_records=_field(end, "node_records", {}, where, dict),
+        node_records=read("node_records", dict, default={}),
         role_tokens=tokens,
     )
 

@@ -24,6 +24,7 @@ from tdp.graph import (
     SubTaskNode,
     TaskGraph,
     apply_revision,
+    ready_nodes,
     validate_graph,
 )
 
@@ -140,6 +141,20 @@ def oracle_ready_sweep(
                 unfinished[j] += change
                 flags[j] = codes[j] == _PENDING and unfinished[j] == 0
         yield list(compress(ids, flags))
+
+
+def check_ready_sweep(n: int, dags: Sequence[frozenset[tuple[int, int]]]) -> int:
+    """Check ``ready_nodes`` against :func:`oracle_ready_sweep` at every
+    status combo of each n-node DAG in `dags`; return how many were checked.
+    A module-level function, so a worker process can import it."""
+    steps = gray_steps(n)
+    checked = 0
+    for edges in dags:
+        graph = graph_from_edges(n, edges, task="sweep")
+        for expected in oracle_ready_sweep(graph, steps):
+            assert ready_nodes(graph) == expected, (sorted(edges), expected)
+            checked += 1
+    return checked
 
 
 def oracle_ready(graph: TaskGraph) -> list[str]:

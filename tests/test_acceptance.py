@@ -2,19 +2,21 @@
 
 One test per shipped guarantee, each pinned at its stated tolerance.  These
 are deliberately heavier than the unit modules (exhaustive sweeps, multi-run
-batches); `test_criterion_02` dominates the wall time at about 114 seconds
-on a shared 2-core host under Python 3.11.7.  Its sweep walks each graph
-through every status combo in reflected base-4 Gray-code order
-(`graphgen.gray_steps`), so each combo restamps one node, and checks
+batches); `test_criterion_02` dominates the wall time at about 71 seconds
+(137 CPU seconds) on a shared 2-core host under Python 3.11.7.  Its sweep
+walks each graph through every status combo in reflected base-4 Gray-code
+order (`graphgen.gray_steps`), so each combo restamps one node, and checks
 `ready_nodes` against `graphgen.oracle_ready_sweep`, which updates the ready
 set it reads off the status codes for that node and its direct dependents
-only.  Stamping every node of every combo and re-reading the whole combo
-(`graphgen.oracle_ready_for_combo`) took 169 s, timed back to back.
+only.  The DAGs are checked in slices by `graphgen.check_ready_sweep` in
+spawned worker processes, at most four and one per core; run in one process
+the sweep took 119 s, timed back to back.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import time
@@ -51,11 +53,9 @@ from conftest import CONFIG_DIR, LAB_FIXTURE, TRAVEL_FIXTURE, WIKI_FIXTURES
 from envgen import ACTION_POOLS, run_stream, stream_rewards
 from graphgen import (
     LABELED_DAG_COUNTS,
+    check_ready_sweep,
     enumerate_labeled_dags,
-    graph_from_edges,
-    gray_steps,
     oracle_ready,
-    oracle_ready_sweep,
     random_dag,
     run_revision_sequence,
 )
@@ -109,17 +109,17 @@ def test_criterion_01_revision_streams_hold_invariants_under_ten_seconds():
 
 
 def test_criterion_02_ready_set_matches_oracle_exhaustively_to_five_nodes():
-    checked = 0
+    """The sweep's DAGs are checked in slices, split across at most four
+    spawned worker processes, one per core."""
+    workers = min(os.cpu_count() or 1, 4)
+    slices = []
     for n in range(1, 6):
-        count = 0
-        steps = gray_steps(n)
-        for edges in enumerate_labeled_dags(n):
-            count += 1
-            graph = graph_from_edges(n, edges, task="sweep")
-            for expected in oracle_ready_sweep(graph, steps):
-                assert ready_nodes(graph) == expected
-                checked += 1
-        assert count == LABELED_DAG_COUNTS[n]
+        dags = list(enumerate_labeled_dags(n))
+        assert len(dags) == LABELED_DAG_COUNTS[n]
+        size = -(-len(dags) // (4 * workers))  # four slices a worker, so no core idles long
+        slices += [(n, dags[i:i + size]) for i in range(0, len(dags), size)]
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        checked = sum(pool.starmap_async(check_ready_sweep, slices).get(timeout=900))
     assert checked == sum(LABELED_DAG_COUNTS[n] * 4**n for n in range(1, 6))
 
     for i in range(500):

@@ -96,7 +96,7 @@ class TestLoadConfig:
     def test_scripted_without_rules(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"backends": {"executor": {"kind": "scripted"}}}))
-        with pytest.raises(CliError, match="needs 'rules'"):
+        with pytest.raises(CliError, match="scripted backend: missing required field 'rules'"):
             load_config(path)
 
     def test_unknown_backend_kind(self, tmp_path):
@@ -145,12 +145,16 @@ class TestLoadConfig:
         ({"parallel_tasks": 2}, "unknown config key 'parallel_tasks'"),
         ({"environment": 3}, "'environment' must be a string or null"),
         ({"s_mx": 8}, "unknown config key 's_mx'"),
-        ({"backends": None}, "'backends' must map each role to a backend object"),
-        ({"backends": {"executor": "scripted"}}, "'backends' must map each role"),
+        ({"backends": None}, "config: 'backends' must be an object, got None"),
+        ({"backends": {"executor": "scripted"}},
+         "config: backend 'executor' must be an object, got 'scripted'"),
         ({"s_max": 0}, "s_max must be >= 1"),
-        (_remote(temperature=None), "remote backend 'temperature' must be a number, got None"),
-        (_remote(temperature="hot"), "remote backend 'temperature' must be a number, got 'hot'"),
-        (_remote(temperature=True), "remote backend 'temperature' must be a number, got True"),
+        (_remote(temperature=None),
+         "remote backend: 'temperature' must be a number or an integer, got None"),
+        (_remote(temperature="hot"),
+         "remote backend: 'temperature' must be a number or an integer, got 'hot'"),
+        (_remote(temperature=True),
+         "remote backend: 'temperature' must be a number or an integer, got True"),
     ])
     def test_misread_values_and_unknown_keys_are_errors(self, tmp_path, monkeypatch,
                                                         doc, message):
@@ -300,7 +304,7 @@ class TestRun:
         assert not list(tmp_path.glob("*.jsonl"))
 
     @pytest.mark.parametrize("bad_rule, message", [
-        ({"match": "Search"}, "script rule [1] has no 'responses'"),
+        ({"match": "Search"}, "script rule [1]: missing required field 'responses'"),
         (["Search", "Finish[x]"], "script rule [1] must be an object"),
         ({"match": "Search", "responses": "Finish[x]", "regex": True},
          "script rule [1] has unknown key(s) ['regex']"),
@@ -319,7 +323,7 @@ class TestRun:
         assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("fixture, edit, message", [
-        ("wiki/wiki_peoria.json", lambda doc: [doc], "must be a JSON object"),
+        ("wiki/wiki_peoria.json", lambda doc: [doc], "must be an object, got [{"),
         ("wiki/wiki_peoria.json", lambda doc: {**doc, "gold": "Illinois River"},
          "'gold' must be an object"),
         ("wiki/wiki_peoria.json", lambda doc: {**doc, "payload": ["Peoria"]},
@@ -381,6 +385,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: fixture ") and message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("kind, code", [("config", 2), ("fixture", 1), ("script", 1)])
+    def test_a_file_that_is_not_json_is_one_line_naming_it(self, tmp_path, capsys,
+                                                            kind, code):
+        """A config error exits 2, as every other config error does; a fixture
+        or script file that does not parse exits 1, as one that is malformed does."""
+        truncated = tmp_path / f"{kind}.json"
+        truncated.write_text('{"id": ')
+        tasks, config = WIKI_ONE, WIKI_CONFIG
+        if kind == "config":
+            config = str(truncated)
+        elif kind == "fixture":
+            tasks = str(truncated)
+        else:
+            config = str(_write_config(tmp_path, {"backends": {
+                "executor": {"kind": "scripted", "rules": truncated.name}}}))
+        assert dispatch(["run", "--method", "react", "--tasks", tasks,
+                         "--config", config, "--trace-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truncated}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_role_backend_is_exit_two_with_one_line(self, tmp_path, capsys):
@@ -675,6 +700,10 @@ def _set_payload(**fields):
     return lambda doc: doc["payload"].update(fields)
 
 
+def _set_constraints(constraints):
+    return lambda doc: doc["meta"]["gold"].update(constraints=constraints)
+
+
 #: A trace line of a valid run given a field of the wrong type: the kind of
 #: the first line changed, the change, and the error that names the field.
 MISTYPED_FIELDS = {
@@ -696,6 +725,15 @@ MISTYPED_FIELDS = {
                        r"run_end event \d+: 'reason' must be a string, got None"),
     "run_end node_records": ("run_end", _set_payload(node_records=[]),
                              r"run_end event \d+: 'node_records' must be an object, got \[\]"),
+    "header constraint not an object": (
+        "header", _set_constraints([5]),
+        r"gold: 'constraints' must be a list of objects or null, got \[5\]"),
+    "header constraint without a value": (
+        "header", _set_constraints([{"kind": "mentions"}]),
+        r"gold constraint \[0\]: missing required field 'value'"),
+    "header constraints a string": (
+        "header", _set_constraints("Peoria"),
+        r"gold: 'constraints' must be a list of objects or null, got 'Peoria'"),
 }
 
 
@@ -704,15 +742,16 @@ def test_a_mistyped_trace_field_is_named_and_the_other_runs_are_tabulated(
     tmp_path, capsys, case
 ):
     """Replay names the file, the run and the field; report tabulates the
-    good trace beside it."""
+    good trace beside it.  A travel trace, so that replay grades its plan
+    text against the gold constraints."""
     kind, change, message = MISTYPED_FIELDS[case]
-    good = _produce_trace(tmp_path)
+    good = _produce_trace(tmp_path, tasks=TRAVEL_ONE, config=TRAVEL_CONFIG)
     docs = [json.loads(line) for line in good.read_text().splitlines()]
     change(next(doc for doc in docs if doc["kind"] == kind))
     bad = tmp_path / "mistyped" / "bad.jsonl"
     bad.parent.mkdir()
     bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-    error = re.escape(f"error: {bad}: run 'tdp__wiki_peoria': ") + message + "\n"
+    error = re.escape(f"error: {bad}: run 'tdp__illinois_trip': ") + message + "\n"
     capsys.readouterr()
     assert dispatch(["replay", "--trace", str(bad)]) == 1
     captured = capsys.readouterr()

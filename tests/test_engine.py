@@ -725,6 +725,49 @@ class TestRunTask:
         assert report.steps_used == 3
         assert_ends_on_record(report, sink)
 
+    def test_a_node_that_spends_the_budget_ends_its_round(self):
+        """The diamond with s_max = 2: node_2 takes the last step, so node_3,
+        ready in the same round, is never dispatched and never planned."""
+        rules = diamond_rules()
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(diamond_instance(), make_environment("textlab"),
+                          replace(diamond_config(rules), s_max=2), sink=sink)
+        assert (report.terminal, report.reason, report.steps_used) == (
+            "Terminated", "step budget exhausted", 2)
+        events = sink.events_for(report.run_id)
+        assert [e.payload["node_id"] for e in events if e.kind == "node_dispatched"] == [
+            "node_1", "node_2"]
+        assert [e.payload["scope"] for e in events if e.kind == "role_call"
+                and e.payload["template"] == "plan"] == ["node_1", "node_2"]
+        assert [e.kind for e in events][-2:] == ["node_status", "run_end"]
+        assert_ends_on_record(report, sink)
+
+    def test_a_revision_that_removes_the_last_pending_node_completes_the_run(self):
+        """node_1 completes, and the round's revision removes node_2, the one
+        node left, so the run ends at the loop head: Completed and delivered."""
+        removal = json.dumps({"thought": "node_1 did all of it.", "need_update": True,
+                              "remove_nodes": ["node_2"]})
+        config = _exec_config(
+            [
+                rule("supervisor:construct", [],
+                     subgoals_reply(("node_1", LAB_D1, []), ("node_2", LAB_D2, ["node_1"]))),
+                rule("supervisor:evaluate", [], eval_reply("completed", "The drawer is open.")),
+                rule("supervisor:revise", [], removal),
+            ],
+            [rule("planner:plan", [], plan_reply("Open the drawer."))],
+            [rule("executor:execute", [], "open drawer")],
+        )
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
+        assert (report.terminal, report.reason, report.delivery) == (
+            "Completed", "task done", True)
+        events = sink.events_for(report.run_id)
+        assert [e.payload["node_id"] for e in events if e.kind == "node_dispatched"] == [
+            "node_1"]
+        assert [e.payload["status"] for e in events if e.kind == "revision"] == ["applied"]
+        assert [e.kind for e in events][-2:] == ["revision", "run_end"]
+        assert_ends_on_record(report, sink)
+
     def test_travel_locality_run_completes_with_one_scoped_replan(self):
         sink = TraceSink(clock=CounterClock())
         report = run_task(travel_locality_instance("blocked"),
@@ -1108,7 +1151,7 @@ class TestRunTask:
         assert revision["delta"] is None
         assert revision["error"].startswith(
             f"role 'supervisor:revise' failed after {revise['attempts']} attempt(s): ")
-        assert "field 'new_nodes' must be a list" in revision["error"]
+        assert "'new_nodes' must be a list" in revision["error"]
         assert report.terminal == "Completed"
         assert_ends_on_record(report, sink)
 

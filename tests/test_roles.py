@@ -414,7 +414,7 @@ def test_parse_evaluation_edges():
 
     with pytest.raises(ParseFault, match="status must be one of"):
         parse_evaluation('{"status": "finished", "need_replan": false}')
-    with pytest.raises(ParseFault, match="must be a JSON boolean"):
+    with pytest.raises(ParseFault, match="'need_replan' must be true or false, got 'no'"):
         parse_evaluation('{"status": "completed", "need_replan": "no"}')
     with pytest.raises(ParseFault, match="requires guidance"):
         parse_evaluation('{"status": "needs_more_steps", "reason": "  ", "need_replan": false}')
@@ -463,7 +463,7 @@ def test_parse_revision_edges():
 
     with pytest.raises(ParseFault, match="missing required field 'need_update'"):
         parse_revision('{"thought": "oops"}')
-    with pytest.raises(ParseFault, match="must be a JSON boolean"):
+    with pytest.raises(ParseFault, match="'need_update' must be true or false, got 1"):
         parse_revision('{"need_update": 1}')
     with pytest.raises(ParseFault, match="missing required field 'node_id'"):
         parse_revision('{"need_update": true, "description_updates": [{"new_description": "x"}]}')
@@ -476,8 +476,35 @@ def test_parse_revision_edges():
     for field in ("description_updates", "new_nodes", "remove_nodes"):
         for value in (True, 0, {}, {"id": "x"}, "node_1"):
             text = json.dumps({"need_update": True, field: value})
-            with pytest.raises(ParseFault, match=f"field '{field}' must be a list, got"):
+            with pytest.raises(ParseFault, match=f"'{field}' must be a list"):
                 parse_revision(text)
+
+
+@pytest.mark.parametrize("parser, reply", [
+    (parse_subgoals, '{"subgoals": [5]}'),
+    (parse_revision, '{"need_update": true, "new_nodes": ["node_9"]}'),
+    (parse_subgoals, '{"subgoals": [{"id": "a", "description": 5}]}'),
+    (parse_revision, '{"need_update": true, "new_nodes": [{"description": null}]}'),
+    (parse_evaluation, '{"status": "completed", "need_replan": false, "reason": 5}'),
+    (parse_evaluation, '{"status": "completed", "need_replan": false, "reason": ["done"]}'),
+    (parse_replan, '{"RePlan": false, "Thought": 5, "NewPlan": null}'),
+    (parse_replan, '{"RePlan": false, "Thought": {"why": "x"}}'),
+    (parse_revision, '{"need_update": false, "thought": 5}'),
+    (parse_revision, '{"need_update": false, "thought": null}'),
+    (parse_revision, '{"need_update": true, "description_updates": [5]}'),
+    (parse_revision, '{"need_update": true, "description_updates": [["a", "x"]]}'),
+], ids=[
+    "subgoal entry not an object", "new node not an object",
+    "subgoal description not a string", "new node description null",
+    "evaluation reason a number", "evaluation reason a list",
+    "Thought a number", "Thought an object",
+    "revision thought a number", "revision thought null",
+    "description update a number", "description update a list",
+])
+def test_a_mistyped_reply_field_no_corruptor_reaches_is_a_parse_fault(parser, reply):
+    """Shape rejections the generated corruptions never produce."""
+    with pytest.raises(ParseFault):
+        parser(reply)
 
 
 VERBS = frozenset({"Search", "Finish", "look"})
@@ -624,7 +651,7 @@ def test_scripted_backend_from_file_and_mapping_coercion(tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not": "a list"}))
-    with pytest.raises(ValueError, match="JSON list"):
+    with pytest.raises(ValueError, match=r"bad\.json must be a list, got \{'not': 'a list'\}"):
         ScriptedBackend.from_file(bad)
     with pytest.raises(ValueError, match="at least one response"):
         ScriptedBackend([{"match": "x", "responses": []}])
@@ -633,14 +660,16 @@ def test_scripted_backend_from_file_and_mapping_coercion(tmp_path):
 @pytest.mark.parametrize(
     "rule, message",
     [
-        ({"match": "x"}, r"script rule \[1\] has no 'responses'"),
+        ({"match": "x"}, r"script rule \[1\]: missing required field 'responses'"),
         ("just a string", r"script rule \[1\] must be an object"),
         ({"match": "x", "responses": "y", "regex": True},
          r"script rule \[1\] has unknown key\(s\) \['regex'\]"),
         ({"mach": "x", "responses": "y"}, r"script rule \[1\] has unknown key\(s\) \['mach'\]"),
-        ({"responses": 3}, r"script rule \[1\] 'responses' must be a string or a list"),
-        ({"match": ["a", 1], "responses": "y"}, r"script rule \[1\] 'match' must be a string"),
-        ({"responses": "y", "role": 7}, r"script rule \[1\] 'role' must be a string"),
+        ({"responses": 3},
+         r"script rule \[1\]: 'responses' must be a string or a list of strings, got 3"),
+        ({"match": ["a", 1], "responses": "y"},
+         r"script rule \[1\]: 'match' must be a string or a list of strings"),
+        ({"responses": "y", "role": 7}, r"script rule \[1\]: 'role' must be a string or null"),
     ],
 )
 def test_malformed_script_rule_is_a_value_error_naming_it(rule, message):
@@ -856,15 +885,15 @@ def test_remote_reply_whose_content_is_not_a_string_is_a_recorded_backend_error(
     monkeypatch, content
 ):
     """A reply with no text reaches no parser: the backend refuses it naming
-    the content's type, the call is recorded as failed, and the run's tokens
-    read unknown, since the refused reply's usage is not counted."""
+    the content, the call is recorded as failed, and the run's tokens read
+    unknown, since the refused reply's usage is not counted."""
     run = _remote_run(monkeypatch, {"prompt_tokens": 9, "completion_tokens": 3}, content=content)
-    kind = type(content).__name__
-    with pytest.raises(TypeError, match=f"reply content must be a string, got {kind}"):
+    message = f"reply: 'content' must be a string, got {content!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
         _probe(run)
     event = _role_call(run)
     assert event["ok"] is False and event["attempts"] == 1
-    assert event["error"] == f"TypeError: reply content must be a string, got {kind}"
+    assert event["error"] == f"TypeError: {message}"
     record = run.finish("Terminated", "error")
     assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
 

@@ -239,25 +239,25 @@ class TestReadTrace:
             read_trace(path)
 
     @pytest.mark.parametrize("lines, message", [
-        (["[1, 2]"], r"trace\.jsonl:1: not a JSON object"),
-        (["5"], r"trace\.jsonl:1: not a JSON object"),
+        (["[1, 2]"], r"trace\.jsonl:1: line must be an object, got \[1, 2\]"),
+        (["5"], r"trace\.jsonl:1: line must be an object, got 5"),
         ([json.dumps({"kind": "header", "version": 1, "meta": {}})],
-         r"trace\.jsonl:1: header lacks 'run_id'"),
+         r"trace\.jsonl:1: header: missing required field 'run_id'"),
         ([_HEADER, json.dumps({"kind": "run_end", "seq": 0, "ts": 0})],
-         r"trace\.jsonl:2: run_end event lacks 'run_id'"),
+         r"trace\.jsonl:2: run_end event: missing required field 'run_id'"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "ts": 0})],
-         r"trace\.jsonl:2: run_end event lacks 'seq'"),
+         r"trace\.jsonl:2: run_end event: missing required field 'seq'"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0})],
-         r"trace\.jsonl:2: run_end event lacks 'ts'"),
+         r"trace\.jsonl:2: run_end event: missing required field 'ts'"),
         ([json.dumps({"kind": "header", "version": 1, "run_id": ["r"], "meta": {}})],
-         r"trace\.jsonl:1: header 'run_id' is not a string"),
+         r"trace\.jsonl:1: header: 'run_id' must be a string, got \['r'\]"),
         ([json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": 5})],
-         r"trace\.jsonl:1: header 'meta' is not an object"),
+         r"trace\.jsonl:1: header: 'meta' must be an object, got 5"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0,
                                "payload": 5})],
-         r"trace\.jsonl:2: run_end event 'payload' is not an object"),
+         r"trace\.jsonl:2: run_end event: 'payload' must be an object, got 5"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": ["r"], "seq": 0, "ts": 0})],
-         r"trace\.jsonl:2: run_end event 'run_id' is not a string"),
+         r"trace\.jsonl:2: run_end event: 'run_id' must be a string, got \['r'\]"),
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, lines, message):
         path = self._write(tmp_path, lines)
