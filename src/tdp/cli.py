@@ -60,15 +60,13 @@ def _build_backend(role: str, spec: Any, base_dir: Path) -> ModelBackend:
             raise CliError(f"script file not found: {path}")
         return ScriptedBackend.from_file(path)
     if kind == "remote":
-        for key in ("endpoint", "model", "credential_env"):
-            if not spec.get(key):
-                raise CliError(f"remote backend config missing {key!r}")
+        settings = {key: read(key, str) for key in ("endpoint", "model", "credential_env")}
+        for key, value in settings.items():
+            if not value.strip():
+                raise CliError(f"remote backend: {key!r} must be a nonblank string, got {value!r}")
         try:
             return RemoteChatBackend(
-                endpoint=spec["endpoint"],
-                model=spec["model"],
-                credential_env=spec["credential_env"],
-                temperature=float(read("temperature", float, int, default=0.0)),
+                **settings, temperature=float(read("temperature", float, int, default=0.0))
             )
         except RuntimeError as err:  # unset credential env var
             raise CliError(str(err)) from None

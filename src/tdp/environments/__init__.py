@@ -6,6 +6,7 @@ from functools import partial
 from pathlib import Path
 
 from ..fields import check_value, load_json, read_field
+from ..telemetry import read_gold
 from .base import (
     Environment,
     EnvironmentClosedError,
@@ -43,7 +44,8 @@ def validate_instance(instance: TaskInstance) -> None:
 
 
 def load_task_instance(path: str | Path) -> TaskInstance:
-    """Read one fixture file and run its environment's consistency checks."""
+    """Read one fixture file, check its gold record's graded fields, and run
+    its environment's consistency checks."""
     path = Path(path)
     if not path.exists():
         raise FixtureError(f"fixture not found: {path}")
@@ -60,6 +62,7 @@ def load_task_instance(path: str | Path) -> TaskInstance:
         gold=read("gold", dict, default={}),
         payload=read("payload", dict, default={}),
     )
+    read_gold(instance.gold, where=f"fixture {instance.id}: gold", error=FixtureError)
     validate_instance(instance)
     return instance
 

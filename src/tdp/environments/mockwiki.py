@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
+from ..fields import check_value, read_field
 from .base import BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance
 
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -19,23 +20,24 @@ class MockWiki(Environment):
 
     @staticmethod
     def validate_instance(instance: TaskInstance) -> None:
-        articles = instance.payload.get("articles")
-        if not isinstance(articles, dict) or not articles:
-            raise FixtureError(f"fixture {instance.id}: payload.articles must be a nonempty map")
+        where = f"fixture {instance.id}: payload"
+        articles = read_field(instance.payload, "articles", dict, where=where, error=FixtureError)
+        if not articles:
+            raise FixtureError(f"{where}: 'articles' is empty")
         for title, text in articles.items():
-            if not str(title).strip() or not str(text).strip():
-                raise FixtureError(f"fixture {instance.id}: empty article title or body")
+            check_value(text, str, name=f"{where}.articles {title!r}", error=FixtureError)
+            if not title.strip() or not text.strip():
+                raise FixtureError(f"{where}: empty article title or body")
         gold_answer = instance.gold.get("answer")
         if gold_answer is not None:
-            haystack = " ".join(str(t) for t in articles.values()).casefold()
-            if str(gold_answer).casefold() not in haystack:
+            if str(gold_answer).casefold() not in " ".join(articles.values()).casefold():
                 raise FixtureError(
                     f"fixture {instance.id}: gold answer {gold_answer!r} "
                     "does not occur in any article"
                 )
 
     def _start(self, instance: TaskInstance) -> str:
-        self._articles = {str(k): str(v) for k, v in instance.payload["articles"].items()}
+        self._articles = dict(instance.payload["articles"])
         self._active_page: str | None = None
         self._cursors: dict[str, int] = {}
         self._answer: str | None = None

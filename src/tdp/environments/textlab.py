@@ -9,8 +9,10 @@ when every condition has been met at least once.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Any
 
+from ..fields import check_value, read_field
 from .base import Command, Environment, FixtureError, StepResult, TaskInstance
 
 _PUT_RE = re.compile(r"^(.+?)\s+in\s+(.+)$")
@@ -22,69 +24,42 @@ _MARKS = ("holding", "activated", "measured", "focused", "open")
 _CONDITION_KINDS = ("at", "in", *_MARKS)
 
 
-def _is_name_list(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
 class TextLab(Environment):
     name = "textlab"
 
-    # -- fixture checks -------------------------------------------------------
-
     @staticmethod
-    def _world_objects(payload: dict[str, Any]) -> set[str]:
+    def validate_instance(instance: TaskInstance) -> None:
+        where = f"fixture {instance.id}"
+        read = partial(read_field, instance.payload, where=f"{where}: payload", error=FixtureError)
+        rooms = read("rooms", dict)
+        if read("start_room", str) not in rooms:
+            raise FixtureError(f"{where}: start_room missing from rooms")
         objects: set[str] = set()
-        for room in payload.get("rooms", {}).values():
-            objects.update(room.get("objects", []))
-        for contents in payload.get("containers", {}).values():
-            objects.update(contents)
-        return objects
-
-    @classmethod
-    def validate_instance(cls, instance: TaskInstance) -> None:
-        payload = instance.payload
-        rooms = payload.get("rooms")
-        if not isinstance(rooms, dict) or not rooms:
-            raise FixtureError(f"fixture {instance.id}: payload.rooms must be a nonempty map")
-        if payload.get("start_room") not in rooms:
-            raise FixtureError(f"fixture {instance.id}: start_room missing from rooms")
         for name, room in rooms.items():
-            if not isinstance(room, dict):
-                raise FixtureError(f"fixture {instance.id}: room {name!r} must be an object")
-            for key in ("connects", "objects"):
-                if not _is_name_list(room.get(key, [])):
-                    raise FixtureError(
-                        f"fixture {instance.id}: room {name!r} {key} must be a list of names"
-                    )
-            for other in room.get("connects", []):
+            check_value(room, dict, name=f"{where}: room {name!r}", error=FixtureError)
+            read_room = partial(read_field, room, default=[], where=f"{where}: room {name!r}",
+                                error=FixtureError)
+            objects.update(read_room("objects", list[str]))
+            for other in read_room("connects", list[str]):
                 if other not in rooms:
-                    raise FixtureError(
-                        f"fixture {instance.id}: room {name!r} connects to unknown {other!r}"
-                    )
-        for key in ("containers", "measurements"):
-            if not isinstance(payload.get(key, {}), dict):
-                raise FixtureError(f"fixture {instance.id}: payload.{key} must be a map")
-        for name, contents in payload.get("containers", {}).items():
-            if not _is_name_list(contents):
-                raise FixtureError(
-                    f"fixture {instance.id}: container {name!r} must be a list of names"
-                )
-        objects = cls._world_objects(payload)
-        conditions = instance.gold.get("conditions", [])
-        if not isinstance(conditions, list) or not all(isinstance(c, dict) for c in conditions):
-            raise FixtureError(f"fixture {instance.id}: gold.conditions must be a list of objects")
-        for cond in conditions:
-            kind = cond.get("kind")
+                    raise FixtureError(f"{where}: room {name!r} connects to unknown {other!r}")
+        read("measurements", dict, default={})
+        for name, contents in read("containers", dict, default={}).items():
+            objects.update(check_value(contents, list[str], name=f"{where}: container {name!r}",
+                                       error=FixtureError))
+        conditions = read_field(instance.gold, "conditions", list[dict], default=[],
+                                where=f"{where}: gold", error=FixtureError)
+        for index, cond in enumerate(conditions):
+            name = f"{where}: gold condition [{index}]"
+            kind = read_field(cond, "kind", str, where=name, error=FixtureError)
             if kind not in _CONDITION_KINDS:
-                raise FixtureError(f"fixture {instance.id}: unknown condition kind {kind!r}")
+                raise FixtureError(f"{where}: unknown condition kind {kind!r}")
             targets = [("room", rooms)] if kind == "at" else [("object", objects)]
             if kind == "in":
                 targets.append(("container", objects))
             for key, known in targets:
-                if cond.get(key) not in known:
-                    raise FixtureError(
-                        f"fixture {instance.id}: condition targets unknown {key} {cond.get(key)!r}"
-                    )
+                if read_field(cond, key, str, where=name, error=FixtureError) not in known:
+                    raise FixtureError(f"{where}: condition targets unknown {key} {cond[key]!r}")
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -8,12 +8,15 @@ error or a guess.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from functools import partial
+from typing import Any
 
+from ..fields import check_value, read_field
 from .base import BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance
 
-# the keys a tool reads from every row of its table; flights and distances
-# are lists of rows, the other tables map a city to its list of rows
+# the keys a tool reads from every row of its table; the tables in _LISTS
+# are lists of rows, the others map a city to its list of rows
+_LISTS = ("flights", "distances")
 _ROW_KEYS = {
     "flights": ("origin", "destination", "date", "flight_no", "depart", "arrive", "price"),
     "distances": ("from", "to", "mode", "distance_km", "duration", "cost"),
@@ -49,55 +52,26 @@ def _table_search(table: str, row_format: str):
     return search
 
 
-def _check_row(instance_id: str, table: str, keys: tuple[str, ...], row: Any) -> None:
-    where = f"fixture {instance_id}: payload.{table} row"
-    if not isinstance(row, dict):
-        raise FixtureError(f"{where} must be an object, got {row!r}")
-    for key in keys:
-        if key not in row:
-            raise FixtureError(f"{where} lacks {key!r}")
-        if key in _MATCHED and not isinstance(row[key], str):
-            raise FixtureError(f"{where} field {key!r} must be a string, got {row[key]!r}")
-
-
 class TravelToy(Environment):
     name = "traveltoy"
 
     @staticmethod
     def validate_instance(instance: TaskInstance) -> None:
-        payload = instance.payload
-        for key in ("flights", "distances"):
-            if key in payload and not isinstance(payload[key], list):
-                raise FixtureError(f"fixture {instance.id}: payload.{key} must be a list")
-        for key in ("cities", "accommodations", "restaurants", "attractions"):
-            if key in payload and not isinstance(payload[key], dict):
-                raise FixtureError(f"fixture {instance.id}: payload.{key} must be a map")
-        for state, listed in payload.get("cities", {}).items():
-            if not isinstance(listed, list) or not all(isinstance(c, str) for c in listed):
-                raise FixtureError(
-                    f"fixture {instance.id}: payload.cities {state!r} must be a list of names"
-                )
+        where = f"fixture {instance.id}: payload"
+        read = partial(read_field, instance.payload, where=where, error=FixtureError)
+        for state, listed in read("cities", dict, default={}).items():
+            check_value(listed, list[str], name=f"{where}.cities {state!r}", error=FixtureError)
         for table, keys in _ROW_KEYS.items():
-            rows = payload.get(table, [])
-            groups = rows.items() if isinstance(rows, dict) else [(None, rows)]
-            for city, group in groups:
-                if not isinstance(group, list):
-                    raise FixtureError(
-                        f"fixture {instance.id}: payload.{table} {city!r} must be a list of rows"
-                    )
-                for row in group:
-                    _check_row(instance.id, table, keys, row)
-        constraints = instance.gold.get("constraints", [])
-        if not isinstance(constraints, list) or not all(isinstance(c, dict) for c in constraints):
-            raise FixtureError(f"fixture {instance.id}: gold.constraints must be a list of objects")
-        for constraint in constraints:
-            kind = constraint.get("kind")
-            if kind not in ("mentions", "avoids"):
-                raise FixtureError(
-                    f"fixture {instance.id}: unknown constraint kind {kind!r}"
-                )
-            if not str(constraint.get("value", "")).strip():
-                raise FixtureError(f"fixture {instance.id}: constraint without a value")
+            if table in _LISTS:
+                groups = {f"{where}.{table}": read(table, list, default=[])}
+            else:
+                groups = {f"{where}.{table} {city!r}": rows
+                          for city, rows in read(table, dict, default={}).items()}
+            for name, rows in groups.items():
+                for row in check_value(rows, list[dict], name=name, error=FixtureError):
+                    for key in keys:
+                        types = (str,) if key in _MATCHED else ()
+                        read_field(row, key, *types, where=f"{name} row", error=FixtureError)
 
     def _start(self, instance: TaskInstance) -> str:
         self._payload = dict(instance.payload)

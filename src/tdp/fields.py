@@ -1,7 +1,8 @@
-"""The one checked reader of outside JSON: model replies, traces, configs,
-fixtures and script files.  Each border passes its own exception class, and
-every message names what was read: ``"{where}: {key!r} must be {expected},
-got {value!r}"`` or ``"{where}: missing required field {key!r}"``.  A type is
+"""The one checked reader of outside JSON: model replies, traces and the
+gold records they carry, configs, fixture payloads and script files.  Each
+border passes its own exception class, and every message names what was
+read: ``"{where}: {key!r} must be {expected}, got {value!r}"`` or
+``"{where}: missing required field {key!r}"``.  A type is
 a class, ``None`` for ``null``, or ``list[str]`` or ``list[dict]`` for a list
 whose items all have that type; a bool never passes as an int.
 """

@@ -540,9 +540,10 @@ class RemoteChatBackend(ModelBackend):
 
     A count the response's ``usage`` does not give is unknown (``None``), not
     zero, so a reply without usage cannot read as a call that cost nothing.
-    A reply whose ``content`` is not a string (``null``, a list of parts) is
-    a :class:`TypeError`, which :meth:`tdp.engine.Run.call` records as a
-    backend error.
+    A reply whose ``content`` is not a string (``null``, a list of parts),
+    whose ``choices`` is missing or empty, or whose usage counts are not
+    integers is a :class:`TypeError`, which :meth:`tdp.engine.Run.call`
+    records as a backend error.
 
     The API key is read from the environment variable named in the
     configuration — never stored in config files.  Construction fails fast
@@ -585,18 +586,16 @@ class RemoteChatBackend(ModelBackend):
             timeout=self.timeout,
         )
         response.raise_for_status()
-        doc = response.json()
-        message = doc["choices"][0]["message"]
+        doc = check_value(response.json(), dict, name="reply", error=TypeError)
+        read = partial(read_field, doc, where="reply", error=TypeError)
+        choices = read("choices", list[dict])
+        if not choices:
+            raise TypeError("reply: 'choices' must be a nonempty list, got []")
+        message = read_field(choices[0], "message", dict, where="reply choice [0]", error=TypeError)
         text = read_field(message, "content", str, where="reply", error=TypeError)
-        usage = doc.get("usage") or {}
-
-        def reported(key: str) -> int | None:
-            return None if usage.get(key) is None else int(usage[key])
-
-        return Completion(
-            text=text,
-            usage=TokenUsage(
-                prompt_tokens=reported("prompt_tokens"),
-                output_tokens=reported("completion_tokens"),
-            ),
+        usage = read("usage", dict, None, default=None) or {}
+        prompt_tokens, output_tokens = (
+            read_field(usage, key, int, None, default=None, where="reply usage", error=TypeError)
+            for key in ("prompt_tokens", "completion_tokens")
         )
+        return Completion(text=text, usage=TokenUsage(prompt_tokens, output_tokens))

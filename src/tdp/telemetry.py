@@ -34,6 +34,7 @@ __all__ = [
     "TokenUsage",
     "MetricsRecord",
     "normalize_answer",
+    "read_gold",
     "role_tokens",
     "compute_metrics",
     "MethodSummary",
@@ -258,7 +259,9 @@ class MetricsRecord:
     """One run's record: what its runner returns and what replay recomputes
     from its trace.  ``None`` marks a metric that is undefined for the run,
     as the tokens of a run with a model call that ended on a backend error or
-    whose backend did not report them."""
+    whose backend did not report them.  ``node_records`` holds one entry per
+    node of the run's final graph, nodes never dispatched included; a node a
+    revision removed has none."""
 
     run_id: str
     method: str
@@ -302,14 +305,34 @@ def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]
     return {role: asdict(usage) for role, usage in sorted(usages.items())}
 
 
-def _check_constraints(plan_text: str, constraints: Sequence[Mapping[str, Any]]) -> tuple[float, bool]:
-    satisfied = 0
-    for index, constraint in enumerate(constraints):
-        read = partial(read_field, constraint, where=f"gold constraint [{index}]", error=TraceError)
-        kind, value = read("kind", str), str(read("value"))
-        present = value.casefold() in plan_text.casefold()
-        satisfied += int(present if kind == "mentions" else not present)
-    return satisfied / len(constraints), satisfied == len(constraints)
+def read_gold(gold: Mapping[str, Any], *, where: str,
+              error: type[Exception]) -> tuple[str | None, list[tuple[str, str]]]:
+    """The graded fields of a gold record, read by one rule for fixtures and
+    traces alike: the ``answer``, a string (None when absent), and the
+    ``constraints``, a list of ``{"kind": "mentions" or "avoids", "value": a
+    nonblank string}`` objects, as (kind, value) pairs.  A plan text meets a
+    ``mentions`` constraint when it contains the value, ignoring case, and an
+    ``avoids`` one when it does not.  ``null`` is a mistyped field, not an
+    absent one; a mistyped field is an `error` naming it."""
+    read = partial(read_field, gold, where=where, error=error)
+    constraints = []
+    for index, constraint in enumerate(read("constraints", list[dict], default=[])):
+        name = f"{where} constraint [{index}]"
+        kind, value = (read_field(constraint, key, str, where=name, error=error)
+                       for key in ("kind", "value"))
+        if kind not in ("mentions", "avoids"):
+            raise error(f"{name}: 'kind' must be 'mentions' or 'avoids', got {kind!r}")
+        if not value.strip():
+            raise error(f"{name}: 'value' must be a nonblank string, got {value!r}")
+        constraints.append((kind, value))
+    return read("answer", str, default=None), constraints
+
+
+def _check_constraints(plan_text: str,
+                       constraints: Sequence[tuple[str, str]]) -> tuple[float, bool]:
+    met = [(value.casefold() in plan_text.casefold()) == (kind == "mentions")
+           for kind, value in constraints]
+    return sum(met) / len(met), all(met)
 
 
 def compute_metrics(
@@ -326,7 +349,9 @@ def compute_metrics(
     field of the wrong type, `method` included, is a :class:`TraceError`
     naming the event and the field.
     """
-    gold = check_value(gold or {}, Mapping, name="'gold'", error=TraceError)
+    gold_answer, constraints = read_gold(
+        check_value(gold or {}, Mapping, name="'gold'", error=TraceError), where="gold",
+        error=TraceError)
     run_end = next((e for e in reversed(events) if e.kind == "run_end"), None)
     if run_end is None:
         raise TraceError("run has no run_end event")
@@ -337,26 +362,24 @@ def compute_metrics(
                        error=TraceError)
     delivery = read("delivered", bool, default=False)
 
-    accuracy: bool | None = None
-    gold_answer = gold.get("answer")
-    answer = env_metrics.get("answer")
-    if gold_answer is not None:
-        accuracy = (
-            answer is not None
-            and normalize_answer(str(answer)) == normalize_answer(str(gold_answer))
-        )
+    answer = read_env("answer", str, None, default=None)
+    accuracy = None if gold_answer is None else (
+        answer is not None and normalize_answer(answer) == normalize_answer(gold_answer)
+    )
     delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
 
     tokens = role_tokens(events)
     total = sum((TokenUsage(**role) for role in tokens.values()), TokenUsage())
     prompt_tokens, output_tokens = (None if n is None else float(n) for n in astuple(total))
 
-    replans = sum(1 for e in events if e.kind == "replan" and e.payload.get("accepted", False))
+    replans = sum(
+        read_field(e.payload, "accepted", bool, default=False, where=f"replan event {e.seq}",
+                   error=TraceError)
+        for e in events if e.kind == "replan"
+    )
 
     constraint_micro: float | None = None
     constraint_macro: bool | None = None
-    constraints = read_field(gold, "constraints", list[dict], None, default=None, where="gold",
-                             error=TraceError)
     if constraints:
         plan_text = read_env("plan_text", str, None, default=None)
         if plan_text:

@@ -109,7 +109,8 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"backends": {"executor": {
             "kind": "remote", "endpoint": "https://x", "model": "m"}}}))
-        with pytest.raises(CliError, match="missing 'credential_env'"):
+        with pytest.raises(CliError,
+                           match="remote backend: missing required field 'credential_env'"):
             load_config(path)
 
     def test_remote_refuses_without_the_credential(self, monkeypatch):
@@ -155,6 +156,8 @@ class TestLoadConfig:
          "remote backend: 'temperature' must be a number or an integer, got 'hot'"),
         (_remote(temperature=True),
          "remote backend: 'temperature' must be a number or an integer, got True"),
+        (_remote(endpoint=5), "remote backend: 'endpoint' must be a string, got 5"),
+        (_remote(model=" "), "remote backend: 'model' must be a nonblank string, got ' '"),
     ])
     def test_misread_values_and_unknown_keys_are_errors(self, tmp_path, monkeypatch,
                                                         doc, message):
@@ -330,49 +333,49 @@ class TestRun:
          "'payload' must be an object"),
         ("travel/illinois_trip.json",
          lambda doc: {**doc, "gold": {**doc["gold"], "constraints": ["mentions Peoria"]}},
-         "gold.constraints must be a list of objects"),
+         "gold: 'constraints' must be a list of objects"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"],
                                          "rooms": {**doc["payload"]["rooms"], "lab": "shut"}}},
          "room 'lab' must be an object"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "gold": {"conditions": [["open", "cupboard"]]}},
-         "gold.conditions must be a list of objects"),
+         "gold: 'conditions' must be a list of objects"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "rooms": {
              **doc["payload"]["rooms"], "lab": {"connects": 5, "objects": []}}}},
-         "room 'lab' connects must be a list of names"),
+         "room 'lab': 'connects' must be a list of strings"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "rooms": {
              **doc["payload"]["rooms"], "lab": {"connects": [["hallway"]], "objects": []}}}},
-         "room 'lab' connects must be a list of names"),
+         "room 'lab': 'connects' must be a list of strings"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "rooms": {
              **doc["payload"]["rooms"], "lab": {"connects": ["hallway"], "objects": 3}}}},
-         "room 'lab' objects must be a list of names"),
+         "room 'lab': 'objects' must be a list of strings"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "containers": {"cupboard": 3}}},
-         "container 'cupboard' must be a list of names"),
+         "container 'cupboard' must be a list of strings"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "containers": ["cupboard"]}},
-         "payload.containers must be a map"),
+         "payload: 'containers' must be an object"),
         ("lab/heat_water.json",
          lambda doc: {**doc, "payload": {**doc["payload"], "measurements": 5}},
-         "payload.measurements must be a map"),
+         "payload: 'measurements' must be an object"),
         ("travel/illinois_trip.json", lambda doc: _first_flight(doc, origin=None),
-         "payload.flights row lacks 'origin'"),
+         "payload.flights row: missing required field 'origin'"),
         ("travel/illinois_trip.json", lambda doc: _travel(doc, flights=[5]),
-         "payload.flights row must be an object, got 5"),
+         "payload.flights must be a list of objects, got [5]"),
         ("travel/illinois_trip.json", lambda doc: _first_flight(doc, origin=5),
-         "payload.flights row field 'origin' must be a string, got 5"),
+         "payload.flights row: 'origin' must be a string, got 5"),
         ("travel/illinois_trip.json", lambda doc: _travel(doc, accommodations={"Peoria": 5}),
-         "payload.accommodations 'Peoria' must be a list of rows"),
+         "payload.accommodations 'Peoria' must be a list of objects"),
         ("travel/illinois_trip.json",
          lambda doc: _travel(doc, accommodations={"Peoria": [{"room_type": "double",
                                                               "price": 95}]}),
-         "payload.accommodations row lacks 'name'"),
+         "payload.accommodations 'Peoria' row: missing required field 'name'"),
         ("travel/illinois_trip.json", lambda doc: _travel(doc, cities={"Illinois": 5}),
-         "payload.cities 'Illinois' must be a list of names"),
+         "payload.cities 'Illinois' must be a list of strings"),
     ])
     def test_malformed_fixture_is_exit_one_with_one_line(self, tmp_path, capsys,
                                                          fixture, edit, message):
@@ -721,19 +724,33 @@ MISTYPED_FIELDS = {
     "run_end reward": ("run_end", lambda doc: doc["payload"]["env_metrics"].update(reward="abc"),
                        r"run_end event \d+ env_metrics: 'reward' must be a number or an integer "
                        r"or null, got 'abc'"),
+    "run_end answer": ("run_end", lambda doc: doc["payload"]["env_metrics"].update(answer=5),
+                       r"run_end event \d+ env_metrics: 'answer' must be a string or null, "
+                       r"got 5"),
     "run_end reason": ("run_end", _set_payload(reason=None),
                        r"run_end event \d+: 'reason' must be a string, got None"),
     "run_end node_records": ("run_end", _set_payload(node_records=[]),
                              r"run_end event \d+: 'node_records' must be an object, got \[\]"),
     "header constraint not an object": (
         "header", _set_constraints([5]),
-        r"gold: 'constraints' must be a list of objects or null, got \[5\]"),
+        r"gold: 'constraints' must be a list of objects, got \[5\]"),
     "header constraint without a value": (
         "header", _set_constraints([{"kind": "mentions"}]),
         r"gold constraint \[0\]: missing required field 'value'"),
     "header constraints a string": (
         "header", _set_constraints("Peoria"),
-        r"gold: 'constraints' must be a list of objects or null, got 'Peoria'"),
+        r"gold: 'constraints' must be a list of objects, got 'Peoria'"),
+    "header constraint of an unknown kind": (
+        "header", _set_constraints([{"kind": "bogus", "value": "Peoria"}]),
+        r"gold constraint \[0\]: 'kind' must be 'mentions' or 'avoids', got 'bogus'"),
+    "header constraint with an empty value": (
+        "header", _set_constraints([{"kind": "mentions", "value": ""}]),
+        r"gold constraint \[0\]: 'value' must be a nonblank string, got ''"),
+    "header answer a number": ("header", lambda doc: doc["meta"]["gold"].update(answer=5),
+                               r"gold: 'answer' must be a string, got 5"),
+    "replan accepted a string": ("replan", _set_payload(accepted="false"),
+                                 r"replan event \d+: 'accepted' must be true or false, "
+                                 r"got 'false'"),
 }
 
 

@@ -135,9 +135,10 @@ class TestWikiValidation:
                             gold=gold or {}, payload={"articles": articles})
 
     def test_articles_must_be_nonempty_map(self):
-        with pytest.raises(FixtureError, match="articles must be a nonempty map"):
+        with pytest.raises(FixtureError, match="payload: 'articles' is empty"):
             MockWiki.validate_instance(self._instance({}))
-        with pytest.raises(FixtureError, match="articles must be a nonempty map"):
+        with pytest.raises(FixtureError, match=re.escape(
+                "fixture w: payload: 'articles' must be an object, got ['not', 'a', 'map']")):
             MockWiki.validate_instance(
                 TaskInstance(id="w", environment="mockwiki", query="q",
                              payload={"articles": ["not", "a", "map"]}))
@@ -162,26 +163,35 @@ class TestTravelValidation:
     def test_list_tables_must_be_lists(self):
         bad = TaskInstance(id="t", environment="traveltoy", query="q",
                            payload={"flights": {"no": "rows"}})
-        with pytest.raises(FixtureError, match="payload.flights must be a list"):
+        with pytest.raises(FixtureError, match="payload: 'flights' must be a list, got {"):
             TravelToy.validate_instance(bad)
 
     def test_map_tables_must_be_maps(self):
         bad = TaskInstance(id="t", environment="traveltoy", query="q",
                            payload={"cities": ["Peoria"]})
-        with pytest.raises(FixtureError, match="payload.cities must be a map"):
+        with pytest.raises(FixtureError, match=re.escape(
+                "payload: 'cities' must be an object, got ['Peoria']")):
             TravelToy.validate_instance(bad)
 
-    def test_constraint_kind_whitelist(self):
-        bad = TaskInstance(id="t", environment="traveltoy", query="q",
-                           gold={"constraints": [{"kind": "requires", "value": "x"}]})
-        with pytest.raises(FixtureError, match="unknown constraint kind 'requires'"):
-            TravelToy.validate_instance(bad)
+    @staticmethod
+    def _load_with_constraint(tmp_path, constraint):
+        doc = json.loads(TRAVEL_FIXTURE.read_text(encoding="utf-8"))
+        doc["gold"]["constraints"].append(constraint)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return load_task_instance(path)
 
-    def test_constraint_needs_a_value(self):
-        bad = TaskInstance(id="t", environment="traveltoy", query="q",
-                           gold={"constraints": [{"kind": "mentions", "value": " "}]})
-        with pytest.raises(FixtureError, match="constraint without a value"):
-            TravelToy.validate_instance(bad)
+    def test_constraint_kind_whitelist(self, tmp_path):
+        with pytest.raises(FixtureError, match=re.escape(
+                "fixture illinois_trip: gold constraint [4]: 'kind' must be 'mentions' or "
+                "'avoids', got 'requires'")):
+            self._load_with_constraint(tmp_path, {"kind": "requires", "value": "x"})
+
+    def test_constraint_needs_a_value(self, tmp_path):
+        with pytest.raises(FixtureError, match=re.escape(
+                "fixture illinois_trip: gold constraint [4]: 'value' must be a nonblank "
+                "string, got ' '")):
+            self._load_with_constraint(tmp_path, {"kind": "mentions", "value": " "})
 
 
 class TestLabValidation:
@@ -195,7 +205,7 @@ class TestLabValidation:
     def test_rooms_required(self):
         bad = TaskInstance(id="l", environment="textlab", query="q",
                            payload={"start_room": "kitchen"})
-        with pytest.raises(FixtureError, match="rooms must be a nonempty map"):
+        with pytest.raises(FixtureError, match="payload: missing required field 'rooms'"):
             TextLab.validate_instance(bad)
 
     def test_start_room_must_exist(self):
@@ -233,6 +243,45 @@ class TestLabValidation:
                 id="l", environment="textlab", query="q", payload=self._payload(),
                 gold={"conditions": [{"kind": "in", "object": "pot",
                                       "container": "vault"}]}))
+
+
+#: A mistyped field of a shipped fixture, one or more per mock: the fixture,
+#: the change to its document, and the error naming the field in the shape
+#: every checked read gives.
+MISTYPED_FIXTURE_FIELDS = {
+    "wiki article body": (
+        FIXTURE_DIR / "wiki" / "wiki_peoria.json",
+        lambda doc: doc["payload"]["articles"].update({"Peoria, Illinois": 5}),
+        "fixture wiki_peoria: payload.articles 'Peoria, Illinois' must be a string, got 5"),
+    "travel flight origin": (
+        TRAVEL_FIXTURE, lambda doc: doc["payload"]["flights"][0].update(origin=5),
+        "fixture illinois_trip: payload.flights row: 'origin' must be a string, got 5"),
+    "travel restaurant row": (
+        TRAVEL_FIXTURE, lambda doc: doc["payload"].update(restaurants={"Peoria": [{"name": "x"}]}),
+        "fixture illinois_trip: payload.restaurants 'Peoria' row: "
+        "missing required field 'avg_cost'"),
+    "lab start room": (
+        LAB_FIXTURE, lambda doc: doc["payload"].update(start_room=["kitchen"]),
+        "fixture heat_water: payload: 'start_room' must be a string, got ['kitchen']"),
+    "lab room objects": (
+        LAB_FIXTURE, lambda doc: doc["payload"]["rooms"]["lab"].update(objects=3),
+        "fixture heat_water: room 'lab': 'objects' must be a list of strings, got 3"),
+    "lab condition object": (
+        LAB_FIXTURE, lambda doc: doc["gold"]["conditions"][0].update(object=5),
+        "fixture heat_water: gold condition [0]: 'object' must be a string, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIXTURE_FIELDS))
+def test_each_mock_names_a_mistyped_fixture_field(tmp_path, case):
+    fixture, change, message = MISTYPED_FIXTURE_FIELDS[case]
+    doc = json.loads(fixture.read_text(encoding="utf-8"))
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FixtureError) as raised:
+        load_task_instance(path)
+    assert str(raised.value) == message
 
 
 # -- MockWiki ------------------------------------------------------------------

@@ -851,15 +851,17 @@ class _Response:
 def _remote_run(monkeypatch, *usages, content='{"a": 1}'):
     """A probe run on a remote backend whose ``requests.post`` answers
     `content` with each of `usages` in turn (``None``: no usage field)."""
+    doc = {"choices": [{"message": {"content": content}}]}
+    return _remote_run_replying(
+        monkeypatch, *(doc if usage is None else {**doc, "usage": usage} for usage in usages))
+
+
+def _remote_run_replying(monkeypatch, *docs):
+    """A probe run on a remote backend whose ``requests.post`` answers each
+    of the response bodies `docs` in turn."""
     monkeypatch.setenv("PROBE_KEY", "sk-test-123")
-    replies = iter(usages)
-
-    def post(url, **kwargs):
-        doc = {"choices": [{"message": {"content": content}}]}
-        usage = next(replies)
-        return _Response(doc if usage is None else {**doc, "usage": usage})
-
-    monkeypatch.setattr(requests, "post", post)
+    replies = iter(docs)
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Response(next(replies)))
     return _probe_run(RemoteChatBackend(
         endpoint="https://example.invalid/v1", model="m", credential_env="PROBE_KEY"))
 
@@ -896,6 +898,32 @@ def test_remote_reply_whose_content_is_not_a_string_is_a_recorded_backend_error(
     assert event["error"] == f"TypeError: {message}"
     record = run.finish("Terminated", "error")
     assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
+
+
+_REPLY = {"choices": [{"message": {"content": '{"a": 1}'}}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"choices": []}, "reply: 'choices' must be a nonempty list, got []"),
+    ({"error": {"message": "overloaded"}}, "reply: missing required field 'choices'"),
+    ({"choices": [{"text": "{}"}]}, "reply choice [0]: missing required field 'message'"),
+    ({**_REPLY, "usage": {"prompt_tokens": "12"}},
+     "reply usage: 'prompt_tokens' must be an integer or null, got '12'"),
+    ({**_REPLY, "usage": {"prompt_tokens": 9, "completion_tokens": True}},
+     "reply usage: 'completion_tokens' must be an integer or null, got True"),
+    ({**_REPLY, "usage": {"prompt_tokens": 12.9}},
+     "reply usage: 'prompt_tokens' must be an integer or null, got 12.9"),
+])
+def test_a_malformed_remote_reply_is_a_recorded_backend_error_naming_the_field(
+    monkeypatch, doc, message
+):
+    """A reply body without a first choice, or with usage counts that are not
+    integers, is refused as a whole and recorded like any backend error."""
+    run = _remote_run_replying(monkeypatch, doc)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        _probe(run)
+    event = _role_call(run)
+    assert event["ok"] is False and event["error"] == f"TypeError: {message}"
 
 
 def test_remote_usage_missing_one_count_leaves_only_that_count_unknown(monkeypatch):
