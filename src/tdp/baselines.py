@@ -109,14 +109,15 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
         evaluation = run.call("evaluate", view)
         if evaluation.need_replan:
             if replans >= run.config.max_replans_per_node:
-                run.replan("global", accepted=False, replan_count=replans, budget_exhausted=True)
+                run.emit("replan", scope="global", accepted=False, replan_count=replans,
+                         budget_exhausted=True)
                 return "Terminated", f"replan budget exhausted ({replans})"
             decision = run.call("replan", {**view, "reason": evaluation.reason})
             if decision.replan:
                 assert decision.new_plan is not None
                 plan = decision.new_plan
                 replans += 1
-            run.replan("global", accepted=decision.replan, replan_count=replans)
+            run.emit("replan", scope="global", accepted=decision.replan, replan_count=replans)
         elif evaluation.status == "needs_more_steps":
             guidance = evaluation.reason
     return end

@@ -68,7 +68,7 @@ from .roles import (
     render_prompt,
 )
 from .telemetry import CounterClock, MetricsRecord, TokenUsage, TraceError, TraceEvent, TraceSink
-from .telemetry import compute_metrics, role_tokens
+from .telemetry import compute_metrics, read_gold, role_tokens
 
 __all__ = [
     "EngineError",
@@ -237,9 +237,11 @@ def _node_records(graph: TaskGraph | None) -> dict[str, dict[str, Any]]:
 class Run:
     """One run's bookkeeping, shared by tdp and every baseline.
 
-    Creating a run resets the environment and writes the trace header; the
-    methods record role calls, environment steps and replan/node events, and
-    :meth:`finish` writes ``run_end`` and returns the run's record.
+    Creating a run checks the gold record (:func:`~tdp.telemetry.read_gold`),
+    so a malformed one fails before anything is spent, then resets the
+    environment and writes the trace header.  :meth:`call` and :meth:`act`
+    record role calls and environment steps, :meth:`emit` any other event,
+    and :meth:`finish` writes ``run_end`` and returns the run's record.
     :attr:`steps_used` counts the environment steps taken against
     ``config.s_max`` (:meth:`budget_spent`).  Without a caller's sink the run
     keeps its events in an in-memory one.  A run keeps no trace of its own,
@@ -267,6 +269,7 @@ class Run:
         self.sink = sink if sink is not None else TraceSink(clock=config.make_clock())
         self.templates = load_templates()
         self.steps_used = 0
+        read_gold(instance.gold, where="gold", error=TraceError)
         env.reset(instance)
         self.commands = "\n".join(env.admissible_commands())
         self.sink.begin_run(
@@ -309,18 +312,10 @@ class Run:
         fault: RoleFault | None = None
 
         def record(attempts: int, ok: bool, **error: str) -> None:
-            self.emit(
-                "role_call",
-                role=spec.role,
-                template=template,
-                scope=scope,
-                attempts=attempts,
-                prompt_tokens=usage.prompt_tokens,
-                output_tokens=usage.output_tokens,
-                prompt_chars=prompt_chars,
-                ok=ok,
-                **error,
-            )
+            self.emit("role_call", role=spec.role, template=template, scope=scope,
+                      attempts=attempts, prompt_tokens=usage.prompt_tokens,
+                      output_tokens=usage.output_tokens, prompt_chars=prompt_chars, ok=ok,
+                      **error)
 
         for attempts in range(1, self.config.parser_retry_budget + 2):
             try:
@@ -355,41 +350,10 @@ class Run:
             raise EngineError("step budget overrun — gate before acting")
         result = self.env.step(action)
         self.steps_used += 1
-        self.emit(
-            "env_step",
-            step_index=self.steps_used,
-            action=action,
-            observation=result.observation,
-            reward_delta=result.reward_delta,
-            done=result.done,
-            scope=scope,
-        )
+        self.emit("env_step", step_index=self.steps_used, action=action,
+                  observation=result.observation, reward_delta=result.reward_delta,
+                  done=result.done, scope=scope)
         return TraceEntry(step_index=self.steps_used, action=action, observation=result.observation)
-
-    def replan(
-        self,
-        scope: str,
-        accepted: bool,
-        replan_count: int,
-        budget_exhausted: bool = False,
-    ) -> None:
-        """A replan decision; ``budget_exhausted`` is written only when true."""
-        extra = {"budget_exhausted": True} if budget_exhausted else {}
-        self.emit(
-            "replan",
-            scope=scope,
-            accepted=accepted,
-            replan_count=replan_count,
-            **extra,
-        )
-
-    def node_status(self, node: SubTaskNode) -> None:
-        self.emit(
-            "node_status",
-            node_id=node.id,
-            status=node.status.value,
-            replan_count=node.replan_count,
-        )
 
     def stop(self) -> tuple[str, str] | None:
         """The run's ``(terminal, reason)`` once the task is done (which wins)
@@ -410,17 +374,11 @@ class Run:
         """
         env_metrics = self.env.metrics()
         events = self.sink.events_for(self.run_id)
-        run_end = self.emit(
-            "run_end",
-            terminal=terminal,
-            reason=reason,
-            steps_used=self.steps_used,
-            delivered=bool(env_metrics.get("delivered", False)) or _sinks_completed(self.graph),
-            method=self.method,
-            env_metrics=env_metrics,
-            node_records=_node_records(self.graph),
-            role_tokens=role_tokens(events),
-        )
+        delivered = bool(env_metrics.get("delivered", False)) or _sinks_completed(self.graph)
+        run_end = self.emit("run_end", terminal=terminal, reason=reason,
+                            steps_used=self.steps_used, delivered=delivered, method=self.method,
+                            env_metrics=env_metrics, node_records=_node_records(self.graph),
+                            role_tokens=role_tokens(events))
         return compute_metrics(
             [*events, run_end], self.instance.gold, method=self.method, run_id=self.run_id
         )
@@ -521,16 +479,20 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     replanner is not.
     """
     node = graph.nodes[node_id]
-    node.set_status(NodeStatus.IN_PROGRESS)
-    run.node_status(node)
     commands = run.commands
     plan_start = 0  # where the current plan's entries begin in node.local_trace
 
-    def close(status: NodeStatus, reason: str | None) -> NodeStatus:
+    def move(status: NodeStatus) -> None:
         node.set_status(status)
+        run.emit("node_status", node_id=node_id, status=status.value,
+                 replan_count=node.replan_count)
+
+    def close(status: NodeStatus, reason: str | None) -> NodeStatus:
+        move(status)
         node.outcome = _node_outcome(node, reason, node.local_trace[plan_start:])
-        run.node_status(node)
         return node.status
+
+    move(NodeStatus.IN_PROGRESS)
 
     guidance: str | None = None
     try:
@@ -560,17 +522,16 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
                 continue
             decision = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
             if not decision.replan:
-                run.replan(node_id, accepted=False, replan_count=node.replan_count)
+                run.emit("replan", scope=node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:
-                run.replan(
-                    node_id, accepted=False, replan_count=node.replan_count, budget_exhausted=True
-                )
+                run.emit("replan", scope=node_id, accepted=False,
+                         replan_count=node.replan_count, budget_exhausted=True)
                 return close(NodeStatus.FAILED, f"replan budget exhausted ({node.replan_count})")
             else:
                 node.plan = decision.new_plan
                 node.replan_count += 1
                 plan_start = len(node.local_trace)
-                run.replan(node_id, accepted=True, replan_count=node.replan_count)
+                run.emit("replan", scope=node_id, accepted=True, replan_count=node.replan_count)
     except RoleFault as fault:
         return close(NodeStatus.FAILED, str(fault))
     return node.status
@@ -683,12 +644,12 @@ def replay_graph(query: str, events: Iterable[TraceEvent]) -> TaskGraph:
     """
     graph = TaskGraph(task_description=query)
     for event in events:
-        applied = event.kind == "revision" and event.payload.get("status") == "applied"
+        applied = event.kind == "revision" and event.payload["status"] == "applied"
         if not (applied or event.kind == "graph_constructed"):
             continue
         where = f"{event.kind} event {event.seq} of run {event.run_id!r}"
         doc = event.payload.get("delta")
-        if not isinstance(doc, dict):
+        if doc is None:
             raise TraceError(f"{where} carries no delta; a version-1 trace cannot be replayed")
         try:
             delta = parse_revision(json.dumps(doc))

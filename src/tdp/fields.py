@@ -4,16 +4,18 @@ border passes its own exception class, and every message names what was
 read: ``"{where}: {key!r} must be {expected}, got {value!r}"`` or
 ``"{where}: missing required field {key!r}"``.  A type is
 a class, ``None`` for ``null``, or ``list[str]`` or ``list[dict]`` for a list
-whose items all have that type; a bool never passes as an int.
+whose items all have that type; a bool never passes as an int.  An object
+whose fields are declared in a table of :class:`Field` values, as trace
+events are, is checked by :func:`check_fields`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
-__all__ = ["read_field", "check_value", "load_json"]
+__all__ = ["Field", "read_field", "check_fields", "check_value", "load_json"]
 
 _NAMES: dict[Any, str] = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string",
@@ -49,6 +51,28 @@ def read_field(doc: Mapping[str, Any], key: str, *types: Any, default: Any = _RE
             raise error(f"{where}: missing required field {key!r}")
         return default
     return check_value(doc[key], *types, name=f"{where}: {key!r}", error=error)
+
+
+class Field(NamedTuple):
+    """A declared field: the types its value may have, as :func:`check_value`
+    takes them, and whether the key must be present."""
+
+    types: tuple[Any, ...]
+    required: bool = True
+
+
+def check_fields(doc: Mapping[str, Any], fields: Mapping[str, Field], *, where: str,
+                 error: type[Exception]) -> None:
+    """Check each of `fields` in `doc` as :func:`read_field` reads it; keys
+    that `fields` does not declare are not looked at.  A value whose class is
+    one of the types passes at once, so a conforming object costs one lookup
+    per field."""
+    for key, (types, required) in fields.items():
+        if key not in doc:
+            if required:
+                raise error(f"{where}: missing required field {key!r}")
+        elif type(doc[key]) not in types:
+            check_value(doc[key], *types, name=f"{where}: {key!r}", error=error)
 
 
 def load_json(path: str | Path, error: type[Exception]) -> Any:

@@ -5,6 +5,12 @@ its events, sequence-numbered contiguously from 0.  Everything needed to
 recompute a run's metrics rides inside the trace (gold record included in the
 header), so replay never touches a backend or an environment.
 
+:data:`EVENT_FIELDS` declares each event kind's payload fields, and payloads
+are checked against it and nowhere else: by :meth:`TraceSink.emit` when
+written, and by :func:`compute_metrics` once per event of the run it folds.
+The folds (:func:`role_tokens`, :func:`~tdp.engine.replay_graph`) read them
+unchecked.
+
 The composite ``avg_score`` reported per method is the arithmetic mean over
 whichever fraction-valued metrics are defined for that method's runs
 (delivery rate, accuracy, delivered accuracy, reward, constraint micro/macro).
@@ -21,9 +27,10 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
-from .fields import check_value, read_field
+from .fields import Field, check_fields, check_value, read_field
 
 __all__ = [
+    "EVENT_FIELDS",
     "EVENT_KINDS",
     "TraceEvent",
     "TraceError",
@@ -46,18 +53,34 @@ __all__ = [
 #: version 1, still read, recorded it as a graph snapshot.
 TRACE_VERSION = 2
 
-EVENT_KINDS = frozenset(
-    {
-        "graph_constructed",
-        "node_dispatched",
-        "role_call",
-        "env_step",
-        "node_status",
-        "replan",
-        "revision",
-        "run_end",
-    }
-)
+_STR, _INT, _BOOL, _OBJECT = Field((str,)), Field((int,)), Field((bool,)), Field((dict,))
+_COUNT = Field((int, None))  # a token count, null when the backend did not report it
+
+#: Each event kind's payload fields and the types each may have; a field is
+#: required unless declared otherwise.  ``graph_constructed.delta`` is not,
+#: since version 1 wrote a ``graph`` snapshot in its place.
+EVENT_FIELDS: dict[str, dict[str, Field]] = {
+    "graph_constructed": {"delta": Field((dict,), required=False)},
+    "node_dispatched": {"node_id": _STR},
+    "role_call": {"role": _STR, "template": _STR, "scope": _STR, "attempts": _INT,
+                  "prompt_tokens": _COUNT, "output_tokens": _COUNT, "prompt_chars": _INT,
+                  "ok": _BOOL, "error": Field((str,), required=False)},
+    "env_step": {"step_index": _INT, "action": _STR, "observation": _STR,
+                 "reward_delta": Field((float, int, None)), "done": _BOOL, "scope": _STR},
+    "node_status": {"node_id": _STR, "status": _STR, "replan_count": _INT},
+    "replan": {"scope": _STR, "accepted": _BOOL, "replan_count": _INT,
+               "budget_exhausted": Field((bool,), required=False)},
+    "revision": {"status": _STR, "reasons": Field((list[str],)), "delta": Field((dict, None)),
+                 "error": Field((str,), required=False)},
+    "run_end": {"terminal": _STR, "reason": _STR, "steps_used": _INT, "delivered": _BOOL,
+                "method": _STR, "env_metrics": _OBJECT, "node_records": _OBJECT,
+                "role_tokens": _OBJECT},
+}
+EVENT_KINDS = frozenset(EVENT_FIELDS)
+#: The fields around a trace line's payload: a header's, and an event's.
+_HEADER_FIELDS = {"run_id": _STR, "meta": Field((dict,), required=False)}
+_ENVELOPE_FIELDS = {"run_id": _STR, "seq": _INT, "ts": Field((float, int)),
+                    "payload": Field((dict,), required=False)}
 
 
 class TraceError(ValueError):
@@ -77,16 +100,9 @@ class TraceEvent:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def to_line(self) -> str:
-        return json.dumps(
-            {
-                "run_id": self.run_id,
-                "seq": self.seq,
-                "ts": self.timestamp,
-                "kind": self.kind,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-        )
+        """The event as a trace line: its envelope around its payload."""
+        return json.dumps({"run_id": self.run_id, "seq": self.seq, "ts": self.timestamp,
+                           "kind": self.kind, "payload": self.payload}, sort_keys=True)
 
 
 class CounterClock:
@@ -129,23 +145,26 @@ class TraceSink:
         with self._lock:
             if run_id in self._last_seq:
                 raise TraceError(f"run {run_id!r} already started in this sink")
-            header = {
-                "kind": "header",
-                "version": TRACE_VERSION,
-                "run_id": run_id,
-                "meta": dict(meta),
-            }
+            header = {"kind": "header", "version": TRACE_VERSION, "run_id": run_id,
+                      "meta": dict(meta)}
             self._last_seq[run_id] = -1
             self._write(json.dumps(header, sort_keys=True))
 
     def emit(self, run_id: str, kind: str, **payload: Any) -> TraceEvent:
-        """Append the next event of `run_id`, a run begun with :meth:`begin_run`."""
+        """Append the next event of `run_id`, a run begun with :meth:`begin_run`.
+        A payload field that :data:`EVENT_FIELDS` does not declare for `kind`,
+        or declares otherwise, is a :class:`TraceError` naming it."""
         if kind not in EVENT_KINDS:
             raise TraceError(f"unknown event kind {kind!r}")
         with self._lock:
             if run_id not in self._last_seq:
                 raise TraceError(f"run {run_id!r} has no header; call begin_run first")
             seq = self._last_seq[run_id] + 1
+            where = f"{kind} event {seq}"
+            undeclared = payload.keys() - EVENT_FIELDS[kind].keys()
+            if undeclared:
+                raise TraceError(f"{where}: undeclared field {min(undeclared)!r}")
+            check_fields(payload, EVENT_FIELDS[kind], where=where, error=TraceError)
             event = TraceEvent(
                 run_id=run_id, seq=seq, timestamp=self.clock(), kind=kind, payload=payload
             )
@@ -177,8 +196,9 @@ class TraceSink:
 def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceEvent]]:
     """Load a trace file back into (headers by run_id, events in file order).
 
-    Re-validates version (1 or 2), event kinds, one header per run, and
-    per-run sequence contiguity.
+    Re-validates version (1 or 2), event kinds, each line's envelope, one
+    header per run, and per-run sequence contiguity.  Payloads are checked
+    run by run, by :func:`compute_metrics`, so a bad one hides no other run.
     """
     headers: dict[str, dict[str, Any]] = {}
     events: list[TraceEvent] = []
@@ -193,26 +213,25 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
             except json.JSONDecodeError as err:
                 raise TraceError(f"{path}:{line_no}: not JSON: {err}") from None
             check_value(doc, dict, name=f"{path}:{line_no}: line", error=TraceError)
-            if doc.get("kind") == "header":
+            kind = doc.get("kind")
+            if kind == "header":
                 if doc.get("version") not in (1, TRACE_VERSION):
                     raise TraceError(
                         f"{path}:{line_no}: unsupported trace version {doc.get('version')!r}"
                     )
-                read = partial(read_field, doc, where=f"{path}:{line_no}: header",
-                               error=TraceError)
-                run_id = read("run_id", str)
-                read("meta", dict, default={})
+                check_fields(doc, _HEADER_FIELDS, where=f"{path}:{line_no}: header",
+                             error=TraceError)
+                run_id = doc["run_id"]
                 if run_id in headers:
                     raise TraceError(f"{path}:{line_no}: second header for run {run_id!r}")
                 headers[run_id] = doc
                 last_seq[run_id] = -1
                 continue
-            if doc.get("kind") not in EVENT_KINDS:
-                raise TraceError(f"{path}:{line_no}: unknown event kind {doc.get('kind')!r}")
-            read = partial(read_field, doc, where=f"{path}:{line_no}: {doc['kind']} event",
-                           error=TraceError)
-            run_id, seq, ts = read("run_id", str), read("seq"), read("ts")
-            payload = read("payload", dict, default={})
+            if kind not in EVENT_KINDS:
+                raise TraceError(f"{path}:{line_no}: unknown event kind {kind!r}")
+            check_fields(doc, _ENVELOPE_FIELDS, where=f"{path}:{line_no}: {kind} event",
+                         error=TraceError)
+            run_id, seq = doc["run_id"], doc["seq"]
             if run_id not in headers:
                 raise TraceError(f"{path}:{line_no}: event before header for run {run_id!r}")
             expected = last_seq[run_id] + 1
@@ -221,9 +240,8 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                     f"{path}:{line_no}: run {run_id!r} expected seq {expected}, got {seq}"
                 )
             last_seq[run_id] = seq
-            events.append(
-                TraceEvent(run_id=run_id, seq=seq, timestamp=ts, kind=doc["kind"], payload=payload)
-            )
+            events.append(TraceEvent(run_id=run_id, seq=seq, timestamp=doc["ts"], kind=kind,
+                                     payload=doc.get("payload", {})))
     return headers, events
 
 
@@ -288,20 +306,15 @@ class MetricsRecord:
 def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]]:
     """Per-role prompt and output tokens summed over the ``role_call`` events,
     in role order: the one account of a run's tokens.  A call that ended on a
-    backend error adds unknown counts, since its usage is not known."""
+    backend error adds unknown counts, since its usage is not known.  The
+    payloads are read unchecked (see the module docstring)."""
     usages: dict[str, TokenUsage] = {}
     for event in events:
         if event.kind == "role_call":
-            read = partial(read_field, event.payload, where=f"role_call event {event.seq}",
-                           error=TraceError)
-            usage = TokenUsage(
-                read("prompt_tokens", int, None, default=0),
-                read("output_tokens", int, None, default=0),
-            )
-            if "error" in event.payload:
-                usage = TokenUsage(None, None)
-            role = read("role", str, default="")
-            usages[role] = usages.get(role, TokenUsage()) + usage
+            p = event.payload
+            usage = TokenUsage(None, None) if "error" in p else TokenUsage(
+                p["prompt_tokens"], p["output_tokens"])
+            usages[p["role"]] = usages.get(p["role"], TokenUsage()) + usage
     return {role: asdict(usage) for role, usage in sorted(usages.items())}
 
 
@@ -328,9 +341,12 @@ def read_gold(gold: Mapping[str, Any], *, where: str,
     return read("answer", str, default=None), constraints
 
 
-def _check_constraints(plan_text: str,
-                       constraints: Sequence[tuple[str, str]]) -> tuple[float, bool]:
-    met = [(value.casefold() in plan_text.casefold()) == (kind == "mentions")
+def _check_constraints(plan_text: str | None, constraints: Sequence[tuple[str, str]]
+                       ) -> tuple[float | None, bool | None]:
+    """(share met, all met), undefined without constraints; no plan text meets none."""
+    if not constraints:
+        return None, None
+    met = [bool(plan_text) and (value.casefold() in plan_text.casefold()) == (kind == "mentions")
            for kind, value in constraints]
     return sum(met) / len(met), all(met)
 
@@ -345,66 +361,55 @@ def compute_metrics(
     """Reduce one run's events (+ its gold record) to a MetricsRecord.
 
     Pure function of its inputs — this is what both live reporting and
-    offline replay call, so the two can be compared for exact equality.  A
-    field of the wrong type, `method` included, is a :class:`TraceError`
-    naming the event and the field.
+    offline replay call, so the two can be compared for exact equality.  Each
+    event is checked against :data:`EVENT_FIELDS`, and `gold`, `method` and
+    the graded ``env_metrics`` fields by their own reads; a field of the wrong
+    type is a :class:`TraceError` naming the event and the field.
     """
     gold_answer, constraints = read_gold(
         check_value(gold or {}, Mapping, name="'gold'", error=TraceError), where="gold",
         error=TraceError)
+    for event in events:
+        check_fields(event.payload, EVENT_FIELDS[event.kind],
+                     where=f"{event.kind} event {event.seq}", error=TraceError)
     run_end = next((e for e in reversed(events) if e.kind == "run_end"), None)
     if run_end is None:
         raise TraceError("run has no run_end event")
-    read = partial(read_field, run_end.payload, where=f"run_end event {run_end.seq}",
-                   error=TraceError)
-    env_metrics = read("env_metrics", dict, default={})
-    read_env = partial(read_field, env_metrics, where=f"run_end event {run_end.seq} env_metrics",
-                       error=TraceError)
-    delivery = read("delivered", bool, default=False)
+    end = run_end.payload
+    read_env = partial(read_field, end["env_metrics"],
+                       where=f"run_end event {run_end.seq} env_metrics", error=TraceError)
 
     answer = read_env("answer", str, None, default=None)
     accuracy = None if gold_answer is None else (
         answer is not None and normalize_answer(answer) == normalize_answer(gold_answer)
     )
-    delivered_accuracy = accuracy if (delivery and accuracy is not None) else None
+    delivered_accuracy = accuracy if (end["delivered"] and accuracy is not None) else None
 
     tokens = role_tokens(events)
     total = sum((TokenUsage(**role) for role in tokens.values()), TokenUsage())
     prompt_tokens, output_tokens = (None if n is None else float(n) for n in astuple(total))
 
-    replans = sum(
-        read_field(e.payload, "accepted", bool, default=False, where=f"replan event {e.seq}",
-                   error=TraceError)
-        for e in events if e.kind == "replan"
-    )
-
-    constraint_micro: float | None = None
-    constraint_macro: bool | None = None
-    if constraints:
-        plan_text = read_env("plan_text", str, None, default=None)
-        if plan_text:
-            constraint_micro, constraint_macro = _check_constraints(plan_text, constraints)
-        else:
-            constraint_micro, constraint_macro = 0.0, False
+    plan_text = read_env("plan_text", str, None, default=None) if constraints else None
+    constraint_micro, constraint_macro = _check_constraints(plan_text, constraints)
 
     return MetricsRecord(
         run_id=run_id or run_end.run_id,
         method=check_value(method, str, name="compute_metrics: 'method'", error=TraceError)
-        or read("method", str, default=""),
-        delivery=delivery,
+        or end["method"],
+        delivery=end["delivered"],
         accuracy=accuracy,
         delivered_accuracy=delivered_accuracy,
         avg_reward=read_env("reward", float, int, None, default=None),
         avg_prompt_tokens=prompt_tokens,
         avg_output_tokens=output_tokens,
-        replans_total=replans,
+        replans_total=sum(e.payload["accepted"] for e in events if e.kind == "replan"),
         constraint_micro=constraint_micro,
         constraint_macro=constraint_macro,
-        steps_used=read("steps_used", int, default=0),
-        terminal=read("terminal", str, default=""),
-        reason=read("reason", str, default=""),
-        env_metrics=env_metrics,
-        node_records=read("node_records", dict, default={}),
+        steps_used=end["steps_used"],
+        terminal=end["terminal"],
+        reason=end["reason"],
+        env_metrics=end["env_metrics"],
+        node_records=end["node_records"],
         role_tokens=tokens,
     )
 

@@ -714,6 +714,21 @@ def _revise_history(prompt: str) -> str:
 
 
 class TestRunTask:
+    def test_a_malformed_gold_record_ends_the_run_before_anything_is_spent(self):
+        """The gold is read by replay's rule before the environment is reset
+        or the header written: no backend call, and no line of the run."""
+        bridge = next(f for f in WIKI_FIXTURES if f.stem == "wiki_bridge")
+        instance = replace(load_task_instance(bridge), gold={"answer": 5})
+        config = load_config(CONFIG_DIR / "scripted_wiki.json")
+        recorders = {role: RecordingBackend(b) for role, b in config.role_backends.items()}
+        sink = TraceSink(clock=CounterClock())
+        with pytest.raises(TraceError, match=r"^gold: 'answer' must be a string, got 5$"):
+            run_task(instance, make_environment(instance.environment),
+                     replace(config, role_backends=recorders), sink=sink, run_id="r")
+        assert [r.calls for r in recorders.values()] == [[]] * len(recorders)
+        assert sink.events_for("r") == []
+        sink.begin_run("r", {})  # no header of the run either
+
     def test_diamond_transcript_matches_the_oracle(self):
         sink = TraceSink(clock=CounterClock())
         report = run_task(diamond_instance(), make_environment("textlab"),

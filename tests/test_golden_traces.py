@@ -36,7 +36,8 @@ from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
-from tdp.telemetry import CounterClock, TraceError, TraceSink, read_trace
+from tdp.fields import check_fields
+from tdp.telemetry import EVENT_FIELDS, CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
 from scenarios import (
@@ -219,6 +220,20 @@ def test_no_role_is_called_after_the_episode_ends(name):
     ends = [i for i, e in enumerate(events) if e["kind"] == "env_step" and e["payload"]["done"]]
     after = [e["kind"] for e in events[ends[0] + 1:]] if ends else []
     assert "role_call" not in after, after
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_event_matches_the_event_table(name, tmp_path):
+    """Each event the case wrote, read back from its file, has every
+    required field of its kind, each of a declared type, and no other."""
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(_run_of(name).trace)
+    _, events = read_trace(path)
+    for event in events:
+        fields = EVENT_FIELDS[event.kind]
+        where = f"{event.kind} event {event.seq}"
+        assert set(event.payload) <= set(fields), (where, sorted(set(event.payload) - set(fields)))
+        check_fields(event.payload, fields, where=where, error=AssertionError)
 
 
 @pytest.mark.parametrize("name", TDP_CASES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import builtins
 import json
 import os
@@ -14,7 +15,9 @@ from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import run_task
 from tdp.environments import load_task_instance, make_environment
+from tdp.fields import _NAMES
 from tdp.telemetry import (
+    EVENT_FIELDS,
     CounterClock,
     MetricsRecord,
     SequenceError,
@@ -28,27 +31,36 @@ from tdp.telemetry import (
     role_tokens,
 )
 
-from conftest import CONFIG_DIR, FIXTURE_DIR
-from scenarios import with_fault
+from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
+from scenarios import ChainEnv, chain_config, chain_instance, tdp_chain_rules, with_fault
 
 #: The ``tdp-revise/chain3`` golden case as trace version 1 wrote it:
 #: ``graph_constructed`` holds a graph snapshot instead of a delta.
 V1_TRACE = Path(__file__).with_name("trace_v1.jsonl")
 
 
+#: A payload of each event kind holding every required field, for events
+#: built by hand.
+PAYLOADS = {
+    "node_dispatched": {"node_id": "n"},
+    "node_status": {"node_id": "n", "status": "completed", "replan_count": 0},
+    "role_call": {"role": "planner", "template": "plan", "scope": "global", "attempts": 1,
+                  "prompt_tokens": 0, "output_tokens": 0, "prompt_chars": 0, "ok": True},
+    "env_step": {"step_index": 1, "action": "look", "observation": "ok", "reward_delta": None,
+                 "done": False, "scope": "global"},
+    "replan": {"scope": "global", "accepted": False, "replan_count": 0},
+    "run_end": {"terminal": "Completed", "reason": "task done", "steps_used": 3,
+                "delivered": True, "method": "tdp", "env_metrics": {}, "node_records": {},
+                "role_tokens": {}},
+}
+
+
+def _payload(kind, **fields):
+    return {**PAYLOADS[kind], **fields}
+
+
 def _run_end(run_id="r1", **overrides):
-    payload = {
-        "terminal": "Completed",
-        "reason": "task done",
-        "steps_used": 3,
-        "delivered": True,
-        "method": "tdp",
-        "env_metrics": {},
-        "node_records": {},
-        "role_tokens": {},
-    }
-    payload.update(overrides)
-    return TraceEvent(run_id=run_id, seq=0, timestamp=0.0, kind="run_end", payload=payload)
+    return _event(0, "run_end", run_id=run_id, **overrides)
 
 
 def _file_backed_run(path, instance, monkeypatch):
@@ -71,8 +83,9 @@ def _file_backed_run(path, instance, monkeypatch):
     return sink, report, handles
 
 
-def _event(seq, kind, run_id="r1", **payload):
-    return TraceEvent(run_id=run_id, seq=seq, timestamp=float(seq), kind=kind, payload=payload)
+def _event(seq, kind, run_id="r1", **fields):
+    return TraceEvent(run_id=run_id, seq=seq, timestamp=float(seq), kind=kind,
+                      payload=_payload(kind, **fields))
 
 
 # -- sink and sequence discipline ----------------------------------------------
@@ -83,7 +96,7 @@ class TestTraceSink:
         sink = TraceSink(clock=CounterClock())
         sink.begin_run("r1", {"method": "tdp"})
         first = sink.emit("r1", "node_dispatched", node_id="node_1")
-        second = sink.emit("r1", "node_status", node_id="node_1", status="completed")
+        second = sink.emit("r1", "node_status", **_payload("node_status", node_id="node_1"))
         assert (first.seq, second.seq) == (0, 1)
         assert [e.kind for e in sink.events_for("r1")] == ["node_dispatched", "node_status"]
 
@@ -94,7 +107,7 @@ class TestTraceSink:
         sink.begin_run("b", {})
         sink.emit("a", "node_dispatched", node_id="n")
         sink.emit("b", "node_dispatched", node_id="n")
-        sink.emit("a", "node_status", node_id="n", status="completed")
+        sink.emit("a", "node_status", **_payload("node_status"))
         assert [e.seq for e in sink.events_for("a")] == [0, 1]
         assert [e.seq for e in sink.events_for("b")] == [0]
         headers, _ = read_trace(path)
@@ -172,7 +185,7 @@ class TestTraceSink:
         path.write_text("stale content\n")
         sink = TraceSink(path, clock=CounterClock())
         sink.begin_run("r1", {"method": "react"})
-        sink.emit("r1", "run_end", terminal="Completed")
+        sink.emit("r1", "run_end", **_payload("run_end"))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         header = json.loads(lines[0])
@@ -196,10 +209,10 @@ class TestTraceSink:
         path = tmp_path / "runs.jsonl"
         sink = TraceSink(path, clock=CounterClock())
         sink.begin_run("a", {})
-        sink.emit("a", "run_end", terminal="Completed")
+        sink.emit("a", "run_end", **_payload("run_end"))
         sink.close()
         sink.begin_run("b", {})
-        sink.emit("b", "run_end", terminal="Completed")
+        sink.emit("b", "run_end", **_payload("run_end"))
         sink.close()
         headers, events = read_trace(path)
         assert list(headers) == ["a", "b"]
@@ -220,7 +233,7 @@ class TestReadTrace:
         sink = TraceSink(path, clock=CounterClock())
         sink.begin_run("r1", {"method": "tdp", "gold": {"answer": "x"}})
         sink.emit("r1", "node_dispatched", node_id="node_1")
-        sink.emit("r1", "run_end", terminal="Completed", delivered=True)
+        sink.emit("r1", "run_end", **_payload("run_end"))
         headers, events = read_trace(path)
         assert headers["r1"]["meta"]["gold"] == {"answer": "x"}
         assert events == sink.events_for("r1")
@@ -258,6 +271,10 @@ class TestReadTrace:
          r"trace\.jsonl:2: run_end event: 'payload' must be an object, got 5"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": ["r"], "seq": 0, "ts": 0})],
          r"trace\.jsonl:2: run_end event: 'run_id' must be a string, got \['r'\]"),
+        ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": True, "ts": 0})],
+         r"trace\.jsonl:2: run_end event: 'seq' must be an integer, got True"),
+        ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": "yesterday"})],
+         r"trace\.jsonl:2: run_end event: 'ts' must be a number or an integer, got 'yesterday'"),
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, lines, message):
         path = self._write(tmp_path, lines)
@@ -322,6 +339,85 @@ class TestReadTrace:
         )
         with pytest.raises(SequenceError, match="expected seq 1, got 2"):
             read_trace(path)
+
+
+# -- the event table ---------------------------------------------------------------
+
+
+#: A writer bug: the kind of event it breaks, how, and the error emit raises.
+WRITER_BUGS = {
+    "steps_used a string": ("run_end", lambda p: p.update(steps_used="3"),
+                            r"run_end event \d+: 'steps_used' must be an integer, got '3'"),
+    "an undeclared field": ("replan", lambda p: p.update(nodes_touched=["node_1"]),
+                            r"replan event \d+: undeclared field 'nodes_touched'"),
+    "a role_call without attempts": ("role_call", lambda p: p.pop("attempts"),
+                                     r"role_call event 0: missing required field 'attempts'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_BUGS))
+def test_a_writer_bug_fails_at_emit_naming_the_kind_and_the_field(case, monkeypatch):
+    """A tdp run over a chain whose every event of one kind is written
+    wrong: the first such event raises, and none of them reaches the trace."""
+    kind, bug, message = WRITER_BUGS[case]
+    real_emit = TraceSink.emit
+
+    def buggy_emit(self, run_id, event_kind, **payload):
+        if event_kind == kind:
+            bug(payload)
+        return real_emit(self, run_id, event_kind, **payload)
+
+    monkeypatch.setattr(TraceSink, "emit", buggy_emit)
+    sink = TraceSink(clock=CounterClock())
+    with pytest.raises(TraceError, match=message):
+        run_task(chain_instance(3), ChainEnv(), chain_config(3, tdp_chain_rules(3)), sink=sink,
+                 run_id="r")
+    assert kind not in {e.kind for e in sink.events_for("r")}
+
+
+def test_readme_lists_each_event_kind_s_fields():
+    """README's "Traces and metrics" section has one bullet per event kind,
+    naming its fields as :data:`EVENT_FIELDS` declares them."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Traces and metrics\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [line for line in section.splitlines() if line.startswith("- ")]
+    expected = [
+        f"- `{kind}`: " + ", ".join(
+            f"`{name}` ({' or '.join(_NAMES[t] for t in field.types)}"
+            f"{'' if field.required else ', optional'})"
+            for name, field in fields.items())
+        for kind, fields in EVENT_FIELDS.items()
+    ]
+    assert bullets == expected
+
+
+#: The payload fields perfbench's workloads read by subscript, with no check
+#: of their own, by event kind.
+PERFBENCH_READS = {
+    "role_call": {"prompt_tokens", "output_tokens", "attempts", "template"},
+    "revision": {"status"},
+}
+
+
+def test_the_payload_fields_perfbench_reads_unchecked_are_required():
+    """A field renamed in the table or made optional would leave the
+    benchmark counting from a key that is no longer written.  The reads are
+    found in the source: subscripts of an ``.payload`` attribute or of a name
+    bound to one."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+
+    def is_payload(node):
+        return isinstance(node, ast.Attribute) and node.attr == "payload"
+
+    aliases = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_payload(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and (is_payload(node.value) or getattr(node.value, "id", None) in aliases)}
+    assert read == set().union(*PERFBENCH_READS.values())
+    for kind, names in PERFBENCH_READS.items():
+        assert all(EVENT_FIELDS[kind][name].required for name in names), kind
 
 
 # -- metrics -------------------------------------------------------------------------
