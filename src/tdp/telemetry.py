@@ -148,7 +148,8 @@ class TraceSink:
             header = {"kind": "header", "version": TRACE_VERSION, "run_id": run_id,
                       "meta": dict(meta)}
             self._last_seq[run_id] = -1
-            self._write(json.dumps(header, sort_keys=True))
+            if self.path is not None:
+                self._write(json.dumps(header, sort_keys=True))
 
     def emit(self, run_id: str, kind: str, **payload: Any) -> TraceEvent:
         """Append the next event of `run_id`, a run begun with :meth:`begin_run`.
@@ -170,12 +171,13 @@ class TraceSink:
             )
             self._last_seq[run_id] = seq
             self._events.append(event)
-            self._write(event.to_line())
+            if self.path is not None:
+                self._write(event.to_line())
         return event
 
     def _write(self, line: str) -> None:
-        if self.path is None:
-            return
+        """Append `line` to the trace file; called only when the sink has one,
+        so an in-memory sink never serialises an event."""
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(line + "\n")

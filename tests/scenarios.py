@@ -15,10 +15,13 @@ from typing import Any
 
 from tdp.engine import STALL_ROUNDS, Run, RunConfig, execute_node
 from tdp.environments import make_environment
-from tdp.environments.base import Environment, StepResult, TaskInstance
+from tdp.environments.base import TaskInstance
 from tdp.graph import MAX_NODES, NodeStatus, OutcomeSummary, SubTaskNode, TaskGraph
 from tdp.roles import Completion, ModelBackend, ScriptedBackend, ScriptRule, TokenUsage
 from tdp.telemetry import MetricsRecord, TraceEvent, TraceSink
+
+from perfbench import chain
+from perfbench.chain import ChainEnv  # noqa: F401  (the chain tests' environment)
 
 # ---------------------------------------------------------------------------
 # reply builders
@@ -632,99 +635,27 @@ def target_plan_prompt(graph: TaskGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# staged-chain scenario: W stages, each stage throws one obstacle that forces
-# a replan.  Used to compare how replanning prompt size scales with task
-# length under node-scoped contexts versus one global plan over full history.
+# staged-chain scenario: perfbench's chain with an obstacle at every stage,
+# each with a 40-word filler, so every stage forces one replan.  Used to
+# compare how replanning prompt size scales with task length under
+# node-scoped contexts versus one global plan over full history.
 
 
-class ChainEnv(Environment):
-    """W-stage work queue; every stage needs `work i` and then `resolve i`.
-
-    `work i` surfaces an obstacle with a deliberately long observation, so
-    any prompt that carries the whole run's history grows by ~500 chars per
-    stage while a stage-scoped prompt does not.
-    """
-
-    name = "chain"
-
-    def __init__(self) -> None:
-        self._stages = 0
-        self._stage = 1
-        self._pending = False
-        self._cleared = 0
-        self._done = False
-
-    def reset(self, instance: TaskInstance) -> str:
-        stages = int(instance.payload["stages"])
-        if stages < 1:
-            raise ValueError("chain needs at least one stage")
-        self._stages = stages
-        self._stage = 1
-        self._pending = False
-        self._cleared = 0
-        self._done = False
-        return f"Work queue ready: {stages} stages, to be cleared in order."
-
-    def admissible_commands(self) -> list[str]:
-        return [
-            "work <n> - start the stage n work order",
-            "resolve <n> - clear the blocker that stage n surfaced",
-        ]
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def step(self, action: str) -> StepResult:
-        self._guard_open()
-        act = action.strip()
-        if act == f"work {self._stage}" and not self._pending:
-            self._pending = True
-            filler = " ".join(f"detail-{self._stage}-{k}" for k in range(40))
-            return StepResult(f"obstacle at stage {self._stage}: {filler}")
-        if act == f"resolve {self._stage}" and self._pending:
-            self._pending = False
-            self._cleared += 1
-            obs = f"stage {self._stage} resolved"
-            if self._stage == self._stages:
-                self._done = True
-                return StepResult(obs, reward_delta=1.0, done=True)
-            self._stage += 1
-            return StepResult(obs)
-        return StepResult("nothing happened")
-
-    def metrics(self) -> dict[str, Any]:
-        return {
-            "delivered": self._done,
-            "stages_cleared": self._cleared,
-            "stages_total": self._stages,
-        }
+def chain_spec(stages: int) -> chain.ChainSpec:
+    return chain.ChainSpec(stages, tuple((i, 40) for i in range(1, stages + 1)))
 
 
 def chain_instance(stages: int) -> TaskInstance:
-    return TaskInstance(
-        id=f"chain{stages}",
-        environment="chain",
-        query=f"Clear all {stages} stages of the work queue in order.",
-        payload={"stages": stages},
-    )
+    return chain.instance(chain_spec(stages))
 
 
 def chain_config(stages: int, role_backends: dict[str, RecordingBackend]) -> RunConfig:
-    # 2 env interactions per stage; the replan cap covers one replan per stage
-    return RunConfig(
-        s_max=2 * stages + 2,
-        max_replans_per_node=stages,
-        role_backends=dict(role_backends),
-    )
-
-
-def _stage_frag(i: int) -> str:
-    return f"Handle stage {i} of"
+    return chain.run_config(chain_spec(stages), role_backends)
 
 
 def reworded_stage(i: int) -> str:
-    """Stage i's description after a revision; keeps the text its rules match on."""
+    """Stage i's description after a revision in :func:`chain.tdp_rules`;
+    it keeps the text the stage's rules match on."""
     return f"Handle stage {i} of the queue, now that the earlier stages are clear."
 
 
@@ -732,132 +663,8 @@ def tdp_chain_rules(stages: int, revise: bool = False) -> dict[str, RecordingBac
     """With ``revise`` the supervisor rewords the next pending node every round
     (:func:`reworded_stage`), so every revision applies; otherwise every
     revision is a noop."""
-    node_specs = [
-        (
-            f"node_{i}",
-            f"Handle stage {i} of the queue.",
-            [] if i == 1 else [f"node_{i - 1}"],
-        )
-        for i in range(1, stages + 1)
-    ]
-    supervisor = [
-        rule(
-            "supervisor:construct",
-            [f"Clear all {stages} stages"],
-            subgoals_reply(*node_specs),
-        )
-    ]
-    planner: list[ScriptRule] = []
-    executor: list[ScriptRule] = []
-    for i in range(stages, 0, -1):
-        frag = _stage_frag(i)
-        supervisor.append(
-            rule(
-                "supervisor:evaluate",
-                [frag, f"stage {i} resolved"],
-                eval_reply("completed", f"Stage {i} finished with its blocker cleared."),
-            )
-        )
-        supervisor.append(
-            rule(
-                "supervisor:evaluate",
-                [frag, f"obstacle at stage {i}:"],
-                eval_reply(
-                    "needs_more_steps",
-                    f"A blocker surfaced at stage {i}; the plan must deal with it first.",
-                    need_replan=True,
-                ),
-            )
-        )
-        planner.append(
-            rule("planner:plan", [frag], plan_reply(f"Run the stage {i} work order."))
-        )
-        planner.append(
-            rule(
-                "planner:replan",
-                [frag, f"obstacle at stage {i}:"],
-                replan_accept(
-                    plan_reply(f"Clear the blocker, then finish the stage {i} work."),
-                    thought=f"The blocker at stage {i} must be handled before the work order.",
-                ),
-            )
-        )
-        executor.append(
-            rule("executor:execute", [frag, f"obstacle at stage {i}:"], f"resolve {i}")
-        )
-        executor.append(rule("executor:execute", [frag], f"work {i}"))
-    if revise:
-        for i in range(stages - 1, 0, -1):
-            supervisor.append(
-                rule(
-                    "supervisor:revise",
-                    [f"- node_{i} [completed]", f"- node_{i + 1} [pending]"],
-                    revision_reply((f"node_{i + 1}", reworded_stage(i + 1))),
-                )
-            )
-    else:
-        supervisor.append(rule("supervisor:revise", [], NOOP_REVISION))
-    return backends(supervisor, planner, executor)
+    return backends(**chain.tdp_rules(chain_spec(stages), revise))
 
 
 def planact_chain_rules(stages: int) -> dict[str, RecordingBackend]:
-    planner = [
-        rule(
-            "planner:plan",
-            [f"Clear all {stages} stages"],
-            plan_reply(
-                "Work the stages in order from first to last, clearing blockers as they appear."
-            ),
-        )
-    ]
-    executor: list[ScriptRule] = []
-    supervisor: list[ScriptRule] = [
-        rule(
-            "supervisor:evaluate",
-            [f"stage {stages} resolved"],
-            eval_reply("completed", "Every stage has been cleared."),
-        )
-    ]
-    for i in range(stages, 0, -1):
-        if i < stages:
-            executor.append(
-                rule("executor:execute", [f"stage {i} resolved"], f"work {i + 1}")
-            )
-            supervisor.append(
-                rule(
-                    "supervisor:evaluate",
-                    [f"stage {i} resolved"],
-                    eval_reply(
-                        "needs_more_steps", f"Stage {i} is done; begin stage {i + 1} next."
-                    ),
-                )
-            )
-        executor.append(
-            rule("executor:execute", [f"obstacle at stage {i}:"], f"resolve {i}")
-        )
-        supervisor.append(
-            rule(
-                "supervisor:evaluate",
-                [f"obstacle at stage {i}:"],
-                eval_reply(
-                    "needs_more_steps",
-                    f"A blocker surfaced at stage {i}; the plan must deal with it first.",
-                    need_replan=True,
-                ),
-            )
-        )
-        planner.append(
-            rule(
-                "planner:replan",
-                [f"obstacle at stage {i}:"],
-                replan_accept(
-                    plan_reply(
-                        f"Clear the stage {i} blocker before anything else.",
-                        "Continue the remaining stages in order.",
-                    ),
-                    thought=f"The blocker at stage {i} invalidates the straight-through plan.",
-                ),
-            )
-        )
-    executor.append(rule("executor:execute", ["(no actions yet)"], "work 1"))
-    return backends(supervisor, planner, executor)
+    return backends(**chain.planact_rules(chain_spec(stages)))

@@ -371,7 +371,7 @@ class TestExecuteNode:
         assert [e.action for e in node.local_trace] == ["work 1", "resolve 1"]
         assert node.local_trace[0].observation.startswith("obstacle at stage 1:")
         assert node.outcome.key_observations == ("stage 1 resolved",)
-        assert node.outcome.summary_text == "Stage 1 finished with its blocker cleared."
+        assert node.outcome.summary_text == "Stage 1 finished with its work order done."
 
     def test_failed_verdict_closes_the_node(self):
         config = _exec_config(
@@ -882,7 +882,7 @@ class TestRunTask:
         for k, prompt in enumerate(prompts, start=1):
             outcome = OutcomeSummary(
                 terminal_status=NodeStatus.COMPLETED,
-                summary_text=f"Stage {k} finished with its blocker cleared.",
+                summary_text=f"Stage {k} finished with its work order done.",
                 key_observations=(f"stage {k} resolved",))
             history = _revise_history(prompt)
             assert history == render_outcomes([f"node_{k}"], [outcome])

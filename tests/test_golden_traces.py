@@ -13,7 +13,7 @@ every tdp trace alone rebuilds its run's graph.
 The tests only read those files.  A change that alters traces or prompts on
 purpose regenerates both with
 
-    PYTHONPATH=src python tests/test_golden_traces.py
+    PYTHONPATH=src:. python tests/test_golden_traces.py
 
 and says in CHANGES.md why they changed; it prints each case that is new
 (``added:``) and each case whose trace or prompt hash moved (``changed:``).
@@ -40,19 +40,18 @@ from tdp.fields import check_fields
 from tdp.telemetry import EVENT_FIELDS, CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
+from perfbench import chain
 from scenarios import (
     ChainEnv,
     RecordingBackend,
-    chain_config,
-    chain_instance,
+    backends,
+    chain_spec,
     diamond_config,
     diamond_instance,
     diamond_repair_config,
     diamond_repair_instance,
     diamond_rules,
-    planact_chain_rules,
     reworded_stage,
-    tdp_chain_rules,
     travel_locality_config,
     travel_locality_instance,
     travel_locality_rules,
@@ -74,17 +73,14 @@ def _fixture_case(method: str, fixture: Path, config_name: str) -> Case:
     return build
 
 
-def _chain_case(method: str, stages: int, revise: bool = False, **overrides: Any) -> Case:
+def _chain_case(method: str, spec: chain.ChainSpec, revise: bool = False,
+                **overrides: Any) -> Case:
     def build():
-        rules = (
-            tdp_chain_rules(stages, revise=revise)
-            if method == "tdp"
-            else planact_chain_rules(stages)
-        )
-        config = chain_config(stages, rules)
+        rules = chain.tdp_rules(spec, revise) if method == "tdp" else chain.planact_rules(spec)
+        config = chain.run_config(spec, backends(**rules))
         for name, value in overrides.items():
             setattr(config, name, value)
-        return method, chain_instance(stages), ChainEnv(), config
+        return method, chain.instance(spec), ChainEnv(), config
 
     return build
 
@@ -108,14 +104,17 @@ def _cases() -> dict[str, Case]:
         "tdp", TRAVEL_FIXTURE, "scripted_travel.json"
     )
     for stages in (3, 8):
-        cases[f"tdp/chain{stages}"] = _chain_case("tdp", stages)
-        cases[f"tdp-revise/chain{stages}"] = _chain_case("tdp", stages, revise=True)
-        cases[f"plan-act/chain{stages}"] = _chain_case("plan-act", stages)
-    # no replan allowed: both methods write the budget-exhausted replan event
+        spec = chain_spec(stages)
+        cases[f"tdp/chain{stages}"] = _chain_case("tdp", spec)
+        cases[f"tdp-revise/chain{stages}"] = _chain_case("tdp", spec, revise=True)
+        cases[f"plan-act/chain{stages}"] = _chain_case("plan-act", spec)
     for method in ("tdp", "plan-act"):
+        # no replan allowed: both methods write the budget-exhausted replan event
         cases[f"{method}/chain3-no-replans"] = _chain_case(
-            method, 3, max_replans_per_node=0
+            method, chain_spec(3), max_replans_per_node=0
         )
+        # the benchmark's seeded shape: stage 5 plain, fillers of 37, 40, 37 and 43 words
+        cases[f"{method}/chain5-seed1"] = _chain_case(method, chain.generate(1, 5, 4))
     cases["tdp/diamond_lab"] = _scenario_case(
         diamond_instance, lambda: diamond_config(diamond_rules())
     )
@@ -271,6 +270,21 @@ def test_the_repair_case_completes_by_revision():
     assert (new_node["id"], new_node["dependents"]) == ("node_5", ["node_4"])
     (run_end,) = [e["payload"] for e in events if e["kind"] == "run_end"]
     assert (run_end["terminal"], run_end["delivered"]) == ("Completed", True)
+
+
+@pytest.mark.parametrize("method", ("tdp", "plan-act"))
+def test_the_seeded_chain_clears_its_plain_stage_without_a_replan(method):
+    """The seed-1 chain5 leaves stage 5 plain: both methods clear it on
+    ``work 5`` alone, taking one step per stage plus one per obstacle and
+    one accepted replan per obstacle."""
+    spec = chain.generate(1, 5, 4)
+    events = [json.loads(line) for line in _run_of(f"{method}/chain5-seed1").trace.splitlines()]
+    actions = [e["payload"]["action"] for e in events if e["kind"] == "env_step"]
+    assert "work 5" in actions and "resolve 5" not in actions
+    replans = [e["payload"]["accepted"] for e in events if e["kind"] == "replan"]
+    assert replans == [True] * len(spec.obstacles)
+    (run_end,) = [e["payload"] for e in events if e["kind"] == "run_end"]
+    assert (run_end["terminal"], run_end["steps_used"]) == ("Completed", spec.steps)
 
 
 def test_a_version_1_trace_cannot_be_replayed():

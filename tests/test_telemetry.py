@@ -218,6 +218,21 @@ class TestTraceSink:
         assert list(headers) == ["a", "b"]
         assert [e.run_id for e in events] == ["a", "b"]
 
+    def test_a_sink_without_a_file_serialises_no_line(self, monkeypatch):
+        """An in-memory sink keeps its events as objects: a run completes
+        with no event turned into a trace line, and a header whose meta no
+        JSON can hold is kept without being written."""
+
+        def refuse(event):
+            raise AssertionError(f"serialised {event.kind} event {event.seq}")
+
+        monkeypatch.setattr(TraceEvent, "to_line", refuse)
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(3), ChainEnv(), chain_config(3, tdp_chain_rules(3)),
+                          sink=sink, run_id="r")
+        assert report.terminal == "Completed" and sink.events_for("r")[-1].kind == "run_end"
+        sink.begin_run("unwritable", {"method": object()})
+
 
 _HEADER = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
 
