@@ -39,14 +39,16 @@ def _whole_task_bindings(
     plan: Plan | None = None,
     guidance: str | None = None,
 ) -> dict[str, Any]:
-    """The whole-task view: the task is the sub-goal and the history is never
-    capped, because the baselines carry everything, every step."""
+    """The whole-task view: the task is the sub-goal, there are no
+    prerequisites, and the history is never capped, because the baselines
+    carry everything, every step."""
     return {
         "task_description": run.instance.query,
         "subgoal": run.instance.query,
         "current_plan": render_plan(plan) if plan is not None else None,
         "guidance": guidance,
         "admissible_commands": run.commands,
+        "prerequisites": None,
         "history": assemble_history(trace, len(trace)),
     }
 

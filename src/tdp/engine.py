@@ -15,15 +15,20 @@ Context discipline is the load-bearing property: a node's plan, execute,
 evaluate and replan prompts render from one view, :func:`node_bindings`: that
 node's description, current plan, direct dependencies' outcome summaries, own
 local trace, one-shot guidance and, for the roles that plan or act, the
-admissible commands.  The whole task never enters it, which keeps replan
-prompts small and node work order-independent.  A finished node's outcome
-summary carries only the observations its final plan produced, so an obstacle
-it replanned around stays in its own trace.  The supervisor's revision prompt
+admissible commands.  Each role's template reads only what its decision
+needs: the planner, which writes and rewrites the plan, sees the dependency
+outcomes (``prerequisites``); the executor and the evaluator see the
+sub-goal, the plan, any guidance and the node's own trace (``history``), so
+an upstream value reaches them only through the plan or the supervisor's
+wording.  The whole task never enters the view, which keeps replan prompts
+small and node work order-independent.  A finished node's outcome summary
+carries only the observations its final plan produced, so an obstacle it
+replanned around stays in its own trace.  The supervisor's revision prompt
 is scoped to the round and the frontier: the outcomes of the nodes dispatched
-since the previous revision, as dependents see them (:func:`render_outcomes`),
-plus the graph's frontier, with every other node only counted
-(:func:`~tdp.graph.render_dag_state`); a revision may edit only the nodes
-shown.  An executor reply whose verb is not one of the commands its prompt
+since the previous revision, as dependents' planners see them
+(:func:`render_outcomes`), plus the graph's frontier, with every other node
+only counted (:func:`~tdp.graph.render_dag_state`); a revision may edit only
+the nodes shown.  An executor reply whose verb is not one of the commands its prompt
 listed is a parse fault, so it never reaches the environment.
 
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
@@ -44,7 +49,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .environments import Environment, TaskInstance
 from .graph import (
-    NodeScopedContext,
     NodeStatus,
     OutcomeSummary,
     RevisionDelta,
@@ -77,7 +81,6 @@ __all__ = [
     "run_method",
     "assemble_history",
     "render_outcomes",
-    "render_context_history",
     "node_bindings",
     "construct",
     "execute_node",
@@ -168,22 +171,15 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
 
 def render_outcomes(node_ids: Sequence[str], outcomes: Sequence[OutcomeSummary]) -> str:
     """Outcome summaries as a node's dependents see them: one ``- [id] status:
-    summary`` line each, then its kept observations."""
+    summary`` line each, then its kept observations, each under an
+    ``observed:`` line whose continuation lines are indented beneath it."""
     lines: list[str] = []
     for node_id, outcome in zip(node_ids, outcomes):
         lines.append(f"- [{node_id}] {outcome.terminal_status.value}: {outcome.summary_text}")
-        lines.extend(f"  observed: {obs}" for obs in outcome.key_observations)
+        lines.extend(
+            "  observed: " + obs.replace("\n", "\n    ") for obs in outcome.key_observations
+        )
     return "\n".join(lines) if lines else NO_OUTCOMES_YET
-
-
-def render_context_history(context: NodeScopedContext, cap: int) -> str:
-    """The {history} binding for node-scoped prompts: dependency outcomes
-    first, then the node's own capped trace."""
-    local = assemble_history(context.local_trace, cap)
-    if not context.dependency_outcomes:
-        return local
-    outcomes = render_outcomes(context.dependency_ids, context.dependency_outcomes)
-    return f"Prerequisite results:\n{outcomes}\n\n{local}"
 
 
 def node_bindings(
@@ -191,18 +187,28 @@ def node_bindings(
 ) -> dict[str, Any]:
     """The node's view: every binding a node-scoped role prompt may use.
 
-    Sub-goal, the node's rendered current plan, one-shot guidance, the
-    admissible commands and the capped history from :func:`build_node_context`.
-    Each template renders the names it declares and ignores the rest.
+    Sub-goal, the node's rendered current plan, one-shot guidance and the
+    admissible commands, plus two renderings of :func:`build_node_context`:
+    ``prerequisites``, the direct dependencies' outcomes under
+    ``Prerequisite results:`` (``None`` for a node without dependencies, so
+    the prompt leaves the line out), and ``history``, the node's own capped
+    trace and nothing else.  Each template renders the names it declares and
+    ignores the rest: ``plan`` and ``replan`` declare ``prerequisites``,
+    ``execute`` and ``evaluate`` do not.
     """
     context = build_node_context(graph, node_id)
     plan = graph.nodes[node_id].plan
+    prerequisites = None
+    if context.dependency_outcomes:
+        outcomes = render_outcomes(context.dependency_ids, context.dependency_outcomes)
+        prerequisites = f"Prerequisite results:\n{outcomes}"
     return {
         "subgoal": context.subgoal,
         "current_plan": render_plan(plan) if plan is not None else None,
         "guidance": guidance,
         "admissible_commands": commands,
-        "history": render_context_history(context, HISTORY_CAP),
+        "prerequisites": prerequisites,
+        "history": assemble_history(context.local_trace, HISTORY_CAP),
     }
 
 

@@ -168,13 +168,15 @@ class NewNodeSpec:
 
 @dataclass(frozen=True)
 class NodeScopedContext:
-    """Everything of the graph the planner/executor roles may see while
-    working one node.
+    """Everything of the graph the node's roles may see while working one
+    node; each role sees only part of it.
 
     By construction: the node's own description, the outcomes of its direct
     dependencies (in dependency-id order, ids carried alongside for labeling),
     and its own local trace.  Nothing else; the node's plan and one-shot
     guidance join it as prompt bindings (:func:`tdp.engine.node_bindings`).
+    The dependency outcomes reach the planner alone, as ``prerequisites``;
+    the executor and the evaluator see the description and the local trace.
     """
 
     subgoal: str

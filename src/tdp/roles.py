@@ -19,7 +19,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Mapping, Sequence
@@ -127,9 +127,12 @@ class PromptTemplate:
     read: Reader
 
 
+@cache
 def load_template(name: str) -> PromptTemplate:
     """Load one packaged template by name; it declares the placeholders its
-    body holds, and its role and reader are its :data:`TEMPLATE_TABLE` row."""
+    body holds, and its role and reader are its :data:`TEMPLATE_TABLE` row.
+    Each packaged file is read once per process; a template is immutable, so
+    every caller shares the one loaded."""
     if name not in TEMPLATE_TABLE:
         raise KeyError(f"unknown template {name!r}")
     body = (resources.files("tdp") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
@@ -138,6 +141,7 @@ def load_template(name: str) -> PromptTemplate:
 
 
 def load_templates() -> dict[str, PromptTemplate]:
+    """A fresh name-to-template dict over the (cached) packaged templates."""
     return {name: load_template(name) for name in TEMPLATE_NAMES}
 
 

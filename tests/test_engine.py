@@ -23,7 +23,7 @@ from tdp.engine import (
     assemble_history,
     construct,
     execute_node,
-    render_context_history,
+    node_bindings,
     render_outcomes,
     replay_graph,
     run_task,
@@ -32,7 +32,6 @@ from tdp.engine import (
 from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
     MAX_NODES,
-    NodeScopedContext,
     NodeStatus,
     OutcomeSummary,
     RevisionDelta,
@@ -57,6 +56,7 @@ from graphgen import (
 from scenarios import (
     DIAMOND_EXPECTED,
     NOOP_REVISION,
+    TRAVEL_N1,
     ChainEnv,
     RecordingBackend,
     assert_ends_on_record,
@@ -166,38 +166,48 @@ class TestAssembleHistory:
         assert sum(1 for l in lines if l.startswith("Action: ")) == 10
 
 
-class TestRenderContextHistory:
-    def test_without_dependencies_is_just_the_local_trace(self):
-        context = NodeScopedContext(
-            subgoal="g", dependency_ids=(), dependency_outcomes=(),
-            local_trace=(entry(1, "a", "o"),))
-        assert render_context_history(context, cap=5) == "Action: a\nObservation: o"
+def _two_node_graph(dependency_outcome: OutcomeSummary) -> TaskGraph:
+    """node_1, completed with `dependency_outcome`, and node_2 depending on it."""
+    graph = TaskGraph(task_description="Plan the trip.")
+    graph.nodes["node_1"] = SubTaskNode(
+        id="node_1", description="Confirm the cities.", status=NodeStatus.COMPLETED,
+        outcome=dependency_outcome, local_trace=[entry(1, "a", "o")])
+    graph.nodes["node_2"] = SubTaskNode(
+        id="node_2", description="Book flights.", dependencies={"node_1"})
+    return graph
+
+
+class TestNodeBindings:
+    def test_without_dependencies_there_are_no_prerequisites(self):
+        graph = _two_node_graph(OutcomeSummary(NodeStatus.COMPLETED, "Cities confirmed."))
+        view = node_bindings(graph, "node_1", "c")
+        assert view["prerequisites"] is None
+        assert view["history"] == "Action: a\nObservation: o"
 
     def test_dependency_outcomes_render_ids_not_descriptions(self):
         outcome = OutcomeSummary(
             terminal_status=NodeStatus.COMPLETED,
             summary_text="Cities confirmed.",
             key_observations=("Cities in Illinois: Chicago, Peoria",))
-        context = NodeScopedContext(
-            subgoal="Book flights.", dependency_ids=("node_1",),
-            dependency_outcomes=(outcome,), local_trace=())
-        text = render_context_history(context, cap=5)
-        assert text == (
+        view = node_bindings(_two_node_graph(outcome), "node_2", "c")
+        assert view["prerequisites"] == (
             "Prerequisite results:\n"
             "- [node_1] completed: Cities confirmed.\n"
-            "  observed: Cities in Illinois: Chicago, Peoria\n"
-            "\n"
-            "(no actions yet)"
+            "  observed: Cities in Illinois: Chicago, Peoria"
         )
+        assert view["history"] == "(no actions yet)"  # its own trace only
 
     def test_outcomes_render_one_block_per_node_and_a_marker_when_none(self):
+        """A multi-line observation's continuation lines sit under its
+        ``observed:`` line."""
         failed = OutcomeSummary(terminal_status=NodeStatus.FAILED, summary_text="No way in.")
         done = OutcomeSummary(terminal_status=NodeStatus.COMPLETED, summary_text="Done.",
-                              key_observations=("o1", "o2"))
+                              key_observations=("o1\nrow 2", "o2"))
         assert render_outcomes(["node_2", "node_1"], [failed, done]) == (
             "- [node_2] failed: No way in.\n"
             "- [node_1] completed: Done.\n"
             "  observed: o1\n"
+            "    row 2\n"
             "  observed: o2"
         )
         assert render_outcomes([], []) == NO_OUTCOMES_YET
@@ -892,6 +902,42 @@ class TestRunTask:
             assert f"Prerequisite results:\n{history}\n\n" in dependent_plan
             assert "Action:" not in prompt
             assert "obstacle at stage" not in prompt
+
+    def test_a_multi_line_observation_stays_under_its_observed_line(self):
+        """The travel fixture's lodging search answers one line per place.  In
+        the revision prompt the second place sits under the first's
+        ``observed:`` line, not at column 0 beside the prompt's own labels."""
+        config = load_config(CONFIG_DIR / "scripted_travel.json")
+        supervisor = config.role_backends["supervisor"] = RecordingBackend(
+            config.role_backends["supervisor"])
+        instance = load_task_instance(TRAVEL_FIXTURE)
+        run_task(instance, make_environment(instance.environment), config)
+        (outcomes,) = [_revise_history(prompt) for prompt in _revise_prompts(supervisor)
+                       if "Warehouse District Suites" in prompt]
+        assert ("  observed: Riverside Inn | double | $95\n"
+                "    Warehouse District Suites | suite | $140") in outcomes
+
+    def test_only_the_planner_sees_the_dependency_outcomes(self):
+        """node_2 and node_3 of the travel scenario depend on node_1.  Their
+        plan and replan prompts carry node_1's outcome line; their execute and
+        evaluate prompts show the sub-goal, the plan and the node's own trace
+        only.  A plan call comes before its node's first action, so no plan
+        prompt shows an empty history."""
+        role_backends = travel_locality_rules()
+        run_task(travel_locality_instance("blocked"), make_environment("traveltoy"),
+                 travel_locality_config(role_backends))
+        outcome = "- [node_1] completed: Peoria and Chicago are confirmed Illinois cities."
+        node_prompts = [(tag.split(":")[1], prompt) for backend in role_backends.values()
+                        for tag, prompt in backend.calls
+                        if tag.split(":")[1] in ("plan", "execute", "evaluate", "replan")]
+        assert not [p for template, p in node_prompts if template == "plan" and NO_ACTIONS_YET in p]
+        dependent = [(template, p) for template, p in node_prompts if TRAVEL_N1 not in p]
+        assert {template for template, _ in dependent} == {"plan", "execute", "evaluate", "replan"}
+        for template, prompt in dependent:
+            if template in ("plan", "replan"):
+                assert f"Prerequisite results:\n{outcome}\n" in prompt, (template, prompt)
+            else:
+                assert outcome not in prompt and "Prerequisite" not in prompt, (template, prompt)
 
     def test_applied_revision_redirects_the_next_round(self):
         d2_old = "Check the stove."

@@ -207,6 +207,7 @@ def test_node_prompts_stay_scoped_to_their_node(name):
     for tag, prompt in node_calls:
         subgoal = prompt.split("Current Subgoal: ", 1)[1].split("\nCurrent Plan:", 1)[0]
         subgoal = subgoal.split("\nAvailable actions:", 1)[0]
+        subgoal = subgoal.split("\nPrerequisite results:", 1)[0]
         assert run.query not in prompt or run.query in subgoal, (tag, prompt)
         if tag == "supervisor:evaluate":
             shown = [command for command in run.commands if command in prompt]

@@ -72,17 +72,19 @@ PARSERS = {
 #: The one binding vocabulary, and the names each packaged template renders.
 VOCABULARY = frozenset({
     "task_description", "subgoal", "current_plan", "guidance", "reason",
-    "admissible_commands", "history", "current_step", "dag_state",
+    "admissible_commands", "prerequisites", "history", "current_step", "dag_state",
 })
 #: A node's prompts never name the whole task, and the evaluator, which judges
-#: but does not act, never sees the action list.
+#: but does not act, never sees the action list.  Only the planner, which
+#: writes the plan, sees the dependency outcomes (``prerequisites``); a plan
+#: call comes before the node's first action, so it sees no history.
 NODE_VIEW = {"subgoal", "current_plan", "history"}
 TEMPLATE_BINDINGS = {
     "construct": {"task_description", "admissible_commands"},
-    "plan": {"subgoal", "admissible_commands", "history"},
+    "plan": {"subgoal", "admissible_commands", "prerequisites"},
     "execute": NODE_VIEW | {"guidance", "admissible_commands"},
     "evaluate": NODE_VIEW,
-    "replan": NODE_VIEW | {"reason", "admissible_commands"},
+    "replan": NODE_VIEW | {"reason", "admissible_commands", "prerequisites"},
     "revise": {"task_description", "current_step", "history", "dag_state", "admissible_commands"},
     "react": {"task_description", "admissible_commands", "history"},
 }
@@ -137,7 +139,7 @@ TEMPLATE_FORMAT = {
 #: The most words each packaged template may spend outside its placeholders:
 #: each template's own count, so fixed text cannot grow back unnoticed.
 FIXED_WORD_CEILING = {
-    "construct": 103, "evaluate": 65, "execute": 38, "plan": 72, "react": 39,
+    "construct": 103, "evaluate": 65, "execute": 38, "plan": 71, "react": 39,
     "replan": 65, "revise": 146,
 }
 #: The words that state each packaged template's decision rules, one entry
@@ -170,7 +172,7 @@ TEMPLATE_RULES = {
     ),
     "plan": (
         "Plan ONLY the current sub-goal",
-        "Skip work already done in the history",
+        "Copy needed prerequisite values into each step",
         "If the sub-goal is the task's final action, plan just that",
         "naming specific objects, places and parameters, not commands",
         "Keep the plan short",
@@ -231,7 +233,7 @@ def test_unknown_template_name_is_a_key_error():
 
 def test_render_prompt_missing_binding_names_the_placeholder():
     template = load_template("plan")
-    with pytest.raises(RenderFault, match="history"):
+    with pytest.raises(RenderFault, match="prerequisites"):
         render_prompt(
             template,
             {"subgoal": "n", "admissible_commands": "c"},
@@ -263,7 +265,8 @@ def test_render_prompt_leaves_out_lines_bound_only_to_none():
 
 def test_node_prompts_without_guidance_or_reason_carry_no_none():
     templates = load_templates()
-    view = {"subgoal": "s", "current_plan": "p", "admissible_commands": "c", "history": "h"}
+    view = {"subgoal": "s", "current_plan": "p", "admissible_commands": "c",
+            "prerequisites": None, "history": "h"}
     execute = render_prompt(templates["execute"], {**view, "guidance": None})
     assert "Guidance:" not in execute and "None" not in execute
     guided = render_prompt(templates["execute"], {**view, "guidance": "Try the stove."})
@@ -271,6 +274,7 @@ def test_node_prompts_without_guidance_or_reason_carry_no_none():
     assert guided.replace("Guidance: Try the stove.\n", "") == execute
     replan = render_prompt(templates["replan"], {**view, "reason": None})
     assert "Supervisor's reason:" not in replan and "None" not in replan
+    assert "None" not in render_prompt(templates["plan"], view)  # no prerequisites line
 
 
 def test_templates_render_injection_safe_with_reply_shaped_bindings():
