@@ -16,19 +16,19 @@ evaluate and replan prompts render from one view, :func:`node_bindings`: that
 node's description, current plan, direct dependencies' outcome summaries, own
 local trace, one-shot guidance and, for the roles that plan or act, the
 admissible commands.  Each role's template reads only what its decision
-needs: the planner, which writes and rewrites the plan, sees the dependency
-outcomes (``prerequisites``); the executor and the evaluator see the
-sub-goal, the plan, any guidance and the node's own trace (``history``), so
-an upstream value reaches them only through the plan or the supervisor's
-wording.  The whole task never enters the view, which keeps replan prompts
-small and node work order-independent.  A finished node's outcome summary
+needs: the planner, which writes and rewrites the plan, and the executor,
+which may have to pass an upstream value into an action, see the dependency
+outcomes (``prerequisites``); the evaluator, which judges the node's latest
+step, sees the sub-goal, the plan and the node's own trace (``history``).
+The whole task never enters the view, which keeps replan prompts small and
+node work order-independent.  A finished node's outcome summary
 carries only the observations its final plan produced, so an obstacle it
 replanned around stays in its own trace.  The supervisor's revision prompt
 is scoped to the round and the frontier: the outcomes of the nodes dispatched
-since the previous revision, as dependents' planners see them
-(:func:`render_outcomes`), plus the graph's frontier, with every other node
-only counted (:func:`~tdp.graph.render_dag_state`); a revision may edit only
-the nodes shown.  An executor reply whose verb is not one of the commands its prompt
+since the previous revision, as dependents see them (:func:`render_outcomes`),
+plus the graph's frontier, with every other node only counted
+(:func:`~tdp.graph.render_dag_state`); a revision may edit only the nodes
+shown.  An executor reply whose verb is not one of the commands its prompt
 listed is a parse fault, so it never reaches the environment.
 
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
@@ -190,18 +190,18 @@ def node_bindings(
     Sub-goal, the node's rendered current plan, one-shot guidance and the
     admissible commands, plus two renderings of :func:`build_node_context`:
     ``prerequisites``, the direct dependencies' outcomes under
-    ``Prerequisite results:`` (``None`` for a node without dependencies, so
-    the prompt leaves the line out), and ``history``, the node's own capped
-    trace and nothing else.  Each template renders the names it declares and
-    ignores the rest: ``plan`` and ``replan`` declare ``prerequisites``,
-    ``execute`` and ``evaluate`` do not.
+    ``Prerequisite results:`` and ending in a blank line (``None`` for a node
+    without dependencies, so the prompt leaves the line out), and
+    ``history``, the node's own capped trace and nothing else.  Each template
+    renders the names it declares and ignores the rest: ``plan``, ``execute``
+    and ``replan`` declare ``prerequisites``, ``evaluate`` does not.
     """
     context = build_node_context(graph, node_id)
     plan = graph.nodes[node_id].plan
     prerequisites = None
     if context.dependency_outcomes:
         outcomes = render_outcomes(context.dependency_ids, context.dependency_outcomes)
-        prerequisites = f"Prerequisite results:\n{outcomes}"
+        prerequisites = f"Prerequisite results:\n{outcomes}\n"
     return {
         "subgoal": context.subgoal,
         "current_plan": render_plan(plan) if plan is not None else None,

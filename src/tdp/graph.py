@@ -175,8 +175,8 @@ class NodeScopedContext:
     dependencies (in dependency-id order, ids carried alongside for labeling),
     and its own local trace.  Nothing else; the node's plan and one-shot
     guidance join it as prompt bindings (:func:`tdp.engine.node_bindings`).
-    The dependency outcomes reach the planner alone, as ``prerequisites``;
-    the executor and the evaluator see the description and the local trace.
+    The dependency outcomes reach the planner and the executor, as
+    ``prerequisites``; the evaluator sees the description and the local trace.
     """
 
     subgoal: str

@@ -193,21 +193,23 @@ class TestNodeBindings:
         assert view["prerequisites"] == (
             "Prerequisite results:\n"
             "- [node_1] completed: Cities confirmed.\n"
-            "  observed: Cities in Illinois: Chicago, Peoria"
+            "  observed: Cities in Illinois: Chicago, Peoria\n"
         )
         assert view["history"] == "(no actions yet)"  # its own trace only
 
     def test_outcomes_render_one_block_per_node_and_a_marker_when_none(self):
-        """A multi-line observation's continuation lines sit under its
-        ``observed:`` line."""
+        """A multi-line observation (the travel fixture's lodging search
+        answers one line per place) keeps its continuation lines under its
+        ``observed:`` line, not at column 0 beside the prompt's own labels."""
         failed = OutcomeSummary(terminal_status=NodeStatus.FAILED, summary_text="No way in.")
+        lodging = "Riverside Inn | double | $95\nWarehouse District Suites | suite | $140"
         done = OutcomeSummary(terminal_status=NodeStatus.COMPLETED, summary_text="Done.",
-                              key_observations=("o1\nrow 2", "o2"))
+                              key_observations=(lodging, "o2"))
         assert render_outcomes(["node_2", "node_1"], [failed, done]) == (
             "- [node_2] failed: No way in.\n"
             "- [node_1] completed: Done.\n"
-            "  observed: o1\n"
-            "    row 2\n"
+            "  observed: Riverside Inn | double | $95\n"
+            "    Warehouse District Suites | suite | $140\n"
             "  observed: o2"
         )
         assert render_outcomes([], []) == NO_OUTCOMES_YET
@@ -903,23 +905,9 @@ class TestRunTask:
             assert "Action:" not in prompt
             assert "obstacle at stage" not in prompt
 
-    def test_a_multi_line_observation_stays_under_its_observed_line(self):
-        """The travel fixture's lodging search answers one line per place.  In
-        the revision prompt the second place sits under the first's
-        ``observed:`` line, not at column 0 beside the prompt's own labels."""
-        config = load_config(CONFIG_DIR / "scripted_travel.json")
-        supervisor = config.role_backends["supervisor"] = RecordingBackend(
-            config.role_backends["supervisor"])
-        instance = load_task_instance(TRAVEL_FIXTURE)
-        run_task(instance, make_environment(instance.environment), config)
-        (outcomes,) = [_revise_history(prompt) for prompt in _revise_prompts(supervisor)
-                       if "Warehouse District Suites" in prompt]
-        assert ("  observed: Riverside Inn | double | $95\n"
-                "    Warehouse District Suites | suite | $140") in outcomes
-
-    def test_only_the_planner_sees_the_dependency_outcomes(self):
+    def test_only_the_evaluator_does_not_see_the_dependency_outcomes(self):
         """node_2 and node_3 of the travel scenario depend on node_1.  Their
-        plan and replan prompts carry node_1's outcome line; their execute and
+        plan, execute and replan prompts carry node_1's outcome line; their
         evaluate prompts show the sub-goal, the plan and the node's own trace
         only.  A plan call comes before its node's first action, so no plan
         prompt shows an empty history."""
@@ -934,10 +922,27 @@ class TestRunTask:
         dependent = [(template, p) for template, p in node_prompts if TRAVEL_N1 not in p]
         assert {template for template, _ in dependent} == {"plan", "execute", "evaluate", "replan"}
         for template, prompt in dependent:
-            if template in ("plan", "replan"):
-                assert f"Prerequisite results:\n{outcome}\n" in prompt, (template, prompt)
+            if template == "evaluate":
+                assert outcome not in prompt and "Prerequisite" not in prompt, prompt
             else:
-                assert outcome not in prompt and "Prerequisite" not in prompt, (template, prompt)
+                assert f"Prerequisite results:\n{outcome}\n" in prompt, (template, prompt)
+
+    @pytest.mark.parametrize("fixture", WIKI_FIXTURES, ids=lambda f: f.stem)
+    def test_each_executor_reply_acts_on_a_value_its_prompt_shows(self, fixture):
+        """The wiki bridge tasks end on a node whose sub-goal and plan name no
+        answer; its executor finds the value it submits only among the
+        prerequisite results of its prompt."""
+        config = load_config(CONFIG_DIR / "scripted_wiki.json")
+        executor = config.role_backends["executor"] = RecordingBackend(
+            config.role_backends["executor"])
+        instance = load_task_instance(fixture)
+        report = run_task(instance, make_environment(instance.environment), config)
+        assert report.terminal == "Completed"
+        acts = [(executor.inner.complete(tag, prompt).text.strip(), prompt)
+                for tag, prompt in executor.calls if tag == "executor:execute"]
+        assert f"Finish[{instance.gold['answer']}]" in [reply for reply, _ in acts]
+        for reply, prompt in acts:
+            assert reply.split("[", 1)[1].rsplit("]", 1)[0] in prompt, (reply, prompt)
 
     def test_applied_revision_redirects_the_next_round(self):
         d2_old = "Check the stove."

@@ -75,14 +75,14 @@ VOCABULARY = frozenset({
     "admissible_commands", "prerequisites", "history", "current_step", "dag_state",
 })
 #: A node's prompts never name the whole task, and the evaluator, which judges
-#: but does not act, never sees the action list.  Only the planner, which
-#: writes the plan, sees the dependency outcomes (``prerequisites``); a plan
-#: call comes before the node's first action, so it sees no history.
+#: but does not act, never sees the action list, nor the dependency outcomes
+#: (``prerequisites``) that the planner and the executor see; a plan call
+#: comes before the node's first action, so it sees no history.
 NODE_VIEW = {"subgoal", "current_plan", "history"}
 TEMPLATE_BINDINGS = {
     "construct": {"task_description", "admissible_commands"},
     "plan": {"subgoal", "admissible_commands", "prerequisites"},
-    "execute": NODE_VIEW | {"guidance", "admissible_commands"},
+    "execute": NODE_VIEW | {"guidance", "admissible_commands", "prerequisites"},
     "evaluate": NODE_VIEW,
     "replan": NODE_VIEW | {"reason", "admissible_commands", "prerequisites"},
     "revise": {"task_description", "current_step", "history", "dag_state", "admissible_commands"},
@@ -172,7 +172,7 @@ TEMPLATE_RULES = {
     ),
     "plan": (
         "Plan ONLY the current sub-goal",
-        "Copy needed prerequisite values into each step",
+        "Steps repeat any prerequisite value they need",
         "If the sub-goal is the task's final action, plan just that",
         "naming specific objects, places and parameters, not commands",
         "Keep the plan short",
@@ -274,7 +274,8 @@ def test_node_prompts_without_guidance_or_reason_carry_no_none():
     assert guided.replace("Guidance: Try the stove.\n", "") == execute
     replan = render_prompt(templates["replan"], {**view, "reason": None})
     assert "Supervisor's reason:" not in replan and "None" not in replan
-    assert "None" not in render_prompt(templates["plan"], view)  # no prerequisites line
+    plan = render_prompt(templates["plan"], view)
+    assert "Current Subgoal: s\nAvailable actions:" in plan  # no prerequisites line, no gap
 
 
 def test_templates_render_injection_safe_with_reply_shaped_bindings():
