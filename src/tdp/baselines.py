@@ -47,7 +47,6 @@ def _whole_task_bindings(
         "subgoal": run.instance.query,
         "current_plan": render_plan(plan) if plan is not None else None,
         "guidance": guidance,
-        "admissible_commands": run.commands,
         "prerequisites": None,
         "history": assemble_history(trace, len(trace)),
     }

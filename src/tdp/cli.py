@@ -145,23 +145,6 @@ def _single_run(
     return record, record, trace_path
 
 
-def _guarded_run(
-    method: str, instance: TaskInstance, config: RunConfig, trace_dir: Path
-) -> tuple[MetricsRecord, Path] | str:
-    """:func:`_single_run`, or the one-line account of the error that ended it.
-
-    Configuration errors (:class:`CliError`, :class:`EngineError`) would end
-    every run alike, so they propagate.
-    """
-    try:
-        return _single_run(method, instance, config, trace_dir)[1:]
-    except (CliError, EngineError):
-        raise
-    except Exception as err:
-        message = " ".join(str(err).splitlines())
-        return f"{method}__{instance.id}: failed: {type(err).__name__}: {message}"
-
-
 def _run_matrix(
     methods: Sequence[str],
     instances: Sequence[TaskInstance],
@@ -171,18 +154,27 @@ def _run_matrix(
     """Run every (method, instance) pair in turn; return the finished runs and
     how many failed.
 
-    A run that raises does not stop the others: its failure line is printed,
-    in run order.
+    A run that raises does not stop the others: its one-line failure account
+    is printed, in run order, after the last run.  Configuration errors
+    (:class:`CliError`, :class:`EngineError`) would end every run alike, so
+    they propagate.
     """
-    outcomes = [
-        _guarded_run(method, instance, config, trace_dir)
-        for method in methods
-        for instance in instances
-    ]
-    failures = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    results: list[tuple[MetricsRecord, Path]] = []
+    failures: list[str] = []
+    for method in methods:
+        for instance in instances:
+            try:
+                results.append(_single_run(method, instance, config, trace_dir)[1:])
+            except (CliError, EngineError):
+                raise
+            except Exception as err:
+                message = " ".join(str(err).splitlines())
+                failures.append(
+                    f"{method}__{instance.id}: failed: {type(err).__name__}: {message}"
+                )
     for line in failures:
         print(line)
-    return [outcome for outcome in outcomes if not isinstance(outcome, str)], len(failures)
+    return results, len(failures)
 
 
 def _trace_dir(args: argparse.Namespace) -> Path:

@@ -12,10 +12,11 @@ step ended the episode is closed Completed, so the run's node records show
 which node delivered.
 
 Context discipline is the load-bearing property: a node's plan, execute,
-evaluate and replan prompts render from one view, :func:`node_bindings`: that
-node's description, current plan, direct dependencies' outcome summaries, own
-local trace, one-shot guidance and, for the roles that plan or act, the
-admissible commands.  Each role's template reads only what its decision
+evaluate and replan prompts render from one view, :func:`node_bindings`,
+read from the graph itself: that node's description, current plan, direct
+dependencies' outcome summaries, own local trace and one-shot guidance.
+:meth:`Run.call` binds the admissible commands to every call, for the roles
+that plan or act.  Each role's template reads only what its decision
 needs: the planner, which writes and rewrites the plan, and the executor,
 which may have to pass an upstream value into an action, see the dependency
 outcomes (``prerequisites``); the evaluator, which judges the node's latest
@@ -52,11 +53,11 @@ from .graph import (
     NodeStatus,
     OutcomeSummary,
     RevisionDelta,
+    SchedulingError,
     SubTaskNode,
     TaskGraph,
     TraceEntry,
     apply_revision,
-    build_node_context,
     delta_to_doc,
     ready_nodes,
     render_dag_state,
@@ -82,7 +83,6 @@ __all__ = [
     "assemble_history",
     "render_outcomes",
     "node_bindings",
-    "construct",
     "execute_node",
     "task_done",
     "run_task",
@@ -182,33 +182,45 @@ def render_outcomes(node_ids: Sequence[str], outcomes: Sequence[OutcomeSummary])
     return "\n".join(lines) if lines else NO_OUTCOMES_YET
 
 
-def node_bindings(
-    graph: TaskGraph, node_id: str, commands: str, guidance: str | None = None
-) -> dict[str, Any]:
-    """The node's view: every binding a node-scoped role prompt may use.
+def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -> dict[str, Any]:
+    """The node's view: every binding a node-scoped role prompt may use, read
+    from the node and its direct dependencies and nothing else.
 
-    Sub-goal, the node's rendered current plan, one-shot guidance and the
-    admissible commands, plus two renderings of :func:`build_node_context`:
-    ``prerequisites``, the direct dependencies' outcomes under
+    Sub-goal, the node's rendered current plan, one-shot guidance,
+    ``prerequisites``, the direct dependencies' outcomes in id order under
     ``Prerequisite results:`` and ending in a blank line (``None`` for a node
     without dependencies, so the prompt leaves the line out), and
-    ``history``, the node's own capped trace and nothing else.  Each template
-    renders the names it declares and ignores the rest: ``plan``, ``execute``
-    and ``replan`` declare ``prerequisites``, ``evaluate`` does not.
+    ``history``, the node's own capped trace.  :meth:`Run.call` adds the
+    admissible commands.  Each template renders the names it declares and
+    ignores the rest: ``plan``, ``execute`` and ``replan`` declare
+    ``prerequisites``, ``evaluate`` does not.  An unknown node, or a
+    dependency that is missing or not completed, is a
+    :class:`~tdp.graph.SchedulingError`.
     """
-    context = build_node_context(graph, node_id)
-    plan = graph.nodes[node_id].plan
+    node = graph.nodes.get(node_id)
+    if node is None:
+        raise SchedulingError(f"unknown node {node_id!r}")
+    dep_ids = sorted(node.dependencies)
+    outcomes: list[OutcomeSummary] = []
+    for dep in dep_ids:
+        dep_node = graph.nodes.get(dep)
+        if dep_node is None or dep_node.status is not NodeStatus.COMPLETED:
+            have = dep_node.status.value if dep_node else "missing"
+            raise SchedulingError(
+                f"node {node_id!r} scheduled before dependency {dep!r} completed "
+                f"(status: {have})"
+            )
+        assert dep_node.outcome is not None  # terminal ⇒ outcome (validate_graph)
+        outcomes.append(dep_node.outcome)
     prerequisites = None
-    if context.dependency_outcomes:
-        outcomes = render_outcomes(context.dependency_ids, context.dependency_outcomes)
-        prerequisites = f"Prerequisite results:\n{outcomes}\n"
+    if outcomes:
+        prerequisites = f"Prerequisite results:\n{render_outcomes(dep_ids, outcomes)}\n"
     return {
-        "subgoal": context.subgoal,
-        "current_plan": render_plan(plan) if plan is not None else None,
+        "subgoal": node.description,
+        "current_plan": render_plan(node.plan) if node.plan is not None else None,
         "guidance": guidance,
-        "admissible_commands": commands,
         "prerequisites": prerequisites,
-        "history": assemble_history(context.local_trace, HISTORY_CAP),
+        "history": assemble_history(node.local_trace, HISTORY_CAP),
     }
 
 
@@ -296,9 +308,11 @@ class Run:
     def call(self, template: str, bindings: dict[str, Any], scope: str = "global") -> Any:
         """Render, complete and read one call of `template`, retrying parse faults.
 
-        The template names the role whose backend answers, tagged
-        ``role:template``, and the reader of the reply, which also sees
-        `bindings`.  The prompt is rendered once.  Each retry re-sends it plus
+        The run's command lines are bound as ``admissible_commands`` under
+        `bindings`.  The template names the role whose backend answers, tagged
+        ``role:template``, and the reader of the reply, which also sees the
+        bindings, so an executor's reader takes the verbs its prompt listed.
+        The prompt is rendered once.  Each retry re-sends it plus
         one more :data:`~tdp.roles.FORMAT_REMINDER` line that names why the
         last reply was refused, up to ``1 + parser_retry_budget`` attempts.
         The call, faulted or not, is recorded as a ``role_call`` event
@@ -311,6 +325,7 @@ class Run:
         spec = self.templates[template]
         backend = self.config.backend(spec.role)
         tag = f"{spec.role}:{template}"
+        bindings = {"admissible_commands": self.commands, **bindings}
         prompt = render_prompt(spec, bindings)
         prompt_chars = len(prompt)
         usage = TokenUsage()
@@ -436,22 +451,6 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., M
 
 
 # ---------------------------------------------------------------------------
-# construction
-
-
-def construct(task: str, run: Run) -> tuple[TaskGraph, RevisionDelta]:
-    """Ask the supervisor for a decomposition of `task`; return its graph and
-    the delta that built it.
-
-    :func:`~tdp.roles.parse_subgoals` reads the reply as a revision of the
-    empty graph, so the decomposition is held to the rules of every revision.
-    A malformed reply and a refused graph share the bounded retry budget;
-    exhaustion raises the underlying :class:`RoleFault`.
-    """
-    return run.call("construct", {"task_description": task, "admissible_commands": run.commands})
-
-
-# ---------------------------------------------------------------------------
 # node execution
 
 
@@ -485,7 +484,6 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     replanner is not.
     """
     node = graph.nodes[node_id]
-    commands = run.commands
     plan_start = 0  # where the current plan's entries begin in node.local_trace
 
     def move(status: NodeStatus) -> None:
@@ -502,10 +500,10 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
     guidance: str | None = None
     try:
-        node.plan = run.call("plan", node_bindings(graph, node_id, commands), scope=node_id)
+        node.plan = run.call("plan", node_bindings(graph, node_id), scope=node_id)
         # Run.stop() without its sink scan: no sink completes while this node runs
         while not (run.budget_spent() or run.env.done):
-            view = node_bindings(graph, node_id, commands, guidance)
+            view = node_bindings(graph, node_id, guidance)
             action = run.call("execute", view, scope=node_id)
             guidance = None  # guidance lives for exactly one executor call
 
@@ -513,7 +511,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if run.env.done:
                 return close(NodeStatus.COMPLETED, None)
 
-            view = node_bindings(graph, node_id, commands)
+            view = node_bindings(graph, node_id)
             evaluation = run.call("evaluate", view, scope=node_id)
             if evaluation.status == "completed":
                 return close(NodeStatus.COMPLETED, evaluation.reason)
@@ -550,6 +548,11 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 @run_method("tdp", "supervisor", "planner", "executor")
 def run_task(run: Run) -> tuple[str, str]:
     """Run one task end to end and return its record.
+
+    The run opens with the supervisor's ``construct`` call, whose reply
+    :func:`~tdp.roles.parse_subgoals` reads as a revision of the empty graph,
+    so the decomposition is held to the rules of every revision.  A malformed
+    reply and a refused graph share the call's bounded retry budget.
 
     Terminates on: task done (environment done or every sink node Completed),
     step-budget exhaustion, a construction fault (``role fault: ...``, as
@@ -589,7 +592,7 @@ def run_task(run: Run) -> tuple[str, str]:
     message as ``error``.  :func:`replay_graph` folds these deltas back into
     the graph's ids, descriptions and dependencies at any event.
     """
-    graph, decomposition = construct(run.instance.query, run)
+    graph, decomposition = run.call("construct", {"task_description": run.instance.query})
     run.graph = graph
     run.emit("graph_constructed", delta=delta_to_doc(decomposition))
 
@@ -614,7 +617,6 @@ def run_task(run: Run) -> tuple[str, str]:
                     "current_step": str(run.steps_used),
                     "history": render_outcomes(ready, [graph.nodes[n].outcome for n in ready]),
                     "dag_state": dag_state,
-                    "admissible_commands": run.commands,
                 },
             )
         except RoleFault as fault:

@@ -3,7 +3,8 @@ runs against them.
 
 The graph is the engine's shared blackboard.  Nodes are planned and executed in
 isolation, so everything a downstream consumer may legitimately see is funneled
-through :class:`OutcomeSummary` records and :func:`build_node_context`.  All
+through :class:`OutcomeSummary` records, which the engine's one node view,
+:func:`tdp.engine.node_bindings`, reads from direct dependencies only.  All
 mutation happens on the engine's single logical control thread; between
 mutations a graph value behaves as a snapshot.
 """
@@ -166,25 +167,6 @@ class NewNodeSpec:
     dependents: tuple[NodeId, ...] = ()
 
 
-@dataclass(frozen=True)
-class NodeScopedContext:
-    """Everything of the graph the node's roles may see while working one
-    node; each role sees only part of it.
-
-    By construction: the node's own description, the outcomes of its direct
-    dependencies (in dependency-id order, ids carried alongside for labeling),
-    and its own local trace.  Nothing else; the node's plan and one-shot
-    guidance join it as prompt bindings (:func:`tdp.engine.node_bindings`).
-    The dependency outcomes reach the planner and the executor, as
-    ``prerequisites``; the evaluator sees the description and the local trace.
-    """
-
-    subgoal: str
-    dependency_ids: tuple[NodeId, ...]
-    dependency_outcomes: tuple[OutcomeSummary, ...]
-    local_trace: tuple[TraceEntry, ...]
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -264,31 +246,6 @@ def ready_nodes(graph: TaskGraph) -> list[NodeId]:
         ):
             out.append(nid)
     return out
-
-
-def build_node_context(graph: TaskGraph, node_id: NodeId) -> NodeScopedContext:
-    """Assemble the complete — and only — context for working `node_id`."""
-    if node_id not in graph.nodes:
-        raise SchedulingError(f"unknown node {node_id!r}")
-    node = graph.nodes[node_id]
-    dep_ids = sorted(node.dependencies)
-    outcomes: list[OutcomeSummary] = []
-    for dep in dep_ids:
-        dep_node = graph.nodes.get(dep)
-        if dep_node is None or dep_node.status is not NodeStatus.COMPLETED:
-            have = dep_node.status.value if dep_node else "missing"
-            raise SchedulingError(
-                f"node {node_id!r} scheduled before dependency {dep!r} completed "
-                f"(status: {have})"
-            )
-        assert dep_node.outcome is not None  # terminal ⇒ outcome, enforced above
-        outcomes.append(dep_node.outcome)
-    return NodeScopedContext(
-        subgoal=node.description,
-        dependency_ids=tuple(dep_ids),
-        dependency_outcomes=tuple(outcomes),
-        local_trace=tuple(node.local_trace),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +337,9 @@ def apply_revision(
             other.dependencies.discard(node_id)
 
     for spec in delta.new_nodes:
-        nid = spec.id if spec.id else next_generated_id(work.nodes)
+        # past the ids before the removals too, so an unnamed node never gets a
+        # removed node's id back
+        nid = spec.id if spec.id else next_generated_id([*graph.nodes, *work.nodes])
         if nid in work.nodes:
             reasons.append(f"add: id {nid!r} already exists")
             continue
@@ -497,11 +456,9 @@ __all__ = [
     "TaskGraph",
     "RevisionDelta",
     "NewNodeSpec",
-    "NodeScopedContext",
     "RevisionResult",
     "validate_graph",
     "ready_nodes",
-    "build_node_context",
     "apply_revision",
     "next_generated_id",
     "render_dag_state",

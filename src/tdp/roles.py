@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
@@ -117,27 +117,29 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named template body with a declared placeholder set, the role that
-    answers it and the reader of that role's reply."""
+    """A named template body, the role that answers it and the reader of that
+    role's reply; its placeholders are the ``{name}`` fields its body holds."""
 
     name: str
     body: str
-    placeholders: frozenset[str]
     role: str
     read: Reader
+    placeholders: frozenset[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "placeholders", frozenset(_PLACEHOLDER_RE.findall(self.body)))
 
 
 @cache
 def load_template(name: str) -> PromptTemplate:
-    """Load one packaged template by name; it declares the placeholders its
-    body holds, and its role and reader are its :data:`TEMPLATE_TABLE` row.
+    """Load one packaged template by name; its role and reader are its
+    :data:`TEMPLATE_TABLE` row.
     Each packaged file is read once per process; a template is immutable, so
     every caller shares the one loaded."""
     if name not in TEMPLATE_TABLE:
         raise KeyError(f"unknown template {name!r}")
     body = (resources.files("tdp") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
-    placeholders = frozenset(_PLACEHOLDER_RE.findall(body))
-    return PromptTemplate(name, body, placeholders, *TEMPLATE_TABLE[name])
+    return PromptTemplate(name, body, *TEMPLATE_TABLE[name])
 
 
 def load_templates() -> dict[str, PromptTemplate]:
@@ -163,13 +165,10 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, Any]) -> str:
         )
 
     def _sub(match: re.Match[str]) -> str:
-        name = match.group(1)
-        if name not in template.placeholders:
-            return match.group(0)  # literal text that merely looks like a placeholder
-        return str(bindings[name])
+        return str(bindings[match.group(1)])
 
     def _bound(line: str) -> bool:
-        names = [n for n in _PLACEHOLDER_RE.findall(line) if n in template.placeholders]
+        names = _PLACEHOLDER_RE.findall(line)
         return not names or any(bindings[n] is not None for n in names)
 
     body = template.body

@@ -21,7 +21,6 @@ from tdp.engine import (
     Run,
     RunConfig,
     assemble_history,
-    construct,
     execute_node,
     node_bindings,
     render_outcomes,
@@ -180,7 +179,7 @@ def _two_node_graph(dependency_outcome: OutcomeSummary) -> TaskGraph:
 class TestNodeBindings:
     def test_without_dependencies_there_are_no_prerequisites(self):
         graph = _two_node_graph(OutcomeSummary(NodeStatus.COMPLETED, "Cities confirmed."))
-        view = node_bindings(graph, "node_1", "c")
+        view = node_bindings(graph, "node_1")
         assert view["prerequisites"] is None
         assert view["history"] == "Action: a\nObservation: o"
 
@@ -189,7 +188,7 @@ class TestNodeBindings:
             terminal_status=NodeStatus.COMPLETED,
             summary_text="Cities confirmed.",
             key_observations=("Cities in Illinois: Chicago, Peoria",))
-        view = node_bindings(_two_node_graph(outcome), "node_2", "c")
+        view = node_bindings(_two_node_graph(outcome), "node_2")
         assert view["prerequisites"] == (
             "Prerequisite results:\n"
             "- [node_1] completed: Cities confirmed.\n"
@@ -253,7 +252,7 @@ class TestConstruct:
             rule("supervisor:construct", [], reply)])})
         sink = TraceSink(clock=CounterClock())
         run = _lab_run(config, sink=sink)
-        graph, delta = construct("Survey.", run)
+        graph, delta = run.call("construct", {"task_description": "Survey."})
         assert set(graph.nodes) == {"node_1", "node_2"}
         assert graph.nodes["node_2"].dependencies == {"node_1"}
         assert graph.task_description == "Survey."
@@ -271,7 +270,8 @@ class TestConstruct:
             role_backends={"supervisor": ScriptedBackend([
                 rule("supervisor:construct", [], bad, good)])})
         sink = TraceSink(clock=CounterClock())
-        graph, _ = construct("Survey.", _lab_run(config, sink=sink))
+        run = _lab_run(config, sink=sink)
+        graph, _ = run.call("construct", {"task_description": "Survey."})
         assert set(graph.nodes) == {"node_1"}
         (event,) = sink.events_for("r")
         assert event.payload["attempts"] == 2
@@ -285,7 +285,7 @@ class TestConstruct:
         sink = TraceSink(clock=CounterClock())
         run = _lab_run(config, sink=sink)
         with pytest.raises(RoleFault, match="failed after 2 attempt"):
-            construct("Survey.", run)
+            run.call("construct", {"task_description": "Survey."})
         (event,) = sink.events_for("r")
         assert event.payload["ok"] is False and event.payload["attempts"] == 2
 

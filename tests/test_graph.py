@@ -23,6 +23,7 @@ from graphgen import (
     run_revision_sequence,
     sorted_nodes,
 )
+from tdp.engine import node_bindings
 from tdp.graph import (
     MAX_NODES,
     GraphError,
@@ -35,7 +36,6 @@ from tdp.graph import (
     TaskGraph,
     TraceEntry,
     apply_revision,
-    build_node_context,
     legal_transition,
     next_generated_id,
     ready_nodes,
@@ -273,32 +273,42 @@ def test_ready_ignores_non_pending_candidates():
 
 
 # ---------------------------------------------------------------------------
-# node-scoped context
+# the node view
 
 
-def test_build_node_context_carries_exactly_the_allowed_parts():
+def test_node_bindings_show_direct_dependencies_and_no_grandparent():
+    # diamond: a feeds b and c, which feed the sink d
     g = graph_of(
         node("a", status=NodeStatus.COMPLETED),
-        node("b", status=NodeStatus.COMPLETED),
-        node("c", deps=["b", "a"], description="combine the parts"),
+        node("b", deps=["a"], status=NodeStatus.COMPLETED),
+        node("c", deps=["a"], status=NodeStatus.COMPLETED),
+        node("d", deps=["c", "b"], description="combine the parts"),
     )
-    g.nodes["c"].local_trace.append(TraceEntry(step_index=3, action="look", observation="parts"))
-    ctx = build_node_context(g, "c")
-    assert ctx.subgoal == "combine the parts"
-    assert ctx.dependency_ids == ("a", "b")  # sorted, regardless of declaration order
-    assert [o.summary_text for o in ctx.dependency_outcomes] == ["a finished", "b finished"]
-    assert ctx.local_trace == (TraceEntry(step_index=3, action="look", observation="parts"),)
+    g.nodes["d"].local_trace.append(TraceEntry(step_index=3, action="look", observation="parts"))
+    view = node_bindings(g, "d", guidance="mind the order")
+    assert view["subgoal"] == "combine the parts"
+    assert view["current_plan"] is None and view["guidance"] == "mind the order"
+    # sorted, regardless of declaration order; the grandparent a is not shown
+    assert view["prerequisites"] == (
+        "Prerequisite results:\n- [b] completed: b finished\n- [c] completed: c finished\n"
+    )
+    assert "a finished" not in "".join(str(v) for v in view.values())
+    assert view["history"] == "Action: look\nObservation: parts"
+    assert node_bindings(g, "a")["prerequisites"] is None
 
 
-def test_build_node_context_refuses_unfinished_dependencies():
+def test_node_bindings_refuse_an_unknown_node_and_unfinished_or_missing_dependencies():
     g = graph_of(node("a", status=NodeStatus.IN_PROGRESS), node("b", deps=["a"]))
     with pytest.raises(SchedulingError, match="before dependency 'a' completed"):
-        build_node_context(g, "b")
-    with pytest.raises(SchedulingError, match="unknown node"):
-        build_node_context(g, "zzz")
+        node_bindings(g, "b")
+    with pytest.raises(SchedulingError, match="unknown node 'zzz'"):
+        node_bindings(g, "zzz")
     g2 = graph_of(node("a", status=NodeStatus.FAILED), node("b", deps=["a"]))
     with pytest.raises(SchedulingError, match="status: failed"):
-        build_node_context(g2, "b")
+        node_bindings(g2, "b")
+    g3 = graph_of(node("b", deps=["gone"]))  # a dangling edge validate_graph would refuse
+    with pytest.raises(SchedulingError, match=r"'gone' completed \(status: missing\)"):
+        node_bindings(g3, "b")
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +453,24 @@ def test_remove_then_readd_terminal_id_is_refused():
     assert result.status == "rejected"
     assert any("resurrect" in r for r in result.reasons)
     assert result.graph is g and "done" in g.nodes
+
+
+def test_an_unnamed_node_replacing_the_highest_numbered_terminal_node_is_applied():
+    # the schema leaves a new node's id optional; generating it from the graph
+    # after the removals handed the new node the removed node's id back
+    g = graph_of(
+        node("node_1", status=NodeStatus.COMPLETED),
+        node("node_2", deps=["node_1"], status=NodeStatus.FAILED),
+    )
+    delta = RevisionDelta(
+        need_update=True,
+        remove_nodes=("node_2",),
+        new_nodes=(NewNodeSpec(id=None, description="retry the read", dependencies=("node_1",)),),
+    )
+    result = apply_revision(g, delta)
+    assert result.applied, result.reasons
+    assert set(result.graph.nodes) == {"node_1", "node_3"}
+    assert result.graph.nodes["node_3"].dependencies == {"node_1"}
 
 
 def test_rejection_is_atomic_even_when_parts_were_valid():

@@ -241,26 +241,23 @@ def test_render_prompt_missing_binding_names_the_placeholder():
 
 
 def test_render_prompt_none_single_pass_and_literal_braces():
-    template = _template(body="A={alpha} B={beta} L={not_declared}", placeholders=("alpha", "beta"))
+    template = _template(body="A={alpha} B={beta}")
+    assert template.placeholders == {"alpha", "beta"}  # read off the body
     out = render_prompt(template, {"alpha": None, "beta": "{alpha}"})
     # None renders as the string "None"; substitution is single-pass, so a
-    # binding that contains placeholder syntax stays literal; brace text that
-    # was never declared passes through untouched
-    assert out == "A=None B={alpha} L={not_declared}"
+    # binding that contains placeholder syntax stays literal
+    assert out == "A=None B={alpha}"
 
 
 def test_render_prompt_leaves_out_lines_bound_only_to_none():
-    template = _template(
-        body="Head\nGuidance: {guidance}\nBoth: {alpha} {guidance}\nL={not_declared}\nTail",
-        placeholders=("alpha", "guidance"),
-    )
+    template = _template(body="Head\nGuidance: {guidance}\nBoth: {alpha} {guidance}\nTail")
 
     def render(alpha, guidance):
         return render_prompt(template, {"alpha": alpha, "guidance": guidance})
 
-    assert render(None, None) == "Head\nL={not_declared}\nTail"
-    assert render("a", None) == "Head\nBoth: a None\nL={not_declared}\nTail"
-    assert render("a", "g") == "Head\nGuidance: g\nBoth: a g\nL={not_declared}\nTail"
+    assert render(None, None) == "Head\nTail"
+    assert render("a", None) == "Head\nBoth: a None\nTail"
+    assert render("a", "g") == "Head\nGuidance: g\nBoth: a g\nTail"
 
 
 def test_node_prompts_without_guidance_or_reason_carry_no_none():
@@ -686,14 +683,10 @@ def test_malformed_script_rule_is_a_value_error_naming_it(rule, message):
 # the role-call loop: Run.call renders, completes with parse retries, records
 
 
-def _template(body="Q: {question}", placeholders=("question",)):
+def _template(body="Q: {question}"):
     """A ``probe`` template the supervisor answers with a JSON object."""
     return PromptTemplate(
-        name="probe",
-        body=body,
-        placeholders=frozenset(placeholders),
-        role="supervisor",
-        read=lambda text, _: extract_json(text),
+        name="probe", body=body, role="supervisor", read=lambda text, _: extract_json(text)
     )
 
 
@@ -713,6 +706,15 @@ def _probe(run, question="ping"):
 def _role_call(run) -> dict:
     (event,) = [e.payload for e in run.sink.events_for("r") if e.kind == "role_call"]
     return event
+
+
+def test_call_binds_the_runs_command_lines_the_caller_leaves_out():
+    backend = RecordingBackend(ScriptedBackend([ScriptRule(match=(), responses=('{"a": 1}',))]))
+    run = _probe_run(backend)
+    run.templates["probe"] = _template(body="Q: {question}\nActions:\n{admissible_commands}")
+    assert _probe(run) == {"a": 1}
+    ((_tag, prompt),) = backend.calls
+    assert run.commands and prompt == f"Q: ping\nActions:\n{run.commands}"
 
 
 def test_call_role_success_reports_usage_and_attempts():
