@@ -4,19 +4,25 @@ Every case below runs one method on one task with a scripted backend and the
 counter clock, writes its trace to a file and hashes the file's bytes
 (SHA-256).  Traces carry only prompt sizes, so the case's role backends are
 also wrapped in recording delegates sharing one call log, and every prompt
-sent is hashed, in call order, as ``role_tag NUL prompt NUL``.
-``golden_traces.json`` and ``golden_prompts.json`` hold the expected hashes of
-each case, so a refactor that is meant to keep behaviour must keep every hash.
+sent is hashed, in call order, as ``role_tag NUL prompt NUL``.  A third hash,
+the behaviour hash, is taken over the trace with every ``prompt_tokens`` and
+``prompt_chars`` value dropped (``run_end.role_tokens``' prompt sums too), so
+it moves with every call, reply, step, verdict and graph edit but not with
+prompt sizes.  ``golden_traces.json``, ``golden_prompts.json`` and
+``golden_behaviour.json`` hold the expected hashes of each case, so a refactor
+that is meant to keep behaviour must keep every hash, and one that is meant to
+change only what prompts say must keep the behaviour hashes.
 The same runs also check that tdp's node prompts stay scoped to their node,
 that no method calls a role after the step that ends the episode, and that
 every tdp trace alone rebuilds its run's graph.
 The tests only read those files.  A change that alters traces or prompts on
-purpose regenerates both with
+purpose regenerates all three with
 
     PYTHONPATH=src:. python tests/test_golden_traces.py
 
 and says in CHANGES.md why they changed; it prints each case that is new
-(``added:``) and each case whose trace or prompt hash moved (``changed:``).
+(``added:``) and each case whose trace, prompt or behaviour hash moved
+(``changed:``).
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ from scenarios import (
 
 GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
 PROMPTS_PATH = Path(__file__).with_name("golden_prompts.json")
+BEHAVIOUR_PATH = Path(__file__).with_name("golden_behaviour.json")
+#: The trace fields that only measure a prompt's size.
+PROMPT_SIZE_KEYS = frozenset({"prompt_tokens", "prompt_chars"})
 
 # a case builds (method, instance, environment, config) afresh each time it runs
 Case = Callable[[], tuple[str, TaskInstance, Environment, RunConfig]]
@@ -166,13 +175,27 @@ def _run_of(name: str) -> CaseRun:
         return run_case(CASES[name], Path(tmp))
 
 
-def _hashes_of(name: str) -> tuple[str, str]:
-    """SHA-256 of the case's trace file and of every (role tag, prompt) sent."""
+def _without_prompt_sizes(value: Any) -> Any:
+    """`value` with every prompt-size key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: _without_prompt_sizes(v) for k, v in value.items() if k not in PROMPT_SIZE_KEYS}
+    if isinstance(value, list):
+        return [_without_prompt_sizes(v) for v in value]
+    return value
+
+
+def _hashes_of(name: str) -> tuple[str, str, str]:
+    """SHA-256 of the case's trace file, of every (role tag, prompt) sent and
+    of the trace's lines without their prompt sizes."""
     run = _run_of(name)
     prompts = hashlib.sha256()
     for role_tag, prompt in run.calls:
         prompts.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
-    return hashlib.sha256(run.trace).hexdigest(), prompts.hexdigest()
+    behaviour = hashlib.sha256()
+    for line in run.trace.splitlines():
+        doc = _without_prompt_sizes(json.loads(line))
+        behaviour.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    return hashlib.sha256(run.trace).hexdigest(), prompts.hexdigest(), behaviour.hexdigest()
 
 
 def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
@@ -182,6 +205,7 @@ def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
 def test_golden_file_covers_exactly_the_cases():
     assert sorted(_golden()) == sorted(CASES)
     assert sorted(_golden(PROMPTS_PATH)) == sorted(CASES)
+    assert sorted(_golden(BEHAVIOUR_PATH)) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -192,6 +216,11 @@ def test_trace_matches_its_golden_hash(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_prompts_match_their_golden_hash(name):
     assert _hashes_of(name)[1] == _golden(PROMPTS_PATH)[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_behaviour_matches_its_golden_hash(name):
+    assert _hashes_of(name)[2] == _golden(BEHAVIOUR_PATH)[name]
 
 
 NODE_SCOPED = ("planner:plan", "executor:execute", "supervisor:evaluate", "planner:replan")
@@ -303,19 +332,20 @@ def _write(path: Path, hashes: dict[str, str]) -> None:
 
 
 def _regenerate() -> None:
-    """Rewrite both golden files, first printing each case that has no
-    golden hash yet and each case whose trace or prompt hash moved."""
+    """Rewrite the three golden files, first printing each case that has no
+    golden hash yet and each case whose trace, prompt or behaviour hash moved."""
     hashes = {name: _hashes_of(name) for name in sorted(CASES)}
-    old = (_golden(GOLDEN_PATH), _golden(PROMPTS_PATH))
-    for name, pair in hashes.items():
-        moved = [what for what, golden, new in zip(("trace", "prompts"), old, pair)
+    paths = (GOLDEN_PATH, PROMPTS_PATH, BEHAVIOUR_PATH)
+    old = tuple(map(_golden, paths))
+    for name, triple in hashes.items():
+        moved = [what for what, golden, new in zip(("trace", "prompts", "behaviour"), old, triple)
                  if golden.get(name) != new]
         if all(name not in golden for golden in old):
             print(f"added: {name}")
         elif moved:
             print(f"changed: {name} ({', '.join(moved)})")
-    _write(GOLDEN_PATH, {name: pair[0] for name, pair in hashes.items()})
-    _write(PROMPTS_PATH, {name: pair[1] for name, pair in hashes.items()})
+    for i, path in enumerate(paths):
+        _write(path, {name: triple[i] for name, triple in hashes.items()})
 
 
 if __name__ == "__main__":
