@@ -130,10 +130,15 @@ class SubTaskNode:
 
 @dataclass
 class TaskGraph:
-    """The full decomposition of one task."""
+    """The full decomposition of one task.
+
+    ``retired`` holds the ids that revisions removed; no later node takes
+    one, so an id names one node for the whole run (and its trace).
+    """
 
     task_description: str
     nodes: dict[NodeId, SubTaskNode] = field(default_factory=dict)
+    retired: frozenset[NodeId] = frozenset()
 
     def sorted_ids(self) -> list[NodeId]:
         return sorted(self.nodes)
@@ -282,9 +287,11 @@ def apply_revision(
 
     Either every edit in the delta lands and the result validates, or the
     original graph object is returned untouched with the rejection reasons.
-    Terminal nodes may be removed but never rewritten or resurrected.  Every
-    graph the supervisor proposes is built here: a decomposition is a revision
-    of the empty graph (:func:`~tdp.roles.parse_subgoals`).  Given a `scope`,
+    Terminal nodes may be removed but never rewritten.  A removed node's id
+    is retired: a named new node may not take it, in this delta or a later
+    one, and a generated id goes past it.  Every graph the supervisor
+    proposes is built here: a decomposition is a revision of the empty graph
+    (:func:`~tdp.roles.parse_subgoals`).  Given a `scope`,
     the ids :func:`render_dag_state` showed, the delta may name only those
     ids and the ids of its own new nodes, in its updates, its removals and its
     new nodes' dependencies and dependents; each other id it names is one
@@ -314,6 +321,7 @@ def apply_revision(
             )
             for nid, node in graph.nodes.items()
         },
+        retired=graph.retired,
     )
 
     for node_id, new_description in delta.description_updates:
@@ -325,26 +333,22 @@ def apply_revision(
         else:
             node.description = new_description
 
-    removed_terminal: set[NodeId] = set()
     for node_id in delta.remove_nodes:
         if node_id not in work.nodes:
             reasons.append(f"remove: unknown node {node_id!r}")
             continue
-        if work.nodes[node_id].status.terminal:
-            removed_terminal.add(node_id)
         del work.nodes[node_id]
+        work.retired |= {node_id}
         for other in work.nodes.values():
             other.dependencies.discard(node_id)
 
     for spec in delta.new_nodes:
-        # past the ids before the removals too, so an unnamed node never gets a
-        # removed node's id back
-        nid = spec.id if spec.id else next_generated_id([*graph.nodes, *work.nodes])
+        nid = spec.id if spec.id else next_generated_id([*work.nodes, *work.retired])
         if nid in work.nodes:
             reasons.append(f"add: id {nid!r} already exists")
             continue
-        if nid in removed_terminal:
-            reasons.append(f"add: id {nid!r} would resurrect a terminal node removed above")
+        if nid in work.retired:
+            reasons.append(f"add: id {nid!r} is retired: a revision removed its node")
             continue
         work.nodes[nid] = SubTaskNode(
             id=nid,

@@ -23,7 +23,7 @@ from graphgen import (
     run_revision_sequence,
     sorted_nodes,
 )
-from tdp.engine import node_bindings
+from tdp.engine import node_bindings, replay_graph
 from tdp.graph import (
     MAX_NODES,
     GraphError,
@@ -36,12 +36,14 @@ from tdp.graph import (
     TaskGraph,
     TraceEntry,
     apply_revision,
+    delta_to_doc,
     legal_transition,
     next_generated_id,
     ready_nodes,
     render_dag_state,
     validate_graph,
 )
+from tdp.telemetry import TraceEvent
 
 
 def node(nid, deps=(), status=NodeStatus.PENDING, description=None):
@@ -451,7 +453,7 @@ def test_remove_then_readd_terminal_id_is_refused():
     )
     result = apply_revision(g, delta)
     assert result.status == "rejected"
-    assert any("resurrect" in r for r in result.reasons)
+    assert "add: id 'done' is retired: a revision removed its node" in result.reasons
     assert result.graph is g and "done" in g.nodes
 
 
@@ -471,6 +473,47 @@ def test_an_unnamed_node_replacing_the_highest_numbered_terminal_node_is_applied
     assert result.applied, result.reasons
     assert set(result.graph.nodes) == {"node_1", "node_3"}
     assert result.graph.nodes["node_3"].dependencies == {"node_1"}
+
+
+def test_an_id_an_earlier_revision_removed_is_never_given_again():
+    """node_2 fails and is replaced by the generated node_3, which fails and
+    is removed too; the next unnamed node is node_4, not node_2 again, a
+    named node_2 is refused, and the trace's deltas replay to the same ids."""
+    g = graph_of(
+        node("node_1", status=NodeStatus.COMPLETED),
+        node("node_2", deps=["node_1"], status=NodeStatus.FAILED),
+    )
+    replace_2 = RevisionDelta(
+        need_update=True,
+        remove_nodes=("node_2",),
+        new_nodes=(NewNodeSpec(id=None, description="retry", dependencies=("node_1",)),),
+    )
+    g = apply_revision(g, replace_2).graph
+    assert set(g.nodes) == {"node_1", "node_3"}
+    g.nodes["node_3"] = node("node_3", deps=["node_1"], status=NodeStatus.FAILED)
+    remove_3 = RevisionDelta(need_update=True, remove_nodes=("node_3",))
+    g = apply_revision(g, remove_3).graph
+    assert (set(g.nodes), g.retired) == ({"node_1"}, {"node_2", "node_3"})
+    add_unnamed = RevisionDelta(
+        need_update=True,
+        new_nodes=(NewNodeSpec(id=None, description="try once more", dependencies=("node_1",)),),
+    )
+    result = apply_revision(g, add_unnamed)
+    assert result.applied, result.reasons
+    assert set(result.graph.nodes) == {"node_1", "node_4"}
+    add_named = RevisionDelta(need_update=True, new_nodes=(NewNodeSpec("node_2", "again"),))
+    refused = apply_revision(g, add_named)
+    assert refused.reasons == ("add: id 'node_2' is retired: a revision removed its node",)
+
+    construct = RevisionDelta(need_update=True, new_nodes=(
+        NewNodeSpec("node_1", "read"), NewNodeSpec("node_2", "use", ("node_1",))))
+    events = [
+        TraceEvent("r", seq, float(seq), kind, {"status": "applied", "delta": delta_to_doc(d)})
+        for seq, (kind, d) in enumerate([("graph_constructed", construct),
+                                          ("revision", replace_2), ("revision", remove_3),
+                                          ("revision", add_unnamed)])
+    ]
+    assert set(replay_graph("t", events).nodes) == {"node_1", "node_4"}
 
 
 def test_rejection_is_atomic_even_when_parts_were_valid():
