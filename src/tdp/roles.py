@@ -43,7 +43,6 @@ __all__ = [
     "render_prompt",
     "extract_json",
     "parse_subgoals",
-    "PlanStep",
     "Plan",
     "parse_plan",
     "render_plan",
@@ -253,69 +252,52 @@ def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, Re
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    index: int
-    reasoning: str
-    step_text: str
-
-
-@dataclass(frozen=True)
 class Plan:
-    """An ordered, contiguously numbered list of plan steps (1..n)."""
+    """An ordered list of step texts, each nonempty."""
 
-    steps: tuple[PlanStep, ...]
-
-    def __post_init__(self) -> None:
-        for pos, step in enumerate(self.steps, start=1):
-            if step.index != pos:
-                raise ParseFault(
-                    f"plan steps must be numbered 1..n contiguously; "
-                    f"step at position {pos} is numbered {step.index}"
-                )
-            if not step.step_text.strip():
-                raise ParseFault(f"plan step {step.index} has empty step text")
+    steps: tuple[str, ...]
 
 
 _STEP_HEADER_RE = re.compile(r"^##\s*Step\s+(\d+)\s*$", re.MULTILINE)
+_STEP_LINE_RE = re.compile(r"^Step:\s*(.*)$", re.MULTILINE | re.DOTALL)
 
 
 def parse_plan(text: str) -> Plan:
-    """Parse the ``## Step N`` / ``Reasoning:`` / ``Step:`` plan format.
+    """Parse the planner's ``## Step N`` / ``Reasoning:`` / ``Step:`` reply
+    into its step texts.
 
-    Missing headers or a block without its ``Step:`` line are parse faults,
-    and so, raised by :class:`Plan`, are non-contiguous numbering and empty
-    step text.  ``Reasoning:`` is tolerated when absent; step text may span
-    lines up to the next header.
+    Missing headers, a block without its ``Step:`` line, numbering that is
+    not 1..n in order and empty step text are parse faults.  A
+    ``Reasoning:`` line may be present or not, and is not kept; step text
+    may span lines up to the next header.
     """
     cleaned = _strip_fences(text)
     headers = list(_STEP_HEADER_RE.finditer(cleaned))
     if not headers:
         raise ParseFault("no '## Step N' headers found in plan")
-    steps: list[PlanStep] = []
-    for i, match in enumerate(headers):
+    steps: list[str] = []
+    for pos, match in enumerate(headers, start=1):
         number = int(match.group(1))
-        block_end = headers[i + 1].start() if i + 1 < len(headers) else len(cleaned)
-        block = cleaned[match.end() : block_end]
-        step_match = re.search(r"^Step:\s*(.*)$", block, re.MULTILINE | re.DOTALL)
+        if number != pos:
+            raise ParseFault(
+                f"plan steps must be numbered 1..n contiguously; "
+                f"step at position {pos} is numbered {number}"
+            )
+        block_end = headers[pos].start() if pos < len(headers) else len(cleaned)
+        step_match = _STEP_LINE_RE.search(cleaned, match.end(), block_end)
         if not step_match:
             raise ParseFault(f"plan step {number} has no 'Step:' line")
-        reasoning_match = re.search(r"^Reasoning:\s*(.*?)^Step:", block, re.MULTILINE | re.DOTALL)
-        reasoning = reasoning_match.group(1).strip() if reasoning_match else ""
         step_text = step_match.group(1).strip()
-        steps.append(PlanStep(index=number, reasoning=reasoning, step_text=step_text))
+        if not step_text:
+            raise ParseFault(f"plan step {number} has empty step text")
+        steps.append(step_text)
     return Plan(steps=tuple(steps))
 
 
 def render_plan(plan: Plan) -> str:
-    """Inverse of :func:`parse_plan` for well-formed plans.
-
-    A step without reasoning renders without a ``Reasoning:`` line.
-    """
-    blocks = []
-    for step in plan.steps:
-        reasoning = f"Reasoning: {step.reasoning}\n" if step.reasoning else ""
-        blocks.append(f"## Step {step.index}\n{reasoning}Step: {step.step_text}")
-    return "\n".join(blocks)
+    """The plan as the prompts that follow it show it: one ``N. <step>``
+    line per step, without the planner's reasoning or reply markup."""
+    return "\n".join(f"{i}. {step}" for i, step in enumerate(plan.steps, start=1))
 
 
 _EVAL_STATUSES = frozenset({"completed", "failed", "needs_more_steps"})

@@ -14,7 +14,9 @@ import random
 from typing import Any, Callable
 
 from tdp.graph import NewNodeSpec, RevisionDelta, SubTaskNode, TaskGraph
-from tdp.roles import Evaluation, Plan, PlanStep, render_plan
+from tdp.roles import Evaluation, Plan
+
+from scenarios import plan_reply
 
 _WORDS = (
     "survey", "the", "area", "collect", "figures", "verify", "totals", "draft",
@@ -85,44 +87,39 @@ def corrupt_subgoals(rng: random.Random) -> str:
 # plans
 
 
-def gen_plan(rng: random.Random) -> tuple[str, Plan]:
+def _plan_parts(rng: random.Random) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Step texts and one reasoning per step ("" for none); a third of the
+    plans carry no ``Reasoning:`` line at all."""
     n = rng.randint(1, 5)
-    steps = tuple(
-        PlanStep(
-            index=i + 1,
-            reasoning=_phrase(rng) if rng.random() < 0.7 else "",
-            step_text=_phrase(rng, 3, 8),
-        )
-        for i in range(n)
-    )
-    plan = Plan(steps=steps)
-    text = render_plan(plan)
+    steps = tuple(_phrase(rng, 3, 8) for _ in range(n))
+    if rng.random() < 0.33:
+        return steps, ("",) * n
+    return steps, tuple(_phrase(rng) if rng.random() < 0.7 else "" for _ in range(n))
+
+
+def gen_plan(rng: random.Random) -> tuple[str, Plan]:
+    steps, reasoning = _plan_parts(rng)
+    text = plan_reply(*steps, reasoning=reasoning)
     if rng.random() < 0.4:
         text = f"```\n{text}\n```"
-    return text, plan
+    return text, Plan(steps=steps)
 
 
 def corrupt_plan(rng: random.Random) -> str:
-    _, plan = gen_plan(rng)
+    steps, reasoning = _plan_parts(rng)
     mode = rng.choice(["skip_number", "no_step_line", "empty_step", "no_headers"])
     if mode == "no_headers":
         return "First do one thing, then do the other."
-    blocks = []
-    for step in plan.steps:
-        index = step.index
-        if mode == "skip_number" and index == len(plan.steps):
-            index += 1  # last step jumps the sequence
-        if mode == "no_step_line" and step.index == 1:
-            blocks.append(f"## Step {index}\nReasoning: {step.reasoning}")
-            continue
-        step_text = step.step_text
-        if mode == "empty_step" and step.index == 1:
-            step_text = "   "
-        blocks.append(f"## Step {index}\nReasoning: {step.reasoning}\nStep: {step_text}")
-    text = "\n".join(blocks)
-    if mode == "skip_number" and len(plan.steps) == 1:
-        text = "## Step 2\nStep: starts at two"
-    return text
+    if mode == "skip_number" and len(steps) == 1:
+        return "## Step 2\nStep: starts at two"
+    blocks = plan_reply(*steps, reasoning=reasoning).split("\n## Step ")
+    if mode == "skip_number":  # the last step jumps the sequence
+        blocks[-1] = blocks[-1].replace(f"{len(steps)}\n", f"{len(steps) + 1}\n", 1)
+    elif mode == "no_step_line":
+        blocks[0] = blocks[0].split("\nStep: ")[0]
+    else:
+        blocks[0] = blocks[0].split("\nStep: ")[0] + "\nStep:   "
+    return "\n## Step ".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +169,11 @@ def corrupt_evaluation(rng: random.Random) -> str:
 def gen_replan(rng: random.Random) -> tuple[str, tuple[bool, Plan | None]]:
     replan = rng.random() < 0.5
     if replan:
-        _, plan = gen_plan(rng)
+        plan_text, plan = gen_plan(rng)
         doc: dict[str, Any] = {
             "RePlan": True,
             "Thought": _phrase(rng),
-            "NewPlan": render_plan(plan),
+            "NewPlan": plan_text,
         }
         expected: tuple[bool, Plan | None] = (True, plan)
     else:

@@ -39,9 +39,14 @@ def subgoals_reply(*specs: tuple[str, str, list[str]]) -> str:
     )
 
 
-def plan_reply(*steps: str) -> str:
-    blocks = [f"## Step {i}\nStep: {text}" for i, text in enumerate(steps, start=1)]
-    return "\n".join(blocks)
+def plan_reply(*steps: str, reasoning: tuple[str, ...] = ()) -> str:
+    """The planner's reply format: one ``## Step N`` block per step; a step
+    whose `reasoning` entry is nonempty gets a ``Reasoning:`` line."""
+    whys = reasoning or ("",) * len(steps)
+    return "\n".join(
+        f"## Step {i}\n" + (f"Reasoning: {why}\n" if why else "") + f"Step: {text}"
+        for i, (text, why) in enumerate(zip(steps, whys, strict=True), start=1)
+    )
 
 
 def eval_reply(status: str, reason: str | None = None, need_replan: bool = False) -> str:
@@ -87,19 +92,23 @@ def rule(role: str | None, match: list[str], *responses: str) -> ScriptRule:
 
 
 class RecordingBackend(ModelBackend):
-    """Forwards every call to a wrapped backend and records its (role_tag, prompt).
+    """Forwards every call to a wrapped backend and records its (role_tag,
+    prompt) in ``calls`` and the text of each reply it returns in ``replies``.
 
     Scripted backends keep no call log, so a test that inspects the prompts a
-    role received reads them from this delegate's ``calls``.
+    role received, or what it answered, reads them from this delegate.
     """
 
     def __init__(self, inner: ModelBackend) -> None:
         self.inner = inner
         self.calls: list[tuple[str, str]] = []
+        self.replies: list[str] = []
 
     def complete(self, role_tag: str, prompt: str) -> Completion:
         self.calls.append((role_tag, prompt))
-        return self.inner.complete(role_tag, prompt)
+        completion = self.inner.complete(role_tag, prompt)
+        self.replies.append(completion.text)
+        return completion
 
 
 #: A JSON reply in which every field a JSON-reading parser requires has the

@@ -139,9 +139,7 @@ def _snapshot(node: SubTaskNode) -> bytes:
         "dependencies": sorted(node.dependencies),
         "status": node.status.value,
         "replan_count": node.replan_count,
-        "plan": None
-        if node.plan is None
-        else [(s.index, s.reasoning, s.step_text) for s in node.plan.steps],
+        "plan": None if node.plan is None else list(node.plan.steps),
         "trace": [(e.step_index, e.action, e.observation) for e in node.local_trace],
         "outcome": None
         if node.outcome is None

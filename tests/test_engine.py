@@ -484,7 +484,7 @@ class TestExecuteNode:
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 1
-        assert node.plan.steps[0].step_text == "Open the drawer directly."
+        assert node.plan.steps == ("Open the drawer directly.",)
         replans = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert len(replans) == 1
         assert replans[0].payload == {
@@ -516,7 +516,7 @@ class TestExecuteNode:
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 0
-        assert node.plan.steps[0].step_text == "Keep at it."
+        assert node.plan.steps == ("Keep at it.",)
         (replan,) = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert replan.payload == {
             "scope": "node_1", "accepted": False, "replan_count": 0,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from tdp.cli import load_config
 from tdp.engine import RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.fields import check_fields
+from tdp.roles import ParseFault, extract_json
 from tdp.telemetry import EVENT_FIELDS, CounterClock, TraceError, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
@@ -143,11 +145,12 @@ TDP_CASES = sorted(n for n in CASES if n.startswith("tdp"))
 @dataclass(frozen=True)
 class CaseRun:
     """What one run of a case left: its trace file's bytes, every (role tag,
-    prompt) the backends received in call order, the task query and the
-    environment's admissible commands."""
+    prompt) the backends received in call order, every planner reply, the
+    task query and the environment's admissible commands."""
 
     trace: bytes
     calls: tuple[tuple[str, str], ...]
+    planner_replies: tuple[str, ...]
     query: str
     commands: tuple[str, ...]
 
@@ -165,8 +168,9 @@ def run_case(case: Case, trace_dir: Path) -> CaseRun:
         run_task(instance, env, config, sink=sink)
     else:
         BASELINES[method](instance, env, config, sink=sink)
-    return CaseRun(path.read_bytes(), tuple(calls), instance.query,
-                   tuple(env.admissible_commands()))
+    planner = config.role_backends.get("planner")
+    return CaseRun(path.read_bytes(), tuple(calls), tuple(planner.replies if planner else ()),
+                   instance.query, tuple(env.admissible_commands()))
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +245,26 @@ def test_node_prompts_stay_scoped_to_their_node(name):
         if tag == "supervisor:evaluate":
             shown = [command for command in run.commands if command in prompt]
             assert not shown, (tag, shown)
+
+
+_REASONING_RE = re.compile(r"^Reasoning:\s*(.+)$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_prompt_after_the_plan_shows_the_planners_reasoning(name):
+    """The executor, the evaluator and the replanner see a plan as its steps:
+    none of their prompts holds a ``Reasoning:`` text the planner wrote."""
+    plans = []
+    for reply in _run_of(name).planner_replies:
+        try:  # a replan reply carries its plan in NewPlan
+            plans.append(extract_json(reply).get("NewPlan") or "")
+        except ParseFault:
+            plans.append(reply)
+    reasoning = {why.strip() for plan in plans for why in _REASONING_RE.findall(plan)}
+    readers = ("executor:execute", "supervisor:evaluate", "planner:replan")
+    shown = [(tag, why) for tag, prompt in _run_of(name).calls if tag in readers
+             for why in reasoning if why in prompt]
+    assert not shown, shown
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -11,8 +11,8 @@ from importlib import resources
 import pytest
 import requests
 from conftest import WIKI_FIXTURES
-from parsergen import PARSER_CASES
-from scenarios import RecordingBackend
+from parsergen import PARSER_CASES, gen_plan
+from scenarios import RecordingBackend, plan_reply
 from tdp.engine import Run, RunConfig
 from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
@@ -31,7 +31,6 @@ from tdp.roles import (
     ModelBackend,
     ParseFault,
     Plan,
-    PlanStep,
     PromptTemplate,
     RemoteChatBackend,
     RenderFault,
@@ -376,9 +375,7 @@ def test_a_decomposition_is_refused_for_the_reasons_of_a_revision(specs):
 
 def test_parse_plan_contiguity_and_steps():
     plan = parse_plan("## Step 1\nStep: first\n## Step 2\nReasoning: because\nStep: second")
-    assert [s.step_text for s in plan.steps] == ["first", "second"]
-    assert plan.steps[0].reasoning == ""
-    assert plan.steps[1].reasoning == "because"
+    assert plan == Plan(steps=("first", "second"))
 
     with pytest.raises(ParseFault, match="no '## Step N' headers"):
         parse_plan("just prose")
@@ -390,20 +387,24 @@ def test_parse_plan_contiguity_and_steps():
         parse_plan("## Step 1\nStep:   ")
 
 
-def test_plan_render_parse_round_trip():
-    """A step parsed without reasoning renders without a ``Reasoning:`` line."""
-    plan = Plan(
-        steps=(
-            PlanStep(index=1, reasoning="check stock first", step_text="open the ledger"),
-            PlanStep(index=2, reasoning="", step_text="tally the entries"),
-        )
-    )
-    rendered = render_plan(plan)
-    assert rendered == (
-        "## Step 1\nReasoning: check stock first\nStep: open the ledger\n"
-        "## Step 2\nStep: tally the entries"
-    )
-    assert parse_plan(rendered) == plan
+def test_planner_replies_parse_back_to_their_steps():
+    """500 seeded replies in the planner's format, with and without
+    ``Reasoning:`` lines, each parse to exactly the steps written."""
+    rng = random.Random(30)
+    with_reasoning = 0
+    for _ in range(500):
+        text, plan = gen_plan(rng)
+        with_reasoning += "\nReasoning: " in text
+        assert parse_plan(text) == plan, text
+    assert 0 < with_reasoning < 500
+
+
+def test_a_plan_is_shown_as_its_numbered_steps():
+    """The display the executor, evaluator and replanner read: one
+    ``N. <step>`` line per step, none of the planner's reasoning or markup."""
+    reply = plan_reply("open the ledger", "tally the entries",
+                       reasoning=("check stock first", "the totals decide"))
+    assert render_plan(parse_plan(reply)) == "1. open the ledger\n2. tally the entries"
 
 
 def test_parse_evaluation_edges():
@@ -429,7 +430,7 @@ def test_parse_replan_edges():
         )
     )
     assert ok.replan and ok.new_plan is not None
-    assert ok.new_plan.steps[0].step_text == "new way"
+    assert ok.new_plan == Plan(steps=("new way",))
 
     keep = parse_replan('{"RePlan": false, "Thought": null, "NewPlan": ""}')
     assert not keep.replan and keep.new_plan is None
