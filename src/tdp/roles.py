@@ -253,7 +253,7 @@ def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, Re
 
 @dataclass(frozen=True)
 class Plan:
-    """An ordered list of step texts, each nonempty."""
+    """A plan's step texts, in order; :func:`parse_plan` makes each nonempty."""
 
     steps: tuple[str, ...]
 
