@@ -15,12 +15,15 @@ Context discipline is the load-bearing property: a node's plan, execute,
 evaluate and replan prompts render from one view, :func:`node_bindings`,
 read from the graph itself: that node's description, current plan, direct
 dependencies' outcome summaries, own local trace and one-shot guidance.
-:meth:`Run.call` binds the admissible commands to every call, for the roles
-that plan or act.  Each role's template reads only what its decision
-needs: the planner, which writes and rewrites the plan, and the executor,
-which may have to pass an upstream value into an action, see the dependency
-outcomes (``prerequisites``); the evaluator, which judges the node's latest
-step, sees the sub-goal, the plan and the node's own trace (``history``).
+:meth:`Run.call` binds the command list to every call twice: the full lines
+(``admissible_commands``) for the executor, which writes commands, and each
+line's call syntax (``command_calls``) for the planner and the supervisor,
+which name work but write none.  Each role's template reads only what its
+decision needs: the planner, which writes and rewrites the plan, and the
+executor, which may have to pass an upstream value into an action, see the
+dependency outcomes (``prerequisites``); the evaluator, which judges the
+node's latest step, sees the sub-goal, the plan and the node's own trace
+(``history``), and no command list.
 The whole task never enters the view, which keeps replan prompts small and
 node work order-independent.  A finished node's outcome summary
 carries only the observations its final plan produced, so an obstacle it
@@ -49,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .environments import Environment, TaskInstance
+from .environments.base import command_syntax
 from .graph import (
     NodeStatus,
     OutcomeSummary,
@@ -191,10 +195,11 @@ def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -
     ``Prerequisite results:`` and ending in a blank line (``None`` for a node
     without dependencies, so the prompt leaves the line out), and
     ``history``, the node's own capped trace.  :meth:`Run.call` adds the
-    admissible commands.  Each template renders the names it declares and
-    ignores the rest: ``plan``, ``execute`` and ``replan`` declare
-    ``prerequisites``, ``evaluate`` does not.  An unknown node, or a
-    dependency that is missing or not completed, is a
+    command list in both renderings.  Each template renders the names it
+    declares and ignores the rest: ``plan``, ``execute`` and ``replan``
+    declare ``prerequisites``, ``evaluate`` does not; ``execute`` declares
+    the full command lines, ``plan`` and ``replan`` their call syntax.  An
+    unknown node, or a dependency that is missing or not completed, is a
     :class:`~tdp.graph.SchedulingError`.
     """
     node = graph.nodes.get(node_id)
@@ -264,8 +269,10 @@ class Run:
     ``config.s_max`` (:meth:`budget_spent`).  Without a caller's sink the run
     keeps its events in an in-memory one.  A run keeps no trace of its own,
     and only tdp sets :attr:`graph`.  :attr:`templates` holds the packaged
-    templates, each with its role and reply reader (:meth:`call`), and
-    :attr:`commands` the environment's command lines, one per line.
+    templates, each with its role and reply reader (:meth:`call`),
+    :attr:`commands` the environment's command lines, one per line, and
+    :attr:`command_calls` their call syntax
+    (:func:`~tdp.environments.base.command_syntax`).
     """
 
     def __init__(
@@ -289,7 +296,9 @@ class Run:
         self.steps_used = 0
         read_gold(instance.gold, where="gold", error=TraceError)
         env.reset(instance)
-        self.commands = "\n".join(env.admissible_commands())
+        lines = env.admissible_commands()
+        self.commands = "\n".join(lines)
+        self.command_calls = "\n".join(map(command_syntax, lines))
         self.sink.begin_run(
             self.run_id,
             meta={
@@ -308,13 +317,15 @@ class Run:
     def call(self, template: str, bindings: dict[str, Any], scope: str = "global") -> Any:
         """Render, complete and read one call of `template`, retrying parse faults.
 
-        The run's command lines are bound as ``admissible_commands`` under
-        `bindings`.  The template names the role whose backend answers, tagged
-        ``role:template``, and the reader of the reply, which also sees the
-        bindings, so an executor's reader takes the verbs its prompt listed.
-        The prompt is rendered once.  Each retry re-sends it plus
-        one more :data:`~tdp.roles.FORMAT_REMINDER` line that names why the
-        last reply was refused, up to ``1 + parser_retry_budget`` attempts.
+        The run's command lines are bound as ``admissible_commands`` and
+        their call syntax as ``command_calls``, both under `bindings`; each
+        template declares the one its role reads.  The template names the
+        role whose backend answers, tagged ``role:template``, and the reader
+        of the reply, which also sees the bindings, so an executor's reader
+        takes the verbs its prompt listed.  The prompt is rendered once.  Each
+        retry re-sends it plus one more :data:`~tdp.roles.FORMAT_REMINDER`
+        line that names why the last reply was refused, up to
+        ``1 + parser_retry_budget`` attempts.
         The call, faulted or not, is recorded as a ``role_call`` event
         carrying its usage summed over the attempts, ``null`` for a count the
         backend did not report; then the parsed value is returned or a
@@ -325,7 +336,8 @@ class Run:
         spec = self.templates[template]
         backend = self.config.backend(spec.role)
         tag = f"{spec.role}:{template}"
-        bindings = {"admissible_commands": self.commands, **bindings}
+        bindings = {"admissible_commands": self.commands,
+                    "command_calls": self.command_calls, **bindings}
         prompt = render_prompt(spec, bindings)
         prompt_chars = len(prompt)
         usage = TokenUsage()

@@ -33,10 +33,11 @@ class StepResult:
 
 
 class Command(NamedTuple):
-    """One row of a command table: the line the prompts list (the call, `` - ``
-    and what it does), ``handler(env, *args)`` giving the observation for the
-    arguments the mock's ``_act`` reads from an action, and the usage reply
-    where it names the call in other words than the line."""
+    """One row of a command table: the line the acting prompts list (the call,
+    `` - `` and what it does; :func:`command_syntax` cuts it to the call),
+    ``handler(env, *args)`` giving the observation for the arguments the
+    mock's ``_act`` reads from an action, and the usage reply where it names
+    the call in other words than the line."""
 
     line: str
     handler: Callable[..., str]
@@ -44,8 +45,13 @@ class Command(NamedTuple):
 
     @property
     def syntax(self) -> str:
-        """How the command is called: its usage, or its line up to the help."""
-        return self.usage or self.line.split(" - ", 1)[0]
+        """How the command is called: its usage, or its line's call syntax."""
+        return self.usage or command_syntax(self.line)
+
+
+def command_syntax(line: str) -> str:
+    """A command line's call syntax: the line up to its `` - `` help text."""
+    return line.split(" - ", 1)[0]
 
 
 def command_verb(text: str) -> str:

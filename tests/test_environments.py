@@ -22,7 +22,7 @@ from tdp.environments import (
     validate_instance,
 )
 from tdp.engine import Run, RunConfig
-from tdp.environments.base import command_verb
+from tdp.environments.base import command_syntax, command_verb
 from tdp.roles import ParseFault
 
 from conftest import FIXTURE_DIR, LAB_FIXTURE, TRAVEL_FIXTURE, WIKI_FIXTURES
@@ -49,6 +49,18 @@ class TestCommandTables:
     def test_admissible_commands_are_the_table_lines_in_order(self, env_id):
         table = ENVIRONMENTS[env_id].commands
         assert make_environment(env_id).admissible_commands() == [c.line for c in table.values()]
+
+    def test_the_run_lists_each_line_and_its_call_syntax(self, env_id):
+        """A run renders the table twice: its lines, and each line up to its
+        help text, which is also the syntax of a row without its own usage."""
+        table = ENVIRONMENTS[env_id].commands
+        run = Run("tdp", load_task_instance(FIXTURE_OF[env_id]), make_environment(env_id),
+                  RunConfig())
+        assert run.commands.splitlines() == [c.line for c in table.values()]
+        assert run.command_calls.splitlines() == [command_syntax(c.line) for c in table.values()]
+        for command in table.values():
+            assert command.line.startswith(command_syntax(command.line) + " - ")
+            assert command.syntax == (command.usage or command_syntax(command.line))
 
     def test_the_executor_reads_the_table_verbs(self, env_id):
         """The execute reader, given the run's command lines, takes a call of
@@ -83,6 +95,9 @@ def test_the_chain_env_verbs_come_from_its_command_lines():
     with pytest.raises(ParseFault, match="must start with one of: resolve, work"):
         read("Finish[x]", view)
     assert command_verb("  resolve <n> - clear the blocker") == "resolve"
+    assert run.command_calls == "work <n>\nresolve <n>"
+    assert command_syntax("put <object> in <container> - place it - now") == (
+        "put <object> in <container>")
     assert command_verb("[x]") == ""
 
 

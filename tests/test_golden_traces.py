@@ -43,6 +43,7 @@ from tdp.baselines import BASELINES
 from tdp.cli import load_config
 from tdp.engine import RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
+from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
 from tdp.roles import ParseFault, extract_json
 from tdp.telemetry import EVENT_FIELDS, CounterClock, TraceError, TraceSink, read_trace
@@ -146,12 +147,13 @@ TDP_CASES = sorted(n for n in CASES if n.startswith("tdp"))
 class CaseRun:
     """What one run of a case left: its trace file's bytes, every (role tag,
     prompt) the backends received in call order, every planner reply, the
-    task query and the environment's admissible commands."""
+    task query, the environment's id and its admissible commands."""
 
     trace: bytes
     calls: tuple[tuple[str, str], ...]
     planner_replies: tuple[str, ...]
     query: str
+    environment: str
     commands: tuple[str, ...]
 
 
@@ -170,7 +172,7 @@ def run_case(case: Case, trace_dir: Path) -> CaseRun:
         BASELINES[method](instance, env, config, sink=sink)
     planner = config.role_backends.get("planner")
     return CaseRun(path.read_bytes(), tuple(calls), tuple(planner.replies if planner else ()),
-                   instance.query, tuple(env.admissible_commands()))
+                   instance.query, instance.environment, tuple(env.admissible_commands()))
 
 
 @lru_cache(maxsize=None)
@@ -245,6 +247,48 @@ def test_node_prompts_stay_scoped_to_their_node(name):
         if tag == "supervisor:evaluate":
             shown = [command for command in run.commands if command in prompt]
             assert not shown, (tag, shown)
+
+
+#: The prompts that plan or supervise, which name work but write no command,
+#: and the prompts that write one.
+CALL_SYNTAX_TAGS = ("supervisor:construct", "planner:plan", "planner:replan", "supervisor:revise")
+FULL_LINE_TAGS = ("executor:execute", "executor:react")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_role_is_shown_the_command_list_its_decision_needs(name):
+    """A prompt that plans or supervises lists each command's call syntax and
+    none of its help texts; a prompt that writes a command lists the full
+    command lines."""
+    run = _run_of(name)
+    full = "Available actions:\n" + "\n".join(run.commands) + "\n"
+    calls = "Available actions:\n" + "\n".join(map(command_syntax, run.commands)) + "\n"
+    helps = [line.split(" - ", 1)[1] for line in run.commands]
+    assert full != calls and all(helps)
+    checked = set()
+    for tag, prompt in run.calls:
+        if tag in CALL_SYNTAX_TAGS:
+            assert calls in prompt, (tag, prompt)
+            assert not [text for text in helps if text in prompt], (tag, prompt)
+        elif tag in FULL_LINE_TAGS:
+            assert full in prompt, (tag, prompt)
+        else:
+            continue
+        checked.add(tag)
+    assert checked and checked & set(FULL_LINE_TAGS), (name, checked)
+
+
+def test_the_command_list_cases_cover_each_environment():
+    """wiki, travel, textlab and the chain each run the construct, plan and
+    execute templates in some case, and the chain also runs replan and revise."""
+    tags: dict[str, set[str]] = {}
+    for name in CASES:
+        run = _run_of(name)
+        tags.setdefault(run.environment, set()).update(tag for tag, _ in run.calls)
+    for environment in ("mockwiki", "traveltoy", "textlab", ChainEnv.name):
+        assert {"supervisor:construct", "planner:plan", "executor:execute"} <= tags[environment]
+    assert set(CALL_SYNTAX_TAGS) <= tags[ChainEnv.name]
+    assert "executor:react" in tags["mockwiki"]
 
 
 _REASONING_RE = re.compile(r"^Reasoning:\s*(.+)$", re.MULTILINE)

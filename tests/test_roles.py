@@ -10,7 +10,7 @@ from importlib import resources
 
 import pytest
 import requests
-from conftest import WIKI_FIXTURES
+from conftest import REPO_ROOT, WIKI_FIXTURES
 from parsergen import PARSER_CASES, gen_plan
 from scenarios import RecordingBackend, plan_reply
 from tdp.engine import Run, RunConfig
@@ -71,20 +71,23 @@ PARSERS = {
 #: The one binding vocabulary, and the names each packaged template renders.
 VOCABULARY = frozenset({
     "task_description", "subgoal", "current_plan", "guidance", "reason",
-    "admissible_commands", "prerequisites", "history", "current_step", "dag_state",
+    "admissible_commands", "command_calls", "prerequisites", "history", "current_step",
+    "dag_state",
 })
 #: A node's prompts never name the whole task, and the evaluator, which judges
 #: but does not act, never sees the action list, nor the dependency outcomes
 #: (``prerequisites``) that the planner and the executor see; a plan call
-#: comes before the node's first action, so it sees no history.
+#: comes before the node's first action, so it sees no history.  Only the
+#: templates that write a command (``execute``, ``react``) see the full command
+#: lines; the planner and the supervisor see each command's call syntax.
 NODE_VIEW = {"subgoal", "current_plan", "history"}
 TEMPLATE_BINDINGS = {
-    "construct": {"task_description", "admissible_commands"},
-    "plan": {"subgoal", "admissible_commands", "prerequisites"},
+    "construct": {"task_description", "command_calls"},
+    "plan": {"subgoal", "command_calls", "prerequisites"},
     "execute": NODE_VIEW | {"guidance", "admissible_commands", "prerequisites"},
     "evaluate": NODE_VIEW,
-    "replan": NODE_VIEW | {"reason", "admissible_commands", "prerequisites"},
-    "revise": {"task_description", "current_step", "history", "dag_state", "admissible_commands"},
+    "replan": NODE_VIEW | {"reason", "command_calls", "prerequisites"},
+    "revise": {"task_description", "current_step", "history", "dag_state", "command_calls"},
     "react": {"task_description", "admissible_commands", "history"},
 }
 
@@ -97,6 +100,27 @@ def test_all_builtin_templates_load_and_declare_their_placeholders():
         assert template.placeholders <= VOCABULARY
         for placeholder in template.placeholders:
             assert "{" + placeholder + "}" in template.body
+
+
+def test_readme_names_exactly_the_vocabulary_and_each_template_s_placeholders():
+    """README's placeholder table has one row per name of :data:`VOCABULARY`,
+    and its which-template-uses-which list one entry per packaged template,
+    naming, in backticks, exactly that template's placeholders."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Prompt templates\n", 1)[1].split("\n## ", 1)[0]
+    header = "\n| placeholder | value |\n| --- | --- |\n"
+    table = section.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = [re.match(r"\| `(\w+)` \|", line) for line in table.splitlines()]
+    assert None not in rows, table
+    assert sorted(row.group(1) for row in rows) == sorted(VOCABULARY)
+    listing = section.split("\nWhich template uses which names", 1)[1].split("\n\n", 2)[1]
+    entries = re.split(r"\n(?=- )", listing)
+    names = [re.match(r"- `(\w+)`: ", entry) for entry in entries]
+    assert None not in names, entries
+    assert sorted(name.group(1) for name in names) == sorted(TEMPLATE_NAMES)
+    for name, entry in zip(names, entries):
+        named = re.findall(r"`(\w+)`", entry[name.end():])
+        assert sorted(named) == sorted(TEMPLATE_BINDINGS[name.group(1)]), entry
 
 
 def test_each_template_names_its_role_and_reply_reader_once():
@@ -235,7 +259,7 @@ def test_render_prompt_missing_binding_names_the_placeholder():
     with pytest.raises(RenderFault, match="prerequisites"):
         render_prompt(
             template,
-            {"subgoal": "n", "admissible_commands": "c"},
+            {"subgoal": "n", "command_calls": "c"},
         )
 
 
@@ -262,7 +286,7 @@ def test_render_prompt_leaves_out_lines_bound_only_to_none():
 def test_node_prompts_without_guidance_or_reason_carry_no_none():
     templates = load_templates()
     view = {"subgoal": "s", "current_plan": "p", "admissible_commands": "c",
-            "prerequisites": None, "history": "h"}
+            "command_calls": "c", "prerequisites": None, "history": "h"}
     execute = render_prompt(templates["execute"], {**view, "guidance": None})
     assert "Guidance:" not in execute and "None" not in execute
     guided = render_prompt(templates["execute"], {**view, "guidance": "Try the stove."})
@@ -549,7 +573,7 @@ def test_extract_action_takes_only_one_command_of_the_environment(reply):
 def test_parser_round_trips_and_rejects_corruption(kind):
     gen, corrupt = PARSER_CASES[kind]
     parser = PARSERS[kind]
-    rng = random.Random(hash(kind) % 10_000)
+    rng = random.Random(50_000 + len(kind))  # fixed, so a failing draw reruns
     for _ in range(60):
         text, expected = gen(rng)
         value = parser(text)
@@ -710,12 +734,17 @@ def _role_call(run) -> dict:
 
 
 def test_call_binds_the_runs_command_lines_the_caller_leaves_out():
+    """Both renderings of the run's commands: the full lines as
+    ``admissible_commands`` and each line's call syntax as ``command_calls``."""
     backend = RecordingBackend(ScriptedBackend([ScriptRule(match=(), responses=('{"a": 1}',))]))
     run = _probe_run(backend)
-    run.templates["probe"] = _template(body="Q: {question}\nActions:\n{admissible_commands}")
+    run.templates["probe"] = _template(
+        body="Q: {question}\nActions:\n{admissible_commands}\nCalls:\n{command_calls}")
     assert _probe(run) == {"a": 1}
     ((_tag, prompt),) = backend.calls
-    assert run.commands and prompt == f"Q: ping\nActions:\n{run.commands}"
+    assert run.commands == "\n".join(run.env.admissible_commands())
+    assert run.command_calls == "Search[keyword]\nLookup[keyword]\nFinish[answer]"
+    assert prompt == f"Q: ping\nActions:\n{run.commands}\nCalls:\n{run.command_calls}"
 
 
 def test_call_role_success_reports_usage_and_attempts():
