@@ -77,7 +77,7 @@ from .roles import (
     render_prompt,
 )
 from .telemetry import CounterClock, MetricsRecord, TokenUsage, TraceError, TraceEvent, TraceSink
-from .telemetry import compute_metrics, read_gold, role_tokens
+from .telemetry import compute_metrics, read_gold
 
 __all__ = [
     "EngineError",
@@ -244,19 +244,6 @@ def task_done(env: Environment, graph: TaskGraph | None) -> bool:
     return env.done or _sinks_completed(graph)
 
 
-def _node_records(graph: TaskGraph | None) -> dict[str, dict[str, Any]]:
-    if graph is None:
-        return {}
-    return {
-        nid: {
-            "status": node.status.value,
-            "replan_count": node.replan_count,
-            "trace_len": len(node.local_trace),
-        }
-        for nid, node in sorted(graph.nodes.items())
-    }
-
-
 class Run:
     """One run's bookkeeping, shared by tdp and every baseline.
 
@@ -402,19 +389,16 @@ class Run:
         :func:`~tdp.telemetry.compute_metrics` folds from the run's events and
         the instance's gold, the one replay recomputes from the trace.
 
-        The task counts as delivered when the environment says so or when
-        every sink node of :attr:`graph` completed.
+        ``run_end`` carries only what the events do not: `terminal`, `reason`,
+        the environment's metrics and delivery, by the environment's word or
+        because every sink node of :attr:`graph` completed.
         """
         env_metrics = self.env.metrics()
-        events = self.sink.events_for(self.run_id)
         delivered = bool(env_metrics.get("delivered", False)) or _sinks_completed(self.graph)
-        run_end = self.emit("run_end", terminal=terminal, reason=reason,
-                            steps_used=self.steps_used, delivered=delivered, method=self.method,
-                            env_metrics=env_metrics, node_records=_node_records(self.graph),
-                            role_tokens=role_tokens(events))
-        return compute_metrics(
-            [*events, run_end], self.instance.gold, method=self.method, run_id=self.run_id
-        )
+        self.emit("run_end", terminal=terminal, reason=reason, delivered=delivered,
+                  method=self.method, env_metrics=env_metrics)
+        return compute_metrics(self.sink.events_for(self.run_id), self.instance.gold,
+                               method=self.method, run_id=self.run_id)
 
 
 LoopBody = Callable[[Run], tuple[str, str]]

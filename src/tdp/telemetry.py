@@ -8,8 +8,7 @@ header), so replay never touches a backend or an environment.
 :data:`EVENT_FIELDS` declares each event kind's payload fields, and payloads
 are checked against it and nowhere else: by :meth:`TraceSink.emit` when
 written, and by :func:`compute_metrics` once per event of the run it folds.
-The folds (:func:`role_tokens`, :func:`~tdp.engine.replay_graph`) read them
-unchecked.
+:func:`~tdp.engine.replay_graph` reads them unchecked.
 
 The composite ``avg_score`` reported per method is the arithmetic mean over
 whichever fraction-valued metrics are defined for that method's runs
@@ -22,6 +21,7 @@ import json
 import string
 import threading
 import time
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -42,7 +42,6 @@ __all__ = [
     "MetricsRecord",
     "normalize_answer",
     "read_gold",
-    "role_tokens",
     "compute_metrics",
     "MethodSummary",
     "ComparisonReport",
@@ -72,9 +71,8 @@ EVENT_FIELDS: dict[str, dict[str, Field]] = {
                "budget_exhausted": Field((bool,), required=False)},
     "revision": {"status": _STR, "reasons": Field((list[str],)), "delta": Field((dict, None)),
                  "error": Field((str,), required=False)},
-    "run_end": {"terminal": _STR, "reason": _STR, "steps_used": _INT, "delivered": _BOOL,
-                "method": _STR, "env_metrics": _OBJECT, "node_records": _OBJECT,
-                "role_tokens": _OBJECT},
+    "run_end": {"terminal": _STR, "reason": _STR, "delivered": _BOOL, "method": _STR,
+                "env_metrics": _OBJECT},
 }
 EVENT_KINDS = frozenset(EVENT_FIELDS)
 #: The fields around a trace line's payload: a header's, and an event's.
@@ -198,9 +196,9 @@ class TraceSink:
 def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceEvent]]:
     """Load a trace file back into (headers by run_id, events in file order).
 
-    Re-validates version (1 or 2), event kinds, each line's envelope, one
-    header per run, and per-run sequence contiguity.  Payloads are checked
-    run by run, by :func:`compute_metrics`, so a bad one hides no other run.
+    Re-validates each line's ``kind`` and envelope, a header's version (the
+    integer 1 or 2), one header per run, and per-run sequence contiguity.
+    Payloads are checked run by run, by :func:`compute_metrics`, so a bad one hides no other run.
     """
     headers: dict[str, dict[str, Any]] = {}
     events: list[TraceEvent] = []
@@ -215,12 +213,12 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
             except json.JSONDecodeError as err:
                 raise TraceError(f"{path}:{line_no}: not JSON: {err}") from None
             check_value(doc, dict, name=f"{path}:{line_no}: line", error=TraceError)
-            kind = doc.get("kind")
+            kind = read_field(doc, "kind", str, where=f"{path}:{line_no}: line", error=TraceError)
             if kind == "header":
-                if doc.get("version") not in (1, TRACE_VERSION):
-                    raise TraceError(
-                        f"{path}:{line_no}: unsupported trace version {doc.get('version')!r}"
-                    )
+                version = read_field(doc, "version", int, where=f"{path}:{line_no}: header",
+                                     error=TraceError)
+                if version not in (1, TRACE_VERSION):
+                    raise TraceError(f"{path}:{line_no}: unsupported trace version {version!r}")
                 check_fields(doc, _HEADER_FIELDS, where=f"{path}:{line_no}: header",
                              error=TraceError)
                 run_id = doc["run_id"]
@@ -280,8 +278,8 @@ class MetricsRecord:
     from its trace.  ``None`` marks a metric that is undefined for the run,
     as the tokens of a run with a model call that ended on a backend error or
     whose backend did not report them.  ``node_records`` holds one entry per
-    node of the run's final graph, nodes never dispatched included; a node a
-    revision removed has none."""
+    node the run dispatched, by id, a node a revision later removed included;
+    a node never dispatched has none."""
 
     run_id: str
     method: str
@@ -303,21 +301,6 @@ class MetricsRecord:
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-
-def role_tokens(events: Iterable[TraceEvent]) -> dict[str, dict[str, int | None]]:
-    """Per-role prompt and output tokens summed over the ``role_call`` events,
-    in role order: the one account of a run's tokens.  A call that ended on a
-    backend error adds unknown counts, since its usage is not known.  The
-    payloads are read unchecked (see the module docstring)."""
-    usages: dict[str, TokenUsage] = {}
-    for event in events:
-        if event.kind == "role_call":
-            p = event.payload
-            usage = TokenUsage(None, None) if "error" in p else TokenUsage(
-                p["prompt_tokens"], p["output_tokens"])
-            usages[p["role"]] = usages.get(p["role"], TokenUsage()) + usage
-    return {role: asdict(usage) for role, usage in sorted(usages.items())}
 
 
 def read_gold(gold: Mapping[str, Any], *, where: str,
@@ -363,18 +346,40 @@ def compute_metrics(
     """Reduce one run's events (+ its gold record) to a MetricsRecord.
 
     Pure function of its inputs — this is what both live reporting and
-    offline replay call, so the two can be compared for exact equality.  Each
-    event is checked against :data:`EVENT_FIELDS`, and `gold`, `method` and
-    the graded ``env_metrics`` fields by their own reads; a field of the wrong
-    type is a :class:`TraceError` naming the event and the field.
+    offline replay call, so the two can be compared for exact equality, and
+    the one fold of a run's counts.  One pass checks each event against
+    :data:`EVENT_FIELDS` and folds ``role_call`` usage per role (a call that
+    ended on a backend error adds unknown counts), ``env_step`` and accepted
+    ``replan`` events per scope, and each node's last ``node_status``: a
+    node's record is that status, its replans and its steps.  The last
+    ``run_end`` gives the rest.  `gold`, `method` and the graded
+    ``env_metrics`` fields are checked by their own reads; a field of the
+    wrong type is a :class:`TraceError` naming the event and the field.
     """
     gold_answer, constraints = read_gold(
         check_value(gold or {}, Mapping, name="'gold'", error=TraceError), where="gold",
         error=TraceError)
+    usages: dict[str, TokenUsage] = {}
+    steps: Counter[str] = Counter()
+    replans: Counter[str] = Counter()
+    statuses: dict[str, str] = {}
+    run_end: TraceEvent | None = None
     for event in events:
-        check_fields(event.payload, EVENT_FIELDS[event.kind],
-                     where=f"{event.kind} event {event.seq}", error=TraceError)
-    run_end = next((e for e in reversed(events) if e.kind == "run_end"), None)
+        p = event.payload
+        check_fields(p, EVENT_FIELDS[event.kind], where=f"{event.kind} event {event.seq}",
+                     error=TraceError)
+        if event.kind == "role_call":
+            usage = TokenUsage(None, None) if "error" in p else TokenUsage(
+                p["prompt_tokens"], p["output_tokens"])
+            usages[p["role"]] = usages.get(p["role"], TokenUsage()) + usage
+        elif event.kind == "env_step":
+            steps[p["scope"]] += 1
+        elif event.kind == "replan" and p["accepted"]:
+            replans[p["scope"]] += 1
+        elif event.kind == "node_status":
+            statuses[p["node_id"]] = p["status"]
+        elif event.kind == "run_end":
+            run_end = event
     if run_end is None:
         raise TraceError("run has no run_end event")
     end = run_end.payload
@@ -387,8 +392,7 @@ def compute_metrics(
     )
     delivered_accuracy = accuracy if (end["delivered"] and accuracy is not None) else None
 
-    tokens = role_tokens(events)
-    total = sum((TokenUsage(**role) for role in tokens.values()), TokenUsage())
+    total = sum(usages.values(), TokenUsage())
     prompt_tokens, output_tokens = (None if n is None else float(n) for n in astuple(total))
 
     plan_text = read_env("plan_text", str, None, default=None) if constraints else None
@@ -404,15 +408,16 @@ def compute_metrics(
         avg_reward=read_env("reward", float, int, None, default=None),
         avg_prompt_tokens=prompt_tokens,
         avg_output_tokens=output_tokens,
-        replans_total=sum(e.payload["accepted"] for e in events if e.kind == "replan"),
+        replans_total=replans.total(),
         constraint_micro=constraint_micro,
         constraint_macro=constraint_macro,
-        steps_used=end["steps_used"],
+        steps_used=steps.total(),
         terminal=end["terminal"],
         reason=end["reason"],
         env_metrics=end["env_metrics"],
-        node_records=end["node_records"],
-        role_tokens=tokens,
+        node_records={nid: {"status": status, "replan_count": replans[nid],
+                            "trace_len": steps[nid]} for nid, status in sorted(statuses.items())},
+        role_tokens={role: asdict(usage) for role, usage in sorted(usages.items())},
     )
 
 

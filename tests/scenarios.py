@@ -212,7 +212,7 @@ def project(event: TraceEvent) -> tuple[Any, ...]:
     if event.kind == "replan":
         return (event.kind, p["scope"], p["accepted"])
     if event.kind == "run_end":
-        return (event.kind, p["terminal"], p["reason"], p["steps_used"], p["delivered"])
+        return (event.kind, p["terminal"], p["reason"], p["delivered"])
     return (event.kind,)
 
 
@@ -535,7 +535,7 @@ DIAMOND_EXPECTED: list[tuple[Any, ...]] = [
     ("env_step", 3, "focus plant", "You focus on the plant.", 0.25, False, "node_3"),
     ("role_call", "supervisor", "evaluate", "node_3", True),
     ("node_status", "node_3", "completed"),
-    ("run_end", "Terminated", "step budget exhausted", 3, False),
+    ("run_end", "Terminated", "step budget exhausted", False),
 ]
 
 

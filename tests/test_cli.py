@@ -595,6 +595,10 @@ class TestReplay:
         [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": 5})],
         [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}}),
          json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0, "payload": 5})],
+        [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}}),
+         json.dumps({"kind": ["run_end"], "run_id": "r", "seq": 0, "ts": 0})],
+        [json.dumps({"kind": "header", "version": True, "run_id": "r", "meta": {}})],
+        [json.dumps({"kind": "header", "version": 2.0, "run_id": "r", "meta": {}})],
     ])
     def test_malformed_trace_is_exit_one_with_one_line(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.jsonl"
@@ -719,8 +723,8 @@ MISTYPED_FIELDS = {
                     r"'gold' must be an object, got 5"),
     "header method": ("header", lambda doc: doc["meta"].update(method=5),
                       r"compute_metrics: 'method' must be a string, got 5"),
-    "run_end steps_used": ("run_end", _set_payload(steps_used="x"),
-                           r"run_end event \d+: 'steps_used' must be an integer, got 'x'"),
+    "env_step scope": ("env_step", _set_payload(scope=None),
+                       r"env_step event \d+: 'scope' must be a string, got None"),
     "run_end reward": ("run_end", lambda doc: doc["payload"]["env_metrics"].update(reward="abc"),
                        r"run_end event \d+ env_metrics: 'reward' must be a number or an integer "
                        r"or null, got 'abc'"),
@@ -729,8 +733,9 @@ MISTYPED_FIELDS = {
                        r"got 5"),
     "run_end reason": ("run_end", _set_payload(reason=None),
                        r"run_end event \d+: 'reason' must be a string, got None"),
-    "run_end node_records": ("run_end", _set_payload(node_records=[]),
-                             r"run_end event \d+: 'node_records' must be an object, got \[\]"),
+    "node_status status": ("node_status", _set_payload(status=["completed"]),
+                           r"node_status event \d+: 'status' must be a string, "
+                           r"got \['completed'\]"),
     "header constraint not an object": (
         "header", _set_constraints([5]),
         r"gold: 'constraints' must be a list of objects, got \[5\]"),

@@ -543,6 +543,50 @@ class TestExecuteNode:
         assert replan.payload["budget_exhausted"] is True
         assert replan.payload["accepted"] is False
 
+    def test_the_record_folds_each_dispatched_nodes_live_state(self):
+        """node_1 completes after one accepted replan, node_2 fails and node_3
+        is never dispatched: the record folded from the events gives each
+        dispatched node's live status, replans and trace length, and no
+        record for node_3."""
+        d2 = "Check the stove."
+        config = _exec_config(
+            [
+                rule("supervisor:evaluate", [d2], eval_reply("failed", "Wrong stove.")),
+                rule("supervisor:evaluate", ["You open the drawer"],
+                     eval_reply("completed", "Open.")),
+                rule("supervisor:evaluate", ["Nothing happens"],
+                     eval_reply("needs_more_steps", "The knob approach does nothing.",
+                                need_replan=True)),
+            ],
+            [
+                rule("planner:plan", [d2], plan_reply("Activate it.")),
+                rule("planner:plan", [D1], plan_reply("Twist the knob.")),
+                rule("planner:replan", ["knob approach does nothing"],
+                     replan_accept(plan_reply("Open the drawer directly."))),
+            ],
+            [
+                rule("executor:execute", [d2], "activate stove"),
+                rule("executor:execute", ["Open the drawer directly."], "open drawer"),
+                rule("executor:execute", [D1], "put knob"),
+            ],
+            s_max=9,
+        )
+        graph = TaskGraph(task_description="Inspect the lab.")
+        for nid, description in (("node_1", D1), ("node_2", d2), ("node_3", "Never run.")):
+            graph.nodes[nid] = SubTaskNode(id=nid, description=description)
+        run = _lab_run(config, TraceSink(clock=CounterClock()))
+        for nid in ("node_2", "node_1"):
+            run.emit("node_dispatched", node_id=nid)
+            execute_node(graph, nid, run)
+        record = run.finish("Terminated", "every ready node ran")
+        live = {nid: {"status": node.status.value, "replan_count": node.replan_count,
+                      "trace_len": len(node.local_trace)}
+                for nid, node in graph.nodes.items() if nid != "node_3"}
+        assert record.node_records == live
+        assert [(r["status"], r["replan_count"]) for r in record.node_records.values()] == [
+            ("completed", 1), ("failed", 0)]
+        assert (record.steps_used, record.replans_total) == (run.steps_used, 1)
+
     @pytest.mark.parametrize(
         "broken_role, tag",
         [("planner", "planner:plan"), ("executor", "executor:execute"),
@@ -1078,7 +1122,7 @@ class TestRunTask:
         assert [project(e) for e in events] == DIAMOND_EXPECTED
 
     def test_role_tokens_match_role_call_events(self):
-        """run_end's per-role totals are the per-role sums of the run's role_call
+        """The record's per-role totals are the per-role sums of the run's role_call
         events, prompt and output tokens alike, for every method and for a run
         ended by a role fault, whose usage counts too."""
         wiki = load_task_instance(WIKI_FIXTURES[0])

@@ -5,16 +5,17 @@ fault kind (:attr:`scenarios.FaultAt.FAULTS`) and k = 1 .. n + 1, the last k
 past the run's final call.  Every run must return, or re-raise only the
 injected error; end on exactly one ``run_end``; replay from its trace file to
 its live metrics record, whose tokens are unknown exactly when a call raised
-or went unreported and agree with the ``run_end``'s per-role account; stay
-within its method's attempt bound and ``s_max`` steps; and move each node's
-status only along legal transitions.  A tdp trace must also rebuild exactly
-the nodes of its ``run_end.node_records``.
+or went unreported and whose per-role account agrees with the sums taken
+here from the ``role_call`` events; stay within its method's attempt bound
+and ``s_max`` steps; and move each node's status only along legal
+transitions.  A tdp record's node records must list exactly the dispatched
+nodes, each of which the trace alone rebuilds or records as retired.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import pytest
 
@@ -78,6 +79,20 @@ def _run(method: str, case: Case, at: int, fault: str, trace: Path):
     return instance, config, sink, calls, raised
 
 
+def _role_sums(events: list[TraceEvent]) -> dict[str, dict[str, Any]]:
+    """Each role's prompt and output tokens summed over its ``role_call``
+    events, unknown (``None``) once a call raised or went unreported."""
+    sums: dict[str, dict[str, Any]] = {}
+    for event in events:
+        if event.kind == "role_call":
+            p = event.payload
+            role = sums.setdefault(p["role"], {"prompt_tokens": 0, "output_tokens": 0})
+            for key in role:
+                known = role[key] is not None and p[key] is not None and "error" not in p
+                role[key] = role[key] + p[key] if known else None
+    return sums
+
+
 def _check_statuses(events: list[TraceEvent], where: str) -> None:
     status: dict[str, NodeStatus] = {}
     for event in events:
@@ -106,14 +121,14 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         events = sink.events_for("r")
         run_ends = [e for e in events if e.kind == "run_end"]
         assert run_ends == [events[-1]], where
-        run_end = run_ends[0].payload
 
         live = compute_metrics(events, instance.gold, method=method, run_id="r")
         unknown = fault in ("error", "no_usage") and k <= len(clean_calls)
         assert (live.avg_prompt_tokens is None) is unknown, where
+        assert live.role_tokens == _role_sums(events), where
         for key, total in (("prompt_tokens", live.avg_prompt_tokens),
                            ("output_tokens", live.avg_output_tokens)):
-            sums = [role[key] for role in run_end["role_tokens"].values()]
+            sums = [role[key] for role in live.role_tokens.values()]
             assert (None if None in sums else sum(sums)) == total, where
         _, replayed_events = read_trace(path)
         assert compute_metrics(replayed_events, instance.gold, method=method) == live, where
@@ -122,8 +137,10 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         assert attempts == len(calls), where
         assert attempts <= ATTEMPT_BOUNDS[method](config.s_max, config.parser_retry_budget), where
         steps = [e for e in events if e.kind == "env_step"]
-        assert len(steps) == run_end["steps_used"] <= config.s_max, where
+        assert len(steps) == live.steps_used <= config.s_max, where
         _check_statuses(events, where)
+        dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
+        assert list(live.node_records) == sorted(dispatched), where
         if method == "tdp":
             graph = replay_graph(instance.query, replayed_events)
-            assert sorted(graph.nodes) == sorted(run_end["node_records"]), where
+            assert set(dispatched) <= graph.nodes.keys() | graph.retired, where

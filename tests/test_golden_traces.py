@@ -6,15 +6,15 @@ counter clock, writes its trace to a file and hashes the file's bytes
 also wrapped in recording delegates sharing one call log, and every prompt
 sent is hashed, in call order, as ``role_tag NUL prompt NUL``.  A third hash,
 the behaviour hash, is taken over the trace with every ``prompt_tokens`` and
-``prompt_chars`` value dropped (``run_end.role_tokens``' prompt sums too), so
-it moves with every call, reply, step, verdict and graph edit but not with
-prompt sizes.  ``golden_traces.json``, ``golden_prompts.json`` and
-``golden_behaviour.json`` hold the expected hashes of each case, so a refactor
-that is meant to keep behaviour must keep every hash, and one that is meant to
-change only what prompts say must keep the behaviour hashes.
+``prompt_chars`` value dropped, so it moves with every call, reply, step,
+verdict and graph edit but not with prompt sizes.  ``golden_traces.json``,
+``golden_prompts.json`` and ``golden_behaviour.json`` hold the expected
+hashes of each case, so a refactor that is meant to keep behaviour must keep
+every hash, and one that is meant to change only what prompts say must keep
+the behaviour hashes.
 The same runs also check that tdp's node prompts stay scoped to their node,
 that no method calls a role after the step that ends the episode, and that
-every tdp trace alone rebuilds its run's graph.
+every tdp trace alone rebuilds its run's graph and the nodes of its record.
 The tests only read those files.  A change that alters traces or prompts on
 purpose regenerates all three with
 
@@ -46,7 +46,15 @@ from tdp.environments import Environment, TaskInstance, load_task_instance, make
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
 from tdp.roles import ParseFault, extract_json
-from tdp.telemetry import EVENT_FIELDS, CounterClock, TraceError, TraceSink, read_trace
+from tdp.telemetry import (
+    EVENT_FIELDS,
+    CounterClock,
+    TraceError,
+    TraceEvent,
+    TraceSink,
+    compute_metrics,
+    read_trace,
+)
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
 from perfbench import chain
@@ -204,6 +212,15 @@ def _hashes_of(name: str) -> tuple[str, str, str]:
     return hashlib.sha256(run.trace).hexdigest(), prompts.hexdigest(), behaviour.hexdigest()
 
 
+def _read_run(name: str, tmp_path: Path) -> tuple[dict[str, Any], list[TraceEvent]]:
+    """The case's one header and its events, read back from its trace file."""
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(_run_of(name).trace)
+    headers, events = read_trace(path)
+    ((_, header),) = headers.items()
+    return header, events
+
+
 def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -323,9 +340,7 @@ def test_no_role_is_called_after_the_episode_ends(name):
 def test_every_event_matches_the_event_table(name, tmp_path):
     """Each event the case wrote, read back from its file, has every
     required field of its kind, each of a declared type, and no other."""
-    path = tmp_path / "trace.jsonl"
-    path.write_bytes(_run_of(name).trace)
-    _, events = read_trace(path)
+    _, events = _read_run(name, tmp_path)
     for event in events:
         fields = EVENT_FIELDS[event.kind]
         where = f"{event.kind} event {event.seq}"
@@ -335,16 +350,16 @@ def test_every_event_matches_the_event_table(name, tmp_path):
 
 @pytest.mark.parametrize("name", TDP_CASES)
 def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
-    """replay_graph over the trace file gives exactly the nodes of the run's
-    node records; the revising chains' nodes carry their reworded descriptions."""
-    path = tmp_path / "trace.jsonl"
-    path.write_bytes(_run_of(name).trace)
-    headers, events = read_trace(path)
-    ((_, header),) = headers.items()
+    """The record's node records are the dispatched nodes, each of which
+    replay_graph over the trace file rebuilds or records as retired; the
+    revising chains' nodes carry their reworded descriptions."""
+    header, events = _read_run(name, tmp_path)
     assert header["version"] == 2
     graph = replay_graph(header["meta"]["query"], events)
-    (run_end,) = [e for e in events if e.kind == "run_end"]
-    assert graph.nodes and sorted(graph.nodes) == sorted(run_end.payload["node_records"])
+    dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
+    record = compute_metrics(events, header["meta"]["gold"])
+    assert graph.nodes and list(record.node_records) == sorted(dispatched)
+    assert set(dispatched) <= graph.nodes.keys() | graph.retired
     if name.startswith("tdp-revise/"):
         stages = len(graph.nodes)
         assert {nid: node.description for nid, node in graph.nodes.items()} == {
@@ -353,9 +368,10 @@ def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
         }
 
 
-def test_the_repair_case_completes_by_revision():
+def test_the_repair_case_completes_by_revision(tmp_path):
     """node_3 fails; the round's revision removes it and adds node_5 before
-    the blocked node_4; node_5 and then node_4 complete, and the run delivers."""
+    the blocked node_4; node_5 and then node_4 complete, and the run delivers.
+    The record keeps node_3, failed, beside the nodes of the final graph."""
     events = [json.loads(line) for line in _run_of("tdp/diamond_repair").trace.splitlines()]
     statuses = [(e["payload"]["node_id"], e["payload"]["status"]) for e in events
                 if e["kind"] == "node_status" and e["payload"]["status"] != "in_progress"]
@@ -368,10 +384,15 @@ def test_the_repair_case_completes_by_revision():
     assert (new_node["id"], new_node["dependents"]) == ("node_5", ["node_4"])
     (run_end,) = [e["payload"] for e in events if e["kind"] == "run_end"]
     assert (run_end["terminal"], run_end["delivered"]) == ("Completed", True)
+    header, trace = _read_run("tdp/diamond_repair", tmp_path)
+    records = compute_metrics(trace, header["meta"]["gold"]).node_records
+    assert {nid: record["status"] for nid, record in records.items()} == {
+        "node_1": "completed", "node_2": "completed", "node_3": "failed",
+        "node_4": "completed", "node_5": "completed"}
 
 
 @pytest.mark.parametrize("method", ("tdp", "plan-act"))
-def test_the_seeded_chain_clears_its_plain_stage_without_a_replan(method):
+def test_the_seeded_chain_clears_its_plain_stage_without_a_replan(method, tmp_path):
     """The seed-1 chain5 leaves stage 5 plain: both methods clear it on
     ``work 5`` alone, taking one step per stage plus one per obstacle and
     one accepted replan per obstacle."""
@@ -381,8 +402,9 @@ def test_the_seeded_chain_clears_its_plain_stage_without_a_replan(method):
     assert "work 5" in actions and "resolve 5" not in actions
     replans = [e["payload"]["accepted"] for e in events if e["kind"] == "replan"]
     assert replans == [True] * len(spec.obstacles)
-    (run_end,) = [e["payload"] for e in events if e["kind"] == "run_end"]
-    assert (run_end["terminal"], run_end["steps_used"]) == ("Completed", spec.steps)
+    header, trace = _read_run(f"{method}/chain5-seed1", tmp_path)
+    record = compute_metrics(trace, header["meta"]["gold"])
+    assert (record.terminal, record.steps_used) == ("Completed", spec.steps)
 
 
 def test_a_version_1_trace_cannot_be_replayed():

@@ -53,7 +53,7 @@ from tdp.roles import (
     render_prompt,
 )
 from tdp.cli import _report_line
-from tdp.telemetry import compare_report, role_tokens
+from tdp.telemetry import compare_report
 
 PARSERS = {
     "subgoals": parse_subgoals,
@@ -733,6 +733,11 @@ def _role_call(run) -> dict:
     return event
 
 
+def _role_tokens(run) -> dict:
+    """The per-role token sums of the record the run finishes with."""
+    return run.finish("Completed", "probe done").role_tokens
+
+
 def test_call_binds_the_runs_command_lines_the_caller_leaves_out():
     """Both renderings of the run's commands: the full lines as
     ``admissible_commands`` and each line's call syntax as ``command_calls``."""
@@ -753,7 +758,7 @@ def test_call_role_success_reports_usage_and_attempts():
     event = _role_call(run)
     assert event["attempts"] == 1 and event["ok"] is True
     assert (event["prompt_tokens"], event["output_tokens"]) == (2, 2)  # whitespace tokens
-    assert role_tokens(run.sink.events_for("r")) == {
+    assert _role_tokens(run) == {
         "supervisor": {"prompt_tokens": 2, "output_tokens": 2}}
 
 
@@ -781,7 +786,7 @@ def test_call_role_retries_with_cumulative_reminders():
         total = total + u
     assert (event["prompt_tokens"], event["output_tokens"]) == (
         total.prompt_tokens, total.output_tokens)
-    assert role_tokens(run.sink.events_for("r"))["supervisor"] == {
+    assert _role_tokens(run)["supervisor"] == {
         "prompt_tokens": total.prompt_tokens, "output_tokens": total.output_tokens}
 
 
@@ -796,7 +801,7 @@ def test_call_role_exhaustion_carries_usage_and_raw_text():
     event = _role_call(run)  # the faulted call is recorded too
     assert event["ok"] is False and event["attempts"] == 2
     assert event["output_tokens"] == 2  # one token per attempt
-    assert role_tokens(run.sink.events_for("r"))["supervisor"]["output_tokens"] == 2
+    assert _role_tokens(run)["supervisor"]["output_tokens"] == 2
 
 
 def test_call_role_zero_budget_means_one_attempt():
@@ -836,7 +841,7 @@ def test_call_role_backend_error_on_a_retry_records_the_usage_so_far():
     assert event["error"] == "ConnectionError: backend went away"
     assert (event["prompt_tokens"], event["output_tokens"]) == (5, 2)
     # the failed attempt's usage is not known, so neither is the role's sum
-    assert role_tokens(run.sink.events_for("r"))["supervisor"] == {
+    assert _role_tokens(run)["supervisor"] == {
         "prompt_tokens": None, "output_tokens": None}
 
 

@@ -28,7 +28,6 @@ from tdp.telemetry import (
     compute_metrics,
     normalize_answer,
     read_trace,
-    role_tokens,
 )
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
@@ -49,9 +48,8 @@ PAYLOADS = {
     "env_step": {"step_index": 1, "action": "look", "observation": "ok", "reward_delta": None,
                  "done": False, "scope": "global"},
     "replan": {"scope": "global", "accepted": False, "replan_count": 0},
-    "run_end": {"terminal": "Completed", "reason": "task done", "steps_used": 3,
-                "delivered": True, "method": "tdp", "env_metrics": {}, "node_records": {},
-                "role_tokens": {}},
+    "run_end": {"terminal": "Completed", "reason": "task done", "delivered": True,
+                "method": "tdp", "env_metrics": {}},
 }
 
 
@@ -290,16 +288,26 @@ class TestReadTrace:
          r"trace\.jsonl:2: run_end event: 'seq' must be an integer, got True"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": "yesterday"})],
          r"trace\.jsonl:2: run_end event: 'ts' must be a number or an integer, got 'yesterday'"),
+        ([_HEADER, json.dumps({"kind": ["run_end"], "run_id": "r", "seq": 0, "ts": 0})],
+         r"trace\.jsonl:2: line: 'kind' must be a string, got \['run_end'\]"),
+        ([json.dumps({"run_id": "r", "seq": 0, "ts": 0})],
+         r"trace\.jsonl:1: line: missing required field 'kind'"),
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, lines, message):
         path = self._write(tmp_path, lines)
         with pytest.raises(TraceError, match=message):
             read_trace(path)
 
-    def test_unsupported_version(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 99, "run_id": "r", "meta": {}})
+    @pytest.mark.parametrize("version, message", [
+        (99, r"trace\.jsonl:1: unsupported trace version 99"),
+        (True, r"trace\.jsonl:1: header: 'version' must be an integer, got True"),
+        (2.0, r"trace\.jsonl:1: header: 'version' must be an integer, got 2\.0"),
+    ])
+    def test_unsupported_version(self, tmp_path, version, message):
+        """A bool or a float never passes as a version, even one equal to 1 or 2."""
+        header = json.dumps({"kind": "header", "version": version, "run_id": "r", "meta": {}})
         path = self._write(tmp_path, [header])
-        with pytest.raises(TraceError, match="unsupported trace version 99"):
+        with pytest.raises(TraceError, match=message):
             read_trace(path)
 
     def test_unknown_kind_in_file(self, tmp_path):
@@ -345,6 +353,25 @@ class TestReadTrace:
                          "supervisor": {"prompt_tokens": 1576, "output_tokens": 180}},
         )
 
+    def test_a_trace_whose_run_end_carries_the_old_sums_still_reads(self, tmp_path):
+        """Earlier writers also put ``steps_used``, ``node_records`` and
+        ``role_tokens`` in ``run_end``; the fold reads past them, so such a
+        trace replays to the record the current one does."""
+        path = tmp_path / "trace.jsonl"
+        record = run_task(chain_instance(3), ChainEnv(), chain_config(3, tdp_chain_rules(3)),
+                          sink=TraceSink(path, clock=CounterClock()))
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert docs[-1]["kind"] == "run_end"
+        docs[-1]["payload"].update(steps_used=record.steps_used, node_records=record.node_records,
+                                   role_tokens=record.role_tokens)
+        old = tmp_path / "old.jsonl"
+        old.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
+        for trace in (path, old):
+            headers, events = read_trace(trace)
+            (header,) = headers.values()
+            assert compute_metrics(events, header["meta"]["gold"]) == record
+        assert record.steps_used == 6 and len(record.node_records) == 3
+
     def test_sequence_gap_in_file(self, tmp_path):
         header = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
         path = self._write(
@@ -361,8 +388,8 @@ class TestReadTrace:
 
 #: A writer bug: the kind of event it breaks, how, and the error emit raises.
 WRITER_BUGS = {
-    "steps_used a string": ("run_end", lambda p: p.update(steps_used="3"),
-                            r"run_end event \d+: 'steps_used' must be an integer, got '3'"),
+    "delivered a string": ("run_end", lambda p: p.update(delivered="yes"),
+                           r"run_end event \d+: 'delivered' must be true or false, got 'yes'"),
     "an undeclared field": ("replan", lambda p: p.update(nodes_touched=["node_1"]),
                             r"replan event \d+: undeclared field 'nodes_touched'"),
     "a role_call without attempts": ("role_call", lambda p: p.pop("attempts"),
@@ -464,7 +491,7 @@ class TestComputeMetrics:
         assert record.accuracy is True
         assert record.delivered_accuracy is True
         assert record.method == "tdp" and record.run_id == "r1"
-        assert record.terminal == "Completed" and record.steps_used == 3
+        assert record.terminal == "Completed"
 
     def test_wrong_answer(self):
         events = [_run_end(env_metrics={"answer": "Mississippi"})]
@@ -507,9 +534,9 @@ class TestComputeMetrics:
         record = compute_metrics([events[0], faulted, events[2]])
         assert (record.avg_prompt_tokens, record.avg_output_tokens) == (13.0, 7.0)
 
-    def test_run_end_and_metrics_agree_on_a_backend_error_run(self):
+    def test_a_backend_error_run_reads_its_role_tokens_as_unknown(self):
         """react on wiki_bridge whose executor raises on its second call: the
-        run_end's per-role account and the metrics record both read the
+        record's per-role account and its token totals both read the
         executor's tokens as unknown."""
         instance = load_task_instance(FIXTURE_DIR / "wiki" / "wiki_bridge.json")
         config, _ = with_fault(load_config(CONFIG_DIR / "scripted_wiki.json"), 2, "error")
@@ -517,10 +544,8 @@ class TestComputeMetrics:
         with pytest.raises(RuntimeError, match="injected fault at call 2"):
             BASELINES["react"](instance, make_environment(instance.environment), config,
                                sink=sink, run_id="r")
-        events = sink.events_for("r")
-        account = events[-1].payload["role_tokens"]
-        assert account == {"executor": {"prompt_tokens": None, "output_tokens": None}}
-        record = compute_metrics(events, instance.gold, method="react")
+        record = compute_metrics(sink.events_for("r"), instance.gold, method="react")
+        assert record.role_tokens == {"executor": {"prompt_tokens": None, "output_tokens": None}}
         assert (record.avg_prompt_tokens, record.avg_output_tokens) == (None, None)
 
     def test_a_backend_error_makes_only_its_own_role_unknown(self):
@@ -533,8 +558,9 @@ class TestComputeMetrics:
                    error="ConnectionError: backend went away"),
             _event(3, "role_call", role="executor", prompt_tokens=6, output_tokens=2),
             _event(4, "role_call", role="planner", prompt_tokens=7, output_tokens=4),
+            _run_end(),
         ]
-        assert role_tokens(events) == {
+        assert compute_metrics(events).role_tokens == {
             "executor": {"prompt_tokens": None, "output_tokens": None},
             "planner": {"prompt_tokens": 7, "output_tokens": 4},
             "supervisor": {"prompt_tokens": 10, "output_tokens": 3},
@@ -551,6 +577,29 @@ class TestComputeMetrics:
 
     def test_no_accepted_replans(self):
         assert compute_metrics([_run_end()]).replans_total == 0
+
+    def test_steps_replans_and_node_records_are_folded_from_the_events(self):
+        """A node's record is its last status, its accepted replans and its
+        steps, by node id; a step or replan outside any node counts only in
+        the run's totals."""
+        events = [
+            _event(0, "node_status", node_id="node_2", status="in_progress"),
+            _event(1, "env_step", step_index=1, scope="node_2"),
+            _event(2, "replan", scope="node_2", accepted=True, replan_count=1),
+            _event(3, "replan", scope="node_2", accepted=False, replan_count=1),
+            _event(4, "env_step", step_index=2, scope="node_2"),
+            _event(5, "node_status", node_id="node_2", status="failed", replan_count=1),
+            _event(6, "node_status", node_id="node_1", status="in_progress"),
+            _event(7, "env_step", step_index=3, scope="global"),
+            _event(8, "replan", scope="global", accepted=True, replan_count=1),
+            _run_end(),
+        ]
+        record = compute_metrics(events)
+        assert (record.steps_used, record.replans_total) == (3, 2)
+        assert list(record.node_records.items()) == [
+            ("node_1", {"status": "in_progress", "replan_count": 0, "trace_len": 0}),
+            ("node_2", {"status": "failed", "replan_count": 1, "trace_len": 2}),
+        ]
 
     def test_constraints_scored_on_plan_text(self):
         gold = {"constraints": [
