@@ -636,18 +636,24 @@ def run_task(run: Run) -> tuple[str, str]:
 
 
 def replay_graph(query: str, events: Iterable[TraceEvent]) -> TaskGraph:
-    """Rebuild the ids, descriptions and dependencies of a tdp run's graph,
-    as they stood after the last of `events`, from the trace alone.
+    """Rebuild a tdp run's graph, as it stood after the last of `events`,
+    from the trace alone: its ids, descriptions, dependencies and statuses.
 
     Starts from the empty graph of `query` and applies the delta of
     ``graph_constructed`` and then of each applied ``revision``, in order,
     each read back through :func:`~tdp.roles.parse_revision` since a trace is
-    outside input.  Statuses are the ``node_status`` events'.  Raises
+    outside input.  The same pass keeps each node's last ``node_status``,
+    which the nodes still in the graph then carry; a node's outcome is not in
+    the trace, so a terminal node comes back without one.  Raises
     :class:`~tdp.telemetry.TraceError` on a delta that is missing (version-1
     traces recorded a snapshot), unreadable or refused.
     """
     graph = TaskGraph(task_description=query)
+    statuses: dict[str, str] = {}
     for event in events:
+        if event.kind == "node_status":
+            statuses[event.payload["node_id"]] = event.payload["status"]
+            continue
         applied = event.kind == "revision" and event.payload["status"] == "applied"
         if not (applied or event.kind == "graph_constructed"):
             continue
@@ -663,4 +669,6 @@ def replay_graph(query: str, events: Iterable[TraceEvent]) -> TaskGraph:
         if not result.applied:
             raise TraceError(f"{where}: delta does not apply: {'; '.join(result.reasons)}")
         graph = result.graph
+    for node_id in statuses.keys() & graph.nodes.keys():
+        graph.nodes[node_id].status = NodeStatus(statuses[node_id])
     return graph

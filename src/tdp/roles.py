@@ -258,36 +258,37 @@ class Plan:
     steps: tuple[str, ...]
 
 
-_STEP_HEADER_RE = re.compile(r"^##\s*Step\s+(\d+)\s*$", re.MULTILINE)
-_STEP_LINE_RE = re.compile(r"^Step:\s*(.*)$", re.MULTILINE | re.DOTALL)
+#: Where a plan step starts: an ``N.`` line, the format :func:`render_plan`
+#: writes and the planner is asked for, or a ``## Step N`` header and its
+#: ``Step:`` line, the block form that only ``perfbench/chain.py``'s ``_plan``
+#: still writes.
+_STEP_START_RE = re.compile(
+    r"^[ \t]*(\d+)\.(?!\S)|^##[ \t]*Step[ \t]+(\d+)[ \t]*\nStep:", re.MULTILINE
+)
 
 
 def parse_plan(text: str) -> Plan:
-    """Parse the planner's ``## Step N`` / ``Reasoning:`` / ``Step:`` reply
-    into its step texts.
+    """Parse the planner's reply, one ``N. <step>`` line per step, into its
+    step texts.
 
-    Missing headers, a block without its ``Step:`` line, numbering that is
-    not 1..n in order and empty step text are parse faults.  A
-    ``Reasoning:`` line may be present or not, and is not kept; step text
-    may span lines up to the next header.
+    A step's text runs to the next step's start, so it may span lines; prose
+    before the first step is ignored.  No step, numbering that is not 1..n in
+    order and an empty step are parse faults.
     """
     cleaned = _strip_fences(text)
-    headers = list(_STEP_HEADER_RE.finditer(cleaned))
-    if not headers:
-        raise ParseFault("no '## Step N' headers found in plan")
+    starts = list(_STEP_START_RE.finditer(cleaned))
+    if not starts:
+        raise ParseFault("no numbered steps ('1. <step>' lines) found in plan")
     steps: list[str] = []
-    for pos, match in enumerate(headers, start=1):
-        number = int(match.group(1))
+    for pos, match in enumerate(starts, start=1):
+        number = int(match.group(1) or match.group(2))
         if number != pos:
             raise ParseFault(
                 f"plan steps must be numbered 1..n contiguously; "
                 f"step at position {pos} is numbered {number}"
             )
-        block_end = headers[pos].start() if pos < len(headers) else len(cleaned)
-        step_match = _STEP_LINE_RE.search(cleaned, match.end(), block_end)
-        if not step_match:
-            raise ParseFault(f"plan step {number} has no 'Step:' line")
-        step_text = step_match.group(1).strip()
+        step_end = starts[pos].start() if pos < len(starts) else len(cleaned)
+        step_text = cleaned[match.end():step_end].strip()
         if not step_text:
             raise ParseFault(f"plan step {number} has empty step text")
         steps.append(step_text)
@@ -295,8 +296,8 @@ def parse_plan(text: str) -> Plan:
 
 
 def render_plan(plan: Plan) -> str:
-    """The plan as the prompts that follow it show it: one ``N. <step>``
-    line per step, without the planner's reasoning or reply markup."""
+    """The plan as the planner writes it and the prompts that follow it show
+    it: one ``N. <step>`` line per step, which :func:`parse_plan` reads back."""
     return "\n".join(f"{i}. {step}" for i, step in enumerate(plan.steps, start=1))
 
 

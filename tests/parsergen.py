@@ -87,39 +87,33 @@ def corrupt_subgoals(rng: random.Random) -> str:
 # plans
 
 
-def _plan_parts(rng: random.Random) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Step texts and one reasoning per step ("" for none); a third of the
-    plans carry no ``Reasoning:`` line at all."""
-    n = rng.randint(1, 5)
-    steps = tuple(_phrase(rng, 3, 8) for _ in range(n))
-    if rng.random() < 0.33:
-        return steps, ("",) * n
-    return steps, tuple(_phrase(rng) if rng.random() < 0.7 else "" for _ in range(n))
+def _plan_steps(rng: random.Random) -> tuple[str, ...]:
+    return tuple(_phrase(rng, 3, 8) for _ in range(rng.randint(1, 5)))
 
 
 def gen_plan(rng: random.Random) -> tuple[str, Plan]:
-    steps, reasoning = _plan_parts(rng)
-    text = plan_reply(*steps, reasoning=reasoning)
+    """A numbered reply; some open with prose, some are fenced."""
+    steps = _plan_steps(rng)
+    text = plan_reply(*steps)
+    if rng.random() < 0.3:
+        text = f"Here is the plan:\n{text}"
     if rng.random() < 0.4:
         text = f"```\n{text}\n```"
     return text, Plan(steps=steps)
 
 
 def corrupt_plan(rng: random.Random) -> str:
-    steps, reasoning = _plan_parts(rng)
-    mode = rng.choice(["skip_number", "no_step_line", "empty_step", "no_headers"])
-    if mode == "no_headers":
+    steps = _plan_steps(rng)
+    mode = rng.choice(["skip_number", "empty_step", "no_numbered_line"])
+    if mode == "no_numbered_line":
         return "First do one thing, then do the other."
-    if mode == "skip_number" and len(steps) == 1:
-        return "## Step 2\nStep: starts at two"
-    blocks = plan_reply(*steps, reasoning=reasoning).split("\n## Step ")
+    lines = plan_reply(*steps).split("\n")
     if mode == "skip_number":  # the last step jumps the sequence
-        blocks[-1] = blocks[-1].replace(f"{len(steps)}\n", f"{len(steps) + 1}\n", 1)
-    elif mode == "no_step_line":
-        blocks[0] = blocks[0].split("\nStep: ")[0]
+        lines[-1] = f"{len(steps) + 1}. {steps[-1]}"
     else:
-        blocks[0] = blocks[0].split("\nStep: ")[0] + "\nStep:   "
-    return "\n## Step ".join(blocks)
+        i = rng.randrange(len(lines))
+        lines[i] = f"{i + 1}.   "
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +192,8 @@ def corrupt_replan(rng: random.Random) -> str:
     if mode == "true_empty_plan":
         return json.dumps({"RePlan": True, "NewPlan": "   "})
     if mode == "false_with_plan":
-        return json.dumps({"RePlan": False, "NewPlan": "## Step 1\nStep: sneaky extra plan"})
-    return json.dumps({"RePlan": True, "NewPlan": "no step headers in here"})
+        return json.dumps({"RePlan": False, "NewPlan": "1. sneaky extra plan"})
+    return json.dumps({"RePlan": True, "NewPlan": "no numbered steps in here"})
 
 
 # ---------------------------------------------------------------------------

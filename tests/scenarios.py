@@ -39,14 +39,9 @@ def subgoals_reply(*specs: tuple[str, str, list[str]]) -> str:
     )
 
 
-def plan_reply(*steps: str, reasoning: tuple[str, ...] = ()) -> str:
-    """The planner's reply format: one ``## Step N`` block per step; a step
-    whose `reasoning` entry is nonempty gets a ``Reasoning:`` line."""
-    whys = reasoning or ("",) * len(steps)
-    return "\n".join(
-        f"## Step {i}\n" + (f"Reasoning: {why}\n" if why else "") + f"Step: {text}"
-        for i, (text, why) in enumerate(zip(steps, whys, strict=True), start=1)
-    )
+def plan_reply(*steps: str) -> str:
+    """The planner's reply format: one ``N. <step>`` line per step."""
+    return "\n".join(f"{i}. {text}" for i, text in enumerate(steps, start=1))
 
 
 def eval_reply(status: str, reason: str | None = None, need_replan: bool = False) -> str:

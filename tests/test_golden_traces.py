@@ -13,8 +13,10 @@ hashes of each case, so a refactor that is meant to keep behaviour must keep
 every hash, and one that is meant to change only what prompts say must keep
 the behaviour hashes.
 The same runs also check that tdp's node prompts stay scoped to their node,
-that no method calls a role after the step that ends the episode, and that
-every tdp trace alone rebuilds its run's graph and the nodes of its record.
+that every prompt that reads a plan shows the latest one as its numbered
+steps, that no method calls a role after the step that ends the episode, and
+that every tdp trace alone rebuilds its run's graph, statuses included, and
+the nodes of its record.
 The tests only read those files.  A change that alters traces or prompts on
 purpose regenerates all three with
 
@@ -45,7 +47,7 @@ from tdp.engine import RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
-from tdp.roles import ParseFault, extract_json
+from tdp.roles import ParseFault, parse_plan, parse_replan, render_plan
 from tdp.telemetry import (
     EVENT_FIELDS,
     CounterClock,
@@ -308,24 +310,37 @@ def test_the_command_list_cases_cover_each_environment():
     assert "executor:react" in tags["mockwiki"]
 
 
-_REASONING_RE = re.compile(r"^Reasoning:\s*(.+)$", re.MULTILINE)
+PLAN_READERS = ("executor:execute", "supervisor:evaluate", "planner:replan")
+_BLOCK_MARKUP_RE = re.compile(r"^(?:##\s*Step\b|Step:)", re.MULTILINE)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_no_prompt_after_the_plan_shows_the_planners_reasoning(name):
-    """The executor, the evaluator and the replanner see a plan as its steps:
-    none of their prompts holds a ``Reasoning:`` text the planner wrote."""
-    plans = []
-    for reply in _run_of(name).planner_replies:
-        try:  # a replan reply carries its plan in NewPlan
-            plans.append(extract_json(reply).get("NewPlan") or "")
-        except ParseFault:
-            plans.append(reply)
-    reasoning = {why.strip() for plan in plans for why in _REASONING_RE.findall(plan)}
-    readers = ("executor:execute", "supervisor:evaluate", "planner:replan")
-    shown = [(tag, why) for tag, prompt in _run_of(name).calls if tag in readers
-             for why in reasoning if why in prompt]
-    assert not shown, shown
+def test_each_prompt_after_the_plan_shows_the_latest_plan_as_its_steps(name):
+    """The executor, the evaluator and the replanner see the plan of the
+    latest planner reply in their scope (a plan, or an accepted replan's
+    ``NewPlan``) exactly as :func:`render_plan` shows it, and no ``## Step``
+    or ``Step:`` reply markup.  Scopes run one after another, so the latest
+    reply in call order is the scope's own."""
+    run = _run_of(name)
+    replies = iter(run.planner_replies)
+    shown: str | None = None
+    readers = 0
+    for tag, prompt in run.calls:
+        if tag in PLAN_READERS:
+            assert shown is not None and f"Current Plan:\n{shown}\n" in prompt, (tag, prompt)
+            assert not _BLOCK_MARKUP_RE.search(prompt), (tag, prompt)
+            readers += 1
+        if not tag.startswith("planner:"):
+            continue
+        reply = next(replies)
+        try:
+            plan = parse_plan(reply) if tag == "planner:plan" else parse_replan(reply).new_plan
+        except ParseFault:  # a retried reply is not the plan
+            continue
+        if plan is not None:
+            shown = render_plan(plan)
+    assert next(replies, None) is None
+    assert readers or not run.planner_replies, name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -360,6 +375,9 @@ def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
     record = compute_metrics(events, header["meta"]["gold"])
     assert graph.nodes and list(record.node_records) == sorted(dispatched)
     assert set(dispatched) <= graph.nodes.keys() | graph.retired
+    assert {nid: node.status.value for nid, node in graph.nodes.items()} == {
+        nid: record.node_records[nid]["status"] if nid in dispatched else "pending"
+        for nid in graph.nodes}
     if name.startswith("tdp-revise/"):
         stages = len(graph.nodes)
         assert {nid: node.description for nid, node in graph.nodes.items()} == {
@@ -389,6 +407,17 @@ def test_the_repair_case_completes_by_revision(tmp_path):
     assert {nid: record["status"] for nid, record in records.items()} == {
         "node_1": "completed", "node_2": "completed", "node_3": "failed",
         "node_4": "completed", "node_5": "completed"}
+
+
+def test_replaying_the_repair_case_gives_each_node_its_last_status(tmp_path):
+    """The replayed graph holds node_3's replacement, not node_3, and every
+    node the run completed reads completed."""
+    header, events = _read_run("tdp/diamond_repair", tmp_path)
+    graph = replay_graph(header["meta"]["query"], events)
+    assert {nid: node.status.value for nid, node in graph.nodes.items()} == {
+        "node_1": "completed", "node_2": "completed", "node_4": "completed",
+        "node_5": "completed"}
+    assert graph.retired == {"node_3"}
 
 
 @pytest.mark.parametrize("method", ("tdp", "plan-act"))
