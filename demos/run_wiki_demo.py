@@ -29,7 +29,7 @@ def main() -> None:
 
     # the graph as the trace records it right after the decomposition
     constructed = next(i for i, e in enumerate(events) if e.kind == "graph_constructed")
-    graph = replay_graph(instance.query, events[: constructed + 1])
+    graph = replay_graph(events[: constructed + 1])
     print("decomposition:")
     for nid, node in sorted(graph.nodes.items()):
         deps = ", ".join(sorted(node.dependencies)) or "none"

@@ -59,8 +59,7 @@ def run_react(run: Run) -> tuple[str, str]:
     trace: list[TraceEntry] = []
     while (end := run.stop()) is None:
         view = _whole_task_bindings(run, trace)
-        _thought, action = run.call("react", view)
-        trace.append(run.act(action))
+        trace.append(run.act(run.call("react", view)))
     return end
 
 
@@ -113,12 +112,11 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
                 run.emit("replan", scope="global", accepted=False, replan_count=replans,
                          budget_exhausted=True)
                 return "Terminated", f"replan budget exhausted ({replans})"
-            decision = run.call("replan", {**view, "reason": evaluation.reason})
-            if decision.replan:
-                assert decision.new_plan is not None
-                plan = decision.new_plan
+            new_plan = run.call("replan", {**view, "reason": evaluation.reason})
+            if new_plan is not None:
+                plan = new_plan
                 replans += 1
-            run.emit("replan", scope="global", accepted=decision.replan, replan_count=replans)
+            run.emit("replan", scope="global", accepted=new_plan is not None, replan_count=replans)
         elif evaluation.status == "needs_more_steps":
             guidance = evaluation.reason
     return end

@@ -373,7 +373,7 @@ class Run:
         self.emit("env_step", step_index=self.steps_used, action=action,
                   observation=result.observation, reward_delta=result.reward_delta,
                   done=result.done, scope=scope)
-        return TraceEntry(step_index=self.steps_used, action=action, observation=result.observation)
+        return TraceEntry(action=action, observation=result.observation)
 
     def stop(self) -> tuple[str, str] | None:
         """The run's ``(terminal, reason)`` once the task is done (which wins)
@@ -520,15 +520,15 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if not evaluation.need_replan:
                 guidance = evaluation.reason  # hand to exactly the next executor call
                 continue
-            decision = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
-            if not decision.replan:
+            new_plan = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
+            if new_plan is None:
                 run.emit("replan", scope=node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:
                 run.emit("replan", scope=node_id, accepted=False,
                          replan_count=node.replan_count, budget_exhausted=True)
                 return close(NodeStatus.FAILED, f"replan budget exhausted ({node.replan_count})")
             else:
-                node.plan = decision.new_plan
+                node.plan = new_plan
                 node.replan_count += 1
                 plan_start = len(node.local_trace)
                 run.emit("replan", scope=node_id, accepted=True, replan_count=node.replan_count)
@@ -635,20 +635,23 @@ def run_task(run: Run) -> tuple[str, str]:
     return end
 
 
-def replay_graph(query: str, events: Iterable[TraceEvent]) -> TaskGraph:
+def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
     """Rebuild a tdp run's graph, as it stood after the last of `events`,
     from the trace alone: its ids, descriptions, dependencies and statuses.
 
-    Starts from the empty graph of `query` and applies the delta of
+    Starts from the empty graph and applies the delta of
     ``graph_constructed`` and then of each applied ``revision``, in order,
     each read back through :func:`~tdp.roles.parse_revision` since a trace is
     outside input.  The same pass keeps each node's last ``node_status``,
     which the nodes still in the graph then carry; a node's outcome is not in
-    the trace, so a terminal node comes back without one.  Raises
-    :class:`~tdp.telemetry.TraceError` on a delta that is missing (version-1
-    traces recorded a snapshot), unreadable or refused.
+    the trace, so a terminal node comes back without one.  The rebuilt graph
+    is for inspection only: :func:`~tdp.graph.validate_graph` reports each
+    terminal node's missing outcome, so :func:`~tdp.graph.apply_revision`
+    rejects any delta on it.  Raises :class:`~tdp.telemetry.TraceError` on a
+    delta that is missing (version-1 traces recorded a snapshot), unreadable
+    or refused.
     """
-    graph = TaskGraph(task_description=query)
+    graph = TaskGraph()
     statuses: dict[str, str] = {}
     for event in events:
         if event.kind == "node_status":

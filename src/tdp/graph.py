@@ -69,13 +69,8 @@ def legal_transition(old: NodeStatus, new: NodeStatus) -> bool:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One environment interaction: what was done and what came back.
+    """One environment interaction: what was done and what came back."""
 
-    ``step_index`` is the run-global interaction counter, so indices are
-    strictly increasing within any node's local trace as well.
-    """
-
-    step_index: int
     action: str
     observation: str
 
@@ -136,12 +131,8 @@ class TaskGraph:
     one, so an id names one node for the whole run (and its trace).
     """
 
-    task_description: str
     nodes: dict[NodeId, SubTaskNode] = field(default_factory=dict)
     retired: frozenset[NodeId] = frozenset()
-
-    def sorted_ids(self) -> list[NodeId]:
-        return sorted(self.nodes)
 
     def sinks(self) -> set[NodeId]:
         """Nodes nothing depends on, unordered: the end-of-run check asks
@@ -240,7 +231,7 @@ def ready_nodes(graph: TaskGraph) -> list[NodeId]:
     rewires them).
     """
     out: list[NodeId] = []
-    for nid in graph.sorted_ids():
+    for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
         if node.status is not NodeStatus.PENDING:
             continue
@@ -314,7 +305,6 @@ def apply_revision(
     # Copy the structure the edits below touch; plans, trace entries and
     # outcomes are frozen, so the copy shares them with the original.
     work = TaskGraph(
-        task_description=graph.task_description,
         nodes={
             nid: replace(
                 node, dependencies=set(node.dependencies), local_trace=list(node.local_trace)

@@ -48,7 +48,6 @@ __all__ = [
     "render_plan",
     "Evaluation",
     "parse_evaluation",
-    "ReplanDecision",
     "parse_replan",
     "parse_revision",
     "extract_action",
@@ -100,7 +99,7 @@ def _listed_verbs(bindings: Mapping[str, Any]) -> frozenset[str]:
 #: Each packaged template's role and reply reader; an executor reader takes
 #: only the verbs of the command lines its prompt listed.
 TEMPLATE_TABLE: dict[str, tuple[str, Reader]] = {
-    "construct": ("supervisor", lambda text, b: parse_subgoals(text, b["task_description"])),
+    "construct": ("supervisor", lambda text, _: parse_subgoals(text)),
     "evaluate": ("supervisor", lambda text, _: parse_evaluation(text)),
     "execute": ("executor", lambda text, b: extract_action(text, _listed_verbs(b))),
     "plan": ("planner", lambda text, _: parse_plan(text)),
@@ -227,10 +226,9 @@ def _node_entry(entry: Mapping[str, Any], *, id_required: bool) -> NewNodeSpec:
     )
 
 
-def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, RevisionDelta]:
+def parse_subgoals(text: str) -> tuple[TaskGraph, RevisionDelta]:
     """Parse a decomposition reply, ``{"subgoals": [{id, description,
-    dependencies}]}``, into the graph of `task_description` and the delta
-    that built it.
+    dependencies}]}``, into the graph and the delta that built it.
 
     A decomposition is a revision of the empty graph that adds every entry,
     so :func:`~tdp.graph.apply_revision` builds it and holds it to the same
@@ -245,7 +243,7 @@ def parse_subgoals(text: str, task_description: str = "") -> tuple[TaskGraph, Re
         need_update=True,
         new_nodes=tuple(_node_entry(entry, id_required=True) for entry in entries),
     )
-    result = apply_revision(TaskGraph(task_description=task_description), delta)
+    result = apply_revision(TaskGraph(), delta)
     if not result.applied:
         raise ParseFault("invalid decomposition: " + "; ".join(result.reasons))
     return result.graph, delta
@@ -327,26 +325,19 @@ def parse_evaluation(text: str) -> Evaluation:
     return Evaluation(status=status, reason=reason, need_replan=need_replan)
 
 
-@dataclass(frozen=True)
-class ReplanDecision:
-    """Planner's answer to a replan proposal: keep the plan or replace it."""
-
-    replan: bool
-    thought: str | None
-    new_plan: Plan | None
-
-
-def parse_replan(text: str) -> ReplanDecision:
+def parse_replan(text: str) -> Plan | None:
+    """The planner's new plan, or ``None`` when it keeps its plan.  ``RePlan``
+    must agree with ``NewPlan``: true with a nonempty plan, false with none;
+    a ``Thought`` that is neither a string nor null is refused too."""
     read = partial(read_field, extract_json(text), where="replan reply", error=ParseFault)
     replan = read("RePlan", bool)
-    thought = read("Thought", str, None, default=None)
+    read("Thought", str, None, default=None)
     raw_plan = read("NewPlan", str, None, default=None)
     if replan and not (raw_plan or "").strip():
         raise ParseFault("RePlan is true but 'NewPlan' is missing or empty")
     if not replan and raw_plan:
         raise ParseFault("RePlan is false but 'NewPlan' is present")
-    new_plan = parse_plan(raw_plan) if replan else None
-    return ReplanDecision(replan=replan, thought=thought, new_plan=new_plan)
+    return parse_plan(raw_plan) if replan else None
 
 
 def parse_revision(text: str) -> RevisionDelta:
@@ -404,19 +395,16 @@ def extract_action(text: str, verbs: AbstractSet[str]) -> str:
 
 
 _ACTION_LINE_RE = re.compile(r"^Action:\s*(.+)$", re.MULTILINE)
-_THOUGHT_LINE_RE = re.compile(r"^Thought:\s*(.+)$", re.MULTILINE)
 
 
-def parse_react(text: str, verbs: AbstractSet[str]) -> tuple[str, str]:
-    """(thought, action) from a think-then-act reply; the Action line is
-    required and read by :func:`extract_action`."""
+def parse_react(text: str, verbs: AbstractSet[str]) -> str:
+    """The action of a think-then-act reply: its first ``Action:`` line, read
+    by :func:`extract_action`.  A reply with no such line is a parse fault;
+    the ``Thought:`` line is not read."""
     action_match = _ACTION_LINE_RE.search(text)
     if not action_match:
         raise ParseFault("reply has no 'Action:' line")
-    action = extract_action(action_match.group(1), verbs)
-    thought_match = _THOUGHT_LINE_RE.search(text)
-    thought = thought_match.group(1).strip() if thought_match else ""
-    return thought, action
+    return extract_action(action_match.group(1), verbs)
 
 
 # ---------------------------------------------------------------------------

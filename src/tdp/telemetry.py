@@ -31,7 +31,6 @@ from .fields import Field, check_fields, check_value, read_field
 
 __all__ = [
     "EVENT_FIELDS",
-    "EVENT_KINDS",
     "TraceEvent",
     "TraceError",
     "SequenceError",
@@ -74,7 +73,6 @@ EVENT_FIELDS: dict[str, dict[str, Field]] = {
     "run_end": {"terminal": _STR, "reason": _STR, "delivered": _BOOL, "method": _STR,
                 "env_metrics": _OBJECT},
 }
-EVENT_KINDS = frozenset(EVENT_FIELDS)
 #: The fields around a trace line's payload: a header's, and an event's.
 _HEADER_FIELDS = {"run_id": _STR, "meta": Field((dict,), required=False)}
 _ENVELOPE_FIELDS = {"run_id": _STR, "seq": _INT, "ts": Field((float, int)),
@@ -104,17 +102,17 @@ class TraceEvent:
 
 
 class CounterClock:
-    """A clock that ticks one unit per read — for bit-reproducible traces."""
+    """A clock that reads 0.0, 1.0, 2.0, ... — one tick per read, for
+    bit-reproducible traces."""
 
-    def __init__(self, start: float = 0.0, step: float = 1.0):
-        self._next = start
-        self._step = step
+    def __init__(self) -> None:
+        self._next = 0.0
         self._lock = threading.Lock()
 
     def __call__(self) -> float:
         with self._lock:
             value = self._next
-            self._next += self._step
+            self._next += 1.0
             return value
 
 
@@ -153,7 +151,7 @@ class TraceSink:
         """Append the next event of `run_id`, a run begun with :meth:`begin_run`.
         A payload field that :data:`EVENT_FIELDS` does not declare for `kind`,
         or declares otherwise, is a :class:`TraceError` naming it."""
-        if kind not in EVENT_KINDS:
+        if kind not in EVENT_FIELDS:
             raise TraceError(f"unknown event kind {kind!r}")
         with self._lock:
             if run_id not in self._last_seq:
@@ -227,7 +225,7 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                 headers[run_id] = doc
                 last_seq[run_id] = -1
                 continue
-            if kind not in EVENT_KINDS:
+            if kind not in EVENT_FIELDS:
                 raise TraceError(f"{path}:{line_no}: unknown event kind {kind!r}")
             check_fields(doc, _ENVELOPE_FIELDS, where=f"{path}:{line_no}: {kind} event",
                          error=TraceError)

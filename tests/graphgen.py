@@ -56,11 +56,9 @@ def enumerate_labeled_dags(n: int) -> Iterator[frozenset[tuple[int, int]]]:
                 yield edges
 
 
-def graph_from_edges(
-    n: int, edges: frozenset[tuple[int, int]], task: str = "enumerated"
-) -> TaskGraph:
+def graph_from_edges(n: int, edges: frozenset[tuple[int, int]]) -> TaskGraph:
     """Build a pending graph over ids n0..n{n-1}; edge (u, v) means v depends on u."""
-    graph = TaskGraph(task_description=task)
+    graph = TaskGraph()
     for i in range(n):
         graph.nodes[f"n{i}"] = SubTaskNode(id=f"n{i}", description=f"work item {i}")
     for u, v in edges:
@@ -150,7 +148,7 @@ def check_ready_sweep(n: int, dags: Sequence[frozenset[tuple[int, int]]]) -> int
     steps = gray_steps(n)
     checked = 0
     for edges in dags:
-        graph = graph_from_edges(n, edges, task="sweep")
+        graph = graph_from_edges(n, edges)
         for expected in oracle_ready_sweep(graph, steps):
             assert ready_nodes(graph) == expected, (sorted(edges), expected)
             checked += 1
@@ -179,7 +177,7 @@ def random_dag(rng: random.Random, n: int) -> TaskGraph:
         for b in range(a + 1, n):
             if rng.random() < p:
                 edges.add((order[a], order[b]))
-    graph = graph_from_edges(n, frozenset(edges), task="random")
+    graph = graph_from_edges(n, frozenset(edges))
     for node in graph.nodes.values():
         node.status = rng.choice(STATUSES)
     return graph
@@ -200,7 +198,7 @@ def _outcome_for(status: NodeStatus, nid: str) -> OutcomeSummary:
 def random_valid_graph(rng: random.Random, max_nodes: int = 8) -> TaskGraph:
     """A structurally valid graph: DAG, outcomes exactly on terminal nodes."""
     n = rng.randint(1, max_nodes)
-    graph = TaskGraph(task_description="randomized build")
+    graph = TaskGraph()
     ids = [f"node_{i + 1}" for i in range(n)]
     for i, nid in enumerate(ids):
         deps = {d for d in ids[:i] if rng.random() < 0.35}

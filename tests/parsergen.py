@@ -49,7 +49,7 @@ def gen_subgoals(rng: random.Random) -> tuple[str, tuple[TaskGraph, RevisionDelt
     ids = [f"node_{i + 1}" for i in range(n)]
     entries = []
     specs = []
-    expected = TaskGraph(task_description="")
+    expected = TaskGraph()
     for i, sid in enumerate(ids):
         deps = [d for d in ids[:i] if rng.random() < 0.4]
         desc = _phrase(rng)
@@ -160,7 +160,7 @@ def corrupt_evaluation(rng: random.Random) -> str:
 # replan decisions
 
 
-def gen_replan(rng: random.Random) -> tuple[str, tuple[bool, Plan | None]]:
+def gen_replan(rng: random.Random) -> tuple[str, Plan | None]:
     replan = rng.random() < 0.5
     if replan:
         plan_text, plan = gen_plan(rng)
@@ -169,14 +169,14 @@ def gen_replan(rng: random.Random) -> tuple[str, tuple[bool, Plan | None]]:
             "Thought": _phrase(rng),
             "NewPlan": plan_text,
         }
-        expected: tuple[bool, Plan | None] = (True, plan)
+        expected: Plan | None = plan
     else:
         doc = {
             "RePlan": False,
             "Thought": rng.choice([None, _phrase(rng)]),
             "NewPlan": rng.choice([None, ""]),
         }
-        expected = (False, None)
+        expected = None
     return decorate_json(rng, json.dumps(doc)), expected
 
 

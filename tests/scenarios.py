@@ -601,7 +601,7 @@ def diamond_repair_config() -> RunConfig:
 
 
 def graph_with_target(extra_completed: int = 0) -> TaskGraph:
-    graph = TaskGraph(task_description="Survey the lab.")
+    graph = TaskGraph()
     done = OutcomeSummary(
         terminal_status=NodeStatus.COMPLETED,
         summary_text="Prerequisite finished.",

@@ -140,7 +140,7 @@ def _snapshot(node: SubTaskNode) -> bytes:
         "status": node.status.value,
         "replan_count": node.replan_count,
         "plan": None if node.plan is None else list(node.plan.steps),
-        "trace": [(e.step_index, e.action, e.observation) for e in node.local_trace],
+        "trace": [(e.action, e.observation) for e in node.local_trace],
         "outcome": None
         if node.outcome is None
         else {
@@ -153,7 +153,7 @@ def _snapshot(node: SubTaskNode) -> bytes:
 
 
 def _locality_graph() -> TaskGraph:
-    graph = TaskGraph(task_description=travel_locality_instance("blocked").query)
+    graph = TaskGraph()
     graph.nodes["node_1"] = SubTaskNode(
         id="node_1", description="Confirm the Illinois cities for the trip."
     )
@@ -329,11 +329,7 @@ def test_criterion_07_parsers_round_trip_and_reject_corruption():
         rng = random.Random(50_000 + len(kind))
         for _ in range(500):
             text, expected = gen(rng)
-            value = parser(text)
-            if kind == "replan":
-                assert (value.replan, value.new_plan) == expected
-            else:
-                assert value == expected
+            assert parser(text) == expected
         for _ in range(500):
             with pytest.raises(ParseFault):
                 parser(corrupt(rng))

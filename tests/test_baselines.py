@@ -48,17 +48,15 @@ WIKI_VERBS = frozenset({"Search", "Lookup", "Finish"})
 
 class TestParseReact:
     def test_thought_and_action(self):
-        thought, action = parse_react(
+        action = parse_react(
             "Thought: the page will name the river\nAction: Search[Peoria, Illinois]", WIKI_VERBS)
-        assert thought == "the page will name the river"
         assert action == "Search[Peoria, Illinois]"
 
     def test_action_alone_is_enough(self):
-        thought, action = parse_react("Action: Lookup[river]", WIKI_VERBS)
-        assert thought == "" and action == "Lookup[river]"
+        assert parse_react("Action: Lookup[river]", WIKI_VERBS) == "Lookup[river]"
 
     def test_quoted_action_unwrapped(self):
-        _, action = parse_react('Thought: go\nAction: "Finish[Illinois River]"', WIKI_VERBS)
+        action = parse_react('Thought: go\nAction: "Finish[Illinois River]"', WIKI_VERBS)
         assert action == "Finish[Illinois River]"
 
     def test_missing_action_line(self):

@@ -85,8 +85,8 @@ from scenarios import (
 )
 
 
-def entry(i, action="look", obs="nothing"):
-    return TraceEntry(step_index=i, action=action, observation=obs)
+def entry(action="look", obs="nothing"):
+    return TraceEntry(action=action, observation=obs)
 
 
 # -- configuration and counters ---------------------------------------------------
@@ -124,8 +124,9 @@ class TestRunStepBudget:
     def test_counts_steps_up_to_s_max(self):
         run = _lab_run(RunConfig(s_max=2))
         assert run.steps_used == 0 and not run.budget_spent()
-        assert run.act("look around").step_index == 1
-        assert run.act("look around").step_index == 2
+        run.act("look around")
+        assert run.steps_used == 1 and not run.budget_spent()
+        run.act("look around")
         assert run.steps_used == 2 and run.budget_spent()
         assert run.stop() == ("Terminated", "step budget exhausted")
 
@@ -146,15 +147,15 @@ class TestAssembleHistory:
         assert assemble_history([], cap=10) == NO_ACTIONS_YET
 
     def test_under_cap_renders_everything(self):
-        text = assemble_history([entry(1, "a1", "o1"), entry(2, "a2", "o2")], cap=5)
+        text = assemble_history([entry("a1", "o1"), entry("a2", "o2")], cap=5)
         assert text == "Action: a1\nObservation: o1\nAction: a2\nObservation: o2"
 
     def test_at_cap_has_no_elision(self):
-        trace = [entry(i) for i in range(1, 6)]
+        trace = [entry() for _ in range(5)]
         assert "elided" not in assemble_history(trace, cap=5)
 
     def test_overflow_keeps_first_then_most_recent(self):
-        trace = [entry(i, f"a{i}", f"o{i}") for i in range(1, 101)]
+        trace = [entry(f"a{i}", f"o{i}") for i in range(1, 101)]
         text = assemble_history(trace, cap=10)
         lines = text.splitlines()
         assert lines[0] == "Action: a1"
@@ -167,10 +168,10 @@ class TestAssembleHistory:
 
 def _two_node_graph(dependency_outcome: OutcomeSummary) -> TaskGraph:
     """node_1, completed with `dependency_outcome`, and node_2 depending on it."""
-    graph = TaskGraph(task_description="Plan the trip.")
+    graph = TaskGraph()
     graph.nodes["node_1"] = SubTaskNode(
         id="node_1", description="Confirm the cities.", status=NodeStatus.COMPLETED,
-        outcome=dependency_outcome, local_trace=[entry(1, "a", "o")])
+        outcome=dependency_outcome, local_trace=[entry("a", "o")])
     graph.nodes["node_2"] = SubTaskNode(
         id="node_2", description="Book flights.", dependencies={"node_1"})
     return graph
@@ -255,9 +256,8 @@ class TestConstruct:
         graph, delta = run.call("construct", {"task_description": "Survey."})
         assert set(graph.nodes) == {"node_1", "node_2"}
         assert graph.nodes["node_2"].dependencies == {"node_1"}
-        assert graph.task_description == "Survey."
         # the delta is the one that built the graph
-        assert apply_revision(TaskGraph(task_description="Survey."), delta).graph == graph
+        assert apply_revision(TaskGraph(), delta).graph == graph
         (event,) = sink.events_for("r")
         assert event.payload["ok"] is True and event.payload["scope"] == "global"
         assert event.payload["output_tokens"] > 0
@@ -294,7 +294,7 @@ class TestConstruct:
 
 
 def _single_node_graph(description="Inspect the drawer.") -> TaskGraph:
-    graph = TaskGraph(task_description="Inspect the lab.")
+    graph = TaskGraph()
     graph.nodes["node_1"] = SubTaskNode(id="node_1", description=description)
     return graph
 
@@ -374,7 +374,7 @@ class TestExecuteNode:
         stages = 3
         config = chain_config(stages, tdp_chain_rules(stages))
         instance = chain_instance(stages)
-        graph = TaskGraph(task_description=instance.query)
+        graph = TaskGraph()
         graph.nodes["node_1"] = SubTaskNode(id="node_1", description="Handle stage 1 of the queue.")
         run = Run("tdp", instance, ChainEnv(), config, run_id="r")
         assert execute_node(graph, "node_1", run) is NodeStatus.COMPLETED
@@ -571,7 +571,7 @@ class TestExecuteNode:
             ],
             s_max=9,
         )
-        graph = TaskGraph(task_description="Inspect the lab.")
+        graph = TaskGraph()
         for nid, description in (("node_1", D1), ("node_2", d2), ("node_3", "Never run.")):
             graph.nodes[nid] = SubTaskNode(id=nid, description=description)
         run = _lab_run(config, TraceSink(clock=CounterClock()))
@@ -718,7 +718,7 @@ class TestTaskDone:
 
     def test_empty_graph_is_not_done(self):
         env = _lab_env()
-        assert not task_done(env, TaskGraph(task_description="t"))
+        assert not task_done(env, TaskGraph())
 
     def test_done_exactly_when_every_sink_completed_on_every_small_graph(self):
         """Every labeled DAG on up to three nodes under every status combo, and
@@ -1038,7 +1038,7 @@ class TestRunTask:
         events = sink.events_for(report.run_id)
         revisions = [e for e in events if e.kind == "revision"]
         assert [e.payload["status"] for e in revisions] == ["applied"] * (stages - 1)
-        graph = replay_graph(chain_instance(stages).query, events)
+        graph = replay_graph(events)
         assert {nid: node.description for nid, node in graph.nodes.items()} == {
             f"node_{i}": "Handle stage 1 of the queue." if i == 1 else reworded_stage(i)
             for i in range(1, stages + 1)
@@ -1050,7 +1050,7 @@ class TestRunTask:
                         if tag == "planner:plan"]
         assert len(dispatches) == len(plan_prompts) == stages
         for k, (at, prompt) in enumerate(zip(dispatches, plan_prompts), start=1):
-            then = replay_graph(chain_instance(stages).query, events[:at])
+            then = replay_graph(events[:at])
             assert then.nodes[f"node_{k}"].description in prompt
 
     def test_replay_refuses_a_delta_that_does_not_apply(self):
@@ -1065,14 +1065,14 @@ class TestRunTask:
                                                   "delta": delta_to_doc(ghost)})
         with pytest.raises(TraceError, match=f"revision event {events[at].seq} .*"
                                              "delta does not apply: update: unknown node 'ghost'"):
-            replay_graph(chain_instance(stages).query, events)
+            replay_graph(events)
         # a rejected revision's delta is not replayed, whatever it holds
         events[at] = replace(events[at], payload={**events[at].payload, "status": "rejected"})
-        assert "node_1" in replay_graph(chain_instance(stages).query, events).nodes
+        assert "node_1" in replay_graph(events).nodes
         built = next(i for i, e in enumerate(events) if e.kind == "graph_constructed")
         events[built] = replace(events[built], payload={"delta": {"new_nodes": 1}})
         with pytest.raises(TraceError, match="unreadable delta"):
-            replay_graph(chain_instance(stages).query, events)
+            replay_graph(events)
 
     def test_revision_event_size_does_not_grow_with_the_graph(self):
         sizes = {}
@@ -1323,7 +1323,7 @@ class TestRunTask:
         first = next(e.payload for e in sink.events_for("r") if e.kind == "revision")
         assert first["status"] == "rejected"
         assert first["reasons"] == ["scope: node 'node_3' is not in the revise view"]
-        rebuilt = replay_graph(chain_instance(3).query, sink.events_for("r"))
+        rebuilt = replay_graph(sink.events_for("r"))
         assert rebuilt.nodes["node_3"].description == "Handle stage 3 of the queue."
 
     def test_revisions_without_step_progress_end_the_run(self):

@@ -142,5 +142,5 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
         assert list(live.node_records) == sorted(dispatched), where
         if method == "tdp":
-            graph = replay_graph(instance.query, replayed_events)
+            graph = replay_graph(replayed_events)
             assert set(dispatched) <= graph.nodes.keys() | graph.retired, where

@@ -334,7 +334,7 @@ def test_each_prompt_after_the_plan_shows_the_latest_plan_as_its_steps(name):
             continue
         reply = next(replies)
         try:
-            plan = parse_plan(reply) if tag == "planner:plan" else parse_replan(reply).new_plan
+            plan = parse_plan(reply) if tag == "planner:plan" else parse_replan(reply)
         except ParseFault:  # a retried reply is not the plan
             continue
         if plan is not None:
@@ -370,7 +370,7 @@ def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
     revising chains' nodes carry their reworded descriptions."""
     header, events = _read_run(name, tmp_path)
     assert header["version"] == 2
-    graph = replay_graph(header["meta"]["query"], events)
+    graph = replay_graph(events)
     dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
     record = compute_metrics(events, header["meta"]["gold"])
     assert graph.nodes and list(record.node_records) == sorted(dispatched)
@@ -413,7 +413,7 @@ def test_replaying_the_repair_case_gives_each_node_its_last_status(tmp_path):
     """The replayed graph holds node_3's replacement, not node_3, and every
     node the run completed reads completed."""
     header, events = _read_run("tdp/diamond_repair", tmp_path)
-    graph = replay_graph(header["meta"]["query"], events)
+    graph = replay_graph(events)
     assert {nid: node.status.value for nid, node in graph.nodes.items()} == {
         "node_1": "completed", "node_2": "completed", "node_4": "completed",
         "node_5": "completed"}
@@ -442,7 +442,7 @@ def test_a_version_1_trace_cannot_be_replayed():
     ((_, header),) = headers.items()
     with pytest.raises(TraceError, match="graph_constructed event 1 of run 'tdp__chain3' "
                                          "carries no delta; a version-1 trace"):
-        replay_graph(header["meta"]["query"], events)
+        replay_graph(events)
 
 
 def _write(path: Path, hashes: dict[str, str]) -> None:

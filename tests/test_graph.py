@@ -58,8 +58,8 @@ def node(nid, deps=(), status=NodeStatus.PENDING, description=None):
     return made
 
 
-def graph_of(*nodes, task="assemble the gadget"):
-    g = TaskGraph(task_description=task)
+def graph_of(*nodes):
+    g = TaskGraph()
     for n in nodes:
         g.nodes[n.id] = n
     return g
@@ -114,7 +114,7 @@ def test_validate_accepts_a_clean_graph():
 
 def test_validate_reports_every_violation_kind():
     # mismatched key vs id
-    g = TaskGraph(task_description="t")
+    g = TaskGraph()
     g.nodes["x"] = SubTaskNode(id="y", description="d")
     assert any("carries id" in v for v in validate_graph(g))
 
@@ -149,12 +149,12 @@ def test_validate_reports_every_violation_kind():
     assert any("no sink node" in v for v in violations)
 
     # empty graph
-    assert validate_graph(TaskGraph(task_description="t")) == ["empty: graph has no nodes"]
+    assert validate_graph(TaskGraph()) == ["empty: graph has no nodes"]
 
 
 def test_validate_is_total_on_garbage():
     # a graph violating several rules at once still returns data, never raises
-    g = TaskGraph(task_description="t")
+    g = TaskGraph()
     g.nodes[""] = SubTaskNode(id="", description="")
     g.nodes["loop"] = SubTaskNode(id="loop", description="d", dependencies={"loop", "gone"})
     violations = validate_graph(g)
@@ -186,7 +186,7 @@ def test_cycle_detection_against_dfs_oracle():
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randint(1, 7)
-        g = TaskGraph(task_description="t")
+        g = TaskGraph()
         ids = [f"n{i}" for i in range(n)]
         for nid in ids:
             deps = {d for d in ids if d != nid and rng.random() < 0.3}
@@ -286,7 +286,7 @@ def test_node_bindings_show_direct_dependencies_and_no_grandparent():
         node("c", deps=["a"], status=NodeStatus.COMPLETED),
         node("d", deps=["c", "b"], description="combine the parts"),
     )
-    g.nodes["d"].local_trace.append(TraceEntry(step_index=3, action="look", observation="parts"))
+    g.nodes["d"].local_trace.append(TraceEntry(action="look", observation="parts"))
     view = node_bindings(g, "d", guidance="mind the order")
     assert view["subgoal"] == "combine the parts"
     assert view["current_plan"] is None and view["guidance"] == "mind the order"
@@ -513,7 +513,7 @@ def test_an_id_an_earlier_revision_removed_is_never_given_again():
                                           ("revision", replace_2), ("revision", remove_3),
                                           ("revision", add_unnamed)])
     ]
-    assert set(replay_graph("t", events).nodes) == {"node_1", "node_4"}
+    assert set(replay_graph(events).nodes) == {"node_1", "node_4"}
 
 
 def test_rejection_is_atomic_even_when_parts_were_valid():
@@ -531,7 +531,7 @@ def test_rejection_is_atomic_even_when_parts_were_valid():
 
 def test_applied_result_shares_no_mutable_structure_with_the_original():
     g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]))
-    g.nodes["a"].local_trace.append(TraceEntry(step_index=1, action="look", observation="ok"))
+    g.nodes["a"].local_trace.append(TraceEntry(action="look", observation="ok"))
     before = copy.deepcopy(g)
     result = apply_revision(
         g, RevisionDelta(need_update=True, description_updates=(("b", "sharper b"),))
@@ -540,7 +540,7 @@ def test_applied_result_shares_no_mutable_structure_with_the_original():
     result.graph.nodes["b"].dependencies.add("c")
     result.graph.nodes["a"].dependencies.add("z")
     result.graph.nodes["a"].local_trace.append(
-        TraceEntry(step_index=2, action="again", observation="still ok"))
+        TraceEntry(action="again", observation="still ok"))
     assert g == before
     assert len(g.nodes["a"].local_trace) == 1
 
@@ -574,7 +574,7 @@ def test_a_revision_past_the_node_cap_is_rejected():
 def test_applied_revision_preserves_unrelated_state():
     g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]))
     g.nodes["b"].replan_count = 2
-    g.nodes["b"].local_trace.append(TraceEntry(step_index=1, action="x", observation="y"))
+    g.nodes["b"].local_trace.append(TraceEntry(action="x", observation="y"))
     result = apply_revision(
         g,
         RevisionDelta(
@@ -584,7 +584,7 @@ def test_applied_revision_preserves_unrelated_state():
     assert result.applied
     survivor = result.graph.nodes["b"]
     assert survivor.replan_count == 2
-    assert survivor.local_trace == [TraceEntry(step_index=1, action="x", observation="y")]
+    assert survivor.local_trace == [TraceEntry(action="x", observation="y")]
     assert result.graph.nodes["a"].outcome is not None
 
 
@@ -613,7 +613,7 @@ def test_render_dag_state_exact_format():
         "- b [pending] (deps: a): work item b",
         {"a", "b"},
     )
-    assert render_dag_state(TaskGraph(task_description="t")) == ("(empty graph)", set())
+    assert render_dag_state(TaskGraph()) == ("(empty graph)", set())
 
 
 def test_render_dag_state_shows_the_frontier_and_counts_the_rest():
