@@ -553,14 +553,14 @@ def run_task(run: Run) -> tuple[str, str]:
     Terminates on: task done (environment done or every sink node Completed),
     step-budget exhaustion, a construction fault (``role fault: ...``, as
     :func:`run_method` ends it), a stalled round (no ready nodes and a
-    revision that changed nothing), or :data:`STALL_ROUNDS` consecutive
-    rounds without an environment step (a supervisor that keeps revising a
-    graph whose remaining nodes can never become ready).  The revision call
-    that closes a round sees the outcomes of the round's nodes
-    (:func:`render_outcomes`), plus the frontier from :func:`render_dag_state`:
-    the in-progress, failed and ready nodes, the pending dependents of failed
-    nodes and the completed nodes those depend on, with every other node only
-    counted.  The view is also the edit scope: :func:`apply_revision` rejects
+    revision that changed nothing: rejected, faulted or without edits), or
+    :data:`STALL_ROUNDS` consecutive rounds without an environment step (a
+    supervisor that keeps revising a graph whose remaining nodes can never
+    become ready).  The revision call that closes a round sees the outcomes
+    of the round's nodes (:func:`render_outcomes`), plus the frontier from
+    :func:`render_dag_state`: the in-progress, failed and ready nodes, the
+    pending dependents of failed nodes and the completed nodes those depend
+    on, with every other node only counted.  The view is also the edit scope: :func:`apply_revision` rejects
     a revision that names, to reword, remove or wire a new node to, any id
     the view did not show, other than those of the revision's own new nodes.
 
@@ -583,7 +583,7 @@ def run_task(run: Run) -> tuple[str, str]:
     The trace records every graph edit as a delta in the schema of the
     supervisor's revise reply (:func:`~tdp.graph.delta_to_doc`):
     ``graph_constructed`` carries the decomposition's, and each ``revision``
-    event its ``status`` and ``reasons`` plus, unless it is a noop, its own.
+    event its ``status`` and ``reasons`` plus, when the delta has edits, its own.
     A revise call that faulted is a noop whose event also carries the fault's
     message as ``error``.  :func:`replay_graph` folds these deltas back into
     the graph's ids, descriptions and dependencies at any event.
@@ -623,7 +623,7 @@ def run_task(run: Run) -> tuple[str, str]:
             "revision",
             status=result.status,
             reasons=list(result.reasons),
-            delta=delta_to_doc(delta) if delta.need_update else None,
+            delta=delta_to_doc(delta) if delta.edits else None,
             **fault_record,
         )
         graph = run.graph = result.graph
@@ -642,7 +642,8 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
     Starts from the empty graph and applies the delta of
     ``graph_constructed`` and then of each applied ``revision``, in order,
     each read back through :func:`~tdp.roles.parse_revision` since a trace is
-    outside input.  The same pass keeps each node's last ``node_status``,
+    outside input; an applied delta without edits, which an older trace can
+    hold, changes nothing.  The same pass keeps each node's last ``node_status``,
     which the nodes still in the graph then carry; a node's outcome is not in
     the trace, so a terminal node comes back without one.  The rebuilt graph
     is for inspection only: :func:`~tdp.graph.validate_graph` reports each
@@ -669,7 +670,7 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
         except ParseFault as fault:
             raise TraceError(f"{where}: unreadable delta: {fault}") from None
         result = apply_revision(graph, delta)
-        if not result.applied:
+        if result.status == "rejected":
             raise TraceError(f"{where}: delta does not apply: {'; '.join(result.reasons)}")
         graph = result.graph
     for node_id in statuses.keys() & graph.nodes.keys():

@@ -149,10 +149,14 @@ class RevisionDelta:
     """
 
     thought: str = ""
-    need_update: bool = False
     description_updates: tuple[tuple[NodeId, str], ...] = ()
     new_nodes: tuple["NewNodeSpec", ...] = ()
     remove_nodes: tuple[NodeId, ...] = ()
+
+    @property
+    def edits(self) -> bool:
+        """True when the delta rewords, adds or removes any node."""
+        return bool(self.description_updates or self.new_nodes or self.remove_nodes)
 
 
 @dataclass(frozen=True)
@@ -230,17 +234,19 @@ def ready_nodes(graph: TaskGraph) -> list[NodeId]:
     A failed dependency permanently blocks its dependents (until a revision
     rewires them).
     """
+    nodes = graph.nodes
+    pending, completed = NodeStatus.PENDING, NodeStatus.COMPLETED
     out: list[NodeId] = []
-    for nid in sorted(graph.nodes):
-        node = graph.nodes[nid]
-        if node.status is not NodeStatus.PENDING:
+    for nid, node in nodes.items():
+        if node.status is not pending:
             continue
-        if all(
-            dep in graph.nodes
-            and graph.nodes[dep].status is NodeStatus.COMPLETED
-            for dep in node.dependencies
-        ):
+        for dep in node.dependencies:
+            dep_node = nodes.get(dep)
+            if dep_node is None or dep_node.status is not completed:
+                break
+        else:
             out.append(nid)
+    out.sort()
     return out
 
 
@@ -276,8 +282,9 @@ def apply_revision(
 ) -> RevisionResult:
     """Apply a revision atomically.
 
-    Either every edit in the delta lands and the result validates, or the
-    original graph object is returned untouched with the rejection reasons.
+    A delta without edits is a ``noop``.  Otherwise every edit in the delta
+    lands and the result validates, or the original graph object is returned
+    untouched with the rejection reasons.
     Terminal nodes may be removed but never rewritten.  A removed node's id
     is retired: a named new node may not take it, in this delta or a later
     one, and a generated id goes past it.  Every graph the supervisor
@@ -289,7 +296,7 @@ def apply_revision(
     rejection reason.  The edits check only the ids they name; every
     structural rule of the result is :func:`validate_graph`'s.
     """
-    if not delta.need_update:
+    if not delta.edits:
         return RevisionResult(graph=graph, status="noop")
     if scope is not None:
         allowed = set(scope) | {spec.id for spec in delta.new_nodes if spec.id}
@@ -419,7 +426,6 @@ def delta_to_doc(delta: RevisionDelta) -> dict[str, Any]:
     :func:`~tdp.roles.parse_revision` reads it back to an equal delta."""
     return {
         "thought": delta.thought,
-        "need_update": delta.need_update,
         "description_updates": [
             {"node_id": nid, "new_description": description}
             for nid, description in delta.description_updates

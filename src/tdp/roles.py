@@ -239,9 +239,10 @@ def parse_subgoals(text: str) -> tuple[TaskGraph, RevisionDelta]:
     entries = read_field(
         extract_json(text), "subgoals", list[dict], where="decomposition reply", error=ParseFault
     )
+    if not entries:
+        raise ParseFault("invalid decomposition: empty: graph has no nodes")
     delta = RevisionDelta(
-        need_update=True,
-        new_nodes=tuple(_node_entry(entry, id_required=True) for entry in entries),
+        new_nodes=tuple(_node_entry(entry, id_required=True) for entry in entries)
     )
     result = apply_revision(TaskGraph(), delta)
     if not result.applied:
@@ -326,42 +327,33 @@ def parse_evaluation(text: str) -> Evaluation:
 
 
 def parse_replan(text: str) -> Plan | None:
-    """The planner's new plan, or ``None`` when it keeps its plan.  ``RePlan``
-    must agree with ``NewPlan``: true with a nonempty plan, false with none;
-    a ``Thought`` that is neither a string nor null is refused too."""
+    """The planner's new plan, or ``None`` when it keeps its plan: ``NewPlan``
+    is required, null keeps the plan, and a string, blank too, must parse
+    (:func:`parse_plan`).  ``Thought`` must be a string or null."""
     read = partial(read_field, extract_json(text), where="replan reply", error=ParseFault)
-    replan = read("RePlan", bool)
     read("Thought", str, None, default=None)
-    raw_plan = read("NewPlan", str, None, default=None)
-    if replan and not (raw_plan or "").strip():
-        raise ParseFault("RePlan is true but 'NewPlan' is missing or empty")
-    if not replan and raw_plan:
-        raise ParseFault("RePlan is false but 'NewPlan' is present")
-    return parse_plan(raw_plan) if replan else None
+    raw_plan = read("NewPlan", str, None)
+    return None if raw_plan is None else parse_plan(raw_plan)
 
 
 def parse_revision(text: str) -> RevisionDelta:
     """Parse a graph-update reply into a :class:`~tdp.graph.RevisionDelta`.
 
-    Unknown top-level fields are ignored; list fields default to empty, and
-    a list field holding anything but a list is a parse fault.
+    The three edit lists are required, empty for no change; ``thought`` is
+    optional, and unknown top-level fields are ignored.
     """
     doc = extract_json(text)
     read = partial(read_field, where="revision reply", error=ParseFault)
-    need_update = read(doc, "need_update", bool)
-    thought = read(doc, "thought", str, default="")
     return RevisionDelta(
-        thought=thought,
-        need_update=need_update,
+        thought=read(doc, "thought", str, default=""),
         description_updates=tuple(
             (read(entry, "node_id", str), read(entry, "new_description", str))
-            for entry in read(doc, "description_updates", list[dict], None, default=None) or ()
+            for entry in read(doc, "description_updates", list[dict])
         ),
         new_nodes=tuple(
-            _node_entry(entry, id_required=False)
-            for entry in read(doc, "new_nodes", list[dict], None, default=None) or ()
+            _node_entry(entry, id_required=False) for entry in read(doc, "new_nodes", list[dict])
         ),
-        remove_nodes=tuple(read(doc, "remove_nodes", list[str], None, default=None) or ()),
+        remove_nodes=tuple(read(doc, "remove_nodes", list[str])),
     )
 
 

@@ -217,7 +217,7 @@ def random_delta(rng: random.Random, graph: TaskGraph, serial: int) -> RevisionD
     """A revision mixing valid and invalid edits; sometimes a deliberate no-op."""
     ids = sorted(graph.nodes)
     if rng.random() < 0.1:
-        return RevisionDelta(thought="stand pat", need_update=False)
+        return RevisionDelta(thought="stand pat")
 
     updates: list[tuple[str, str]] = []
     for _ in range(rng.randint(0, 2)):
@@ -256,7 +256,6 @@ def random_delta(rng: random.Random, graph: TaskGraph, serial: int) -> RevisionD
 
     return RevisionDelta(
         thought=f"edit {serial}",
-        need_update=True,
         description_updates=tuple(updates),
         new_nodes=tuple(adds),
         remove_nodes=tuple(removes),

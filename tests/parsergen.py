@@ -60,7 +60,7 @@ def gen_subgoals(rng: random.Random) -> tuple[str, tuple[TaskGraph, RevisionDelt
         expected.nodes[sid] = SubTaskNode(id=sid, description=desc, dependencies=set(deps))
         specs.append(NewNodeSpec(id=sid, description=desc, dependencies=tuple(deps)))
     text = decorate_json(rng, json.dumps({"subgoals": entries}))
-    return text, (expected, RevisionDelta(need_update=True, new_nodes=tuple(specs)))
+    return text, (expected, RevisionDelta(new_nodes=tuple(specs)))
 
 
 def corrupt_subgoals(rng: random.Random) -> str:
@@ -161,39 +161,33 @@ def corrupt_evaluation(rng: random.Random) -> str:
 
 
 def gen_replan(rng: random.Random) -> tuple[str, Plan | None]:
-    replan = rng.random() < 0.5
-    if replan:
+    doc: dict[str, Any] = {}
+    if rng.random() < 0.5:
+        doc["Thought"] = rng.choice([None, _phrase(rng)])
+    if rng.random() < 0.5:
         plan_text, plan = gen_plan(rng)
-        doc: dict[str, Any] = {
-            "RePlan": True,
-            "Thought": _phrase(rng),
-            "NewPlan": plan_text,
-        }
+        doc["NewPlan"] = plan_text
         expected: Plan | None = plan
     else:
-        doc = {
-            "RePlan": False,
-            "Thought": rng.choice([None, _phrase(rng)]),
-            "NewPlan": rng.choice([None, ""]),
-        }
+        doc["NewPlan"] = None  # keeps the plan
         expected = None
     return decorate_json(rng, json.dumps(doc)), expected
 
 
 def corrupt_replan(rng: random.Random) -> str:
-    mode = rng.choice(["drop_flag", "stringy_flag", "true_no_plan", "true_empty_plan",
-                       "false_with_plan", "true_bad_plan"])
-    if mode == "drop_flag":
-        return json.dumps({"Thought": "forgot the flag", "NewPlan": None})
-    if mode == "stringy_flag":
-        return json.dumps({"RePlan": "yes", "NewPlan": None})
-    if mode == "true_no_plan":
-        return json.dumps({"RePlan": True, "Thought": "but no plan"})
-    if mode == "true_empty_plan":
-        return json.dumps({"RePlan": True, "NewPlan": "   "})
-    if mode == "false_with_plan":
-        return json.dumps({"RePlan": False, "NewPlan": "1. sneaky extra plan"})
-    return json.dumps({"RePlan": True, "NewPlan": "no numbered steps in here"})
+    mode = rng.choice(["drop_plan", "list_plan", "bool_plan", "bad_plan", "blank_plan",
+                       "number_thought"])
+    if mode == "drop_plan":
+        return json.dumps({"Thought": "forgot the plan"})
+    if mode == "list_plan":
+        return json.dumps({"NewPlan": ["1. a step"]})
+    if mode == "bool_plan":
+        return json.dumps({"NewPlan": True})
+    if mode == "number_thought":
+        return json.dumps({"Thought": 5, "NewPlan": None})
+    if mode == "blank_plan":
+        return json.dumps({"NewPlan": rng.choice(["", "  "])})
+    return json.dumps({"NewPlan": "no numbered steps in here"})
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +195,11 @@ def corrupt_replan(rng: random.Random) -> str:
 
 
 def gen_revision(rng: random.Random) -> tuple[str, RevisionDelta]:
-    need_update = rng.random() < 0.7
+    edit = rng.random() < 0.7
     updates = []
     adds = []
     removes: list[str] = []
-    if need_update:
+    if edit:
         for i in range(rng.randint(0, 2)):
             updates.append({"node_id": f"node_{i + 1}", "new_description": _phrase(rng)})
         for i in range(rng.randint(0, 2)):
@@ -220,14 +214,12 @@ def gen_revision(rng: random.Random) -> tuple[str, RevisionDelta]:
         removes = [f"node_{rng.randint(1, 9)}" for _ in range(rng.randint(0, 2))]
     doc = {
         "thought": _phrase(rng),
-        "need_update": need_update,
         "description_updates": updates,
         "new_nodes": adds,
         "remove_nodes": removes,
     }
     expected = RevisionDelta(
         thought=doc["thought"],
-        need_update=need_update,
         description_updates=tuple((u["node_id"], u["new_description"]) for u in updates),
         new_nodes=tuple(
             NewNodeSpec(
@@ -243,20 +235,17 @@ def gen_revision(rng: random.Random) -> tuple[str, RevisionDelta]:
     return decorate_json(rng, json.dumps(doc)), expected
 
 
+_EDIT_LISTS = ("description_updates", "new_nodes", "remove_nodes")
+
+
 def corrupt_revision(rng: random.Random) -> str:
-    mode = rng.choice(["drop_flag", "int_flag", "update_no_target", "int_node_id",
+    mode = rng.choice(["drop_list", "null_list", "update_no_target", "int_node_id",
                        "blank_new_id", "stringy_removes"])
-    base: dict[str, Any] = {
-        "thought": "edit",
-        "need_update": True,
-        "description_updates": [],
-        "new_nodes": [],
-        "remove_nodes": [],
-    }
-    if mode == "drop_flag":
-        del base["need_update"]
-    elif mode == "int_flag":
-        base["need_update"] = 1
+    base: dict[str, Any] = {"thought": "edit", **{key: [] for key in _EDIT_LISTS}}
+    if mode == "drop_list":
+        del base[rng.choice(_EDIT_LISTS)]
+    elif mode == "null_list":
+        base[rng.choice(_EDIT_LISTS)] = None
     elif mode == "update_no_target":
         base["description_updates"] = [{"new_description": "aimed at nothing"}]
     elif mode == "int_node_id":

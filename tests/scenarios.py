@@ -49,17 +49,16 @@ def eval_reply(status: str, reason: str | None = None, need_replan: bool = False
 
 
 def replan_accept(new_plan: str, thought: str = "The plan cannot proceed as written.") -> str:
-    return json.dumps({"RePlan": True, "Thought": thought, "NewPlan": new_plan})
+    return json.dumps({"Thought": thought, "NewPlan": new_plan})
 
 
 def replan_decline(thought: str = "The plan is still workable.") -> str:
-    return json.dumps({"RePlan": False, "Thought": thought, "NewPlan": None})
+    return json.dumps({"Thought": thought, "NewPlan": None})
 
 
 NOOP_REVISION = json.dumps(
     {
         "thought": "The remaining nodes still cover the task; no change needed.",
-        "need_update": False,
         "description_updates": [],
         "new_nodes": [],
         "remove_nodes": [],
@@ -72,7 +71,6 @@ def revision_reply(*updates: tuple[str, str]) -> str:
     return json.dumps(
         {
             "thought": "The next node's wording should say what is already done.",
-            "need_update": True,
             "description_updates": [
                 {"node_id": nid, "new_description": desc} for nid, desc in updates
             ],
@@ -107,10 +105,13 @@ class RecordingBackend(ModelBackend):
 
 
 #: A JSON reply in which every field a JSON-reading parser requires has the
-#: wrong type.
-MISTYPED_REPLY = json.dumps(
-    {"subgoals": {}, "status": [], "need_replan": [], "RePlan": [], "need_update": []}
-)
+#: wrong type: the decomposition's ``subgoals``, the evaluation's ``status``
+#: and ``need_replan``, the replan's ``NewPlan`` and the revision's three
+#: edit lists.
+MISTYPED_REPLY = json.dumps({
+    "subgoals": {}, "status": [], "need_replan": [], "NewPlan": [],
+    "description_updates": {}, "new_nodes": {}, "remove_nodes": {},
+})
 
 
 class FaultAt(ModelBackend):
@@ -546,7 +547,6 @@ DIAMOND_BAD_N3 = "Focus the microscope on the plant."
 REPAIR_REVISION = json.dumps(
     {
         "thought": "node_3 failed: the lab has no microscope, but the plant itself can be focused.",
-        "need_update": True,
         "description_updates": [],
         "new_nodes": [
             {

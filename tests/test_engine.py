@@ -304,6 +304,9 @@ def _exec_config(supervisor, planner, executor, **kwargs) -> RunConfig:
 
 
 D1 = "Inspect the drawer."
+#: A revise reply without edits that sets an earlier format's ``need_update``
+#: flag, a key the reader ignores.
+FLAGGED_EMPTY_REVISION = json.dumps({**json.loads(NOOP_REVISION), "need_update": True})
 LAB_D1 = "Open the drawer in the lab."
 LAB_D2 = "Activate the stove next."
 # node_1's plans, in the order the two-replan variant tries them
@@ -816,8 +819,8 @@ class TestRunTask:
     def test_a_revision_that_removes_the_last_pending_node_completes_the_run(self):
         """node_1 completes, and the round's revision removes node_2, the one
         node left, so the run ends at the loop head: Completed and delivered."""
-        removal = json.dumps({"thought": "node_1 did all of it.", "need_update": True,
-                              "remove_nodes": ["node_2"]})
+        removal = json.dumps({"thought": "node_1 did all of it.", "description_updates": [],
+                              "new_nodes": [], "remove_nodes": ["node_2"]})
         config = _exec_config(
             [
                 rule("supervisor:construct", [],
@@ -899,13 +902,17 @@ class TestRunTask:
             assert prompt.count(f"over the cap of {MAX_NODES}") == n
         assert_ends_on_record(report, sink)
 
-    def test_failed_sink_then_unchanged_revision_stalls(self):
+    @pytest.mark.parametrize("unchanged", [NOOP_REVISION, FLAGGED_EMPTY_REVISION],
+                             ids=["no edits", "no edits but flagged"])
+    def test_failed_sink_then_unchanged_revision_stalls(self, unchanged):
+        """A revision without edits is a noop, and so a stall once no node is
+        ready, whatever else its reply says."""
         config = _exec_config(
             [
                 rule("supervisor:construct", [],
                      subgoals_reply(("node_1", D1, []))),
                 rule("supervisor:evaluate", [], eval_reply("failed", "No way in.")),
-                rule("supervisor:revise", [], NOOP_REVISION),
+                rule("supervisor:revise", [], unchanged),
             ],
             [rule("planner:plan", [], plan_reply("Try."))],
             [rule("executor:execute", [], "open drawer")],
@@ -917,6 +924,7 @@ class TestRunTask:
         assert_ends_on_record(report, sink)
         revisions = [e for e in sink.events_for(report.run_id) if e.kind == "revision"]
         assert [e.payload["status"] for e in revisions] == ["noop", "noop"]
+        assert [e.payload["delta"] for e in revisions] == [None, None]
         # the first round's revision sees node_1's outcome, never its actions;
         # the second round dispatched nothing, so its revision saw no outcome
         first, second = _revise_prompts(config.role_backends["supervisor"])
@@ -993,7 +1001,6 @@ class TestRunTask:
         d2_new = "Check the stove dial carefully."
         revision = json.dumps({
             "thought": "The stove step needs the dial called out.",
-            "need_update": True,
             "description_updates": [{"node_id": "node_2", "new_description": d2_new}],
             "new_nodes": [],
             "remove_nodes": [],
@@ -1053,6 +1060,22 @@ class TestRunTask:
             then = replay_graph(events[:at])
             assert then.nodes[f"node_{k}"].description in prompt
 
+    def test_replay_passes_over_an_applied_revision_without_edits(self):
+        """A trace written while a flag carried a revision's decision can
+        record a delta without edits as applied; replaying it changes nothing."""
+        stages = 3
+        sink = TraceSink(clock=CounterClock())
+        report = run_task(chain_instance(stages), ChainEnv(),
+                          chain_config(stages, tdp_chain_rules(stages)), sink=sink)
+        events = sink.events_for(report.run_id)
+        at = next(i for i, e in enumerate(events) if e.kind == "revision")
+        assert events[at].payload["status"] == "noop"
+        flagged = {**delta_to_doc(RevisionDelta(thought="keep")), "need_update": True}
+        old = [*events[:at], replace(events[at], payload={**events[at].payload,
+                                                          "status": "applied",
+                                                          "delta": flagged}), *events[at + 1:]]
+        assert replay_graph(old) == replay_graph(events)
+
     def test_replay_refuses_a_delta_that_does_not_apply(self):
         stages = 3
         sink = TraceSink(clock=CounterClock())
@@ -1060,7 +1083,7 @@ class TestRunTask:
                           chain_config(stages, tdp_chain_rules(stages, revise=True)), sink=sink)
         events = sink.events_for(report.run_id)
         at = next(i for i, e in enumerate(events) if e.kind == "revision")
-        ghost = RevisionDelta(need_update=True, description_updates=(("ghost", "x"),))
+        ghost = RevisionDelta(description_updates=(("ghost", "x"),))
         events[at] = replace(events[at], payload={**events[at].payload,
                                                   "delta": delta_to_doc(ghost)})
         with pytest.raises(TraceError, match=f"revision event {events[at].seq} .*"
@@ -1245,7 +1268,8 @@ class TestRunTask:
 
     def test_malformed_revise_reply_becomes_a_revision_fault_noop(self):
         config = load_config(CONFIG_DIR / "scripted_wiki.json")
-        bad = rule("supervisor:revise", [], '{"need_update": true, "new_nodes": true}')
+        bad = rule("supervisor:revise", [],
+                   '{"description_updates": [], "new_nodes": true, "remove_nodes": []}')
         config.role_backends["supervisor"] = ScriptedBackend(
             [bad, *config.role_backends["supervisor"].rules])
         instance = load_task_instance(WIKI_FIXTURES[0])

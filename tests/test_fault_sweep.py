@@ -9,7 +9,9 @@ or went unreported and whose per-role account agrees with the sums taken
 here from the ``role_call`` events; stay within its method's attempt bound
 and ``s_max`` steps; and move each node's status only along legal
 transitions.  A tdp record's node records must list exactly the dispatched
-nodes, each of which the trace alone rebuilds or records as retired.
+nodes, each of which the trace alone rebuilds or records as retired.  An
+``unparseable`` or ``mistyped`` reply must be refused: the role call whose
+first attempt it was records a retry or ``ok: false``.
 """
 
 from __future__ import annotations
@@ -93,6 +95,19 @@ def _role_sums(events: list[TraceEvent]) -> dict[str, dict[str, Any]]:
     return sums
 
 
+def _check_refused(events: list[TraceEvent], k: int, where: str) -> None:
+    """The role call whose first attempt was model call `k` retried or failed."""
+    first = 1
+    for event in events:
+        if event.kind == "role_call":
+            if first == k:
+                p = event.payload
+                assert p["attempts"] > 1 or not p["ok"], (where, p)
+                return
+            first += event.payload["attempts"]
+    raise AssertionError(f"{where}: no role call began at model call {k}")
+
+
 def _check_statuses(events: list[TraceEvent], where: str) -> None:
     status: dict[str, NodeStatus] = {}
     for event in events:
@@ -139,6 +154,8 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         steps = [e for e in events if e.kind == "env_step"]
         assert len(steps) == live.steps_used <= config.s_max, where
         _check_statuses(events, where)
+        if fault in ("unparseable", "mistyped") and k <= len(clean_calls):
+            _check_refused(events, k, where)
         dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
         assert list(live.node_records) == sorted(dispatched), where
         if method == "tdp":

@@ -317,18 +317,22 @@ def test_node_bindings_refuse_an_unknown_node_and_unfinished_or_missing_dependen
 # revision
 
 
-def test_noop_when_need_update_is_false():
+def test_noop_when_the_delta_has_no_edits():
     g = graph_of(node("a"))
-    delta = RevisionDelta(thought="nothing to do", need_update=False)
+    delta = RevisionDelta(thought="nothing to do")
+    assert not delta.edits
     result = apply_revision(g, delta)
     assert result.status == "noop" and not result.applied
     assert result.graph is g
+    for edit in ({"description_updates": (("a", "x"),)}, {"remove_nodes": ("a",)},
+                 {"new_nodes": (NewNodeSpec(id=None, description="x"),)}):
+        assert RevisionDelta(**edit).edits, edit
 
 
 def test_description_update_lands_on_live_node_only():
     g = graph_of(node("a"), node("b", status=NodeStatus.COMPLETED))
     ok = apply_revision(
-        g, RevisionDelta(need_update=True, description_updates=(("a", "sharper goal"),))
+        g, RevisionDelta(description_updates=(("a", "sharper goal"),))
     )
     assert ok.applied and ok.graph.nodes["a"].description == "sharper goal"
     assert ok.graph is not g and g.nodes["a"].description == "work item a"
@@ -339,14 +343,14 @@ def test_description_update_lands_on_live_node_only():
     ]:
         before = copy.deepcopy(g)
         result = apply_revision(
-            g, RevisionDelta(need_update=True, description_updates=((bad_target, "x"),))
+            g, RevisionDelta(description_updates=((bad_target, "x"),))
         )
         assert result.status == "rejected"
         assert any(reason_frag in r for r in result.reasons)
         assert result.graph is g and g == before
 
     blank = apply_revision(
-        g, RevisionDelta(need_update=True, description_updates=(("a", "  "),))
+        g, RevisionDelta(description_updates=(("a", "  "),))
     )
     assert blank.status == "rejected"
     assert any("empty description" in r for r in blank.reasons)
@@ -354,12 +358,12 @@ def test_description_update_lands_on_live_node_only():
 
 def test_remove_discards_edges_and_unknown_remove_rejects():
     g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]), node("c"))
-    result = apply_revision(g, RevisionDelta(need_update=True, remove_nodes=("a",)))
+    result = apply_revision(g, RevisionDelta(remove_nodes=("a",)))
     assert result.applied
     assert "a" not in result.graph.nodes
     assert result.graph.nodes["b"].dependencies == set()
 
-    missing = apply_revision(g, RevisionDelta(need_update=True, remove_nodes=("ghost",)))
+    missing = apply_revision(g, RevisionDelta(remove_nodes=("ghost",)))
     assert missing.status == "rejected"
     assert any("unknown node 'ghost'" in r for r in missing.reasons)
 
@@ -372,7 +376,7 @@ def test_add_node_paths():
         id="audit", description="double-check the figures", dependencies=("node_1",),
         dependents=("node_2",),
     )
-    result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+    result = apply_revision(g, RevisionDelta(new_nodes=(spec,)))
     assert result.applied
     assert result.graph.nodes["node_2"].dependencies == {"node_1", "audit"}
     assert result.graph.nodes["audit"].dependencies == {"node_1"}
@@ -381,7 +385,7 @@ def test_add_node_paths():
     gen = apply_revision(
         g,
         RevisionDelta(
-            need_update=True, new_nodes=(NewNodeSpec(id=None, description="extra pass"),)
+            new_nodes=(NewNodeSpec(id=None, description="extra pass"),)
         ),
     )
     assert gen.applied and "node_3" in gen.graph.nodes
@@ -392,7 +396,7 @@ def test_add_node_paths():
         (NewNodeSpec(id="x", description="   "), "empty description"),
         (NewNodeSpec(id="x", description="d", dependents=("ghost",)), "unknown dependent"),
     ]:
-        result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+        result = apply_revision(g, RevisionDelta(new_nodes=(spec,)))
         assert result.status == "rejected"
         assert any(frag in r for r in result.reasons)
 
@@ -410,7 +414,6 @@ def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
     assert view.endswith(
         "- (1 completed not shown)\n- (1 pending not shown, waiting on the nodes above)")
     inside = RevisionDelta(
-        need_update=True,
         description_updates=(("c", "sharper goal"),),
         new_nodes=(
             NewNodeSpec(id="check", description="check c", dependencies=("c",)),
@@ -419,7 +422,6 @@ def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
     )
     assert apply_revision(g, inside, scope=scope).applied
     outside = RevisionDelta(
-        need_update=True,
         description_updates=(("d", "reworded unseen"), ("c", "fine")),
         remove_nodes=("d",),
         new_nodes=(NewNodeSpec(id="x", description="x", dependencies=("a",),
@@ -431,7 +433,7 @@ def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
     assert result.reasons == tuple(
         f"scope: node {nid!r} is not in the revise view" for nid in ("d", "a", "ghost"))
     # unscoped, as a decomposition or a replay applies it, d is fair game
-    reworded = RevisionDelta(need_update=True, description_updates=(("d", "reworded"),))
+    reworded = RevisionDelta(description_updates=(("d", "reworded"),))
     assert apply_revision(g, reworded).applied
     assert not apply_revision(g, reworded, scope=scope).applied
 
@@ -439,7 +441,7 @@ def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
 def test_new_node_cannot_feed_a_terminal_dependent():
     g = graph_of(node("done", status=NodeStatus.COMPLETED), node("live"))
     spec = NewNodeSpec(id="late", description="too late", dependents=("done",))
-    result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+    result = apply_revision(g, RevisionDelta(new_nodes=(spec,)))
     assert result.status == "rejected"
     assert any("terminal 'done'" in r for r in result.reasons)
 
@@ -447,7 +449,6 @@ def test_new_node_cannot_feed_a_terminal_dependent():
 def test_remove_then_readd_terminal_id_is_refused():
     g = graph_of(node("done", status=NodeStatus.COMPLETED), node("live"))
     delta = RevisionDelta(
-        need_update=True,
         remove_nodes=("done",),
         new_nodes=(NewNodeSpec(id="done", description="fresh start"),),
     )
@@ -465,7 +466,6 @@ def test_an_unnamed_node_replacing_the_highest_numbered_terminal_node_is_applied
         node("node_2", deps=["node_1"], status=NodeStatus.FAILED),
     )
     delta = RevisionDelta(
-        need_update=True,
         remove_nodes=("node_2",),
         new_nodes=(NewNodeSpec(id=None, description="retry the read", dependencies=("node_1",)),),
     )
@@ -484,28 +484,26 @@ def test_an_id_an_earlier_revision_removed_is_never_given_again():
         node("node_2", deps=["node_1"], status=NodeStatus.FAILED),
     )
     replace_2 = RevisionDelta(
-        need_update=True,
         remove_nodes=("node_2",),
         new_nodes=(NewNodeSpec(id=None, description="retry", dependencies=("node_1",)),),
     )
     g = apply_revision(g, replace_2).graph
     assert set(g.nodes) == {"node_1", "node_3"}
     g.nodes["node_3"] = node("node_3", deps=["node_1"], status=NodeStatus.FAILED)
-    remove_3 = RevisionDelta(need_update=True, remove_nodes=("node_3",))
+    remove_3 = RevisionDelta(remove_nodes=("node_3",))
     g = apply_revision(g, remove_3).graph
     assert (set(g.nodes), g.retired) == ({"node_1"}, {"node_2", "node_3"})
     add_unnamed = RevisionDelta(
-        need_update=True,
         new_nodes=(NewNodeSpec(id=None, description="try once more", dependencies=("node_1",)),),
     )
     result = apply_revision(g, add_unnamed)
     assert result.applied, result.reasons
     assert set(result.graph.nodes) == {"node_1", "node_4"}
-    add_named = RevisionDelta(need_update=True, new_nodes=(NewNodeSpec("node_2", "again"),))
+    add_named = RevisionDelta(new_nodes=(NewNodeSpec("node_2", "again"),))
     refused = apply_revision(g, add_named)
     assert refused.reasons == ("add: id 'node_2' is retired: a revision removed its node",)
 
-    construct = RevisionDelta(need_update=True, new_nodes=(
+    construct = RevisionDelta(new_nodes=(
         NewNodeSpec("node_1", "read"), NewNodeSpec("node_2", "use", ("node_1",))))
     events = [
         TraceEvent("r", seq, float(seq), kind, {"status": "applied", "delta": delta_to_doc(d)})
@@ -520,7 +518,6 @@ def test_rejection_is_atomic_even_when_parts_were_valid():
     g = graph_of(node("a"), node("b", deps=["a"]))
     before = copy.deepcopy(g)
     delta = RevisionDelta(
-        need_update=True,
         description_updates=(("a", "would have landed"),),
         remove_nodes=("ghost",),
     )
@@ -534,7 +531,7 @@ def test_applied_result_shares_no_mutable_structure_with_the_original():
     g.nodes["a"].local_trace.append(TraceEntry(action="look", observation="ok"))
     before = copy.deepcopy(g)
     result = apply_revision(
-        g, RevisionDelta(need_update=True, description_updates=(("b", "sharper b"),))
+        g, RevisionDelta(description_updates=(("b", "sharper b"),))
     )
     assert result.applied
     result.graph.nodes["b"].dependencies.add("c")
@@ -549,12 +546,12 @@ def test_post_edit_validation_rejects_structural_damage():
     g = graph_of(node("a"), node("b", deps=["a"]))
     # new node that both depends on and feeds 'b' -> two-node cycle
     spec = NewNodeSpec(id="c", description="twist", dependencies=("b",), dependents=("b",))
-    result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+    result = apply_revision(g, RevisionDelta(new_nodes=(spec,)))
     assert result.status == "rejected"
     assert any("cycle" in r for r in result.reasons)
     # dangling dependency on a node the delta never created
     spec = NewNodeSpec(id="c", description="twist", dependencies=("nowhere",))
-    result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+    result = apply_revision(g, RevisionDelta(new_nodes=(spec,)))
     assert result.status == "rejected"
     assert any("dangling" in r for r in result.reasons)
 
@@ -563,7 +560,7 @@ def test_a_revision_past_the_node_cap_is_rejected():
     g = graph_of(*(node(f"n{i:03d}") for i in range(MAX_NODES)))
     assert validate_graph(g) == []
     spec = NewNodeSpec(id="extra", description="one node too many")
-    result = apply_revision(g, RevisionDelta(need_update=True, new_nodes=(spec,)))
+    result = apply_revision(g, RevisionDelta(new_nodes=(spec,)))
     assert result.status == "rejected"
     assert result.reasons == (
         f"size: graph has {MAX_NODES + 1} nodes, over the cap of {MAX_NODES}",
@@ -578,7 +575,7 @@ def test_applied_revision_preserves_unrelated_state():
     result = apply_revision(
         g,
         RevisionDelta(
-            need_update=True, new_nodes=(NewNodeSpec(id="c", description="extension"),)
+            new_nodes=(NewNodeSpec(id="c", description="extension"),)
         ),
     )
     assert result.applied

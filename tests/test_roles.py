@@ -10,7 +10,7 @@ from importlib import resources
 
 import pytest
 import requests
-from conftest import REPO_ROOT, WIKI_FIXTURES
+from conftest import CONFIG_DIR, REPO_ROOT, WIKI_FIXTURES
 from parsergen import PARSER_CASES, gen_plan
 from scenarios import RecordingBackend, plan_reply
 from tdp.engine import Run, RunConfig
@@ -154,8 +154,8 @@ TEMPLATE_FORMAT = {
     "execute": (),
     "plan": PLAN_FORMAT,
     "react": ("Thought:", "Action:"),
-    "replan": ('"RePlan":', '"Thought":', '"NewPlan":', *PLAN_FORMAT),
-    "revise": ('"thought":', '"need_update":', '"description_updates":', '"node_id":',
+    "replan": ('"Thought":', '"NewPlan":', *PLAN_FORMAT),
+    "revise": ('"thought":', '"description_updates":', '"node_id":',
                '"new_description":', '"new_nodes":', '"id":', '"description":',
                '"dependencies":', '"dependents":', '"remove_nodes":'),
 }
@@ -163,7 +163,7 @@ TEMPLATE_FORMAT = {
 #: each template's own count, so fixed text cannot grow back unnoticed.
 FIXED_WORD_CEILING = {
     "construct": 103, "evaluate": 65, "execute": 38, "plan": 61, "react": 39,
-    "replan": 59, "revise": 146,
+    "replan": 54, "revise": 137,
 }
 #: The words that state each packaged template's decision rules, one entry
 #: per rule; a shorter wording must keep every rule.
@@ -210,7 +210,7 @@ TEMPLATE_RULES = {
     "replan": (
         "Replan ONLY if its reason shows a wrong approach, invalid parameters or a "
         "missing prerequisite",
-        "if false, Thought and NewPlan are null",
+        "null keeps the plan",
         "the whole new plan, for this sub-goal only",
     ),
     "revise": (
@@ -223,7 +223,6 @@ TEMPLATE_RULES = {
         "Never duplicate or overlap a node",
         "self-contained and achievable with the available actions",
         "keep a final node for the action that completes the task",
-        "if false, all three lists are empty",
     ),
 }
 
@@ -343,9 +342,7 @@ def test_parse_subgoals_rejections():
     expected = TaskGraph()
     expected.nodes["a"] = SubTaskNode(id="a", description="d")
     assert graph == expected
-    assert delta == RevisionDelta(
-        need_update=True, new_nodes=(NewNodeSpec(id="a", description="d"),)
-    )
+    assert delta == RevisionDelta(new_nodes=(NewNodeSpec(id="a", description="d"),))
 
     cases = [
         ('{"subgoals": []}', "invalid decomposition: empty: graph has no nodes"),
@@ -387,7 +384,7 @@ def test_a_decomposition_is_refused_for_the_reasons_of_a_revision(specs):
         NewNodeSpec(id=nid, description=desc, dependencies=tuple(deps))
         for nid, desc, deps in specs
     )
-    delta = RevisionDelta(need_update=True, new_nodes=new_nodes)
+    delta = RevisionDelta(new_nodes=new_nodes)
     result = apply_revision(TaskGraph(), delta)
     assert result.status == "rejected" and result.reasons
     reply = json.dumps({"subgoals": [
@@ -461,21 +458,30 @@ def test_parse_evaluation_edges():
 
 
 def test_parse_replan_edges():
-    ok = parse_replan(
-        json.dumps(
-            {"RePlan": True, "Thought": "switch", "NewPlan": "1. new way"}
-        )
-    )
+    ok = parse_replan(json.dumps({"Thought": "switch", "NewPlan": "1. new way"}))
     assert ok == Plan(steps=("new way",))
 
-    assert parse_replan('{"RePlan": false, "Thought": null, "NewPlan": ""}') is None
+    # null keeps the plan; Thought is optional
+    assert parse_replan('{"Thought": null, "NewPlan": null}') is None
+    assert parse_replan('{"NewPlan": null}') is None
 
-    with pytest.raises(ParseFault, match="missing or empty"):
-        parse_replan('{"RePlan": true, "NewPlan": null}')
-    with pytest.raises(ParseFault, match="'NewPlan' is present"):
-        parse_replan('{"RePlan": false, "NewPlan": "1. sneaky"}')
-    with pytest.raises(ParseFault):  # NewPlan must itself parse as a plan
-        parse_replan('{"RePlan": true, "NewPlan": "not a plan"}')
+    with pytest.raises(ParseFault, match="missing required field 'NewPlan'"):
+        parse_replan('{"Thought": "forgot the plan"}')
+    with pytest.raises(ParseFault, match="missing required field 'NewPlan'"):
+        parse_replan("{}")
+    with pytest.raises(ParseFault, match="'NewPlan' must be a string or null"):
+        parse_replan('{"NewPlan": ["1. a step"]}')
+    # a string NewPlan must parse as a plan, so a blank one is refused, not kept
+    for unparsed in ('{"NewPlan": "not a plan"}', '{"NewPlan": ""}', '{"NewPlan": "  "}'):
+        with pytest.raises(ParseFault, match="no numbered steps"):
+            parse_replan(unparsed)
+
+
+def test_a_replan_reply_decides_by_its_new_plan_alone():
+    """A ``RePlan`` flag, which replies once carried beside ``NewPlan``, is an
+    unknown key: the plan is kept when ``NewPlan`` is null, whatever it says."""
+    assert parse_replan('{"RePlan": true, "NewPlan": null}') is None
+    assert parse_replan('{"RePlan": false, "NewPlan": "1. go"}') == Plan(steps=("go",))
 
 
 def test_parse_revision_edges():
@@ -483,54 +489,75 @@ def test_parse_revision_edges():
         json.dumps(
             {
                 "thought": "tighten",
-                "need_update": True,
                 "description_updates": [{"node_id": "a", "new_description": "sharper"}],
                 "new_nodes": [{"id": None, "description": "extra", "dependencies": ["a"]}],
                 "remove_nodes": ["b"],
             }
         )
     )
-    assert delta.need_update
+    assert delta.edits
     assert delta.description_updates == (("a", "sharper"),)
     assert delta.new_nodes[0].id is None and delta.new_nodes[0].dependencies == ("a",)
     assert delta.remove_nodes == ("b",)
 
-    # null list fields read as empty
-    bare = parse_revision('{"need_update": false, "description_updates": null}')
-    assert bare == parse_revision('{"need_update": false}')
+    # empty lists are no change; thought is optional
+    bare = parse_revision('{"description_updates": [], "new_nodes": [], "remove_nodes": []}')
+    assert bare == RevisionDelta() and not bare.edits
 
-    with pytest.raises(ParseFault, match="missing required field 'need_update'"):
-        parse_revision('{"thought": "oops"}')
-    with pytest.raises(ParseFault, match="'need_update' must be true or false, got 1"):
-        parse_revision('{"need_update": 1}')
-    with pytest.raises(ParseFault, match="missing required field 'node_id'"):
-        parse_revision('{"need_update": true, "description_updates": [{"new_description": "x"}]}')
-    with pytest.raises(ParseFault, match="nonempty string when present"):
-        parse_revision('{"need_update": true, "new_nodes": [{"id": " ", "description": "d"}]}')
-    with pytest.raises(ParseFault, match="list of strings"):
-        parse_revision('{"need_update": true, "remove_nodes": [3]}')
-
-    # a list field holding anything but a list or null
-    for field in ("description_updates", "new_nodes", "remove_nodes"):
-        for value in (True, 0, {}, {"id": "x"}, "node_1"):
-            text = json.dumps({"need_update": True, field: value})
+    lists = {"description_updates": [], "new_nodes": [], "remove_nodes": []}
+    with pytest.raises(ParseFault, match="missing required field 'description_updates'"):
+        parse_revision("{}")
+    for field in lists:
+        others = {key: value for key, value in lists.items() if key != field}
+        with pytest.raises(ParseFault, match=f"missing required field '{field}'"):
+            parse_revision(json.dumps(others))
+        # a list field holding anything but a list, null too
+        for value in (None, True, 0, {}, {"id": "x"}, "node_1"):
             with pytest.raises(ParseFault, match=f"'{field}' must be a list"):
-                parse_revision(text)
+                parse_revision(json.dumps({**lists, field: value}))
+
+    with pytest.raises(ParseFault, match="missing required field 'node_id'"):
+        parse_revision(json.dumps({**lists, "description_updates": [{"new_description": "x"}]}))
+    with pytest.raises(ParseFault, match="nonempty string when present"):
+        parse_revision(json.dumps({**lists, "new_nodes": [{"id": " ", "description": "d"}]}))
+    with pytest.raises(ParseFault, match="list of strings"):
+        parse_revision(json.dumps({**lists, "remove_nodes": [3]}))
+
+
+def test_a_revision_reply_decides_by_its_edits_alone():
+    """A ``need_update`` flag, which replies once carried beside the edit
+    lists, is an unknown key: a reply without edits changes nothing, and one
+    with edits is applied, whatever the flag says."""
+    graph = TaskGraph(nodes={nid: SubTaskNode(id=nid, description=nid) for nid in "ab"})
+    graph.nodes["b"].dependencies = {"a"}
+    lists = {"description_updates": [], "new_nodes": [], "remove_nodes": []}
+    empty = parse_revision(json.dumps({"need_update": True, **lists}))
+    assert apply_revision(graph, empty).status == "noop"
+    removal = parse_revision(json.dumps({"need_update": False, **lists, "remove_nodes": ["a"]}))
+    result = apply_revision(graph, removal)
+    assert result.status == "applied" and set(result.graph.nodes) == {"b"}
+
+
+_LISTS = '"description_updates": [], "new_nodes": [], "remove_nodes": []'
 
 
 @pytest.mark.parametrize("parser, reply", [
     (parse_subgoals, '{"subgoals": [5]}'),
-    (parse_revision, '{"need_update": true, "new_nodes": ["node_9"]}'),
+    (parse_revision, '{"description_updates": [], "new_nodes": ["node_9"], "remove_nodes": []}'),
     (parse_subgoals, '{"subgoals": [{"id": "a", "description": 5}]}'),
-    (parse_revision, '{"need_update": true, "new_nodes": [{"description": null}]}'),
+    (parse_revision,
+     '{"description_updates": [], "new_nodes": [{"description": null}], "remove_nodes": []}'),
     (parse_evaluation, '{"status": "completed", "need_replan": false, "reason": 5}'),
     (parse_evaluation, '{"status": "completed", "need_replan": false, "reason": ["done"]}'),
-    (parse_replan, '{"RePlan": false, "Thought": 5, "NewPlan": null}'),
-    (parse_replan, '{"RePlan": false, "Thought": {"why": "x"}}'),
-    (parse_revision, '{"need_update": false, "thought": 5}'),
-    (parse_revision, '{"need_update": false, "thought": null}'),
-    (parse_revision, '{"need_update": true, "description_updates": [5]}'),
-    (parse_revision, '{"need_update": true, "description_updates": [["a", "x"]]}'),
+    (parse_replan, '{"Thought": 5, "NewPlan": null}'),
+    (parse_replan, '{"Thought": {"why": "x"}, "NewPlan": null}'),
+    (parse_revision, '{"thought": 5, ' + _LISTS + '}'),
+    (parse_revision, '{"thought": null, ' + _LISTS + '}'),
+    (parse_revision, '{"description_updates": [5], "new_nodes": [], "remove_nodes": []}'),
+    (parse_revision,
+     '{"description_updates": [["a", "x"]], "new_nodes": [], "remove_nodes": []}'),
+    (parse_replan, '{"description_updates": [], "new_nodes": [], "remove_nodes": []}'),
+    (parse_revision, '{"Thought": "switch", "NewPlan": "1. new way"}'),
 ], ids=[
     "subgoal entry not an object", "new node not an object",
     "subgoal description not a string", "new node description null",
@@ -538,9 +565,11 @@ def test_parse_revision_edges():
     "Thought a number", "Thought an object",
     "revision thought a number", "revision thought null",
     "description update a number", "description update a list",
+    "revision reply to replan", "replan reply to revise",
 ])
 def test_a_mistyped_reply_field_no_corruptor_reaches_is_a_parse_fault(parser, reply):
-    """Shape rejections the generated corruptions never produce."""
+    """Shape rejections the generated corruptions never produce, and a reply
+    meant for the other of the two roles."""
     with pytest.raises(ParseFault):
         parser(reply)
 
@@ -600,13 +629,47 @@ def test_revision_delta_doc_reads_back_to_an_equal_delta():
     deltas.append(
         RevisionDelta(
             thought="wire a check in",
-            need_update=True,
             new_nodes=(NewNodeSpec(id=None, description="check", dependencies=("a",),
                                    dependents=("b",)),),
         )
     )
     for delta in deltas:
         assert parse_revision(json.dumps(delta_to_doc(delta))) == delta
+
+
+# ---------------------------------------------------------------------------
+# shipped scripts
+
+
+def _shipped_scripts() -> dict[str, str]:
+    """Each script file the shipped scripted configs name, by its path under
+    ``configs/``, with the environment of the config that names it."""
+    scripts = {}
+    for path in sorted(CONFIG_DIR.glob("scripted_*.json")):
+        config = json.loads(path.read_text(encoding="utf-8"))
+        for backend in config["backends"].values():
+            scripts[backend["rules"]] = config["environment"]
+    return scripts
+
+
+@pytest.mark.parametrize("script, environment", sorted(_shipped_scripts().items()))
+def test_every_shipped_reply_parses_under_its_templates_reader(script, environment):
+    """Each reply of a shipped script is read by the reader of the template
+    its rule's role tag names, with the command lines of its config's
+    environment, so a protocol change that leaves a shipped reply unreadable
+    fails here even where no golden case reaches that reply."""
+    bindings = {"admissible_commands": "\n".join(make_environment(environment)
+                                                 .admissible_commands())}
+    rules = ScriptedBackend.from_file(CONFIG_DIR / script).rules
+    assert rules
+    for index, rule in enumerate(rules):
+        role, template = rule.role.split(":")
+        assert TEMPLATE_TABLE[template][0] == role, (script, index)
+        for reply in rule.responses:
+            try:
+                TEMPLATE_TABLE[template][1](reply, bindings)
+            except ParseFault as fault:
+                pytest.fail(f"{script} rule [{index}] ({rule.role}): {fault}: {reply[:80]!r}")
 
 
 # ---------------------------------------------------------------------------
