@@ -68,7 +68,7 @@ def _build_backend(role: str, spec: Any, base_dir: Path) -> ModelBackend:
             return RemoteChatBackend(
                 **settings, temperature=float(read("temperature", float, int, default=0.0))
             )
-        except RuntimeError as err:  # unset credential env var
+        except RuntimeError as err:  # unset credential env var, non-HTTP endpoint
             raise CliError(str(err)) from None
     raise CliError(f"unknown backend kind {kind!r} (expected 'scripted' or 'remote')")
 
@@ -216,9 +216,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise CliError("--methods must name at least one method")
-    for method in methods:
+    for pos, method in enumerate(methods):
         if method not in METHODS:
             raise CliError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+        if method in methods[:pos]:  # its runs would overwrite the first ones' traces
+            raise CliError(f"method {method!r} is named twice in --methods")
     reference = args.reference
     if reference not in methods:
         raise CliError(
@@ -280,17 +282,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    paths: list[Path] = []
+    paths: dict[Path, Path] = {}  # by resolved path: a file matched twice is read once
     for pattern in args.traces:
         expanded = [Path(p) for p in sorted(globlib.glob(pattern))]
         if not expanded and Path(pattern).exists():
             expanded = [Path(pattern)]
         if not expanded:
             raise CliError(f"no trace files match: {pattern}")
-        paths.extend(expanded)
+        for path in expanded:
+            paths.setdefault(path.resolve(), path)
     batches: dict[str, list[MetricsRecord]] = {}
     errors: list[str] = []
-    for path in paths:
+    for path in paths.values():
         records, unread = _trace_records(path)
         errors.extend(unread)
         for record in records:

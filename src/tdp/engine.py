@@ -649,8 +649,7 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
     is for inspection only: :func:`~tdp.graph.validate_graph` reports each
     terminal node's missing outcome, so :func:`~tdp.graph.apply_revision`
     rejects any delta on it.  Raises :class:`~tdp.telemetry.TraceError` on a
-    delta that is missing (version-1 traces recorded a snapshot), unreadable
-    or refused.
+    delta that is missing, unreadable or refused.
     """
     graph = TaskGraph()
     statuses: dict[str, str] = {}
@@ -664,7 +663,7 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
         where = f"{event.kind} event {event.seq} of run {event.run_id!r}"
         doc = event.payload.get("delta")
         if doc is None:
-            raise TraceError(f"{where} carries no delta; a version-1 trace cannot be replayed")
+            raise TraceError(f"{where} carries no delta")
         try:
             delta = parse_revision(json.dumps(doc))
         except ParseFault as fault:

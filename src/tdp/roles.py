@@ -509,11 +509,13 @@ class RemoteChatBackend(ModelBackend):
     A reply whose ``content`` is not a string (``null``, a list of parts),
     whose ``choices`` is missing or empty, or whose usage counts are not
     integers is a :class:`TypeError`, which :meth:`tdp.engine.Run.call`
-    records as a backend error.
+    records as a backend error, as it does a non-2xx status
+    (:class:`urllib.error.HTTPError`), a failed connection or a timeout.
 
     The API key is read from the environment variable named in the
-    configuration — never stored in config files.  Construction fails fast
-    when the variable is unset so no run starts half-credentialed.
+    configuration, never from config files, and goes in an unredirected
+    header, which a redirect does not carry on.  Construction fails fast on
+    an unset variable or a non-``http(s)`` endpoint, so no run starts.
     """
 
     def __init__(
@@ -529,6 +531,8 @@ class RemoteChatBackend(ModelBackend):
             raise RuntimeError(
                 f"remote backend refused: environment variable {credential_env!r} is not set"
             )
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise RuntimeError(f"remote backend refused: endpoint {endpoint!r} is not http(s)")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -536,23 +540,17 @@ class RemoteChatBackend(ModelBackend):
         self._key = key
 
     def complete(self, role_tag: str, prompt: str) -> Completion:
-        import requests
+        import urllib.request  # only a live run pays for loading the transport
 
-        response = requests.post(
-            self.endpoint,
-            headers={
-                "Authorization": f"Bearer {self._key}",
-                "Content-Type": "application/json",
-            },
-            json={
-                "model": self.model,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": self.temperature,
-            },
-            timeout=self.timeout,
+        body = {"model": self.model, "messages": [{"role": "user", "content": prompt}],
+                "temperature": self.temperature}
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(body).encode("utf-8"), method="POST",
+            headers={"Content-Type": "application/json"},
         )
-        response.raise_for_status()
-        doc = check_value(response.json(), dict, name="reply", error=TypeError)
+        request.add_unredirected_header("Authorization", f"Bearer {self._key}")
+        with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            doc = check_value(json.load(response), dict, name="reply", error=TypeError)
         read = partial(read_field, doc, where="reply", error=TypeError)
         choices = read("choices", list[dict])
         if not choices:

@@ -47,18 +47,17 @@ __all__ = [
     "compare_report",
 ]
 
-#: Version 2 records the decomposition in ``graph_constructed`` as a delta;
-#: version 1, still read, recorded it as a graph snapshot.
+#: The one version :func:`read_trace` reads: ``graph_constructed`` records
+#: the decomposition as a delta.
 TRACE_VERSION = 2
 
 _STR, _INT, _BOOL, _OBJECT = Field((str,)), Field((int,)), Field((bool,)), Field((dict,))
 _COUNT = Field((int, None))  # a token count, null when the backend did not report it
 
 #: Each event kind's payload fields and the types each may have; a field is
-#: required unless declared otherwise.  ``graph_constructed.delta`` is not,
-#: since version 1 wrote a ``graph`` snapshot in its place.
+#: required unless declared otherwise.
 EVENT_FIELDS: dict[str, dict[str, Field]] = {
-    "graph_constructed": {"delta": Field((dict,), required=False)},
+    "graph_constructed": {"delta": _OBJECT},
     "node_dispatched": {"node_id": _STR},
     "role_call": {"role": _STR, "template": _STR, "scope": _STR, "attempts": _INT,
                   "prompt_tokens": _COUNT, "output_tokens": _COUNT, "prompt_chars": _INT,
@@ -194,8 +193,8 @@ class TraceSink:
 def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceEvent]]:
     """Load a trace file back into (headers by run_id, events in file order).
 
-    Re-validates each line's ``kind`` and envelope, a header's version (the
-    integer 1 or 2), one header per run, and per-run sequence contiguity.
+    Re-validates each line's ``kind`` and envelope, a header's version
+    (:data:`TRACE_VERSION`), one header per run, and per-run sequence contiguity.
     Payloads are checked run by run, by :func:`compute_metrics`, so a bad one hides no other run.
     """
     headers: dict[str, dict[str, Any]] = {}
@@ -215,7 +214,7 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
             if kind == "header":
                 version = read_field(doc, "version", int, where=f"{path}:{line_no}: header",
                                      error=TraceError)
-                if version not in (1, TRACE_VERSION):
+                if version != TRACE_VERSION:
                     raise TraceError(f"{path}:{line_no}: unsupported trace version {version!r}")
                 check_fields(doc, _HEADER_FIELDS, where=f"{path}:{line_no}: header",
                              error=TraceError)

@@ -9,7 +9,11 @@ earlier ones (a node's history accumulates every marker it has ever seen).
 
 from __future__ import annotations
 
+import email.message
+import io
 import json
+import urllib.error
+import urllib.request
 from dataclasses import replace
 from typing import Any
 
@@ -154,6 +158,38 @@ def with_fault(config: RunConfig, at: int, fault: str) -> tuple[RunConfig, list[
         role: FaultAt(backend, calls, at, fault) for role, backend in config.role_backends.items()
     }
     return replace(config, role_backends=role_backends), calls
+
+
+class Transport:
+    """Stands in for ``urllib.request.urlopen``: answers each request with the
+    next of `replies`, a reply body (a dict sent as JSON, bytes as they are)
+    or an exception to raise, and keeps each request and its timeout."""
+
+    def __init__(self, replies: Any) -> None:
+        self.replies = iter(replies)
+        self.sent: list[tuple[urllib.request.Request, float]] = []
+
+    def __call__(self, request: urllib.request.Request, *, timeout: float) -> io.BytesIO:
+        self.sent.append((request, timeout))
+        reply = next(self.replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return io.BytesIO(reply if isinstance(reply, bytes) else json.dumps(reply).encode())
+
+
+#: What can go wrong in the remote backend before a reply body is read, as
+#: the transport's reply and the ``"<type>: <message>"`` the role call records.
+TRANSPORT_FAULTS = {
+    "status 503": (
+        urllib.error.HTTPError("https://example.invalid/v1", 503, "Service Unavailable",
+                               email.message.Message(), None),
+        "HTTPError: HTTP Error 503: Service Unavailable"),
+    "refused": (urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
+                "URLError: <urlopen error [Errno 111] Connection refused>"),
+    "timeout": (TimeoutError("timed out"), "TimeoutError: timed out"),
+    "html body": (b"<html>Bad Gateway</html>",
+                  "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+}
 
 
 #: Each method's docstring bound on model attempts, as a function of

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -24,6 +25,7 @@ from tdp.roles import RemoteChatBackend, ScriptedBackend
 from tdp.telemetry import TraceSink, read_trace
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
+from scenarios import TRANSPORT_FAULTS, Transport
 
 WIKI_CONFIG = str(CONFIG_DIR / "scripted_wiki.json")
 TRAVEL_CONFIG = str(CONFIG_DIR / "scripted_travel.json")
@@ -248,11 +250,13 @@ class TestRun:
         assert "Completed (task done) in 9 steps" in out
 
     def test_an_unknown_method_is_refused_before_any_run(self, tmp_path, capsys):
-        for argv in (["run", "--method", "tot"], ["compare", "--methods", "tdp,tot"]):
+        for argv, named in ((["run", "--method", "tot"], "'tot'"),
+                            (["compare", "--methods", "tdp,tot"], "'tot'"),
+                            (["compare", "--methods", "tdp,react,tdp"], "'tdp' is named twice")):
             code = dispatch([*argv, "--tasks", WIKI_ONE, "--config", WIKI_CONFIG,
                              "--trace-dir", str(tmp_path)])
             assert code == 2
-            assert "'tot'" in capsys.readouterr().err
+            assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_single_fixture_file(self, tmp_path, capsys):
@@ -277,6 +281,24 @@ class TestRun:
         first, last = out.splitlines()
         assert first.startswith("react__illinois_trip: failed: LookupError: ")
         assert last == "completed 0 run(s), 1 failed"
+
+    @pytest.mark.parametrize("fault", sorted(TRANSPORT_FAULTS))
+    def test_a_failed_remote_request_is_one_line_and_exit_one(
+        self, tmp_path, capsys, monkeypatch, fault
+    ):
+        """The first call fails in the transport: the trace records it, and
+        the run ends on one failure line naming the error."""
+        reply, error = TRANSPORT_FAULTS[fault]
+        monkeypatch.setenv("TDP_API_KEY", "sk-test-123")
+        monkeypatch.setattr(urllib.request, "urlopen", Transport([reply]))
+        code = dispatch(["run", "--method", "tdp", "--tasks", WIKI_ONE,
+                         "--config", REMOTE_CONFIG, "--trace-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"tdp__wiki_peoria: failed: {error}", "completed 0 run(s), 1 failed"]
+        (call,) = [e.payload for e in read_trace(tmp_path / "tdp__wiki_peoria.jsonl")[1]
+                   if e.kind == "role_call"]
+        assert call["ok"] is False and call["error"] == error
 
     def test_environment_filter_refuses_mismatched_fixtures(self, tmp_path, capsys):
         code = dispatch(["run", "--method", "tdp",
@@ -590,12 +612,12 @@ class TestReplay:
 
     @pytest.mark.parametrize("lines", [
         ["[1, 2]"],
-        [json.dumps({"kind": "header", "version": 1, "meta": {}})],
-        [json.dumps({"kind": "header", "version": 1, "run_id": ["r"], "meta": {}})],
-        [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": 5})],
-        [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}}),
+        [json.dumps({"kind": "header", "version": 2, "meta": {}})],
+        [json.dumps({"kind": "header", "version": 2, "run_id": ["r"], "meta": {}})],
+        [json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": 5})],
+        [json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}}),
          json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0, "payload": 5})],
-        [json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}}),
+        [json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}}),
          json.dumps({"kind": ["run_end"], "run_id": "r", "seq": 0, "ts": 0})],
         [json.dumps({"kind": "header", "version": True, "run_id": "r", "meta": {}})],
         [json.dumps({"kind": "header", "version": 2.0, "run_id": "r", "meta": {}})],
@@ -640,6 +662,21 @@ class TestReport:
         assert code == 0
         assert "react (ref)" in out
 
+    def test_a_trace_matched_twice_is_read_once(self, tmp_path, capsys, monkeypatch):
+        """A file named by a glob and again by a path, relative this time,
+        counts its runs once."""
+        for method in ("tdp", "plan-act"):
+            dispatch(["run", "--method", method, "--tasks", WIKI_ONE,
+                      "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(["report", "--traces", str(tmp_path / "*.jsonl"),
+                         "tdp__wiki_peoria.jsonl"])
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert code == 0
+        runs = [row.replace(" (ref)", "").split()[:2] for row in rows]
+        assert runs == [["plan-act", "1"], ["tdp", "1"]]
+
     def test_no_matching_traces(self, tmp_path, capsys):
         code = dispatch(["report", "--traces", str(tmp_path / "*.jsonl")])
         assert code == 2
@@ -675,7 +712,7 @@ class TestReport:
 def _write_cut_trace(path):
     """A trace cut off mid-run, as by a killed process: a header and one event."""
     path.write_text(
-        json.dumps({"kind": "header", "version": 1, "run_id": "tdp__cut", "meta": {}}) + "\n"
+        json.dumps({"kind": "header", "version": 2, "run_id": "tdp__cut", "meta": {}}) + "\n"
         + json.dumps({"kind": "node_dispatched", "run_id": "tdp__cut", "seq": 0, "ts": 0,
                       "payload": {"node_id": "node_1"}}) + "\n")
 

@@ -1096,6 +1096,10 @@ class TestRunTask:
         events[built] = replace(events[built], payload={"delta": {"new_nodes": 1}})
         with pytest.raises(TraceError, match="unreadable delta"):
             replay_graph(events)
+        events[built] = replace(events[built], payload={})
+        with pytest.raises(TraceError, match=f"graph_constructed event {events[built].seq} "
+                                             f"of run '{report.run_id}' carries no delta$"):
+            replay_graph(events)
 
     def test_revision_event_size_does_not_grow_with_the_graph(self):
         sizes = {}

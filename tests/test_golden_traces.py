@@ -51,7 +51,6 @@ from tdp.roles import ParseFault, parse_plan, parse_replan, render_plan
 from tdp.telemetry import (
     EVENT_FIELDS,
     CounterClock,
-    TraceError,
     TraceEvent,
     TraceSink,
     compute_metrics,
@@ -434,15 +433,6 @@ def test_the_seeded_chain_clears_its_plain_stage_without_a_replan(method, tmp_pa
     header, trace = _read_run(f"{method}/chain5-seed1", tmp_path)
     record = compute_metrics(trace, header["meta"]["gold"])
     assert (record.terminal, record.steps_used) == ("Completed", spec.steps)
-
-
-def test_a_version_1_trace_cannot_be_replayed():
-    """Version 1 recorded the decomposition as a snapshot, not as a delta."""
-    headers, events = read_trace(Path(__file__).with_name("trace_v1.jsonl"))
-    ((_, header),) = headers.items()
-    with pytest.raises(TraceError, match="graph_constructed event 1 of run 'tdp__chain3' "
-                                         "carries no delta; a version-1 trace"):
-        replay_graph(events)
 
 
 def _write(path: Path, hashes: dict[str, str]) -> None:

@@ -6,13 +6,13 @@ from __future__ import annotations
 import json
 import random
 import re
+import urllib.request
 from importlib import resources
 
 import pytest
-import requests
 from conftest import CONFIG_DIR, REPO_ROOT, WIKI_FIXTURES
 from parsergen import PARSER_CASES, gen_plan
-from scenarios import RecordingBackend, plan_reply
+from scenarios import TRANSPORT_FAULTS, RecordingBackend, Transport, plan_reply
 from tdp.engine import Run, RunConfig
 from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
@@ -926,10 +926,19 @@ def test_call_role_uses_role_tag_for_backend_dispatch():
 # remote backend credential policy
 
 
-def test_remote_backend_refuses_without_credential(monkeypatch):
-    monkeypatch.delenv("PROBE_KEY", raising=False)
-    with pytest.raises(RuntimeError, match="remote backend refused.*PROBE_KEY"):
-        RemoteChatBackend(endpoint="https://example.invalid/v1", model="m", credential_env="PROBE_KEY")
+@pytest.mark.parametrize("key, endpoint, refusal", [
+    (None, "https://example.invalid/v1", "environment variable 'PROBE_KEY' is not set"),
+    ("sk-test-123", "file:///etc/passwd", "endpoint 'file:///etc/passwd' is not http(s)"),
+    ("sk-test-123", "example.invalid/v1", "endpoint 'example.invalid/v1' is not http(s)"),
+], ids=["no-credential", "file-endpoint", "no-scheme"])
+def test_remote_backend_refuses_without_credential_or_http_endpoint(monkeypatch, key, endpoint, refusal):
+    if key is None:
+        monkeypatch.delenv("PROBE_KEY", raising=False)
+    else:
+        monkeypatch.setenv("PROBE_KEY", key)
+    with pytest.raises(RuntimeError) as refused:
+        RemoteChatBackend(endpoint=endpoint, model="m", credential_env="PROBE_KEY")
+    assert str(refused.value) == f"remote backend refused: {refusal}"
 
 
 def test_remote_backend_reads_key_from_environment_only(monkeypatch):
@@ -947,35 +956,46 @@ def test_token_usage_addition():
     assert total + TokenUsage(None, 1) == TokenUsage(prompt_tokens=None, output_tokens=11)
 
 
-class _Response:
-    """The part of a ``requests`` response that the remote backend reads."""
-
-    def __init__(self, doc: dict):
-        self._doc = doc
-
-    def raise_for_status(self) -> None:
-        pass
-
-    def json(self) -> dict:
-        return self._doc
-
-
 def _remote_run(monkeypatch, *usages, content='{"a": 1}'):
-    """A probe run on a remote backend whose ``requests.post`` answers
-    `content` with each of `usages` in turn (``None``: no usage field)."""
+    """A probe run on a remote backend whose transport answers `content`
+    with each of `usages` in turn (``None``: no usage field)."""
     doc = {"choices": [{"message": {"content": content}}]}
     return _remote_run_replying(
         monkeypatch, *(doc if usage is None else {**doc, "usage": usage} for usage in usages))
 
 
-def _remote_run_replying(monkeypatch, *docs):
-    """A probe run on a remote backend whose ``requests.post`` answers each
-    of the response bodies `docs` in turn."""
+def _remote_run_replying(monkeypatch, *replies):
+    """A probe run on a remote backend whose transport answers each of
+    `replies` in turn (see :class:`~scenarios.Transport`)."""
     monkeypatch.setenv("PROBE_KEY", "sk-test-123")
-    replies = iter(docs)
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Response(next(replies)))
+    monkeypatch.setattr(urllib.request, "urlopen", Transport(replies))
     return _probe_run(RemoteChatBackend(
         endpoint="https://example.invalid/v1", model="m", credential_env="PROBE_KEY"))
+
+
+def test_remote_backend_posts_one_chat_completion_request(monkeypatch):
+    """The request: a JSON POST to the endpoint carrying the key, the model,
+    the prompt as one user message and the temperature, with the timeout."""
+    monkeypatch.setenv("PROBE_KEY", "sk-test-123")
+    transport = Transport([{"choices": [{"message": {"content": '{"a": 1}'}}]}])
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    backend = RemoteChatBackend(endpoint="https://example.invalid/v1/chat/completions",
+                                model="m-1", credential_env="PROBE_KEY", temperature=0.3,
+                                timeout=7.5)
+    assert backend.complete("planner:plan", "Q: ping").text == '{"a": 1}'
+    ((request, timeout),) = transport.sent
+    assert request.full_url == "https://example.invalid/v1/chat/completions"
+    assert request.get_method() == "POST" and timeout == 7.5
+    assert dict(request.header_items()) == {
+        "Authorization": "Bearer sk-test-123", "Content-type": "application/json"}
+    assert json.loads(request.data.decode("utf-8")) == {
+        "model": "m-1", "messages": [{"role": "user", "content": "Q: ping"}],
+        "temperature": 0.3}
+    # a redirect, to any host, does not carry the key
+    redirected = urllib.request.HTTPRedirectHandler().redirect_request(
+        request, None, 302, "Found", {}, "https://other.invalid/")
+    assert redirected.full_url == "https://other.invalid/"
+    assert "Authorization" not in dict(redirected.header_items())
 
 
 def test_remote_reply_without_usage_is_unknown_not_free(monkeypatch):
@@ -1015,27 +1035,32 @@ def test_remote_reply_whose_content_is_not_a_string_is_a_recorded_backend_error(
 _REPLY = {"choices": [{"message": {"content": '{"a": 1}'}}]}
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"choices": []}, "reply: 'choices' must be a nonempty list, got []"),
-    ({"error": {"message": "overloaded"}}, "reply: missing required field 'choices'"),
-    ({"choices": [{"text": "{}"}]}, "reply choice [0]: missing required field 'message'"),
+@pytest.mark.parametrize("reply, error", [
+    ({"choices": []}, "TypeError: reply: 'choices' must be a nonempty list, got []"),
+    ({"error": {"message": "overloaded"}}, "TypeError: reply: missing required field 'choices'"),
+    ({"choices": [{"text": "{}"}]},
+     "TypeError: reply choice [0]: missing required field 'message'"),
     ({**_REPLY, "usage": {"prompt_tokens": "12"}},
-     "reply usage: 'prompt_tokens' must be an integer or null, got '12'"),
+     "TypeError: reply usage: 'prompt_tokens' must be an integer or null, got '12'"),
     ({**_REPLY, "usage": {"prompt_tokens": 9, "completion_tokens": True}},
-     "reply usage: 'completion_tokens' must be an integer or null, got True"),
+     "TypeError: reply usage: 'completion_tokens' must be an integer or null, got True"),
     ({**_REPLY, "usage": {"prompt_tokens": 12.9}},
-     "reply usage: 'prompt_tokens' must be an integer or null, got 12.9"),
+     "TypeError: reply usage: 'prompt_tokens' must be an integer or null, got 12.9"),
+    *TRANSPORT_FAULTS.values(),
 ])
-def test_a_malformed_remote_reply_is_a_recorded_backend_error_naming_the_field(
-    monkeypatch, doc, message
+def test_a_failed_or_malformed_remote_reply_is_a_recorded_backend_error(
+    monkeypatch, reply, error
 ):
     """A reply body without a first choice, or with usage counts that are not
-    integers, is refused as a whole and recorded like any backend error."""
-    run = _remote_run_replying(monkeypatch, doc)
-    with pytest.raises(TypeError, match=re.escape(message)):
+    integers, is refused as a whole and recorded like any backend error; so
+    is a failed request (a non-2xx status, no connection, a timeout) and a
+    body that is not JSON."""
+    run = _remote_run_replying(monkeypatch, reply)
+    with pytest.raises(Exception) as raised:
         _probe(run)
+    assert f"{type(raised.value).__name__}: {raised.value}" == error
     event = _role_call(run)
-    assert event["ok"] is False and event["error"] == f"TypeError: {message}"
+    assert event["ok"] is False and event["error"] == error
 
 
 def test_remote_usage_missing_one_count_leaves_only_that_count_unknown(monkeypatch):

@@ -7,7 +7,6 @@ import builtins
 import json
 import os
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -32,11 +31,6 @@ from tdp.telemetry import (
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
 from scenarios import ChainEnv, chain_config, chain_instance, tdp_chain_rules, with_fault
-
-#: The ``tdp-revise/chain3`` golden case as trace version 1 wrote it:
-#: ``graph_constructed`` holds a graph snapshot instead of a delta.
-V1_TRACE = Path(__file__).with_name("trace_v1.jsonl")
-
 
 #: A payload of each event kind holding every required field, for events
 #: built by hand.
@@ -232,7 +226,7 @@ class TestTraceSink:
         sink.begin_run("unwritable", {"method": object()})
 
 
-_HEADER = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
+_HEADER = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
 
 
 class TestReadTrace:
@@ -253,7 +247,7 @@ class TestReadTrace:
         sink.close()
 
     def test_blank_lines_tolerated(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
+        header = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
         event = _event(0, "run_end", run_id="r").to_line()
         path = self._write(tmp_path, [header, "", event, ""])
         headers, events = read_trace(path)
@@ -267,7 +261,7 @@ class TestReadTrace:
     @pytest.mark.parametrize("lines, message", [
         (["[1, 2]"], r"trace\.jsonl:1: line must be an object, got \[1, 2\]"),
         (["5"], r"trace\.jsonl:1: line must be an object, got 5"),
-        ([json.dumps({"kind": "header", "version": 1, "meta": {}})],
+        ([json.dumps({"kind": "header", "version": 2, "meta": {}})],
          r"trace\.jsonl:1: header: missing required field 'run_id'"),
         ([_HEADER, json.dumps({"kind": "run_end", "seq": 0, "ts": 0})],
          r"trace\.jsonl:2: run_end event: missing required field 'run_id'"),
@@ -275,9 +269,9 @@ class TestReadTrace:
          r"trace\.jsonl:2: run_end event: missing required field 'seq'"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0})],
          r"trace\.jsonl:2: run_end event: missing required field 'ts'"),
-        ([json.dumps({"kind": "header", "version": 1, "run_id": ["r"], "meta": {}})],
+        ([json.dumps({"kind": "header", "version": 2, "run_id": ["r"], "meta": {}})],
          r"trace\.jsonl:1: header: 'run_id' must be a string, got \['r'\]"),
-        ([json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": 5})],
+        ([json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": 5})],
          r"trace\.jsonl:1: header: 'meta' must be an object, got 5"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0,
                                "payload": 5})],
@@ -299,19 +293,21 @@ class TestReadTrace:
             read_trace(path)
 
     @pytest.mark.parametrize("version, message", [
+        (1, r"trace\.jsonl:1: unsupported trace version 1"),
         (99, r"trace\.jsonl:1: unsupported trace version 99"),
         (True, r"trace\.jsonl:1: header: 'version' must be an integer, got True"),
         (2.0, r"trace\.jsonl:1: header: 'version' must be an integer, got 2\.0"),
     ])
     def test_unsupported_version(self, tmp_path, version, message):
-        """A bool or a float never passes as a version, even one equal to 1 or 2."""
+        """Only version 2 reads; a bool or a float never passes as a version,
+        even one equal to 2."""
         header = json.dumps({"kind": "header", "version": version, "run_id": "r", "meta": {}})
         path = self._write(tmp_path, [header])
         with pytest.raises(TraceError, match=message):
             read_trace(path)
 
     def test_unknown_kind_in_file(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
+        header = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
         bogus = json.dumps({"kind": "banana", "run_id": "r", "seq": 0, "ts": 0})
         path = self._write(tmp_path, [header, bogus])
         with pytest.raises(TraceError, match="unknown event kind 'banana'"):
@@ -333,26 +329,6 @@ class TestReadTrace:
         with pytest.raises(TraceError, match=r"trace\.jsonl:4: second header for run 'r'"):
             read_trace(path)
 
-    def test_a_version_1_trace_still_reads(self):
-        """Its metrics are the record computed when it was written."""
-        headers, events = read_trace(V1_TRACE)
-        (header,) = headers.values()
-        assert header["version"] == 1
-        assert "graph" in next(e for e in events if e.kind == "graph_constructed").payload
-        assert compute_metrics(events, header["meta"]["gold"]) == MetricsRecord(
-            run_id="tdp__chain3", method="tdp", delivery=True, accuracy=None,
-            delivered_accuracy=None, avg_reward=None, avg_prompt_tokens=3360.0,
-            avg_output_tokens=306.0, replans_total=3,
-            constraint_micro=None, constraint_macro=None, steps_used=6, terminal="Completed",
-            reason="task done",
-            env_metrics={"delivered": True, "stages_cleared": 3, "stages_total": 3},
-            node_records={nid: {"replan_count": 1, "status": "completed", "trace_len": 2}
-                          for nid in ("node_1", "node_2", "node_3")},
-            role_tokens={"executor": {"prompt_tokens": 766, "output_tokens": 12},
-                         "planner": {"prompt_tokens": 1018, "output_tokens": 114},
-                         "supervisor": {"prompt_tokens": 1576, "output_tokens": 180}},
-        )
-
     def test_a_trace_whose_run_end_carries_the_old_sums_still_reads(self, tmp_path):
         """Earlier writers also put ``steps_used``, ``node_records`` and
         ``role_tokens`` in ``run_end``; the fold reads past them, so such a
@@ -373,7 +349,7 @@ class TestReadTrace:
         assert record.steps_used == 6 and len(record.node_records) == 3
 
     def test_sequence_gap_in_file(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 1, "run_id": "r", "meta": {}})
+        header = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
         path = self._write(
             tmp_path,
             [header, _event(0, "node_dispatched", run_id="r", node_id="n").to_line(),
@@ -394,6 +370,9 @@ WRITER_BUGS = {
                             r"replan event \d+: undeclared field 'nodes_touched'"),
     "a role_call without attempts": ("role_call", lambda p: p.pop("attempts"),
                                      r"role_call event 0: missing required field 'attempts'"),
+    "a graph_constructed without its delta": (
+        "graph_constructed", lambda p: p.pop("delta"),
+        r"graph_constructed event \d+: missing required field 'delta'"),
 }
 
 
