@@ -120,6 +120,11 @@ def _collect_instances(tasks_path: str, config: RunConfig) -> list[TaskInstance]
     if not files:
         raise CliError(f"no fixture files under: {path}")
     instances = [load_task_instance(f) for f in files]
+    seen: dict[str, Path] = {}
+    for file, instance in zip(files, instances):
+        first = seen.setdefault(instance.id, file)
+        if first != file:  # their runs would write one trace file
+            raise CliError(f"fixtures {first} and {file} share the id {instance.id!r}")
     if config.environment:
         instances = [i for i in instances if i.environment == config.environment]
         if not instances:

@@ -259,6 +259,22 @@ class TestRun:
             assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", (["run", "--method", "tdp"],
+                                         ["compare", "--methods", "tdp,plan-act"]))
+    def test_two_fixtures_with_one_id_are_refused_before_any_run(self, tmp_path, capsys,
+                                                                 command):
+        """Both runs would write one trace file, the second truncating the first."""
+        tasks = tmp_path / "tasks"
+        tasks.mkdir()
+        for name in ("a.json", "b.json"):
+            shutil.copy(FIXTURE_DIR / "wiki" / "wiki_bridge.json", tasks / name)
+        code = dispatch([*command, "--tasks", str(tasks), "--config", WIKI_CONFIG,
+                         "--trace-dir", str(tmp_path / "traces")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"fixtures {tasks / 'a.json'} and {tasks / 'b.json'} share the id" in err
+        assert not (tmp_path / "traces").exists()
+
     def test_single_fixture_file(self, tmp_path, capsys):
         code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,
                          "--config", WIKI_CONFIG, "--trace-dir", str(tmp_path)])

@@ -1,37 +1,35 @@
 """Golden traces and prompts: the behaviour oracle for refactors.
 
 Every case below runs one method on one task with a scripted backend and the
-counter clock, writes its trace to a file and hashes the file's bytes
-(SHA-256).  Traces carry only prompt sizes, so the case's role backends are
-also wrapped in recording delegates sharing one call log, and every prompt
-sent is hashed, in call order, as ``role_tag NUL prompt NUL``.  A third hash,
-the behaviour hash, is taken over the trace with every ``prompt_tokens`` and
-``prompt_chars`` value dropped, so it moves with every call, reply, step,
-verdict and graph edit but not with prompt sizes.  ``golden_traces.json``,
-``golden_prompts.json`` and ``golden_behaviour.json`` hold the expected
-hashes of each case, so a refactor that is meant to keep behaviour must keep
-every hash, and one that is meant to change only what prompts say must keep
-the behaviour hashes.
+counter clock, and writes its trace to a file.  Traces carry only prompt
+sizes, so the case's role backends are also wrapped in recording delegates
+sharing one call log.  ``tests/golden/<method>/<case>.jsonl`` is a byte copy
+of the case's trace file, and ``<case>.calls`` has one line per model call,
+in call order: its role tag and its prompt's SHA-256.  Three checks compare a
+fresh run with these files: its trace, byte for byte; its call lines; and its
+behaviour, the trace without any ``prompt_tokens`` or ``prompt_chars``.  A
+refactor that is meant to keep behaviour must pass all three, and one that is
+meant to change only what prompts say must pass the behaviour check.  A
+failure names the case and its first differing line: the event's ``seq`` and
+kind, or the call's role tag, and the keys that differ (see ``goldendiff``).
 The same runs also check that tdp's node prompts stay scoped to their node,
 that every prompt that reads a plan shows the latest one as its numbered
 steps, that no method calls a role after the step that ends the episode, and
 that every tdp trace alone rebuilds its run's graph, statuses included, and
 the nodes of its record.
-The tests only read those files.  A change that alters traces or prompts on
-purpose regenerates all three with
+The tests only read ``tests/golden/``.  A change that alters traces or
+prompts on purpose rewrites it, dropping the files of cases that are gone, with
 
     PYTHONPATH=src:. python tests/test_golden_traces.py
 
-and says in CHANGES.md why they changed; it prints each case that is new
-(``added:``) and each case whose trace, prompt or behaviour hash moved
-(``changed:``).
+so that ``git diff`` shows every moved event and call; CHANGES.md says why.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -58,6 +56,7 @@ from tdp.telemetry import (
 )
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
+from goldendiff import behaviour, call_lines, first_difference, read_call
 from perfbench import chain
 from scenarios import (
     ChainEnv,
@@ -75,11 +74,7 @@ from scenarios import (
     travel_locality_rules,
 )
 
-GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
-PROMPTS_PATH = Path(__file__).with_name("golden_prompts.json")
-BEHAVIOUR_PATH = Path(__file__).with_name("golden_behaviour.json")
-#: The trace fields that only measure a prompt's size.
-PROMPT_SIZE_KEYS = frozenset({"prompt_tokens", "prompt_chars"})
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
 # a case builds (method, instance, environment, config) afresh each time it runs
 Case = Callable[[], tuple[str, TaskInstance, Environment, RunConfig]]
@@ -190,29 +185,6 @@ def _run_of(name: str) -> CaseRun:
         return run_case(CASES[name], Path(tmp))
 
 
-def _without_prompt_sizes(value: Any) -> Any:
-    """`value` with every prompt-size key dropped, at any depth."""
-    if isinstance(value, dict):
-        return {k: _without_prompt_sizes(v) for k, v in value.items() if k not in PROMPT_SIZE_KEYS}
-    if isinstance(value, list):
-        return [_without_prompt_sizes(v) for v in value]
-    return value
-
-
-def _hashes_of(name: str) -> tuple[str, str, str]:
-    """SHA-256 of the case's trace file, of every (role tag, prompt) sent and
-    of the trace's lines without their prompt sizes."""
-    run = _run_of(name)
-    prompts = hashlib.sha256()
-    for role_tag, prompt in run.calls:
-        prompts.update(role_tag.encode() + b"\0" + prompt.encode() + b"\0")
-    behaviour = hashlib.sha256()
-    for line in run.trace.splitlines():
-        doc = _without_prompt_sizes(json.loads(line))
-        behaviour.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-    return hashlib.sha256(run.trace).hexdigest(), prompts.hexdigest(), behaviour.hexdigest()
-
-
 def _read_run(name: str, tmp_path: Path) -> tuple[dict[str, Any], list[TraceEvent]]:
     """The case's one header and its events, read back from its trace file."""
     path = tmp_path / "trace.jsonl"
@@ -222,29 +194,60 @@ def _read_run(name: str, tmp_path: Path) -> tuple[dict[str, Any], list[TraceEven
     return header, events
 
 
-def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
-    return json.loads(path.read_text(encoding="utf-8"))
+def _files(name: str) -> dict[str, bytes]:
+    """The case's trace file and its call lines, by the suffix of their golden files."""
+    return {".jsonl": _run_of(name).trace, ".calls": call_lines(_run_of(name).calls)}
 
 
-def test_golden_file_covers_exactly_the_cases():
-    assert sorted(_golden()) == sorted(CASES)
-    assert sorted(_golden(PROMPTS_PATH)) == sorted(CASES)
-    assert sorted(_golden(BEHAVIOUR_PATH)) == sorted(CASES)
+#: Each check: the golden file it reads, what of the file it compares, how it reads a line.
+CHECKS = {"trace": (".jsonl", bytes, json.loads), "behaviour": (".jsonl", behaviour, json.loads),
+          "prompts": (".calls", bytes, read_call)}
 
 
+def test_the_golden_files_are_exactly_the_cases():
+    stored = {p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.rglob("*") if p.is_file()}
+    assert stored == {f"{name}{suffix}" for name in CASES for suffix in (".jsonl", ".calls")}
+
+
+@pytest.mark.parametrize("check", CHECKS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_matches_its_golden_hash(name):
-    assert _hashes_of(name)[0] == _golden()[name]
+def test_the_run_matches_its_golden_files(name, check):
+    suffix, view, read = CHECKS[check]
+    stored = (GOLDEN_DIR / f"{name}{suffix}").read_bytes()
+    difference = first_difference(view(stored), view(_files(name)[suffix]), read)
+    assert difference is None, f"{check} check of {name}{suffix}: {difference}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_prompts_match_their_golden_hash(name):
-    assert _hashes_of(name)[1] == _golden(PROMPTS_PATH)[name]
+def _steps(*observations: str, tokens: int = 10) -> bytes:
+    """A trace of one env_step event per observation, each from a prompt of `tokens`."""
+    return b"".join(json.dumps({"kind": "env_step", "seq": seq, "payload": {
+        "observation": o, "prompt_tokens": tokens}}).encode() + b"\n"
+        for seq, o in enumerate(observations))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_behaviour_matches_its_golden_hash(name):
-    assert _hashes_of(name)[2] == _golden(BEHAVIOUR_PATH)[name]
+STEPS, CALLS = _steps("a", "b", "c"), call_lines((("planner:plan", "P"), ("executor:execute", "E")))
+
+
+@pytest.mark.parametrize("check, live, difference", [
+    ("trace", _steps("a", "moved", "c"),
+     "line 2 (seq 1, kind env_step) differs in payload.observation"),
+    ("trace", _steps("a", "b", "c", tokens=9),
+     "line 1 (seq 0, kind env_step) differs in payload.prompt_tokens"),
+    ("behaviour", _steps("a", "b", "c", tokens=9), None),
+    ("trace", _steps("a", "b"), "line 3 (seq 2, kind env_step) is missing from the live run"),
+    ("behaviour", _steps("a", "b", "c", "d"),
+     "line 4 (seq 3, kind env_step) is extra in the live run"),
+    ("trace", STEPS.rstrip(b"\n"), "line 3 (seq 2, kind env_step) differs in its bytes"),
+    ("prompts", call_lines((("planner:plan", "P"), ("executor:execute", "e"))),
+     "line 2 (role_tag executor:execute) differs in prompt"),
+    ("prompts", call_lines((("planner:plan", "P"), ("planner:replan", "E"))),
+     "line 2 (role_tag executor:execute) differs in role_tag"),
+], ids=("changed", "resized", "resized-behaviour", "missing", "extra", "newline", "prompt", "role"))
+def test_the_first_difference_names_the_line_its_event_or_call_and_the_keys(check, live,
+                                                                            difference):
+    _, view, read = CHECKS[check]
+    stored = CALLS if check == "prompts" else STEPS
+    assert first_difference(view(stored), view(live), read) == difference
 
 
 NODE_SCOPED = ("planner:plan", "executor:execute", "supervisor:evaluate", "planner:replan")
@@ -435,26 +438,15 @@ def test_the_seeded_chain_clears_its_plain_stage_without_a_replan(method, tmp_pa
     assert (record.terminal, record.steps_used) == ("Completed", spec.steps)
 
 
-def _write(path: Path, hashes: dict[str, str]) -> None:
-    path.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(hashes)} hashes to {path}", file=sys.stderr)
-
-
 def _regenerate() -> None:
-    """Rewrite the three golden files, first printing each case that has no
-    golden hash yet and each case whose trace, prompt or behaviour hash moved."""
-    hashes = {name: _hashes_of(name) for name in sorted(CASES)}
-    paths = (GOLDEN_PATH, PROMPTS_PATH, BEHAVIOUR_PATH)
-    old = tuple(map(_golden, paths))
-    for name, triple in hashes.items():
-        moved = [what for what, golden, new in zip(("trace", "prompts", "behaviour"), old, triple)
-                 if golden.get(name) != new]
-        if all(name not in golden for golden in old):
-            print(f"added: {name}")
-        elif moved:
-            print(f"changed: {name} ({', '.join(moved)})")
-    for i, path in enumerate(paths):
-        _write(path, {name: triple[i] for name, triple in hashes.items()})
+    """Run every case, then rewrite ``tests/golden/`` with their files alone."""
+    files = {GOLDEN_DIR / f"{name}{suffix}": data
+             for name in sorted(CASES) for suffix, data in _files(name).items()}
+    shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
+    for path, data in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    print(f"wrote {len(files)} files to {GOLDEN_DIR}", file=sys.stderr)
 
 
 if __name__ == "__main__":
