@@ -22,17 +22,17 @@ which name work but write none.  Each role's template reads only what its
 decision needs: the planner, which writes and rewrites the plan, and the
 executor, which may have to pass an upstream value into an action, see the
 dependency outcomes (``prerequisites``); the evaluator, which judges the
-node's latest step, sees the sub-goal, the plan and the node's own trace
-(``history``), and no command list.
+node's latest step, sees the sub-goal, the plan and the node's trace since
+its last accepted replan (``history``), and no command list.
 The whole task never enters the view, which keeps replan prompts small and
-node work order-independent.  A finished node's outcome summary
-carries only the observations its final plan produced, so an obstacle it
-replanned around stays in its own trace.  The supervisor's revision prompt
-is scoped to the round and the frontier: the outcomes of the nodes dispatched
-since the previous revision, as dependents see them (:func:`render_outcomes`),
-plus the graph's frontier, with every other node only counted
-(:func:`~tdp.graph.render_dag_state`); a revision may edit only the nodes
-shown.  An executor reply whose verb is not one of the commands its prompt
+node work order-independent.  A node's evaluator and its finished outcome
+summary read only the entries its current plan produced, so an obstacle it
+replanned around reaches its executor and replanner and goes no further.
+The supervisor's revision prompt is scoped to the round and the frontier:
+the outcomes of the nodes dispatched since the previous revision, as
+dependents see them (:func:`render_outcomes`), plus the graph's frontier,
+with every other node only counted (:func:`~tdp.graph.render_dag_state`); a
+revision may edit only the nodes shown.  An executor reply whose verb is not one of the commands its prompt
 listed is a parse fault, so it never reaches the environment.
 
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
@@ -156,7 +156,9 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
     """Render a trace as Action/Observation pairs, keep-first-plus-last capped.
 
     Overflow keeps the first entry, then an elision marker stating how many
-    steps were dropped, then the most recent ``cap - 1`` entries.
+    steps were dropped, then the most recent ``cap - 1`` entries.  A cap
+    below 1 cannot keep the first entry, so a trace longer than it is a
+    :class:`ValueError`.
     """
     entries = list(trace)
     if not entries:
@@ -167,9 +169,11 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
 
     if len(entries) <= cap:
         return "\n".join(fmt(e) for e in entries)
+    if cap < 1:
+        raise ValueError(f"a history cap must keep the first entry, got cap {cap}")
     elided = len(entries) - cap
     parts = [fmt(entries[0]), f"... {elided} steps elided ..."]
-    parts.extend(fmt(e) for e in entries[-(cap - 1) :])
+    parts.extend(fmt(e) for e in entries[len(entries) - (cap - 1) :])
     return "\n".join(parts)
 
 
@@ -186,7 +190,9 @@ def render_outcomes(node_ids: Sequence[str], outcomes: Sequence[OutcomeSummary])
     return "\n".join(lines) if lines else NO_OUTCOMES_YET
 
 
-def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -> dict[str, Any]:
+def node_bindings(
+    graph: TaskGraph, node_id: str, guidance: str | None = None, since: int = 0
+) -> dict[str, Any]:
     """The node's view: every binding a node-scoped role prompt may use, read
     from the node and its direct dependencies and nothing else.
 
@@ -194,11 +200,13 @@ def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -
     ``prerequisites``, the direct dependencies' outcomes in id order under
     ``Prerequisite results:`` and ending in a blank line (``None`` for a node
     without dependencies, so the prompt leaves the line out), and
-    ``history``, the node's own capped trace.  :meth:`Run.call` adds the
-    command list in both renderings.  Each template renders the names it
-    declares and ignores the rest: ``plan``, ``execute`` and ``replan``
-    declare ``prerequisites``, ``evaluate`` does not; ``execute`` declares
-    the full command lines, ``plan`` and ``replan`` their call syntax.  An
+    ``history``, the node's own capped trace from entry `since` on (the
+    evaluator's view starts at the node's last accepted replan, every other
+    view at 0).  :meth:`Run.call` adds the command list in both renderings.
+    Each template renders the names it declares and ignores the rest:
+    ``plan``, ``execute`` and ``replan`` declare ``prerequisites``,
+    ``evaluate`` does not; ``execute`` declares the full command lines,
+    ``plan`` and ``replan`` their call syntax.  An
     unknown node, or a dependency that is missing or not completed, is a
     :class:`~tdp.graph.SchedulingError`.
     """
@@ -225,7 +233,7 @@ def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -
         "current_plan": render_plan(node.plan) if node.plan is not None else None,
         "guidance": guidance,
         "prerequisites": prerequisites,
-        "history": assemble_history(node.local_trace, HISTORY_CAP),
+        "history": assemble_history(node.local_trace[since:], HISTORY_CAP),
     }
 
 
@@ -315,10 +323,12 @@ class Run:
         ``1 + parser_retry_budget`` attempts.
         The call, faulted or not, is recorded as a ``role_call`` event
         carrying its usage summed over the attempts, ``null`` for a count the
-        backend did not report; then the parsed value is returned or a
-        :class:`RoleFault` carrying the last raw reply is raised.  A backend
-        error is recorded too, ``ok: false`` with the attempts made, the usage
-        so far and ``error: "<type>: <message>"``, and then re-raised.
+        backend did not report, and ``prompt_chars``, the length of the prompt
+        as first rendered, without any retry's reminder lines; then the parsed
+        value is returned or a :class:`RoleFault` carrying the last raw reply
+        is raised.  A backend error is recorded too, ``ok: false`` with the
+        attempts made, the usage so far and ``error: "<type>: <message>"``,
+        and then re-raised.
         """
         spec = self.templates[template]
         backend = self.config.backend(spec.role)
@@ -469,9 +479,11 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
     The loop is strictly: executor action -> environment step -> supervisor
     evaluation -> optional node-local replan.  Replacing the plan never
-    touches any other node.  The outcome a closed node hands its dependents
-    reads only the entries made since its last accepted replan.  A role fault
-    closes the node Failed; its message, which names the role, is the
+    touches any other node.  The evaluator, and the outcome a closed node
+    hands its dependents, read only the entries made since its last accepted
+    replan; the executor and the replanner read the whole node trace, since
+    the one acts on an obstacle and the other must know what failed.  A role
+    fault closes the node Failed; its message, which names the role, is the
     outcome.  The step that ends the episode closes the node Completed without
     an evaluation, since no verdict could change the run.  Returning with the
     node still InProgress means the step budget is spent; ``run_task`` settles
@@ -507,8 +519,8 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if run.env.done:
                 return close(NodeStatus.COMPLETED, None)
 
-            view = node_bindings(graph, node_id)
-            evaluation = run.call("evaluate", view, scope=node_id)
+            evaluation = run.call("evaluate", node_bindings(graph, node_id, since=plan_start),
+                                  scope=node_id)
             if evaluation.status == "completed":
                 return close(NodeStatus.COMPLETED, evaluation.reason)
             if evaluation.status == "failed":
@@ -520,7 +532,8 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if not evaluation.need_replan:
                 guidance = evaluation.reason  # hand to exactly the next executor call
                 continue
-            new_plan = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
+            new_plan = run.call("replan", {**node_bindings(graph, node_id),
+                                           "reason": evaluation.reason}, scope=node_id)
             if new_plan is None:
                 run.emit("replan", scope=node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:

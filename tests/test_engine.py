@@ -14,6 +14,7 @@ import pytest
 from tdp.baselines import BASELINES
 from tdp.cli import METHODS, load_config
 from tdp.engine import (
+    HISTORY_CAP,
     NO_ACTIONS_YET,
     NO_OUTCOMES_YET,
     STALL_ROUNDS,
@@ -164,6 +165,17 @@ class TestAssembleHistory:
         assert lines[-1] == "Observation: o100"
         # exactly 1 + 9 entries rendered
         assert sum(1 for l in lines if l.startswith("Action: ")) == 10
+
+    def test_a_cap_of_one_keeps_the_first_entry_and_the_marker(self):
+        trace = [entry(f"a{i}", f"o{i}") for i in range(1, 5)]
+        assert assemble_history(trace, cap=1) == (
+            "Action: a1\nObservation: o1\n... 3 steps elided ...")
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_that_cannot_keep_the_first_entry_is_refused(self, cap):
+        with pytest.raises(ValueError, match=f"must keep the first entry, got cap {cap}"):
+            assemble_history([entry() for _ in range(4)], cap=cap)
+        assert assemble_history([], cap=cap) == NO_ACTIONS_YET  # nothing to elide
 
 
 def _two_node_graph(dependency_outcome: OutcomeSummary) -> TaskGraph:
@@ -373,20 +385,36 @@ class TestExecuteNode:
 
     def test_outcome_carries_only_what_the_final_plan_observed(self):
         """The obstacle node_1 met before its accepted replan stays in its own
-        trace; its outcome keeps only the observations made after the replan."""
+        trace; its outcome keeps only the observations made after the replan,
+        and the evaluator after the replan reads exactly those entries, while
+        the replanner and the next executor call still see the obstacle.  No
+        evaluate prompt is ever empty of actions."""
         stages = 3
-        config = chain_config(stages, tdp_chain_rules(stages))
-        instance = chain_instance(stages)
+        role_backends = tdp_chain_rules(stages)
+        calls: list[tuple[str, str]] = []
+        for backend in role_backends.values():
+            backend.calls = calls
         graph = TaskGraph()
         graph.nodes["node_1"] = SubTaskNode(id="node_1", description="Handle stage 1 of the queue.")
-        run = Run("tdp", instance, ChainEnv(), config, run_id="r")
+        run = Run("tdp", chain_instance(stages), ChainEnv(), chain_config(stages, role_backends),
+                  run_id="r")
         assert execute_node(graph, "node_1", run) is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.replan_count == 1
         assert [e.action for e in node.local_trace] == ["work 1", "resolve 1"]
-        assert node.local_trace[0].observation.startswith("obstacle at stage 1:")
+        obstacle = node.local_trace[0].observation
+        assert obstacle.startswith("obstacle at stage 1:")
         assert node.outcome.key_observations == ("stage 1 resolved",)
         assert node.outcome.summary_text == "Stage 1 finished with its work order done."
+        assert [tag for tag, _ in calls] == [
+            "planner:plan", "executor:execute", "supervisor:evaluate", "planner:replan",
+            "executor:execute", "supervisor:evaluate"]
+        before, replan, execute, after = (prompt for _, prompt in calls[2:])
+        assert obstacle in before and obstacle in replan and obstacle in execute
+        history = after.split("History:\n", 1)[1].split("\n\nReply with JSON:", 1)[0]
+        assert history == assemble_history(node.local_trace[1:], HISTORY_CAP)
+        assert history == "Action: resolve 1\nObservation: stage 1 resolved"
+        assert NO_ACTIONS_YET not in before + after
 
     def test_failed_verdict_closes_the_node(self):
         config = _exec_config(
@@ -961,8 +989,8 @@ class TestRunTask:
         """node_2 and node_3 of the travel scenario depend on node_1.  Their
         plan, execute and replan prompts carry node_1's outcome line; their
         evaluate prompts show the sub-goal, the plan and the node's own trace
-        only.  A plan call comes before its node's first action, so no plan
-        prompt shows an empty history."""
+        since its last accepted replan only.  A plan call comes before its
+        node's first action, so no plan prompt shows an empty history."""
         role_backends = travel_locality_rules()
         run_task(travel_locality_instance("blocked"), make_environment("traveltoy"),
                  travel_locality_config(role_backends))

@@ -41,7 +41,7 @@ import pytest
 
 from tdp.baselines import BASELINES
 from tdp.cli import load_config
-from tdp.engine import RunConfig, replay_graph, run_task
+from tdp.engine import NO_ACTIONS_YET, RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
@@ -256,7 +256,8 @@ NODE_SCOPED = ("planner:plan", "executor:execute", "supervisor:evaluate", "plann
 @pytest.mark.parametrize("name", TDP_CASES)
 def test_node_prompts_stay_scoped_to_their_node(name):
     """A node's prompts name the task only where its sub-goal does, and the
-    evaluator, which judges but never acts, is never shown the action list."""
+    evaluator, which judges but never acts, is never shown the action list;
+    it always judges at least the step just taken."""
     run = _run_of(name)
     node_calls = [(tag, prompt) for tag, prompt in run.calls if tag in NODE_SCOPED]
     assert {tag for tag, _ in node_calls} >= {"planner:plan", "supervisor:evaluate"}
@@ -268,6 +269,7 @@ def test_node_prompts_stay_scoped_to_their_node(name):
         if tag == "supervisor:evaluate":
             shown = [command for command in run.commands if command in prompt]
             assert not shown, (tag, shown)
+            assert NO_ACTIONS_YET not in prompt, prompt
 
 
 #: The prompts that plan or supervise, which name work but write no command,
