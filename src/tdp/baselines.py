@@ -40,14 +40,16 @@ def _whole_task_bindings(
     guidance: str | None = None,
 ) -> dict[str, Any]:
     """The whole-task view: the task is the sub-goal, there are no
-    prerequisites, and the history is never capped, because the baselines
-    carry everything, every step."""
+    prerequisites, nothing depends on it (so the planner reads the
+    final-action rule, as a sink node's does), and the history is never
+    capped, because the baselines carry everything, every step."""
     return {
         "task_description": run.instance.query,
         "subgoal": run.instance.query,
         "current_plan": render_plan(plan) if plan is not None else None,
         "guidance": guidance,
         "prerequisites": None,
+        "if_sink": "",
         "history": assemble_history(trace, len(trace)),
     }
 

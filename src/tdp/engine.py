@@ -24,6 +24,13 @@ executor, which may have to pass an upstream value into an action, see the
 dependency outcomes (``prerequisites``); the evaluator, which judges the
 node's latest step, sees the sub-goal, the plan and the node's trace since
 its last accepted replan (``history``), and no command list.
+A rule that only some states can trigger shares a template line with the
+binding that guards it, and :func:`~tdp.roles.render_prompt` leaves out a line
+whose bindings are all ``None``, so the rule reaches only the calls in such a
+state: the executor's guidance rule comes with guidance, the planner's
+final-action rule reaches only a node nothing depends on (``if_sink``), and
+the supervisor's repair rule only a revision with a failed node
+(``failed_nodes``).
 The whole task never enters the view, which keeps replan prompts small and
 node work order-independent.  A node's evaluator and its finished outcome
 summary read only the entries its current plan produced, so an obstacle it
@@ -196,13 +203,16 @@ def node_bindings(
     """The node's view: every binding a node-scoped role prompt may use, read
     from the node and its direct dependencies and nothing else.
 
-    Sub-goal, the node's rendered current plan, one-shot guidance,
+    Sub-goal, the node's rendered current plan, one-shot guidance (``None``
+    leaves out ``execute``'s guidance line and the rule on it),
     ``prerequisites``, the direct dependencies' outcomes in id order under
     ``Prerequisite results:`` and ending in a blank line (``None`` for a node
-    without dependencies, so the prompt leaves the line out), and
-    ``history``, the node's own capped trace from entry `since` on (the
-    evaluator's view starts at the node's last accepted replan, every other
-    view at 0).  :meth:`Run.call` adds the command list in both renderings.
+    without dependencies, so the prompt leaves the line out), ``if_sink``,
+    ``""`` for a node nothing depends on and ``None`` otherwise, so only such
+    a node's planner reads ``plan``'s final-action rule, and ``history``, the
+    node's own capped trace from entry `since` on (the evaluator's view
+    starts at the node's last accepted replan, every other view at 0).
+    :meth:`Run.call` adds the command list in both renderings.
     Each template renders the names it declares and ignores the rest:
     ``plan``, ``execute`` and ``replan`` declare ``prerequisites``,
     ``evaluate`` does not; ``execute`` declares the full command lines,
@@ -233,6 +243,7 @@ def node_bindings(
         "current_plan": render_plan(node.plan) if node.plan is not None else None,
         "guidance": guidance,
         "prerequisites": prerequisites,
+        "if_sink": None if any(node_id in n.dependencies for n in graph.nodes.values()) else "",
         "history": assemble_history(node.local_trace[since:], HISTORY_CAP),
     }
 
@@ -464,11 +475,8 @@ def _node_outcome(
     node: SubTaskNode, reason: str | None, final_plan_entries: Sequence[TraceEntry]
 ) -> OutcomeSummary:
     observations = tuple(e.observation for e in final_plan_entries[-OUTCOME_KEEP:])
-    summary = (reason or "").strip()
-    if not summary:
-        summary = " / ".join(o for o in observations if o.strip())
-    if not summary:
-        summary = f"{node.id} ended with status {node.status.value}"
+    # the observations follow the summary as their own lines, so it never repeats them
+    summary = (reason or "").strip() or f"{node.id} ended with status {node.status.value}"
     return OutcomeSummary(
         terminal_status=node.status, summary_text=summary, key_observations=observations
     )
@@ -576,6 +584,11 @@ def run_task(run: Run) -> tuple[str, str]:
     on, with every other node only counted.  The view is also the edit scope: :func:`apply_revision` rejects
     a revision that names, to reword, remove or wire a new node to, any id
     the view did not show, other than those of the revision's own new nodes.
+    The call names the graph's failed nodes (``failed_nodes``) on the line of
+    the repair rule, a way around them that it MUST add when no pending node
+    is ready; with no failed node the line is left out.  The stall case still
+    sees the rule: after a round, a pending node that is not ready waits,
+    through its dependencies, on a failed node.
 
     :func:`validate_graph` caps a graph at :data:`~tdp.graph.MAX_NODES`
     nodes, so a larger decomposition is a retried parse fault and a revision
@@ -618,6 +631,8 @@ def run_task(run: Run) -> tuple[str, str]:
             return end  # otherwise every ready node closed, with an outcome
         fault_record: dict[str, str] = {}
         dag_state, shown = render_dag_state(graph)
+        failed = sorted(nid for nid, node in graph.nodes.items()
+                        if node.status is NodeStatus.FAILED)
         try:
             delta: RevisionDelta = run.call(
                 "revise",
@@ -626,6 +641,7 @@ def run_task(run: Run) -> tuple[str, str]:
                     "current_step": str(run.steps_used),
                     "history": render_outcomes(ready, [graph.nodes[n].outcome for n in ready]),
                     "dag_state": dag_state,
+                    "failed_nodes": ", ".join(failed) or None,
                 },
             )
         except RoleFault as fault:

@@ -196,6 +196,11 @@ class TestNodeBindings:
         assert view["prerequisites"] is None
         assert view["history"] == "Action: a\nObservation: o"
 
+    def test_only_a_node_nothing_depends_on_reads_the_final_action_rule(self):
+        graph = _two_node_graph(OutcomeSummary(NodeStatus.COMPLETED, "Cities confirmed."))
+        assert node_bindings(graph, "node_1")["if_sink"] is None
+        assert node_bindings(graph, "node_2")["if_sink"] == ""
+
     def test_dependency_outcomes_render_ids_not_descriptions(self):
         outcome = OutcomeSummary(
             terminal_status=NodeStatus.COMPLETED,
@@ -382,6 +387,23 @@ class TestExecuteNode:
         assert node.outcome.key_observations == (
             "You open the drawer. Inside you see: key.",)
         assert [e.action for e in node.local_trace] == ["open drawer"]
+
+    @pytest.mark.parametrize("reason", [None, "  "])
+    def test_an_outcome_without_a_reason_shows_each_observation_once(self, reason):
+        """A node closed without a reason is summarised by its status
+        sentence: dependents read its observations once, under their
+        ``observed:`` lines, and not again joined into the summary."""
+        config = _exec_config(
+            [rule("supervisor:evaluate", ["You open the drawer"], eval_reply("completed", reason))],
+            [rule("planner:plan", [D1], plan_reply("Open it."))],
+            [rule("executor:execute", [D1], "open drawer")],
+            s_max=5,
+        )
+        graph = _single_node_graph()
+        assert execute_node(graph, "node_1", _lab_run(config)) is NodeStatus.COMPLETED
+        assert render_outcomes(["node_1"], [graph.nodes["node_1"].outcome]) == (
+            "- [node_1] completed: node_1 ended with status completed\n"
+            "  observed: You open the drawer. Inside you see: key.")
 
     def test_outcome_carries_only_what_the_final_plan_observed(self):
         """The obstacle node_1 met before its accepted replan stays in its own

@@ -13,7 +13,8 @@ meant to change only what prompts say must pass the behaviour check.  A
 failure names the case and its first differing line: the event's ``seq`` and
 kind, or the call's role tag, and the keys that differ (see ``goldendiff``).
 The same runs also check that tdp's node prompts stay scoped to their node,
-that every prompt that reads a plan shows the latest one as its numbered
+that each rule guarded by a node-state binding reaches exactly the calls in
+that state, that every prompt that reads a plan shows the latest one as its numbered
 steps, that no method calls a role after the step that ends the episode, and
 that every tdp trace alone rebuilds its run's graph, statuses included, and
 the nodes of its record.
@@ -45,7 +46,14 @@ from tdp.engine import NO_ACTIONS_YET, RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
-from tdp.roles import ParseFault, parse_plan, parse_replan, render_plan
+from tdp.roles import (
+    ParseFault,
+    load_template,
+    parse_evaluation,
+    parse_plan,
+    parse_replan,
+    render_plan,
+)
 from tdp.telemetry import (
     EVENT_FIELDS,
     CounterClock,
@@ -150,12 +158,12 @@ TDP_CASES = sorted(n for n in CASES if n.startswith("tdp"))
 @dataclass(frozen=True)
 class CaseRun:
     """What one run of a case left: its trace file's bytes, every (role tag,
-    prompt) the backends received in call order, every planner reply, the
-    task query, the environment's id and its admissible commands."""
+    prompt) the backends received in call order, the reply to each of those
+    calls, the task query, the environment's id and its admissible commands."""
 
     trace: bytes
     calls: tuple[tuple[str, str], ...]
-    planner_replies: tuple[str, ...]
+    replies: tuple[str, ...]
     query: str
     environment: str
     commands: tuple[str, ...]
@@ -165,17 +173,17 @@ def run_case(case: Case, trace_dir: Path) -> CaseRun:
     """Run `case` with a file sink on the counter clock and recording backends."""
     method, instance, env, config = case()
     calls: list[tuple[str, str]] = []
+    replies: list[str] = []
     for role, backend in config.role_backends.items():
         config.role_backends[role] = recorder = RecordingBackend(backend)
-        recorder.calls = calls
+        recorder.calls, recorder.replies = calls, replies
     path = trace_dir / f"{method}__{instance.id}.jsonl"
     sink = TraceSink(path, clock=CounterClock())
     if method == "tdp":
         run_task(instance, env, config, sink=sink)
     else:
         BASELINES[method](instance, env, config, sink=sink)
-    planner = config.role_backends.get("planner")
-    return CaseRun(path.read_bytes(), tuple(calls), tuple(planner.replies if planner else ()),
+    return CaseRun(path.read_bytes(), tuple(calls), tuple(replies),
                    instance.query, instance.environment, tuple(env.admissible_commands()))
 
 
@@ -326,7 +334,9 @@ def test_each_prompt_after_the_plan_shows_the_latest_plan_as_its_steps(name):
     or ``Step:`` reply markup.  Scopes run one after another, so the latest
     reply in call order is the scope's own."""
     run = _run_of(name)
-    replies = iter(run.planner_replies)
+    planner_replies = [reply for (tag, _), reply in zip(run.calls, run.replies)
+                       if tag.startswith("planner:")]
+    replies = iter(planner_replies)
     shown: str | None = None
     readers = 0
     for tag, prompt in run.calls:
@@ -344,7 +354,82 @@ def test_each_prompt_after_the_plan_shows_the_latest_plan_as_its_steps(name):
         if plan is not None:
             shown = render_plan(plan)
     assert next(replies, None) is None
-    assert readers or not run.planner_replies, name
+    assert readers or not planner_replies, name
+
+
+#: The placeholder that guards each node-state rule, by the role tag of the
+#: template that holds it (see ``test_roles.GUARDED_RULES``).
+GUARDS = {"supervisor:revise": "failed_nodes", "planner:plan": "if_sink",
+          "executor:execute": "guidance"}
+
+
+def _guarded_calls(name: str, tmp_path: Path) -> list[tuple[str, str | None, str]]:
+    """Each attempt of a guarded template's call in a tdp case: its role tag,
+    the value its guard should be bound to by the state the trace shows, and
+    the prompt.  A revise call's guard is the ids of the graph's failed nodes
+    and a plan call's is ``""`` when nothing depends on its node (each
+    ``None`` otherwise), read off :func:`replay_graph` of the events before
+    the call; an execute call's is the reason of the evaluation before it when
+    that asked for more steps without a replan."""
+    _, events = _read_run(name, tmp_path)
+    run = _run_of(name)
+    attempts = iter(zip(run.calls, run.replies))
+    guidance: str | None = None
+    guarded = []
+    for k, event in enumerate(events):
+        if event.kind != "role_call":
+            continue
+        tag = f"{event.payload['role']}:{event.payload['template']}"
+        calls = [next(attempts) for _ in range(event.payload["attempts"])]
+        if tag == "supervisor:evaluate" and event.payload["ok"]:
+            evaluation = parse_evaluation(calls[-1][1])
+            more = evaluation.status == "needs_more_steps" and not evaluation.need_replan
+            guidance = evaluation.reason if more else None
+        if tag not in GUARDS:
+            continue
+        if tag == "executor:execute":
+            value = guidance
+        else:
+            graph = replay_graph(events[:k])
+            if tag == "planner:plan":
+                node = event.payload["scope"]
+                sink = not any(node in other.dependencies for other in graph.nodes.values())
+                value = "" if sink else None
+            else:
+                failed = sorted(nid for nid, node in graph.nodes.items()
+                                if node.status.value == "failed")
+                value = ", ".join(failed) or None
+        guarded.extend((tag, value, prompt) for (_, prompt), _reply in calls)
+    assert next(attempts, None) is None
+    return guarded
+
+
+@pytest.mark.parametrize("name", TDP_CASES)
+def test_each_guarded_rule_reaches_exactly_the_calls_whose_state_can_trigger_it(name,
+                                                                                tmp_path):
+    """The supervisor's repair rule is in a revise prompt exactly when a node
+    of the graph has failed, and names those nodes; the planner's final-action
+    rule is in a plan prompt exactly when nothing depends on the node; the
+    executor's guidance rule comes exactly with the guidance."""
+    lines = {tag: next(line for line in load_template(tag.split(":")[1]).body.split("\n")
+                       if "{" + guard + "}" in line) for tag, guard in GUARDS.items()}
+    for tag, value, prompt in _guarded_calls(name, tmp_path):
+        line, guard = lines[tag], "{" + GUARDS[tag] + "}"
+        if value is None:
+            rule = max(line.split(guard), key=len)
+            assert rule not in prompt, (tag, prompt)
+        else:
+            assert f"\n{line.replace(guard, value)}\n" in prompt, (tag, value, prompt)
+
+
+def test_the_golden_cases_show_each_guarded_rule_both_ways(tmp_path):
+    """Across the tdp cases every guarded rule is both sent and left out;
+    ``tdp/diamond_repair`` is the case whose revise call sees a failed node."""
+    sent = {(tag, value is not None) for name in TDP_CASES
+            for tag, value, _ in _guarded_calls(name, tmp_path)}
+    assert sent == {(tag, bound) for tag in GUARDS for bound in (True, False)}
+    assert ("supervisor:revise", "node_3") in {
+        (tag, value) for tag, value, _ in _guarded_calls("tdp/diamond_repair", tmp_path)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

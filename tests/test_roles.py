@@ -72,7 +72,7 @@ PARSERS = {
 VOCABULARY = frozenset({
     "task_description", "subgoal", "current_plan", "guidance", "reason",
     "admissible_commands", "command_calls", "prerequisites", "history", "current_step",
-    "dag_state",
+    "dag_state", "failed_nodes", "if_sink",
 })
 #: A node's prompts never name the whole task, and the evaluator, which judges
 #: but does not act, never sees the action list, nor the dependency outcomes
@@ -80,14 +80,16 @@ VOCABULARY = frozenset({
 #: comes before the node's first action, so it sees no history.  Only the
 #: templates that write a command (``execute``, ``react``) see the full command
 #: lines; the planner and the supervisor see each command's call syntax.
+#: ``if_sink`` and ``failed_nodes`` guard the rules only some calls need.
 NODE_VIEW = {"subgoal", "current_plan", "history"}
 TEMPLATE_BINDINGS = {
     "construct": {"task_description", "command_calls"},
-    "plan": {"subgoal", "command_calls", "prerequisites"},
+    "plan": {"subgoal", "command_calls", "prerequisites", "if_sink"},
     "execute": NODE_VIEW | {"guidance", "admissible_commands", "prerequisites"},
     "evaluate": NODE_VIEW,
     "replan": NODE_VIEW | {"reason", "command_calls", "prerequisites"},
-    "revise": {"task_description", "current_step", "history", "dag_state", "command_calls"},
+    "revise": {"task_description", "current_step", "history", "dag_state", "command_calls",
+               "failed_nodes"},
     "react": {"task_description", "admissible_commands", "history"},
 }
 
@@ -162,7 +164,7 @@ TEMPLATE_FORMAT = {
 #: The most words each packaged template may spend outside its placeholders:
 #: each template's own count, so fixed text cannot grow back unnoticed.
 FIXED_WORD_CEILING = {
-    "construct": 103, "evaluate": 65, "execute": 38, "plan": 61, "react": 39,
+    "construct": 103, "evaluate": 65, "execute": 36, "plan": 61, "react": 39,
     "replan": 54, "revise": 137,
 }
 #: The words that state each packaged template's decision rules, one entry
@@ -190,7 +192,7 @@ TEMPLATE_RULES = {
     ),
     "execute": (
         "Act on the first plan step the history shows is not done",
-        "guidance, if any, comes first",
+        "First follow this guidance:",
         "only one action, in the exact syntax of the available actions",
     ),
     "plan": (
@@ -216,15 +218,41 @@ TEMPLATE_RULES = {
     "revise": (
         "decide whether to change the graph",
         "reword pending or in-progress nodes with concrete values found so far",
-        "add nodes for missing work (such as a way around a failed node)",
+        "add nodes for missing work",
         "remove nodes now unneeded or impossible",
-        "If no pending node is ready (all its dependencies completed)",
-        "or the pending nodes cannot finish the task, you MUST add the missing nodes",
+        "If the pending nodes cannot finish the task, you MUST add the missing nodes",
+        "If no pending node is ready (all its dependencies completed), you MUST add a way "
+        "around failed",
         "Never duplicate or overlap a node",
         "self-contained and achievable with the available actions",
         "keep a final node for the action that completes the task",
     ),
 }
+
+#: The rules that only some calls can act on, each with the placeholder that
+#: guards it.  Rule and guard share one template line, holding no other
+#: placeholder, so a call that binds the guard to ``None`` never reads the rule:
+#: the executor's guidance rule goes with its guidance, the planner's
+#: final-action rule reaches only a node nothing depends on, and the
+#: supervisor's repair rule comes only once a node has failed.
+GUARDED_RULES = {
+    "execute": ("guidance", "First follow this guidance:"),
+    "plan": ("if_sink", "If the sub-goal is the task's final action, plan just that"),
+    "revise": ("failed_nodes", "If no pending node is ready (all its dependencies completed), "
+                               "you MUST add a way around failed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_RULES))
+def test_each_guarded_rule_is_left_out_with_its_guard(name):
+    template = load_template(name)
+    guard, rule = GUARDED_RULES[name]
+    assert rule in TEMPLATE_RULES[name]
+    (line,) = [line for line in template.body.split("\n") if rule in line]
+    assert re.findall(r"\{([a-z_]+)\}", line) == [guard]
+    bound = {placeholder: "x" for placeholder in template.placeholders}
+    assert rule in render_prompt(template, bound)
+    assert rule not in render_prompt(template, {**bound, guard: None})
 
 
 @pytest.mark.parametrize("name", TEMPLATE_NAMES)
@@ -287,14 +315,15 @@ def test_node_prompts_without_guidance_or_reason_carry_no_none():
     view = {"subgoal": "s", "current_plan": "p", "admissible_commands": "c",
             "command_calls": "c", "prerequisites": None, "history": "h"}
     execute = render_prompt(templates["execute"], {**view, "guidance": None})
-    assert "Guidance:" not in execute and "None" not in execute
+    assert "guidance" not in execute.lower() and "None" not in execute
     guided = render_prompt(templates["execute"], {**view, "guidance": "Try the stove."})
-    assert "Guidance: Try the stove." in guided
-    assert guided.replace("Guidance: Try the stove.\n", "") == execute
+    assert "First follow this guidance: Try the stove." in guided
+    assert guided.replace("First follow this guidance: Try the stove.\n", "") == execute
     replan = render_prompt(templates["replan"], {**view, "reason": None})
     assert "Supervisor's reason:" not in replan and "None" not in replan
-    plan = render_prompt(templates["plan"], view)
+    plan = render_prompt(templates["plan"], {**view, "if_sink": None})
     assert "Current Subgoal: s\nAvailable actions:" in plan  # no prerequisites line, no gap
+    assert "final action" not in plan and "None" not in plan
 
 
 def test_templates_render_injection_safe_with_reply_shaped_bindings():
