@@ -35,12 +35,12 @@ The whole task never enters the view, which keeps replan prompts small and
 node work order-independent.  A node's evaluator and its finished outcome
 summary read only the entries its current plan produced, so an obstacle it
 replanned around reaches its executor and replanner and goes no further.
-The supervisor's revision prompt is scoped to the round and the frontier:
-the outcomes of the nodes dispatched since the previous revision, as
-dependents see them (:func:`render_outcomes`), plus the graph's frontier,
-with every other node only counted (:func:`~tdp.graph.render_dag_state`); a
-revision may edit only the nodes shown.  An executor reply whose verb is not one of the commands its prompt
-listed is a parse fault, so it never reaches the environment.
+The supervisor's revision prompt shows the graph's frontier, each node once,
+the nodes dispatched since the previous revision with their outcomes beneath,
+and only counts the rest (:func:`~tdp.graph.render_dag_state`); a revision
+may edit exactly the nodes shown.  An executor reply whose verb is not one
+of the commands its prompt listed is a parse fault, so it never reaches the
+environment.
 
 tdp and every baseline are loop bodies ``body(run) -> (terminal, reason)``
 over one scaffold, :func:`run_method`, which writes ``run_end`` however the
@@ -72,6 +72,7 @@ from .graph import (
     delta_to_doc,
     ready_nodes,
     render_dag_state,
+    render_outcome,
 )
 from .roles import (
     FORMAT_REMINDER,
@@ -92,7 +93,6 @@ __all__ = [
     "Run",
     "run_method",
     "assemble_history",
-    "render_outcomes",
     "node_bindings",
     "execute_node",
     "task_done",
@@ -101,7 +101,6 @@ __all__ = [
 ]
 
 NO_ACTIONS_YET = "(no actions yet)"
-NO_OUTCOMES_YET = "(no node ran this round)"
 #: A rendered history keeps the first trace entry plus the most recent 29.
 HISTORY_CAP = 30
 #: How many trailing observations a finished node's outcome summary carries,
@@ -184,34 +183,19 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
     return "\n".join(parts)
 
 
-def render_outcomes(node_ids: Sequence[str], outcomes: Sequence[OutcomeSummary]) -> str:
-    """Outcome summaries as a node's dependents see them: one ``- [id] status:
-    summary`` line each, then its kept observations, each under an
-    ``observed:`` line whose continuation lines are indented beneath it."""
-    lines: list[str] = []
-    for node_id, outcome in zip(node_ids, outcomes):
-        lines.append(f"- [{node_id}] {outcome.terminal_status.value}: {outcome.summary_text}")
-        lines.extend(
-            "  observed: " + obs.replace("\n", "\n    ") for obs in outcome.key_observations
-        )
-    return "\n".join(lines) if lines else NO_OUTCOMES_YET
-
-
-def node_bindings(
-    graph: TaskGraph, node_id: str, guidance: str | None = None, since: int = 0
-) -> dict[str, Any]:
+def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -> dict[str, Any]:
     """The node's view: every binding a node-scoped role prompt may use, read
     from the node and its direct dependencies and nothing else.
 
     Sub-goal, the node's rendered current plan, one-shot guidance (``None``
     leaves out ``execute``'s guidance line and the rule on it),
     ``prerequisites``, the direct dependencies' outcomes in id order under
-    ``Prerequisite results:`` and ending in a blank line (``None`` for a node
-    without dependencies, so the prompt leaves the line out), ``if_sink``,
-    ``""`` for a node nothing depends on and ``None`` otherwise, so only such
-    a node's planner reads ``plan``'s final-action rule, and ``history``, the
-    node's own capped trace from entry `since` on (the evaluator's view
-    starts at the node's last accepted replan, every other view at 0).
+    ``Prerequisite results:``, each headed by its id alone, since every one
+    completed (:func:`~tdp.graph.render_outcome`), and ending in a blank line
+    (``None`` for a node without dependencies, so the prompt leaves the line
+    out), ``if_sink``, ``""`` for a node nothing depends on and ``None``
+    otherwise, so only such a node's planner reads ``plan``'s final-action
+    rule, and ``history``, the node's own capped trace.
     :meth:`Run.call` adds the command list in both renderings.
     Each template renders the names it declares and ignores the rest:
     ``plan``, ``execute`` and ``replan`` declare ``prerequisites``,
@@ -223,9 +207,8 @@ def node_bindings(
     node = graph.nodes.get(node_id)
     if node is None:
         raise SchedulingError(f"unknown node {node_id!r}")
-    dep_ids = sorted(node.dependencies)
-    outcomes: list[OutcomeSummary] = []
-    for dep in dep_ids:
+    outcomes: list[str] = []
+    for dep in sorted(node.dependencies):
         dep_node = graph.nodes.get(dep)
         if dep_node is None or dep_node.status is not NodeStatus.COMPLETED:
             have = dep_node.status.value if dep_node else "missing"
@@ -234,17 +217,17 @@ def node_bindings(
                 f"(status: {have})"
             )
         assert dep_node.outcome is not None  # terminal ⇒ outcome (validate_graph)
-        outcomes.append(dep_node.outcome)
+        outcomes.append(f"- [{dep}] {render_outcome(dep_node.outcome)}\n")
     prerequisites = None
     if outcomes:
-        prerequisites = f"Prerequisite results:\n{render_outcomes(dep_ids, outcomes)}\n"
+        prerequisites = "Prerequisite results:\n" + "".join(outcomes)
     return {
         "subgoal": node.description,
         "current_plan": render_plan(node.plan) if node.plan is not None else None,
         "guidance": guidance,
         "prerequisites": prerequisites,
         "if_sink": None if any(node_id in n.dependencies for n in graph.nodes.values()) else "",
-        "history": assemble_history(node.local_trace[since:], HISTORY_CAP),
+        "history": assemble_history(node.local_trace, HISTORY_CAP),
     }
 
 
@@ -519,16 +502,18 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
         node.plan = run.call("plan", node_bindings(graph, node_id), scope=node_id)
         # Run.stop() without its sink scan: no sink completes while this node runs
         while not (run.budget_spent() or run.env.done):
-            view = node_bindings(graph, node_id, guidance)
-            action = run.call("execute", view, scope=node_id)
+            action = run.call("execute", node_bindings(graph, node_id, guidance), scope=node_id)
             guidance = None  # guidance lives for exactly one executor call
 
             node.local_trace.append(run.act(action, scope=node_id))
             if run.env.done:
                 return close(NodeStatus.COMPLETED, None)
 
-            evaluation = run.call("evaluate", node_bindings(graph, node_id, since=plan_start),
-                                  scope=node_id)
+            # one view per step: evaluate narrows its history, replan adds the reason
+            view = node_bindings(graph, node_id)
+            judged = view if plan_start == 0 else {
+                **view, "history": assemble_history(node.local_trace[plan_start:], HISTORY_CAP)}
+            evaluation = run.call("evaluate", judged, scope=node_id)
             if evaluation.status == "completed":
                 return close(NodeStatus.COMPLETED, evaluation.reason)
             if evaluation.status == "failed":
@@ -540,8 +525,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if not evaluation.need_replan:
                 guidance = evaluation.reason  # hand to exactly the next executor call
                 continue
-            new_plan = run.call("replan", {**node_bindings(graph, node_id),
-                                           "reason": evaluation.reason}, scope=node_id)
+            new_plan = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
             if new_plan is None:
                 run.emit("replan", scope=node_id, accepted=False, replan_count=node.replan_count)
             elif node.replan_count >= run.config.max_replans_per_node:
@@ -577,13 +561,14 @@ def run_task(run: Run) -> tuple[str, str]:
     revision that changed nothing: rejected, faulted or without edits), or
     :data:`STALL_ROUNDS` consecutive rounds without an environment step (a
     supervisor that keeps revising a graph whose remaining nodes can never
-    become ready).  The revision call that closes a round sees the outcomes
-    of the round's nodes (:func:`render_outcomes`), plus the frontier from
-    :func:`render_dag_state`: the in-progress, failed and ready nodes, the
-    pending dependents of failed nodes and the completed nodes those depend
-    on, with every other node only counted.  The view is also the edit scope: :func:`apply_revision` rejects
-    a revision that names, to reword, remove or wire a new node to, any id
-    the view did not show, other than those of the revision's own new nodes.
+    become ready).  The revision call that closes a round sees the frontier
+    from :func:`render_dag_state`: the in-progress, failed and ready nodes,
+    the pending dependents of failed nodes, the completed nodes those depend
+    on and the nodes the round closed, each of these with its outcome
+    beneath, with every other node only counted.  The view is also the edit
+    scope: :func:`apply_revision` rejects a revision that names, to reword,
+    remove or wire a new node to, any id the view did not show, other than
+    those of the revision's own new nodes.
     The call names the graph's failed nodes (``failed_nodes``) on the line of
     the repair rule, a way around them that it MUST add when no pending node
     is ready; with no failed node the line is left out.  The stall case still
@@ -630,7 +615,7 @@ def run_task(run: Run) -> tuple[str, str]:
         if (end := run.stop()) is not None:
             return end  # otherwise every ready node closed, with an outcome
         fault_record: dict[str, str] = {}
-        dag_state, shown = render_dag_state(graph)
+        dag_state, shown = render_dag_state(graph, ready)
         failed = sorted(nid for nid, node in graph.nodes.items()
                         if node.status is NodeStatus.FAILED)
         try:
@@ -639,7 +624,6 @@ def run_task(run: Run) -> tuple[str, str]:
                 {
                     "task_description": run.instance.query,
                     "current_step": str(run.steps_used),
-                    "history": render_outcomes(ready, [graph.nodes[n].outcome for n in ready]),
                     "dag_state": dag_state,
                     "failed_nodes": ", ".join(failed) or None,
                 },

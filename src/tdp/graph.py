@@ -376,22 +376,35 @@ def apply_revision(
 # rendering + serialization
 
 
-def render_dag_state(graph: TaskGraph) -> tuple[str, frozenset[NodeId]]:
+def render_outcome(outcome: OutcomeSummary) -> str:
+    """An outcome as its readers see it: the summary, then each kept
+    observation on an ``observed:`` line whose continuation lines are
+    indented beneath it.  The caller heads it: with a prerequisite's id in
+    :func:`tdp.engine.node_bindings`, under a frontier line in
+    :func:`render_dag_state`."""
+    observed = ("  observed: " + obs.replace("\n", "\n    ") for obs in outcome.key_observations)
+    return "\n".join([outcome.summary_text, *observed])
+
+
+def render_dag_state(
+    graph: TaskGraph, closed: Iterable[NodeId] = ()
+) -> tuple[str, frozenset[NodeId]]:
     """Deterministic view of the graph's frontier, handed to the revision
     prompt, and the ids it shows, the scope of the revision's edits
     (:func:`apply_revision`).
 
     A full line, with dependencies and description, goes to every in-progress,
     failed and ready node, to every pending node that depends directly on a
-    failed node, so that the supervisor can rewire it around the failure, and
-    to every completed node one of those depends on.  The other nodes are only
-    counted, in at most two lines, each emitted when its count is nonzero: the
-    other completed nodes, and the pending nodes waiting behind the nodes
-    shown.  So the view grows with the frontier, not with the graph.
+    failed node, so that the supervisor can rewire it around the failure, to
+    every completed node one of those depends on, and to each node the round
+    closed (`closed`), with its outcome beneath, headed ``result:``.  The
+    other nodes are only counted, in one line, so the view grows with the
+    frontier, not with the graph.
     """
     if not graph.nodes:
         return "(empty graph)", frozenset()
     nodes = graph.nodes
+    closed = set(closed)
     failed = {nid for nid, node in nodes.items() if node.status is NodeStatus.FAILED}
     frontier = failed | set(ready_nodes(graph))
     for nid, node in nodes.items():
@@ -399,7 +412,7 @@ def render_dag_state(graph: TaskGraph) -> tuple[str, frozenset[NodeId]]:
             node.status is NodeStatus.PENDING and node.dependencies & failed
         ):
             frontier.add(nid)
-    shown = frontier | {
+    shown = frontier | closed | {
         dep
         for nid in frontier
         for dep in nodes[nid].dependencies
@@ -410,14 +423,14 @@ def render_dag_state(graph: TaskGraph) -> tuple[str, frozenset[NodeId]]:
         node = nodes[nid]
         deps = ", ".join(sorted(node.dependencies)) or "none"
         lines.append(f"- {nid} [{node.status.value}] (deps: {deps}): {node.description}")
+        if nid in closed:
+            assert node.outcome is not None  # a closed node is terminal
+            lines.append(f"  result: {render_outcome(node.outcome)}")
     hidden = [nodes[nid].status for nid in nodes.keys() - shown]
-    for status, note in (
-        (NodeStatus.COMPLETED, ""),
-        (NodeStatus.PENDING, ", waiting on the nodes above"),
-    ):
-        count = hidden.count(status)
-        if count:
-            lines.append(f"- ({count} {status.value} not shown{note})")
+    counts = [f"{hidden.count(status)} {status.value}"
+              for status in (NodeStatus.COMPLETED, NodeStatus.PENDING) if status in hidden]
+    if counts:
+        lines.append(f"- ({', '.join(counts)} not shown)")
     return "\n".join(lines), frozenset(shown)
 
 
@@ -461,6 +474,7 @@ __all__ = [
     "ready_nodes",
     "apply_revision",
     "next_generated_id",
+    "render_outcome",
     "render_dag_state",
     "delta_to_doc",
 ]

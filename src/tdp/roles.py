@@ -116,16 +116,20 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 @dataclass(frozen=True)
 class PromptTemplate:
     """A named template body, the role that answers it and the reader of that
-    role's reply; its placeholders are the ``{name}`` fields its body holds."""
+    role's reply; its placeholders are the ``{name}`` fields its body holds,
+    and its lines each body line with the names on it, both read once."""
 
     name: str
     body: str
     role: str
     read: Reader
     placeholders: frozenset[str] = field(init=False)
+    lines: tuple[tuple[str, frozenset[str]], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "placeholders", frozenset(_PLACEHOLDER_RE.findall(self.body)))
+        object.__setattr__(self, "lines", tuple(
+            (line, frozenset(_PLACEHOLDER_RE.findall(line))) for line in self.body.split("\n")))
 
 
 @cache
@@ -165,13 +169,10 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, Any]) -> str:
     def _sub(match: re.Match[str]) -> str:
         return str(bindings[match.group(1)])
 
-    def _bound(line: str) -> bool:
-        names = _PLACEHOLDER_RE.findall(line)
-        return not names or any(bindings[n] is not None for n in names)
-
     body = template.body
     if any(bindings[name] is None for name in template.placeholders):
-        body = "\n".join(line for line in body.split("\n") if _bound(line))
+        body = "\n".join(line for line, names in template.lines
+                         if not names or any(bindings[n] is not None for n in names))
     return _PLACEHOLDER_RE.sub(_sub, body)
 
 

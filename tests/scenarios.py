@@ -619,7 +619,7 @@ def diamond_repair_rules() -> dict[str, RecordingBackend]:
             [DIAMOND_BAD_N3, "You don't see any microscope here."],
             eval_reply("failed", "The lab has no microscope."),
         ),
-        rule("supervisor:revise", ["- [node_3] failed:"], REPAIR_REVISION),
+        rule("supervisor:revise", ["- node_3 [failed]"], REPAIR_REVISION),
     ]
     planner.insert(0, rule("planner:plan", [DIAMOND_BAD_N3], plan_reply(DIAMOND_BAD_N3)))
     executor.insert(0, rule("executor:execute", [DIAMOND_BAD_N3], "focus microscope"))

@@ -16,7 +16,6 @@ from tdp.cli import METHODS, load_config
 from tdp.engine import (
     HISTORY_CAP,
     NO_ACTIONS_YET,
-    NO_OUTCOMES_YET,
     STALL_ROUNDS,
     EngineError,
     Run,
@@ -24,7 +23,6 @@ from tdp.engine import (
     assemble_history,
     execute_node,
     node_bindings,
-    render_outcomes,
     replay_graph,
     run_task,
     task_done,
@@ -40,6 +38,7 @@ from tdp.graph import (
     TraceEntry,
     apply_revision,
     delta_to_doc,
+    render_outcome,
 )
 from tdp.roles import FORMAT_REMINDER, RoleFault, ScriptedBackend, load_templates
 from tdp.telemetry import CounterClock, TraceError, TraceSink, compute_metrics, read_trace
@@ -209,27 +208,27 @@ class TestNodeBindings:
         view = node_bindings(_two_node_graph(outcome), "node_2")
         assert view["prerequisites"] == (
             "Prerequisite results:\n"
-            "- [node_1] completed: Cities confirmed.\n"
+            "- [node_1] Cities confirmed.\n"
             "  observed: Cities in Illinois: Chicago, Peoria\n"
         )
         assert view["history"] == "(no actions yet)"  # its own trace only
 
-    def test_outcomes_render_one_block_per_node_and_a_marker_when_none(self):
+    def test_an_outcome_renders_its_summary_then_each_observation_indented(self):
         """A multi-line observation (the travel fixture's lodging search
         answers one line per place) keeps its continuation lines under its
-        ``observed:`` line, not at column 0 beside the prompt's own labels."""
+        ``observed:`` line, not at column 0 beside the prompt's own labels.
+        The status is not rendered: the line that heads the outcome says it."""
         failed = OutcomeSummary(terminal_status=NodeStatus.FAILED, summary_text="No way in.")
         lodging = "Riverside Inn | double | $95\nWarehouse District Suites | suite | $140"
         done = OutcomeSummary(terminal_status=NodeStatus.COMPLETED, summary_text="Done.",
                               key_observations=(lodging, "o2"))
-        assert render_outcomes(["node_2", "node_1"], [failed, done]) == (
-            "- [node_2] failed: No way in.\n"
-            "- [node_1] completed: Done.\n"
+        assert render_outcome(failed) == "No way in."
+        assert render_outcome(done) == (
+            "Done.\n"
             "  observed: Riverside Inn | double | $95\n"
             "    Warehouse District Suites | suite | $140\n"
             "  observed: o2"
         )
-        assert render_outcomes([], []) == NO_OUTCOMES_YET
 
 
 # -- node-scoped planner prompts -------------------------------------------------------
@@ -401,8 +400,8 @@ class TestExecuteNode:
         )
         graph = _single_node_graph()
         assert execute_node(graph, "node_1", _lab_run(config)) is NodeStatus.COMPLETED
-        assert render_outcomes(["node_1"], [graph.nodes["node_1"].outcome]) == (
-            "- [node_1] completed: node_1 ended with status completed\n"
+        assert render_outcome(graph.nodes["node_1"].outcome) == (
+            "node_1 ended with status completed\n"
             "  observed: You open the drawer. Inside you see: key.")
 
     def test_outcome_carries_only_what_the_final_plan_observed(self):
@@ -813,10 +812,10 @@ def _revise_prompts(supervisor: RecordingBackend) -> list[str]:
     return [prompt for tag, prompt in supervisor.calls if tag == "supervisor:revise"]
 
 
-def _revise_history(prompt: str) -> str:
-    """The {history} binding of a rendered revise prompt, cut out between the
+def _revise_view(prompt: str) -> str:
+    """The {dag_state} binding of a rendered revise prompt, cut out between the
     template text that surrounds the placeholder."""
-    before, after = load_templates()["revise"].body.split("{history}")
+    before, after = load_templates()["revise"].body.split("{dag_state}")
     head = before.rsplit("}", 1)[-1]
     tail = after.split("{", 1)[0]
     return prompt.split(head, 1)[1].split(tail, 1)[0]
@@ -978,15 +977,17 @@ class TestRunTask:
         # the first round's revision sees node_1's outcome, never its actions;
         # the second round dispatched nothing, so its revision saw no outcome
         first, second = _revise_prompts(config.role_backends["supervisor"])
-        assert _revise_history(first) == (
-            "- [node_1] failed: No way in.\n"
+        assert _revise_view(first) == (
+            f"- node_1 [failed] (deps: none): {D1}\n"
+            "  result: No way in.\n"
             "  observed: You open the drawer. Inside you see: key.")
-        assert _revise_history(second) == NO_OUTCOMES_YET
+        assert _revise_view(second) == f"- node_1 [failed] (deps: none): {D1}"
 
     def test_revision_prompt_sees_its_rounds_outcomes_as_dependents_do(self):
         """The chain works node_k, and only node_k, in round k; that round's
-        revision renders node_k's outcome summary, the same text node_k+1's
-        prompts show, and none of the round's raw actions."""
+        revision renders node_k's outcome summary under node_k's frontier
+        line, the same text node_k+1's prompts show under node_k's id, and
+        none of the round's raw actions."""
         stages = 4
         config = chain_config(stages, tdp_chain_rules(stages))
         report = run_task(chain_instance(stages), ChainEnv(), config)
@@ -998,12 +999,15 @@ class TestRunTask:
                 terminal_status=NodeStatus.COMPLETED,
                 summary_text=f"Stage {k} finished with its work order done.",
                 key_observations=(f"stage {k} resolved",))
-            history = _revise_history(prompt)
-            assert history == render_outcomes([f"node_{k}"], [outcome])
+            deps = f"node_{k - 1}" if k > 1 else "none"
+            assert _revise_view(prompt).startswith(
+                f"- node_{k} [completed] (deps: {deps}): Handle stage {k} of the queue.\n"
+                f"  result: {render_outcome(outcome)}\n- node_{k + 1} [pending]")
             (dependent_plan,) = [
                 p for tag, p in config.role_backends["planner"].calls
                 if tag == "planner:plan" and f"Handle stage {k + 1} of the queue." in p]
-            assert f"Prerequisite results:\n{history}\n\n" in dependent_plan
+            assert (f"Prerequisite results:\n- [node_{k}] {render_outcome(outcome)}\n\n"
+                    in dependent_plan)
             assert "Action:" not in prompt
             assert "obstacle at stage" not in prompt
 
@@ -1016,7 +1020,7 @@ class TestRunTask:
         role_backends = travel_locality_rules()
         run_task(travel_locality_instance("blocked"), make_environment("traveltoy"),
                  travel_locality_config(role_backends))
-        outcome = "- [node_1] completed: Peoria and Chicago are confirmed Illinois cities."
+        outcome = "- [node_1] Peoria and Chicago are confirmed Illinois cities."
         node_prompts = [(tag.split(":")[1], prompt) for backend in role_backends.values()
                         for tag, prompt in backend.calls
                         if tag.split(":")[1] in ("plan", "execute", "evaluate", "replan")]
@@ -1397,7 +1401,7 @@ class TestRunTask:
         assert report.terminal == "Completed"
         prompts = [p for tag, p in role_backends["supervisor"].calls
                    if tag == "supervisor:revise"]
-        assert "- (1 pending not shown, waiting on the nodes above)" in prompts[0]
+        assert "- (1 pending not shown)" in prompts[0]
         first = next(e.payload for e in sink.events_for("r") if e.kind == "revision")
         assert first["status"] == "rejected"
         assert first["reasons"] == ["scope: node 'node_3' is not in the revise view"]

@@ -46,6 +46,7 @@ from tdp.engine import NO_ACTIONS_YET, RunConfig, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
+from tdp.graph import NodeStatus
 from tdp.roles import (
     ParseFault,
     load_template,
@@ -430,6 +431,65 @@ def test_the_golden_cases_show_each_guarded_rule_both_ways(tmp_path):
     assert sent == {(tag, bound) for tag in GUARDS for bound in (True, False)}
     assert ("supervisor:revise", "node_3") in {
         (tag, value) for tag, value, _ in _guarded_calls("tdp/diamond_repair", tmp_path)}
+
+
+def _revise_views(name: str, tmp_path: Path) -> list[tuple[list[str], str]]:
+    """Each attempt of a revise call in a tdp case: the ids of the nodes its
+    round closed, read off the terminal ``node_status`` events since the
+    previous revise call, and the graph frontier its prompt showed."""
+    _, events = _read_run(name, tmp_path)
+    prompts = iter(prompt for tag, prompt in _run_of(name).calls if tag == "supervisor:revise")
+    closed: list[str] = []
+    views = []
+    for event in events:
+        if event.kind == "node_status" and NodeStatus(event.payload["status"]).terminal:
+            closed.append(event.payload["node_id"])
+        elif event.kind == "role_call" and event.payload["template"] == "revise":
+            for _ in range(event.payload["attempts"]):
+                frontier = next(prompts).split("\nGraph frontier:\n", 1)[1]
+                views.append((closed, frontier.split("\n\nAvailable actions:", 1)[0]))
+            closed = []
+    assert next(prompts, None) is None
+    return views
+
+
+@pytest.mark.parametrize("name", TDP_CASES)
+def test_each_revise_prompt_shows_each_node_once_and_each_closed_node_s_result(name,
+                                                                              tmp_path):
+    """No node id heads two lines of a revise prompt's frontier, and each
+    node the round closed carries its ``result:`` line under its own line."""
+    for closed, frontier in _revise_views(name, tmp_path):
+        lines = frontier.split("\n")
+        heads = [line.split()[1] for line in lines
+                 if line.startswith("- ") and not line.startswith("- (")]
+        assert len(heads) == len(set(heads)), frontier
+        for node_id in closed:
+            (at,) = [k for k, line in enumerate(lines) if line.startswith(f"- {node_id} [")]
+            assert lines[at + 1].startswith("  result: "), (node_id, frontier)
+
+
+def test_the_golden_revise_prompts_show_completed_and_failed_results(tmp_path):
+    """The guard above reads rounds that closed a completed node and, in
+    ``tdp/diamond_repair``, a failed one."""
+    shown = {line.split()[2] for name in TDP_CASES
+             for closed, frontier in _revise_views(name, tmp_path)
+             for line in frontier.split("\n")
+             if closed and line.startswith(tuple(f"- {node_id} [" for node_id in closed))}
+    assert shown == {"[completed]", "[failed]"}
+
+
+def test_no_prerequisite_line_carries_a_status():
+    """A node runs only once each of its dependencies completed, so a
+    prerequisite line of a tdp case gives the dependency's id and outcome,
+    and no status."""
+    statuses = tuple(f"{status.value}:" for status in NodeStatus)
+    heads = [line for name in TDP_CASES for _, prompt in _run_of(name).calls
+             if "\nPrerequisite results:\n" in prompt
+             for line in prompt.split("\nPrerequisite results:\n", 1)[1]
+             .split("\n\n", 1)[0].split("\n") if line.startswith("- [")]
+    assert heads
+    for line in heads:
+        assert not line.split("] ", 1)[1].startswith(statuses), line
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -292,7 +292,7 @@ def test_node_bindings_show_direct_dependencies_and_no_grandparent():
     assert view["current_plan"] is None and view["guidance"] == "mind the order"
     # sorted, regardless of declaration order; the grandparent a is not shown
     assert view["prerequisites"] == (
-        "Prerequisite results:\n- [b] completed: b finished\n- [c] completed: c finished\n"
+        "Prerequisite results:\n- [b] b finished\n- [c] c finished\n"
     )
     assert "a finished" not in "".join(str(v) for v in view.values())
     assert view["history"] == "Action: look\nObservation: parts"
@@ -411,8 +411,7 @@ def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
     )
     view, scope = render_dag_state(g)
     assert scope == {"b", "c"}
-    assert view.endswith(
-        "- (1 completed not shown)\n- (1 pending not shown, waiting on the nodes above)")
+    assert view.endswith("- (1 completed, 1 pending not shown)")
     inside = RevisionDelta(
         description_updates=(("c", "sharper goal"),),
         new_nodes=(
@@ -436,6 +435,33 @@ def test_a_scoped_revision_names_only_the_ids_of_the_view_and_its_new_nodes():
     reworded = RevisionDelta(description_updates=(("d", "reworded"),))
     assert apply_revision(g, reworded).applied
     assert not apply_revision(g, reworded, scope=scope).applied
+
+
+def test_a_revision_may_edit_around_every_node_its_view_shows_a_result_for():
+    """Round 1 closed the roots x and q.  No frontier node depends on x, yet
+    the view shows x's result, so x is in the scope: a revision may add a
+    node after x that p, the ready node, then waits on."""
+    g = graph_of(
+        node("x", status=NodeStatus.COMPLETED),
+        node("q", status=NodeStatus.COMPLETED),
+        node("p", deps=["q"]),
+        node("y", deps=["x", "p"]),
+    )
+    view, scope = render_dag_state(g, closed=["x", "q"])
+    assert view == (
+        "- p [pending] (deps: q): work item p\n"
+        "- q [completed] (deps: none): work item q\n"
+        "  result: q finished\n"
+        "- x [completed] (deps: none): work item x\n"
+        "  result: x finished\n"
+        "- (1 pending not shown)"
+    )
+    assert scope == {"p", "q", "x"}
+    after_x = RevisionDelta(new_nodes=(
+        NewNodeSpec(id="check", description="check x", dependencies=("x",), dependents=("p",)),))
+    result = apply_revision(g, after_x, scope=scope)
+    assert result.applied, result.reasons
+    assert result.graph.nodes["p"].dependencies == {"q", "check"}
 
 
 def test_new_node_cannot_feed_a_terminal_dependent():
@@ -610,6 +636,17 @@ def test_render_dag_state_exact_format():
         "- b [pending] (deps: a): work item b",
         {"a", "b"},
     )
+    # a closed node's outcome goes beneath its line, as a dependent reads it
+    g.nodes["a"].outcome = OutcomeSummary(NodeStatus.COMPLETED, "a finished", ("seen\nmore", "o2"))
+    assert render_dag_state(g, closed=["a"]) == (
+        "- a [completed] (deps: none): work item a\n"
+        "  result: a finished\n"
+        "  observed: seen\n"
+        "    more\n"
+        "  observed: o2\n"
+        "- b [pending] (deps: a): work item b",
+        {"a", "b"},
+    )
     assert render_dag_state(TaskGraph()) == ("(empty graph)", set())
 
 
@@ -632,8 +669,7 @@ def test_render_dag_state_shows_the_frontier_and_counts_the_rest():
         "- d [failed] (deps: none): work item d\n"
         "- e [pending] (deps: d): work item e\n"
         "- g [in_progress] (deps: none): work item g\n"
-        "- (1 completed not shown)\n"
-        "- (2 pending not shown, waiting on the nodes above)",
+        "- (1 completed, 2 pending not shown)",
         {"b", "c", "d", "e", "g"},
     )
 
@@ -642,15 +678,22 @@ def test_render_dag_state_accounts_for_every_node_once():
     rng = random.Random(8)
     for _ in range(500):
         g = random_valid_graph(rng)
-        shown, counted = [], {"completed": 0, "pending": 0}
-        view, scope = render_dag_state(g)
+        terminal = sorted(nid for nid, n in g.nodes.items() if n.status.terminal)
+        closed = set(rng.sample(terminal, rng.randint(0, len(terminal))))
+        shown, resulted, counted = [], [], {"completed": 0, "pending": 0}
+        view, scope = render_dag_state(g, closed)
+        assert not [line for line in view.splitlines()[:-1] if line.startswith("- (")]
         for line in view.splitlines():
             if line.startswith("- ("):
-                count, status = line[3:].split()[:2]
-                counted[status] += int(count)
-            else:
+                for part in line[3:].removesuffix(" not shown)").split(", "):
+                    count, status = part.split()
+                    counted[status] += int(count)
+            elif line.startswith("  result: "):
+                resulted.append(shown[-1])
+            elif line.startswith("- "):
                 shown.append(line.split()[1])
         assert shown == sorted(shown) and set(shown) == scope
+        assert resulted == sorted(closed)
         assert len(shown) + sum(counted.values()) == len(g.nodes)
         nodes = g.nodes
         active = {nid for nid, n in nodes.items()
@@ -661,7 +704,7 @@ def test_render_dag_state_accounts_for_every_node_once():
         frontier = active | blocked | set(oracle_ready(g))
         feeders = {d for nid in frontier for d in nodes[nid].dependencies
                    if nodes[d].status is NodeStatus.COMPLETED}
-        assert set(shown) == frontier | feeders
+        assert set(shown) == frontier | feeders | closed
         hidden = [nodes[nid].status.value for nid in nodes.keys() - set(shown)]
         assert counted == {s: hidden.count(s) for s in counted}
 

@@ -88,8 +88,7 @@ TEMPLATE_BINDINGS = {
     "execute": NODE_VIEW | {"guidance", "admissible_commands", "prerequisites"},
     "evaluate": NODE_VIEW,
     "replan": NODE_VIEW | {"reason", "command_calls", "prerequisites"},
-    "revise": {"task_description", "current_step", "history", "dag_state", "command_calls",
-               "failed_nodes"},
+    "revise": {"task_description", "current_step", "dag_state", "command_calls", "failed_nodes"},
     "react": {"task_description", "admissible_commands", "history"},
 }
 
@@ -164,8 +163,8 @@ TEMPLATE_FORMAT = {
 #: The most words each packaged template may spend outside its placeholders:
 #: each template's own count, so fixed text cannot grow back unnoticed.
 FIXED_WORD_CEILING = {
-    "construct": 103, "evaluate": 65, "execute": 36, "plan": 61, "react": 39,
-    "replan": 54, "revise": 137,
+    "construct": 103, "evaluate": 65, "execute": 36, "plan": 53, "react": 39,
+    "replan": 49, "revise": 121,
 }
 #: The words that state each packaged template's decision rules, one entry
 #: per rule; a shorter wording must keep every rule.
@@ -210,15 +209,15 @@ TEMPLATE_RULES = {
         "one action in the exact syntax of the available actions",
     ),
     "replan": (
-        "Replan ONLY if its reason shows a wrong approach, invalid parameters or a "
-        "missing prerequisite",
+        "Replan ONLY if the supervisor's reason shows a wrong approach, invalid parameters or "
+        "a missing prerequisite",
         "null keeps the plan",
         "the whole new plan, for this sub-goal only",
     ),
     "revise": (
-        "decide whether to change the graph",
+        "Decide whether to change the graph",
         "reword pending or in-progress nodes with concrete values found so far",
-        "add nodes for missing work",
+        "add the missing nodes",
         "remove nodes now unneeded or impossible",
         "If the pending nodes cannot finish the task, you MUST add the missing nodes",
         "If no pending node is ready (all its dependencies completed), you MUST add a way "
