@@ -36,11 +36,10 @@ def main() -> None:
         print(f"  {nid}: {node.description}  (needs: {deps})")
 
     print("\nexecution:")
-    for event in events:
-        if event.kind == "env_step":
-            p = event.payload
-            print(f"  [{p['scope']}] step {p['step_index']}: {p['action']}")
-            print(f"      -> {p['observation'][:96]}")
+    steps = [e.payload for e in events if e.kind == "env_step"]
+    for index, p in enumerate(steps, start=1):
+        print(f"  [{p['scope']}] step {index}: {p['action']}")
+        print(f"      -> {p['observation'][:96]}")
 
     print(f"\noutcome: {report.terminal} ({report.reason})")
     print(f"answer: {report.env_metrics.get('answer')!r}  (expected {instance.gold.get('answer')!r})")

@@ -111,14 +111,13 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
         evaluation = run.call("evaluate", view)
         if evaluation.need_replan:
             if replans >= run.config.max_replans_per_node:
-                run.emit("replan", scope="global", accepted=False, replan_count=replans,
-                         budget_exhausted=True)
+                run.emit("replan", scope="global", accepted=False, budget_exhausted=True)
                 return "Terminated", f"replan budget exhausted ({replans})"
             new_plan = run.call("replan", {**view, "reason": evaluation.reason})
             if new_plan is not None:
                 plan = new_plan
                 replans += 1
-            run.emit("replan", scope="global", accepted=new_plan is not None, replan_count=replans)
+            run.emit("replan", scope="global", accepted=new_plan is not None)
         elif evaluation.status == "needs_more_steps":
             guidance = evaluation.reason
     return end

@@ -183,7 +183,8 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
     return "\n".join(parts)
 
 
-def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -> dict[str, Any]:
+def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None,
+                  since: int = 0) -> dict[str, Any]:
     """The node's view: every binding a node-scoped role prompt may use, read
     from the node and its direct dependencies and nothing else.
 
@@ -195,7 +196,7 @@ def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -
     (``None`` for a node without dependencies, so the prompt leaves the line
     out), ``if_sink``, ``""`` for a node nothing depends on and ``None``
     otherwise, so only such a node's planner reads ``plan``'s final-action
-    rule, and ``history``, the node's own capped trace.
+    rule, and ``history``, the node's own capped trace from entry `since` on.
     :meth:`Run.call` adds the command list in both renderings.
     Each template renders the names it declares and ignores the rest:
     ``plan``, ``execute`` and ``replan`` declare ``prerequisites``,
@@ -227,7 +228,7 @@ def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None) -
         "guidance": guidance,
         "prerequisites": prerequisites,
         "if_sink": None if any(node_id in n.dependencies for n in graph.nodes.values()) else "",
-        "history": assemble_history(node.local_trace, HISTORY_CAP),
+        "history": assemble_history(node.local_trace[since:], HISTORY_CAP),
     }
 
 
@@ -374,9 +375,8 @@ class Run:
             raise EngineError("step budget overrun — gate before acting")
         result = self.env.step(action)
         self.steps_used += 1
-        self.emit("env_step", step_index=self.steps_used, action=action,
-                  observation=result.observation, reward_delta=result.reward_delta,
-                  done=result.done, scope=scope)
+        self.emit("env_step", action=action, observation=result.observation,
+                  reward_delta=result.reward_delta, done=result.done, scope=scope)
         return TraceEntry(action=action, observation=result.observation)
 
     def stop(self) -> tuple[str, str] | None:
@@ -487,8 +487,7 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
     def move(status: NodeStatus) -> None:
         node.set_status(status)
-        run.emit("node_status", node_id=node_id, status=status.value,
-                 replan_count=node.replan_count)
+        run.emit("node_status", node_id=node_id, status=status.value)
 
     def close(status: NodeStatus, reason: str | None) -> NodeStatus:
         move(status)
@@ -509,11 +508,9 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if run.env.done:
                 return close(NodeStatus.COMPLETED, None)
 
-            # one view per step: evaluate narrows its history, replan adds the reason
-            view = node_bindings(graph, node_id)
-            judged = view if plan_start == 0 else {
-                **view, "history": assemble_history(node.local_trace[plan_start:], HISTORY_CAP)}
-            evaluation = run.call("evaluate", judged, scope=node_id)
+            # one view per step: evaluate reads the current plan's entries, replan all of them
+            view = node_bindings(graph, node_id, since=plan_start)
+            evaluation = run.call("evaluate", view, scope=node_id)
             if evaluation.status == "completed":
                 return close(NodeStatus.COMPLETED, evaluation.reason)
             if evaluation.status == "failed":
@@ -525,18 +522,19 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
             if not evaluation.need_replan:
                 guidance = evaluation.reason  # hand to exactly the next executor call
                 continue
+            if plan_start:
+                view["history"] = assemble_history(node.local_trace, HISTORY_CAP)
             new_plan = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
             if new_plan is None:
-                run.emit("replan", scope=node_id, accepted=False, replan_count=node.replan_count)
+                run.emit("replan", scope=node_id, accepted=False)
             elif node.replan_count >= run.config.max_replans_per_node:
-                run.emit("replan", scope=node_id, accepted=False,
-                         replan_count=node.replan_count, budget_exhausted=True)
+                run.emit("replan", scope=node_id, accepted=False, budget_exhausted=True)
                 return close(NodeStatus.FAILED, f"replan budget exhausted ({node.replan_count})")
             else:
                 node.plan = new_plan
                 node.replan_count += 1
                 plan_start = len(node.local_trace)
-                run.emit("replan", scope=node_id, accepted=True, replan_count=node.replan_count)
+                run.emit("replan", scope=node_id, accepted=True)
     except RoleFault as fault:
         return close(NodeStatus.FAILED, str(fault))
     return node.status
@@ -561,14 +559,14 @@ def run_task(run: Run) -> tuple[str, str]:
     revision that changed nothing: rejected, faulted or without edits), or
     :data:`STALL_ROUNDS` consecutive rounds without an environment step (a
     supervisor that keeps revising a graph whose remaining nodes can never
-    become ready).  The revision call that closes a round sees the frontier
-    from :func:`render_dag_state`: the in-progress, failed and ready nodes,
-    the pending dependents of failed nodes, the completed nodes those depend
-    on and the nodes the round closed, each of these with its outcome
-    beneath, with every other node only counted.  The view is also the edit
-    scope: :func:`apply_revision` rejects a revision that names, to reword,
-    remove or wire a new node to, any id the view did not show, other than
-    those of the revision's own new nodes.
+    become ready).  The revision call that closes a round sees the task and
+    the frontier from :func:`render_dag_state`, not the step count: the
+    in-progress, failed and ready nodes, the pending dependents of failed
+    nodes, the completed nodes those depend on and the nodes the round closed,
+    each of these with its outcome beneath, with every other node only
+    counted.  The view is also the edit scope: :func:`apply_revision` rejects
+    a revision that names, to reword, remove or wire a new node to, any id the
+    view did not show, other than those of the revision's own new nodes.
     The call names the graph's failed nodes (``failed_nodes``) on the line of
     the repair rule, a way around them that it MUST add when no pending node
     is ready; with no failed node the line is left out.  The stall case still
@@ -597,7 +595,8 @@ def run_task(run: Run) -> tuple[str, str]:
     event its ``status`` and ``reasons`` plus, when the delta has edits, its own.
     A revise call that faulted is a noop whose event also carries the fault's
     message as ``error``.  :func:`replay_graph` folds these deltas back into
-    the graph's ids, descriptions and dependencies at any event.
+    the graph's ids, descriptions and dependencies at any event.  A node's
+    dispatch is its first ``node_status`` event, ``in_progress``.
     """
     graph, decomposition = run.call("construct", {"task_description": run.instance.query})
     run.graph = graph
@@ -610,7 +609,6 @@ def run_task(run: Run) -> tuple[str, str]:
         for nid in ready:
             if run.stop() is not None:
                 break
-            run.emit("node_dispatched", node_id=nid)
             execute_node(graph, nid, run)
         if (end := run.stop()) is not None:
             return end  # otherwise every ready node closed, with an outcome
@@ -623,7 +621,6 @@ def run_task(run: Run) -> tuple[str, str]:
                 "revise",
                 {
                     "task_description": run.instance.query,
-                    "current_step": str(run.steps_used),
                     "dag_state": dag_state,
                     "failed_nodes": ", ".join(failed) or None,
                 },

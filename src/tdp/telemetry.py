@@ -47,9 +47,9 @@ __all__ = [
     "compare_report",
 ]
 
-#: The one version :func:`read_trace` reads: ``graph_constructed`` records
-#: the decomposition as a delta.
-TRACE_VERSION = 2
+#: The one version :func:`read_trace` reads: ``graph_constructed`` records the
+#: decomposition as a delta, and no event restates a count other events make.
+TRACE_VERSION = 3
 
 _STR, _INT, _BOOL, _OBJECT = Field((str,)), Field((int,)), Field((bool,)), Field((dict,))
 _COUNT = Field((int, None))  # a token count, null when the backend did not report it
@@ -58,14 +58,13 @@ _COUNT = Field((int, None))  # a token count, null when the backend did not repo
 #: required unless declared otherwise.
 EVENT_FIELDS: dict[str, dict[str, Field]] = {
     "graph_constructed": {"delta": _OBJECT},
-    "node_dispatched": {"node_id": _STR},
     "role_call": {"role": _STR, "template": _STR, "scope": _STR, "attempts": _INT,
                   "prompt_tokens": _COUNT, "output_tokens": _COUNT, "prompt_chars": _INT,
                   "ok": _BOOL, "error": Field((str,), required=False)},
-    "env_step": {"step_index": _INT, "action": _STR, "observation": _STR,
+    "env_step": {"action": _STR, "observation": _STR,
                  "reward_delta": Field((float, int, None)), "done": _BOOL, "scope": _STR},
-    "node_status": {"node_id": _STR, "status": _STR, "replan_count": _INT},
-    "replan": {"scope": _STR, "accepted": _BOOL, "replan_count": _INT,
+    "node_status": {"node_id": _STR, "status": _STR},
+    "replan": {"scope": _STR, "accepted": _BOOL,
                "budget_exhausted": Field((bool,), required=False)},
     "revision": {"status": _STR, "reasons": Field((list[str],)), "delta": Field((dict, None)),
                  "error": Field((str,), required=False)},
@@ -215,7 +214,8 @@ def read_trace(path: str | Path) -> tuple[dict[str, dict[str, Any]], list[TraceE
                 version = read_field(doc, "version", int, where=f"{path}:{line_no}: header",
                                      error=TraceError)
                 if version != TRACE_VERSION:
-                    raise TraceError(f"{path}:{line_no}: unsupported trace version {version!r}")
+                    raise TraceError(f"{path}:{line_no}: unsupported trace version {version!r}; "
+                                     f"this reader reads version {TRACE_VERSION}")
                 check_fields(doc, _HEADER_FIELDS, where=f"{path}:{line_no}: header",
                              error=TraceError)
                 run_id = doc["run_id"]
@@ -350,8 +350,9 @@ def compute_metrics(
     ``replan`` events per scope, and each node's last ``node_status``: a
     node's record is that status, its replans and its steps.  The last
     ``run_end`` gives the rest.  `gold`, `method` and the graded
-    ``env_metrics`` fields are checked by their own reads; a field of the
-    wrong type is a :class:`TraceError` naming the event and the field.
+    ``env_metrics`` fields are checked by their own reads.  An event of an
+    undeclared kind, or with a field of the wrong type, is a
+    :class:`TraceError` naming the event and the kind or the field.
     """
     gold_answer, constraints = read_gold(
         check_value(gold or {}, Mapping, name="'gold'", error=TraceError), where="gold",
@@ -363,6 +364,8 @@ def compute_metrics(
     run_end: TraceEvent | None = None
     for event in events:
         p = event.payload
+        if event.kind not in EVENT_FIELDS:
+            raise TraceError(f"event {event.seq}: unknown event kind {event.kind!r}")
         check_fields(p, EVENT_FIELDS[event.kind], where=f"{event.kind} event {event.seq}",
                      error=TraceError)
         if event.kind == "role_call":

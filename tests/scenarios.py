@@ -225,14 +225,11 @@ def project(event: TraceEvent) -> tuple[Any, ...]:
         return (event.kind, p["role"], p["template"], p["scope"], p["ok"])
     if event.kind == "graph_constructed":
         return (event.kind, tuple(n["id"] for n in p["delta"]["new_nodes"]))
-    if event.kind == "node_dispatched":
-        return (event.kind, p["node_id"])
     if event.kind == "node_status":
         return (event.kind, p["node_id"], p["status"])
     if event.kind == "env_step":
         return (
             event.kind,
-            p["step_index"],
             p["action"],
             p["observation"],
             p["reward_delta"],
@@ -246,6 +243,11 @@ def project(event: TraceEvent) -> tuple[Any, ...]:
     if event.kind == "run_end":
         return (event.kind, p["terminal"], p["reason"], p["delivered"])
     return (event.kind,)
+
+
+def dispatches(events: list[TraceEvent]) -> list[TraceEvent]:
+    """Each node's dispatch, in order: its first ``node_status``, ``in_progress``."""
+    return [e for e in events if e.kind == "node_status" and e.payload["status"] == "in_progress"]
 
 
 def assert_ends_on_record(report: MetricsRecord, sink: TraceSink) -> None:
@@ -536,35 +538,25 @@ def diamond_config(role_backends: dict[str, RecordingBackend]) -> RunConfig:
 DIAMOND_EXPECTED: list[tuple[Any, ...]] = [
     ("role_call", "supervisor", "construct", "global", True),
     ("graph_constructed", ("node_1", "node_2", "node_3", "node_4")),
-    ("node_dispatched", "node_1"),
     ("node_status", "node_1", "in_progress"),
     ("role_call", "planner", "plan", "node_1", True),
     ("role_call", "executor", "execute", "node_1", True),
-    (
-        "env_step",
-        1,
-        "open drawer",
-        "You open the drawer. Inside you see: key.",
-        0.25,
-        False,
-        "node_1",
-    ),
+    ("env_step", "open drawer", "You open the drawer. Inside you see: key.", 0.25, False,
+     "node_1"),
     ("role_call", "supervisor", "evaluate", "node_1", True),
     ("node_status", "node_1", "completed"),
     ("role_call", "supervisor", "revise", "global", True),
     ("revision", "noop"),
-    ("node_dispatched", "node_2"),
     ("node_status", "node_2", "in_progress"),
     ("role_call", "planner", "plan", "node_2", True),
     ("role_call", "executor", "execute", "node_2", True),
-    ("env_step", 2, "activate stove", "You activate the stove.", 0.25, False, "node_2"),
+    ("env_step", "activate stove", "You activate the stove.", 0.25, False, "node_2"),
     ("role_call", "supervisor", "evaluate", "node_2", True),
     ("node_status", "node_2", "completed"),
-    ("node_dispatched", "node_3"),
     ("node_status", "node_3", "in_progress"),
     ("role_call", "planner", "plan", "node_3", True),
     ("role_call", "executor", "execute", "node_3", True),
-    ("env_step", 3, "focus plant", "You focus on the plant.", 0.25, False, "node_3"),
+    ("env_step", "focus plant", "You focus on the plant.", 0.25, False, "node_3"),
     ("role_call", "supervisor", "evaluate", "node_3", True),
     ("node_status", "node_3", "completed"),
     ("run_end", "Terminated", "step budget exhausted", False),

@@ -22,7 +22,7 @@ from tdp.cli import CliError, METHODS, dispatch, load_config
 from tdp.engine import RunConfig, run_task
 from tdp.environments import load_task_instance, make_environment
 from tdp.roles import RemoteChatBackend, ScriptedBackend
-from tdp.telemetry import TraceSink, read_trace
+from tdp.telemetry import TRACE_VERSION, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
 from scenarios import TRANSPORT_FAULTS, Transport
@@ -628,15 +628,16 @@ class TestReplay:
 
     @pytest.mark.parametrize("lines", [
         ["[1, 2]"],
-        [json.dumps({"kind": "header", "version": 2, "meta": {}})],
-        [json.dumps({"kind": "header", "version": 2, "run_id": ["r"], "meta": {}})],
-        [json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": 5})],
-        [json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}}),
+        [json.dumps({"kind": "header", "version": TRACE_VERSION, "meta": {}})],
+        [json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": ["r"], "meta": {}})],
+        [json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": "r", "meta": 5})],
+        [json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": "r", "meta": {}}),
          json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0, "payload": 5})],
-        [json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}}),
+        [json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": "r", "meta": {}}),
          json.dumps({"kind": ["run_end"], "run_id": "r", "seq": 0, "ts": 0})],
         [json.dumps({"kind": "header", "version": True, "run_id": "r", "meta": {}})],
-        [json.dumps({"kind": "header", "version": 2.0, "run_id": "r", "meta": {}})],
+        [json.dumps({"kind": "header", "version": float(TRACE_VERSION), "run_id": "r",
+                     "meta": {}})],
     ])
     def test_malformed_trace_is_exit_one_with_one_line(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.jsonl"
@@ -728,9 +729,10 @@ class TestReport:
 def _write_cut_trace(path):
     """A trace cut off mid-run, as by a killed process: a header and one event."""
     path.write_text(
-        json.dumps({"kind": "header", "version": 2, "run_id": "tdp__cut", "meta": {}}) + "\n"
-        + json.dumps({"kind": "node_dispatched", "run_id": "tdp__cut", "seq": 0, "ts": 0,
-                      "payload": {"node_id": "node_1"}}) + "\n")
+        json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": "tdp__cut",
+                    "meta": {}}) + "\n"
+        + json.dumps({"kind": "node_status", "run_id": "tdp__cut", "seq": 0, "ts": 0,
+                      "payload": {"node_id": "node_1", "status": "in_progress"}}) + "\n")
 
 
 @pytest.mark.parametrize("command", ["replay", "report"])

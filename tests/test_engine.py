@@ -65,6 +65,7 @@ from scenarios import (
     diamond_config,
     diamond_instance,
     diamond_rules,
+    dispatches,
     eval_reply,
     graph_with_target,
     plan_reply,
@@ -539,9 +540,7 @@ class TestExecuteNode:
         assert node.plan.steps == ("Open the drawer directly.",)
         replans = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert len(replans) == 1
-        assert replans[0].payload == {
-            "scope": "node_1", "accepted": True, "replan_count": 1,
-        }
+        assert replans[0].payload == {"scope": "node_1", "accepted": True}
 
     def test_replan_decline_keeps_the_plan(self):
         config = _exec_config(
@@ -570,9 +569,7 @@ class TestExecuteNode:
         assert node.replan_count == 0
         assert node.plan.steps == ("Keep at it.",)
         (replan,) = [e for e in sink.events_for("r") if e.kind == "replan"]
-        assert replan.payload == {
-            "scope": "node_1", "accepted": False, "replan_count": 0,
-        }
+        assert replan.payload == {"scope": "node_1", "accepted": False}
 
     def test_replan_budget_exhaustion_fails_the_node(self):
         config = _exec_config(
@@ -628,7 +625,6 @@ class TestExecuteNode:
             graph.nodes[nid] = SubTaskNode(id=nid, description=description)
         run = _lab_run(config, TraceSink(clock=CounterClock()))
         for nid in ("node_2", "node_1"):
-            run.emit("node_dispatched", node_id=nid)
             execute_node(graph, nid, run)
         record = run.finish("Terminated", "every ready node ran")
         live = {nid: {"status": node.status.value, "replan_count": node.replan_count,
@@ -741,8 +737,7 @@ class TestExecuteNode:
         report = run_task(chain_instance(3), ChainEnv(), config, sink=sink, run_id="r")
         assert (report.terminal, report.reason) == ("Terminated", "step budget exhausted")
         events = sink.events_for("r")
-        last_step = next(i for i, e in enumerate(events)
-                         if e.kind == "env_step" and e.payload["step_index"] == s_max)
+        last_step = [i for i, e in enumerate(events) if e.kind == "env_step"][s_max - 1]
         after = [e.payload["template"] for e in events[last_step:] if e.kind == "role_call"]
         assert after == ["evaluate"]
         tags = [tag for tag, _ in config.role_backends["planner"].calls]
@@ -858,8 +853,7 @@ class TestRunTask:
         assert (report.terminal, report.reason, report.steps_used) == (
             "Terminated", "step budget exhausted", 2)
         events = sink.events_for(report.run_id)
-        assert [e.payload["node_id"] for e in events if e.kind == "node_dispatched"] == [
-            "node_1", "node_2"]
+        assert [e.payload["node_id"] for e in dispatches(events)] == ["node_1", "node_2"]
         assert [e.payload["scope"] for e in events if e.kind == "role_call"
                 and e.payload["template"] == "plan"] == ["node_1", "node_2"]
         assert [e.kind for e in events][-2:] == ["node_status", "run_end"]
@@ -885,8 +879,7 @@ class TestRunTask:
         assert (report.terminal, report.reason, report.delivery) == (
             "Completed", "task done", True)
         events = sink.events_for(report.run_id)
-        assert [e.payload["node_id"] for e in events if e.kind == "node_dispatched"] == [
-            "node_1"]
+        assert [e.payload["node_id"] for e in dispatches(events)] == ["node_1"]
         assert [e.payload["status"] for e in events if e.kind == "revision"] == ["applied"]
         assert [e.kind for e in events][-2:] == ["revision", "run_end"]
         assert_ends_on_record(report, sink)
@@ -1106,11 +1099,11 @@ class TestRunTask:
         }
         # node k was planned from the graph as it stood when node k was dispatched,
         # and the replay of the events before its dispatch rebuilds that graph
-        dispatches = [i for i, e in enumerate(events) if e.kind == "node_dispatched"]
+        starts = [e.seq for e in dispatches(events)]
         plan_prompts = [p for tag, p in config.role_backends["planner"].calls
                         if tag == "planner:plan"]
-        assert len(dispatches) == len(plan_prompts) == stages
-        for k, (at, prompt) in enumerate(zip(dispatches, plan_prompts), start=1):
+        assert len(starts) == len(plan_prompts) == stages
+        for k, (at, prompt) in enumerate(zip(starts, plan_prompts), start=1):
             then = replay_graph(events[:at])
             assert then.nodes[f"node_{k}"].description in prompt
 
@@ -1385,6 +1378,18 @@ class TestRunTask:
             prompts[n] = (tokens, prompt)
         assert prompts[2] == prompts[0]
         assert "Nothing happens" not in prompts[2][1]
+
+    def test_the_revise_prompt_does_not_depend_on_the_step_count(self):
+        """node_1 opens the drawer at once or after two dead ends, each
+        replanned away: the round closes on the same frontier after one step
+        or three, and the supervisor is sent the same revise prompt."""
+        prompts = {}
+        for n in (0, 2):
+            config = _two_replan_lab_config(n)
+            report = run_task(diamond_instance(), make_environment("textlab"), config)
+            assert (report.terminal, report.steps_used) == ("Completed", n + 2)
+            prompts[n] = _revise_prompts(config.role_backends["supervisor"])
+        assert len(prompts[0]) == 1 and prompts[2] == prompts[0]
 
     def test_a_revision_may_not_edit_a_node_its_view_only_counted(self):
         """After round 1 of a three-stage chain the revise view shows node_1

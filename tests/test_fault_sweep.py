@@ -35,6 +35,7 @@ from scenarios import (
     FaultAt,
     chain_config,
     chain_instance,
+    dispatches,
     planact_chain_rules,
     tdp_chain_rules,
     with_fault,
@@ -156,7 +157,7 @@ def test_one_fault_at_any_model_call_leaves_a_sound_run(method, task, fault, tmp
         _check_statuses(events, where)
         if fault in ("unparseable", "mistyped") and k <= len(clean_calls):
             _check_refused(events, k, where)
-        dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
+        dispatched = [e.payload["node_id"] for e in dispatches(events)]
         assert list(live.node_records) == sorted(dispatched), where
         if method == "tdp":
             graph = replay_graph(replayed_events)

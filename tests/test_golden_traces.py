@@ -42,11 +42,12 @@ import pytest
 
 from tdp.baselines import BASELINES
 from tdp.cli import load_config
-from tdp.engine import NO_ACTIONS_YET, RunConfig, replay_graph, run_task
+from tdp import engine
+from tdp.engine import NO_ACTIONS_YET, RunConfig, execute_node, replay_graph, run_task
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
-from tdp.graph import NodeStatus
+from tdp.graph import NodeStatus, ready_nodes
 from tdp.roles import (
     ParseFault,
     load_template,
@@ -57,6 +58,7 @@ from tdp.roles import (
 )
 from tdp.telemetry import (
     EVENT_FIELDS,
+    TRACE_VERSION,
     CounterClock,
     TraceEvent,
     TraceSink,
@@ -77,6 +79,7 @@ from scenarios import (
     diamond_repair_config,
     diamond_repair_instance,
     diamond_rules,
+    dispatches,
     reworded_stage,
     travel_locality_config,
     travel_locality_instance,
@@ -513,15 +516,35 @@ def test_every_event_matches_the_event_table(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", TDP_CASES)
-def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
+def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path, monkeypatch):
     """The record's node records are the dispatched nodes, each of which
     replay_graph over the trace file rebuilds or records as retired; the
-    revising chains' nodes carry their reworded descriptions."""
+    revising chains' nodes carry their reworded descriptions.  What no event
+    restates reads from the trace too: a node's dispatch is its first
+    node_status, in_progress, in the order the run dispatched; a round's
+    dispatches, between revisions, follow ready_nodes over the graph
+    replayed to the round's start, all of them but in the last round; and
+    the record gives each node the replan count and the trace length the
+    live run left it."""
+    order: list[str] = []
+    live: dict[str, dict[str, int]] = {}
+
+    def spy(graph, node_id, run):
+        order.append(node_id)
+        status = execute_node(graph, node_id, run)
+        node = graph.nodes[node_id]
+        live[node_id] = {"replan_count": node.replan_count, "trace_len": len(node.local_trace)}
+        return status
+
+    golden = _run_of(name).trace
+    monkeypatch.setattr(engine, "execute_node", spy)
+    assert run_case(CASES[name], tmp_path).trace == golden
     header, events = _read_run(name, tmp_path)
-    assert header["version"] == 2
+    assert header["version"] == TRACE_VERSION
     graph = replay_graph(events)
-    dispatched = [e.payload["node_id"] for e in events if e.kind == "node_dispatched"]
+    dispatched = [e.payload["node_id"] for e in dispatches(events)]
     record = compute_metrics(events, header["meta"]["gold"])
+    assert dispatched == order
     assert graph.nodes and list(record.node_records) == sorted(dispatched)
     assert set(dispatched) <= graph.nodes.keys() | graph.retired
     assert {nid: node.status.value for nid, node in graph.nodes.items()} == {
@@ -533,6 +556,19 @@ def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path):
             f"node_{i}": "Handle stage 1 of the queue." if i == 1 else reworded_stage(i)
             for i in range(1, stages + 1)
         }
+    first: dict[str, str] = {}
+    for event in events:
+        if event.kind == "node_status":
+            first.setdefault(event.payload["node_id"], event.payload["status"])
+    assert set(first.values()) == {"in_progress"}
+    starts = [i + 1 for i, e in enumerate(events) if e.kind in ("graph_constructed", "revision")]
+    for k, start in enumerate(starts):
+        end = starts[k + 1] if k + 1 < len(starts) else len(events)
+        round_ = [e.payload["node_id"] for e in dispatches(events[start:end])]
+        ready = ready_nodes(replay_graph(events[:start]))
+        assert round_ == (ready if end < len(events) else ready[:len(round_)]), (k, ready)
+    assert {nid: {key: r[key] for key in live[nid]}
+            for nid, r in record.node_records.items()} == live
 
 
 def test_the_repair_case_completes_by_revision(tmp_path):

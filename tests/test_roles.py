@@ -71,8 +71,8 @@ PARSERS = {
 #: The one binding vocabulary, and the names each packaged template renders.
 VOCABULARY = frozenset({
     "task_description", "subgoal", "current_plan", "guidance", "reason",
-    "admissible_commands", "command_calls", "prerequisites", "history", "current_step",
-    "dag_state", "failed_nodes", "if_sink",
+    "admissible_commands", "command_calls", "prerequisites", "history", "dag_state",
+    "failed_nodes", "if_sink",
 })
 #: A node's prompts never name the whole task, and the evaluator, which judges
 #: but does not act, never sees the action list, nor the dependency outcomes
@@ -88,7 +88,7 @@ TEMPLATE_BINDINGS = {
     "execute": NODE_VIEW | {"guidance", "admissible_commands", "prerequisites"},
     "evaluate": NODE_VIEW,
     "replan": NODE_VIEW | {"reason", "command_calls", "prerequisites"},
-    "revise": {"task_description", "current_step", "dag_state", "command_calls", "failed_nodes"},
+    "revise": {"task_description", "dag_state", "command_calls", "failed_nodes"},
     "react": {"task_description", "admissible_commands", "history"},
 }
 
@@ -164,7 +164,7 @@ TEMPLATE_FORMAT = {
 #: each template's own count, so fixed text cannot grow back unnoticed.
 FIXED_WORD_CEILING = {
     "construct": 103, "evaluate": 65, "execute": 36, "plan": 53, "react": 39,
-    "replan": 49, "revise": 121,
+    "replan": 49, "revise": 119,
 }
 #: The words that state each packaged template's decision rules, one entry
 #: per rule; a shorter wording must keep every rule.

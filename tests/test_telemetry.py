@@ -17,6 +17,7 @@ from tdp.environments import load_task_instance, make_environment
 from tdp.fields import _NAMES
 from tdp.telemetry import (
     EVENT_FIELDS,
+    TRACE_VERSION,
     CounterClock,
     MetricsRecord,
     SequenceError,
@@ -35,13 +36,12 @@ from scenarios import ChainEnv, chain_config, chain_instance, tdp_chain_rules, w
 #: A payload of each event kind holding every required field, for events
 #: built by hand.
 PAYLOADS = {
-    "node_dispatched": {"node_id": "n"},
-    "node_status": {"node_id": "n", "status": "completed", "replan_count": 0},
+    "node_status": {"node_id": "n", "status": "completed"},
     "role_call": {"role": "planner", "template": "plan", "scope": "global", "attempts": 1,
                   "prompt_tokens": 0, "output_tokens": 0, "prompt_chars": 0, "ok": True},
-    "env_step": {"step_index": 1, "action": "look", "observation": "ok", "reward_delta": None,
-                 "done": False, "scope": "global"},
-    "replan": {"scope": "global", "accepted": False, "replan_count": 0},
+    "env_step": {"action": "look", "observation": "ok", "reward_delta": None, "done": False,
+                 "scope": "global"},
+    "replan": {"scope": "global", "accepted": False},
     "run_end": {"terminal": "Completed", "reason": "task done", "delivered": True,
                 "method": "tdp", "env_metrics": {}},
 }
@@ -87,18 +87,18 @@ class TestTraceSink:
     def test_emit_numbers_events_contiguously_from_zero(self):
         sink = TraceSink(clock=CounterClock())
         sink.begin_run("r1", {"method": "tdp"})
-        first = sink.emit("r1", "node_dispatched", node_id="node_1")
+        first = sink.emit("r1", "replan", **_payload("replan"))
         second = sink.emit("r1", "node_status", **_payload("node_status", node_id="node_1"))
         assert (first.seq, second.seq) == (0, 1)
-        assert [e.kind for e in sink.events_for("r1")] == ["node_dispatched", "node_status"]
+        assert [e.kind for e in sink.events_for("r1")] == ["replan", "node_status"]
 
     def test_interleaved_runs_stay_contiguous_per_run(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = TraceSink(path, clock=CounterClock())
         sink.begin_run("a", {})
         sink.begin_run("b", {})
-        sink.emit("a", "node_dispatched", node_id="n")
-        sink.emit("b", "node_dispatched", node_id="n")
+        sink.emit("a", "node_status", **_payload("node_status"))
+        sink.emit("b", "node_status", **_payload("node_status"))
         sink.emit("a", "node_status", **_payload("node_status"))
         assert [e.seq for e in sink.events_for("a")] == [0, 1]
         assert [e.seq for e in sink.events_for("b")] == [0]
@@ -116,7 +116,7 @@ class TestTraceSink:
         def worker(run_id):
             sink.begin_run(run_id, {})
             for i in range(200):
-                sink.emit(run_id, "node_dispatched", node_id=f"n{i}")
+                sink.emit(run_id, "node_status", **_payload("node_status", node_id=f"n{i}"))
 
         threads = [threading.Thread(target=worker, args=(run_id,)) for run_id in run_ids]
         for t in threads:
@@ -142,7 +142,7 @@ class TestTraceSink:
     def test_event_without_header_refused(self):
         sink = TraceSink()
         with pytest.raises(TraceError, match="has no header"):
-            sink.emit("r1", "node_dispatched", node_id="n")
+            sink.emit("r1", "node_status", **_payload("node_status"))
         assert sink.events_for("r1") == []
 
     def test_unknown_kind_refused(self):
@@ -151,7 +151,7 @@ class TestTraceSink:
         with pytest.raises(TraceError, match="unknown event kind 'telemetry'"):
             sink.emit("r1", "telemetry")
         # the refused event takes no sequence number
-        assert sink.emit("r1", "node_dispatched", node_id="n").seq == 0
+        assert sink.emit("r1", "node_status", **_payload("node_status")).seq == 0
 
     def test_counter_clock_ticks_deterministically(self):
         clock = CounterClock()
@@ -226,7 +226,7 @@ class TestTraceSink:
         sink.begin_run("unwritable", {"method": object()})
 
 
-_HEADER = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
+_HEADER = json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": "r", "meta": {}})
 
 
 class TestReadTrace:
@@ -239,7 +239,7 @@ class TestReadTrace:
         path = tmp_path / "trace.jsonl"
         sink = TraceSink(path, clock=CounterClock())
         sink.begin_run("r1", {"method": "tdp", "gold": {"answer": "x"}})
-        sink.emit("r1", "node_dispatched", node_id="node_1")
+        sink.emit("r1", "node_status", **_payload("node_status", node_id="node_1"))
         sink.emit("r1", "run_end", **_payload("run_end"))
         headers, events = read_trace(path)
         assert headers["r1"]["meta"]["gold"] == {"answer": "x"}
@@ -247,9 +247,8 @@ class TestReadTrace:
         sink.close()
 
     def test_blank_lines_tolerated(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
         event = _event(0, "run_end", run_id="r").to_line()
-        path = self._write(tmp_path, [header, "", event, ""])
+        path = self._write(tmp_path, [_HEADER, "", event, ""])
         headers, events = read_trace(path)
         assert list(headers) == ["r"] and len(events) == 1
 
@@ -261,7 +260,7 @@ class TestReadTrace:
     @pytest.mark.parametrize("lines, message", [
         (["[1, 2]"], r"trace\.jsonl:1: line must be an object, got \[1, 2\]"),
         (["5"], r"trace\.jsonl:1: line must be an object, got 5"),
-        ([json.dumps({"kind": "header", "version": 2, "meta": {}})],
+        ([json.dumps({"kind": "header", "version": TRACE_VERSION, "meta": {}})],
          r"trace\.jsonl:1: header: missing required field 'run_id'"),
         ([_HEADER, json.dumps({"kind": "run_end", "seq": 0, "ts": 0})],
          r"trace\.jsonl:2: run_end event: missing required field 'run_id'"),
@@ -269,9 +268,9 @@ class TestReadTrace:
          r"trace\.jsonl:2: run_end event: missing required field 'seq'"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0})],
          r"trace\.jsonl:2: run_end event: missing required field 'ts'"),
-        ([json.dumps({"kind": "header", "version": 2, "run_id": ["r"], "meta": {}})],
+        ([json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": ["r"], "meta": {}})],
          r"trace\.jsonl:1: header: 'run_id' must be a string, got \['r'\]"),
-        ([json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": 5})],
+        ([json.dumps({"kind": "header", "version": TRACE_VERSION, "run_id": "r", "meta": 5})],
          r"trace\.jsonl:1: header: 'meta' must be an object, got 5"),
         ([_HEADER, json.dumps({"kind": "run_end", "run_id": "r", "seq": 0, "ts": 0,
                                "payload": 5})],
@@ -293,23 +292,24 @@ class TestReadTrace:
             read_trace(path)
 
     @pytest.mark.parametrize("version, message", [
-        (1, r"trace\.jsonl:1: unsupported trace version 1"),
-        (99, r"trace\.jsonl:1: unsupported trace version 99"),
+        (1, r"trace\.jsonl:1: unsupported trace version 1; this reader reads version 3$"),
+        (2, r"trace\.jsonl:1: unsupported trace version 2; this reader reads version 3$"),
+        (99, r"trace\.jsonl:1: unsupported trace version 99; this reader reads version 3$"),
         (True, r"trace\.jsonl:1: header: 'version' must be an integer, got True"),
-        (2.0, r"trace\.jsonl:1: header: 'version' must be an integer, got 2\.0"),
+        (3.0, r"trace\.jsonl:1: header: 'version' must be an integer, got 3\.0"),
     ])
     def test_unsupported_version(self, tmp_path, version, message):
-        """Only version 2 reads; a bool or a float never passes as a version,
-        even one equal to 2."""
+        """Only version 3 reads, and a refusal names the version it read and
+        the one it reads; a bool or a float never passes as a version, even
+        one equal to 3."""
         header = json.dumps({"kind": "header", "version": version, "run_id": "r", "meta": {}})
         path = self._write(tmp_path, [header])
         with pytest.raises(TraceError, match=message):
             read_trace(path)
 
     def test_unknown_kind_in_file(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
         bogus = json.dumps({"kind": "banana", "run_id": "r", "seq": 0, "ts": 0})
-        path = self._write(tmp_path, [header, bogus])
+        path = self._write(tmp_path, [_HEADER, bogus])
         with pytest.raises(TraceError, match="unknown event kind 'banana'"):
             read_trace(path)
 
@@ -322,7 +322,7 @@ class TestReadTrace:
         """A run id headed twice would merge two runs' events into one."""
         path = self._write(
             tmp_path,
-            [_HEADER, _event(0, "node_dispatched", run_id="r", node_id="n").to_line(),
+            [_HEADER, _event(0, "node_status", run_id="r").to_line(),
              _event(1, "run_end", run_id="r").to_line(),
              _HEADER, _event(0, "run_end", run_id="r").to_line()],
         )
@@ -349,10 +349,9 @@ class TestReadTrace:
         assert record.steps_used == 6 and len(record.node_records) == 3
 
     def test_sequence_gap_in_file(self, tmp_path):
-        header = json.dumps({"kind": "header", "version": 2, "run_id": "r", "meta": {}})
         path = self._write(
             tmp_path,
-            [header, _event(0, "node_dispatched", run_id="r", node_id="n").to_line(),
+            [_HEADER, _event(0, "node_status", run_id="r").to_line(),
              _event(2, "run_end", run_id="r").to_line()],
         )
         with pytest.raises(SequenceError, match="expected seq 1, got 2"):
@@ -460,8 +459,16 @@ class TestNormalizeAnswer:
 
 class TestComputeMetrics:
     def test_requires_run_end(self):
-        events = [_event(0, "node_dispatched", node_id="n")]
+        events = [_event(0, "node_status")]
         with pytest.raises(TraceError, match="no run_end"):
+            compute_metrics(events)
+
+    @pytest.mark.parametrize("kind", ["mystery", "node_dispatched"])
+    def test_an_undeclared_event_kind_is_refused_by_its_seq_and_kind(self, kind):
+        """An in-memory event of a kind the table does not declare, such as
+        one an earlier writer made, is a TraceError, not a bare KeyError."""
+        events = [TraceEvent("r1", 0, 0.0, kind, {}), _event(1, "run_end")]
+        with pytest.raises(TraceError, match=rf"^event 0: unknown event kind '{kind}'$"):
             compute_metrics(events)
 
     def test_answer_accuracy_normalized(self):
@@ -492,7 +499,7 @@ class TestComputeMetrics:
         events = [
             _event(0, "role_call", role="planner", output_tokens=5),
             _event(1, "role_call", role="executor", output_tokens=7),
-            _event(2, "env_step", step_index=1),
+            _event(2, "env_step"),
             _run_end(),
         ]
         assert compute_metrics(events).avg_output_tokens == 12.0
@@ -563,14 +570,14 @@ class TestComputeMetrics:
         the run's totals."""
         events = [
             _event(0, "node_status", node_id="node_2", status="in_progress"),
-            _event(1, "env_step", step_index=1, scope="node_2"),
-            _event(2, "replan", scope="node_2", accepted=True, replan_count=1),
-            _event(3, "replan", scope="node_2", accepted=False, replan_count=1),
-            _event(4, "env_step", step_index=2, scope="node_2"),
-            _event(5, "node_status", node_id="node_2", status="failed", replan_count=1),
+            _event(1, "env_step", scope="node_2"),
+            _event(2, "replan", scope="node_2", accepted=True),
+            _event(3, "replan", scope="node_2", accepted=False),
+            _event(4, "env_step", scope="node_2"),
+            _event(5, "node_status", node_id="node_2", status="failed"),
             _event(6, "node_status", node_id="node_1", status="in_progress"),
-            _event(7, "env_step", step_index=3, scope="global"),
-            _event(8, "replan", scope="global", accepted=True, replan_count=1),
+            _event(7, "env_step", scope="global"),
+            _event(8, "replan", scope="global", accepted=True),
             _run_end(),
         ]
         record = compute_metrics(events)
