@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .engine import Run, assemble_history, run_method
-from .graph import TraceEntry
-from .roles import Plan, render_plan
+from .engine import Run, TraceEntry, role_view, run_method
 from .telemetry import MetricsRecord
 
 __all__ = [
@@ -33,34 +31,24 @@ __all__ = [
 ]
 
 
-def _whole_task_bindings(
-    run: Run,
-    trace: list[TraceEntry],
-    plan: Plan | None = None,
-    guidance: str | None = None,
-) -> dict[str, Any]:
-    """The whole-task view: the task is the sub-goal, there are no
-    prerequisites, nothing depends on it (so the planner reads the
-    final-action rule, as a sink node's does), and the history is never
-    capped, because the baselines carry everything, every step."""
-    return {
-        "task_description": run.instance.query,
-        "subgoal": run.instance.query,
-        "current_plan": render_plan(plan) if plan is not None else None,
-        "guidance": guidance,
-        "prerequisites": None,
-        "if_sink": "",
-        "history": assemble_history(trace, len(trace)),
-    }
+def _whole_task(run: Run) -> dict[str, Any]:
+    """The whole-task view's base for :func:`~tdp.engine.role_view`: the task
+    is the sub-goal, there are no prerequisites, and nothing depends on it,
+    so the planner reads the final-action rule, as a sink node's does.  Each
+    call passes the whole trace with its length as the cap, since the
+    baselines carry everything, every step."""
+    query = run.instance.query
+    return {"task_description": query, "subgoal": query, "prerequisites": None, "if_sink": ""}
 
 
 @run_method("react", "executor")
 def run_react(run: Run) -> tuple[str, str]:
     """Interleaved think/act loop; one role, full history in every prompt, one
     call per step: at most ``(1 + parser_retry_budget) * s_max`` model attempts."""
+    base = _whole_task(run)
     trace: list[TraceEntry] = []
     while (end := run.stop()) is None:
-        view = _whole_task_bindings(run, trace)
+        view = role_view(base, None, trace, len(trace))
         trace.append(run.act(run.call("react", view)))
     return end
 
@@ -74,12 +62,13 @@ def run_cot(run: Run) -> tuple[str, str]:
     also when the step budget ran out with it.  One plan call, then one call
     per step: at most ``(1 + parser_retry_budget) * (1 + s_max)`` model attempts.
     """
+    base = _whole_task(run)
     trace: list[TraceEntry] = []
-    plan = run.call("plan", _whole_task_bindings(run, trace))
+    plan = run.call("plan", base)
     for _step in plan.steps:
         if (end := run.stop()) is not None:
             return end
-        view = _whole_task_bindings(run, trace, plan)
+        view = role_view(base, plan, trace, len(trace))
         trace.append(run.act(run.call("execute", view)))
     if (end := run.stop()) is None or end[0] == "Terminated":  # the plan ran out, budget or not
         return "Terminated", "plan exhausted before task completion"
@@ -97,17 +86,18 @@ def run_plan_and_act(run: Run) -> tuple[str, str]:
     call, then up to three per step but one for the last: at most
     ``(1 + parser_retry_budget) * (3 * s_max - 1)`` attempts.
     """
+    base = _whole_task(run)
     trace: list[TraceEntry] = []
-    plan = run.call("plan", _whole_task_bindings(run, trace))
+    plan = run.call("plan", base)
     replans = 0
     guidance: str | None = None
     while (end := run.stop()) is None:
-        view = _whole_task_bindings(run, trace, plan, guidance)
+        view = role_view(base, plan, trace, len(trace), guidance)
         guidance = None
         trace.append(run.act(run.call("execute", view)))
         if (end := run.stop()) is not None:
             break
-        view = _whole_task_bindings(run, trace, plan)
+        view = role_view(base, plan, trace, len(trace))
         evaluation = run.call("evaluate", view)
         if evaluation.need_replan:
             if replans >= run.config.max_replans_per_node:

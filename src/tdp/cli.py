@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .baselines import BASELINES
-from .engine import EngineError, RunConfig, run_task
+from .engine import EngineError, RunConfig, replay_graph, run_task
 from .environments import TaskInstance, load_task_instance, make_environment
 from .fields import check_value, load_json, read_field
 from .roles import TEMPLATE_TABLE, ModelBackend, RemoteChatBackend, ScriptedBackend
@@ -249,8 +249,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _trace_records(path: Path) -> tuple[list[MetricsRecord], list[str]]:
     """Replayed metrics of every run in one trace file, in run-id order, and
-    one message naming the file and run for each run that cannot be replayed
-    (a file that does not parse is one such message, naming its line)."""
+    one message naming the file and run for each run that cannot be replayed,
+    such as a tdp run whose graph :func:`~tdp.engine.replay_graph` refuses (a
+    file that does not parse is one such message, naming its line)."""
     try:
         headers, events = read_trace(path)
     except TraceError as err:  # say, a last line cut short by a killed process
@@ -260,9 +261,12 @@ def _trace_records(path: Path) -> tuple[list[MetricsRecord], list[str]]:
         meta = headers[run_id].get("meta", {})
         run_events = [e for e in events if e.run_id == run_id]
         try:
-            records.append(compute_metrics(
+            record = compute_metrics(
                 run_events, meta.get("gold") or {}, method=meta.get("method", ""), run_id=run_id
-            ))
+            )
+            if record.method == "tdp":
+                replay_graph(run_events)
+            records.append(record)
         except TraceError as err:  # say, no run_end: its process was killed
             errors.append(f"{path}: run {run_id!r}: {err}")
     return records, errors

@@ -12,9 +12,10 @@ step ended the episode is closed Completed, so the run's node records show
 which node delivered.
 
 Context discipline is the load-bearing property: a node's plan, execute,
-evaluate and replan prompts render from one view, :func:`node_bindings`,
-read from the graph itself: that node's description, current plan, direct
-dependencies' outcome summaries, own local trace and one-shot guidance.
+evaluate and replan prompts render from one view: :func:`node_bindings`,
+read from the graph once per dispatch (the node's description and its direct
+dependencies' outcome summaries), under :func:`role_view`, which adds what the
+call working the node holds: its current plan, own trace and one-shot guidance.
 :meth:`Run.call` binds the command list to every call twice: the full lines
 (``admissible_commands``) for the executor, which writes commands, and each
 line's call syntax (``command_calls``) for the planner and the supervisor,
@@ -65,9 +66,7 @@ from .graph import (
     OutcomeSummary,
     RevisionDelta,
     SchedulingError,
-    SubTaskNode,
     TaskGraph,
-    TraceEntry,
     apply_revision,
     delta_to_doc,
     ready_nodes,
@@ -78,6 +77,7 @@ from .roles import (
     FORMAT_REMINDER,
     ModelBackend,
     ParseFault,
+    Plan,
     RoleFault,
     load_templates,
     parse_revision,
@@ -92,8 +92,10 @@ __all__ = [
     "RunConfig",
     "Run",
     "run_method",
+    "TraceEntry",
     "assemble_history",
     "node_bindings",
+    "role_view",
     "execute_node",
     "task_done",
     "run_task",
@@ -158,6 +160,15 @@ class RunConfig:
 # prompt assembly
 
 
+@dataclass(frozen=True)
+class TraceEntry:
+    """One environment interaction, as :meth:`Run.act` returns it: what was
+    done and what came back."""
+
+    action: str
+    observation: str
+
+
 def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
     """Render a trace as Action/Observation pairs, keep-first-plus-last capped.
 
@@ -183,25 +194,19 @@ def assemble_history(trace: Sequence[TraceEntry], cap: int) -> str:
     return "\n".join(parts)
 
 
-def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None,
-                  since: int = 0) -> dict[str, Any]:
-    """The node's view: every binding a node-scoped role prompt may use, read
-    from the node and its direct dependencies and nothing else.
+def node_bindings(graph: TaskGraph, node_id: str) -> dict[str, Any]:
+    """What the graph gives a node's role prompts, read from the node and its
+    direct dependencies and nothing else, once per dispatch: no revision runs
+    while a node works.
 
-    Sub-goal, the node's rendered current plan, one-shot guidance (``None``
-    leaves out ``execute``'s guidance line and the rule on it),
-    ``prerequisites``, the direct dependencies' outcomes in id order under
-    ``Prerequisite results:``, each headed by its id alone, since every one
-    completed (:func:`~tdp.graph.render_outcome`), and ending in a blank line
-    (``None`` for a node without dependencies, so the prompt leaves the line
-    out), ``if_sink``, ``""`` for a node nothing depends on and ``None``
-    otherwise, so only such a node's planner reads ``plan``'s final-action
-    rule, and ``history``, the node's own capped trace from entry `since` on.
-    :meth:`Run.call` adds the command list in both renderings.
-    Each template renders the names it declares and ignores the rest:
-    ``plan``, ``execute`` and ``replan`` declare ``prerequisites``,
-    ``evaluate`` does not; ``execute`` declares the full command lines,
-    ``plan`` and ``replan`` their call syntax.  An
+    ``subgoal``, the node's description; ``prerequisites``, the direct
+    dependencies' outcomes in id order under ``Prerequisite results:``, each
+    headed by its id alone, since every one completed
+    (:func:`~tdp.graph.render_outcome`), and ending in a blank line (``None``
+    for a node without dependencies, so the prompt leaves the line out); and
+    ``if_sink``, ``""`` for a node nothing depends on and ``None`` otherwise,
+    so only such a node's planner reads ``plan``'s final-action rule.  The
+    ``plan`` call reads these alone; :func:`role_view` adds the rest.  An
     unknown node, or a dependency that is missing or not completed, is a
     :class:`~tdp.graph.SchedulingError`.
     """
@@ -224,11 +229,27 @@ def node_bindings(graph: TaskGraph, node_id: str, guidance: str | None = None,
         prerequisites = "Prerequisite results:\n" + "".join(outcomes)
     return {
         "subgoal": node.description,
-        "current_plan": render_plan(node.plan) if node.plan is not None else None,
-        "guidance": guidance,
         "prerequisites": prerequisites,
         "if_sink": None if any(node_id in n.dependencies for n in graph.nodes.values()) else "",
-        "history": assemble_history(node.local_trace[since:], HISTORY_CAP),
+    }
+
+
+def role_view(base: dict[str, Any], plan: Plan | None, trace: Sequence[TraceEntry], cap: int,
+              guidance: str | None = None) -> dict[str, Any]:
+    """`base` plus what only the loop working it holds: ``current_plan``,
+    `plan` rendered (``None`` before there is one), one-shot ``guidance``
+    (``None`` leaves out ``execute``'s guidance line and the rule on it) and
+    ``history``, `trace` capped at `cap` (:func:`assemble_history`).
+
+    tdp's node calls pass :func:`node_bindings` and :data:`HISTORY_CAP`; the
+    baselines their whole-task base and their trace's length, so that their
+    history is never capped.  :meth:`Run.call` adds the command lists.
+    """
+    return {
+        **base,
+        "current_plan": render_plan(plan) if plan is not None else None,
+        "guidance": guidance,
+        "history": assemble_history(trace, cap),
     }
 
 
@@ -454,22 +475,12 @@ def run_method(method: str, *roles: str) -> Callable[[LoopBody], Callable[..., M
 # node execution
 
 
-def _node_outcome(
-    node: SubTaskNode, reason: str | None, final_plan_entries: Sequence[TraceEntry]
-) -> OutcomeSummary:
-    observations = tuple(e.observation for e in final_plan_entries[-OUTCOME_KEEP:])
-    # the observations follow the summary as their own lines, so it never repeats them
-    summary = (reason or "").strip() or f"{node.id} ended with status {node.status.value}"
-    return OutcomeSummary(
-        terminal_status=node.status, summary_text=summary, key_observations=observations
-    )
-
-
 def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     """Work one ready node to a terminal status (or until a budget stops it).
 
     The loop is strictly: executor action -> environment step -> supervisor
-    evaluation -> optional node-local replan.  Replacing the plan never
+    evaluation -> optional node-local replan.  The node's plan, its trace and
+    its accepted replans are this call's locals, so replacing the plan never
     touches any other node.  The evaluator, and the outcome a closed node
     hands its dependents, read only the entries made since its last accepted
     replan; the executor and the replanner read the whole node trace, since
@@ -483,7 +494,9 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
     replanner is not.
     """
     node = graph.nodes[node_id]
-    plan_start = 0  # where the current plan's entries begin in node.local_trace
+    trace: list[TraceEntry] = []
+    plan_start = 0  # where the current plan's entries begin in trace
+    replans = 0
 
     def move(status: NodeStatus) -> None:
         node.set_status(status)
@@ -491,25 +504,30 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
 
     def close(status: NodeStatus, reason: str | None) -> NodeStatus:
         move(status)
-        node.outcome = _node_outcome(node, reason, node.local_trace[plan_start:])
-        return node.status
+        # the observations follow the summary as their own lines, so it never repeats them
+        summary = (reason or "").strip() or f"{node_id} ended with status {status.value}"
+        kept = tuple(e.observation for e in trace[plan_start:][-OUTCOME_KEEP:])
+        node.outcome = OutcomeSummary(summary_text=summary, key_observations=kept)
+        return status
 
     move(NodeStatus.IN_PROGRESS)
+    base = node_bindings(graph, node_id)
 
     guidance: str | None = None
     try:
-        node.plan = run.call("plan", node_bindings(graph, node_id), scope=node_id)
+        plan = run.call("plan", base, scope=node_id)
         # Run.stop() without its sink scan: no sink completes while this node runs
         while not (run.budget_spent() or run.env.done):
-            action = run.call("execute", node_bindings(graph, node_id, guidance), scope=node_id)
+            view = role_view(base, plan, trace, HISTORY_CAP, guidance)
+            action = run.call("execute", view, scope=node_id)
             guidance = None  # guidance lives for exactly one executor call
 
-            node.local_trace.append(run.act(action, scope=node_id))
+            trace.append(run.act(action, scope=node_id))
             if run.env.done:
                 return close(NodeStatus.COMPLETED, None)
 
             # one view per step: evaluate reads the current plan's entries, replan all of them
-            view = node_bindings(graph, node_id, since=plan_start)
+            view = role_view(base, plan, trace[plan_start:], HISTORY_CAP)
             evaluation = run.call("evaluate", view, scope=node_id)
             if evaluation.status == "completed":
                 return close(NodeStatus.COMPLETED, evaluation.reason)
@@ -523,17 +541,17 @@ def execute_node(graph: TaskGraph, node_id: str, run: Run) -> NodeStatus:
                 guidance = evaluation.reason  # hand to exactly the next executor call
                 continue
             if plan_start:
-                view["history"] = assemble_history(node.local_trace, HISTORY_CAP)
+                view["history"] = assemble_history(trace, HISTORY_CAP)
             new_plan = run.call("replan", {**view, "reason": evaluation.reason}, scope=node_id)
             if new_plan is None:
                 run.emit("replan", scope=node_id, accepted=False)
-            elif node.replan_count >= run.config.max_replans_per_node:
+            elif replans >= run.config.max_replans_per_node:
                 run.emit("replan", scope=node_id, accepted=False, budget_exhausted=True)
-                return close(NodeStatus.FAILED, f"replan budget exhausted ({node.replan_count})")
+                return close(NodeStatus.FAILED, f"replan budget exhausted ({replans})")
             else:
-                node.plan = new_plan
-                node.replan_count += 1
-                plan_start = len(node.local_trace)
+                plan = new_plan
+                replans += 1
+                plan_start = len(trace)
                 run.emit("replan", scope=node_id, accepted=True)
     except RoleFault as fault:
         return close(NodeStatus.FAILED, str(fault))
@@ -659,18 +677,24 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
     is for inspection only: :func:`~tdp.graph.validate_graph` reports each
     terminal node's missing outcome, so :func:`~tdp.graph.apply_revision`
     rejects any delta on it.  Raises :class:`~tdp.telemetry.TraceError` on a
-    delta that is missing, unreadable or refused.
+    delta that is missing, unreadable or refused, and on a ``node_status``
+    whose status is not a :class:`~tdp.graph.NodeStatus`, naming the node and
+    the status.
     """
     graph = TaskGraph()
-    statuses: dict[str, str] = {}
+    statuses: dict[str, NodeStatus] = {}
     for event in events:
+        where = f"{event.kind} event {event.seq} of run {event.run_id!r}"
         if event.kind == "node_status":
-            statuses[event.payload["node_id"]] = event.payload["status"]
+            nid, status = event.payload["node_id"], event.payload["status"]
+            try:
+                statuses[nid] = NodeStatus(status)
+            except ValueError:
+                raise TraceError(f"{where}: node {nid!r} has unknown status {status!r}") from None
             continue
         applied = event.kind == "revision" and event.payload["status"] == "applied"
         if not (applied or event.kind == "graph_constructed"):
             continue
-        where = f"{event.kind} event {event.seq} of run {event.run_id!r}"
         doc = event.payload.get("delta")
         if doc is None:
             raise TraceError(f"{where} carries no delta")
@@ -683,5 +707,5 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
             raise TraceError(f"{where}: delta does not apply: {'; '.join(result.reasons)}")
         graph = result.graph
     for node_id in statuses.keys() & graph.nodes.keys():
-        graph.nodes[node_id].status = NodeStatus(statuses[node_id])
+        graph.nodes[node_id].status = statuses[node_id]
     return graph

@@ -1,12 +1,14 @@
 """Task graph: sub-task nodes, dependency edges, and the operations the engine
 runs against them.
 
-The graph is the engine's shared blackboard.  Nodes are planned and executed in
-isolation, so everything a downstream consumer may legitimately see is funneled
-through :class:`OutcomeSummary` records, which the engine's one node view,
-:func:`tdp.engine.node_bindings`, reads from direct dependencies only.  All
-mutation happens on the engine's single logical control thread; between
-mutations a graph value behaves as a snapshot.
+The graph is the engine's shared blackboard, and it holds only what other
+nodes and the supervisor read: each node's id, description, dependencies,
+status and outcome.  A node's plan, steps and replan count live in the call
+that works it (:func:`tdp.engine.execute_node`), so everything a downstream
+consumer may legitimately see is funneled through :class:`OutcomeSummary`
+records, which the engine's node view, :func:`tdp.engine.node_bindings`, reads
+from direct dependencies only.  All mutation happens on the engine's single
+logical control thread; between mutations a graph value behaves as a snapshot.
 """
 
 from __future__ import annotations
@@ -68,51 +70,32 @@ def legal_transition(old: NodeStatus, new: NodeStatus) -> bool:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    """One environment interaction: what was done and what came back."""
-
-    action: str
-    observation: str
-
-
-@dataclass(frozen=True)
 class OutcomeSummary:
     """What a finished node hands to its dependents.
 
-    ``summary_text`` must be nonempty for completed nodes; ``key_observations``
-    keeps only the last few raw observations (the engine decides how many).
+    ``key_observations`` keeps only the last few raw observations (the engine
+    decides how many).  How the node ended is its ``status``, and
+    :func:`validate_graph` holds a completed node's ``summary_text`` nonblank.
     """
 
-    terminal_status: NodeStatus
     summary_text: str
     key_observations: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.terminal_status.terminal:
-            raise GraphError(
-                f"outcome recorded for non-terminal status {self.terminal_status.value!r}"
-            )
-        if self.terminal_status is NodeStatus.COMPLETED and not self.summary_text.strip():
-            raise GraphError("completed outcome requires nonempty summary_text")
 
 
 @dataclass
 class SubTaskNode:
-    """One unit of decomposed work.
+    """One unit of decomposed work, as other nodes and the supervisor see it.
 
-    The node's ``plan`` is owned by the planner role and replaced wholesale on
-    an accepted replan; ``local_trace`` holds only this node's interactions.
-    ``outcome`` is present exactly when the status is terminal.
+    ``outcome`` is present exactly when the status is terminal.  The node's
+    plan, steps and replan count are not here: only the call that works the
+    node reads them (:func:`tdp.engine.execute_node`).
     """
 
     id: NodeId
     description: str
     dependencies: set[NodeId] = field(default_factory=set)
     status: NodeStatus = NodeStatus.PENDING
-    plan: Any = None  # roles.Plan once planned; kept loose to avoid an import cycle
-    local_trace: list[TraceEntry] = field(default_factory=list)
     outcome: OutcomeSummary | None = None
-    replan_count: int = 0
 
     def set_status(self, new: NodeStatus) -> None:
         """Move to `new`, enforcing the lifecycle rules."""
@@ -217,6 +200,9 @@ def validate_graph(graph: TaskGraph) -> list[str]:
             violations.append(f"outcome: non-terminal node {nid!r} carries an outcome")
         if node.status.terminal and node.outcome is None:
             violations.append(f"outcome: terminal node {nid!r} has no outcome")
+        if (node.status is NodeStatus.COMPLETED and node.outcome is not None
+                and not node.outcome.summary_text.strip()):
+            violations.append(f"outcome: completed node {nid!r} has a blank summary")
     if len(graph.nodes) > MAX_NODES:
         violations.append(f"size: graph has {len(graph.nodes)} nodes, over the cap of {MAX_NODES}")
     if graph.nodes:
@@ -309,15 +295,11 @@ def apply_revision(
             return RevisionResult(graph=graph, status="rejected", reasons=reasons)
 
     reasons: list[str] = []
-    # Copy the structure the edits below touch; plans, trace entries and
-    # outcomes are frozen, so the copy shares them with the original.
+    # Copy the structure the edits below touch; outcomes are frozen, so the
+    # copy shares them with the original.
     work = TaskGraph(
-        nodes={
-            nid: replace(
-                node, dependencies=set(node.dependencies), local_trace=list(node.local_trace)
-            )
-            for nid, node in graph.nodes.items()
-        },
+        nodes={nid: replace(node, dependencies=set(node.dependencies))
+               for nid, node in graph.nodes.items()},
         retired=graph.retired,
     )
 
@@ -463,7 +445,6 @@ __all__ = [
     "SchedulingError",
     "NodeStatus",
     "legal_transition",
-    "TraceEntry",
     "OutcomeSummary",
     "SubTaskNode",
     "TaskGraph",

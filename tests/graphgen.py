@@ -187,9 +187,8 @@ def random_dag(rng: random.Random, n: int) -> TaskGraph:
 # revision-sequence driver
 
 
-def _outcome_for(status: NodeStatus, nid: str) -> OutcomeSummary:
+def _outcome_for(nid: str) -> OutcomeSummary:
     return OutcomeSummary(
-        terminal_status=status,
         summary_text=f"{nid} wrapped up",
         key_observations=(f"last observation of {nid}",),
     )
@@ -207,8 +206,7 @@ def random_valid_graph(rng: random.Random, max_nodes: int = 8) -> TaskGraph:
         node = graph.nodes[nid]
         node.status = rng.choice(STATUSES)
         if node.status.terminal:
-            node.outcome = _outcome_for(node.status, nid)
-        node.replan_count = rng.randint(0, 2)
+            node.outcome = _outcome_for(nid)
     assert validate_graph(graph) == [], "generator must only emit valid graphs"
     return graph
 
@@ -273,7 +271,7 @@ def run_revision_sequence(rng: random.Random, length: int = 10) -> int:
     for serial in range(length):
         before = copy.deepcopy(graph)
         before_terminal = {
-            nid: (node.status, node.description, node.replan_count)
+            nid: (node.status, node.description, node.outcome)
             for nid, node in graph.nodes.items()
             if node.status.terminal
         }
@@ -284,13 +282,13 @@ def run_revision_sequence(rng: random.Random, length: int = 10) -> int:
             applied += 1
             assert validate_graph(result.graph) == [], result.graph
             # terminal nodes may disappear but never change
-            for nid, (status, description, replans) in before_terminal.items():
+            for nid, (status, description, outcome) in before_terminal.items():
                 if nid in result.graph.nodes:
                     survivor = result.graph.nodes[nid]
                     assert survivor.status is status
                     assert survivor.description == description
-                    assert survivor.replan_count == replans
                     assert survivor.outcome is not None
+                    assert survivor.outcome == outcome
             # the input graph object itself must not have been mutated
             assert graph == before
             graph = result.graph

@@ -630,11 +630,7 @@ def diamond_repair_config() -> RunConfig:
 
 def graph_with_target(extra_completed: int = 0) -> TaskGraph:
     graph = TaskGraph()
-    done = OutcomeSummary(
-        terminal_status=NodeStatus.COMPLETED,
-        summary_text="Prerequisite finished.",
-        key_observations=("all clear",),
-    )
+    done = OutcomeSummary(summary_text="Prerequisite finished.", key_observations=("all clear",))
     graph.nodes["node_1"] = SubTaskNode(
         id="node_1", description="Scout the room.", status=NodeStatus.COMPLETED, outcome=done
     )

@@ -138,13 +138,9 @@ def _snapshot(node: SubTaskNode) -> bytes:
         "description": node.description,
         "dependencies": sorted(node.dependencies),
         "status": node.status.value,
-        "replan_count": node.replan_count,
-        "plan": None if node.plan is None else list(node.plan.steps),
-        "trace": [(e.action, e.observation) for e in node.local_trace],
         "outcome": None
         if node.outcome is None
         else {
-            "terminal_status": node.outcome.terminal_status.value,
             "summary_text": node.outcome.summary_text,
             "key_observations": list(node.outcome.key_observations),
         },
@@ -213,7 +209,8 @@ def test_criterion_03_replanning_is_confined_to_the_blocked_node():
     assert execute_node(graph, "node_1", run) is NodeStatus.COMPLETED
     before = {nid: _snapshot(graph.nodes[nid]) for nid in ("node_1", "node_3")}
     assert execute_node(graph, "node_2", run) is NodeStatus.COMPLETED
-    assert graph.nodes["node_2"].replan_count == 1
+    assert [(e.payload["scope"], e.payload["accepted"])
+            for e in run.sink.events_for(run.run_id) if e.kind == "replan"] == [("node_2", True)]
     after = {nid: _snapshot(graph.nodes[nid]) for nid in ("node_1", "node_3")}
     assert after == before
 

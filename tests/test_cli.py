@@ -839,6 +839,46 @@ def test_a_mistyped_trace_field_is_named_and_the_other_runs_are_tabulated(
     assert {m: row["runs"] for m, row in _table_rows(captured.out).items()} == {"tdp": "1"}
 
 
+#: The golden diamond_repair trace given an event its graph cannot be rebuilt
+#: from: the kind of the first line changed, the change, and the error.
+UNREBUILDABLE = {
+    "unknown status": ("node_status", _set_payload(status="weird"),
+                       r"node_status event \d+ of run 'tdp__diamond_repair': "
+                       r"node 'node_1' has unknown status 'weird'"),
+    "construction that does not apply": (
+        "graph_constructed",
+        lambda doc: doc["payload"]["delta"]["new_nodes"][0]["dependencies"].append("ghost"),
+        r"graph_constructed event \d+ of run 'tdp__diamond_repair': delta does not apply: "
+        r"dangling: node 'node_1' depends on unknown 'ghost'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREBUILDABLE))
+def test_a_tdp_run_whose_graph_cannot_be_rebuilt_is_an_error(tmp_path, capsys, case):
+    """replay and report rebuild each tdp run's graph from its trace, so a
+    run with an unknown node status or a construction that does not apply is
+    an error line naming the file and run, not a record; report tabulates
+    the unchanged trace beside it."""
+    kind, change, message = UNREBUILDABLE[case]
+    good = tmp_path / "good.jsonl"
+    shutil.copyfile(REPO_ROOT / "tests" / "golden" / "tdp" / "diamond_repair.jsonl", good)
+    docs = [json.loads(line) for line in good.read_text().splitlines()]
+    change(next(doc for doc in docs if doc["kind"] == kind))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    error = re.escape(f"error: {bad}: run 'tdp__diamond_repair': ") + message + "\n"
+    capsys.readouterr()
+    assert dispatch(["replay", "--trace", str(good)]) == 0
+    capsys.readouterr()
+    assert dispatch(["replay", "--trace", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(error, captured.err)
+    assert dispatch(["report", "--traces", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(error, captured.err)
+    assert {m: row["runs"] for m, row in _table_rows(captured.out).items()} == {"tdp": "1"}
+
+
 def _table_rows(table):
     """{method: {column: cell}} of a comparison table, read by header position."""
     header, _rule, *rows = table.splitlines()

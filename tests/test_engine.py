@@ -20,10 +20,12 @@ from tdp.engine import (
     EngineError,
     Run,
     RunConfig,
+    TraceEntry,
     assemble_history,
     execute_node,
     node_bindings,
     replay_graph,
+    role_view,
     run_task,
     task_done,
 )
@@ -35,12 +37,18 @@ from tdp.graph import (
     RevisionDelta,
     SubTaskNode,
     TaskGraph,
-    TraceEntry,
     apply_revision,
     delta_to_doc,
     render_outcome,
 )
-from tdp.roles import FORMAT_REMINDER, RoleFault, ScriptedBackend, load_templates
+from tdp.roles import (
+    FORMAT_REMINDER,
+    RoleFault,
+    ScriptedBackend,
+    load_templates,
+    parse_plan,
+    render_plan,
+)
 from tdp.telemetry import CounterClock, TraceError, TraceSink, compute_metrics, read_trace
 
 from conftest import CONFIG_DIR, TRAVEL_FIXTURE, WIKI_FIXTURES
@@ -183,7 +191,7 @@ def _two_node_graph(dependency_outcome: OutcomeSummary) -> TaskGraph:
     graph = TaskGraph()
     graph.nodes["node_1"] = SubTaskNode(
         id="node_1", description="Confirm the cities.", status=NodeStatus.COMPLETED,
-        outcome=dependency_outcome, local_trace=[entry("a", "o")])
+        outcome=dependency_outcome)
     graph.nodes["node_2"] = SubTaskNode(
         id="node_2", description="Book flights.", dependencies={"node_1"})
     return graph
@@ -191,19 +199,27 @@ def _two_node_graph(dependency_outcome: OutcomeSummary) -> TaskGraph:
 
 class TestNodeBindings:
     def test_without_dependencies_there_are_no_prerequisites(self):
-        graph = _two_node_graph(OutcomeSummary(NodeStatus.COMPLETED, "Cities confirmed."))
+        graph = _two_node_graph(OutcomeSummary("Cities confirmed."))
         view = node_bindings(graph, "node_1")
-        assert view["prerequisites"] is None
-        assert view["history"] == "Action: a\nObservation: o"
+        assert view == {"subgoal": "Confirm the cities.", "prerequisites": None, "if_sink": None}
+
+    def test_the_role_view_adds_the_plan_guidance_and_capped_history_to_its_base(self):
+        base = node_bindings(_two_node_graph(OutcomeSummary("Cities confirmed.")), "node_2")
+        trace = [entry(f"a{i}", f"o{i}") for i in range(1, 5)]
+        plan = plan_reply("Book it.")
+        view = role_view(base, parse_plan(plan), trace, 2, "Mind the dates.")
+        assert view == {**base, "current_plan": render_plan(parse_plan(plan)),
+                        "guidance": "Mind the dates.", "history": assemble_history(trace, 2)}
+        assert role_view(base, None, [], HISTORY_CAP) == {
+            **base, "current_plan": None, "guidance": None, "history": NO_ACTIONS_YET}
 
     def test_only_a_node_nothing_depends_on_reads_the_final_action_rule(self):
-        graph = _two_node_graph(OutcomeSummary(NodeStatus.COMPLETED, "Cities confirmed."))
+        graph = _two_node_graph(OutcomeSummary("Cities confirmed."))
         assert node_bindings(graph, "node_1")["if_sink"] is None
         assert node_bindings(graph, "node_2")["if_sink"] == ""
 
     def test_dependency_outcomes_render_ids_not_descriptions(self):
         outcome = OutcomeSummary(
-            terminal_status=NodeStatus.COMPLETED,
             summary_text="Cities confirmed.",
             key_observations=("Cities in Illinois: Chicago, Peoria",))
         view = node_bindings(_two_node_graph(outcome), "node_2")
@@ -212,17 +228,16 @@ class TestNodeBindings:
             "- [node_1] Cities confirmed.\n"
             "  observed: Cities in Illinois: Chicago, Peoria\n"
         )
-        assert view["history"] == "(no actions yet)"  # its own trace only
+        assert "history" not in view  # the call working the node adds its own trace
 
     def test_an_outcome_renders_its_summary_then_each_observation_indented(self):
         """A multi-line observation (the travel fixture's lodging search
         answers one line per place) keeps its continuation lines under its
         ``observed:`` line, not at column 0 beside the prompt's own labels.
         The status is not rendered: the line that heads the outcome says it."""
-        failed = OutcomeSummary(terminal_status=NodeStatus.FAILED, summary_text="No way in.")
+        failed = OutcomeSummary(summary_text="No way in.")
         lodging = "Riverside Inn | double | $95\nWarehouse District Suites | suite | $140"
-        done = OutcomeSummary(terminal_status=NodeStatus.COMPLETED, summary_text="Done.",
-                              key_observations=(lodging, "o2"))
+        done = OutcomeSummary(summary_text="Done.", key_observations=(lodging, "o2"))
         assert render_outcome(failed) == "No way in."
         assert render_outcome(done) == (
             "Done.\n"
@@ -260,6 +275,13 @@ def _lab_run(config, sink=None, instance=None) -> Run:
     step budget."""
     return Run("tdp", instance or diamond_instance(), make_environment("textlab"), config,
                sink=sink, run_id="r")
+
+
+def _steps(run: Run, scope: str = "node_1") -> list[TraceEntry]:
+    """The steps `scope` took, as the run's ``env_step`` events record them."""
+    return [entry(e.payload["action"], e.payload["observation"])
+            for e in run.sink.events_for(run.run_id)
+            if e.kind == "env_step" and e.payload["scope"] == scope]
 
 
 class TestConstruct:
@@ -380,13 +402,14 @@ class TestExecuteNode:
             s_max=5,
         )
         graph = _single_node_graph()
-        status = execute_node(graph, "node_1", _lab_run(config))
+        run = _lab_run(config)
+        status = execute_node(graph, "node_1", run)
         assert status is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
         assert node.outcome.summary_text == "Drawer opened and inspected."
         assert node.outcome.key_observations == (
             "You open the drawer. Inside you see: key.",)
-        assert [e.action for e in node.local_trace] == ["open drawer"]
+        assert _steps(run) == [entry("open drawer", "You open the drawer. Inside you see: key.")]
 
     @pytest.mark.parametrize("reason", [None, "  "])
     def test_an_outcome_without_a_reason_shows_each_observation_once(self, reason):
@@ -422,9 +445,11 @@ class TestExecuteNode:
                   run_id="r")
         assert execute_node(graph, "node_1", run) is NodeStatus.COMPLETED
         node = graph.nodes["node_1"]
-        assert node.replan_count == 1
-        assert [e.action for e in node.local_trace] == ["work 1", "resolve 1"]
-        obstacle = node.local_trace[0].observation
+        assert [(e.payload["scope"], e.payload["accepted"]) for e in run.sink.events_for("r")
+                if e.kind == "replan"] == [("node_1", True)]
+        steps = _steps(run)
+        assert [e.action for e in steps] == ["work 1", "resolve 1"]
+        obstacle = steps[0].observation
         assert obstacle.startswith("obstacle at stage 1:")
         assert node.outcome.key_observations == ("stage 1 resolved",)
         assert node.outcome.summary_text == "Stage 1 finished with its work order done."
@@ -434,7 +459,7 @@ class TestExecuteNode:
         before, replan, execute, after = (prompt for _, prompt in calls[2:])
         assert obstacle in before and obstacle in replan and obstacle in execute
         history = after.split("History:\n", 1)[1].split("\n\nReply with JSON:", 1)[0]
-        assert history == assemble_history(node.local_trace[1:], HISTORY_CAP)
+        assert history == assemble_history(steps[1:], HISTORY_CAP)
         assert history == "Action: resolve 1\nObservation: stage 1 resolved"
         assert NO_ACTIONS_YET not in before + after
 
@@ -535,9 +560,10 @@ class TestExecuteNode:
         sink = TraceSink(clock=CounterClock())
         status = execute_node(graph, "node_1", _lab_run(config, sink))
         assert status is NodeStatus.COMPLETED
-        node = graph.nodes["node_1"]
-        assert node.replan_count == 1
-        assert node.plan.steps == ("Open the drawer directly.",)
+        # the executor reads the first plan, then the new one in its place
+        first, second = (p for _, p in config.role_backends["executor"].calls)
+        assert "Twist the knob." in first and "Open the drawer directly." not in first
+        assert "Open the drawer directly." in second and "Twist the knob." not in second
         replans = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert len(replans) == 1
         assert replans[0].payload == {"scope": "node_1", "accepted": True}
@@ -565,9 +591,8 @@ class TestExecuteNode:
         sink = TraceSink(clock=CounterClock())
         status = execute_node(graph, "node_1", _lab_run(config, sink))
         assert status is NodeStatus.COMPLETED
-        node = graph.nodes["node_1"]
-        assert node.replan_count == 0
-        assert node.plan.steps == ("Keep at it.",)
+        prompts = [p for _, p in config.role_backends["executor"].calls]
+        assert len(prompts) == 2 and all("Keep at it." in p for p in prompts)
         (replan,) = [e for e in sink.events_for("r") if e.kind == "replan"]
         assert replan.payload == {"scope": "node_1", "accepted": False}
 
@@ -596,7 +621,9 @@ class TestExecuteNode:
         """node_1 completes after one accepted replan, node_2 fails and node_3
         is never dispatched: the record folded from the events gives each
         dispatched node's live status, replans and trace length, and no
-        record for node_3."""
+        record for node_3.  The live counts come from the run's steps, counted
+        as Run.act takes them, and from the planner's recorded replan calls,
+        each of which is accepted."""
         d2 = "Check the stove."
         config = _exec_config(
             [
@@ -624,11 +651,22 @@ class TestExecuteNode:
         for nid, description in (("node_1", D1), ("node_2", d2), ("node_3", "Never run.")):
             graph.nodes[nid] = SubTaskNode(id=nid, description=description)
         run = _lab_run(config, TraceSink(clock=CounterClock()))
+        steps: dict[str, int] = {}
+        act = run.act
+
+        def counting_act(action, scope="global"):
+            steps[scope] = steps.get(scope, 0) + 1
+            return act(action, scope)
+
+        run.act = counting_act
         for nid in ("node_2", "node_1"):
             execute_node(graph, nid, run)
         record = run.finish("Terminated", "every ready node ran")
-        live = {nid: {"status": node.status.value, "replan_count": node.replan_count,
-                      "trace_len": len(node.local_trace)}
+        replan_prompts = [p for tag, p in config.role_backends["planner"].calls
+                          if tag == "planner:replan"]
+        live = {nid: {"status": node.status.value,
+                      "replan_count": sum(node.description in p for p in replan_prompts),
+                      "trace_len": steps[nid]}
                 for nid, node in graph.nodes.items() if nid != "node_3"}
         assert record.node_records == live
         assert [(r["status"], r["replan_count"]) for r in record.node_records.values()] == [
@@ -687,7 +725,7 @@ class TestExecuteNode:
         run.steps_used = config.s_max
         status = execute_node(graph, "node_1", run)
         assert status is NodeStatus.IN_PROGRESS
-        assert graph.nodes["node_1"].local_trace == []
+        assert _steps(run) == [] and run.env.metrics()["env_steps"] == 0
         assert config.role_backends["executor"].calls == []
 
     def test_environment_done_hands_control_back_mid_node(self):
@@ -709,9 +747,8 @@ class TestExecuteNode:
         assert run.env.done
         assert status is NodeStatus.COMPLETED  # it delivered, with no verdict asked
         node = graph.nodes["node_1"]
-        assert len(node.local_trace) == 1
-        assert node.outcome is not None and node.outcome.key_observations == (
-            node.local_trace[0].observation,)
+        (step,) = _steps(run)
+        assert node.outcome is not None and node.outcome.key_observations == (step.observation,)
         assert config.role_backends["supervisor"].calls == []  # no verdict can change it
 
     def test_no_replan_after_the_step_that_spends_the_budget(self):
@@ -989,7 +1026,6 @@ class TestRunTask:
         assert len(prompts) == stages - 1
         for k, prompt in enumerate(prompts, start=1):
             outcome = OutcomeSummary(
-                terminal_status=NodeStatus.COMPLETED,
                 summary_text=f"Stage {k} finished with its work order done.",
                 key_observations=(f"stage {k} resolved",))
             deps = f"node_{k - 1}" if k > 1 else "none"

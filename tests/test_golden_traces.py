@@ -33,7 +33,7 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
@@ -47,7 +47,7 @@ from tdp.engine import NO_ACTIONS_YET, RunConfig, execute_node, replay_graph, ru
 from tdp.environments import Environment, TaskInstance, load_task_instance, make_environment
 from tdp.environments.base import command_syntax
 from tdp.fields import check_fields
-from tdp.graph import NodeStatus, ready_nodes
+from tdp.graph import NodeStatus, SubTaskNode, TaskGraph, ready_nodes
 from tdp.roles import (
     ParseFault,
     load_template,
@@ -517,31 +517,60 @@ def test_every_event_matches_the_event_table(name, tmp_path):
 
 @pytest.mark.parametrize("name", TDP_CASES)
 def test_the_trace_alone_rebuilds_the_final_graph(name, tmp_path, monkeypatch):
-    """The record's node records are the dispatched nodes, each of which
-    replay_graph over the trace file rebuilds or records as retired; the
-    revising chains' nodes carry their reworded descriptions.  What no event
-    restates reads from the trace too: a node's dispatch is its first
-    node_status, in_progress, in the order the run dispatched; a round's
-    dispatches, between revisions, follow ready_nodes over the graph
-    replayed to the round's start, all of them but in the last round; and
-    the record gives each node the replan count and the trace length the
-    live run left it."""
+    """replay_graph over the trace file rebuilds the live run's final graph,
+    every node field but the outcome, which no event records, and the retired
+    ids; so a node field the trace cannot rebuild fails here.  The record's
+    node records are the dispatched nodes, each of which the replayed graph
+    holds or records as retired; the revising chains' nodes carry their
+    reworded descriptions.  What no event restates reads from the trace too:
+    a node's dispatch is its first node_status, in_progress, in the order the
+    run dispatched; a round's dispatches, between revisions, follow
+    ready_nodes over the graph replayed to the round's start, all of them but
+    in the last round; and the record gives each node the replan count and
+    the trace length the live run gave it, counted from the replans the
+    planner returned within the cap and the steps Run.act took."""
     order: list[str] = []
     live: dict[str, dict[str, int]] = {}
+    finals: list[TaskGraph] = []
+    act, call, finish = engine.Run.act, engine.Run.call, engine.Run.finish
 
     def spy(graph, node_id, run):
         order.append(node_id)
-        status = execute_node(graph, node_id, run)
-        node = graph.nodes[node_id]
-        live[node_id] = {"replan_count": node.replan_count, "trace_len": len(node.local_trace)}
-        return status
+        live[node_id] = {"replan_count": 0, "trace_len": 0}
+        return execute_node(graph, node_id, run)
+
+    def counting_act(run, action, scope="global"):
+        live[scope]["trace_len"] += 1
+        return act(run, action, scope)
+
+    def counting_call(run, template, bindings, scope="global"):
+        value = call(run, template, bindings, scope)
+        if template == "replan" and value is not None and (
+                live[scope]["replan_count"] < run.config.max_replans_per_node):
+            live[scope]["replan_count"] += 1
+        return value
+
+    def keeping_finish(run, terminal, reason):
+        finals.append(run.graph)
+        return finish(run, terminal, reason)
 
     golden = _run_of(name).trace
     monkeypatch.setattr(engine, "execute_node", spy)
+    for attr, method in (("act", counting_act), ("call", counting_call),
+                         ("finish", keeping_finish)):
+        monkeypatch.setattr(engine.Run, attr, method)
     assert run_case(CASES[name], tmp_path).trace == golden
     header, events = _read_run(name, tmp_path)
     assert header["version"] == TRACE_VERSION
     graph = replay_graph(events)
+
+    def rebuilt(g: TaskGraph) -> tuple[dict[str, dict[str, Any]], frozenset[str]]:
+        return {nid: {f.name: getattr(node, f.name) for f in fields(SubTaskNode)
+                      if f.name != "outcome"}
+                for nid, node in g.nodes.items()}, g.retired
+
+    (final,) = finals
+    assert rebuilt(graph) == rebuilt(final)
     dispatched = [e.payload["node_id"] for e in dispatches(events)]
     record = compute_metrics(events, header["meta"]["gold"])
     assert dispatched == order

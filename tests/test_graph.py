@@ -23,7 +23,7 @@ from graphgen import (
     run_revision_sequence,
     sorted_nodes,
 )
-from tdp.engine import node_bindings, replay_graph
+from tdp.engine import HISTORY_CAP, TraceEntry, node_bindings, replay_graph, role_view
 from tdp.graph import (
     MAX_NODES,
     GraphError,
@@ -34,7 +34,6 @@ from tdp.graph import (
     SchedulingError,
     SubTaskNode,
     TaskGraph,
-    TraceEntry,
     apply_revision,
     delta_to_doc,
     legal_transition,
@@ -54,7 +53,7 @@ def node(nid, deps=(), status=NodeStatus.PENDING, description=None):
     )
     made.status = status
     if status.terminal:
-        made.outcome = OutcomeSummary(terminal_status=status, summary_text=f"{nid} finished")
+        made.outcome = OutcomeSummary(summary_text=f"{nid} finished")
     return made
 
 
@@ -93,14 +92,23 @@ def test_set_status_enforces_lifecycle():
         fresh.set_status(NodeStatus.COMPLETED)  # must pass through in_progress
 
 
-def test_outcome_summary_rules():
-    with pytest.raises(GraphError, match="non-terminal"):
-        OutcomeSummary(terminal_status=NodeStatus.PENDING, summary_text="x")
-    with pytest.raises(GraphError, match="nonempty summary_text"):
-        OutcomeSummary(terminal_status=NodeStatus.COMPLETED, summary_text="   ")
+def test_validate_holds_each_outcome_to_its_nodes_status():
+    """How a node ended is its status alone: an outcome on a non-terminal
+    node is a violation, and so is a completed node's blank summary, which
+    a revision of the graph then refuses."""
+    g = graph_of(node("a"))
+    g.nodes["a"].outcome = OutcomeSummary(summary_text="x")
+    assert validate_graph(g) == ["outcome: non-terminal node 'a' carries an outcome"]
+    g = graph_of(node("a", status=NodeStatus.COMPLETED))
+    g.nodes["a"].outcome = OutcomeSummary(summary_text="   ")
+    assert validate_graph(g) == ["outcome: completed node 'a' has a blank summary"]
+    result = apply_revision(g, RevisionDelta(new_nodes=(NewNodeSpec(id="b", description="b"),)))
+    assert (result.status, result.reasons) == (
+        "rejected", ("outcome: completed node 'a' has a blank summary",))
     # a failed node may legitimately have nothing to summarize
-    failed = OutcomeSummary(terminal_status=NodeStatus.FAILED, summary_text="")
-    assert failed.terminal_status is NodeStatus.FAILED
+    g = graph_of(node("a", status=NodeStatus.FAILED))
+    g.nodes["a"].outcome = OutcomeSummary(summary_text="")
+    assert validate_graph(g) == []
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +140,7 @@ def test_validate_reports_every_violation_kind():
 
     # outcome on a non-terminal node
     g = graph_of(node("a"))
-    g.nodes["a"].outcome = OutcomeSummary(
-        terminal_status=NodeStatus.COMPLETED, summary_text="too early"
-    )
+    g.nodes["a"].outcome = OutcomeSummary(summary_text="too early")
     assert any("non-terminal node 'a' carries an outcome" in v for v in validate_graph(g))
 
     # terminal node without an outcome
@@ -263,9 +269,7 @@ def test_ready_is_lexicographic_and_blocked_by_non_completed_deps():
     g.nodes["a"].status = NodeStatus.FAILED
     assert ready_nodes(g) == ["b"]  # c blocked permanently by the failure
     g.nodes["b"].status = NodeStatus.COMPLETED
-    g.nodes["b"].outcome = OutcomeSummary(
-        terminal_status=NodeStatus.COMPLETED, summary_text="done"
-    )
+    g.nodes["b"].outcome = OutcomeSummary(summary_text="done")
     assert ready_nodes(g) == ["d"]
 
 
@@ -286,17 +290,19 @@ def test_node_bindings_show_direct_dependencies_and_no_grandparent():
         node("c", deps=["a"], status=NodeStatus.COMPLETED),
         node("d", deps=["c", "b"], description="combine the parts"),
     )
-    g.nodes["d"].local_trace.append(TraceEntry(action="look", observation="parts"))
-    view = node_bindings(g, "d", guidance="mind the order")
-    assert view["subgoal"] == "combine the parts"
-    assert view["current_plan"] is None and view["guidance"] == "mind the order"
+    base = node_bindings(g, "d")
     # sorted, regardless of declaration order; the grandparent a is not shown
-    assert view["prerequisites"] == (
-        "Prerequisite results:\n- [b] b finished\n- [c] c finished\n"
-    )
-    assert "a finished" not in "".join(str(v) for v in view.values())
-    assert view["history"] == "Action: look\nObservation: parts"
+    assert base == {
+        "subgoal": "combine the parts",
+        "prerequisites": "Prerequisite results:\n- [b] b finished\n- [c] c finished\n",
+        "if_sink": "",
+    }
     assert node_bindings(g, "a")["prerequisites"] is None
+    # the node's plan, steps and guidance come from the call working it
+    view = role_view(base, None, [TraceEntry(action="look", observation="parts")], HISTORY_CAP,
+                     guidance="mind the order")
+    assert view == {**base, "current_plan": None, "guidance": "mind the order",
+                    "history": "Action: look\nObservation: parts"}
 
 
 def test_node_bindings_refuse_an_unknown_node_and_unfinished_or_missing_dependencies():
@@ -554,7 +560,6 @@ def test_rejection_is_atomic_even_when_parts_were_valid():
 
 def test_applied_result_shares_no_mutable_structure_with_the_original():
     g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]))
-    g.nodes["a"].local_trace.append(TraceEntry(action="look", observation="ok"))
     before = copy.deepcopy(g)
     result = apply_revision(
         g, RevisionDelta(description_updates=(("b", "sharper b"),))
@@ -562,10 +567,7 @@ def test_applied_result_shares_no_mutable_structure_with_the_original():
     assert result.applied
     result.graph.nodes["b"].dependencies.add("c")
     result.graph.nodes["a"].dependencies.add("z")
-    result.graph.nodes["a"].local_trace.append(
-        TraceEntry(action="again", observation="still ok"))
     assert g == before
-    assert len(g.nodes["a"].local_trace) == 1
 
 
 def test_post_edit_validation_rejects_structural_damage():
@@ -596,8 +598,6 @@ def test_a_revision_past_the_node_cap_is_rejected():
 
 def test_applied_revision_preserves_unrelated_state():
     g = graph_of(node("a", status=NodeStatus.COMPLETED), node("b", deps=["a"]))
-    g.nodes["b"].replan_count = 2
-    g.nodes["b"].local_trace.append(TraceEntry(action="x", observation="y"))
     result = apply_revision(
         g,
         RevisionDelta(
@@ -605,9 +605,7 @@ def test_applied_revision_preserves_unrelated_state():
         ),
     )
     assert result.applied
-    survivor = result.graph.nodes["b"]
-    assert survivor.replan_count == 2
-    assert survivor.local_trace == [TraceEntry(action="x", observation="y")]
+    assert result.graph.nodes["b"] == g.nodes["b"]
     assert result.graph.nodes["a"].outcome is not None
 
 
@@ -637,7 +635,7 @@ def test_render_dag_state_exact_format():
         {"a", "b"},
     )
     # a closed node's outcome goes beneath its line, as a dependent reads it
-    g.nodes["a"].outcome = OutcomeSummary(NodeStatus.COMPLETED, "a finished", ("seen\nmore", "o2"))
+    g.nodes["a"].outcome = OutcomeSummary("a finished", ("seen\nmore", "o2"))
     assert render_dag_state(g, closed=["a"]) == (
         "- a [completed] (deps: none): work item a\n"
         "  result: a finished\n"
