@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from .baselines import BASELINES
 from .engine import EngineError, RunConfig, replay_graph, run_task
@@ -52,9 +52,7 @@ def _build_backend(role: str, spec: Any, base_dir: Path) -> ModelBackend:
     kind = spec.get("kind")
     read = partial(read_field, spec, where=f"{kind} backend", error=CliError)
     if kind == "scripted":
-        rules = read("rules", str, list)
-        if isinstance(rules, list):
-            return ScriptedBackend(rules)
+        rules = read("rules", str)
         path = (base_dir / rules).resolve() if not Path(rules).is_absolute() else Path(rules)
         if not path.exists():
             raise CliError(f"script file not found: {path}")
@@ -188,6 +186,12 @@ def _trace_dir(args: argparse.Namespace) -> Path:
     return path
 
 
+def _reference(requested: str | None, methods: Collection[str]) -> str:
+    """The token-reduction reference: `requested` if given, else plan-act
+    when among `methods`, else the first of `methods` by name."""
+    return requested or ("plan-act" if "plan-act" in methods else sorted(methods)[0])
+
+
 def _report_line(record: MetricsRecord) -> str:
     """One run's summary from its record; an unknown token total shows ``-``."""
     prompt, output = (
@@ -226,7 +230,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise CliError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
         if method in methods[:pos]:  # its runs would overwrite the first ones' traces
             raise CliError(f"method {method!r} is named twice in --methods")
-    reference = args.reference
+    reference = _reference(args.reference, methods)
     if reference not in methods:
         raise CliError(
             f"reference method {reference!r} is not among --methods {', '.join(methods)}"
@@ -312,7 +316,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if errors:
             return 1
         raise CliError("no runs found in the given traces")
-    reference = args.reference or ("plan-act" if "plan-act" in batches else sorted(batches)[0])
+    reference = _reference(args.reference, batches)
     if reference not in batches:
         raise CliError(f"reference method {reference!r} not present in traces")
     print(compare_report(batches, reference=reference).format_table())
@@ -321,6 +325,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+REFERENCE_HELP = "token-reduction reference (default: plan-act if run, else the first by name)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--methods", required=True, help="comma-separated method names")
     cmp_p.add_argument("--tasks", required=True)
     cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--reference", default="plan-act", help="token-reduction reference")
+    cmp_p.add_argument("--reference", default=None, help=REFERENCE_HELP)
     cmp_p.add_argument("--trace-dir", default="traces")
     cmp_p.set_defaults(handler=_cmd_compare)
 
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rpt_p = sub.add_parser("report", help="aggregate existing traces into a table")
     rpt_p.add_argument("--traces", required=True, nargs="+", help="trace files or globs")
-    rpt_p.add_argument("--reference", default=None)
+    rpt_p.add_argument("--reference", default=None, help=REFERENCE_HELP)
     rpt_p.set_defaults(handler=_cmd_report)
 
     return parser

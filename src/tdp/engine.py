@@ -78,6 +78,7 @@ from .roles import (
     ModelBackend,
     ParseFault,
     Plan,
+    RemoteChatBackend,
     RoleFault,
     load_templates,
     parse_revision,
@@ -123,7 +124,7 @@ class RunConfig:
     """Everything a run needs besides the task and the environment.
 
     ``role_backends`` maps role names (supervisor/planner/executor) to model
-    backends.
+    backends.  A run's trace clock follows them (:meth:`make_clock`).
     """
 
     s_max: int = 30
@@ -131,7 +132,6 @@ class RunConfig:
     parser_retry_budget: int = 2
     role_backends: dict[str, ModelBackend] = field(default_factory=dict)
     environment: str | None = None
-    deterministic_clock: bool = True
 
     def __post_init__(self) -> None:
         if self.s_max < 1:
@@ -153,7 +153,11 @@ class RunConfig:
             raise EngineError(f"missing backend(s) for role(s): {', '.join(missing)}")
 
     def make_clock(self) -> Callable[[], float]:
-        return CounterClock() if self.deterministic_clock else time.time
+        """Wall time when any role's backend is remote; otherwise a counter,
+        so a run over scripted backends writes a byte-identical trace."""
+        if any(isinstance(b, RemoteChatBackend) for b in self.role_backends.values()):
+            return time.time
+        return CounterClock()
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +234,7 @@ def node_bindings(graph: TaskGraph, node_id: str) -> dict[str, Any]:
     return {
         "subgoal": node.description,
         "prerequisites": prerequisites,
-        "if_sink": None if any(node_id in n.dependencies for n in graph.nodes.values()) else "",
+        "if_sink": "" if node_id in graph.sinks() else None,
     }
 
 
@@ -670,8 +674,7 @@ def replay_graph(events: Iterable[TraceEvent]) -> TaskGraph:
     Starts from the empty graph and applies the delta of
     ``graph_constructed`` and then of each applied ``revision``, in order,
     each read back through :func:`~tdp.roles.parse_revision` since a trace is
-    outside input; an applied delta without edits, which an older trace can
-    hold, changes nothing.  The same pass keeps each node's last ``node_status``,
+    outside input.  The same pass keeps each node's last ``node_status``,
     which the nodes still in the graph then carry; a node's outcome is not in
     the trace, so a terminal node comes back without one.  The rebuilt graph
     is for inspection only: :func:`~tdp.graph.validate_graph` reports each

@@ -34,19 +34,12 @@ class StepResult:
 
 class Command(NamedTuple):
     """One row of a command table: the line the acting prompts list (the call,
-    `` - `` and what it does; :func:`command_syntax` cuts it to the call),
+    `` - `` and what it does; :func:`command_syntax` cuts it to the call) and
     ``handler(env, *args)`` giving the observation for the arguments the
-    mock's ``_act`` reads from an action, and the usage reply where it names
-    the call in other words than the line."""
+    mock's ``_act`` reads from an action."""
 
     line: str
     handler: Callable[..., str]
-    usage: str | None = None
-
-    @property
-    def syntax(self) -> str:
-        """How the command is called: its usage, or its line's call syntax."""
-        return self.usage or command_syntax(self.line)
 
 
 def command_syntax(line: str) -> str:

@@ -6,7 +6,9 @@ import re
 from typing import Any
 
 from ..fields import check_value, read_field
-from .base import BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance
+from .base import (
+    BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance, command_syntax,
+)
 
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
@@ -104,6 +106,6 @@ class MockWiki(Environment):
         match = BRACKET_CALL_RE.match(action.strip())
         command = self.commands.get(match.group(1)) if match else None
         if command is None:
-            valid = ", ".join(c.syntax for c in self.commands.values())
+            valid = ", ".join(command_syntax(c.line) for c in self.commands.values())
             return StepResult(observation=f"Invalid action. Valid actions: {valid}.")
         return StepResult(observation=command.handler(self, match.group(2)), done=self._done)

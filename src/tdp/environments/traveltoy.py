@@ -12,7 +12,9 @@ from functools import partial
 from typing import Any
 
 from ..fields import check_value, read_field
-from .base import BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance
+from .base import (
+    BRACKET_CALL_RE, Command, Environment, FixtureError, StepResult, TaskInstance, command_syntax,
+)
 
 # the keys a tool reads from every row of its table; the tables in _LISTS
 # are lists of rows, the others map a city to its list of rows
@@ -151,13 +153,11 @@ class TravelToy(Environment):
         "FlightSearch": Command(
             "FlightSearch[origin, destination, date] - list flights between two cities on a date",
             _flight_search,
-            "FlightSearch[origin city, destination city, date]",
         ),
         "GoogleDistanceMatrix": Command(
             "GoogleDistanceMatrix[origin, destination, mode] - distance, duration and cost "
             "between two cities (mode: self-driving or taxi)",
             _distance,
-            "GoogleDistanceMatrix[origin city, destination city, mode]",
         ),
         "AccommodationSearch": Command(
             "AccommodationSearch[city] - list places to stay in a city",
@@ -175,12 +175,10 @@ class TravelToy(Environment):
         "NotebookWrite": Command(
             "NotebookWrite[note] - store one piece of gathered information in the notebook",
             _notebook_write,
-            "NotebookWrite[short description of the information to store]",
         ),
         "MakePlan": Command(
             "MakePlan[query] - assemble the final travel plan from the notebook and finish",
             _make_plan,
-            "MakePlan[the travel query to plan for]",
         ),
     }
 
@@ -193,9 +191,10 @@ class TravelToy(Environment):
         command = self.commands.get(tool)
         if command is None:
             return StepResult(f"Unknown tool '{tool}'. Tools: {tools}.")
-        # one comma-separated argument per slot of the tool's usage line
+        # one comma-separated argument per slot of the tool's call syntax
+        syntax = command_syntax(command.line)
         whole = command.handler in self._WHOLE_BRACKET
         args = [a.strip() for a in ([bracket] if whole else bracket.split(","))]
-        if len(args) != command.syntax.count(",") + 1 or not all(args):
-            return StepResult(f"Usage: {command.syntax}")
+        if len(args) != syntax.count(",") + 1 or not all(args):
+            return StepResult(f"Usage: {syntax}")
         return StepResult(observation=command.handler(self, *args), done=self._done)

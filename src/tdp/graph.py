@@ -39,9 +39,8 @@ class SchedulingError(GraphError):
 class NodeStatus(str, Enum):
     """Lifecycle of a sub-task node.
 
-    Legal transitions: Pending -> InProgress, InProgress -> Completed/Failed,
-    and InProgress -> InProgress while a node keeps stepping.  Terminal states
-    are never left.
+    Legal transitions: Pending -> InProgress, InProgress -> Completed/Failed.
+    Terminal states are never left.
     """
 
     PENDING = "pending"
@@ -56,9 +55,7 @@ class NodeStatus(str, Enum):
 
 _LEGAL_TRANSITIONS: dict[NodeStatus, frozenset[NodeStatus]] = {
     NodeStatus.PENDING: frozenset({NodeStatus.IN_PROGRESS}),
-    NodeStatus.IN_PROGRESS: frozenset(
-        {NodeStatus.IN_PROGRESS, NodeStatus.COMPLETED, NodeStatus.FAILED}
-    ),
+    NodeStatus.IN_PROGRESS: frozenset({NodeStatus.COMPLETED, NodeStatus.FAILED}),
     NodeStatus.COMPLETED: frozenset(),
     NodeStatus.FAILED: frozenset(),
 }

@@ -56,6 +56,7 @@ __all__ = [
     "ScriptedBackend",
     "ScriptRule",
     "RemoteChatBackend",
+    "REMOTE_TIMEOUT",
     "FORMAT_REMINDER",
 ]
 
@@ -425,22 +426,38 @@ def _whitespace_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class ScriptRule:
-    """One scripted reply: fires when every `match` string appears in the prompt.
+    """One scripted reply: fires for the role tag `role` when every `match`
+    string appears in the prompt.
 
     ``responses`` is indexed by the number of retry-reminder lines present in
     the prompt (clamped to the last entry), which keeps the backend a pure
     function of the prompt while letting retry scenarios script distinct
-    replies per attempt.  ``role`` restricts the rule to one role tag.
+    replies per attempt.
     """
 
     match: tuple[str, ...]
     responses: tuple[str, ...]
-    role: str | None = None
+    role: str
 
     def matches(self, role_tag: str, prompt: str) -> bool:
-        if self.role is not None and self.role != role_tag:
-            return False
-        return all(needle in prompt for needle in self.match)
+        return self.role == role_tag and all(needle in prompt for needle in self.match)
+
+
+def _rule_from_mapping(index: int, doc: Any) -> ScriptRule:
+    """Rule `index` of a script file: an object whose ``match`` and
+    ``responses`` are lists of strings, ``responses`` nonempty, and whose
+    ``role`` is a role tag; anything else is a ValueError naming the rule."""
+    where = f"script rule [{index}]"
+    check_value(doc, Mapping, name=where, error=ValueError)
+    unknown = sorted(set(doc) - {"match", "responses", "role"})
+    if unknown:
+        raise ValueError(f"{where} has unknown key(s) {unknown}; known: match, responses, role")
+    read = partial(read_field, doc, where=where, error=ValueError)
+    responses = tuple(read("responses", list[str]))
+    if not responses:
+        raise ValueError(f"{where} needs at least one response")
+    return ScriptRule(match=tuple(read("match", list[str])), responses=responses,
+                      role=read("role", str))
 
 
 class ScriptedBackend(ModelBackend):
@@ -451,39 +468,17 @@ class ScriptedBackend(ModelBackend):
     state per call and is safe to share between concurrent runs.
     """
 
-    def __init__(self, rules: Sequence[ScriptRule | Mapping[str, Any]]):
-        self.rules: tuple[ScriptRule, ...] = tuple(
-            rule if isinstance(rule, ScriptRule) else self._rule_from_mapping(i, rule)
-            for i, rule in enumerate(rules)
-        )
-
-    @staticmethod
-    def _rule_from_mapping(index: int, doc: Any) -> ScriptRule:
-        """Rule `index` of a script: an object with ``responses`` and optional
-        ``match`` and ``role``; anything else is a ValueError naming the rule."""
-        where = f"script rule [{index}]"
-        check_value(doc, Mapping, name=where, error=ValueError)
-        unknown = sorted(set(doc) - {"match", "responses", "role"})
-        if unknown:
-            raise ValueError(f"{where} has unknown key(s) {unknown}; known: match, responses, role")
-        read = partial(read_field, doc, where=where, error=ValueError)
-        responses = read("responses", str, list[str])
-        responses = (responses,) if isinstance(responses, str) else tuple(responses)
-        if not responses:
-            raise ValueError(f"{where} needs at least one response")
-        match = read("match", str, list[str], default="")
-        return ScriptRule(
-            match=(match,) if isinstance(match, str) else tuple(match),
-            responses=responses,
-            role=read("role", str, None, default=None),
-        )
+    def __init__(self, rules: Sequence[ScriptRule]):
+        self.rules = tuple(rules)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        rules = check_value(load_json(path, ValueError), list, name=f"script file {path}",
-                            error=ValueError)
+        """The backend of a script file: a JSON list of rule objects
+        (:func:`_rule_from_mapping`)."""
+        docs = check_value(load_json(path, ValueError), list, name=f"script file {path}",
+                           error=ValueError)
         try:
-            return cls(rules)
+            return cls([_rule_from_mapping(i, doc) for i, doc in enumerate(docs)])
         except ValueError as err:
             raise ValueError(f"script file {path}: {err}") from None
 
@@ -502,6 +497,10 @@ class ScriptedBackend(ModelBackend):
         )
 
 
+#: Seconds a remote request may take before it fails as a backend error.
+REMOTE_TIMEOUT = 120.0
+
+
 class RemoteChatBackend(ModelBackend):
     """Chat-completions HTTP backend.
 
@@ -516,17 +515,11 @@ class RemoteChatBackend(ModelBackend):
     The API key is read from the environment variable named in the
     configuration, never from config files, and goes in an unredirected
     header, which a redirect does not carry on.  Construction fails fast on
-    an unset variable or a non-``http(s)`` endpoint, so no run starts.
+    an unset variable or a non-``http(s)`` endpoint, so no run starts.  A
+    request waits at most :data:`REMOTE_TIMEOUT` seconds.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        credential_env: str,
-        temperature: float = 0.0,
-        timeout: float = 120.0,
-    ):
+    def __init__(self, endpoint: str, model: str, credential_env: str, temperature: float = 0.0):
         key = os.environ.get(credential_env, "")
         if not key:
             raise RuntimeError(
@@ -537,7 +530,6 @@ class RemoteChatBackend(ModelBackend):
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
-        self.timeout = timeout
         self._key = key
 
     def complete(self, role_tag: str, prompt: str) -> Completion:
@@ -550,7 +542,7 @@ class RemoteChatBackend(ModelBackend):
             headers={"Content-Type": "application/json"},
         )
         request.add_unredirected_header("Authorization", f"Bearer {self._key}")
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
+        with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT) as response:
             doc = check_value(json.load(response), dict, name="reply", error=TypeError)
         read = partial(read_field, doc, where="reply", error=TypeError)
         choices = read("choices", list[dict])

@@ -84,7 +84,7 @@ def revision_reply(*updates: tuple[str, str]) -> str:
     )
 
 
-def rule(role: str | None, match: list[str], *responses: str) -> ScriptRule:
+def rule(role: str, match: list[str], *responses: str) -> ScriptRule:
     return ScriptRule(match=tuple(match), responses=tuple(responses), role=role)
 
 

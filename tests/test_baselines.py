@@ -181,7 +181,7 @@ class TestCot:
 
     def test_planner_fault_terminates_before_any_step(self, wiki_instance):
         role_backends = _cot_backends(["x"])
-        role_backends["planner"] = ScriptedBackend([rule(None, [], "not a plan")])
+        role_backends["planner"] = ScriptedBackend([rule("planner:plan", [], "not a plan")])
         config = RunConfig(parser_retry_budget=0, role_backends=role_backends)
         report = run_cot(wiki_instance, _wiki_env(wiki_instance), config)
         assert report.reason.startswith("role fault:")

@@ -22,7 +22,7 @@ from tdp.cli import CliError, METHODS, dispatch, load_config
 from tdp.engine import RunConfig, run_task
 from tdp.environments import load_task_instance, make_environment
 from tdp.roles import RemoteChatBackend, ScriptedBackend
-from tdp.telemetry import TRACE_VERSION, TraceSink, read_trace
+from tdp.telemetry import TRACE_VERSION, CounterClock, TraceSink, read_trace
 
 from conftest import CONFIG_DIR, FIXTURE_DIR, REPO_ROOT
 from scenarios import TRANSPORT_FAULTS, Transport
@@ -32,6 +32,8 @@ TRAVEL_CONFIG = str(CONFIG_DIR / "scripted_travel.json")
 REMOTE_CONFIG = str(CONFIG_DIR / "remote_example.json")
 WIKI_TASKS = str(FIXTURE_DIR / "wiki")
 WIKI_ONE = str(FIXTURE_DIR / "wiki" / "wiki_peoria.json")
+#: A well-formed react rule of a script file.
+REACT_RULE = {"match": ["Lookup"], "responses": ["Action: Finish[x]"], "role": "executor:react"}
 TRAVEL_ONE = str(FIXTURE_DIR / "travel" / "illinois_trip.json")
 
 
@@ -69,19 +71,29 @@ class TestLoadConfig:
         with pytest.raises(CliError, match="config file not found"):
             load_config("/nowhere/config.json")
 
-    def test_inline_scripted_rules(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "backends": {"executor": {"kind": "scripted", "rules": [
-                {"role": "executor:react", "match": "anything",
-                 "responses": "Action: look"}]}},
-        }))
-        config = load_config(path)
-        assert isinstance(config.role_backends["executor"], ScriptedBackend)
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_each_shipped_config_loads_with_the_clock_its_backends_imply(
+        self, monkeypatch, config
+    ):
+        """Wall time for the remote config; the counter for the scripted ones,
+        whose traces are byte-identical."""
+        monkeypatch.setenv("TDP_API_KEY", "k-local-test")
+        clock = load_config(CONFIG_DIR / config).make_clock()
+        if config == "remote_example.json":
+            assert clock is time.time
+        else:
+            assert isinstance(clock, CounterClock)
+
+    def test_inline_scripted_rules_are_refused(self, tmp_path):
+        """A scripted backend's rules come from a script file alone."""
+        path = _write_config(tmp_path, {"backends": {"executor": {"kind": "scripted", "rules": [
+            {"role": "executor:react", "match": ["anything"], "responses": ["Action: look"]}]}}})
+        with pytest.raises(CliError, match="scripted backend: 'rules' must be a string, got \\["):
+            load_config(path)
 
     def test_script_file_resolved_relative_to_config(self, tmp_path):
         (tmp_path / "rules.json").write_text(json.dumps(
-            [{"role": None, "match": [], "responses": ["ok"]}]))
+            [{"role": "executor:react", "match": [], "responses": ["ok"]}]))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "backends": {"executor": {"kind": "scripted", "rules": "rules.json"}}}))
@@ -125,19 +137,17 @@ class TestLoadConfig:
         config = load_config(REMOTE_CONFIG)
         assert all(isinstance(b, RemoteChatBackend)
                    for b in config.role_backends.values())
-        assert config.deterministic_clock is False
 
     def test_every_key_maps_onto_its_run_config_field(self, tmp_path):
         doc = {"environment": "mockwiki", "s_max": 9, "max_replans_per_node": 1,
-               "parser_retry_budget": 0, "deterministic_clock": False}
+               "parser_retry_budget": 0}
         config = load_config(_write_config(tmp_path, doc))
         assert {key: getattr(config, key) for key in doc} == doc
-        assert config.make_clock() is time.time
         assert config.role_backends == {}
 
     @pytest.mark.parametrize("doc, message", [
-        ({"deterministic_clock": "false"}, "'deterministic_clock' must be true or false"),
-        ({"deterministic_clock": 0}, "'deterministic_clock' must be true or false"),
+        # the backends set the trace clock
+        ({"deterministic_clock": False}, "unknown config key 'deterministic_clock'"),
         ({"s_max": 7.9}, "'s_max' must be an integer, got 7.9"),
         ({"parser_retry_budget": "2"}, "'parser_retry_budget' must be an integer"),
         ({"max_replans_per_node": True}, "'max_replans_per_node' must be an integer"),
@@ -180,8 +190,8 @@ class TestLoadConfig:
         """A misspelt role would build a backend no call uses; it is refused
         with the roles the templates name."""
         path = _write_config(tmp_path, {"backends": {
-            "planer": {"kind": "scripted", "rules": []},
-            "executor": {"kind": "scripted", "rules": []}}})
+            "planer": {"kind": "scripted", "rules": "planner.json"},
+            "executor": {"kind": "scripted", "rules": "executor.json"}}})
         code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,
                          "--config", str(path), "--trace-dir", str(tmp_path)])
         assert code == 2
@@ -345,15 +355,17 @@ class TestRun:
         assert not list(tmp_path.glob("*.jsonl"))
 
     @pytest.mark.parametrize("bad_rule, message", [
-        ({"match": "Search"}, "script rule [1]: missing required field 'responses'"),
+        ({"match": ["Search"], "role": "executor:react"},
+         "script rule [1]: missing required field 'responses'"),
         (["Search", "Finish[x]"], "script rule [1] must be an object"),
-        ({"match": "Search", "responses": "Finish[x]", "regex": True},
-         "script rule [1] has unknown key(s) ['regex']"),
+        ({**REACT_RULE, "regex": True}, "script rule [1] has unknown key(s) ['regex']"),
+        ({**REACT_RULE, "match": "Search"},
+         "script rule [1]: 'match' must be a list of strings, got 'Search'"),
     ])
     def test_malformed_script_rule_is_exit_one_with_one_line(self, tmp_path, capsys,
                                                               bad_rule, message):
         script = tmp_path / "executor.json"
-        script.write_text(json.dumps([{"match": "Lookup", "responses": "Finish[x]"}, bad_rule]))
+        script.write_text(json.dumps([REACT_RULE, bad_rule]))
         path = _write_config(tmp_path, {"backends": {
             "executor": {"kind": "scripted", "rules": "executor.json"}}})
         code = dispatch(["run", "--method", "react", "--tasks", WIKI_ONE,
@@ -450,8 +462,9 @@ class TestRun:
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_role_backend_is_exit_two_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "executor.json").write_text(json.dumps([REACT_RULE]))
         path = _write_config(tmp_path, {"backends": {
-            "executor": {"kind": "scripted", "rules": [{"responses": "Finish[x]"}]}}})
+            "executor": {"kind": "scripted", "rules": "executor.json"}}})
         code = dispatch(["run", "--method", "tdp", "--tasks", WIKI_ONE,
                          "--config", str(path), "--trace-dir", str(tmp_path)])
         assert code == 2
@@ -503,6 +516,16 @@ class TestCompare:
         table = capsys.readouterr().out.split("\n\n", 1)[1]
         runpy.run_path(str(REPO_ROOT / "demos" / "compare_methods.py"), run_name="__main__")
         assert capsys.readouterr().out == table
+
+    def test_without_plan_act_the_first_method_by_name_is_the_reference(self, tmp_path, capsys):
+        code = dispatch(["compare", "--methods", "tdp,react",
+                         "--tasks", WIKI_ONE, "--config", WIKI_CONFIG,
+                         "--trace-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        table = out.split("\n\n", 1)[1].splitlines()
+        assert table[0].startswith("method") and "tok_reduction" in table[0]
+        assert [row.split()[:2] for row in table[2:]] == [["react", "(ref)"], ["tdp", "1"]]
 
     def test_reference_must_be_among_methods(self, tmp_path, capsys):
         code = dispatch(["compare", "--methods", "tdp,react",

@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import random
+import time
 import warnings
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from tdp.engine import (
 from tdp.environments import load_task_instance, make_environment
 from tdp.graph import (
     MAX_NODES,
+    GraphError,
     NodeStatus,
     OutcomeSummary,
     RevisionDelta,
@@ -43,6 +45,7 @@ from tdp.graph import (
 )
 from tdp.roles import (
     FORMAT_REMINDER,
+    RemoteChatBackend,
     RoleFault,
     ScriptedBackend,
     load_templates,
@@ -122,11 +125,14 @@ class TestRunConfig:
         with pytest.raises(EngineError, match="supervisor, planner"):
             config.require_roles("supervisor", "planner", "executor")
 
-    def test_deterministic_clock_choice(self):
+    def test_the_clock_is_wall_time_once_any_backend_is_remote(self, monkeypatch):
         assert isinstance(RunConfig().make_clock(), CounterClock)
-        import time
-
-        assert RunConfig(deterministic_clock=False).make_clock() is time.time
+        scripted = {"planner": ScriptedBackend([])}
+        assert isinstance(RunConfig(role_backends=scripted).make_clock(), CounterClock)
+        monkeypatch.setenv("PROBE_KEY", "k-local-test")
+        remote = RemoteChatBackend("https://example.invalid/v1", "m", "PROBE_KEY")
+        config = RunConfig(role_backends={**scripted, "executor": remote})
+        assert config.make_clock() is time.time
 
 
 class TestRunStepBudget:
@@ -673,6 +679,14 @@ class TestExecuteNode:
             ("completed", 1), ("failed", 0)]
         assert (record.steps_used, record.replans_total) == (run.steps_used, 1)
 
+    def test_a_running_node_is_not_dispatched_again(self):
+        graph = _single_node_graph()
+        graph.nodes["node_1"].set_status(NodeStatus.IN_PROGRESS)
+        run = _lab_run(RunConfig())
+        with pytest.raises(GraphError, match="illegal status transition in_progress -> in_progress"):
+            execute_node(graph, "node_1", run)
+        assert run.sink.events_for(run.run_id) == []  # refused before any call or step
+
     @pytest.mark.parametrize(
         "broken_role, tag",
         [("planner", "planner:plan"), ("executor", "executor:execute"),
@@ -685,7 +699,7 @@ class TestExecuteNode:
             "planner": [rule("planner:plan", [], plan_reply("Go."))],
             "executor": [rule("executor:execute", [], "open drawer")],
         }
-        roles[broken_role] = [rule(None, [], FAULTY[broken_role])]
+        roles[broken_role] = [rule(tag, [], FAULTY[broken_role])]
         config = RunConfig(
             parser_retry_budget=0, s_max=5,
             role_backends={name: ScriptedBackend(rules) for name, rules in roles.items()})
@@ -943,7 +957,7 @@ class TestRunTask:
         config = RunConfig(
             parser_retry_budget=0,
             role_backends={
-                "supervisor": ScriptedBackend([rule(None, [], "no json here")]),
+                "supervisor": ScriptedBackend([rule("supervisor:construct", [], "no json here")]),
                 "planner": ScriptedBackend([]),
                 "executor": ScriptedBackend([]),
             })
@@ -964,7 +978,7 @@ class TestRunTask:
         reply = subgoals_reply(
             *((f"node_{i}", f"Part {i}.", []) for i in range(1, 2 * MAX_NODES + 1)))
         config = _exec_config([rule("supervisor:construct", [], reply)],
-                              [rule(None, [], "garbage")], [])
+                              [rule("planner:plan", [], "garbage")], [])
         sink = TraceSink(clock=CounterClock())
         report = run_task(diamond_instance(), make_environment("textlab"), config, sink=sink)
         assert report.reason.startswith("role fault: role 'supervisor:construct' failed")

@@ -71,7 +71,6 @@ def graph_of(*nodes):
 def test_transition_table_is_exactly_the_documented_lifecycle():
     allowed = {
         (NodeStatus.PENDING, NodeStatus.IN_PROGRESS),
-        (NodeStatus.IN_PROGRESS, NodeStatus.IN_PROGRESS),
         (NodeStatus.IN_PROGRESS, NodeStatus.COMPLETED),
         (NodeStatus.IN_PROGRESS, NodeStatus.FAILED),
     }
@@ -83,7 +82,8 @@ def test_transition_table_is_exactly_the_documented_lifecycle():
 def test_set_status_enforces_lifecycle():
     n = SubTaskNode(id="a", description="d")
     n.set_status(NodeStatus.IN_PROGRESS)
-    n.set_status(NodeStatus.IN_PROGRESS)  # looping in place is fine
+    with pytest.raises(GraphError, match="illegal status transition"):
+        n.set_status(NodeStatus.IN_PROGRESS)  # a running node is never dispatched again
     n.set_status(NodeStatus.COMPLETED)
     with pytest.raises(GraphError, match="illegal status transition"):
         n.set_status(NodeStatus.IN_PROGRESS)

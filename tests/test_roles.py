@@ -7,7 +7,9 @@ import json
 import random
 import re
 import urllib.request
+from functools import partial
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from conftest import CONFIG_DIR, REPO_ROOT, WIKI_FIXTURES
@@ -32,6 +34,7 @@ from tdp.roles import (
     ParseFault,
     Plan,
     PromptTemplate,
+    REMOTE_TIMEOUT,
     RemoteChatBackend,
     RenderFault,
     RoleFault,
@@ -707,21 +710,25 @@ def test_every_shipped_reply_parses_under_its_templates_reader(script, environme
 def test_scripted_backend_first_match_and_filters():
     backend = ScriptedBackend(
         [
-            ScriptRule(match=("alpha", "beta"), responses=("both",)),
-            ScriptRule(match=("alpha",), responses=("just alpha",)),
+            ScriptRule(match=("alpha", "beta"), responses=("both",), role="executor:execute"),
+            ScriptRule(match=("alpha",), responses=("just alpha",), role="executor:execute"),
             ScriptRule(match=("gamma",), responses=("for planner",), role="planner:plan"),
-            ScriptRule(match=(), responses=("fallback",)),
+            ScriptRule(match=(), responses=("fallback",), role="executor:execute"),
         ]
     )
-    assert backend.complete("any", "beta then alpha").text == "both"  # conjunctive
-    assert backend.complete("any", "alpha only").text == "just alpha"
+    execute = partial(backend.complete, "executor:execute")
+    assert execute("beta then alpha").text == "both"  # conjunctive
+    assert execute("alpha only").text == "just alpha"
     assert backend.complete("planner:plan", "has gamma").text == "for planner"
-    assert backend.complete("executor:execute", "has gamma").text == "fallback"  # role filter
-    assert backend.complete("any", "nothing matches").text == "fallback"
+    assert execute("has gamma").text == "fallback"  # role filter
+    assert execute("nothing matches").text == "fallback"
+    with pytest.raises(LookupError):  # a rule answers its own role tag only
+        backend.complete("planner:plan", "alpha beta")
 
 
 def test_scripted_backend_is_referentially_transparent():
-    backend = RecordingBackend(ScriptedBackend([ScriptRule(match=("q",), responses=("a",))]))
+    backend = RecordingBackend(
+        ScriptedBackend([ScriptRule(match=("q",), responses=("a",), role="r")]))
     first = backend.complete("r", "q 1")
     second = backend.complete("r", "q 1")
     assert first.text == second.text and first.usage == second.usage
@@ -731,20 +738,20 @@ def test_scripted_backend_is_referentially_transparent():
 def test_scripted_backend_keeps_no_state_per_call():
     backend = ScriptedBackend(
         [
-            ScriptRule(match=("q",), responses=("first", "second")),
-            ScriptRule(match=(), responses=("fallback",)),
+            ScriptRule(match=("q",), responses=("first", "second"), role="r"),
+            ScriptRule(match=(), responses=("fallback",), role="r"),
         ]
     )
     before = repr(vars(backend))  # repr, so growth inside a held list shows too
     for i in range(200):
-        backend.complete(f"role:{i % 3}", f"q {i}" + f"\n{FORMAT_REMINDER}" * (i % 2))
-        backend.complete("role", f"miss {i}")
+        backend.complete("r", f"q {i}" + f"\n{FORMAT_REMINDER}" * (i % 2))
+        backend.complete("r", f"miss {i}")
     assert repr(vars(backend)) == before
 
 
 def test_scripted_backend_retry_indexing_clamps():
     backend = ScriptedBackend(
-        [ScriptRule(match=("q",), responses=("first", "second", "third"))]
+        [ScriptRule(match=("q",), responses=("first", "second", "third"), role="r")]
     )
     assert backend.complete("r", "q").text == "first"
     assert backend.complete("r", f"q\n{FORMAT_REMINDER}").text == "second"
@@ -755,51 +762,64 @@ def test_scripted_backend_retry_indexing_clamps():
 
 
 def test_scripted_backend_unmatched_raises_lookup_error():
-    backend = ScriptedBackend([ScriptRule(match=("never",), responses=("x",))])
+    backend = ScriptedBackend([ScriptRule(match=("never",), responses=("x",), role="tag")])
     with pytest.raises(LookupError, match="no scripted rule matches role 'tag'"):
         backend.complete("tag", "prompt without the needle")
 
 
-def test_scripted_backend_from_file_and_mapping_coercion(tmp_path):
+def _script_file(tmp_path, rules) -> Path:
     path = tmp_path / "rules.json"
-    path.write_text(
-        json.dumps(
-            [
-                {"match": "single", "responses": "one reply"},
-                {"match": ["a", "b"], "responses": ["r1", "r2"], "role": "x:y"},
-            ]
-        )
-    )
+    path.write_text(json.dumps(rules))
+    return path
+
+
+def test_scripted_backend_from_file(tmp_path):
+    path = _script_file(tmp_path, [
+        {"match": ["single"], "responses": ["one reply"], "role": "x:y"},
+        {"match": ["a", "b"], "responses": ["r1", "r2"], "role": "x:y"},
+    ])
     backend = ScriptedBackend.from_file(path)
-    assert backend.complete("any", "single here").text == "one reply"
-    assert backend.rules[1].match == ("a", "b")
+    assert backend.complete("x:y", "single here").text == "one reply"
+    assert backend.rules[1] == ScriptRule(match=("a", "b"), responses=("r1", "r2"), role="x:y")
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(ValueError, match=r"bad\.json must be a list, got \{'not': 'a list'\}"):
         ScriptedBackend.from_file(bad)
-    with pytest.raises(ValueError, match="at least one response"):
-        ScriptedBackend([{"match": "x", "responses": []}])
+
+
+_FINE_RULE = {"match": ["x"], "responses": ["y"], "role": "x:y"}
 
 
 @pytest.mark.parametrize(
     "rule, message",
     [
-        ({"match": "x"}, r"script rule \[1\]: missing required field 'responses'"),
+        ({"match": ["x"], "role": "x:y"},
+         r"script rule \[1\]: missing required field 'responses'"),
+        ({**_FINE_RULE, "responses": []}, r"script rule \[1\] needs at least one response"),
         ("just a string", r"script rule \[1\] must be an object"),
-        ({"match": "x", "responses": "y", "regex": True},
-         r"script rule \[1\] has unknown key\(s\) \['regex'\]"),
-        ({"mach": "x", "responses": "y"}, r"script rule \[1\] has unknown key\(s\) \['mach'\]"),
-        ({"responses": 3},
-         r"script rule \[1\]: 'responses' must be a string or a list of strings, got 3"),
-        ({"match": ["a", 1], "responses": "y"},
-         r"script rule \[1\]: 'match' must be a string or a list of strings"),
-        ({"responses": "y", "role": 7}, r"script rule \[1\]: 'role' must be a string or null"),
+        ({**_FINE_RULE, "regex": True}, r"script rule \[1\] has unknown key\(s\) \['regex'\]"),
+        ({"mach": ["x"], "responses": ["y"], "role": "x:y"},
+         r"script rule \[1\] has unknown key\(s\) \['mach'\]"),
+        ({**_FINE_RULE, "responses": 3},
+         r"script rule \[1\]: 'responses' must be a list of strings, got 3"),
+        ({**_FINE_RULE, "match": ["a", 1]},
+         r"script rule \[1\]: 'match' must be a list of strings"),
+        ({**_FINE_RULE, "role": 7}, r"script rule \[1\]: 'role' must be a string, got 7"),
+        # a bare string for a list, and a missing match or role
+        ({**_FINE_RULE, "match": "x"},
+         r"script rule \[1\]: 'match' must be a list of strings, got 'x'"),
+        ({**_FINE_RULE, "responses": "y"},
+         r"script rule \[1\]: 'responses' must be a list of strings, got 'y'"),
+        ({"responses": ["y"], "role": "x:y"},
+         r"script rule \[1\]: missing required field 'match'"),
+        ({"match": ["x"], "responses": ["y"]},
+         r"script rule \[1\]: missing required field 'role'"),
     ],
 )
-def test_malformed_script_rule_is_a_value_error_naming_it(rule, message):
-    with pytest.raises(ValueError, match=message):
-        ScriptedBackend([{"responses": "fine"}, rule])
+def test_malformed_script_rule_is_a_value_error_naming_it(tmp_path, rule, message):
+    with pytest.raises(ValueError, match=r"rules\.json: " + message):
+        ScriptedBackend.from_file(_script_file(tmp_path, [_FINE_RULE, rule]))
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +831,11 @@ def _template(body="Q: {question}"):
     return PromptTemplate(
         name="probe", body=body, role="supervisor", read=lambda text, _: extract_json(text)
     )
+
+
+def _probe_rule(*responses: str, match: tuple[str, ...] = ()) -> ScriptRule:
+    """A rule answering the ``probe`` template's calls."""
+    return ScriptRule(match=match, responses=responses, role="supervisor:probe")
 
 
 def _probe_run(backend, retry_budget=2) -> Run:
@@ -839,7 +864,7 @@ def _role_tokens(run) -> dict:
 def test_call_binds_the_runs_command_lines_the_caller_leaves_out():
     """Both renderings of the run's commands: the full lines as
     ``admissible_commands`` and each line's call syntax as ``command_calls``."""
-    backend = RecordingBackend(ScriptedBackend([ScriptRule(match=(), responses=('{"a": 1}',))]))
+    backend = RecordingBackend(ScriptedBackend([_probe_rule('{"a": 1}')]))
     run = _probe_run(backend)
     run.templates["probe"] = _template(
         body="Q: {question}\nActions:\n{admissible_commands}\nCalls:\n{command_calls}")
@@ -851,7 +876,7 @@ def test_call_binds_the_runs_command_lines_the_caller_leaves_out():
 
 
 def test_call_role_success_reports_usage_and_attempts():
-    run = _probe_run(ScriptedBackend([ScriptRule(match=(), responses=('{"a": 1}',))]))
+    run = _probe_run(ScriptedBackend([_probe_rule('{"a": 1}')]))
     assert _probe(run) == {"a": 1}
     event = _role_call(run)
     assert event["attempts"] == 1 and event["ok"] is True
@@ -862,8 +887,7 @@ def test_call_role_success_reports_usage_and_attempts():
 
 def test_call_role_retries_with_cumulative_reminders():
     backend = RecordingBackend(ScriptedBackend(
-        [ScriptRule(match=(), responses=("not json", "still not", '{"ok": true}'))]
-    ))
+        [_probe_rule("not json", "still not", '{"ok": true}')]))
     run = _probe_run(backend, retry_budget=2)
     assert _probe(run) == {"ok": True}
     event = _role_call(run)
@@ -889,7 +913,7 @@ def test_call_role_retries_with_cumulative_reminders():
 
 
 def test_call_role_exhaustion_carries_usage_and_raw_text():
-    run = _probe_run(ScriptedBackend([ScriptRule(match=(), responses=("garbage",))]),
+    run = _probe_run(ScriptedBackend([_probe_rule("garbage")]),
                      retry_budget=1)
     with pytest.raises(RoleFault) as info:
         _probe(run, "p")
@@ -903,7 +927,7 @@ def test_call_role_exhaustion_carries_usage_and_raw_text():
 
 
 def test_call_role_zero_budget_means_one_attempt():
-    run = _probe_run(ScriptedBackend([ScriptRule(match=(), responses=("junk",))]),
+    run = _probe_run(ScriptedBackend([_probe_rule("junk")]),
                      retry_budget=0)
     with pytest.raises(RoleFault):
         _probe(run, "p")
@@ -912,7 +936,7 @@ def test_call_role_zero_budget_means_one_attempt():
 
 def test_call_role_lets_backend_errors_propagate():
     # only parse faults are retried; a backend with no matching rule is a bug
-    run = _probe_run(ScriptedBackend([ScriptRule(match=("absent",), responses=("x",))]),
+    run = _probe_run(ScriptedBackend([_probe_rule("x", match=("absent",))]),
                      retry_budget=3)
     with pytest.raises(LookupError):
         _probe(run, "p")
@@ -944,9 +968,10 @@ def test_call_role_backend_error_on_a_retry_records_the_usage_so_far():
 
 
 def test_call_role_uses_role_tag_for_backend_dispatch():
-    run = _probe_run(ScriptedBackend(
-        [ScriptRule(match=(), responses=('{"seen": true}',), role="supervisor:probe")]
-    ))
+    run = _probe_run(ScriptedBackend([
+        ScriptRule(match=(), responses=('{"seen": false}',), role="planner:probe"),
+        _probe_rule('{"seen": true}'),
+    ]))
     assert _probe(run, "p") == {"seen": True}
 
 
@@ -1003,17 +1028,16 @@ def _remote_run_replying(monkeypatch, *replies):
 
 def test_remote_backend_posts_one_chat_completion_request(monkeypatch):
     """The request: a JSON POST to the endpoint carrying the key, the model,
-    the prompt as one user message and the temperature, with the timeout."""
+    the prompt as one user message and the temperature, with the fixed timeout."""
     monkeypatch.setenv("PROBE_KEY", "sk-test-123")
     transport = Transport([{"choices": [{"message": {"content": '{"a": 1}'}}]}])
     monkeypatch.setattr(urllib.request, "urlopen", transport)
     backend = RemoteChatBackend(endpoint="https://example.invalid/v1/chat/completions",
-                                model="m-1", credential_env="PROBE_KEY", temperature=0.3,
-                                timeout=7.5)
+                                model="m-1", credential_env="PROBE_KEY", temperature=0.3)
     assert backend.complete("planner:plan", "Q: ping").text == '{"a": 1}'
     ((request, timeout),) = transport.sent
     assert request.full_url == "https://example.invalid/v1/chat/completions"
-    assert request.get_method() == "POST" and timeout == 7.5
+    assert request.get_method() == "POST" and timeout == REMOTE_TIMEOUT
     assert dict(request.header_items()) == {
         "Authorization": "Bearer sk-test-123", "Content-type": "application/json"}
     assert json.loads(request.data.decode("utf-8")) == {
